@@ -17,11 +17,16 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> SIMD feature gate: simd-fieldset build + dataplane tests"
-# The explicit SSE2 kernels live behind a feature flag; the gate keeps the
-# cfg matrix (feature on/off) compiling and byte-equivalent everywhere.
-cargo build --release --features simd-fieldset
-cargo test -q --release -p hermes-dataplane --features simd-fieldset
+echo "==> deploy-request benchmark self-test (bench/check.sh)"
+# bench/ is a workspace of its own, so nothing above compiles it: a `pub`
+# item it imports could be removed here and go unnoticed until the
+# benchmark run. The self-test builds it against this checkout, runs every
+# workload twice on a fixed seed, and checks the per-layer metric names.
+# Its two timed sets must also agree within the benchmark's bounds, which a
+# slow phase of a shared host trips with every count exact; what this stage
+# guards (the build, the counts, the names) fails every attempt alike, so a
+# failure is retried twice.
+bench/check.sh || bench/check.sh || bench/check.sh
 
 echo "==> solver property suite"
 cargo test -q --release --test solver_portfolio

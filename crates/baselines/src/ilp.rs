@@ -533,7 +533,7 @@ fn solve_program_packing(
             .unwrap_or(0);
         let c = (min_c..q).find(|&c| {
             let model = net.switch(candidates[c]).target_model();
-            if used[c] + resource > model.total_capacity() + 1e-9 {
+            if !model.fits_total(used[c] + resource) {
                 return false;
             }
             let mut attempt = on_switch[c].clone();

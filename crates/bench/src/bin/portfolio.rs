@@ -2,14 +2,16 @@
 //!
 //! On the ten-program library, compares the *sequential* exact pipeline
 //! (greedy seed, then branch-over-assignments — the pre-portfolio
-//! `OptimalSolver`) against 2- and 4-thread [`Portfolio`] races on
+//! `OptimalSolver`) against the greedy + exact [`Portfolio`] race on
 //! time-to-proven-optimal, and isolates the effect of incumbent sharing by
 //! re-running the bare exact search with and without a greedy-published
 //! bound (`nodes_explored` with the bound must be strictly lower).
 //!
 //! Modes:
-//! - default: text tables (objective-over-time per race, speedups, pruning);
-//! - `--json`: the same data as JSON (recorded as `results/BENCH_portfolio.json`);
+//! - default: text tables (objective-over-time of the race, speedup, pruning);
+//! - `--json`: the same data as JSON (`results/BENCH_portfolio.json` is the
+//!   historical record from when a four-racer preset was measured beside
+//!   this one — the evidence it was removed on);
 //! - `--smoke`: fixed-seed determinism probe for CI — races the 2-thread
 //!   portfolio under a 2 s budget and prints only timing-independent fields
 //!   (winner, objective, proof status, plan), so two runs must be
@@ -40,7 +42,6 @@ struct IncumbentPoint {
 
 #[derive(Serialize)]
 struct RaceResult {
-    label: String,
     racers: Vec<String>,
     winner: String,
     objective: u64,
@@ -79,7 +80,7 @@ struct Scenario {
     tdg_nodes: usize,
     tdg_edges: usize,
     sequential_exact: SequentialResult,
-    races: Vec<RaceResult>,
+    race: RaceResult,
     /// `None` when the optimum is zero (ablation would be vacuous).
     pruning: Option<PruningEvidence>,
 }
@@ -137,57 +138,46 @@ fn bench_scenario(name: &str, net: &Network) -> Scenario {
         }
     });
 
-    // Portfolio races at two widths.
-    let races =
-        [("portfolio-x2", Portfolio::greedy_exact()), ("portfolio-x4", Portfolio::standard(4))]
-            .into_iter()
-            .map(|(label, portfolio)| {
-                let time_to_proven = |race: &hermes_core::RaceReport| {
-                    race.reports.iter().filter(|r| r.proven_optimal).map(|r| r.wall).min()
-                };
-                let mut best: Option<hermes_core::RaceReport> = None;
-                let mut best_proven: Option<Duration> = None;
-                for _ in 0..REPS {
-                    let race = portfolio
-                        .race(&tdg, net, &eps, &SearchContext::with_time_limit(BUDGET))
-                        .expect("library workload is feasible");
-                    best_proven = match (best_proven, time_to_proven(&race)) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    if best.as_ref().is_none_or(|b| race.wall < b.wall) {
-                        best = Some(race);
-                    }
-                }
-                let race = best.expect("REPS >= 1");
-                let mut trajectory: Vec<IncumbentPoint> = race
-                    .reports
-                    .iter()
-                    .map(|r| IncumbentPoint {
-                        at_ms: r.wall.as_secs_f64() * 1000.0,
-                        solver: r.name.clone(),
-                        objective: r.objective,
-                        proven_optimal: r.proven_optimal,
-                    })
-                    .collect();
-                trajectory.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
-                let wall_ms = race.wall.as_secs_f64() * 1000.0;
-                RaceResult {
-                    label: label.to_owned(),
-                    racers: portfolio.racer_names().iter().map(|s| (*s).to_owned()).collect(),
-                    winner: race.reports[race.winner].name.clone(),
-                    objective: race.outcome.objective,
-                    proven_optimal: race.outcome.proven_optimal,
-                    wall_ms,
-                    time_to_proven_ms: best_proven.map(|d| d.as_secs_f64() * 1000.0),
-                    speedup_vs_sequential: seq_wall_ms
-                        / best_proven
-                            .map_or(wall_ms, |d| d.as_secs_f64() * 1000.0)
-                            .max(f64::EPSILON),
-                    objective_over_time: trajectory,
-                }
-            })
-            .collect();
+    let portfolio = Portfolio::greedy_exact();
+    let mut best: Option<hermes_core::RaceReport> = None;
+    let mut best_proven: Option<Duration> = None;
+    for _ in 0..REPS {
+        let race = portfolio
+            .race(&tdg, net, &eps, &SearchContext::with_time_limit(BUDGET))
+            .expect("library workload is feasible");
+        let proven = race.reports.iter().filter(|r| r.proven_optimal).map(|r| r.wall).min();
+        best_proven = match (best_proven, proven) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        if best.as_ref().is_none_or(|b| race.wall < b.wall) {
+            best = Some(race);
+        }
+    }
+    let race = best.expect("REPS >= 1");
+    let mut trajectory: Vec<IncumbentPoint> = race
+        .reports
+        .iter()
+        .map(|r| IncumbentPoint {
+            at_ms: r.wall.as_secs_f64() * 1000.0,
+            solver: r.name.clone(),
+            objective: r.objective,
+            proven_optimal: r.proven_optimal,
+        })
+        .collect();
+    trajectory.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
+    let wall_ms = race.wall.as_secs_f64() * 1000.0;
+    let race = RaceResult {
+        racers: portfolio.racer_names().iter().map(|s| (*s).to_owned()).collect(),
+        winner: race.reports[race.winner].name.clone(),
+        objective: race.outcome.objective,
+        proven_optimal: race.outcome.proven_optimal,
+        wall_ms,
+        time_to_proven_ms: best_proven.map(|d| d.as_secs_f64() * 1000.0),
+        speedup_vs_sequential: seq_wall_ms
+            / best_proven.map_or(wall_ms, |d| d.as_secs_f64() * 1000.0).max(f64::EPSILON),
+        objective_over_time: trajectory,
+    };
 
     Scenario {
         topology: name.to_owned(),
@@ -199,7 +189,7 @@ fn bench_scenario(name: &str, net: &Network) -> Scenario {
             objective: sequential.objective,
             proven_optimal: sequential.proven_optimal,
         },
-        races,
+        race,
         pruning,
     }
 }
@@ -253,31 +243,22 @@ fn main() {
     }
 
     println!("Portfolio bench — ten-program library, budget {BUDGET:?}, min of {REPS} reps\n");
-    let proven_ms =
-        |r: &RaceResult| r.time_to_proven_ms.map_or("-".into(), |ms| format!("{ms:.2}"));
     let mut t = Table::new([
         "topology",
         "sequential ms",
-        "x2 proven ms",
-        "x2 speedup",
-        "x4 proven ms",
-        "x4 speedup",
+        "race proven ms",
+        "speedup",
         "objective",
         "proven",
     ]);
     for s in &report.scenarios {
-        let x2 = &s.races[0];
-        let x4 = &s.races[1];
         t.row([
             s.topology.clone(),
             format!("{:.2}", s.sequential_exact.wall_ms),
-            proven_ms(x2),
-            format!("{:.2}x", x2.speedup_vs_sequential),
-            proven_ms(x4),
-            format!("{:.2}x", x4.speedup_vs_sequential),
-            x2.objective.to_string(),
-            (s.sequential_exact.proven_optimal && x2.proven_optimal && x4.proven_optimal)
-                .to_string(),
+            s.race.time_to_proven_ms.map_or("-".into(), |ms| format!("{ms:.2}")),
+            format!("{:.2}x", s.race.speedup_vs_sequential),
+            s.race.objective.to_string(),
+            (s.sequential_exact.proven_optimal && s.race.proven_optimal).to_string(),
         ]);
     }
     println!("(a) time-to-proven-optimal\n{}", t.render());
@@ -296,19 +277,17 @@ fn main() {
     }
     println!("(b) incumbent-sharing ablation (exact-search nodes explored)\n{}", p.render());
 
-    println!("(c) objective over time, per race");
+    println!("(c) objective over time of the race");
     for s in &report.scenarios {
-        for race in &s.races {
-            println!("  {} / {}:", s.topology, race.label);
-            for point in &race.objective_over_time {
-                println!(
-                    "    t={:>8.2} ms  {:<12} objective={:<6} {}",
-                    point.at_ms,
-                    point.solver,
-                    point.objective.map_or("-".into(), |o| o.to_string()),
-                    if point.proven_optimal { "(proven)" } else { "" }
-                );
-            }
+        println!("  {}:", s.topology);
+        for point in &s.race.objective_over_time {
+            println!(
+                "    t={:>8.2} ms  {:<12} objective={:<6} {}",
+                point.at_ms,
+                point.solver,
+                point.objective.map_or("-".into(), |o| o.to_string()),
+                if point.proven_optimal { "(proven)" } else { "" }
+            );
         }
     }
 
@@ -316,14 +295,14 @@ fn main() {
     // where the exact search does real work; the trivial scenarios solve in
     // ~0.1 ms sequentially, below thread-spawn cost.
     let testbed = &report.scenarios[0];
-    let x2 = &testbed.races[0];
-    let ok = x2.objective == testbed.sequential_exact.objective
-        && x2.time_to_proven_ms.is_some_and(|ms| ms <= testbed.sequential_exact.wall_ms);
+    let race = &testbed.race;
+    let ok = race.objective == testbed.sequential_exact.objective
+        && race.time_to_proven_ms.is_some_and(|ms| ms <= testbed.sequential_exact.wall_ms);
     println!(
-        "\nheadline ({}): 2-thread portfolio proves the exact objective {} ({} vs {:.2} ms sequential)",
+        "\nheadline ({}): the portfolio race proves the exact objective {} ({} vs {:.2} ms sequential)",
         testbed.topology,
         if ok { "at least as fast as sequential exact" } else { "SLOWER than sequential exact" },
-        x2.time_to_proven_ms.map_or("-".into(), |ms| format!("{ms:.2} ms")),
+        race.time_to_proven_ms.map_or("-".into(), |ms| format!("{ms:.2} ms")),
         testbed.sequential_exact.wall_ms,
     );
 }

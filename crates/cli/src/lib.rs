@@ -536,8 +536,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         };
         match arg.as_str() {
             "--topology" => options.topology = value(&mut iter)?,
-            // `--algorithm` is the pre-unification spelling, kept as alias.
-            "--solver" | "--algorithm" => {
+            "--solver" => {
                 let name = value(&mut iter)?;
                 solver(&name, Duration::from_secs(1)).map_err(|e| err(e.to_string()))?;
                 options.solver = name;
@@ -550,8 +549,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 options.eps2 =
                     value(&mut iter)?.parse().map_err(|_| err("--eps2 needs an integer"))?
             }
-            // `--budget` is the pre-unification spelling, kept as alias.
-            "--time-limit" | "--budget" => {
+            "--time-limit" => {
                 options.time_limit_secs =
                     value(&mut iter)?.parse().map_err(|_| err("--time-limit needs seconds"))?
             }
@@ -1199,12 +1197,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flag_spellings_still_parse() {
-        let options =
-            parse_args(&args(&["deploy", "a.p4dsl", "--algorithm", "hermes", "--budget", "3"]))
-                .unwrap();
-        assert_eq!(options.solver, "hermes");
-        assert_eq!(options.time_limit_secs, 3);
+    fn legacy_flag_spellings_are_rejected_with_usage() {
+        for (name, value) in [("algorithm", "hermes"), ("budget", "3")] {
+            let flag = format!("--{name}");
+            let e = parse_args(&args(&["deploy", "a.p4dsl", &flag, value])).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag `{flag}`")), "{e}");
+            assert!(e.0.contains(USAGE), "{e}");
+        }
     }
 
     #[test]

@@ -152,7 +152,9 @@ impl DeploymentPlan {
     /// `t_e2e` — the summed latency of all coordination paths (Obj#2,
     /// Eq. 2), in microseconds.
     pub fn end_to_end_latency_us(&self) -> f64 {
-        self.routes.iter().map(|r| r.path.latency_us).sum()
+        // Folded from +0.0: an empty `f64` sum is -0.0, which a route-less
+        // (single-switch) plan would print and serialize as "-0.0".
+        self.routes.iter().fold(0.0, |total, r| total + r.path.latency_us)
     }
 
     /// `Q_occ` — the number of occupied programmable switches (Obj#3,
@@ -355,6 +357,16 @@ mod tests {
 
     fn place(plan: &mut DeploymentPlan, node: usize, switch: SwitchId, stage: usize) {
         plan.place(StagePlacement { node: node_id(node), switch, stage, fraction: 0.2 });
+    }
+
+    #[test]
+    fn route_less_plan_has_positive_zero_latency() {
+        let net = topology::linear(1, 10.0);
+        let mut plan = DeploymentPlan::new();
+        place(&mut plan, 0, net.switch_ids().next().expect("one switch"), 0);
+        let latency = plan.end_to_end_latency_us();
+        assert_eq!(latency, 0.0);
+        assert!(latency.is_sign_positive(), "t_e2e must not print as -0.0");
     }
 
     #[test]

@@ -31,16 +31,15 @@
 //!
 //! # Parallel search
 //!
-//! The DFS is sharded into **work-stealing subtree tasks**: a breadth-first
+//! The DFS is sharded into **independent subtree tasks**: a breadth-first
 //! frontier expansion (in exact DFS candidate order) splits the tree at a
 //! depth where enough independent subtree roots exist to feed the worker
-//! pool, the roots are dealt round-robin to per-worker deques, and each
-//! scoped worker runs an iterative DFS over its claimed subtrees with its
-//! own reversible [`IncrementalEval`] + stage-packing state (reset and
-//! replayed per root — no cross-worker sharing of mutable state). Idle
-//! workers steal from the back of a victim's deque. Search frames live in
-//! a per-worker arena (`Vec<Frame>`) that is reused across subtrees, so
-//! steady-state search allocates nothing.
+//! pool, and each scoped worker claims the next canonical root from one
+//! shared atomic cursor and runs an iterative DFS over it with its own
+//! reversible [`IncrementalEval`] + stage-packing state (reset and
+//! replayed per root — no cross-worker sharing of mutable state). Search
+//! frames live in a per-worker arena (`Vec<Frame>`) that is reused across
+//! subtrees, so steady-state search allocates nothing.
 //!
 //! **Determinism:** results are byte-identical to the sequential search
 //! regardless of worker count or timing. Each worker accepts a leaf only
@@ -65,11 +64,17 @@ use crate::eval::IncrementalEval;
 use crate::heuristic::GreedyHeuristic;
 use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
 use crate::stage_assign::{assign_stages, Packing};
-use hermes_net::{shortest_path, Network, SwitchId};
+use hermes_net::{shortest_path, Network, SwitchId, CAP_TOL};
 use hermes_tdg::{NodeId, Tdg};
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::Mutex;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
+
+/// Target number of subtree roots per worker when splitting the search
+/// tree (the frontier deepens until `workers × ROOTS_PER_WORKER` roots
+/// exist or the tree is exhausted). More roots smooth load balance at the
+/// cost of more prefix replays.
+const ROOTS_PER_WORKER: usize = 8;
 
 /// Exact `A_max` minimizer driven entirely by a [`SearchContext`] (no
 /// private time budget).
@@ -81,16 +86,11 @@ pub struct OptimalSolver {
     /// already publishes that incumbent, and re-deriving it here would
     /// erase the portfolio's wall-clock advantage.
     pub seed_with_heuristic: bool,
-    /// Target number of subtree roots per worker when splitting the search
-    /// tree (the frontier deepens until `workers × roots_per_worker` roots
-    /// exist or the tree is exhausted). More roots smooth work-stealing
-    /// load balance at the cost of more prefix replays. Clamped to ≥ 1.
-    pub roots_per_worker: usize,
 }
 
 impl Default for OptimalSolver {
     fn default() -> Self {
-        OptimalSolver { seed_with_heuristic: true, roots_per_worker: 8 }
+        OptimalSolver { seed_with_heuristic: true }
     }
 }
 
@@ -103,11 +103,11 @@ impl OptimalSolver {
     /// The portfolio configuration: no internal heuristic seed; the
     /// incumbent bound arrives through the shared [`SearchContext`].
     pub fn bare() -> Self {
-        OptimalSolver { seed_with_heuristic: false, ..OptimalSolver::default() }
+        OptimalSolver { seed_with_heuristic: false }
     }
 
     /// Like [`Solver::solve`], but also reports parallel-search telemetry
-    /// (worker/steal/prune counters) alongside the outcome. Telemetry is
+    /// (worker/frontier/prune counters) alongside the outcome. Telemetry is
     /// zeroed on the trivial early-out paths that never start a search.
     pub fn solve_instrumented(
         &self,
@@ -221,7 +221,7 @@ impl OptimalSolver {
         };
 
         let requested_workers = ctx.worker_count().max(1);
-        let target_roots = requested_workers * self.roots_per_worker.max(1);
+        let target_roots = requested_workers * ROOTS_PER_WORKER;
 
         // Phase 1: deterministic frontier enumeration (single-threaded,
         // exact DFS candidate order) splitting the tree into independent
@@ -232,37 +232,24 @@ impl OptimalSolver {
         let enum_stopped = enumerator.stopped;
         drop(enumerator);
 
-        // Phase 2: work-stealing subtree execution.
+        // Phase 2: subtree execution; workers take roots in canonical
+        // order from one shared cursor.
         let workers = if enum_stopped || frontier.count == 0 {
             0
         } else {
             requested_workers.min(frontier.count)
         };
-        let queues: Vec<Mutex<VecDeque<u32>>> = (0..workers.max(1))
-            .map(|w| {
-                Mutex::new(
-                    (0..frontier.count as u32)
-                        .filter(|r| *r as usize % workers.max(1) == w)
-                        .collect(),
-                )
-            })
-            .collect();
-        let outs: Vec<WorkerOut> = if workers <= 1 {
-            if workers == 1 {
-                vec![run_worker(&shared, &frontier, &queues, 0)]
-            } else {
-                Vec::new()
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let shared = &shared;
-                let frontier = &frontier;
-                let queues = &queues;
+        let cursor = AtomicU32::new(0);
+        let outs: Vec<WorkerOut> = match workers {
+            0 => Vec::new(),
+            1 => vec![run_worker(&shared, &frontier, &cursor)],
+            _ => std::thread::scope(|scope| {
+                let (shared, frontier, cursor) = (&shared, &frontier, &cursor);
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || run_worker(shared, frontier, queues, w)))
+                    .map(|_| scope.spawn(move || run_worker(shared, frontier, cursor)))
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-            })
+            }),
         };
 
         // Phase 3: deterministic reduction — the lexicographic minimum
@@ -272,12 +259,10 @@ impl OptimalSolver {
         let mut best_assign: Option<Vec<usize>> = None;
         let mut explored = enum_explored;
         let mut bound_prunes = 0u64;
-        let mut steals = 0u64;
         let mut worker_stopped = false;
         for out in outs {
             explored += out.explored;
             bound_prunes += out.bound_prunes;
-            steals += out.steals;
             worker_stopped |= out.stopped;
             if let Some(key) = out.best {
                 if best.is_none_or(|b| key < b) {
@@ -295,7 +280,6 @@ impl OptimalSolver {
             workers,
             frontier_depth: frontier.depth,
             subtree_roots: frontier.count,
-            steals,
             bound_prunes,
         };
 
@@ -366,18 +350,15 @@ impl DeploymentAlgorithm for OptimalSolver {
 /// Telemetry of one parallel exact solve (see
 /// [`OptimalSolver::solve_instrumented`]). Unlike
 /// [`SolveStats`], these counters are *not* part of the deterministic
-/// outcome: steal counts and live-bound prune counts depend on thread
-/// timing.
+/// outcome: live-bound prune counts depend on thread timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Worker threads the subtree pool actually ran with.
     pub workers: usize,
     /// Depth of the subtree-splitting frontier.
     pub frontier_depth: usize,
-    /// Number of independent subtree roots dealt to the pool.
+    /// Number of independent subtree roots handed to the pool.
     pub subtree_roots: usize,
-    /// Subtree roots claimed from another worker's deque.
-    pub steals: u64,
     /// Nodes cut by the incumbent bound (entry or live).
     pub bound_prunes: u64,
 }
@@ -461,23 +442,6 @@ fn build_frontier(ex: &mut Explorer<'_>, target: usize) -> Frontier {
     Frontier { prefixes: level, count, depth }
 }
 
-/// Claims the next subtree root for worker `me`: own deque front first
-/// (preserving canonical order), then steal from the back of the first
-/// non-empty victim.
-fn claim(queues: &[Mutex<VecDeque<u32>>], me: usize, steals: &mut u64) -> Option<u32> {
-    if let Some(r) = queues[me].lock().expect("queue lock").pop_front() {
-        return Some(r);
-    }
-    for off in 1..queues.len() {
-        let victim = (me + off) % queues.len();
-        if let Some(r) = queues[victim].lock().expect("queue lock").pop_back() {
-            *steals += 1;
-            return Some(r);
-        }
-    }
-    None
-}
-
 /// Per-worker result, merged by the deterministic reduction.
 struct WorkerOut {
     /// Best `(objective, canonical subtree index)` this worker accepted.
@@ -485,20 +449,20 @@ struct WorkerOut {
     best_assign: Vec<usize>,
     explored: u64,
     bound_prunes: u64,
-    steals: u64,
     stopped: bool,
 }
 
-fn run_worker(
-    sh: &SharedSearch<'_>,
-    frontier: &Frontier,
-    queues: &[Mutex<VecDeque<u32>>],
-    me: usize,
-) -> WorkerOut {
+/// Explores roots claimed from `cursor` until the frontier is used up or
+/// the context stops the search. The cursor publishes no data (the
+/// frontier is immutable and every claimed index is distinct), so
+/// `Relaxed` suffices; which worker runs a root never reaches the result.
+fn run_worker(sh: &SharedSearch<'_>, frontier: &Frontier, cursor: &AtomicU32) -> WorkerOut {
     let mut ex = Explorer::new(sh);
-    let mut steals = 0u64;
     while !ex.stopped {
-        let Some(root) = claim(queues, me, &mut steals) else { break };
+        let root = cursor.fetch_add(1, Ordering::Relaxed);
+        if root as usize >= frontier.count {
+            break;
+        }
         ex.run_root(root, frontier.prefix(root));
     }
     WorkerOut {
@@ -506,7 +470,6 @@ fn run_worker(
         best_assign: ex.best_assign,
         explored: ex.explored,
         bound_prunes: ex.bound_prunes,
-        steals,
         stopped: ex.stopped,
     }
 }
@@ -610,7 +573,7 @@ impl<'a> Explorer<'a> {
     fn try_place(&mut self, depth: usize, c: usize) -> Option<u32> {
         let node = self.sh.order[depth];
         let resource = self.sh.tdg.node(node).mat.resource();
-        if self.eval.used_capacity(c) + resource > self.sh.total_caps[c] + 1e-9 {
+        if self.eval.used_capacity(c) + resource > self.sh.total_caps[c] + CAP_TOL {
             return None;
         }
         // ε₂: opening a new switch must stay within the bound.
@@ -855,6 +818,7 @@ mod tests {
     use crate::test_support::{chain_tdg, tiny_switches};
     use hermes_dataplane::action::Action;
     use hermes_dataplane::fields::Field;
+    use hermes_dataplane::library;
     use hermes_dataplane::mat::{Mat, MatchKind};
     use hermes_dataplane::program::Program;
     use hermes_net::Switch;
@@ -1014,20 +978,23 @@ mod tests {
 
     #[test]
     fn outcome_is_identical_across_worker_counts() {
-        let tdg = chain_tdg(&[1, 4, 2, 8, 3], 0.5);
-        let net = tiny_switches(3, 3, 0.5);
+        // The ten-program library on the three-switch testbed: independent
+        // programs, so the frontier holds several roots per worker and
+        // their subtrees differ widely in size — roots finish, and the
+        // next ones are claimed, out of worker order.
+        let (tdg, net) = crate::test_support::linear_testbed(&library::real_programs());
         let eps = Epsilon::loose();
-        let reference = OptimalSolver::default()
-            .solve(
-                &tdg,
-                &net,
-                &eps,
-                &SearchContext::unbounded().with_threads(NonZeroUsize::new(1).unwrap()),
-            )
-            .unwrap();
-        for workers in 2..=8 {
+        let solve = |workers: usize| {
             let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(workers).unwrap());
-            let out = OptimalSolver::default().solve(&tdg, &net, &eps, &ctx).unwrap();
+            let (result, stats) =
+                OptimalSolver::default().solve_instrumented(&tdg, &net, &eps, &ctx);
+            (result.unwrap(), stats)
+        };
+        let (reference, _) = solve(1);
+        for workers in 2..=8 {
+            let (out, stats) = solve(workers);
+            assert_eq!(stats.workers, workers, "{stats:?}");
+            assert!(stats.subtree_roots > workers, "{stats:?}");
             assert_eq!(out.plan, reference.plan, "plan diverged at {workers} workers");
             assert_eq!(out.objective, reference.objective);
             assert_eq!(out.proven_optimal, reference.proven_optimal);

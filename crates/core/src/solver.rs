@@ -383,7 +383,6 @@ pub struct RaceReport {
 pub struct Portfolio {
     label: String,
     racers: Vec<Box<dyn Solver>>,
-    exact_workers: Option<NonZeroUsize>,
 }
 
 impl std::fmt::Debug for Portfolio {
@@ -391,7 +390,6 @@ impl std::fmt::Debug for Portfolio {
         f.debug_struct("Portfolio")
             .field("label", &self.label)
             .field("racers", &self.racers.iter().map(|r| r.name().to_owned()).collect::<Vec<_>>())
-            .field("exact_workers", &self.exact_workers)
             .finish()
     }
 }
@@ -399,34 +397,18 @@ impl std::fmt::Debug for Portfolio {
 impl Portfolio {
     /// Portfolio over `racers` in priority order.
     pub fn new(label: impl Into<String>, racers: Vec<Box<dyn Solver>>) -> Self {
-        Portfolio { label: label.into(), racers, exact_workers: None }
-    }
-
-    /// Pins the per-racer worker budget handed to parallel racers (the
-    /// exact search) instead of deriving it from the race context.
-    #[must_use]
-    pub fn with_worker_budget(mut self, workers: NonZeroUsize) -> Self {
-        self.exact_workers = Some(workers);
-        self
-    }
-
-    /// The pinned per-racer worker budget, if any (set by
-    /// [`Portfolio::standard`] and [`Portfolio::with_worker_budget`]).
-    pub fn worker_budget(&self) -> Option<NonZeroUsize> {
-        self.exact_workers
+        Portfolio { label: label.into(), racers }
     }
 
     /// The worker budget each racer's child context will carry in
-    /// [`Portfolio::race`]: the pinned budget when set, otherwise the
-    /// context's thread count minus one OS thread per *other* racer, so
-    /// racers × workers never exceeds the requested total. Every racer but
-    /// the parallel exact search is single-threaded, so reserving one
-    /// thread each is exact, not an estimate.
+    /// [`Portfolio::race`]: the context's thread count minus one OS thread
+    /// per *other* racer, so racers × workers never exceeds the requested
+    /// total. Every racer but the parallel exact search is
+    /// single-threaded, so reserving one thread each is exact, not an
+    /// estimate.
     pub fn planned_workers(&self, ctx: &SearchContext) -> NonZeroUsize {
-        self.exact_workers.unwrap_or_else(|| {
-            let spare = ctx.worker_count().saturating_sub(self.racers.len().saturating_sub(1));
-            NonZeroUsize::new(spare.max(1)).expect("max(1) is nonzero")
-        })
+        let spare = ctx.worker_count().saturating_sub(self.racers.len().saturating_sub(1));
+        NonZeroUsize::new(spare.max(1)).expect("max(1) is nonzero")
     }
 
     /// The default deterministic pairing: the greedy heuristic publishes
@@ -440,29 +422,6 @@ impl Portfolio {
                 Box::new(crate::exact::OptimalSolver::bare()),
             ],
         )
-    }
-
-    /// Preset sized to `threads` total OS threads: 1 → greedy; 2 → greedy
-    /// + exact; 3 → + MILP; 4 and up → + balanced-split greedy.
-    ///
-    /// The exact racer's internal worker pool is budgeted so racers ×
-    /// workers ≤ `threads`: one OS thread per single-threaded racer, the
-    /// remainder to the parallel exact search (never below 1).
-    pub fn standard(threads: usize) -> Self {
-        use crate::heuristic::{GreedyHeuristic, SplitStrategy};
-        let mut racers: Vec<Box<dyn Solver>> = vec![Box::new(GreedyHeuristic::new())];
-        if threads >= 2 {
-            racers.push(Box::new(crate::exact::OptimalSolver::bare()));
-        }
-        if threads >= 3 {
-            racers.push(Box::new(crate::milp_formulation::MilpHermes::default()));
-        }
-        if threads >= 4 {
-            racers.push(Box::new(GreedyHeuristic::with_strategy(SplitStrategy::Balanced)));
-        }
-        let workers = threads.saturating_sub(racers.len().saturating_sub(1)).max(1);
-        Portfolio::new(format!("Portfolio(x{})", racers.len()), racers)
-            .with_worker_budget(NonZeroUsize::new(workers).expect("max(1) is nonzero"))
     }
 
     /// The racers' names, in priority order.
@@ -750,35 +709,15 @@ mod tests {
     }
 
     #[test]
-    fn standard_presets_scale_with_threads() {
-        assert_eq!(Portfolio::standard(1).racer_names().len(), 1);
-        assert_eq!(Portfolio::standard(2).racer_names().len(), 2);
-        assert_eq!(Portfolio::standard(4).racer_names().len(), 4);
-        assert_eq!(Portfolio::standard(16).racer_names().len(), 4);
-    }
-
-    #[test]
-    fn standard_presets_budget_workers_within_requested_threads() {
-        // racers × workers ≤ requested: every single-threaded racer
-        // reserves one OS thread, the exact racer gets the remainder.
-        for (threads, racers, workers) in
-            [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (8, 4, 5), (16, 4, 13)]
-        {
-            let p = Portfolio::standard(threads);
-            assert_eq!(p.racer_names().len(), racers, "racers at {threads}");
-            let budget = p.worker_budget().expect("standard pins a budget").get();
-            assert_eq!(budget, workers, "workers at {threads}");
-            assert!(budget + racers - 1 <= threads.max(1), "oversubscribed at {threads}");
-            // The pinned budget wins over whatever the race context says.
+    fn greedy_exact_leaves_one_thread_to_the_greedy_racer() {
+        // racers × workers ≤ requested: the single-threaded greedy racer
+        // reserves one OS thread, the exact racer gets the rest, floor 1.
+        let p = Portfolio::greedy_exact();
+        for (threads, workers) in [(1, 1), (2, 1), (3, 2), (8, 7)] {
             let ctx = SearchContext::unbounded()
-                .with_threads(std::num::NonZeroUsize::new(64).expect("nonzero"));
-            assert_eq!(p.planned_workers(&ctx).get(), workers);
+                .with_threads(NonZeroUsize::new(threads).expect("nonzero"));
+            assert_eq!(p.planned_workers(&ctx).get(), workers, "workers at {threads}");
         }
-        // Without a pinned budget the context's thread count is split.
-        let p = Portfolio::new("P", vec![]);
-        let ctx = SearchContext::unbounded()
-            .with_threads(std::num::NonZeroUsize::new(6).expect("nonzero"));
-        assert_eq!(p.planned_workers(&ctx).get(), 6);
     }
 
     #[test]

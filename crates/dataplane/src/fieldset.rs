@@ -24,147 +24,56 @@ use std::fmt;
 ///
 /// Every hot operation walks words in blocks of [`LANES`] = 4 × `u64`
 /// (256 bits): a branch-free reduction decides whether the whole block
-/// can be skipped before any per-word bit walk runs. The default build
-/// keeps the kernels in plain Rust shaped for autovectorization (fixed
-/// trip count, no data-dependent branches inside a block); enabling the
-/// `simd-fieldset` feature swaps in an explicit SSE2 implementation on
-/// `x86_64` (part of the architecture baseline, so no runtime dispatch
-/// is needed) and falls back to the scalar kernels elsewhere.
+/// can be skipped before any per-word bit walk runs. The kernels are plain
+/// Rust shaped for autovectorization (fixed trip count, no data-dependent
+/// branches inside a block).
 mod kernels {
     /// Words per block: 4 × u64 = 256 bits.
     pub(super) const LANES: usize = 4;
 
-    #[cfg(not(all(feature = "simd-fieldset", target_arch = "x86_64")))]
-    mod imp {
-        use super::LANES;
-
-        /// `true` iff any bit of `a & b` is set, over one 4-word block.
-        #[inline]
-        pub(crate) fn and_any(a: &[u64], b: &[u64]) -> bool {
-            debug_assert!(a.len() == LANES && b.len() == LANES);
-            let mut acc = 0u64;
-            for i in 0..LANES {
-                acc |= a[i] & b[i];
-            }
-            acc != 0
+    /// `true` iff any bit of `a & b` is set, over one 4-word block.
+    #[inline]
+    pub(super) fn and_any(a: &[u64], b: &[u64]) -> bool {
+        debug_assert!(a.len() == LANES && b.len() == LANES);
+        let mut acc = 0u64;
+        for i in 0..LANES {
+            acc |= a[i] & b[i];
         }
-
-        /// `true` iff any bit of `a` is set, over one 4-word block.
-        #[inline]
-        pub(crate) fn or_any(a: &[u64]) -> bool {
-            debug_assert!(a.len() == LANES);
-            let mut acc = 0u64;
-            for w in a.iter().take(LANES) {
-                acc |= w;
-            }
-            acc != 0
-        }
-
-        /// `true` iff any bit of `a | b` is set, over one 4-word block.
-        #[inline]
-        pub(crate) fn or2_any(a: &[u64], b: &[u64]) -> bool {
-            debug_assert!(a.len() == LANES && b.len() == LANES);
-            let mut acc = 0u64;
-            for i in 0..LANES {
-                acc |= a[i] | b[i];
-            }
-            acc != 0
-        }
-
-        /// Popcount of one 4-word block.
-        #[inline]
-        pub(crate) fn count_ones(a: &[u64]) -> usize {
-            debug_assert!(a.len() == LANES);
-            let mut total = 0u32;
-            for w in a.iter().take(LANES) {
-                total += w.count_ones();
-            }
-            total as usize
-        }
+        acc != 0
     }
 
-    #[cfg(all(feature = "simd-fieldset", target_arch = "x86_64"))]
-    mod imp {
-        #![allow(unsafe_code)]
-        //! Explicit SSE2 kernels. SSE2 is part of the `x86_64` baseline,
-        //! so these intrinsics are unconditionally available — `unsafe`
-        //! only because `core::arch` declares every intrinsic unsafe.
-        use super::LANES;
-        use core::arch::x86_64::{
-            __m128i, _mm_and_si128, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_epi8,
-            _mm_or_si128, _mm_setzero_si128,
-        };
-
-        /// Loads the two 128-bit halves of a 4-word block.
-        ///
-        /// # Safety
-        /// `a` must hold at least [`LANES`] words (asserted); `loadu` has
-        /// no alignment requirement.
-        #[inline]
-        unsafe fn load2(a: &[u64]) -> (__m128i, __m128i) {
-            assert!(a.len() >= LANES);
-            // SAFETY: the assert above guarantees 32 readable bytes.
-            unsafe {
-                (
-                    _mm_loadu_si128(a.as_ptr().cast::<__m128i>()),
-                    _mm_loadu_si128(a.as_ptr().add(2).cast::<__m128i>()),
-                )
-            }
+    /// `true` iff any bit of `a` is set, over one 4-word block.
+    #[inline]
+    pub(super) fn or_any(a: &[u64]) -> bool {
+        debug_assert!(a.len() == LANES);
+        let mut acc = 0u64;
+        for w in a.iter().take(LANES) {
+            acc |= w;
         }
-
-        /// `true` iff `v` has any bit set.
-        #[inline]
-        fn any(v: __m128i) -> bool {
-            // SAFETY: SSE2 baseline; pure register ops.
-            unsafe { _mm_movemask_epi8(_mm_cmpeq_epi32(v, _mm_setzero_si128())) != 0xFFFF }
-        }
-
-        /// `true` iff any bit of `a & b` is set, over one 4-word block.
-        #[inline]
-        pub(crate) fn and_any(a: &[u64], b: &[u64]) -> bool {
-            // SAFETY: `load2` asserts block width; SSE2 is baseline.
-            unsafe {
-                let (a0, a1) = load2(a);
-                let (b0, b1) = load2(b);
-                any(_mm_or_si128(_mm_and_si128(a0, b0), _mm_and_si128(a1, b1)))
-            }
-        }
-
-        /// `true` iff any bit of `a` is set, over one 4-word block.
-        #[inline]
-        pub(crate) fn or_any(a: &[u64]) -> bool {
-            // SAFETY: `load2` asserts block width; SSE2 is baseline.
-            unsafe {
-                let (a0, a1) = load2(a);
-                any(_mm_or_si128(a0, a1))
-            }
-        }
-
-        /// `true` iff any bit of `a | b` is set, over one 4-word block.
-        #[inline]
-        pub(crate) fn or2_any(a: &[u64], b: &[u64]) -> bool {
-            // SAFETY: `load2` asserts block width; SSE2 is baseline.
-            unsafe {
-                let (a0, a1) = load2(a);
-                let (b0, b1) = load2(b);
-                any(_mm_or_si128(_mm_or_si128(a0, b0), _mm_or_si128(a1, b1)))
-            }
-        }
-
-        /// Popcount of one 4-word block (scalar `popcnt` per word beats a
-        /// 128-bit emulation at this width).
-        #[inline]
-        pub(crate) fn count_ones(a: &[u64]) -> usize {
-            assert!(a.len() >= LANES);
-            let mut total = 0u32;
-            for w in a.iter().take(LANES) {
-                total += w.count_ones();
-            }
-            total as usize
-        }
+        acc != 0
     }
 
-    pub(super) use imp::{and_any, count_ones, or2_any, or_any};
+    /// `true` iff any bit of `a | b` is set, over one 4-word block.
+    #[inline]
+    pub(super) fn or2_any(a: &[u64], b: &[u64]) -> bool {
+        debug_assert!(a.len() == LANES && b.len() == LANES);
+        let mut acc = 0u64;
+        for i in 0..LANES {
+            acc |= a[i] | b[i];
+        }
+        acc != 0
+    }
+
+    /// Popcount of one 4-word block.
+    #[inline]
+    pub(super) fn count_ones(a: &[u64]) -> usize {
+        debug_assert!(a.len() == LANES);
+        let mut total = 0u32;
+        for w in a.iter().take(LANES) {
+            total += w.count_ones();
+        }
+        total as usize
+    }
 }
 
 /// Dense identifier of an interned [`Field`] within one [`FieldTable`].
@@ -523,8 +432,7 @@ mod tests {
     #[test]
     fn chunked_kernels_match_bitwalk_reference() {
         // Dense-and-sparse patterns across 11 words (two full 4-word
-        // blocks + remainder) against the naive per-bit reference, for
-        // both the scalar and (under --features simd-fieldset) SSE2 paths.
+        // blocks + remainder) against the naive per-bit reference.
         let mut t = FieldTable::new();
         let ids: Vec<FieldId> =
             (0..700).map(|i| t.intern(&meta(&format!("k{i}"), 1 + (i % 5)))).collect();

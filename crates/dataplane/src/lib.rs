@@ -33,11 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe is forbidden except for the cfg-gated explicit-SIMD FieldSet
-// kernels (`--features simd-fieldset`), which must opt in per module and
-// justify every intrinsic call against the x86_64 baseline.
-#![cfg_attr(not(feature = "simd-fieldset"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod action;
 pub mod fields;

@@ -9,7 +9,7 @@
 //!   sequences;
 //! - the memoized [`StageFeasCache`] against [`stage_feasible`] on random
 //!   node subsets and pipeline shapes;
-//! - the work-stealing parallel exact search against its single-threaded
+//! - the parallel exact search against its single-threaded
 //!   engine: byte-identical `SolveOutcome`s at worker counts 2–8, across
 //!   pre-published incumbents, pre-expired deadlines, and pre-cancelled
 //!   contexts;
@@ -211,7 +211,7 @@ proptest! {
         }
     }
 
-    /// The work-stealing parallel exact search returns byte-identical
+    /// The parallel exact search returns byte-identical
     /// `SolveOutcome`s (plan, objective, optimality proof, proven bound —
     /// every stat except raw node counts and wall clock) to the
     /// single-threaded engine at worker counts 2–8, across random chains,

@@ -159,9 +159,9 @@ fn portfolio_wins_verified_on_a_mixed_target_topology() {
     let net = mixed_network();
     let tdg = chain_tdg(&[6, 3, 8, 2], 0.5);
     let eps = Epsilon::loose();
-    let outcome = Portfolio::standard(3).solve(&tdg, &net, &eps, &ctx()).expect("portfolio");
+    let outcome = Portfolio::greedy_exact().solve(&tdg, &net, &eps, &ctx()).expect("portfolio");
     assert!(verify(&tdg, &net, &outcome.plan, &eps).is_empty());
-    let again = Portfolio::standard(3).solve(&tdg, &net, &eps, &ctx()).expect("portfolio");
+    let again = Portfolio::greedy_exact().solve(&tdg, &net, &eps, &ctx()).expect("portfolio");
     assert_eq!(
         serde_json::to_string(&outcome.plan).unwrap(),
         serde_json::to_string(&again.plan).unwrap()
