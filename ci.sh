@@ -34,6 +34,9 @@ cargo test -q --release --test solver_portfolio
 echo "==> hot-path equivalence suite"
 cargo test -q --release --test eval_equivalence
 
+echo "==> merge equivalence suite (accumulator vs the pairwise reference, all three analysis modes)"
+cargo test -q --release -p hermes-tdg merge_equivalence
+
 echo "==> migration property suite + mid-migration chaos soak"
 cargo test -q --release --test migration --test migration_chaos
 

@@ -19,11 +19,11 @@ use crate::diag::{AuditReport, Diagnostic, Severity, Span};
 use crate::graphcheck::{check_program, check_tdg};
 use hermes_core::precheck::{Certificate, Precheck};
 use hermes_core::verify::Violation;
-use hermes_core::{DeploymentPlan, Epsilon};
+use hermes_core::{DeploymentPlan, Epsilon, ProgramAnalyzer};
 use hermes_dataplane::lint::{lint_composition, Lint};
 use hermes_dataplane::program::Program;
 use hermes_net::Network;
-use hermes_tdg::{merge_all, AnalysisMode, Tdg};
+use hermes_tdg::{AnalysisMode, Tdg};
 
 /// Re-renders a composition lint as a typed diagnostic.
 pub fn lint_to_diagnostic(lint: &Lint) -> Diagnostic {
@@ -104,40 +104,43 @@ pub fn violation_to_diagnostic(violation: &Violation) -> Diagnostic {
         .with_hint("the plan violates a hard constraint; it must not be installed")
 }
 
-/// Builds the merged workload TDG the way the deployment pipeline does:
-/// per-program graphs, then pairwise merge with cross-program inference.
-fn merged_tdg(programs: &[Program], mode: AnalysisMode) -> Tdg {
-    merge_all(programs.iter().map(|p| Tdg::from_program(p, mode)).collect())
-}
-
-/// Audits a workload (no network needed): composition lints, exhaustive
-/// per-program dependency re-derivation, and the dataflow + graph passes
-/// over the merged TDG.
-pub fn audit_programs(programs: &[Program], mode: AnalysisMode) -> AuditReport {
+/// Everything the audit derives from the workload alone, over the merged
+/// TDG the caller built once: composition lints, exhaustive per-program
+/// dependency re-derivation, and the dataflow + graph passes.
+fn workload_diagnostics(programs: &[Program], merged: &Tdg, mode: AnalysisMode) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> =
         lint_composition(programs).iter().map(lint_to_diagnostic).collect();
     for p in programs {
         diags.extend(check_program(p, mode));
     }
-    let merged = merged_tdg(programs, mode);
-    diags.extend(dataflow_diagnostics(&merged));
-    diags.extend(check_tdg(&merged));
-    AuditReport::new(diags, Vec::new())
+    diags.extend(dataflow_diagnostics(merged));
+    diags.extend(check_tdg(merged));
+    diags
+}
+
+/// Audits a workload (no network needed): composition lints, exhaustive
+/// per-program dependency re-derivation, and the dataflow + graph passes
+/// over the merged TDG — built the way the deployment pipeline builds it,
+/// by [`ProgramAnalyzer`].
+pub fn audit_programs(programs: &[Program], mode: AnalysisMode) -> AuditReport {
+    let merged = ProgramAnalyzer::with_mode(mode).analyze(programs);
+    AuditReport::new(workload_diagnostics(programs, &merged, mode), Vec::new())
 }
 
 /// Audits a full deployment instance: everything [`audit_programs`] does,
-/// plus the pre-solve bounds for `net` and `eps`. The raw certificates
-/// ride along in the report so callers can feed them to the portfolio (or
-/// display the proofs) without re-deriving them.
+/// plus the pre-solve bounds for `net` and `eps`, all over one merged TDG
+/// — the graph the solver gets is the graph the audit certifies. The raw
+/// certificates ride along in the report so callers can feed them to the
+/// portfolio (or display the proofs) without re-deriving them.
 pub fn audit_instance(
     programs: &[Program],
     net: &Network,
     eps: &Epsilon,
     mode: AnalysisMode,
 ) -> AuditReport {
-    let base = audit_programs(programs, mode);
-    let precheck = Precheck::run(&merged_tdg(programs, mode), net, eps);
-    let mut diags = base.diagnostics;
+    let merged = ProgramAnalyzer::with_mode(mode).analyze(programs);
+    let mut diags = workload_diagnostics(programs, &merged, mode);
+    let precheck = Precheck::run(&merged, net, eps);
     diags.extend(precheck.certificates.iter().map(certificate_to_diagnostic));
     AuditReport::new(diags, precheck.certificates)
 }
@@ -222,5 +225,30 @@ mod tests {
         let report = audit_instance(&programs, &net, &eps, AnalysisMode::PaperLiteral);
         assert!(!report.has_errors(), "{report}");
         assert!(!report.summary.proven_infeasible);
+    }
+
+    #[test]
+    fn instance_audit_certifies_the_graph_the_solver_gets() {
+        // The instance report is the workload report plus the certificates
+        // of a precheck over the analyzer's merged TDG — the one graph the
+        // deployment pipeline hands to the solver.
+        let programs = library::real_programs();
+        // fattree:4 holds the library; one tiny switch draws certificates.
+        let nets = [
+            hermes_net::topology::fat_tree(4, 0.5),
+            hermes_core::test_support::tiny_switches(1, 4, 0.05),
+        ];
+        let eps = Epsilon::loose();
+        let modes =
+            [AnalysisMode::PaperLiteral, AnalysisMode::Intersection, AnalysisMode::RelaxedState];
+        for (net, mode) in nets.iter().flat_map(|net| modes.map(|mode| (net, mode))) {
+            let tdg = ProgramAnalyzer::with_mode(mode).analyze(&programs);
+            let precheck = Precheck::run(&tdg, net, &eps);
+            let mut diags = audit_programs(&programs, mode).diagnostics;
+            diags.extend(precheck.certificates.iter().map(certificate_to_diagnostic));
+            let expected = AuditReport::new(diags, precheck.certificates);
+            let report = audit_instance(&programs, net, &eps, mode);
+            assert_eq!(report.to_json(), expected.to_json(), "{mode:?}");
+        }
     }
 }

@@ -21,11 +21,12 @@
 //! | `HS504` | info | workload summary: relaxable fields / relaxed edges |
 
 use crate::diag::{Diagnostic, Severity, Span};
+use hermes_core::ProgramAnalyzer;
 use hermes_dataplane::action::{FoldOp, PrimitiveOp};
 use hermes_dataplane::fields::Field;
 use hermes_dataplane::program::Program;
 use hermes_dataplane::Mat;
-use hermes_tdg::{merge_all, AnalysisMode, StateClass, StateClassification, Tdg};
+use hermes_tdg::{AnalysisMode, StateClass, StateClassification, Tdg};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -174,11 +175,11 @@ impl StateReport {
 }
 
 /// Builds the state report for a workload: merges the per-program TDGs
-/// the way the deployment pipeline does (classification is a property of
-/// the final node set) and classifies every touched field.
+/// the way the deployment pipeline does, through [`ProgramAnalyzer`]
+/// (classification is a property of the final node set), and classifies
+/// every touched field.
 pub fn state_report(programs: &[Program], mode: AnalysisMode) -> StateReport {
-    let merged = merge_all(programs.iter().map(|p| Tdg::from_program(p, mode)).collect());
-    state_report_of_tdg(&merged)
+    state_report_of_tdg(&ProgramAnalyzer::with_mode(mode).analyze(programs))
 }
 
 /// [`state_report`] over an already-built (typically merged) TDG.

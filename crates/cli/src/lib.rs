@@ -1000,7 +1000,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             let eps = Epsilon::new(options.eps1, options.eps2);
             let mut report = hermes_analysis::audit_instance(&programs, &net, &eps, mode);
             if options.state_report {
-                let state = hermes_analysis::state_report(&programs, mode);
+                let state = hermes_analysis::state_report_of_tdg(&tdg);
                 let mut diags = report.diagnostics;
                 diags.extend(hermes_analysis::state_diagnostics(&state));
                 report =

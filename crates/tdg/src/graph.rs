@@ -369,6 +369,12 @@ impl Tdg {
         Tdg { nodes, edges, mode }
     }
 
+    /// The inverse of [`Tdg::from_parts`]: merging moves a graph's nodes
+    /// and edges out instead of cloning them.
+    pub(crate) fn into_parts(self) -> (Vec<TdgNode>, Vec<TdgEdge>) {
+        (self.nodes, self.edges)
+    }
+
     /// Builds a TDG directly from explicit MATs and typed edges, computing
     /// `A(a,b)` for each. Mainly useful for tests and worked examples where
     /// the dependency structure is given rather than inferred.

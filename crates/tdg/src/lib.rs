@@ -31,6 +31,7 @@ pub mod analysis;
 pub mod export;
 pub mod graph;
 pub mod merge;
+mod merge_equivalence;
 pub mod stateaccess;
 
 pub use analysis::{

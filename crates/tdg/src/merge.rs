@@ -2,206 +2,403 @@
 //!
 //! Different programs exhibit redundancy — the canonical example is every
 //! measurement sketch invoking the same 5-tuple hash. Merging unions the
-//! node and edge sets of two TDGs and then removes as many *redundant* MATs
+//! node and edge sets of the TDGs and then removes as many *redundant* MATs
 //! (structurally identical per [`Mat::signature`](hermes_dataplane::Mat::signature))
 //! as possible while (a) preserving every dependency edge and (b) never
 //! introducing a cycle. A merge candidate that would create a cycle is
 //! skipped, exactly the "remove as many ... while preserving the edges"
 //! behaviour the paper describes.
+//!
+//! # One accumulator pass
+//!
+//! The merge is defined pairwise — fold `t2` into `t1`, then infer the
+//! dependencies between the two programs' own tables — and [`merge_all`]
+//! is that step applied left to right. It is *computed* by one
+//! `Accumulator` that every input is moved into in turn, so a step costs
+//! what the incoming program brings, not what has piled up so far. For `P`
+//! inputs with `N` nodes in total and `E` merged edges:
+//!
+//! - every node is moved in once (never cloned), its signature computed
+//!   once, and its field sets interned once into one shared
+//!   [`FieldTable`] as a [`MatProfile`];
+//! - the cross-program pairs of a step — accumulated survivors × incoming
+//!   survivors, `≈ N²/2` over the whole merge and the one quadratic term —
+//!   are typed with [`classify_profiles`] / [`metadata_amount_profiles`],
+//!   a few word-AND loops each, allocation-free;
+//! - edges live in one ordered map keyed by `(from, to)` beside successor
+//!   and predecessor lists; a fold re-keys only the folded node's own
+//!   edges, and the final edge order is read off the map, not re-sorted
+//!   at every step;
+//! - "would this fold / this inferred edge close a cycle?" is a stamped
+//!   depth-first search over the predecessor lists (`O(N + E)` worst case,
+//!   in practice a node's few ancestors), run once per fold attempt and at
+//!   most once per accumulated node per step, and not at all in a step
+//!   whose incoming program shares no node with the accumulated graph.
+//!
+//! # Edge order
+//!
+//! Plans, journals and golden files hash the merged TDG, so the order of
+//! [`Tdg::edges`] is part of the contract: every edge that existed before
+//! the **last** input's dependency inference comes first, sorted by
+//! `(from, to)`; the edges inferred for the last input follow, also sorted
+//! by `(from, to)` (their inference loop runs in that order).
 
-use crate::analysis::{classify, metadata_amount};
+use crate::analysis::{
+    classify_profiles, metadata_amount_profiles, AnalysisMode, DependencyType, MatProfile,
+};
 use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};
-use std::collections::{BTreeMap, BTreeSet};
+use hermes_dataplane::mat::MatSignature;
+use hermes_dataplane::FieldTable;
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// Merges all TDGs into one (the `TDG_MERGING` loop of Algorithm 1).
 ///
-/// Returns an empty TDG when `tdgs` is empty. The analysis mode of the
-/// first graph is used for the result; callers mixing modes should
-/// [`Tdg::reanalyze`] afterwards.
+/// Returns an empty TDG when `tdgs` is empty, and a single input as it is
+/// (nothing to fold it against). The analysis mode of the first graph is
+/// used for the result; callers mixing modes should [`Tdg::reanalyze`]
+/// afterwards.
+///
+/// Equal to folding [`merge_pair`] over `tdgs` from the left, computed in
+/// one accumulator pass: `O(N²)` bitset pair typings plus `O(N + E)`
+/// bookkeeping per fold or cycle query, for `N` input nodes and `E` merged
+/// edges (see the [module docs](self)). The result's edges are those
+/// present before the last input's inference sorted by `(from, to)`,
+/// followed by the edges inferred for the last input in `(from, to)` order.
 pub fn merge_all(tdgs: Vec<Tdg>) -> Tdg {
     let mut iter = tdgs.into_iter();
-    let Some(mut merged) = iter.next() else {
-        return Tdg::new(crate::analysis::AnalysisMode::PaperLiteral);
+    let Some(first) = iter.next() else {
+        return Tdg::new(AnalysisMode::PaperLiteral);
     };
-    for next in iter {
-        merged = merge_pair(merged, next);
+    if iter.len() == 0 {
+        return first;
     }
-    merged
+    let mut acc = Accumulator::new(first);
+    iter.for_each(|next| acc.absorb(next));
+    acc.finish()
 }
 
-/// Merges two TDGs, eliminating redundant MATs across them.
+/// Merges two TDGs, eliminating redundant MATs across them: the two-input
+/// case of [`merge_all`]'s accumulator.
 ///
 /// Relaxed edges are restored to their conservative base types before
 /// merging and the relaxation pass reruns on the merged result: a field's
 /// verdict is a property of the *final* node set (merging can add writers
 /// and demote it), so per-input relaxations must not survive as-is.
-pub fn merge_pair(mut t1: Tdg, mut t2: Tdg) -> Tdg {
-    let mode = t1.mode();
-    if mode.relaxes_state() {
-        t1.restore_base_edges();
-        t2.restore_base_edges();
-    }
-    let offset = t1.node_count();
-
-    let mut nodes: Vec<TdgNode> = t1.nodes().to_vec();
-    nodes.extend(t2.nodes().iter().cloned());
-    let mut edges: Vec<TdgEdge> = t1.edges().to_vec();
-    edges.extend(t2.edges().iter().map(|e| TdgEdge {
-        from: NodeId(e.from.index() + offset),
-        to: NodeId(e.to.index() + offset),
-        ..*e
-    }));
-
-    // Group nodes by structural signature; node order keeps determinism.
-    let mut groups: BTreeMap<_, Vec<usize>> = BTreeMap::new();
-    for (i, n) in nodes.iter().enumerate() {
-        groups.entry(n.mat.signature()).or_default().push(i);
-    }
-
-    // rep[i] = the surviving node index i is folded into (itself initially).
-    let mut rep: Vec<usize> = (0..nodes.len()).collect();
-    for group in groups.values() {
-        let head = group[0];
-        for &dup in &group[1..] {
-            rep[dup] = head;
-            if has_cycle(nodes.len(), &edges, &rep) {
-                rep[dup] = dup; // undo: this elimination would break the DAG
-            }
-        }
-    }
-
-    // Compact surviving nodes and merge provenance of folded duplicates.
-    let mut new_index = vec![usize::MAX; nodes.len()];
-    let mut out_nodes: Vec<TdgNode> = Vec::new();
-    for i in 0..nodes.len() {
-        if rep[i] == i {
-            new_index[i] = out_nodes.len();
-            out_nodes.push(nodes[i].clone());
-        }
-    }
-    for i in 0..nodes.len() {
-        if rep[i] != i {
-            let programs = nodes[i].programs.clone();
-            out_nodes[new_index[rep[i]]].programs.extend(programs);
-        }
-    }
-
-    // Remap edges, drop self-loops, and deduplicate parallel edges keeping
-    // the largest metadata amount (endpoint signatures are equal, so the
-    // dependency types of folded parallels agree).
-    let mut dedup: BTreeMap<(usize, usize), TdgEdge> = BTreeMap::new();
-    for e in &edges {
-        let from = new_index[rep[e.from.index()]];
-        let to = new_index[rep[e.to.index()]];
-        if from == to {
-            continue;
-        }
-        let remapped = TdgEdge { from: NodeId(from), to: NodeId(to), ..*e };
-        dedup
-            .entry((from, to))
-            .and_modify(|existing| {
-                if remapped.bytes > existing.bytes {
-                    *existing = remapped;
-                }
-            })
-            .or_insert(remapped);
-    }
-
-    // Cross-program dependencies: merging composes the programs
-    // sequentially (`t1` upstream of `t2`), so two MATs touching the same
-    // fields across the program boundary are as interdependent as within
-    // one program — e.g. one program's counter table feeding another
-    // program's policer through a shared metadata field. Shared
-    // (deduplicated) nodes already carry both sides' edges, so inference
-    // runs only between t1-only and t2-only survivors; an edge that would
-    // close a cycle through a shared node is skipped, mirroring the
-    // fold-skipping rule above.
-    let shared: BTreeSet<usize> =
-        (offset..nodes.len()).filter(|&i| rep[i] < offset).map(|i| new_index[rep[i]]).collect();
-    let mut out_edges: Vec<TdgEdge> = dedup.into_values().collect();
-    for i in 0..offset {
-        if rep[i] != i || shared.contains(&new_index[i]) {
-            continue;
-        }
-        for j in offset..nodes.len() {
-            if rep[j] != j {
-                continue;
-            }
-            let (from, to) = (new_index[i], new_index[j]);
-            if out_edges.iter().any(|e| e.from.index() == from && e.to.index() == to) {
-                continue;
-            }
-            let (a, b) = (&nodes[i].mat, &nodes[j].mat);
-            if let Some(dep) = classify(a, b, false) {
-                let bytes = metadata_amount(a, b, dep, mode);
-                let edge = TdgEdge { from: NodeId(from), to: NodeId(to), dep, bytes };
-                out_edges.push(edge);
-                if !is_acyclic(out_nodes.len(), &out_edges) {
-                    out_edges.pop();
-                }
-            }
-        }
-    }
-
-    let mut merged = Tdg::from_parts(out_nodes, out_edges, mode);
-    debug_assert!(merged.is_dag(), "merge must preserve acyclicity");
-    if mode.relaxes_state() {
-        merged.relax_edges();
-    }
-    merged
+pub fn merge_pair(t1: Tdg, t2: Tdg) -> Tdg {
+    let mut acc = Accumulator::new(t1);
+    acc.absorb(t2);
+    acc.finish()
 }
 
-/// Plain Kahn acyclicity check on dense node indexes.
-fn is_acyclic(n: usize, edges: &[TdgEdge]) -> bool {
-    let mut indegree = vec![0usize; n];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges {
-        adj[e.from.index()].push(e.to.index());
-        indegree[e.to.index()] += 1;
-    }
-    let mut stack: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut seen = 0usize;
-    while let Some(u) = stack.pop() {
-        seen += 1;
-        for &v in &adj[u] {
-            indegree[v] -= 1;
-            if indegree[v] == 0 {
-                stack.push(v);
-            }
-        }
-    }
-    seen == n
+/// Where an edge stands in the edge list a step's fold phase works
+/// through, compared lexicographically. That list is the previous step's
+/// output followed by the incoming graph's edges, so the classes are: `0`
+/// — sorted by `(from, to)` since an earlier step (or, in the first step,
+/// the first graph's edges by position); `1` — inferred by the previous
+/// step, by `(from, to)`; `2` — the incoming graph's edges by position.
+type Rank = (u8, usize, usize);
+
+#[derive(Debug, Clone, Copy)]
+struct EdgeRec {
+    dep: DependencyType,
+    bytes: u32,
+    /// Valid for step `ranked_at` only. An edge no fold has touched in the
+    /// current step is a class-0 edge under its own key, which is what
+    /// [`EdgeRec::rank_in`] derives instead of a per-step pass over every
+    /// edge; an inferred edge is created with its class-1 rank for the
+    /// step that follows.
+    rank: Rank,
+    ranked_at: usize,
 }
 
-/// Cycle check on the graph obtained by contracting every node into its
-/// representative. O(V + E) Kahn.
-fn has_cycle(n: usize, edges: &[TdgEdge], rep: &[usize]) -> bool {
-    let mut indegree = vec![0usize; n];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut m = 0usize;
-    for e in edges {
-        let (f, t) = (rep[e.from.index()], rep[e.to.index()]);
-        if f != t {
-            adj[f].push(t);
-            indegree[t] += 1;
-            m += 1;
+impl EdgeRec {
+    fn rank_in(&self, step: usize, key: (usize, usize)) -> Rank {
+        if self.ranked_at == step {
+            self.rank
+        } else {
+            (0, key.0, key.1)
         }
     }
-    let mut stack: Vec<usize> = (0..n).filter(|&i| rep[i] == i && indegree[i] == 0).collect();
-    let mut seen = 0usize;
-    let mut removed_edges = 0usize;
-    while let Some(u) = stack.pop() {
-        seen += 1;
-        for &v in &adj[u] {
-            removed_edges += 1;
-            indegree[v] -= 1;
-            if indegree[v] == 0 {
-                stack.push(v);
+}
+
+/// The merged graph under construction. Nodes keep the slot they arrived
+/// in (`alive` clears when one is folded away), so slot order is the
+/// output's node order and a surviving node's edges never need re-indexing
+/// before [`Accumulator::finish`]. The graph over live slots is a DAG
+/// between any two operations.
+#[derive(Default)]
+struct Accumulator {
+    mode: AnalysisMode,
+    /// The merge step in progress (or next to start), counted from 1.
+    step: usize,
+    nodes: Vec<TdgNode>,
+    alive: Vec<bool>,
+    /// Field sets of each slot's MAT, interned against `table`.
+    profiles: Vec<MatProfile>,
+    table: FieldTable,
+    /// Live slots of each signature, ascending; the first is the group's
+    /// head and never folds. Ordered, because fold attempts run in
+    /// signature order and an accepted fold can make a later one cycle.
+    groups: BTreeMap<MatSignature, Vec<usize>>,
+    /// Keyed by `(from, to)` slots — the order [`Accumulator::finish`]
+    /// emits. Traversals go through `succ` / `pred`, which mirror the keys.
+    edges: BTreeMap<(usize, usize), EdgeRec>,
+    succ: Vec<Vec<usize>>,
+    pred: Vec<Vec<usize>>,
+    /// The step in which a slot last took in a duplicate from the incoming
+    /// graph (0: never). Such a node is *shared* for that step.
+    shared_at: Vec<usize>,
+    /// `seen[n] == stamp` marks `n` as found by the latest
+    /// [`Accumulator::mark_ancestors`].
+    seen: Vec<usize>,
+    stamp: usize,
+    stack: Vec<usize>,
+}
+
+impl Accumulator {
+    fn new(mut first: Tdg) -> Self {
+        let mode = first.mode();
+        if mode.relaxes_state() {
+            first.restore_base_edges();
+        }
+        let mut acc = Accumulator { mode, step: 1, ..Accumulator::default() };
+        acc.take_in(first, 0);
+        acc
+    }
+
+    /// Moves `tdg`'s nodes into fresh slots and its edges into the edge
+    /// map, ranked by position within `class`.
+    fn take_in(&mut self, tdg: Tdg, class: u8) {
+        let offset = self.nodes.len();
+        let (nodes, edges) = tdg.into_parts();
+        for node in nodes {
+            self.groups.entry(node.mat.signature()).or_default().push(self.nodes.len());
+            self.profiles.push(MatProfile::build(&node.mat, &mut self.table));
+            self.nodes.push(node);
+        }
+        let n = self.nodes.len();
+        self.alive.resize(n, true);
+        self.succ.resize_with(n, Vec::new);
+        self.pred.resize_with(n, Vec::new);
+        self.shared_at.resize(n, 0);
+        self.seen.resize(n, 0);
+        for (pos, e) in edges.into_iter().enumerate() {
+            let rec =
+                EdgeRec { dep: e.dep, bytes: e.bytes, rank: (class, pos, 0), ranked_at: self.step };
+            self.put((e.from.index() + offset, e.to.index() + offset), rec);
+        }
+    }
+
+    /// One merge step: folds duplicates (the incoming graph's, and any an
+    /// earlier step had to leave), then infers the dependencies between
+    /// the accumulated programs' tables and the incoming program's.
+    fn absorb(&mut self, mut next: Tdg) {
+        if self.mode.relaxes_state() {
+            next.restore_base_edges();
+        }
+        let offset = self.nodes.len();
+        self.take_in(next, 2);
+
+        // A duplicate folds into the head of its signature group unless the
+        // contraction would cycle. A fold skipped in an earlier step is
+        // tried again: other members of its group may since have folded
+        // and turned the path that blocked it into a direct edge.
+        let mut groups = std::mem::take(&mut self.groups);
+        let mut any_shared = false;
+        for members in groups.values_mut().filter(|members| members.len() > 1) {
+            let head = members[0];
+            members.retain(|&dup| {
+                if dup == head || self.fold_would_cycle(head, dup) {
+                    return true;
+                }
+                self.fold(head, dup);
+                if head < offset && dup >= offset {
+                    self.shared_at[head] = self.step;
+                    any_shared = true;
+                }
+                false
+            });
+        }
+        self.groups = groups;
+
+        // Cross-program dependencies: merging composes the programs
+        // sequentially (accumulated upstream of incoming), so two MATs
+        // touching the same fields across the program boundary are as
+        // interdependent as within one program — e.g. one program's
+        // counter table feeding another program's policer through a shared
+        // metadata field. Shared nodes already carry both sides' edges, so
+        // inference runs only between accumulated-only and incoming-only
+        // survivors (no edge can join such a pair yet: an incoming edge
+        // reaches an accumulated node only by folding onto it, which makes
+        // that node shared). An edge that would close a cycle is skipped,
+        // mirroring the fold rule. The cycle would have to return from the
+        // incoming side to the accumulated side, and only a shared node
+        // has edges of both, so without one there is nothing to check;
+        // with one, `i`'s ancestors are marked once and serve every `j`:
+        // an accepted edge out of `i` adds no path *into* `i`.
+        let fresh: Vec<usize> = (offset..self.nodes.len()).filter(|&j| self.alive[j]).collect();
+        for i in 0..offset {
+            if !self.alive[i] || self.shared_at[i] == self.step {
+                continue;
+            }
+            let mut ancestors_marked = false;
+            for &j in &fresh {
+                let Some(dep) = classify_profiles(&self.profiles[i], &self.profiles[j], false)
+                else {
+                    continue;
+                };
+                if any_shared {
+                    if !ancestors_marked {
+                        self.mark_ancestors(i);
+                        ancestors_marked = true;
+                    }
+                    if self.seen[j] == self.stamp {
+                        continue;
+                    }
+                }
+                let bytes = metadata_amount_profiles(
+                    &self.table,
+                    &self.profiles[i],
+                    &self.profiles[j],
+                    dep,
+                    self.mode,
+                );
+                let rec = EdgeRec { dep, bytes, rank: (1, i, j), ranked_at: self.step + 1 };
+                let previous = self.edges.insert((i, j), rec);
+                debug_assert!(
+                    previous.is_none(),
+                    "no edge joins an unshared pair before inference"
+                );
+                self.succ[i].push(j);
+                self.pred[j].push(i);
+            }
+        }
+        self.step += 1;
+    }
+
+    /// Compacts the live slots into the merged [`Tdg`].
+    fn finish(self) -> Tdg {
+        let mut new_index = vec![usize::MAX; self.nodes.len()];
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        for (slot, node) in self.nodes.into_iter().enumerate() {
+            if self.alive[slot] {
+                new_index[slot] = nodes.len();
+                nodes.push(node);
+            }
+        }
+        // `absorb` has already moved on to the next step, so the edges
+        // ranked for it are the ones the last step inferred.
+        let mut edges = Vec::with_capacity(self.edges.len());
+        let mut inferred = Vec::new();
+        for (&(from, to), rec) in &self.edges {
+            let edge = TdgEdge {
+                from: NodeId(new_index[from]),
+                to: NodeId(new_index[to]),
+                dep: rec.dep,
+                bytes: rec.bytes,
+            };
+            if rec.ranked_at == self.step {
+                inferred.push(edge);
+            } else {
+                edges.push(edge);
+            }
+        }
+        edges.append(&mut inferred);
+        let mut merged = Tdg::from_parts(nodes, edges, self.mode);
+        debug_assert!(merged.is_dag(), "merge must preserve acyclicity");
+        if self.mode.relaxes_state() {
+            merged.relax_edges();
+        }
+        merged
+    }
+
+    /// Inserts an edge, or settles it against the parallel edge already
+    /// under `key`: the one with more bytes stays, the earlier-ranked one
+    /// on a tie (endpoint signatures are equal, but a successor gate can
+    /// still make the dependency types differ).
+    fn put(&mut self, key: (usize, usize), rec: EdgeRec) {
+        match self.edges.entry(key) {
+            Entry::Occupied(mut held) => {
+                let held_rank = held.get().rank_in(self.step, key);
+                if (rec.bytes, Reverse(rec.rank)) > (held.get().bytes, Reverse(held_rank)) {
+                    held.insert(rec);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(rec);
+                self.succ[key.0].push(key.1);
+                self.pred[key.1].push(key.0);
             }
         }
     }
-    let live_nodes = (0..n).filter(|&i| rep[i] == i).count();
-    seen < live_nodes || removed_edges < m
+
+    /// Removes the edge under `key` from the map, pinning the rank it has
+    /// in this step before its key changes. The caller owns both
+    /// adjacency entries.
+    fn take_edge(&mut self, key: (usize, usize)) -> EdgeRec {
+        let mut rec = self.edges.remove(&key).expect("adjacency lists mirror the edge map");
+        rec.rank = rec.rank_in(self.step, key);
+        rec.ranked_at = self.step;
+        rec
+    }
+
+    /// Contracts `dup` into `head`: provenance and edges move over, an edge
+    /// between the two becomes a self-loop and is dropped.
+    fn fold(&mut self, head: usize, dup: usize) {
+        self.alive[dup] = false;
+        let programs = std::mem::take(&mut self.nodes[dup].programs);
+        self.nodes[head].programs.extend(programs);
+        for to in std::mem::take(&mut self.succ[dup]) {
+            let rec = self.take_edge((dup, to));
+            self.pred[to].retain(|&p| p != dup);
+            if to != head {
+                self.put((head, to), rec);
+            }
+        }
+        for from in std::mem::take(&mut self.pred[dup]) {
+            let rec = self.take_edge((from, dup));
+            self.succ[from].retain(|&s| s != dup);
+            if from != head {
+                self.put((from, head), rec);
+            }
+        }
+    }
+
+    /// Contracting two nodes of a DAG closes a cycle exactly when a path
+    /// through a third node joins them (a direct edge merely becomes the
+    /// dropped self-loop).
+    fn fold_would_cycle(&mut self, head: usize, dup: usize) -> bool {
+        self.detours(head, dup) || self.detours(dup, head)
+    }
+
+    /// `true` iff a path of two or more edges leads from `a` to `b`: in a
+    /// DAG, one that leaves `a` through a successor other than `b`.
+    fn detours(&mut self, a: usize, b: usize) -> bool {
+        self.mark_ancestors(b);
+        self.succ[a].iter().any(|&s| s != b && self.seen[s] == self.stamp)
+    }
+
+    /// The one reachability query: stamps every node with a path to
+    /// `target`, so that `seen[n] == stamp` answers "does `n` reach
+    /// `target`?" — the same verdict as adding the edge `target → n` (or
+    /// contracting the two) and re-running Kahn's algorithm on the whole
+    /// graph, because the graph was acyclic before.
+    fn mark_ancestors(&mut self, target: usize) {
+        self.stamp += 1;
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(target);
+        while let Some(n) = stack.pop() {
+            for &p in &self.pred[n] {
+                if self.seen[p] != self.stamp {
+                    self.seen[p] = self.stamp;
+                    stack.push(p);
+                }
+            }
+        }
+        self.stack = stack;
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +406,7 @@ mod tests {
     use super::*;
     use crate::analysis::{AnalysisMode, DependencyType};
     use crate::graph::Tdg;
+    use crate::merge_equivalence::table;
     use hermes_dataplane::action::Action;
     use hermes_dataplane::fields::Field;
     use hermes_dataplane::library;
@@ -410,5 +608,75 @@ mod tests {
         assert!(merged.node_count() < total, "library shares the 5-tuple hash");
         // Edge types survive the merge.
         assert!(merged.edges().iter().any(|e| e.dep == DependencyType::Match));
+    }
+
+    #[test]
+    fn duplicates_joined_only_by_a_direct_edge_fold() {
+        // Two identical writers of one field: an action dependency joins
+        // them, and contracting across it merely drops the self-loop.
+        let acc = Field::metadata("meta.acc", 4);
+        let twins = Program::builder("twins")
+            .table(table("t1", &[], &[&acc]))
+            .table(table("t2", &[], &[&acc]))
+            .build()
+            .unwrap();
+        let alone = tdg(&twins);
+        assert_eq!((alone.node_count(), alone.edge_count()), (2, 1));
+        let merged = merge_pair(alone, tdg(&library::l3_router()));
+        assert_eq!(merged.node_count(), 1 + library::l3_router().tables().len());
+        assert!(merged.node_by_name("twins/t1").is_some(), "the lower index survives");
+        assert!(merged.node_by_name("twins/t2").is_none());
+        assert!(merged.is_dag());
+    }
+
+    #[test]
+    fn duplicates_joined_by_a_two_hop_path_stay_apart() {
+        // t1 -> mid -> t2 beside the direct t1 -> t2: contracting the twins
+        // would leave mid on a cycle with them.
+        let acc = Field::metadata("meta.acc", 4);
+        let p = Program::builder("twins")
+            .table(table("t1", &[], &[&acc]))
+            .table(table("mid", &[&acc], &[]))
+            .table(table("t2", &[], &[&acc]))
+            .build()
+            .unwrap();
+        let alone = tdg(&p);
+        assert_eq!(alone.edge_count(), 3, "t1->mid (match), t1->t2 (action), mid->t2 (reverse)");
+        let merged = merge_pair(alone, tdg(&library::l3_router()));
+        assert_eq!(merged.node_count(), 3 + library::l3_router().tables().len());
+        assert!(merged.is_dag());
+    }
+
+    #[test]
+    fn cross_program_edge_cycling_through_a_shared_node_is_skipped() {
+        // The fixture of `cross_program_inference_skips_shared_nodes`, with
+        // a rewrite table ahead of the second program's hash: it consumes
+        // what ecmp_group writes, and the shared hash reads what it writes.
+        // ecmp_group -> rewrite would close rewrite -> hash -> ecmp_group.
+        let member = Field::metadata("meta.ecmp_member", 2);
+        let src = hermes_dataplane::fields::headers::ipv4_src();
+        let rewrite = table("rewrite", &[&member], &[&src]);
+        let conn = table("conn", &[&Field::metadata("meta.hash_idx", 4)], &[]);
+        let p2 = Program::builder("fw")
+            .table(rewrite.clone())
+            .table(library::hash_5tuple_mat())
+            .table(conn)
+            .build()
+            .unwrap();
+        let ecmp = library::ecmp_lb();
+        let merged = merge_pair(tdg(&ecmp), tdg(&p2));
+        assert!(merged.is_dag());
+        let hash = merged.node_by_name("ecmp_lb/hash_5tuple").unwrap();
+        assert!(merged.node(hash).programs.contains("fw"), "the hash is shared");
+        let group = merged.node_by_name("ecmp_lb/ecmp_group").unwrap();
+        let rewrite = merged.node_by_name("fw/rewrite").unwrap();
+        let has = |from, to| merged.edges().iter().any(|e| e.from == from && e.to == to);
+        assert!(has(rewrite, hash) && has(hash, group), "the path the edge would close");
+        assert!(!has(group, rewrite));
+        // The pair is typed — with no hash to share, the edge is inferred —
+        // so only the cycle keeps it out above.
+        let p3 = Program::builder("fw").table(merged.node(rewrite).mat.clone()).build().unwrap();
+        let unshared = merge_pair(tdg(&ecmp), tdg(&p3));
+        assert_eq!(unshared.edge_count(), tdg(&ecmp).edge_count() + 1);
     }
 }
