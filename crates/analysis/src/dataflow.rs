@@ -15,30 +15,24 @@
 //! on the chosen order; the 𝔸 dependency type exists precisely to forbid
 //! this).
 //!
-//! Two independent implementations back the pass:
-//!
-//! * [`dataflow_diagnostics`] — the production path, on PR-4 bitsets:
-//!   per-node ancestor/descendant sets as `u64` words, fields interned in
-//!   a [`FieldTable`] with [`FieldSet`] membership, `O((V + E) · V/64)`.
-//! * [`dataflow_reference`] — the oracle, on `BTreeSet` and per-node DFS,
-//!   written naively on purpose.
-//!
-//! Both must emit byte-identical diagnostics on every input; the
-//! `audit_soundness` property suite pins them together on synthetic
-//! workloads.
+//! [`dataflow_diagnostics`] runs on bitsets: per-node ancestor/descendant
+//! sets as `u64` words, fields interned in a [`FieldTable`] with
+//! [`FieldSet`] membership, `O((V + E) · V/64)`. A second, naive
+//! implementation on `BTreeSet` and per-node DFS lives in the crate's
+//! test-only `oracles` module; the two must emit byte-identical
+//! diagnostics on every input, and its property suite pins them together.
 
 use crate::diag::{Diagnostic, Severity, Span};
 use hermes_dataplane::fields::Field;
 use hermes_dataplane::fieldset::{FieldSet, FieldTable};
 use hermes_tdg::{DependencyType, Tdg};
-use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------
-// Shared diagnostic constructors: both implementations emit through these
-// so their outputs are comparable byte-for-byte.
+// Shared diagnostic constructors: this pass and its test-only oracle both
+// emit through these, so their outputs are comparable byte-for-byte.
 // ---------------------------------------------------------------------
 
-fn cyclic_graph() -> Diagnostic {
+pub(crate) fn cyclic_graph() -> Diagnostic {
     Diagnostic::new(
         "HD100",
         Severity::Error,
@@ -47,7 +41,7 @@ fn cyclic_graph() -> Diagnostic {
     .with_hint("a TDG must be a DAG — check externally constructed edges")
 }
 
-fn uninitialized_read(mat: &str, field: &str) -> Diagnostic {
+pub(crate) fn uninitialized_read(mat: &str, field: &str) -> Diagnostic {
     Diagnostic::new(
         "HD101",
         Severity::Error,
@@ -57,7 +51,7 @@ fn uninitialized_read(mat: &str, field: &str) -> Diagnostic {
     .with_hint("the field reads as zero on hardware; add or order a producer before this MAT")
 }
 
-fn order_dependent_read(mat: &str, field: &str, writer: &str) -> Diagnostic {
+pub(crate) fn order_dependent_read(mat: &str, field: &str, writer: &str) -> Diagnostic {
     Diagnostic::new(
         "HD102",
         Severity::Warning,
@@ -70,7 +64,7 @@ fn order_dependent_read(mat: &str, field: &str, writer: &str) -> Diagnostic {
     .with_hint("some topological orders run the read first; add a dependency or gate")
 }
 
-fn dead_write(mat: &str, field: &str) -> Diagnostic {
+pub(crate) fn dead_write(mat: &str, field: &str) -> Diagnostic {
     Diagnostic::new(
         "HD103",
         Severity::Warning,
@@ -80,7 +74,7 @@ fn dead_write(mat: &str, field: &str) -> Diagnostic {
     .with_hint("drop the write, or the field inflates A(a,b) for nothing when piggybacked")
 }
 
-fn dead_mat(mat: &str) -> Diagnostic {
+pub(crate) fn dead_mat(mat: &str) -> Diagnostic {
     Diagnostic::new(
         "HD104",
         Severity::Warning,
@@ -90,7 +84,7 @@ fn dead_mat(mat: &str) -> Diagnostic {
     .with_hint("remove the MAT; it consumes stages and resources without effect")
 }
 
-fn unused_field(field: &str) -> Diagnostic {
+pub(crate) fn unused_field(field: &str) -> Diagnostic {
     Diagnostic::new(
         "HD105",
         Severity::Info,
@@ -100,7 +94,7 @@ fn unused_field(field: &str) -> Diagnostic {
     .with_hint("delete the field to shrink the metadata the deployment may have to carry")
 }
 
-fn conflicting_writes(first: &str, second: &str, field: &str) -> Diagnostic {
+pub(crate) fn conflicting_writes(first: &str, second: &str, field: &str) -> Diagnostic {
     Diagnostic::new(
         "HD106",
         Severity::Warning,
@@ -118,9 +112,9 @@ fn conflicting_writes(first: &str, second: &str, field: &str) -> Diagnostic {
     .with_hint("an A-type dependency should order the writers; check the edge inference inputs")
 }
 
-/// Name-ordered pair, so both implementations report one canonical
+/// Name-ordered pair, so the pass and its oracle report one canonical
 /// orientation per conflicting writer pair.
-fn name_ordered<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
+pub(crate) fn name_ordered<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
     if a <= b {
         (a, b)
     } else {
@@ -313,131 +307,10 @@ pub fn dataflow_diagnostics(tdg: &Tdg) -> Vec<Diagnostic> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Reference oracle: BTreeSet + per-node DFS, written naively on purpose.
-// ---------------------------------------------------------------------
-
-/// Runs the dataflow pass on `BTreeSet`s (the reference oracle).
-///
-/// Must emit exactly what [`dataflow_diagnostics`] emits on every input —
-/// the property suite enforces it.
-pub fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
-    let n = tdg.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    if tdg.topo_order().is_none() {
-        return vec![cyclic_graph()];
-    }
-
-    // reachable[a] = strict descendants of a, by DFS over out-edges.
-    let mut reachable: Vec<BTreeSet<usize>> = Vec::with_capacity(n);
-    for start in tdg.node_ids() {
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut stack: Vec<_> = tdg.out_edges(start).map(|e| e.to).collect();
-        while let Some(v) = stack.pop() {
-            if seen.insert(v.index()) {
-                stack.extend(tdg.out_edges(v).map(|e| e.to));
-            }
-        }
-        reachable.push(seen);
-    }
-    let is_anc = |a: usize, b: usize| reachable[a].contains(&b);
-
-    let consumed: Vec<BTreeSet<Field>> = tdg
-        .nodes()
-        .iter()
-        .map(|node| {
-            let mut c = node.mat.match_fields();
-            c.extend(node.mat.action_read_fields());
-            c.into_iter().filter(Field::is_metadata).collect()
-        })
-        .collect();
-    let written: Vec<BTreeSet<Field>> =
-        tdg.nodes().iter().map(|node| node.mat.written_metadata()).collect();
-
-    let mut writers: BTreeMap<&Field, Vec<usize>> = BTreeMap::new();
-    let mut readers: BTreeMap<&Field, Vec<usize>> = BTreeMap::new();
-    for v in 0..n {
-        for f in &written[v] {
-            writers.entry(f).or_default().push(v);
-        }
-        for f in &consumed[v] {
-            readers.entry(f).or_default().push(v);
-        }
-    }
-    let empty: Vec<usize> = Vec::new();
-    let name = |v: usize| tdg.nodes()[v].name.as_str();
-
-    let mut out = Vec::new();
-
-    for b in 0..n {
-        for f in &consumed[b] {
-            if written[b].contains(f) {
-                continue;
-            }
-            let ws = writers.get(f).unwrap_or(&empty);
-            if ws.iter().any(|&w| is_anc(w, b)) {
-                continue;
-            }
-            let witness = ws.iter().copied().filter(|&w| w != b && !is_anc(b, w)).map(name).min();
-            match witness {
-                Some(w) => out.push(order_dependent_read(name(b), f.name(), w)),
-                None => out.push(uninitialized_read(name(b), f.name())),
-            }
-        }
-    }
-
-    let mut dead: Vec<Vec<&Field>> = vec![Vec::new(); n];
-    for a in 0..n {
-        for f in &written[a] {
-            let rs = readers.get(f).unwrap_or(&empty);
-            let alive = consumed[a].contains(f) || rs.iter().any(|&r| r != a && !is_anc(r, a));
-            if !alive {
-                dead[a].push(f);
-            }
-        }
-    }
-    for a in 0..n {
-        let mat = &tdg.nodes()[a].mat;
-        let all_meta =
-            !mat.written_fields().is_empty() && mat.written_fields().iter().all(Field::is_metadata);
-        let gates = tdg
-            .node_ids()
-            .nth(a)
-            .map(|id| tdg.out_edges(id).any(|e| e.dep == DependencyType::Successor))
-            .unwrap_or(false);
-        if all_meta && dead[a].len() == written[a].len() && !mat.is_stateful() && !gates {
-            out.push(dead_mat(name(a)));
-        } else {
-            for f in &dead[a] {
-                out.push(dead_write(name(a), f.name()));
-            }
-        }
-    }
-    for (f, ws) in &writers {
-        if !ws.is_empty() && !readers.contains_key(*f) {
-            out.push(unused_field(f.name()));
-        }
-    }
-    for (f, ws) in &writers {
-        for (i, &a) in ws.iter().enumerate() {
-            for &b in &ws[i + 1..] {
-                if !is_anc(a, b) && !is_anc(b, a) {
-                    let (x, y) = name_ordered(name(a), name(b));
-                    out.push(conflicting_writes(x, y, f.name()));
-                }
-            }
-        }
-    }
-
-    out.sort();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::dataflow_reference;
     use hermes_dataplane::action::Action;
     use hermes_dataplane::mat::{Mat, MatchKind};
     use hermes_dataplane::program::Program;
@@ -607,12 +480,21 @@ mod tests {
 
     #[test]
     fn library_merge_has_no_uninitialized_reads() {
-        let tdgs: Vec<Tdg> = hermes_dataplane::library::real_programs()
-            .iter()
-            .map(|p| Tdg::from_program(p, AnalysisMode::PaperLiteral))
-            .collect();
-        let merged = hermes_tdg::merge_all(tdgs);
-        let diags = both(&merged);
-        assert!(!diags.iter().any(|d| d.code == "HD101"), "{diags:?}");
+        // The bench workloads: prefixes of the ten-program library, all ten
+        // (the one that must be free of HD101), then four synthetic
+        // programs on top, and every library program on its own.
+        let mut programs = hermes_dataplane::library::real_programs();
+        programs.extend(
+            hermes_dataplane::synthetic::SyntheticGenerator::new(42, Default::default())
+                .programs(4),
+        );
+        for total in [1, 5, 10, 14] {
+            let tdgs: Vec<Tdg> = programs[..total].iter().map(tdg_of).collect();
+            let diags = both(&hermes_tdg::merge_all(tdgs));
+            assert!(total != 10 || !diags.iter().any(|d| d.code == "HD101"), "{diags:?}");
+        }
+        for p in &programs[..10] {
+            both(&tdg_of(p));
+        }
     }
 }

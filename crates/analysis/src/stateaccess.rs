@@ -1,12 +1,11 @@
-//! Pass 4 — state-access reporting: the naive classification oracle and
-//! the `HS5xx` diagnostics behind `hermes audit --state-report`.
+//! Pass 4 — state-access reporting: the `HS5xx` diagnostics behind
+//! `hermes audit --state-report`.
 //!
 //! [`hermes_tdg::stateaccess`] classifies fields in one linear pass over
-//! interned accumulators; this module keeps [`oracle_classification`] — a
-//! deliberately naive per-field rescan written from the lattice definition
-//! rather than from the fast pass — pinned byte-identical to it by unit
-//! and property tests (`tests/stateaccess_soundness.rs`). A divergence in
-//! either direction is a bug in one of the two derivations.
+//! interned accumulators; the crate's test-only `oracles` module pins it,
+//! by unit and property tests, to a deliberately naive per-field rescan
+//! written from the lattice definition rather than from the fast pass. A
+//! divergence in either direction is a bug in one of the two derivations.
 //!
 //! [`state_report`] renders the classification of a workload (the *merged*
 //! TDG node set — classification is a property of the final workload) as a
@@ -22,104 +21,9 @@
 
 use crate::diag::{Diagnostic, Severity, Span};
 use hermes_core::ProgramAnalyzer;
-use hermes_dataplane::action::{FoldOp, PrimitiveOp};
-use hermes_dataplane::fields::Field;
 use hermes_dataplane::program::Program;
-use hermes_dataplane::Mat;
 use hermes_tdg::{AnalysisMode, StateClass, StateClassification, Tdg};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-
-// ---------------------------------------------------------------------
-// The naive oracle.
-// ---------------------------------------------------------------------
-
-/// Every field the MAT set touches: match keys, action reads, and writes.
-fn touched_fields(mats: &[&Mat]) -> BTreeSet<Field> {
-    let mut out = BTreeSet::new();
-    for m in mats {
-        out.extend(m.match_fields());
-        out.extend(m.action_read_fields());
-        out.extend(m.written_fields());
-    }
-    out
-}
-
-/// All primitive ops across `mat` that write `field`.
-fn writing_ops<'a>(mat: &'a Mat, field: &Field) -> Vec<&'a PrimitiveOp> {
-    mat.actions().iter().flat_map(|a| a.ops()).filter(|op| op.writes().contains(&field)).collect()
-}
-
-/// The reference verdict for one field, recomputed from scratch with
-/// straightforward set logic. Mirrors the lattice definition, not the
-/// fast pass's accumulator plumbing.
-fn oracle_verdict(field: &Field, mats: &[&Mat]) -> StateClass {
-    let writers: Vec<&Mat> =
-        mats.iter().copied().filter(|m| !writing_ops(m, field).is_empty()).collect();
-    if writers.is_empty() {
-        return StateClass::ReadOnly;
-    }
-    if field.is_metadata() {
-        let ops: Vec<&PrimitiveOp> = writers.iter().flat_map(|m| writing_ops(m, field)).collect();
-
-        // CommutativeUpdate: every write is a fold of one common kind whose
-        // per-packet sources ride the packet (headers).
-        let kinds: BTreeSet<FoldOp> = ops
-            .iter()
-            .filter_map(|op| match op {
-                PrimitiveOp::Fold { op: k, .. } => Some(*k),
-                _ => None,
-            })
-            .collect();
-        let all_folds = ops.iter().all(|op| matches!(op, PrimitiveOp::Fold { .. }));
-        let srcs_header_pure = ops.iter().all(|op| match op {
-            PrimitiveOp::Fold { srcs, .. } => srcs.iter().all(Field::is_header),
-            _ => true,
-        });
-        if all_folds && kinds.len() == 1 && srcs_header_pure {
-            return StateClass::CommutativeUpdate(*kinds.iter().next().expect("len 1"));
-        }
-
-        // ReadMostlyReplicable: idempotent stateless header-pure writes,
-        // header-matched producers, strictly more readers than writers.
-        let writes_replicable = ops.iter().all(|op| {
-            !op.is_stateful()
-                && op.writes_are_idempotent()
-                && op.reads().iter().all(|f| f.is_header())
-        });
-        let producers_header_matched =
-            writers.iter().all(|m| m.match_fields().iter().all(Field::is_header));
-        let readers = mats
-            .iter()
-            .filter(|m| {
-                let mut consumed = m.match_fields();
-                consumed.extend(m.action_read_fields());
-                consumed.contains(field) && !m.written_fields().contains(field)
-            })
-            .count();
-        if writes_replicable && producers_header_matched && readers > writers.len() {
-            return StateClass::ReadMostlyReplicable;
-        }
-    }
-    StateClass::SingleWriter
-}
-
-/// The naive set-based classification oracle: one verdict per touched
-/// field, recomputed independently per field. Quadratic and proud of it —
-/// its only job is to pin [`StateClassification::of_mats`] down.
-pub fn oracle_classification<'a, I>(mats: I) -> BTreeMap<Field, StateClass>
-where
-    I: IntoIterator<Item = &'a Mat>,
-{
-    let mats: Vec<&Mat> = mats.into_iter().collect();
-    touched_fields(&mats)
-        .into_iter()
-        .map(|f| {
-            let class = oracle_verdict(&f, &mats);
-            (f, class)
-        })
-        .collect()
-}
 
 // ---------------------------------------------------------------------
 // The state report.
@@ -279,38 +183,10 @@ pub fn state_diagnostics(report: &StateReport) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_dataplane::action::Action;
+    use hermes_dataplane::action::{Action, FoldOp, PrimitiveOp};
+    use hermes_dataplane::fields::Field;
     use hermes_dataplane::library;
-
-    /// Fast pass and oracle must agree field-for-field on a MAT set.
-    fn assert_oracle_agrees(mats: &[&Mat]) {
-        let fast = StateClassification::of_mats(mats.iter().copied());
-        let slow = oracle_classification(mats.iter().copied());
-        assert_eq!(fast.len(), slow.len(), "field sets diverge");
-        for (f, e) in fast.verdicts() {
-            assert_eq!(Some(&e.class), slow.get(f), "verdict diverges on `{}`", f.name());
-        }
-    }
-
-    #[test]
-    fn oracle_agrees_on_real_programs() {
-        let programs = library::real_programs();
-        let mats: Vec<&Mat> = programs.iter().flat_map(|p| p.tables()).collect();
-        assert_oracle_agrees(&mats);
-    }
-
-    #[test]
-    fn oracle_agrees_on_aggregation_suite() {
-        for p in library::aggregation::all() {
-            let mats: Vec<&Mat> = p.tables().iter().collect();
-            assert_oracle_agrees(&mats);
-        }
-        // And on the whole suite composed, where cross-program writers can
-        // demote per-program verdicts.
-        let programs = library::aggregation::all();
-        let mats: Vec<&Mat> = programs.iter().flat_map(|p| p.tables()).collect();
-        assert_oracle_agrees(&mats);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn state_report_rows_are_sorted_and_counted() {

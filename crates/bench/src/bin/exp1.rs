@@ -7,64 +7,26 @@
 //!
 //! `HERMES_ILP_BUDGET_SECS` bounds each ILP/exhaustive solve (default 5).
 
-use hermes_baselines::standard_suite;
-use hermes_bench::report::{fmt_ms, maybe_json, Table};
-use hermes_bench::{analyze, ilp_budget, run_suite, workload, Measurement, RunConfig};
+use hermes_bench::report::maybe_json;
+use hermes_bench::{ilp_budget, Panel, Sweep};
 use hermes_net::topology;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Exp1Point {
-    programs: usize,
-    results: Vec<Measurement>,
-}
 
 fn main() {
     let budget = ilp_budget(5);
-    let net = topology::linear(3, 10.0);
-    let config = RunConfig::default();
-    let counts = [2usize, 4, 6, 8, 10];
-
-    let points: Vec<Exp1Point> = counts
-        .iter()
-        .map(|&n| {
-            let tdg = analyze(&workload(n));
-            let suite = standard_suite(budget);
-            Exp1Point { programs: n, results: run_suite(&tdg, &net, &suite, &config) }
-        })
-        .collect();
-    if maybe_json(&points) {
+    let sweep = Sweep::over_program_counts(&topology::linear(3, 10.0), &[2, 4, 6, 8, 10], budget);
+    if maybe_json(&sweep) {
         return;
     }
 
     println!("Exp#1 (Figure 5) — testbed: 3-switch linear topology, 2..10 real programs");
     println!("(ILP/exhaustive budget: {budget:?}; override via HERMES_ILP_BUDGET_SECS)\n");
-
-    let algos: Vec<String> = points[0].results.iter().map(|r| r.algorithm.clone()).collect();
-    let header =
-        std::iter::once("algorithm".to_owned()).chain(counts.iter().map(|n| format!("{n} progs")));
-
-    let panel = |title: &str, cell: &dyn Fn(&Measurement) -> String| {
-        let mut t = Table::new(header.clone());
-        for (i, name) in algos.iter().enumerate() {
-            t.row(std::iter::once(name.clone()).chain(points.iter().map(|p| cell(&p.results[i]))));
-        }
-        println!("({title})\n{}", t.render());
-    };
-
-    panel("a) per-packet byte overhead, bytes", &|m| {
-        m.overhead_bytes.map_or("-".into(), |b| b.to_string())
-    });
-    panel("b) execution time, ms", &|m| fmt_ms(m.reported_ms, m.capped));
-    panel("c) normalized FCT (1024 B packets)", &|m| {
-        m.fct_ratio.map_or("-".into(), |f| format!("{f:.3}"))
-    });
-    panel("d) normalized goodput (1024 B packets)", &|m| {
-        m.goodput_ratio.map_or("-".into(), |g| format!("{g:.3}"))
-    });
+    sweep.print_panel("(a) per-packet byte overhead, bytes", Panel::Overhead);
+    sweep.print_panel("(b) execution time, ms", Panel::Time);
+    sweep.print_panel("(c) normalized FCT (1024 B packets)", Panel::Fct);
+    sweep.print_panel("(d) normalized goodput (1024 B packets)", Panel::Goodput);
 
     // Headline: Hermes vs the worst baseline at 10 programs.
-    let last = &points.last().expect("non-empty").results;
+    let last = &sweep.points.last().expect("non-empty").results;
     let hermes =
         last.iter().find(|m| m.algorithm == "Hermes").and_then(|m| m.overhead_bytes).unwrap_or(0);
     let worst = last.iter().filter_map(|m| m.overhead_bytes).max().unwrap_or(0);

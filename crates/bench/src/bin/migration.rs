@@ -20,7 +20,7 @@
 //!
 //! Everything here runs on the virtual clock with a clean channel, so the
 //! full report — including `--json` (recorded as
-//! `results/BENCH_migration.json`) and `--smoke` — is byte-deterministic.
+//! `results/BENCH_migration.json`) — is byte-deterministic.
 
 use hermes_bench::report::{maybe_json, Table};
 use hermes_core::test_support::chain_tdg;
@@ -208,34 +208,7 @@ fn main() -> ExitCode {
     let report =
         Report { plan_budget_secs: PLAN_BUDGET.as_secs(), scenarios: reports, staged_never_worse };
 
-    if std::env::args().any(|a| a == "--smoke") {
-        // Compact single-line summary; byte-identical across runs, used
-        // by CI's double-run determinism diff.
-        let peaks: Vec<String> = report
-            .scenarios
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"name\":\"{}\",\"staged_peak\":{},\"all_at_once_peak\":{},\
-                     \"curve\":{:?},\"staged_us\":{},\"all_at_once_us\":{},\
-                     \"staged_msgs\":{},\"all_at_once_msgs\":{}}}",
-                    r.name,
-                    r.staged_peak_amax,
-                    r.all_at_once_peak_amax.map_or(-1i64, |p| p as i64),
-                    r.transient_curve,
-                    r.staged.reconfig_us,
-                    r.all_at_once.reconfig_us,
-                    r.staged.messages,
-                    r.all_at_once.messages,
-                )
-            })
-            .collect();
-        println!(
-            "{{\"staged_never_worse\":{},\"scenarios\":[{}]}}",
-            report.staged_never_worse,
-            peaks.join(",")
-        );
-    } else if !maybe_json(&report) {
+    if !maybe_json(&report) {
         println!("Migration bench — staged vs all-at-once reconfiguration\n");
         let mut t = Table::new([
             "scenario",

@@ -15,9 +15,9 @@
 //!
 //! The run **fails (exit 1)** if any recovery errors or lands on a plan
 //! that is neither exactly plan A, exactly plan B, nor nothing. Wall
-//! -clock throughput numbers vary per host, so `--smoke` prints only the
-//! virtual-clock/deterministic fields — CI double-runs it and diffs.
-//! `--json` is recorded as `results/BENCH_recovery.json`.
+//! -clock throughput numbers vary per host; the crash-point tables run on
+//! the virtual clock and repeat exactly. `--json` is recorded as
+//! `results/BENCH_recovery.json`.
 
 use hermes_bench::report::{maybe_json, Table};
 use hermes_core::{
@@ -29,7 +29,6 @@ use hermes_net::{topology, Network};
 use hermes_runtime::{
     replay_bytes, CrashTiming, DeploymentRuntime, FaultInjector, FaultProfile, Journal,
     JournalRecord, MigrationConfig, MigrationOutcome, RetryPolicy, RolloutOutcome,
-    EVENT_SCHEMA_VERSION, JOURNAL_FORMAT_VERSION,
 };
 use hermes_tdg::Tdg;
 use serde::Serialize;
@@ -239,41 +238,7 @@ fn build_report() -> Result<Report, String> {
     })
 }
 
-/// `--golden`: the byte-exact journal of a clean deploy, hex-dumped with
-/// the format and event-schema versions. CI diffs this against
-/// `tests/fixtures/journal_golden.txt`, so bumping either version or
-/// changing the wire format forces a reviewed fixture update.
-fn print_golden() -> Result<(), String> {
-    let w = workload()?;
-    let mut rt = DeploymentRuntime::new(
-        w.net.clone(),
-        Epsilon::loose(),
-        FaultInjector::disabled(),
-        RetryPolicy::default(),
-    );
-    if !rt.rollout(&w.tdg, w.plan_a.clone()).is_committed() {
-        return Err("golden deploy failed".to_owned());
-    }
-    let bytes = rt.journal().bytes();
-    println!("journal_format_version={JOURNAL_FORMAT_VERSION}");
-    println!("event_schema_version={EVENT_SCHEMA_VERSION}");
-    println!("bytes={}", bytes.len());
-    for chunk in bytes.chunks(32) {
-        println!("{}", chunk.iter().map(|b| format!("{b:02x}")).collect::<String>());
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--golden") {
-        return match print_golden() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let report = match build_report() {
         Ok(r) => r,
         Err(e) => {
@@ -281,32 +246,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if std::env::args().any(|a| a == "--smoke") {
-        // Only deterministic fields: CI double-runs this and diffs.
-        let fmt_points = |points: &[CrashPointStats]| {
-            points
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"b\":{},\"action\":\"{}\",\"msgs\":{},\"us\":{}}}",
-                        p.boundary, p.action, p.messages, p.recovery_us
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        println!(
-            "{{\"append_records\":{},\"append_bytes\":{},\"compactions\":{},\
-             \"replay\":{:?},\"deploy\":[{}],\"migration\":[{}],\"bimodal\":{}}}",
-            report.append.records,
-            report.append.bytes,
-            report.append.compactions,
-            report.replay.iter().map(|p| p.records_replayed).collect::<Vec<_>>(),
-            fmt_points(&report.deploy_crash_points),
-            fmt_points(&report.migration_crash_points),
-            report.bimodal,
-        );
-    } else if !maybe_json(&report) {
+    if !maybe_json(&report) {
         println!("Recovery bench — journal cost and crash recovery\n");
         println!(
             "append: {} records -> {} B, {} compactions, {} records/s",

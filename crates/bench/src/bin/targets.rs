@@ -8,9 +8,7 @@
 //!
 //! Modes:
 //! - default: text tables;
-//! - `--json`: the same data as JSON (recorded as `results/BENCH_targets.json`);
-//! - `--smoke`: fixed-seed determinism probe for CI — deterministic fields
-//!   only (target, objective, plan), so two runs must be byte-identical.
+//! - `--json`: the same data as JSON (recorded as `results/BENCH_targets.json`).
 
 use hermes_bench::report::{maybe_json, Table};
 use hermes_bench::{analyze, workload};
@@ -127,41 +125,7 @@ fn frontier(spec: &str) -> TargetFrontier {
     }
 }
 
-/// Fixed-seed CI probe: per-target greedy plan on the six-program
-/// library workload — deterministic fields only, no wall times.
-fn smoke() {
-    #[derive(Serialize)]
-    struct SmokeRow {
-        target: String,
-        feasible: bool,
-        objective: Option<u64>,
-        plan: Option<hermes_core::DeploymentPlan>,
-    }
-    let tdg = analyze(&workload(6));
-    let eps = Epsilon::loose();
-    let rows: Vec<SmokeRow> = TARGET_SPECS
-        .iter()
-        .map(|spec| {
-            let net = retargeted(spec);
-            let outcome = GreedyHeuristic::new()
-                .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(2)))
-                .ok();
-            SmokeRow {
-                target: (*spec).to_owned(),
-                feasible: outcome.is_some(),
-                objective: outcome.as_ref().map(|o| o.objective),
-                plan: outcome.map(|o| o.plan),
-            }
-        })
-        .collect();
-    println!("{}", serde_json::to_string(&rows).expect("plans serialize"));
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
     let report = Report {
         topology: "linear-3".to_owned(),
         budget_secs: BUDGET.as_secs(),

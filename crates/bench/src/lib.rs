@@ -1,4 +1,8 @@
 //! Experiment harness regenerating every table and figure of the paper.
+//! Performance is measured elsewhere — by the deploy-request benchmark in
+//! `bench/` — and equivalence and determinism are asserted by the cargo
+//! test suites; this crate only prints the paper's artifacts and the
+//! extension experiments.
 //!
 //! One binary per artifact (run with `cargo run -p hermes-bench --bin …`):
 //!
@@ -7,28 +11,30 @@
 //! | `fig2` | Figure 2 — overhead vs. normalized FCT/goodput |
 //! | `table3` | Table III — the ten WAN topologies |
 //! | `exp1` | Figure 5 — testbed: overhead, time, FCT, goodput vs. #programs |
-//! | `exp2` | Figure 6 — per-packet byte overhead at scale |
-//! | `exp3` | Figure 7 — execution time at scale |
-//! | `exp4` | Figure 8 — end-to-end FCT/goodput at scale |
+//! | `exp2_4` | Figures 6, 7, 8 — overhead, execution time, FCT/goodput at scale |
 //! | `exp5` | Figure 9 — scalability on topology 10 |
 //! | `exp6` | switch resource consumption (sketches) |
 //!
 //! This library hosts the shared machinery: the standard workload
 //! (10 real + N synthetic programs), the measurement loop over the
 //! algorithm suite, time capping for solver-backed frameworks (mirroring
-//! the paper's 2-hour bar cap), and table/JSON reporting.
+//! the paper's 2-hour bar cap), the two [`Sweep`]s Figures 5–9 are panels
+//! of, and table/JSON reporting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod report;
 
-use hermes_core::{DeploymentAlgorithm, Epsilon, ProgramAnalyzer};
+use hermes_baselines::standard_suite;
+use hermes_core::{Epsilon, ProgramAnalyzer};
 use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes_dataplane::{library, Program};
+use hermes_net::topology::{table3_wan, TABLE3};
 use hermes_net::Network;
-use hermes_sim::testbed::{normalized_impact, NormalizedPerf, TestbedConfig};
+use hermes_sim::testbed::{normalized_impact, TestbedConfig};
 use hermes_tdg::Tdg;
+use report::{fmt_ms, Table};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -72,7 +78,7 @@ pub struct Measurement {
     pub overhead_bytes: Option<u64>,
     /// Occupied programmable switches.
     pub occupied_switches: Option<usize>,
-    /// Mean wall-clock deployment time in milliseconds (as measured).
+    /// Wall-clock deployment time in milliseconds (as measured).
     pub measured_ms: f64,
     /// Time as reported in the figures: `measured_ms`, or
     /// [`CAPPED_TIME_MS`] when the solver exceeded the practical cap.
@@ -86,73 +92,32 @@ pub struct Measurement {
     pub goodput_ratio: Option<f64>,
 }
 
-/// Knobs of the measurement loop.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Timing repetitions (plans are deterministic; only timing varies).
-    pub timing_runs: usize,
-    /// Testbed simulation shape for the FCT/goodput columns.
-    pub sim: TestbedConfig,
-    /// Packet size for the FCT/goodput columns (paper Exp#4: 1024 B).
-    pub packet_size: u32,
-    /// ε-bounds (paper: loose).
-    pub eps: Epsilon,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            timing_runs: 1,
-            sim: TestbedConfig { packets: 5_000, ..Default::default() },
-            packet_size: 1024,
-            eps: Epsilon::loose(),
-        }
-    }
-}
-
-/// Runs every algorithm in `suite` on `(tdg, net)` and gathers the four
-/// panel metrics (overhead, time, FCT, goodput).
-pub fn run_suite(
-    tdg: &Tdg,
-    net: &Network,
-    suite: &[Box<dyn DeploymentAlgorithm>],
-    config: &RunConfig,
-) -> Vec<Measurement> {
+/// Runs the standard suite (`budget` per exhaustive solve) on `(tdg, net)`
+/// under the paper's loose ε-bounds and gathers the four panel metrics:
+/// overhead, time, and the FCT/goodput of a 1024-byte-packet flow (paper
+/// Exp#4) carrying each plan's overhead through the testbed simulator.
+fn measure(tdg: &Tdg, net: &Network, budget: Duration) -> Vec<Measurement> {
+    let sim = TestbedConfig { packets: 5_000, ..Default::default() };
+    let eps = Epsilon::loose();
     let q = net.programmable_switches().len();
     let binaries = tdg.node_count() * q;
     let rank_cells = tdg.edge_count() * q * q;
-    suite
+    standard_suite(budget)
         .iter()
         .map(|algo| {
-            if std::env::var_os("HERMES_VERBOSE").is_some() {
-                eprintln!(
-                    "[run_suite] {} on {} nodes / {} programmable switches",
-                    algo.name(),
-                    tdg.node_count(),
-                    q
-                );
-            }
-            let mut total = Duration::ZERO;
-            let mut plan = None;
-            for _ in 0..config.timing_runs.max(1) {
-                let start = Instant::now();
-                let result = algo.deploy(tdg, net, &config.eps);
-                total += start.elapsed();
-                plan = result.ok();
-            }
-            let measured_ms = total.as_secs_f64() * 1000.0 / config.timing_runs.max(1) as f64;
+            let start = Instant::now();
+            let plan = algo.deploy(tdg, net, &eps).ok();
+            let measured_ms = start.elapsed().as_secs_f64() * 1000.0;
             let capped =
                 algo.is_exhaustive() && (binaries > ILP_SIZE_GUARD || rank_cells > ILP_RANK_GUARD);
-            let reported_ms = if capped { CAPPED_TIME_MS } else { measured_ms };
             let overhead = plan.as_ref().map(|p| p.max_inter_switch_bytes(tdg));
-            let perf: Option<NormalizedPerf> = overhead
-                .map(|bytes| normalized_impact(&config.sim, config.packet_size, bytes as u32));
+            let perf = overhead.map(|bytes| normalized_impact(&sim, 1024, bytes as u32));
             Measurement {
                 algorithm: algo.name().to_owned(),
                 overhead_bytes: overhead,
                 occupied_switches: plan.as_ref().map(|p| p.occupied_switch_count()),
                 measured_ms,
-                reported_ms,
+                reported_ms: if capped { CAPPED_TIME_MS } else { measured_ms },
                 capped,
                 fct_ratio: perf.map(|p| p.fct_ratio),
                 goodput_ratio: perf.map(|p| p.goodput_ratio),
@@ -171,10 +136,131 @@ pub fn ilp_budget(default_secs: u64) -> Duration {
         .map_or(Duration::from_secs(default_secs), Duration::from_secs)
 }
 
+/// Reads the workload size of the WAN sweep from `HERMES_PROGRAMS`
+/// (default 50, the paper's).
+pub fn program_count() -> usize {
+    std::env::var("HERMES_PROGRAMS").ok().and_then(|s| s.parse().ok()).unwrap_or(50)
+}
+
+/// What varies along a sweep: the Table III topology (Exp#2–4) or the
+/// number of concurrently deployed programs (Exp#1, Exp#5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Axis {
+    /// Point `at` is topology `at` of Table III (1-based).
+    Topology,
+    /// Point `at` deploys `at` programs.
+    Programs,
+}
+
+/// One column of a figure: every framework's measurements on "topology
+/// `at`" or on "`at` programs".
+#[derive(Debug, Clone, Serialize)]
+pub struct Point {
+    /// Position on the sweep's [`Axis`].
+    pub at: usize,
+    /// One row per framework, in suite order.
+    pub results: Vec<Measurement>,
+}
+
+/// One of the four quantities the paper's figures plot per framework.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Panel {
+    /// Per-packet byte overhead `A_max`, bytes.
+    Overhead,
+    /// Execution time as the figures report it (capped), ms.
+    Time,
+    /// Normalized flow completion time.
+    Fct,
+    /// Normalized goodput.
+    Goodput,
+}
+
+impl Panel {
+    fn cell(self, m: &Measurement) -> String {
+        match self {
+            Panel::Overhead => m.overhead_bytes.map_or("-".into(), |b| b.to_string()),
+            Panel::Time => fmt_ms(m.reported_ms, m.capped),
+            Panel::Fct => m.fct_ratio.map_or("-".into(), |f| format!("{f:.3}")),
+            Panel::Goodput => m.goodput_ratio.map_or("-".into(), |g| format!("{g:.3}")),
+        }
+    }
+}
+
+/// The standard suite measured at every point of one axis. Figures 6, 7
+/// and 8 are three panels of [`Sweep::over_wans`]; Figures 5 and 9 are the
+/// four panels of [`Sweep::over_program_counts`] on two networks.
+#[derive(Debug, Clone, Serialize)]
+pub struct Sweep {
+    /// What `at` means.
+    pub axis: Axis,
+    /// The measured columns, in sweep order.
+    pub points: Vec<Point>,
+}
+
+impl Sweep {
+    /// Deploys the first `programs` programs of the evaluation workload on
+    /// each of the ten Table III WANs (`budget` per exhaustive solve).
+    pub fn over_wans(programs: usize, budget: Duration) -> Sweep {
+        let tdg = analyze(&workload(programs));
+        let points = (0..TABLE3.len())
+            .map(|i| Point { at: i + 1, results: measure(&tdg, &table3_wan(i), budget) })
+            .collect();
+        Sweep { axis: Axis::Topology, points }
+    }
+
+    /// Deploys `n` programs on `net` for every `n` in `counts`.
+    pub fn over_program_counts(net: &Network, counts: &[usize], budget: Duration) -> Sweep {
+        let points = counts
+            .iter()
+            .map(|&n| Point { at: n, results: measure(&analyze(&workload(n)), net, budget) })
+            .collect();
+        Sweep { axis: Axis::Programs, points }
+    }
+
+    /// Framework names, in row order.
+    pub fn algorithms(&self) -> impl Iterator<Item = &str> {
+        self.points.first().into_iter().flat_map(|p| p.results.iter().map(|m| m.algorithm.as_str()))
+    }
+
+    /// `algorithm`'s measurement at every point, in sweep order.
+    pub fn series<'a>(&'a self, algorithm: &'a str) -> impl Iterator<Item = &'a Measurement> {
+        self.points.iter().filter_map(move |p| p.results.iter().find(|m| m.algorithm == algorithm))
+    }
+
+    /// Mean of `metric` over the points where `algorithm` has one (0 when
+    /// it has none) — the figures' headline numbers.
+    pub fn mean(&self, algorithm: &str, metric: impl Fn(&Measurement) -> Option<f64>) -> f64 {
+        let values: Vec<f64> = self.series(algorithm).filter_map(metric).collect();
+        values.iter().sum::<f64>() / values.len().max(1) as f64
+    }
+
+    /// One framework per row, one point per column.
+    pub fn panel(&self, panel: Panel) -> Table {
+        let column = |p: &Point| match self.axis {
+            Axis::Topology => format!("T{}", p.at),
+            Axis::Programs => format!("{} progs", p.at),
+        };
+        let mut table = Table::new(
+            std::iter::once("algorithm".to_owned()).chain(self.points.iter().map(column)),
+        );
+        for (row, name) in self.algorithms().enumerate() {
+            table.row(
+                std::iter::once(name.to_owned())
+                    .chain(self.points.iter().map(|p| panel.cell(&p.results[row]))),
+            );
+        }
+        table
+    }
+
+    /// Prints `panel` under a title line.
+    pub fn print_panel(&self, title: &str, panel: Panel) {
+        println!("{title}\n{}", self.panel(panel).render());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_baselines::standard_suite;
     use hermes_net::topology;
 
     #[test]
@@ -193,27 +279,33 @@ mod tests {
     }
 
     #[test]
-    fn run_suite_produces_all_metrics() {
-        let tdg = analyze(&workload(3));
+    fn sweep_produces_all_metrics_in_every_panel() {
         let net = topology::linear(3, 10.0);
-        let suite = standard_suite(Duration::from_millis(500));
-        let config = RunConfig {
-            sim: TestbedConfig { packets: 200, ..Default::default() },
-            ..Default::default()
-        };
-        let rows = run_suite(&tdg, &net, &suite, &config);
-        assert_eq!(rows.len(), suite.len());
-        for r in &rows {
+        let sweep = Sweep::over_program_counts(&net, &[2, 3], Duration::from_millis(500));
+        assert_eq!(sweep.axis, Axis::Programs);
+        assert_eq!(sweep.points.iter().map(|p| p.at).collect::<Vec<_>>(), [2, 3]);
+        let rows = &sweep.points[1].results;
+        assert_eq!(rows.len(), standard_suite(Duration::ZERO).len());
+        for r in rows {
             assert!(r.overhead_bytes.is_some(), "{} infeasible", r.algorithm);
             assert!(r.fct_ratio.unwrap() >= 1.0 - 1e-9);
             assert!(r.goodput_ratio.unwrap() <= 1.0 + 1e-9);
             assert!(!r.capped, "tiny instance should not cap");
         }
         // Hermes never worse than the overhead-oblivious baselines.
-        let get =
-            |name: &str| rows.iter().find(|r| r.algorithm == name).unwrap().overhead_bytes.unwrap();
+        let get = |name: &str| sweep.series(name).last().unwrap().overhead_bytes.unwrap();
         assert!(get("Hermes") <= get("FFL"));
         assert!(get("Hermes") <= get("MS"));
         assert!(get("Optimal") <= get("Hermes"));
+        assert_eq!(sweep.mean("Hermes", |m| m.fct_ratio.map(|_| 1.0)), 1.0);
+        assert_eq!(sweep.mean("no such framework", |m| m.fct_ratio), 0.0);
+
+        // Header, rule, one line per framework; one column per point.
+        for panel in [Panel::Overhead, Panel::Time, Panel::Fct, Panel::Goodput] {
+            let text = sweep.panel(panel).render();
+            assert_eq!(text.lines().count(), 2 + rows.len(), "{text}");
+            assert!(text.lines().next().unwrap().ends_with("2 progs  3 progs"), "{text}");
+            assert!(text.contains("\nHermes "), "{text}");
+        }
     }
 }

@@ -542,8 +542,13 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 options.solver = name;
             }
             "--eps1" => {
-                options.eps1 =
-                    value(&mut iter)?.parse().map_err(|_| err("--eps1 needs a number"))?
+                // `inf` (the default) is a legal bound; NaN compares false
+                // against every latency, so Eq. 4 would never be enforced.
+                options.eps1 = value(&mut iter)?
+                    .parse()
+                    .ok()
+                    .filter(|us: &f64| *us >= 0.0)
+                    .ok_or_else(|| err("--eps1 needs a non-negative number of microseconds"))?
             }
             "--eps2" => {
                 options.eps2 =
@@ -1177,6 +1182,18 @@ mod tests {
         assert_eq!(options.time_limit_secs, 7);
         assert!(options.json);
         assert!(options.eps1.is_infinite());
+    }
+
+    #[test]
+    fn eps1_flag_rejects_nan_and_negatives_and_keeps_inf() {
+        let eps1 = |v: &str| parse_args(&args(&["deploy", "a.p4dsl", "--eps1", v])).map(|o| o.eps1);
+        assert_eq!(eps1("12.5").unwrap(), 12.5);
+        assert_eq!(eps1("0").unwrap(), 0.0);
+        assert!(eps1("inf").unwrap().is_infinite());
+        for bad in ["NaN", "nan", "-5", "-inf", "-0.001", "soon"] {
+            let e = eps1(bad).unwrap_err();
+            assert!(e.0.contains("--eps1 needs a non-negative number"), "`{bad}`: {e}");
+        }
     }
 
     #[test]

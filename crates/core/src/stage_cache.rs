@@ -52,7 +52,7 @@ struct PackEntry {
     last_pos_plus1: u32,
 }
 
-/// Hit/miss counters for the bench harness and `--smoke` diagnostics.
+/// Hit/miss counters for the bench harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCacheStats {
     /// Probes answered from the memo table alone.

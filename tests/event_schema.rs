@@ -7,19 +7,35 @@
 //! controller crashes, and recoveries, not synthetic values — must
 //! round-trip through serde to an equal value AND re-serialize
 //! byte-identically.
+//!
+//! The write-ahead journal gets the same treatment against a committed
+//! fixture: the journal of a clean deploy is byte-exact per format
+//! version, so any wire or schema change lands with a reviewed update of
+//! `tests/fixtures/journal_golden.txt`.
 
 use hermes::core::test_support::chain_tdg;
 use hermes::core::{
-    DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer,
-    RedeployOptions,
+    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
+    ProgramAnalyzer, RedeployOptions,
 };
 use hermes::dataplane::library;
-use hermes::net::topology;
+use hermes::net::{topology, Network};
 use hermes::runtime::{
     ChannelProfile, CrashTiming, DeploymentRuntime, Event, EventLog, FaultInjector, FaultProfile,
-    MigrationConfig, RetryPolicy, EVENT_SCHEMA_VERSION,
+    MigrationConfig, RetryPolicy, EVENT_SCHEMA_VERSION, JOURNAL_FORMAT_VERSION,
 };
+use hermes::tdg::Tdg;
 use proptest::prelude::*;
+
+/// The first two library programs on linear:3 with their greedy plan.
+fn two_program_deploy() -> (Tdg, Network, Epsilon, DeploymentPlan) {
+    let programs = library::real_programs();
+    let tdg = ProgramAnalyzer::new().analyze(&programs[..2.min(programs.len())]);
+    let net = topology::linear(3, 10.0);
+    let eps = Epsilon::loose();
+    let plan = GreedyHeuristic::new().deploy(&tdg, &net, &eps).expect("deploys");
+    (tdg, net, eps, plan)
+}
 
 /// The round-trip property itself.
 fn assert_round_trips(log: &EventLog, context: &str) {
@@ -35,11 +51,7 @@ fn assert_round_trips(log: &EventLog, context: &str) {
 /// `AgentReconciled` on top of the usual transaction events.
 #[test]
 fn crash_recovery_logs_round_trip() {
-    let programs = library::real_programs();
-    let tdg = ProgramAnalyzer::new().analyze(&programs[..2.min(programs.len())]);
-    let net = topology::linear(3, 10.0);
-    let eps = Epsilon::loose();
-    let plan = GreedyHeuristic::new().deploy(&tdg, &net, &eps).expect("deploys");
+    let (tdg, net, eps, plan) = two_program_deploy();
     let mut rt = DeploymentRuntime::new(
         net,
         eps,
@@ -82,6 +94,37 @@ fn migration_logs_round_trip() {
     assert_round_trips(rt.log(), "migration");
 }
 
+/// The journal of a clean two-program deploy on linear:3, hex-dumped
+/// under both version stamps, equals the committed fixture.
+/// `REGEN_GOLDEN=1` rewrites the fixture instead.
+#[test]
+fn clean_deploy_journal_matches_the_golden_fixture() {
+    let (tdg, net, eps, plan) = two_program_deploy();
+    let mut rt =
+        DeploymentRuntime::new(net, eps, FaultInjector::disabled(), RetryPolicy::default());
+    assert!(rt.rollout(&tdg, plan).is_committed());
+    let bytes = rt.journal().bytes();
+    let mut dump = format!(
+        "journal_format_version={JOURNAL_FORMAT_VERSION}\n\
+         event_schema_version={EVENT_SCHEMA_VERSION}\nbytes={}\n",
+        bytes.len()
+    );
+    for chunk in bytes.chunks(32) {
+        dump.extend(chunk.iter().map(|b| format!("{b:02x}")));
+        dump.push('\n');
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/journal_golden.txt");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(path, &dump).expect("fixture is writable");
+    }
+    let fixture = std::fs::read_to_string(path).expect("run with REGEN_GOLDEN=1 to create");
+    assert_eq!(
+        dump, fixture,
+        "journal bytes or schema versions drifted from tests/fixtures/journal_golden.txt; \
+         re-generate with REGEN_GOLDEN=1 if the change is intentional"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -89,11 +132,7 @@ proptest! {
     /// events the fault schedule produced.
     #[test]
     fn chaos_logs_round_trip(seed in 0u64..1_000) {
-        let programs = library::real_programs();
-        let tdg = ProgramAnalyzer::new().analyze(&programs[..2.min(programs.len())]);
-        let net = topology::linear(3, 10.0);
-        let eps = Epsilon::loose();
-        let plan = GreedyHeuristic::new().deploy(&tdg, &net, &eps).expect("deploys");
+        let (tdg, net, eps, plan) = two_program_deploy();
         let mut rt = DeploymentRuntime::new(
             net,
             eps,

@@ -27,13 +27,10 @@ fn ctx() -> SearchContext {
     SearchContext::with_time_limit(Duration::from_secs(10))
 }
 
-/// The standard instance: a ten-MAT metadata chain on five tight
-/// switches, plan A from greedy, plan B draining A's last occupied
-/// switch. Metadata-only writes keep the mixed-epoch gate satisfied under
+/// Plan A from greedy and plan B draining A's last occupied switch.
+/// Metadata-only chain writes keep the mixed-epoch gate satisfied under
 /// any commit order, so the full pipeline can execute.
-fn drain_instance() -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
-    let tdg = chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4);
-    let net = tiny_switches(5, 5, 0.45);
+fn drain(tdg: Tdg, net: Network) -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
     let eps = Epsilon::loose();
     let plan_a = GreedyHeuristic::new().deploy(&tdg, &net, &eps).expect("plan A");
     let drained = *plan_a.occupied_switches().last().expect("non-empty plan");
@@ -45,33 +42,60 @@ fn drain_instance() -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
     (tdg, net, plan_a, plan_b)
 }
 
+/// The standard instance: a ten-MAT metadata chain on five tight switches.
+fn drain_instance() -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
+    drain(chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4), tiny_switches(5, 5, 0.45))
+}
+
+/// The standard instance plus the two other drains `results/BENCH_migration.json`
+/// records: a star and a fat-tree, every switch reshaped so packing binds.
+fn drain_scenarios() -> Vec<(Tdg, Network, DeploymentPlan, DeploymentPlan)> {
+    let shaped = |mut net: Network, stages: usize| {
+        for id in net.switch_ids().collect::<Vec<_>>() {
+            let sw = net.switch_mut(id);
+            sw.stages = stages;
+            sw.stage_capacity = 0.45;
+        }
+        net
+    };
+    vec![
+        drain_instance(),
+        drain(chain_tdg(&[4, 7, 3, 8, 2, 6, 5], 0.4), shaped(topology::star(4, 10.0), 5)),
+        drain(
+            chain_tdg(&[9, 2, 7, 4, 8, 3, 6, 5, 2, 7, 4], 0.4),
+            shaped(topology::fat_tree(4, 10.0), 4),
+        ),
+    ]
+}
+
 #[test]
 fn schedules_are_deterministic_and_never_worse_than_all_at_once() {
-    let (tdg, net, plan_a, plan_b) = drain_instance();
-    let problem = MigrationProblem { tdg: &tdg, net: &net, from: &plan_a, to: &plan_b };
-    let first = MigrationScheduler::new().plan(&problem, &ctx()).expect("schedulable");
-    for _ in 0..3 {
-        let again = MigrationScheduler::new().plan(&problem, &ctx()).expect("schedulable");
-        assert_eq!(first, again, "Auto race must pick a timing-independent winner");
+    for (tdg, net, plan_a, plan_b) in drain_scenarios() {
+        let problem = MigrationProblem { tdg: &tdg, net: &net, from: &plan_a, to: &plan_b };
+        let first = MigrationScheduler::new().plan(&problem, &ctx()).expect("schedulable");
+        for _ in 0..3 {
+            let again = MigrationScheduler::new().plan(&problem, &ctx()).expect("schedulable");
+            assert_eq!(first, again, "Auto race must pick a timing-independent winner");
+        }
+        let all_at_once = first.all_at_once_peak.expect("in-order is valid on a chain");
+        assert!(
+            first.peak_transient_amax <= all_at_once,
+            "staged {} > all-at-once {all_at_once}",
+            first.peak_transient_amax
+        );
+        // The curve starts at plan A's A_max, ends at plan B's, and its max
+        // is exactly the reported peak.
+        let curve = first.transient_curve();
+        assert_eq!(curve.first(), Some(&first.from_amax));
+        assert_eq!(curve.last(), Some(&first.to_amax));
+        assert_eq!(curve.iter().max(), Some(&first.peak_transient_amax));
+        // Every target-occupied switch commits exactly once.
+        let mut order = first.commit_order();
+        order.sort_unstable();
+        order.dedup();
+        let occupied: Vec<_> = plan_b.occupied_switches().into_iter().collect();
+        assert_eq!(order, occupied, "steps must cover plan B exactly once");
     }
-    let all_at_once = first.all_at_once_peak.expect("in-order is valid on a chain");
-    assert!(
-        first.peak_transient_amax <= all_at_once,
-        "staged {} > all-at-once {all_at_once}",
-        first.peak_transient_amax
-    );
-    // The curve starts at plan A's A_max, ends at plan B's, and its max
-    // is exactly the reported peak.
-    let curve = first.transient_curve();
-    assert_eq!(curve.first(), Some(&first.from_amax));
-    assert_eq!(curve.last(), Some(&first.to_amax));
-    assert_eq!(curve.iter().max(), Some(&first.peak_transient_amax));
-    // Every target-occupied switch commits exactly once.
-    let mut order = first.commit_order();
-    order.sort_unstable();
-    order.dedup();
-    let occupied: Vec<_> = plan_b.occupied_switches().into_iter().collect();
-    assert_eq!(order, occupied, "steps must cover plan B exactly once");
 }
 
 #[test]
@@ -171,37 +195,50 @@ fn every_schedule_prefix_passes_the_mixed_epoch_gate() {
 
 #[test]
 fn clean_migration_lands_plan_b_with_a_full_event_trail() {
-    let (tdg, net, plan_a, plan_b) = drain_instance();
-    let eps = Epsilon::loose();
-    let mut rt =
-        DeploymentRuntime::new(net, eps, FaultInjector::disabled(), RetryPolicy::default());
-    assert!(rt.rollout(&tdg, plan_a.clone()).is_committed());
-    let epoch_a = rt.active_epoch().expect("A active");
+    for (tdg, net, plan_a, plan_b) in drain_scenarios() {
+        let eps = Epsilon::loose();
+        let mut rt =
+            DeploymentRuntime::new(net, eps, FaultInjector::disabled(), RetryPolicy::default());
+        assert!(rt.rollout(&tdg, plan_a.clone()).is_committed());
+        let epoch_a = rt.active_epoch().expect("A active");
 
-    let outcome = rt.migrate(&tdg, plan_b.clone(), &MigrationConfig::default());
-    assert!(outcome.is_migrated(), "{outcome}");
-    assert_eq!(rt.active_plan(), Some(&plan_b));
-    assert!(rt.active_epoch().expect("B active") > epoch_a);
+        let outcome = rt.migrate(&tdg, plan_b.clone(), &MigrationConfig::default());
+        assert!(outcome.is_migrated(), "{outcome}");
+        assert_eq!(rt.active_plan(), Some(&plan_b));
+        assert!(rt.active_epoch().expect("B active") > epoch_a);
 
-    let log = rt.log();
-    assert_eq!(log.count(|e| matches!(e, Event::MigrationStarted { .. })), 1);
-    assert_eq!(log.count(|e| matches!(e, Event::MixedEpochChecked { .. })), 1);
-    assert_eq!(log.count(|e| matches!(e, Event::MigrationCompleted { .. })), 1);
-    let steps = log.count(|e| matches!(e, Event::MigrationStepCommitted { .. }));
-    assert!(steps > 0, "at least one step must commit");
-    // The serialized log is schema-stamped for golden diffing.
-    let json = log.to_json();
-    assert!(
-        json.contains(&format!("\"schema_version\": {EVENT_SCHEMA_VERSION}")),
-        "{}",
-        &json[..200.min(json.len())]
-    );
+        let log = rt.log();
+        assert_eq!(log.count(|e| matches!(e, Event::MigrationStarted { .. })), 1);
+        assert_eq!(log.count(|e| matches!(e, Event::MixedEpochChecked { .. })), 1);
+        assert_eq!(log.count(|e| matches!(e, Event::MigrationCompleted { .. })), 1);
+        let steps = log.count(|e| matches!(e, Event::MigrationStepCommitted { .. }));
+        assert!(steps > 0, "at least one step must commit");
+        // The serialized log is schema-stamped for golden diffing.
+        let json = log.to_json();
+        assert!(
+            json.contains(&format!("\"schema_version\": {EVENT_SCHEMA_VERSION}")),
+            "{}",
+            &json[..200.min(json.len())]
+        );
 
-    // Migrating again to the same plan is a trivial no-op success.
-    let noop = rt.migrate(&tdg, plan_b.clone(), &MigrationConfig::default());
-    match noop {
-        hermes::runtime::MigrationOutcome::Migrated { steps, .. } => assert_eq!(steps, 0),
-        other => panic!("expected trivial success, got {other}"),
+        // Migrating again to the same plan is a trivial no-op success.
+        let noop = rt.migrate(&tdg, plan_b.clone(), &MigrationConfig::default());
+        match noop {
+            hermes::runtime::MigrationOutcome::Migrated { steps, .. } => assert_eq!(steps, 0),
+            other => panic!("expected trivial success, got {other}"),
+        }
+
+        // The baseline the staged peak is compared with: a plain rollout
+        // of plan B over plan A lands on plan B too.
+        let mut rt = DeploymentRuntime::new(
+            rt.network().clone(),
+            eps,
+            FaultInjector::disabled(),
+            RetryPolicy::default(),
+        );
+        assert!(rt.rollout(&tdg, plan_a).is_committed());
+        assert!(rt.rollout(&tdg, plan_b.clone()).is_committed());
+        assert_eq!(rt.active_plan(), Some(&plan_b));
     }
 }
 

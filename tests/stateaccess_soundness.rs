@@ -4,10 +4,9 @@
 //! Three pillars, per the pass's contract:
 //!
 //! 1. **Oracle equivalence** — the fast single-pass classifier in
-//!    `hermes_tdg::stateaccess` agrees field-for-field with the naive
-//!    per-field rescan oracle in `hermes_analysis::stateaccess` on
-//!    arbitrary workloads (property-tested over a generator that emits
-//!    every primitive-op shape, fold kinds included).
+//!    `hermes_tdg::stateaccess` agrees field-for-field with a naive
+//!    per-field rescan. The oracle is test code of `hermes-analysis`, so
+//!    that pillar is its `oracles` module (`cargo test -p hermes-analysis`).
 //! 2. **Relaxed plans stay sound** — any plan computed from a
 //!    `RelaxedState` TDG passes the full hard-constraint verifier, which
 //!    independently re-certifies every relaxed edge against a fresh
@@ -17,98 +16,23 @@
 //!    byte-identical plan serializations run-to-run; on fold-free
 //!    workloads the relaxed mode is a byte-level no-op.
 
-use hermes::analysis::oracle_classification;
 use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpConfig, Sonata};
 use hermes::core::{
     verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
     Portfolio, ProgramAnalyzer,
 };
-use hermes::dataplane::action::{Action, FoldOp, PrimitiveOp};
+use hermes::dataplane::action::{Action, PrimitiveOp};
 use hermes::dataplane::fields::Field;
 use hermes::dataplane::library::{self, aggregation};
 use hermes::dataplane::mat::{Mat, MatchKind};
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::topology;
-use hermes::tdg::{AnalysisMode, StateClassification, Tdg};
+use hermes::tdg::{AnalysisMode, Tdg};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// The small, fixed pool of fields random MATs draw from: enough aliasing
-/// that generated workloads share accumulators and contend on state.
-fn field_pool() -> Vec<Field> {
-    vec![
-        Field::header("pkt.h0", 2),
-        Field::header("pkt.h1", 4),
-        Field::metadata("meta.m0", 4),
-        Field::metadata("meta.m1", 2),
-        Field::metadata("meta.m2", 4),
-    ]
-}
-
-/// One primitive op, decoded from proptest-drawn indices.
-fn decode_op(kind: usize, dst: usize, src: usize, fold: usize) -> PrimitiveOp {
-    let pool = field_pool();
-    let dst = pool[dst % pool.len()].clone();
-    let src_f = pool[src % pool.len()].clone();
-    let fold_op = [FoldOp::Add, FoldOp::Max, FoldOp::Min, FoldOp::Or][fold % 4];
-    match kind % 7 {
-        0 => PrimitiveOp::SetConst { dst },
-        1 => PrimitiveOp::Copy { dst, src: src_f },
-        2 => PrimitiveOp::Compute { dst, srcs: vec![src_f] },
-        3 => PrimitiveOp::Hash { dst, srcs: vec![src_f] },
-        4 => PrimitiveOp::RegisterOp { index: src_f, out: Some(dst) },
-        5 => PrimitiveOp::Fold { dst, srcs: vec![src_f], op: fold_op },
-        // Fold with two sources, one of which may alias the accumulator —
-        // the self-consuming case the commutativity rule must reject.
-        _ => PrimitiveOp::Fold { dst: dst.clone(), srcs: vec![src_f, dst], op: fold_op },
-    }
-}
-
-/// Builds a random MAT: an optional exact match (`match_on == 5` means
-/// matchless) plus up to three ops.
-fn decode_mat(i: usize, match_on: usize, ops: &[(usize, usize, usize, usize)]) -> Mat {
-    let pool = field_pool();
-    let mut action = Action::new(format!("a{i}"));
-    for &(kind, dst, src, fold) in ops {
-        action = action.with_op(decode_op(kind, dst, src, fold));
-    }
-    let mut builder = Mat::builder(format!("t{i}")).action(action).resource(0.3).capacity(8 + i);
-    if match_on < pool.len() {
-        builder = builder.match_field(pool[match_on].clone(), MatchKind::Exact);
-    }
-    builder.build().expect("generated MATs are structurally valid")
-}
-
-type MatSpec = (usize, Vec<(usize, usize, usize, usize)>);
-
-fn mat_spec() -> impl Strategy<Value = MatSpec> {
-    (0usize..6, proptest::collection::vec((0usize..7, 0usize..5, 0usize..5, 0usize..4), 0..3))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Pillar 1: fast classifier ≡ naive oracle, field for field, on
-    /// workloads drawn from the full op grammar.
-    #[test]
-    fn fast_classifier_agrees_with_oracle(specs in proptest::collection::vec(mat_spec(), 1..7)) {
-        let mats: Vec<Mat> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, (m, ops))| decode_mat(i, *m, ops))
-            .collect();
-        let fast = StateClassification::of_mats(mats.iter());
-        let oracle = oracle_classification(mats.iter());
-        prop_assert_eq!(fast.len(), oracle.len(), "field sets diverge");
-        for (field, verdict) in &oracle {
-            prop_assert_eq!(
-                fast.class(field),
-                *verdict,
-                "verdict diverges on `{}`",
-                field.name()
-            );
-        }
-    }
 
     /// Pillar 2 (random workloads): whatever the generator produces,
     /// relaxed-mode plans must satisfy the verifier — including its
