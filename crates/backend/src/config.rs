@@ -100,40 +100,6 @@ pub struct DeploymentArtifacts {
 }
 
 impl DeploymentArtifacts {
-    /// The switches the packet must visit, in dependency (topological)
-    /// order of the switch-level DAG. Returns `None` if the plan's
-    /// switch-level dependencies are cyclic (never the case for verified
-    /// plans).
-    pub fn switch_visit_order(&self, tdg: &Tdg, plan: &DeploymentPlan) -> Option<Vec<SwitchId>> {
-        let occupied: Vec<SwitchId> = self.switches.keys().copied().collect();
-        let index: BTreeMap<SwitchId, usize> =
-            occupied.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let n = occupied.len();
-        let mut adj = vec![BTreeSet::new(); n];
-        let mut indegree = vec![0usize; n];
-        for e in tdg.edges() {
-            let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
-                continue;
-            };
-            if u != v && adj[index[&u]].insert(index[&v]) {
-                indegree[index[&v]] += 1;
-            }
-        }
-        let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(&i) = ready.iter().next() {
-            ready.remove(&i);
-            order.push(occupied[i]);
-            for &j in &adj[i].clone() {
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    ready.insert(j);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
-
     /// Maximum bytes appended on any single inter-switch hop — the
     /// realized per-packet byte overhead of the generated configs. Equals
     /// the plan's `A_max` by construction.
@@ -169,15 +135,15 @@ pub fn generate(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> DeploymentAr
     }
 
     // Piggyback contracts from cross-switch dependency edges.
+    let assign = plan.switch_assignment(tdg.node_count());
     for e in tdg.edges() {
-        let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
+        let (Some(u), Some(v)) = (assign[e.from.index()], assign[e.to.index()]) else {
             continue;
         };
         if u == v || e.bytes == 0 {
             continue;
         }
-        let carried: BTreeSet<Field> =
-            tdg.node(e.from).mat.written_metadata().into_iter().collect();
+        let carried = tdg.node(e.from).mat.written_metadata();
         if let Some(config) = switches.get_mut(&u) {
             config.appends.entry(v).or_default().extend(carried.iter().cloned());
         }
@@ -228,8 +194,8 @@ mod tests {
 
     #[test]
     fn visit_order_is_dependency_consistent() {
-        let (tdg, _, plan, art) = artifacts();
-        let order = art.switch_visit_order(&tdg, &plan).expect("verified plans are acyclic");
+        let (tdg, _, plan, _) = artifacts();
+        let order = plan.switch_visit_order(&tdg).expect("verified plans are acyclic");
         assert_eq!(order.len(), plan.occupied_switch_count());
         let rank: BTreeMap<SwitchId, usize> =
             order.iter().enumerate().map(|(i, &s)| (s, i)).collect();

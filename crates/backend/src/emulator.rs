@@ -17,14 +17,14 @@
 //!    consumed on switch 3 must also transit switch 2, so the bytes on a
 //!    hop can exceed the paper's pairwise `A_max` ([`Trace::wire_bytes`]).
 
-use crate::config::DeploymentArtifacts;
+use crate::config::{DeploymentArtifacts, StageEntry};
 use hermes_core::DeploymentPlan;
 use hermes_dataplane::action::{FoldOp, PrimitiveOp};
 use hermes_dataplane::fields::Field;
 use hermes_dataplane::Mat;
 use hermes_net::SwitchId;
-use hermes_tdg::{NodeId, Tdg};
-use std::collections::BTreeMap;
+use hermes_tdg::Tdg;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A packet as the pipeline sees it: symbolic 64-bit field values.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -62,7 +62,7 @@ impl Packet {
 
     /// Keeps headers plus the given metadata set; all other metadata is
     /// stripped (what happens on egress without a piggyback entry).
-    pub(crate) fn retain_for_wire(&mut self, piggyback: &std::collections::BTreeSet<Field>) {
+    pub(crate) fn retain_for_wire(&mut self, piggyback: &BTreeSet<Field>) {
         self.fields.retain(|f, _| f.is_header() || piggyback.contains(f));
     }
 }
@@ -96,7 +96,7 @@ impl Registers {
 /// Executes one MAT over the packet: the first action of the table runs
 /// (rule lookup is control-plane state; data-plane semantics — who writes
 /// what from what — are what equivalence needs).
-fn execute_mat(mat: &Mat, table_name: &str, pkt: &mut Packet, regs: &mut Registers) {
+pub(crate) fn execute_mat(mat: &Mat, table_name: &str, pkt: &mut Packet, regs: &mut Registers) {
     let Some(action) = mat.actions().first() else {
         return;
     };
@@ -179,85 +179,206 @@ impl Trace {
     }
 }
 
-/// Runs `pkt` through the distributed deployment.
+/// One MAT as the emulator executes it: the table and the name its
+/// register state is keyed by.
+#[derive(Debug, Clone, Copy)]
+struct Step<'a> {
+    mat: &'a Mat,
+    table: &'a str,
+}
+
+/// One switch of a compiled visit order: what runs there and what
+/// survives its egress.
+#[derive(Debug, Clone)]
+pub(crate) struct Hop<'a> {
+    pub(crate) switch: SwitchId,
+    /// The switch's MATs in stage order (ties: node id); a MAT split over
+    /// several stages runs once, at its first slice.
+    steps: Vec<Step<'a>>,
+    /// The wire contract of the hop that leaves this switch: metadata
+    /// written on this or an earlier switch of the order and still
+    /// consumed on a later one. Empty after the last switch.
+    wire: BTreeSet<Field>,
+    wire_bytes: u32,
+}
+
+impl Hop<'_> {
+    /// Executes the switch over the packet, then strips everything the
+    /// hop's wire contract does not carry.
+    pub(crate) fn process(&self, pkt: &mut Packet, regs: &mut Registers) {
+        for step in &self.steps {
+            execute_mat(step.mat, step.table, pkt, regs);
+        }
+        pkt.retain_for_wire(&self.wire);
+    }
+}
+
+/// Compiles `plan`'s side of every hop of `order`: per switch, the MAT
+/// list of its config in `artifacts` (none for a switch the artifacts do
+/// not configure) and the wire contract `plan` implies. One pass over the
+/// edges: a dependency from rank `i` to rank `j > i` puts its source's
+/// written metadata on hops `i..j`, pass-through hops included; a source
+/// with several dependents reaches as far as its farthest one.
 ///
-/// Per visited switch, MATs execute in stage order (ties: placement
-/// order); on egress the packet keeps headers plus every metadata field
-/// that any *later* switch still consumes (the generated piggyback
-/// contract, transitively closed over pass-through hops).
-///
-/// # Panics
-///
-/// Panics if the plan's switch-level dependency graph is cyclic — such
-/// plans never pass [`hermes_core::verify()`].
+/// `order` need not be `plan`'s own visit order — the mixed-epoch check
+/// compiles the new plan along the old plan's route. Dependencies that
+/// leave the order or run against it contribute nothing, exactly as no
+/// switch "already visited" feeds a switch "still to come" through them.
+pub(crate) fn compile_hops<'a>(
+    tdg: &'a Tdg,
+    plan: &DeploymentPlan,
+    artifacts: &'a DeploymentArtifacts,
+    order: &[SwitchId],
+) -> Vec<Hop<'a>> {
+    let rank: BTreeMap<SwitchId, usize> = order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+    let node_rank: Vec<Option<usize>> = plan
+        .switch_assignment(tdg.node_count())
+        .into_iter()
+        .map(|s| s.and_then(|s| rank.get(&s).copied()))
+        .collect();
+    // Per source node, the rank of its farthest downstream dependent.
+    let mut reach: Vec<usize> = vec![0; tdg.node_count()];
+    for e in tdg.edges() {
+        if let (Some(_), Some(to)) = (node_rank[e.from.index()], node_rank[e.to.index()]) {
+            let slot = &mut reach[e.from.index()];
+            *slot = (*slot).max(to);
+        }
+    }
+    let mut wires: Vec<BTreeSet<Field>> = vec![BTreeSet::new(); order.len()];
+    for id in tdg.node_ids() {
+        let Some(from) = node_rank[id.index()] else { continue };
+        if from < reach[id.index()] {
+            let written = tdg.node(id).mat.written_metadata();
+            for wire in &mut wires[from..reach[id.index()]] {
+                wire.extend(written.iter().cloned());
+            }
+        }
+    }
+
+    order
+        .iter()
+        .zip(wires)
+        .map(|(&switch, wire)| {
+            let mut entries: Vec<(usize, &StageEntry)> =
+                artifacts.switches.get(&switch).map_or_else(Vec::new, |config| {
+                    config
+                        .stages
+                        .iter()
+                        .flat_map(|(stage, list)| list.iter().map(move |e| (*stage, e)))
+                        .collect()
+                });
+            entries.sort_by_key(|(stage, e)| (*stage, e.node));
+            let mut seen = BTreeSet::new();
+            let steps = entries
+                .into_iter()
+                .filter(|(_, e)| seen.insert(e.node))
+                .map(|(_, e)| Step { mat: &tdg.node(e.node).mat, table: &e.table })
+                .collect();
+            let wire_bytes = wire.iter().map(Field::size_bytes).sum();
+            Hop { switch, steps, wire, wire_bytes }
+        })
+        .collect()
+}
+
+/// Every MAT of the TDG in topological order: the single giant logical
+/// switch the distributed execution is compared against.
+fn compile_reference(tdg: &Tdg) -> Vec<Step<'_>> {
+    tdg.topo_order()
+        .expect("TDGs are DAGs")
+        .into_iter()
+        .map(|id| {
+            let node = tdg.node(id);
+            Step { mat: &node.mat, table: &node.name }
+        })
+        .collect()
+}
+
+/// Executes `steps` in order over fresh register state.
+fn run_steps(steps: &[Step<'_>], mut pkt: Packet) -> Packet {
+    let mut regs = Registers::default();
+    for step in steps {
+        execute_mat(step.mat, step.table, &mut pkt, &mut regs);
+    }
+    pkt
+}
+
+/// A deployment compiled for emulation: everything about running a packet
+/// that does not depend on the packet — the switch visit order, each
+/// switch's ordered MAT list, each hop's wire contract, and the reference
+/// program's MAT order — derived once from `(tdg, plan, artifacts)`.
+/// Running a packet then costs O(MATs + Σ hop fields).
+#[derive(Debug, Clone)]
+pub struct CompiledPlan<'a> {
+    pub(crate) hops: Vec<Hop<'a>>,
+    reference: Vec<Step<'a>>,
+}
+
+impl<'a> CompiledPlan<'a> {
+    /// Compiles the deployment. `None` when the plan's switch-level
+    /// dependency graph is cyclic, so that no visit order exists (such
+    /// plans never pass [`hermes_core::verify()`]).
+    pub fn compile(
+        tdg: &'a Tdg,
+        plan: &DeploymentPlan,
+        artifacts: &'a DeploymentArtifacts,
+    ) -> Option<Self> {
+        let order = plan.switch_visit_order(tdg)?;
+        Some(CompiledPlan {
+            hops: compile_hops(tdg, plan, artifacts, &order),
+            reference: compile_reference(tdg),
+        })
+    }
+
+    /// The switches a packet visits, in order.
+    pub fn visit_order(&self) -> impl ExactSizeIterator<Item = SwitchId> + '_ {
+        self.hops.iter().map(|h| h.switch)
+    }
+
+    /// Runs `pkt` through the distributed deployment: per visited switch
+    /// its MATs execute in stage order, and on egress the packet keeps
+    /// headers plus every metadata field a *later* switch still consumes
+    /// (the piggyback contract, transitively closed over pass-through
+    /// hops).
+    pub fn run(&self, pkt: Packet) -> Trace {
+        Trace {
+            packet: self.run_hops(pkt),
+            visits: self.visit_order().collect(),
+            wire_bytes: self.hops.iter().map(|h| h.wire_bytes).collect(),
+        }
+    }
+
+    fn run_hops(&self, mut pkt: Packet) -> Packet {
+        let mut regs = Registers::default();
+        for hop in &self.hops {
+            hop.process(&mut pkt, &mut regs);
+        }
+        pkt
+    }
+
+    /// Runs `pkt` through the reference deployment: every MAT on a single
+    /// giant logical switch in topological order (the semantics of the
+    /// original merged program).
+    pub fn run_reference(&self, pkt: Packet) -> Packet {
+        run_steps(&self.reference, pkt)
+    }
+
+    /// `true` iff the distributed execution of `pkt` ends in the same
+    /// observable state as the reference execution.
+    pub fn equivalent(&self, pkt: Packet) -> bool {
+        same_observable(&self.run_reference(pkt.clone()), &self.run_hops(pkt))
+    }
+}
+
+/// Runs one packet through the distributed deployment; `None` when the
+/// plan's switch-level dependency graph is cyclic. Compiles the plan for
+/// that one packet: to run many, [`CompiledPlan::compile`] once.
 pub fn run_distributed(
     tdg: &Tdg,
     plan: &DeploymentPlan,
     artifacts: &DeploymentArtifacts,
-    mut pkt: Packet,
-) -> Trace {
-    let order =
-        artifacts.switch_visit_order(tdg, plan).expect("verified plans have an acyclic switch DAG");
-    let mut regs = Registers::default();
-    let mut visits = Vec::with_capacity(order.len());
-    let mut wire_bytes = Vec::with_capacity(order.len());
-
-    for (i, &switch) in order.iter().enumerate() {
-        visits.push(switch);
-        execute_switch(tdg, &artifacts.switches[&switch], &mut pkt, &mut regs);
-        // Egress: strip everything later switches do not consume.
-        let remaining: Vec<SwitchId> = order[i + 1..].to_vec();
-        let piggyback = transitive_piggyback(tdg, plan, &order[..=i], &remaining);
-        pkt.retain_for_wire(&piggyback);
-        wire_bytes.push(piggyback.iter().map(Field::size_bytes).sum());
-    }
-    Trace { packet: pkt, visits, wire_bytes }
-}
-
-/// Executes every MAT of one switch config over the packet, in stage
-/// order; a MAT split over several stages runs once, at its first slice.
-pub(crate) fn execute_switch(
-    tdg: &Tdg,
-    config: &crate::config::SwitchConfig,
-    pkt: &mut Packet,
-    regs: &mut Registers,
-) {
-    let mut executed: std::collections::BTreeSet<NodeId> = Default::default();
-    let mut items: Vec<(usize, &crate::config::StageEntry)> = config
-        .stages
-        .iter()
-        .flat_map(|(stage, list)| list.iter().map(move |e| (*stage, e)))
-        .collect();
-    items.sort_by_key(|(stage, e)| (*stage, e.node));
-    for (_, entry) in items {
-        if executed.insert(entry.node) {
-            let mat = &tdg.node(entry.node).mat;
-            execute_mat(mat, &entry.table, pkt, regs);
-        }
-    }
-}
-
-/// Metadata written on any already-visited switch and still consumed by a
-/// MAT on any remaining switch: what genuinely must ride the wire now.
-pub(crate) fn transitive_piggyback(
-    tdg: &Tdg,
-    plan: &DeploymentPlan,
-    visited: &[SwitchId],
-    remaining: &[SwitchId],
-) -> std::collections::BTreeSet<Field> {
-    let mut out = std::collections::BTreeSet::new();
-    if remaining.is_empty() {
-        return out;
-    }
-    for e in tdg.edges() {
-        let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
-            continue;
-        };
-        if visited.contains(&u) && remaining.contains(&v) {
-            out.extend(tdg.node(e.from).mat.written_metadata());
-        }
-    }
-    out
+    pkt: Packet,
+) -> Option<Trace> {
+    Some(CompiledPlan::compile(tdg, plan, artifacts)?.run(pkt))
 }
 
 /// The field-level analogue of the paper's pairwise `A_max`: for each
@@ -266,10 +387,10 @@ pub(crate) fn transitive_piggyback(
 /// (which double-counts a field shared by several crossing edges), this is
 /// a true lower bound on what must ride the wire between the pair.
 pub fn pairwise_field_bytes(tdg: &Tdg, plan: &DeploymentPlan) -> u64 {
-    let mut per_pair: BTreeMap<(SwitchId, SwitchId), std::collections::BTreeSet<Field>> =
-        BTreeMap::new();
+    let mut per_pair: BTreeMap<(SwitchId, SwitchId), BTreeSet<Field>> = BTreeMap::new();
+    let assign = plan.switch_assignment(tdg.node_count());
     for e in tdg.edges() {
-        let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
+        let (Some(u), Some(v)) = (assign[e.from.index()], assign[e.to.index()]) else {
             continue;
         };
         if u != v && e.bytes > 0 {
@@ -286,27 +407,23 @@ pub fn pairwise_field_bytes(tdg: &Tdg, plan: &DeploymentPlan) -> u64 {
 /// Runs `pkt` through the *reference* deployment: every MAT on a single
 /// giant logical switch in topological order (the semantics of the
 /// original merged program).
-pub fn run_reference(tdg: &Tdg, mut pkt: Packet) -> Packet {
-    let mut regs = Registers::default();
-    for id in tdg.topo_order().expect("TDGs are DAGs") {
-        let node = tdg.node(id);
-        execute_mat(&node.mat, &node.name, &mut pkt, &mut regs);
-    }
-    pkt
+pub fn run_reference(tdg: &Tdg, pkt: Packet) -> Packet {
+    run_steps(&compile_reference(tdg), pkt)
 }
 
 /// `true` iff the distributed execution ends with exactly the same field
 /// values as the reference execution — dependency preservation (Goal #2),
-/// observed rather than assumed.
+/// observed rather than assumed. A plan with a cyclic switch-level
+/// dependency graph has no distributed execution and is not equivalent.
+/// Compiles the plan for that one packet: to check many,
+/// [`CompiledPlan::compile`] once.
 pub fn equivalent(
     tdg: &Tdg,
     plan: &DeploymentPlan,
     artifacts: &DeploymentArtifacts,
     pkt: Packet,
 ) -> bool {
-    let reference = run_reference(tdg, pkt.clone());
-    let distributed = run_distributed(tdg, plan, artifacts, pkt);
-    same_observable(&reference, &distributed.packet)
+    CompiledPlan::compile(tdg, plan, artifacts).is_some_and(|compiled| compiled.equivalent(pkt))
 }
 
 /// Observable equality of two final packet states: header fields plus
@@ -418,7 +535,7 @@ mod tests {
     #[test]
     fn wire_bytes_at_least_pairwise_field_union() {
         let (tdg, plan, art) = deployed();
-        let trace = run_distributed(&tdg, &plan, &art, test_packet(1));
+        let trace = run_distributed(&tdg, &plan, &art, test_packet(1)).expect("acyclic plan");
         // Pass-through hops can only add to the per-pair field union.
         // (The paper's per-edge sum can exceed the wire load when several
         // crossing edges share a field — the union is the true bound.)
@@ -433,7 +550,7 @@ mod tests {
     #[test]
     fn visits_cover_every_occupied_switch() {
         let (tdg, plan, art) = deployed();
-        let trace = run_distributed(&tdg, &plan, &art, test_packet(2));
+        let trace = run_distributed(&tdg, &plan, &art, test_packet(2)).expect("acyclic plan");
         assert_eq!(trace.visits.len(), plan.occupied_switch_count());
     }
 

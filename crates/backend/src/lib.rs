@@ -12,11 +12,14 @@
 //!   a controller route table, all serializable.
 //! - [`emulator`] — a functional pipeline emulator that pushes packets
 //!   through the distributed deployment, stripping non-piggybacked
-//!   metadata at every egress. [`emulator::equivalent`]
-//!   checks that the distributed execution matches a single logical
-//!   switch — Goal #2 of the paper, *observed* instead of assumed — and
-//!   [`Trace::wire_bytes`](emulator::Trace) reports the true per-hop
-//!   metadata load including pass-through carriage.
+//!   metadata at every egress. A deployment is compiled once
+//!   ([`emulator::CompiledPlan`]: visit order, per-switch MAT lists,
+//!   per-hop wire contracts) and packets run against the compiled form.
+//!   [`emulator::equivalent`] checks that the distributed execution
+//!   matches a single logical switch — Goal #2 of the paper, *observed*
+//!   instead of assumed — and [`Trace::wire_bytes`](emulator::Trace)
+//!   reports the true per-hop metadata load including pass-through
+//!   carriage.
 //! - [`mixed`] — Reitblatt-style per-packet consistency across the
 //!   mixed-epoch window a staggered commit opens:
 //!   [`mixed::check_transition`] replays packet seeds against every
@@ -45,13 +48,15 @@
 pub mod config;
 pub mod emulator;
 pub mod mixed;
+#[cfg(test)]
+mod reference;
 pub mod simulate;
 pub mod validate;
 
 pub use config::{generate, DeploymentArtifacts, RouteEntry, StageEntry, SwitchConfig};
 pub use emulator::{
-    equivalent, pairwise_field_bytes, run_distributed, run_reference, test_packet, Packet,
-    Registers, Trace,
+    equivalent, pairwise_field_bytes, run_distributed, run_reference, test_packet, CompiledPlan,
+    Packet, Registers, Trace,
 };
 pub use mixed::{check_transition, check_window, EpochTransition, MixedEpochViolation};
 pub use simulate::{simulate_plan, PlanFlowConfig, PlanSimResult};

@@ -23,8 +23,7 @@
 
 use crate::config::DeploymentArtifacts;
 use crate::emulator::{
-    execute_switch, run_reference, same_observable, test_packet, transitive_piggyback, Packet,
-    Registers,
+    compile_hops, same_observable, test_packet, CompiledPlan, Hop, Packet, Registers,
 };
 use hermes_core::DeploymentPlan;
 use hermes_net::SwitchId;
@@ -83,35 +82,63 @@ impl fmt::Display for MixedEpochViolation {
 
 impl std::error::Error for MixedEpochViolation {}
 
-/// Runs one packet through the mixed window: old-plan route, per-switch
-/// epoch chosen by the committed set, egress stripping per the serving
-/// epoch's piggyback contract.
-fn run_mixed(
-    t: &EpochTransition<'_>,
-    committed: &BTreeSet<SwitchId>,
-    mut pkt: Packet,
-) -> Result<Packet, MixedEpochViolation> {
-    let order = t
-        .old_artifacts
-        .switch_visit_order(t.tdg, t.old_plan)
-        .ok_or(MixedEpochViolation::UnorderedOldPlan)?;
-    let mut regs = Registers::default();
-    for (i, &switch) in order.iter().enumerate() {
-        let serving_new =
-            committed.contains(&switch) && t.new_artifacts.switches.contains_key(&switch);
-        let (config, plan) = if serving_new {
-            (&t.new_artifacts.switches[&switch], t.new_plan)
-        } else {
-            (&t.old_artifacts.switches[&switch], t.old_plan)
-        };
-        execute_switch(t.tdg, config, &mut pkt, &mut regs);
-        // Egress keeps what the *serving* epoch believes later switches
-        // still consume — a committed switch applies its new append
-        // contract even though traffic still follows the old route.
-        let piggyback = transitive_piggyback(t.tdg, plan, &order[..=i], &order[i + 1..]);
-        pkt.retain_for_wire(&piggyback);
+/// A transition compiled for replay: the old plan (its route is the one
+/// traffic follows throughout the window) and, per switch of that route
+/// the new plan also configures, the new epoch's MAT list and the wire
+/// contract the new plan implies at that position of the old route.
+struct CompiledTransition<'a> {
+    old: CompiledPlan<'a>,
+    new: Vec<Option<Hop<'a>>>,
+}
+
+impl<'a> CompiledTransition<'a> {
+    fn compile(t: &EpochTransition<'a>) -> Result<Self, MixedEpochViolation> {
+        let old = CompiledPlan::compile(t.tdg, t.old_plan, t.old_artifacts)
+            .ok_or(MixedEpochViolation::UnorderedOldPlan)?;
+        let order: Vec<SwitchId> = old.visit_order().collect();
+        let new = compile_hops(t.tdg, t.new_plan, t.new_artifacts, &order)
+            .into_iter()
+            .map(|hop| t.new_artifacts.switches.contains_key(&hop.switch).then_some(hop))
+            .collect();
+        Ok(CompiledTransition { old, new })
     }
-    Ok(pkt)
+
+    /// Runs one packet through the mixed window: old-plan route, per-switch
+    /// epoch chosen by the committed set. A committed switch applies its
+    /// new config *and* its new wire contract — what the new epoch believes
+    /// later switches still consume — even though traffic still follows
+    /// the old route.
+    fn run_mixed(&self, committed: &BTreeSet<SwitchId>, mut pkt: Packet) -> Packet {
+        let mut regs = Registers::default();
+        for (old, new) in self.old.hops.iter().zip(&self.new) {
+            let serving = new.as_ref().filter(|_| committed.contains(&old.switch)).unwrap_or(old);
+            serving.process(&mut pkt, &mut regs);
+        }
+        pkt
+    }
+
+    /// The single-epoch reference outcome of every packet seed; the same
+    /// for every window of the transition.
+    fn references(&self, packet_seeds: &[u64]) -> Vec<Packet> {
+        packet_seeds.iter().map(|&seed| self.old.run_reference(test_packet(seed))).collect()
+    }
+
+    fn check_window(
+        &self,
+        committed: &BTreeSet<SwitchId>,
+        packet_seeds: &[u64],
+        references: &[Packet],
+    ) -> Result<(), MixedEpochViolation> {
+        for (&seed, reference) in packet_seeds.iter().zip(references) {
+            if !same_observable(&self.run_mixed(committed, test_packet(seed)), reference) {
+                return Err(MixedEpochViolation::Divergence {
+                    packet_seed: seed,
+                    committed: committed.iter().copied().collect(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Checks one window: with exactly `committed` switches serving the new
@@ -126,17 +153,8 @@ pub fn check_window(
     committed: &BTreeSet<SwitchId>,
     packet_seeds: &[u64],
 ) -> Result<(), MixedEpochViolation> {
-    for &seed in packet_seeds {
-        let mixed = run_mixed(t, committed, test_packet(seed))?;
-        let reference = run_reference(t.tdg, test_packet(seed));
-        if !same_observable(&mixed, &reference) {
-            return Err(MixedEpochViolation::Divergence {
-                packet_seed: seed,
-                committed: committed.iter().copied().collect(),
-            });
-        }
-    }
-    Ok(())
+    let compiled = CompiledTransition::compile(t)?;
+    compiled.check_window(committed, packet_seeds, &compiled.references(packet_seeds))
 }
 
 /// Checks every window the intended `commit_order` can realize: after
@@ -148,45 +166,29 @@ pub fn check_window(
 /// order means the transition cannot be committed gradually and must
 /// roll back instead.
 ///
+/// Both plans are compiled once and the reference outcomes computed once
+/// per seed; a window then only runs its packets.
+///
 /// # Errors
 ///
-/// Returns the first violating window's [`MixedEpochViolation`] — the
-/// same window the sequential prefix loop would report. Windows are
-/// replayed in parallel (they are independent of each other); the scan
-/// over the collected results stays in commit order, so the outcome is
-/// deterministic regardless of thread scheduling.
+/// Returns the [`MixedEpochViolation`] of the first violating window, in
+/// commit order.
 pub fn check_transition(
     t: &EpochTransition<'_>,
     commit_order: &[SwitchId],
     packet_seeds: &[u64],
 ) -> Result<usize, MixedEpochViolation> {
-    let prefixes: Vec<BTreeSet<SwitchId>> =
-        (1..=commit_order.len()).map(|n| commit_order[..n].iter().copied().collect()).collect();
-    if prefixes.is_empty() {
+    if commit_order.is_empty() {
         return Ok(0);
     }
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(prefixes.len());
-    let mut results: Vec<Result<(), MixedEpochViolation>> = vec![Ok(()); prefixes.len()];
-    if workers <= 1 {
-        for (slot, committed) in results.iter_mut().zip(&prefixes) {
-            *slot = check_window(t, committed, packet_seeds);
-        }
-    } else {
-        let chunk = prefixes.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (res_chunk, pre_chunk) in results.chunks_mut(chunk).zip(prefixes.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, committed) in res_chunk.iter_mut().zip(pre_chunk) {
-                        *slot = check_window(t, committed, packet_seeds);
-                    }
-                });
-            }
-        });
+    let compiled = CompiledTransition::compile(t)?;
+    let references = compiled.references(packet_seeds);
+    let mut committed = BTreeSet::new();
+    for &switch in commit_order {
+        committed.insert(switch);
+        compiled.check_window(&committed, packet_seeds, &references)?;
     }
-    for r in results {
-        r?;
-    }
-    Ok(prefixes.len())
+    Ok(commit_order.len())
 }
 
 #[cfg(test)]

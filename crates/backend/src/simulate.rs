@@ -9,7 +9,7 @@
 //! between any switch pair rides every packet).
 
 use crate::config::DeploymentArtifacts;
-use crate::emulator::{run_distributed, test_packet};
+use crate::emulator::{test_packet, CompiledPlan};
 use hermes_core::DeploymentPlan;
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_sim::engine::{FlowStats, SimFlow, SimLink, SimNode, Simulation};
@@ -62,8 +62,9 @@ impl PlanSimResult {
 
 /// Simulates a flow through the deployment's coordination chain.
 ///
-/// Returns `None` when the plan occupies no switch or a coordination hop
-/// has no path (never the case for verified plans on connected components).
+/// Returns `None` when the plan occupies no switch, its switch-level
+/// dependencies are cyclic, or a coordination hop has no path (never the
+/// case for verified plans on connected components).
 pub fn simulate_plan(
     tdg: &Tdg,
     net: &Network,
@@ -71,7 +72,8 @@ pub fn simulate_plan(
     artifacts: &DeploymentArtifacts,
     config: &PlanFlowConfig,
 ) -> Option<PlanSimResult> {
-    let order = artifacts.switch_visit_order(tdg, plan)?;
+    let compiled = CompiledPlan::compile(tdg, plan, artifacts)?;
+    let order: Vec<SwitchId> = compiled.visit_order().collect();
     if order.is_empty() {
         return None;
     }
@@ -87,8 +89,7 @@ pub fn simulate_plan(
     }
 
     // The realized per-packet metadata load (pass-through included).
-    let trace = run_distributed(tdg, plan, artifacts, test_packet(0));
-    let overhead = trace.max_wire_bytes();
+    let overhead = compiled.run(test_packet(0)).max_wire_bytes();
 
     let run = |overhead: u32| -> FlowStats {
         let mut sim = Simulation::new();

@@ -7,14 +7,14 @@
 //! 1. the static constraint verifier ([`hermes_core::verify()`], Eq. 4–9 of
 //!    the paper), and
 //! 2. packet-level equivalence against the single-logical-switch
-//!    reference ([`crate::emulator::equivalent`]) over a battery of
+//!    reference ([`CompiledPlan::equivalent`]) over a battery of
 //!    deterministic test packets.
 //!
 //! Both are reported through one serializable [`ValidationReport`] so the
 //! runtime event log can record exactly why an activation was refused.
 
 use crate::config::{generate, DeploymentArtifacts};
-use crate::emulator;
+use crate::emulator::{test_packet, CompiledPlan};
 use hermes_core::{verify, DeploymentPlan, Epsilon};
 use hermes_net::Network;
 use hermes_tdg::Tdg;
@@ -30,10 +30,14 @@ pub enum ValidationFailure {
         /// Human-readable violation description.
         violation: String,
     },
+    /// The plan's switch-level dependency graph is cyclic: no order exists
+    /// in which a packet could visit the switches, so there is no
+    /// distributed execution to compare.
+    UnorderedPlan,
     /// The distributed execution diverged from the single-logical-switch
     /// reference for one of the test packets.
     Divergence {
-        /// The seed of the diverging [`emulator::test_packet`].
+        /// The seed of the diverging [`test_packet`].
         packet_seed: u64,
     },
 }
@@ -43,6 +47,9 @@ impl fmt::Display for ValidationFailure {
         match self {
             ValidationFailure::Constraint { violation } => {
                 write!(f, "constraint violated: {violation}")
+            }
+            ValidationFailure::UnorderedPlan => {
+                f.write_str("plan has a cyclic switch dependency graph")
             }
             ValidationFailure::Divergence { packet_seed } => {
                 write!(f, "distributed execution diverged on packet seed {packet_seed}")
@@ -98,10 +105,14 @@ pub fn validate_plan(
     // Equivalence is only meaningful for structurally sound plans; a plan
     // with constraint violations is already rejected.
     if failures.is_empty() {
-        for &seed in packet_seeds {
-            if !emulator::equivalent(tdg, plan, &artifacts, emulator::test_packet(seed)) {
-                failures.push(ValidationFailure::Divergence { packet_seed: seed });
-            }
+        match CompiledPlan::compile(tdg, plan, &artifacts) {
+            None => failures.push(ValidationFailure::UnorderedPlan),
+            Some(compiled) => failures.extend(
+                packet_seeds
+                    .iter()
+                    .filter(|&&seed| !compiled.equivalent(test_packet(seed)))
+                    .map(|&seed| ValidationFailure::Divergence { packet_seed: seed }),
+            ),
         }
     }
     (ValidationReport { failures, packets_checked: packet_seeds.len() }, artifacts)

@@ -40,7 +40,11 @@ fn main() {
             continue;
         };
         let artifacts = generate(&tdg, &net, &plan);
-        let trace = emulator::run_distributed(&tdg, &plan, &artifacts, emulator::test_packet(0));
+        let Some(trace) =
+            emulator::run_distributed(&tdg, &plan, &artifacts, emulator::test_packet(0))
+        else {
+            continue;
+        };
         let Some(sim) = simulate_plan(&tdg, &net, &plan, &artifacts, &config) else {
             continue;
         };

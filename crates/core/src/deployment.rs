@@ -73,6 +73,10 @@ impl DeploymentPlan {
 
     /// The switch hosting `node`, if placed. A node split across stages is
     /// still on exactly one switch.
+    ///
+    /// O(placements) per call: for single lookups only. Anything that
+    /// walks the nodes or edges of a TDG resolves them all at once with
+    /// [`DeploymentPlan::switch_assignment`].
     pub fn switch_of(&self, node: NodeId) -> Option<SwitchId> {
         self.placements.iter().find(|p| p.node == node).map(|p| p.switch)
     }
@@ -102,16 +106,52 @@ impl DeploymentPlan {
     /// The full node -> switch mapping as a dense array indexed by
     /// [`NodeId::index`] (`None` = unplaced), built in one pass over the
     /// placements. Callers that look up many nodes should use this instead
-    /// of per-node [`DeploymentPlan::switch_of`] scans.
+    /// of per-node [`DeploymentPlan::switch_of`] scans. Placements of
+    /// nodes beyond `node_count` (a plan for some other TDG) are ignored,
+    /// as a `switch_of` lookup of an in-range node would ignore them.
     pub fn switch_assignment(&self, node_count: usize) -> Vec<Option<SwitchId>> {
         let mut assign = vec![None; node_count];
         for p in &self.placements {
-            let slot = &mut assign[p.node.index()];
-            if slot.is_none() {
+            if let Some(slot @ None) = assign.get_mut(p.node.index()) {
                 *slot = Some(p.switch);
             }
         }
         assign
+    }
+
+    /// The occupied switches in the order a packet must visit them: a
+    /// topological order of the switch-level dependency DAG (an edge
+    /// `u -> v` for every TDG edge from a MAT on `u` to a MAT on `v`),
+    /// ties broken by switch id. `None` when those dependencies are cyclic
+    /// (never the case for a plan that passed [`crate::verify()`]).
+    pub fn switch_visit_order(&self, tdg: &Tdg) -> Option<Vec<SwitchId>> {
+        let occupied: Vec<SwitchId> = self.occupied_switches().into_iter().collect();
+        let index: BTreeMap<SwitchId, usize> =
+            occupied.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let n = occupied.len();
+        let mut adj = vec![BTreeSet::new(); n];
+        let mut indegree = vec![0usize; n];
+        let assign = self.switch_assignment(tdg.node_count());
+        for e in tdg.edges() {
+            let (Some(u), Some(v)) = (assign[e.from.index()], assign[e.to.index()]) else {
+                continue;
+            };
+            if u != v && adj[index[&u]].insert(index[&v]) {
+                indegree[index[&v]] += 1;
+            }
+        }
+        let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(i) = ready.pop_first() {
+            order.push(occupied[i]);
+            for &j in &adj[i] {
+                indegree[j] -= 1;
+                if indegree[j] == 0 {
+                    ready.insert(j);
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
     }
 
     /// Per ordered switch pair `(u, v)`, the metadata bytes delivered from

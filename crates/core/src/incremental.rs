@@ -178,12 +178,13 @@ impl IncrementalDeployer {
         // switch that is still usable.
         let old_by_name: BTreeMap<&str, NodeId> =
             old_tdg.node_ids().map(|id| (old_tdg.node(id).name.as_str(), id)).collect();
+        let old_assign = old_plan.switch_assignment(old_tdg.node_count());
         let mut pinned: BTreeMap<NodeId, SwitchId> = BTreeMap::new();
         for id in new_tdg.node_ids() {
             let node = new_tdg.node(id);
             if let Some(&old_id) = old_by_name.get(node.name.as_str()) {
                 if old_tdg.node(old_id).mat.signature() == node.mat.signature() {
-                    if let Some(switch) = old_plan.switch_of(old_id) {
+                    if let Some(switch) = old_assign[old_id.index()] {
                         if opts.usable(net, switch) {
                             pinned.insert(id, switch);
                         }
@@ -195,7 +196,7 @@ impl IncrementalDeployer {
         // Establish a switch rank from the old plan's visit order (minus
         // unusable switches); new switches are appended after it (nearest
         // unused programmable).
-        let mut order: Vec<SwitchId> = old_visit_order(old_tdg, old_plan)?;
+        let mut order: Vec<SwitchId> = old_plan.switch_visit_order(old_tdg)?;
         order.retain(|&s| opts.usable(net, s));
         let anchor = order
             .first()
@@ -283,38 +284,6 @@ impl IncrementalDeployer {
             plan,
         })
     }
-}
-
-/// The old plan's switch visit order (topological over its cross-switch
-/// dependencies; ties broken by switch index).
-fn old_visit_order(tdg: &Tdg, plan: &DeploymentPlan) -> Option<Vec<SwitchId>> {
-    let occupied: Vec<SwitchId> = plan.occupied_switches().into_iter().collect();
-    let index: BTreeMap<SwitchId, usize> =
-        occupied.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let n = occupied.len();
-    let mut indegree = vec![0usize; n];
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for e in tdg.edges() {
-        let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
-            continue;
-        };
-        if u != v && adj[index[&u]].insert(index[&v]) {
-            indegree[index[&v]] += 1;
-        }
-    }
-    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(&i) = ready.iter().next() {
-        ready.remove(&i);
-        order.push(occupied[i]);
-        for &j in adj[i].clone().iter() {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                ready.insert(j);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 #[cfg(test)]

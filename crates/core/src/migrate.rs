@@ -359,9 +359,10 @@ impl StepSim {
         let n = tdg.node_count();
         let mut a_slot = vec![usize::MAX; n];
         let mut b_slot = vec![usize::MAX; n];
+        let (from_assign, to_assign) = (from.switch_assignment(n), to.switch_assignment(n));
         for id in tdg.node_ids() {
-            let a = from.switch_of(id).ok_or(MigrateError::UnplacedNode(id))?;
-            let b = to.switch_of(id).ok_or(MigrateError::UnplacedNode(id))?;
+            let a = from_assign[id.index()].ok_or(MigrateError::UnplacedNode(id))?;
+            let b = to_assign[id.index()].ok_or(MigrateError::UnplacedNode(id))?;
             a_slot[id.index()] = slot_of[&a];
             b_slot[id.index()] = slot_of[&b];
         }

@@ -41,8 +41,8 @@ pub fn refine(
     let index: BTreeMap<SwitchId, usize> =
         candidates.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     let mut assign: Vec<usize> = Vec::with_capacity(tdg.node_count());
-    for id in tdg.node_ids() {
-        match plan.switch_of(id).and_then(|s| index.get(&s)) {
+    for home in plan.switch_assignment(tdg.node_count()) {
+        match home.and_then(|s| index.get(&s)) {
             Some(&c) => assign.push(c),
             None => return plan, // partial plans are not refined
         }

@@ -38,7 +38,7 @@
 
 use crate::event::Event;
 use crate::journal::{CrashPoint, JournalRecord};
-use crate::runtime::{ActiveDeployment, ControllerCrash, DeploymentRuntime};
+use crate::runtime::{ActiveDeployment, ControllerCrash, DeploymentRuntime, Fingerprints};
 use hermes_backend::{check_transition, validate_plan, EpochTransition};
 use hermes_core::{
     verify, DeploymentPlan, MigrationOrder, MigrationProblem, MigrationSchedule,
@@ -314,10 +314,11 @@ impl DeploymentRuntime {
         // touches an agent: a restarted controller can tell exactly which
         // prefix of `order` had committed from the step checkpoints that
         // follow this record.
+        let fp = Fingerprints::of(tdg, &target);
         self.journal_note(JournalRecord::MigrationBegun {
             epoch,
-            tdg_fp: hermes_core::tdg_fingerprint(tdg),
-            plan_fp: target.fingerprint(),
+            tdg_fp: fp.tdg,
+            plan_fp: fp.plan,
             plan: target.clone(),
             artifacts: artifacts.clone(),
             order: order.clone(),
@@ -462,7 +463,7 @@ impl DeploymentRuntime {
 
         let steps = schedule.steps.len();
         self.journal_note(JournalRecord::MigrationCompleted { epoch, steps })?;
-        self.activate(epoch, tdg.clone(), target, artifacts)?;
+        self.activate(epoch, tdg.clone(), target, artifacts, fp)?;
         let reconfig_us = self.clock_us - start_us;
         let messages = self.channel.messages_sent() - messages_before;
         self.log.push(Event::MigrationCompleted {

@@ -46,7 +46,7 @@
 use crate::agent::{AgentError, Reply, Request};
 use crate::event::{Event, MessageKind};
 use crate::journal::{JournalError, JournalRecord, Replay, TxnKind};
-use crate::runtime::{ActiveDeployment, DeploymentRuntime};
+use crate::runtime::{ActiveDeployment, DeploymentRuntime, Fingerprints};
 use hermes_backend::{DeploymentArtifacts, SwitchConfig};
 use hermes_core::{verify, DeploymentPlan};
 use hermes_net::SwitchId;
@@ -537,7 +537,10 @@ impl DeploymentRuntime {
         };
 
         let (reinstalled, forced) = match chosen {
-            Some((plan, artifacts)) => self.reinstall(tdg, plan, artifacts, fresh),
+            Some((plan, artifacts)) => {
+                let fp = Fingerprints { tdg: expected, plan: plan.fingerprint() };
+                self.reinstall(tdg, plan, artifacts, fp, fresh)
+            }
             None => {
                 // Nothing to restore: journal the cleared state and wipe
                 // every live agent to match it.
@@ -643,6 +646,7 @@ impl DeploymentRuntime {
         tdg: &Tdg,
         plan: DeploymentPlan,
         artifacts: DeploymentArtifacts,
+        fp: Fingerprints,
         fresh: u64,
     ) -> (usize, usize) {
         let occupied: Vec<(SwitchId, SwitchConfig)> =
@@ -672,11 +676,12 @@ impl DeploymentRuntime {
                     tdg: tdg.clone(),
                     plan: plan.clone(),
                     artifacts: artifacts.clone(),
+                    fp,
                 };
                 self.journal.append(&JournalRecord::Snapshot {
                     epoch: fresh,
-                    tdg_fp: hermes_core::tdg_fingerprint(tdg),
-                    plan_fp: plan.fingerprint(),
+                    tdg_fp: fp.tdg,
+                    plan_fp: fp.plan,
                     plan: plan.clone(),
                     artifacts: artifacts.clone(),
                     clock_us: self.clock_us,
@@ -717,13 +722,14 @@ impl DeploymentRuntime {
         }
         self.journal.append(&JournalRecord::Snapshot {
             epoch: fresh,
-            tdg_fp: hermes_core::tdg_fingerprint(tdg),
-            plan_fp: plan.fingerprint(),
+            tdg_fp: fp.tdg,
+            plan_fp: fp.plan,
             plan: plan.clone(),
             artifacts: artifacts.clone(),
             clock_us: self.clock_us,
         });
-        self.active = Some(ActiveDeployment { epoch: fresh, tdg: tdg.clone(), plan, artifacts });
+        self.active =
+            Some(ActiveDeployment { epoch: fresh, tdg: tdg.clone(), plan, artifacts, fp });
         (committed.len(), forced)
     }
 }

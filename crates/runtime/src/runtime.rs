@@ -197,6 +197,21 @@ impl From<ControllerCrash> for TxnFailure {
     }
 }
 
+/// The content fingerprints every journal record that carries a plan
+/// also carries. Serializing a large TDG to hash it costs milliseconds,
+/// so they are computed once per transaction and travel with the plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fingerprints {
+    pub(crate) tdg: u64,
+    pub(crate) plan: u64,
+}
+
+impl Fingerprints {
+    pub(crate) fn of(tdg: &Tdg, plan: &DeploymentPlan) -> Self {
+        Fingerprints { tdg: hermes_core::tdg_fingerprint(tdg), plan: plan.fingerprint() }
+    }
+}
+
 /// The plan currently serving traffic, with everything needed to heal it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ActiveDeployment {
@@ -204,6 +219,8 @@ pub(crate) struct ActiveDeployment {
     pub(crate) tdg: Tdg,
     pub(crate) plan: DeploymentPlan,
     pub(crate) artifacts: DeploymentArtifacts,
+    /// Fingerprints of `tdg` and `plan`.
+    pub(crate) fp: Fingerprints,
 }
 
 /// The transactional, failure-aware deployment runtime.
@@ -477,11 +494,12 @@ impl DeploymentRuntime {
             return Ok(self.roll_back(epoch, "pre-install validation failed".to_string()));
         }
 
+        let fp = Fingerprints::of(tdg, &plan);
         self.journal_note(JournalRecord::TxnBegun {
             epoch,
             kind: TxnKind::Deploy,
-            tdg_fp: hermes_core::tdg_fingerprint(tdg),
-            plan_fp: plan.fingerprint(),
+            tdg_fp: fp.tdg,
+            plan_fp: fp.plan,
             plan: plan.clone(),
             artifacts: artifacts.clone(),
         })?;
@@ -489,7 +507,7 @@ impl DeploymentRuntime {
             Err(TxnFailure::Crashed(crash)) => return Err(crash),
             Err(TxnFailure::Aborted(reason)) => return Ok(self.roll_back(epoch, reason)),
             Ok(dead) => {
-                self.activate(epoch, tdg.clone(), plan, artifacts)?;
+                self.activate(epoch, tdg.clone(), plan, artifacts, fp)?;
                 if !dead.is_empty() {
                     // Some switches were lost during the commit window
                     // itself (unreachable or lease-lapsed): the committed
@@ -586,11 +604,12 @@ impl DeploymentRuntime {
                     "healed plan failed validation".to_string(),
                 );
             }
+            let fp = Fingerprints { tdg: active.fp.tdg, plan: outcome.plan.fingerprint() };
             self.journal_note(JournalRecord::TxnBegun {
                 epoch,
                 kind: TxnKind::Heal,
-                tdg_fp: hermes_core::tdg_fingerprint(&active.tdg),
-                plan_fp: outcome.plan.fingerprint(),
+                tdg_fp: fp.tdg,
+                plan_fp: fp.plan,
                 plan: outcome.plan.clone(),
                 artifacts: artifacts.clone(),
             })?;
@@ -601,7 +620,7 @@ impl DeploymentRuntime {
                 }
                 Ok(dead) => {
                     let a_max_after = outcome.plan.max_inter_switch_bytes(&active.tdg);
-                    self.activate(epoch, active.tdg, outcome.plan, artifacts)?;
+                    self.activate(epoch, active.tdg, outcome.plan, artifacts, fp)?;
                     if dead.is_empty() {
                         self.log.push(Event::RecoveryCompleted {
                             epoch,
@@ -1047,20 +1066,23 @@ impl DeploymentRuntime {
         }
     }
 
+    /// Makes `plan` the serving deployment. `fp` is the fingerprint pair
+    /// the transaction already journaled for `(tdg, plan)`.
     pub(crate) fn activate(
         &mut self,
         epoch: u64,
         tdg: Tdg,
         plan: DeploymentPlan,
         artifacts: DeploymentArtifacts,
+        fp: Fingerprints,
     ) -> Result<(), ControllerCrash> {
         // Activation snapshots are the journal's compaction points: a
         // self-contained restart state that makes everything before them
         // replay-irrelevant.
         self.journal_note(JournalRecord::Snapshot {
             epoch,
-            tdg_fp: hermes_core::tdg_fingerprint(&tdg),
-            plan_fp: plan.fingerprint(),
+            tdg_fp: fp.tdg,
+            plan_fp: fp.plan,
             plan: plan.clone(),
             artifacts: artifacts.clone(),
             clock_us: self.clock_us,
@@ -1072,7 +1094,7 @@ impl DeploymentRuntime {
             occupied: plan.occupied_switch_count(),
             at_us: self.clock_us,
         });
-        self.active = Some(ActiveDeployment { epoch, tdg, plan, artifacts });
+        self.active = Some(ActiveDeployment { epoch, tdg, plan, artifacts, fp });
         Ok(())
     }
 
@@ -1109,8 +1131,8 @@ impl DeploymentRuntime {
         match &previous {
             Some(p) => self.journal_note(JournalRecord::Snapshot {
                 epoch: p.epoch,
-                tdg_fp: hermes_core::tdg_fingerprint(&p.tdg),
-                plan_fp: p.plan.fingerprint(),
+                tdg_fp: p.fp.tdg,
+                plan_fp: p.fp.plan,
                 plan: p.plan.clone(),
                 artifacts: p.artifacts.clone(),
                 clock_us: self.clock_us,

@@ -98,15 +98,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. Emulate packets end to end and check semantic equivalence.
+    let compiled = emulator::CompiledPlan::compile(&tdg, &plan, &artifacts)
+        .ok_or("plan has a cyclic switch dependency graph")?;
     let mut checked = 0;
     for seed in 0..50u64 {
-        assert!(
-            emulator::equivalent(&tdg, &plan, &artifacts, emulator::test_packet(seed)),
-            "packet {seed} diverged"
-        );
+        assert!(compiled.equivalent(emulator::test_packet(seed)), "packet {seed} diverged");
         checked += 1;
     }
-    let trace = emulator::run_distributed(&tdg, &plan, &artifacts, emulator::test_packet(0));
+    let trace = compiled.run(emulator::test_packet(0));
     println!(
         "emulated {checked} packets: distributed == single-switch; max on-wire metadata {} B",
         trace.max_wire_bytes()

@@ -32,7 +32,8 @@ proptest! {
         // Wire accounting dominates the per-pair field unions. (Not the
         // paper's per-edge sum, which double-counts fields shared by
         // several crossing edges.)
-        let trace = emulator::run_distributed(&tdg, &plan, &artifacts, emulator::test_packet(0));
+        let trace = emulator::run_distributed(&tdg, &plan, &artifacts, emulator::test_packet(0))
+            .expect("verified plans have an acyclic switch DAG");
         prop_assert!(
             u64::from(trace.max_wire_bytes())
                 >= emulator::pairwise_field_bytes(&tdg, &plan)

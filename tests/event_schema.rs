@@ -15,7 +15,7 @@
 
 use hermes::core::test_support::chain_tdg;
 use hermes::core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
+    fnv1a64, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
     ProgramAnalyzer, RedeployOptions,
 };
 use hermes::dataplane::library;
@@ -121,6 +121,88 @@ fn clean_deploy_journal_matches_the_golden_fixture() {
     assert_eq!(
         dump, fixture,
         "journal bytes or schema versions drifted from tests/fixtures/journal_golden.txt; \
+         re-generate with REGEN_GOLDEN=1 if the change is intentional"
+    );
+}
+
+/// One line per durable artifact: its length and FNV-1a digest.
+fn digest_line(what: &str, bytes: &[u8]) -> String {
+    format!("{what}: {} bytes, fnv1a64 {:016x}\n", bytes.len(), fnv1a64(bytes))
+}
+
+/// Fixed-seed transactions of every kind that journals a plan — a rollout
+/// healed after a post-commit switch death, a stepwise migration, and a
+/// controller crash (the journal as the crash left it, `TxnBegun`
+/// included) followed by recovery — leave journals and event logs whose
+/// lengths and digests equal the committed fixture. The fixture was
+/// written by the commit before fingerprints were computed once per
+/// transaction, so it pins every journaled `tdg_fp`/`plan_fp` to the value
+/// the per-record computation gave. `REGEN_GOLDEN=1` rewrites it.
+#[test]
+fn healed_migrated_and_recovered_records_match_the_golden_fixture() {
+    let mut dump = format!(
+        "journal_format_version={JOURNAL_FORMAT_VERSION}\n\
+         event_schema_version={EVENT_SCHEMA_VERSION}\n"
+    );
+    let mut record = |scenario: &str, outcome: String, rt: &DeploymentRuntime| {
+        dump += &format!("[{scenario}] {outcome}\n");
+        dump += &digest_line("journal", rt.journal().bytes());
+        dump += &digest_line("event log", rt.log().to_json().as_bytes());
+    };
+
+    let (tdg, net, eps, plan) = two_program_deploy();
+    let post_commit = FaultProfile { post_commit_crash_prob: 1.0, ..FaultProfile::none() };
+    let mut rt = DeploymentRuntime::new(
+        net.clone(),
+        eps,
+        FaultInjector::new(7, post_commit),
+        RetryPolicy::default(),
+    );
+    let outcome = rt.rollout(&tdg, plan.clone());
+    assert!(
+        matches!(outcome, hermes::runtime::RolloutOutcome::Committed { healed: true, .. }),
+        "{outcome}"
+    );
+    record("rollout+heal", outcome.to_string(), &rt);
+
+    let mut rt = DeploymentRuntime::new(
+        net,
+        eps,
+        FaultInjector::new(11, FaultProfile::none()),
+        RetryPolicy::default(),
+    );
+    assert!(rt.rollout(&tdg, plan.clone()).is_committed());
+    let n = plan.occupied_switch_count() as u64;
+    rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+    let outcome = rt.rollout(&tdg, plan);
+    record("crash", outcome.to_string(), &rt);
+    let report = rt.recover(&tdg).expect("recovery succeeds");
+    record("recover", format!("{report:?}"), &rt);
+
+    let chain = chain_tdg(&[6, 2, 9, 3, 5, 4], 0.3);
+    let net = topology::linear(4, 10.0);
+    let eps = Epsilon::loose();
+    let plan_a = GreedyHeuristic::new().deploy(&chain, &net, &eps).expect("plan A");
+    let drained = *plan_a.occupied_switches().last().expect("non-empty plan");
+    let plan_b = IncrementalDeployer::new()
+        .redeploy_with(&chain, &plan_a, &chain, &net, &eps, &RedeployOptions::excluding([drained]))
+        .expect("drain is feasible")
+        .plan;
+    let mut rt =
+        DeploymentRuntime::new(net, eps, FaultInjector::disabled(), RetryPolicy::default());
+    assert!(rt.rollout(&chain, plan_a).is_committed());
+    let outcome = rt.migrate(&chain, plan_b, &MigrationConfig::default());
+    assert!(matches!(outcome, hermes::runtime::MigrationOutcome::Migrated { .. }), "{outcome}");
+    record("migrate", outcome.to_string(), &rt);
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/transactions_golden.txt");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(path, &dump).expect("fixture is writable");
+    }
+    let fixture = std::fs::read_to_string(path).expect("run with REGEN_GOLDEN=1 to create");
+    assert_eq!(
+        dump, fixture,
+        "a journal or event log drifted from tests/fixtures/transactions_golden.txt; \
          re-generate with REGEN_GOLDEN=1 if the change is intentional"
     );
 }
