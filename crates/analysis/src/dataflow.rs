@@ -157,41 +157,18 @@ pub fn dataflow_diagnostics(tdg: &Tdg) -> Vec<Diagnostic> {
     };
     let words = n.div_ceil(64);
 
-    // Dense adjacency once — `in_edges`/`out_edges` are linear scans.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut gates_out = vec![false; n];
-    for e in tdg.edges() {
-        preds[e.to.index()].push(e.from.index());
-        succs[e.from.index()].push(e.to.index());
-        if e.dep == DependencyType::Successor {
-            gates_out[e.from.index()] = true;
-        }
-    }
-
     // Strict ancestors per node, in topological order.
     let mut anc: Vec<NodeBits> = vec![vec![0u64; words]; n];
-    for id in &order {
+    for &id in &order {
         let v = id.index();
         // Split-borrow via std::mem::take: anc[p] is final once p precedes
         // v in topo order.
         let mut mine = std::mem::take(&mut anc[v]);
-        for &p in &preds[v] {
+        for p in tdg.in_edges(id).map(|e| e.from.index()) {
             bits_or(&mut mine, &anc[p]);
             bit_set(&mut mine, p);
         }
         anc[v] = mine;
-    }
-    // Strict descendants, in reverse topological order.
-    let mut desc: Vec<NodeBits> = vec![vec![0u64; words]; n];
-    for id in order.iter().rev() {
-        let u = id.index();
-        let mut mine = std::mem::take(&mut desc[u]);
-        for &s in &succs[u] {
-            bits_or(&mut mine, &desc[s]);
-            bit_set(&mut mine, s);
-        }
-        desc[u] = mine;
     }
     let is_anc = |a: usize, b: usize| bit_get(&anc[b], a);
 
@@ -273,12 +250,14 @@ pub fn dataflow_diagnostics(tdg: &Tdg) -> Vec<Diagnostic> {
             }
         }
     }
-    for a in 0..n {
-        let node = &tdg.nodes()[a];
+    for id in tdg.node_ids() {
+        let a = id.index();
+        let node = tdg.node(id);
         let all_meta = !node.mat.written_fields().is_empty()
             && node.mat.written_fields().iter().all(Field::is_metadata);
         let every_write_dead = field_dead[a].len() == written[a].len();
-        if all_meta && every_write_dead && !node.mat.is_stateful() && !gates_out[a] {
+        let gates_out = tdg.out_edges(id).any(|e| e.dep == DependencyType::Successor);
+        if all_meta && every_write_dead && !node.mat.is_stateful() && !gates_out {
             out.push(dead_mat(name(a)));
         } else {
             for &fid in &field_dead[a] {

@@ -242,15 +242,11 @@ pub fn check_tdg(tdg: &Tdg) -> Vec<Diagnostic> {
 
     // Strict-descendant bitsets, reverse topological order.
     let words = n.div_ceil(64);
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in tdg.edges() {
-        succs[e.from.index()].push(e.to.index());
-    }
     let mut desc: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    for id in order.iter().rev() {
+    for &id in order.iter().rev() {
         let u = id.index();
         let mut mine = std::mem::take(&mut desc[u]);
-        for &s in &succs[u] {
+        for s in tdg.out_edges(id).map(|e| e.to.index()) {
             for (d, &w) in mine.iter_mut().zip(&desc[s]) {
                 *d |= w;
             }
@@ -262,7 +258,12 @@ pub fn check_tdg(tdg: &Tdg) -> Vec<Diagnostic> {
 
     for e in tdg.edges() {
         let (u, v) = (e.from.index(), e.to.index());
-        let via = succs[u].iter().copied().filter(|&w| w != v && reaches(w, v)).map(name).min();
+        let via = tdg
+            .out_edges(e.from)
+            .map(|out| out.to.index())
+            .filter(|&w| w != v && reaches(w, v))
+            .map(name)
+            .min();
         if let Some(via) = via {
             out.push(transitive_redundant(name(u), name(v), via));
         }

@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 /// Schedule-search budget; the scenarios have at most a handful of active
-/// switches, so both planners finish far inside it.
+/// switches, so the orderer finishes far inside it.
 const PLAN_BUDGET: Duration = Duration::from_secs(5);
 
 /// Reshapes every switch to `stages` pipeline stages of `cap` capacity so

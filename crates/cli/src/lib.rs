@@ -204,41 +204,30 @@ impl From<OrderSpecError> for CliError {
 /// resolved against a concrete topology (see [`resolve_order`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrderSpec {
-    /// Race the planners, pick the lowest-peak schedule.
+    /// Let the scheduler order the steps (lowest transient peak).
     Auto,
-    /// Greedy lowest-next-peak ordering only.
-    Greedy,
-    /// Exhaustive lowest-peak search only.
-    Exact,
-    /// Ascending switch-id order (what an all-at-once rollout commits).
-    InOrder,
     /// An explicit step order, as 0-based switch indices.
     Explicit(Vec<usize>),
 }
 
-/// Parses a `--order` spec: `auto`, `greedy`, `exact`, `in-order`, or a
-/// comma-separated list of 0-based switch indices giving the step order
-/// explicitly.
+/// Parses a `--order` spec: `auto`, or a comma-separated list of 0-based
+/// switch indices giving the step order explicitly.
 ///
 /// # Errors
 ///
-/// Returns [`OrderSpecError`] on anything else; index range checks happen
+/// Returns [`OrderSpecError`] on anything else (the retired `greedy`,
+/// `exact` and `in-order` keywords included); index range checks happen
 /// later in [`resolve_order`] once the topology is known.
 pub fn parse_order(spec: &str) -> Result<OrderSpec, OrderSpecError> {
-    match spec {
-        "auto" => return Ok(OrderSpec::Auto),
-        "greedy" => return Ok(OrderSpec::Greedy),
-        "exact" => return Ok(OrderSpec::Exact),
-        "in-order" | "inorder" => return Ok(OrderSpec::InOrder),
-        _ => {}
+    if spec == "auto" {
+        return Ok(OrderSpec::Auto);
     }
     let mut indices = Vec::new();
     for part in spec.split(',') {
         let idx: usize = part.trim().parse().map_err(|_| OrderSpecError {
             given: spec.to_owned(),
             detail: format!(
-                "`{part}` is not a switch index (use auto, greedy, exact, in-order, or \
-                 comma-separated indices)"
+                "`{part}` is not a switch index (use `auto` or comma-separated switch indices)"
             ),
         })?;
         if indices.contains(&idx) {
@@ -261,9 +250,6 @@ pub fn parse_order(spec: &str) -> Result<OrderSpec, OrderSpecError> {
 pub fn resolve_order(spec: &OrderSpec, net: &Network) -> Result<MigrationOrder, OrderSpecError> {
     let indices = match spec {
         OrderSpec::Auto => return Ok(MigrationOrder::Auto),
-        OrderSpec::Greedy => return Ok(MigrationOrder::Greedy),
-        OrderSpec::Exact => return Ok(MigrationOrder::Exact),
-        OrderSpec::InOrder => return Ok(MigrationOrder::InOrder),
         OrderSpec::Explicit(indices) => indices,
     };
     let ids: Vec<SwitchId> = net.switch_ids().collect();
@@ -401,8 +387,8 @@ pub struct Options {
     pub library: bool,
     /// Solver producing the starting plan A (migrate).
     pub from_solver: String,
-    /// Migration step-order spec (migrate): auto | greedy | exact |
-    /// in-order | comma-separated switch indices.
+    /// Migration step-order spec (migrate): auto | comma-separated
+    /// switch indices.
     pub order: String,
     /// Drain this 0-based switch index: plan B re-homes its MATs
     /// elsewhere (migrate).
@@ -475,7 +461,7 @@ TOPOLOGY SPECS:  linear:N  star:N  fattree:K  wan:1..10  waxman:N,A,B,SEED
 SOLVERS:         greedy exact milp portfolio ffl ffls ms sonata speed mtp
                  fp p4all
 CHANNEL SPECS:   none  lossy  drop=P,dup=P,reorder=P,delay=P,span=US
-ORDER SPECS:     auto  greedy  exact  in-order  comma-separated indices
+ORDER SPECS:     auto  comma-separated switch indices
 TARGET SPECS:    tofino  smartnic  soft
                  NAME:stages=N,cap=C,budget=B,latency=US (knob overrides)
                  mix:tofino+smartnic+soft (cycled over switches)
@@ -1483,7 +1469,7 @@ mod tests {
             "--exclude",
             "1",
             "--order",
-            "exact",
+            "2,0",
             "--channel",
             "lossy",
             "--seed",
@@ -1494,7 +1480,7 @@ mod tests {
         assert_eq!(options.from_solver, "ffl");
         assert_eq!(options.solver, "greedy");
         assert_eq!(options.exclude, Some(1));
-        assert_eq!(options.order, "exact");
+        assert_eq!(options.order, "2,0");
         assert_eq!(options.channel, "lossy");
         assert_eq!(options.seed, 9);
         // Defaults.
@@ -1506,9 +1492,13 @@ mod tests {
 
     #[test]
     fn malformed_migrate_values_fail_at_parse_time_with_typed_errors() {
-        // --order: keyword or comma-separated indices only.
-        let e = parse_args(&args(&["migrate", "a.p4dsl", "--order", "banana"])).unwrap_err();
-        assert!(e.0.contains("order spec `banana`"), "{e}");
+        // --order: `auto` or comma-separated indices only; the retired
+        // orderer names get the same typed error, naming both forms.
+        for retired in ["banana", "greedy", "exact", "in-order"] {
+            let e = parse_args(&args(&["migrate", "a.p4dsl", "--order", retired])).unwrap_err();
+            assert!(e.0.contains(&format!("order spec `{retired}`")), "{e}");
+            assert!(e.0.contains("`auto` or comma-separated switch indices"), "{e}");
+        }
         let e = parse_args(&args(&["migrate", "a.p4dsl", "--order", "0,1,1"])).unwrap_err();
         assert!(e.0.contains("appears twice"), "{e}");
         // --channel is validated at parse time now, not first use.
@@ -1525,7 +1515,6 @@ mod tests {
     #[test]
     fn order_specs_parse_and_resolve() {
         assert_eq!(parse_order("auto").unwrap(), OrderSpec::Auto);
-        assert_eq!(parse_order("in-order").unwrap(), OrderSpec::InOrder);
         assert_eq!(parse_order("2,0,1").unwrap(), OrderSpec::Explicit(vec![2, 0, 1]));
         let net = parse_topology("linear:3").unwrap();
         let ids: Vec<SwitchId> = net.switch_ids().collect();

@@ -8,7 +8,7 @@
 
 use hermes_net::{Network, Path, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -39,10 +39,15 @@ pub struct PlanRoute {
 }
 
 /// A complete deployment decision.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeploymentPlan {
     placements: Vec<StagePlacement>,
     routes: Vec<PlanRoute>,
+    /// Node -> hosting switch (that of the node's first placement), kept
+    /// by [`DeploymentPlan::place`], the only way a placement gets in. A
+    /// map, not a dense vector: node ids of a deserialized plan are
+    /// outside input and must not size an allocation.
+    home: BTreeMap<NodeId, SwitchId>,
 }
 
 impl DeploymentPlan {
@@ -53,6 +58,7 @@ impl DeploymentPlan {
 
     /// Adds a stage placement.
     pub fn place(&mut self, placement: StagePlacement) {
+        self.home.entry(placement.node).or_insert(placement.switch);
         self.placements.push(placement);
     }
 
@@ -73,12 +79,8 @@ impl DeploymentPlan {
 
     /// The switch hosting `node`, if placed. A node split across stages is
     /// still on exactly one switch.
-    ///
-    /// O(placements) per call: for single lookups only. Anything that
-    /// walks the nodes or edges of a TDG resolves them all at once with
-    /// [`DeploymentPlan::switch_assignment`].
     pub fn switch_of(&self, node: NodeId) -> Option<SwitchId> {
-        self.placements.iter().find(|p| p.node == node).map(|p| p.switch)
+        self.home.get(&node).copied()
     }
 
     /// First (ρ_begin) and last (ρ_end) stage occupied by `node`.
@@ -103,17 +105,15 @@ impl DeploymentPlan {
         self.routes.iter().find(|r| r.from == from && r.to == to)
     }
 
-    /// The full node -> switch mapping as a dense array indexed by
-    /// [`NodeId::index`] (`None` = unplaced), built in one pass over the
-    /// placements. Callers that look up many nodes should use this instead
-    /// of per-node [`DeploymentPlan::switch_of`] scans. Placements of
-    /// nodes beyond `node_count` (a plan for some other TDG) are ignored,
-    /// as a `switch_of` lookup of an in-range node would ignore them.
+    /// [`DeploymentPlan::switch_of`] for every node of a TDG at once, as a
+    /// dense array indexed by [`NodeId::index`] (`None` = unplaced) for
+    /// loops over that TDG's nodes or edges. Placements of nodes beyond
+    /// `node_count` (a plan for some other TDG) are left out.
     pub fn switch_assignment(&self, node_count: usize) -> Vec<Option<SwitchId>> {
         let mut assign = vec![None; node_count];
-        for p in &self.placements {
-            if let Some(slot @ None) = assign.get_mut(p.node.index()) {
-                *slot = Some(p.switch);
+        for (node, &switch) in &self.home {
+            if let Some(slot) = assign.get_mut(node.index()) {
+                *slot = Some(switch);
             }
         }
         assign
@@ -164,8 +164,7 @@ impl DeploymentPlan {
 
     /// [`DeploymentPlan::inter_switch_bytes`] into a caller-owned map:
     /// `out` is cleared and refilled, so probe-heavy paths reuse one
-    /// allocation across calls. The node -> switch mapping is resolved once
-    /// up front instead of per edge endpoint.
+    /// allocation across calls.
     pub fn inter_switch_bytes_into(
         &self,
         tdg: &Tdg,
@@ -228,6 +227,31 @@ impl DeploymentPlan {
             total_latency_us: self.end_to_end_latency_us(),
             occupied_switches: self.occupied_switch_count(),
         }
+    }
+}
+
+/// The derived shape (`placements`, `routes`); the node -> switch index is
+/// not part of the serialized form.
+impl Serialize for DeploymentPlan {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("placements".to_owned(), self.placements.to_value()),
+            ("routes".to_owned(), self.routes.to_value()),
+        ])
+    }
+}
+
+/// Reads the derived shape; the index is rebuilt by placing each
+/// placement again, in order.
+impl Deserialize for DeploymentPlan {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let placements: Vec<StagePlacement> = Deserialize::from_value(v.get_field("placements")?)?;
+        let routes = Deserialize::from_value(v.get_field("routes")?)?;
+        let mut plan = DeploymentPlan { routes, ..DeploymentPlan::default() };
+        for placement in placements {
+            plan.place(placement);
+        }
+        Ok(plan)
     }
 }
 
@@ -469,6 +493,63 @@ mod tests {
         plan.place(StagePlacement { node: n, switch: s, stage: 3, fraction: 0.5 });
         assert_eq!(plan.stage_span(n), Some((2, 3)));
         assert_eq!(plan.stage_loads()[&(s, 2)], 0.5);
+    }
+
+    /// `switch_of` must answer what a first-match scan of the placements
+    /// answers, for every node the plan places and some it does not.
+    fn assert_switch_of_matches_scan(plan: &DeploymentPlan, probe: impl Iterator<Item = NodeId>) {
+        let placed = plan.placements().iter().map(|p| p.node);
+        for node in placed.chain(probe) {
+            let scan = plan.placements().iter().find(|p| p.node == node).map(|p| p.switch);
+            assert_eq!(plan.switch_of(node), scan, "node {node}");
+        }
+    }
+
+    #[test]
+    fn switch_of_matches_a_first_match_scan() {
+        use crate::{DeploymentAlgorithm, GreedyHeuristic, ProgramAnalyzer};
+        use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
+        let net = topology::fat_tree(4, 10.0);
+        let mut workloads = vec![hermes_dataplane::library::real_programs()];
+        for seed in 0..6 {
+            workloads.push(SyntheticGenerator::new(seed, SyntheticConfig::default()).programs(8));
+        }
+        for programs in &workloads {
+            let tdg = ProgramAnalyzer::new().analyze(programs);
+            let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).expect("fits");
+            assert_switch_of_matches_scan(&plan, tdg.node_ids());
+            assert_eq!(
+                plan.switch_assignment(tdg.node_count()),
+                tdg.node_ids().map(|id| plan.switch_of(id)).collect::<Vec<_>>()
+            );
+            // A serde round trip rebuilds the index on read, and a clone
+            // that keeps growing keeps it.
+            let json = serde_json::to_string(&plan).expect("serializes");
+            let mut back: DeploymentPlan = serde_json::from_str(&json).expect("round trip");
+            assert_eq!(back, plan);
+            assert_switch_of_matches_scan(&back, tdg.node_ids());
+            // A second placement of a node, even on another switch, does
+            // not move it: the first one is its home.
+            let other = *plan.occupied_switches().last().expect("occupied");
+            for node in tdg.node_ids().take(3) {
+                back.place(StagePlacement { node, switch: other, stage: 0, fraction: 0.1 });
+            }
+            assert_switch_of_matches_scan(&back, tdg.node_ids());
+        }
+    }
+
+    #[test]
+    fn an_untrusted_node_id_does_not_size_the_index() {
+        // What `tests/journal_fuzz.rs` can produce: a placement whose node
+        // id is as large as the integer type allows.
+        let json = format!(
+            r#"{{"placements":[{{"node":{},"switch":0,"stage":0,"fraction":0.5}}],"routes":[]}}"#,
+            u64::MAX
+        );
+        let plan: DeploymentPlan = serde_json::from_str(&json).expect("a well-formed plan");
+        let node = plan.placements()[0].node;
+        assert!(plan.switch_of(node).is_some());
+        assert_eq!(plan.switch_assignment(4), vec![None; 4]);
     }
 
     #[test]

@@ -66,28 +66,17 @@ impl IncrementalEval {
     /// Builds an empty evaluator for placing `tdg`'s nodes onto `q` slots.
     pub fn new(tdg: &Tdg, q: usize) -> Self {
         let n = tdg.node_count();
-        let mut in_off = vec![0u32; n + 1];
-        let mut out_off = vec![0u32; n + 1];
-        for e in tdg.edges() {
-            in_off[e.to.index() + 1] += 1;
-            out_off[e.from.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_off[i + 1] += in_off[i];
-            out_off[i + 1] += out_off[i];
-        }
-        let mut in_adj = vec![(0u32, 0u32); tdg.edge_count()];
-        let mut out_adj = vec![(0u32, 0u32); tdg.edge_count()];
-        let mut in_cursor = in_off.clone();
-        let mut out_cursor = out_off.clone();
-        for e in tdg.edges() {
-            let (u, v) = (e.from.index(), e.to.index());
-            let uc = u32::try_from(u).expect("node count fits u32");
-            let vc = u32::try_from(v).expect("node count fits u32");
-            in_adj[in_cursor[v] as usize] = (uc, e.bytes);
-            in_cursor[v] += 1;
-            out_adj[out_cursor[u] as usize] = (vc, e.bytes);
-            out_cursor[u] += 1;
+        // The TDG owns the adjacency; the hot loops keep an inline copy of
+        // just `(neighbour, bytes)` so a probe touches one packed array.
+        let narrow = |i: usize| u32::try_from(i).expect("node and edge counts fit u32");
+        let (mut in_off, mut out_off) = (vec![0u32], vec![0u32]);
+        let mut in_adj = Vec::with_capacity(tdg.edge_count());
+        let mut out_adj = Vec::with_capacity(tdg.edge_count());
+        for id in tdg.node_ids() {
+            in_adj.extend(tdg.in_edges(id).map(|e| (narrow(e.from.index()), e.bytes)));
+            in_off.push(narrow(in_adj.len()));
+            out_adj.extend(tdg.out_edges(id).map(|e| (narrow(e.to.index()), e.bytes)));
+            out_off.push(narrow(out_adj.len()));
         }
         IncrementalEval {
             q,

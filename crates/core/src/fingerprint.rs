@@ -62,6 +62,20 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
+    /// Both fingerprints go into the journal, so the JSON shape they hash
+    /// is a format: recorded at the commit before `Tdg` and
+    /// `DeploymentPlan` got hand-written serializers, these fail by name
+    /// if a field is added, renamed or reordered.
+    #[test]
+    fn library_tdg_and_greedy_plan_fingerprints_are_pinned() {
+        use crate::{DeploymentAlgorithm, Epsilon, GreedyHeuristic};
+        let (tdg, net) =
+            crate::test_support::linear_testbed(&hermes_dataplane::library::real_programs());
+        assert_eq!(tdg_fingerprint(&tdg), 0x86b3_9aa9_4b2f_50f2);
+        let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).expect("fits");
+        assert_eq!(plan.fingerprint(), 0x8d8c_c0f2_98f6_79a1);
+    }
+
     #[test]
     fn tdg_fingerprints_are_stable_and_discriminating() {
         let a = chain_tdg(&[4, 3, 5], 0.4);

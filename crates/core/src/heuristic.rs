@@ -180,7 +180,6 @@ impl GreedyHeuristic {
 /// minimal — which is what lets the splitter co-locate, say, every sketch
 /// with the 5-tuple hash they all consume.
 pub fn placement_order(tdg: &Tdg) -> Vec<NodeId> {
-    let n = tdg.node_count();
     // Rank programs by first appearance over node indexes.
     let mut program_rank: std::collections::BTreeMap<&str, usize> = Default::default();
     for id in tdg.node_ids() {
@@ -209,7 +208,7 @@ pub fn placement_order(tdg: &Tdg) -> Vec<NodeId> {
         }
     }
     // Cluster rank = smallest member program rank; node keys follow.
-    let key = |tdg: &Tdg, parent: &mut Vec<usize>, id: NodeId| -> (usize, usize, usize) {
+    tdg.topo_order_by(|id| {
         let prog = tdg
             .node(id)
             .programs
@@ -217,36 +216,10 @@ pub fn placement_order(tdg: &Tdg) -> Vec<NodeId> {
             .map(|p| program_rank[p.as_str()])
             .min()
             .unwrap_or(usize::MAX);
-        let cluster = if prog == usize::MAX { usize::MAX } else { find(parent, prog) };
-        (cluster, prog, id.index())
-    };
-
-    // Kahn with a priority queue over the clustering key.
-    let mut indegree = vec![0usize; n];
-    for e in tdg.edges() {
-        indegree[e.to.index()] += 1;
-    }
-    let mut ready: BTreeSet<((usize, usize, usize), usize)> = tdg
-        .node_ids()
-        .filter(|id| indegree[id.index()] == 0)
-        .map(|id| (key(tdg, &mut parent, id), id.index()))
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(&(k, idx)) = ready.iter().next() {
-        ready.remove(&(k, idx));
-        let id = tdg.node_ids().nth(idx).expect("dense index");
-        order.push(id);
-        for e in tdg.edges() {
-            if e.from.index() == idx {
-                indegree[e.to.index()] -= 1;
-                if indegree[e.to.index()] == 0 {
-                    ready.insert((key(tdg, &mut parent, e.to), e.to.index()));
-                }
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "TDGs are DAGs");
-    order
+        let cluster = if prog == usize::MAX { usize::MAX } else { find(&mut parent, prog) };
+        (cluster, prog)
+    })
+    .expect("TDGs are DAGs")
 }
 
 /// The weakest pipeline any programmable switch offers: fewest

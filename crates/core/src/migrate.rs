@@ -24,15 +24,15 @@
 //! plan-B home it is, so [`IncrementalEval`] maintains `A_max` and
 //! acyclicity in O(moved-degree) per probe rather than O(edges).
 //!
-//! Mirroring the solver [`Portfolio`](crate::Portfolio), the `Auto` mode
-//! races a greedy orderer against an exact branch-and-bound on scoped
-//! threads under one [`SearchContext`]: greedy publishes its peak as a
-//! shared incumbent, the exact search prunes any prefix whose running
-//! peak already matches it, and the deterministic winner is the lowest
-//! peak (ties broken by a fixed racer priority). The ascending-id order —
-//! exactly the order the runtime's all-at-once transaction commits in —
-//! is evaluated first and seeds the incumbent, so a returned schedule is
-//! never worse than the all-at-once baseline it replaces.
+//! The `Auto` mode is a greedy orderer: repeatedly commit the switch whose
+//! next state has the lowest `A_max`. No schedule can peak below
+//! `max(A_max(A), A_max(B))` — both endpoints are states of every order —
+//! and over the sweeps recorded in DESIGN.md §12 the exact
+//! branch-and-bound that used to race greedy was never strictly ahead of
+//! it, so no search races it. The ascending-id order — exactly the order
+//! the runtime's all-at-once transaction commits in — is evaluated beside
+//! it and wins on a strictly lower peak, so a returned schedule is never
+//! worse than the all-at-once baseline it replaces.
 //!
 //! Per-packet consistency of every prefix (the mixed-epoch gate,
 //! [`hermes_backend::check_transition`]) is deliberately *not* checked
@@ -52,10 +52,6 @@ use hermes_tdg::{NodeId, Tdg};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Above this many order-relevant switches the exact orderer refuses to
-/// search (the greedy and in-order racers still produce schedules).
-pub const MAX_EXACT_SWITCHES: usize = 12;
 
 /// One A→B reconfiguration instance.
 #[derive(Debug, Clone, Copy)]
@@ -174,17 +170,11 @@ impl std::error::Error for MigrateError {}
 /// How the commit order is chosen.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum MigrationOrder {
-    /// Race greedy and exact orderers, seeded with the in-order baseline.
+    /// Greedy: repeatedly commit the switch minimizing the next state's
+    /// `A_max`; the ascending-id order an all-at-once transaction uses
+    /// replaces it only on a strictly lower peak.
     #[default]
     Auto,
-    /// Greedy only: repeatedly commit the switch minimizing the next
-    /// state's `A_max`.
-    Greedy,
-    /// Exact only: branch-and-bound over permutations of the
-    /// order-relevant switches.
-    Exact,
-    /// The ascending-id order an all-at-once transaction uses.
-    InOrder,
     /// A user-supplied order of the order-relevant switches (neutral
     /// switches are prepended automatically).
     Explicit(Vec<SwitchId>),
@@ -197,7 +187,7 @@ pub struct MigrationScheduler {
 }
 
 impl MigrationScheduler {
-    /// A scheduler racing greedy and exact orderers ([`MigrationOrder::Auto`]).
+    /// A scheduler choosing the order itself ([`MigrationOrder::Auto`]).
     pub fn new() -> Self {
         MigrationScheduler::default()
     }
@@ -210,102 +200,31 @@ impl MigrationScheduler {
     /// Plans a schedule for `problem` under `ctx`'s deadline/cancellation.
     ///
     /// Identical plans yield an empty (no-op) schedule. The result is
-    /// deterministic for fixed inputs: racer peaks are exact objective
-    /// values, strict-improvement pruning keeps the best-found order
-    /// independent of thread timing, and ties are broken by a fixed racer
-    /// priority.
+    /// deterministic for fixed inputs.
     pub fn plan(
         &self,
         problem: &MigrationProblem<'_>,
         ctx: &SearchContext,
     ) -> Result<MigrationSchedule, MigrateError> {
-        let base = StepSim::new(problem)?;
-        // The ascending-id baseline doubles as the all-at-once peak and
-        // as the incumbent seed for both racers.
-        let in_order: Vec<usize> = base.active.clone();
-        let baseline = {
-            let mut sim = base.clone();
-            evaluate_order(&mut sim, &in_order)
-        };
-        let all_at_once_peak = baseline.as_ref().ok().map(|&(_, peak)| peak);
-        if let Some(peak) = all_at_once_peak {
-            ctx.publish_incumbent(peak);
-        }
+        let mut sim = StepSim::new(problem)?;
+        // The ascending-id baseline is the all-at-once peak.
+        let in_order: Vec<usize> = sim.active.clone();
+        let baseline = evaluate_order(&mut sim, &in_order);
+        let all_at_once_peak = baseline.as_ref().ok().copied();
 
-        let outcome: Result<(Vec<usize>, u64, &'static str), MigrateError> = match &self.order {
-            MigrationOrder::InOrder => {
-                baseline.clone().map(|(order, peak)| (order, peak, "in-order"))
-            }
-            MigrationOrder::Greedy => {
-                let mut sim = base.clone();
-                greedy_order(&mut sim, ctx).map(|(order, peak)| (order, peak, "greedy"))
-            }
-            MigrationOrder::Exact => {
-                let mut sim = base.clone();
-                match exact_order(&mut sim, ctx) {
-                    Ok((order, peak)) => Ok((order, peak, "exact")),
-                    // The searcher prunes on strict improvement against
-                    // the baseline incumbent; coming back empty-handed
-                    // proves the baseline itself is already optimal.
-                    Err(MigrateError::NoValidOrder) => {
-                        baseline.clone().map(|(order, peak)| (order, peak, "exact"))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
+        let (order, peak, planner) = match &self.order {
             MigrationOrder::Explicit(switches) => {
-                let order = base.resolve_explicit(switches)?;
-                let mut sim = base.clone();
-                evaluate_order(&mut sim, &order).map(|(order, peak)| (order, peak, "explicit"))
+                let order = sim.resolve_explicit(switches)?;
+                let peak = evaluate_order(&mut sim, &order)?;
+                (order, peak, "explicit")
             }
-            MigrationOrder::Auto => {
-                let (greedy, exact) = std::thread::scope(|scope| {
-                    let (gctx, ectx) = (ctx.clone(), ctx.clone());
-                    let base_ref = &base;
-                    let g = scope.spawn(move || {
-                        let mut sim = base_ref.clone();
-                        greedy_order(&mut sim, &gctx)
-                    });
-                    let e = scope.spawn(move || {
-                        let mut sim = base_ref.clone();
-                        exact_order(&mut sim, &ectx)
-                    });
-                    (
-                        g.join().expect("greedy orderer panicked"),
-                        e.join().expect("exact orderer panicked"),
-                    )
-                });
-                // Deterministic winner: lowest peak, ties by fixed racer
-                // priority (greedy, exact, in-order).
-                let ordered = [
-                    greedy.map(|(order, peak)| (order, peak, "greedy")),
-                    exact.map(|(order, peak)| (order, peak, "exact")),
-                    baseline.clone().map(|(order, peak)| (order, peak, "in-order")),
-                ];
-                let mut winner: Option<(Vec<usize>, u64, &'static str)> = None;
-                let mut no_valid_order = false;
-                for candidate in ordered {
-                    match candidate {
-                        Ok(c) => {
-                            if winner.as_ref().is_none_or(|w| c.1 < w.1) {
-                                winner = Some(c);
-                            }
-                        }
-                        Err(MigrateError::NoValidOrder) => no_valid_order = true,
-                        Err(_) => {}
-                    }
-                }
-                match winner {
-                    Some(w) => Ok(w),
-                    // Prefer the structural verdict over Interrupted so a
-                    // genuinely unorderable instance is reported as such.
-                    None if no_valid_order => Err(MigrateError::NoValidOrder),
-                    None => Err(MigrateError::Interrupted),
-                }
-            }
+            MigrationOrder::Auto => match (greedy_order(&mut sim, ctx), baseline) {
+                (Ok((_, greedy)), Ok(peak)) if peak < greedy => (in_order, peak, "in-order"),
+                (Ok((order, peak)), _) => (order, peak, "greedy"),
+                (Err(_), Ok(peak)) => (in_order, peak, "in-order"),
+                (Err(e), Err(_)) => return Err(e),
+            },
         };
-        let (order, peak, planner) = outcome?;
-        let mut sim = base;
         Ok(sim.render_schedule(&order, peak, all_at_once_peak, planner))
     }
 }
@@ -316,14 +235,14 @@ impl MigrationScheduler {
 pub fn all_at_once_peak(problem: &MigrationProblem<'_>) -> Result<Option<u64>, MigrateError> {
     let mut sim = StepSim::new(problem)?;
     let order = sim.active.clone();
-    Ok(evaluate_order(&mut sim, &order).ok().map(|(_, peak)| peak))
+    Ok(evaluate_order(&mut sim, &order).ok())
 }
 
 /// The shared step simulator: an [`IncrementalEval`] over the union of
 /// both plans' occupied switches, positioned at plan A, plus the per-slot
-/// mover lists that stepping commits. Cloning it gives each racer an
-/// independent O(delta) probe engine over the same instance.
-#[derive(Debug, Clone)]
+/// mover lists that stepping commits. Every orderer leaves it back at
+/// plan A, so one simulator serves them all in turn.
+#[derive(Debug)]
 struct StepSim {
     /// Dense slot → switch id, ascending.
     slots: Vec<SwitchId>,
@@ -496,7 +415,7 @@ impl StepSim {
 /// Replays a fixed active-slot order, returning its peak transient
 /// `A_max` or [`MigrateError::NoValidOrder`] on a cyclic intermediate.
 /// The simulator is left back at plan A.
-fn evaluate_order(sim: &mut StepSim, order: &[usize]) -> Result<(Vec<usize>, u64), MigrateError> {
+fn evaluate_order(sim: &mut StepSim, order: &[usize]) -> Result<u64, MigrateError> {
     let mut peak = sim.from_amax;
     let mut committed = 0usize;
     let mut valid = true;
@@ -513,7 +432,7 @@ fn evaluate_order(sim: &mut StepSim, order: &[usize]) -> Result<(Vec<usize>, u64
         sim.uncommit(slot);
     }
     if valid {
-        Ok((order.to_vec(), peak))
+        Ok(peak)
     } else {
         Err(MigrateError::NoValidOrder)
     }
@@ -521,8 +440,7 @@ fn evaluate_order(sim: &mut StepSim, order: &[usize]) -> Result<(Vec<usize>, u64
 
 /// Greedy orderer: repeatedly commit the remaining switch whose next
 /// state has the lowest `A_max` (ties: lowest switch id), skipping
-/// candidates that would make the intermediate state cyclic. Publishes
-/// its final peak as a shared incumbent for the exact racer.
+/// candidates that would make the intermediate state cyclic.
 fn greedy_order(sim: &mut StepSim, ctx: &SearchContext) -> Result<(Vec<usize>, u64), MigrateError> {
     let mut remaining = sim.active.clone();
     let mut order: Vec<usize> = Vec::with_capacity(remaining.len());
@@ -557,90 +475,8 @@ fn greedy_order(sim: &mut StepSim, ctx: &SearchContext) -> Result<(Vec<usize>, u
         order.push(slot);
         remaining.retain(|&s| s != slot);
     }
-    ctx.publish_incumbent(peak);
     for &slot in order.iter().rev() {
         sim.uncommit(slot);
     }
     Ok((order, peak))
-}
-
-/// Exact orderer: depth-first branch-and-bound over permutations of the
-/// active slots. The running peak is monotone along a prefix, so any
-/// prefix whose peak already reaches the incumbent bound is pruned;
-/// strict-improvement acceptance keeps the best-found order independent
-/// of racer timing (every published bound is an achieved peak at or
-/// above the optimum, and the path to any strictly better leaf has
-/// running peaks strictly below it, so it can never be pruned).
-fn exact_order(sim: &mut StepSim, ctx: &SearchContext) -> Result<(Vec<usize>, u64), MigrateError> {
-    if sim.active.len() > MAX_EXACT_SWITCHES {
-        return Err(MigrateError::Interrupted);
-    }
-    let mut search = ExactSearch {
-        ctx,
-        best_peak: crate::solver::NO_BOUND,
-        best_order: None,
-        probes: 0,
-        stopped: false,
-    };
-    let mut remaining = sim.active.clone();
-    let mut order = Vec::with_capacity(remaining.len());
-    search.dfs(sim, &mut order, &mut remaining, sim.from_amax);
-    match search.best_order {
-        Some(order) => {
-            ctx.publish_incumbent(search.best_peak);
-            Ok((order, search.best_peak))
-        }
-        None if search.stopped => Err(MigrateError::Interrupted),
-        None => Err(MigrateError::NoValidOrder),
-    }
-}
-
-struct ExactSearch<'a> {
-    ctx: &'a SearchContext,
-    best_peak: u64,
-    best_order: Option<Vec<usize>>,
-    probes: u64,
-    stopped: bool,
-}
-
-impl ExactSearch<'_> {
-    fn dfs(
-        &mut self,
-        sim: &mut StepSim,
-        order: &mut Vec<usize>,
-        remaining: &mut Vec<usize>,
-        peak: u64,
-    ) {
-        if remaining.is_empty() {
-            if peak < self.best_peak {
-                self.best_peak = peak;
-                self.best_order = Some(order.clone());
-                self.ctx.publish_incumbent(peak);
-            }
-            return;
-        }
-        for i in 0..remaining.len() {
-            if self.stopped {
-                return;
-            }
-            self.probes += 1;
-            if self.probes.is_multiple_of(64) && self.ctx.should_stop() {
-                self.stopped = true;
-                return;
-            }
-            let slot = remaining[i];
-            sim.commit(slot);
-            let acyclic = sim.eval.is_acyclic();
-            let next_peak = peak.max(sim.eval.amax());
-            let bound = self.best_peak.min(self.ctx.incumbent_bound());
-            if acyclic && next_peak < bound {
-                order.push(slot);
-                remaining.remove(i);
-                self.dfs(sim, order, remaining, next_peak);
-                remaining.insert(i, slot);
-                order.pop();
-            }
-            sim.uncommit(slot);
-        }
-    }
 }

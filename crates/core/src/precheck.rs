@@ -492,29 +492,17 @@ fn relaxed_edge_count(tdg: &Tdg) -> usize {
 /// floor unsound.
 fn weakly_connected(tdg: &Tdg) -> bool {
     let n = tdg.node_count();
-    if n == 0 {
-        return true;
-    }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in tdg.edges() {
-        if e.dep.is_relaxed() {
-            continue;
-        }
-        adj[e.from.index()].push(e.to.index());
-        adj[e.to.index()].push(e.from.index());
-    }
     let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    seen[0] = true;
+    let mut stack: Vec<NodeId> = tdg.node_ids().take(1).collect();
     let mut count = 0usize;
     while let Some(u) = stack.pop() {
-        count += 1;
-        for &v in &adj[u] {
-            if !seen[v] {
-                seen[v] = true;
-                stack.push(v);
-            }
+        if std::mem::replace(&mut seen[u.index()], true) {
+            continue;
         }
+        count += 1;
+        let neighbours =
+            tdg.out_edges(u).map(|e| (e.dep, e.to)).chain(tdg.in_edges(u).map(|e| (e.dep, e.from)));
+        stack.extend(neighbours.filter(|(dep, _)| !dep.is_relaxed()).map(|(_, v)| v));
     }
     count == n
 }

@@ -95,10 +95,8 @@ pub fn diff(
     new_plan: &DeploymentPlan,
 ) -> PlanDiff {
     let host = |tdg: &Tdg, plan: &DeploymentPlan| -> BTreeMap<String, hermes_net::SwitchId> {
-        // One pass over the placements instead of a `switch_of` scan per node.
-        let assign = plan.switch_assignment(tdg.node_count());
         tdg.node_ids()
-            .filter_map(|id| assign[id.index()].map(|s| (tdg.node(id).name.clone(), s)))
+            .filter_map(|id| plan.switch_of(id).map(|s| (tdg.node(id).name.clone(), s)))
             .collect()
     };
     let old = host(old_tdg, old_plan);

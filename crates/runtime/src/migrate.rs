@@ -419,22 +419,7 @@ impl DeploymentRuntime {
 
         // Commit-window supervision ends: a lease that lapsed without
         // renewal means that agent stopped serving mid-migration.
-        let now = self.clock_us;
-        let mut lapsed: Option<SwitchId> = None;
-        for &switch in &committed {
-            let expired =
-                self.agents.get_mut(&switch).expect("agents cover all switches").expire_lease(now);
-            if let Some(e) = expired {
-                self.log.push(Event::LeaseExpired { switch, epoch: e, at_us: now });
-                self.fail_switch(switch);
-                if lapsed.is_none() {
-                    lapsed = Some(switch);
-                }
-            } else {
-                self.agents.get_mut(&switch).expect("agents cover all switches").release_lease();
-            }
-        }
-        if let Some(switch) = lapsed {
+        if let Some(&switch) = self.sweep_leases(&committed).first() {
             failures += 1;
             return self.migration_roll_back(
                 prior,
@@ -526,7 +511,7 @@ impl DeploymentRuntime {
         epoch: u64,
         reason: String,
         committed: &[SwitchId],
-        mut failures: u32,
+        failures: u32,
         cfg: &MigrationConfig,
     ) -> Result<MigrationOutcome, ControllerCrash> {
         let undone = committed.len();
@@ -565,8 +550,6 @@ impl DeploymentRuntime {
                 }
             };
             if !ok {
-                failures += 1;
-                let _ = failures;
                 return self.forced_restore(prior, epoch, reason, undone);
             }
             self.log.push(Event::MigrationStepRolledBack {

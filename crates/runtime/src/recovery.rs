@@ -702,17 +702,7 @@ impl DeploymentRuntime {
         }
         // End commit-window supervision for the reinstalled agents (the
         // same sweep a committing transaction runs).
-        let now = self.clock_us;
-        for &switch in &committed {
-            if let Some(agent) = self.agents.get_mut(&switch) {
-                if let Some(lapsed) = agent.expire_lease(now) {
-                    self.log.push(Event::LeaseExpired { switch, epoch: lapsed, at_us: now });
-                    self.fail_switch(switch);
-                } else {
-                    agent.release_lease();
-                }
-            }
-        }
+        self.sweep_leases(&committed);
         // Wipe live agents the plan does not occupy: nothing stale may
         // keep serving beside the restored deployment.
         for (&switch, agent) in &mut self.agents {

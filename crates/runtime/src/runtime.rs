@@ -743,21 +743,7 @@ impl DeploymentRuntime {
                 dead.push(switch);
             }
         }
-        // Commit-window supervision ends: any lease that lapsed without
-        // renewal means that agent stopped serving — it is down, not
-        // committed. Everyone else transitions to steady state.
-        let now = self.clock_us;
-        for &switch in &committed {
-            let expired =
-                self.agents.get_mut(&switch).expect("agents cover all switches").expire_lease(now);
-            if let Some(lapsed) = expired {
-                self.log.push(Event::LeaseExpired { switch, epoch: lapsed, at_us: now });
-                self.fail_switch(switch);
-                dead.push(switch);
-            } else {
-                self.agents.get_mut(&switch).expect("agents cover all switches").release_lease();
-            }
-        }
+        dead.extend(self.sweep_leases(&committed));
         dead.sort_unstable();
         self.journal_note(JournalRecord::TxnCommitted { epoch, dead: dead.clone() })?;
         self.log.push(Event::Committed { epoch, at_us: self.clock_us });
@@ -859,6 +845,26 @@ impl DeploymentRuntime {
             delay_us,
             at_us: self.clock_us,
         });
+    }
+
+    /// Ends commit-window supervision for `committed`: a lease that lapsed
+    /// without renewal means that agent stopped serving — it is logged,
+    /// marked down and returned; everyone else's lease is released into
+    /// steady state.
+    pub(crate) fn sweep_leases(&mut self, committed: &[SwitchId]) -> Vec<SwitchId> {
+        let now = self.clock_us;
+        let mut lapsed = Vec::new();
+        for &switch in committed {
+            let Some(agent) = self.agents.get_mut(&switch) else { continue };
+            if let Some(epoch) = agent.expire_lease(now) {
+                self.log.push(Event::LeaseExpired { switch, epoch, at_us: now });
+                self.fail_switch(switch);
+                lapsed.push(switch);
+            } else {
+                agent.release_lease();
+            }
+        }
+        lapsed
     }
 
     /// Single-attempt lease-renewal probes to every committed switch. A

@@ -10,7 +10,7 @@ use crate::analysis::{
     MatProfile,
 };
 use hermes_dataplane::{FieldTable, Mat, Program};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -58,7 +58,52 @@ pub struct TdgEdge {
     pub bytes: u32,
 }
 
+/// One direction of a graph's adjacency in compressed-sparse-row form:
+/// `idx[off[i]..off[i + 1]]` holds the positions in [`Tdg::edges`] of the
+/// edges at node `i`, ascending.
+#[derive(Debug, Clone, PartialEq)]
+struct Csr {
+    off: Vec<usize>,
+    idx: Vec<usize>,
+}
+
+impl Csr {
+    /// Counting sort of the edge positions by the endpoint `end` selects.
+    fn build(node_count: usize, edges: &[TdgEdge], end: impl Fn(&TdgEdge) -> NodeId) -> Csr {
+        let mut off = vec![0usize; node_count + 1];
+        for e in edges {
+            off[end(e).0 + 1] += 1;
+        }
+        for i in 0..node_count {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut idx = vec![0usize; edges.len()];
+        for (k, e) in edges.iter().enumerate() {
+            let slot = &mut next[end(e).0];
+            idx[*slot] = k;
+            *slot += 1;
+        }
+        Csr { off, idx }
+    }
+
+    /// Edge positions at `id`; none for an id of some other graph.
+    fn at(&self, id: NodeId) -> &[usize] {
+        if id.0 < self.off.len() - 1 {
+            &self.idx[self.off[id.0]..self.off[id.0 + 1]]
+        } else {
+            &[]
+        }
+    }
+}
+
 /// A table dependency graph.
+///
+/// The graph owns its adjacency: the one private constructor every
+/// construction path ends in indexes the edges by both endpoints.
+/// Endpoints never change afterwards — the mutating passes
+/// ([`Tdg::reanalyze`], [`Tdg::relax_edges`], [`Tdg::restore_base_edges`])
+/// rewrite only `dep` and `bytes` — so the index cannot go stale.
 ///
 /// # Examples
 ///
@@ -70,31 +115,33 @@ pub struct TdgEdge {
 /// assert_eq!(tdg.node_count(), 3);
 /// assert!(tdg.is_dag());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tdg {
     nodes: Vec<TdgNode>,
     edges: Vec<TdgEdge>,
     mode: AnalysisMode,
+    out: Csr,
+    into: Csr,
 }
 
 impl Tdg {
     /// Creates an empty TDG using the given analysis mode.
     pub fn new(mode: AnalysisMode) -> Self {
-        Tdg { nodes: Vec::new(), edges: Vec::new(), mode }
+        Tdg::from_parts(Vec::new(), Vec::new(), mode)
     }
 
     /// Builds the TDG of a single program: one node per MAT, one typed edge
     /// per dependent ordered pair, with `A(a,b)` precomputed.
     pub fn from_program(program: &Program, mode: AnalysisMode) -> Self {
-        let mut tdg = Tdg::new(mode);
         let tables = program.tables();
-        for t in tables {
-            tdg.push_node(TdgNode {
+        let nodes = tables
+            .iter()
+            .map(|t| TdgNode {
                 name: format!("{}/{}", program.name(), t.name()),
                 mat: t.clone(),
                 programs: BTreeSet::from([program.name().to_owned()]),
-            });
-        }
+            })
+            .collect();
         let gates: BTreeSet<(usize, usize)> = program.gates().iter().copied().collect();
         // Intern every field once so the O(n²) pair loop below runs on
         // bitset profiles instead of BTreeSet walks; the equivalence with
@@ -102,16 +149,18 @@ impl Tdg {
         let mut table = FieldTable::new();
         let profiles: Vec<MatProfile> =
             tables.iter().map(|t| MatProfile::build(t, &mut table)).collect();
+        let mut edges = Vec::new();
         for i in 0..tables.len() {
             for j in (i + 1)..tables.len() {
                 let gated = gates.contains(&(i, j));
                 if let Some(dep) = classify_profiles(&profiles[i], &profiles[j], gated) {
                     let bytes =
                         metadata_amount_profiles(&table, &profiles[i], &profiles[j], dep, mode);
-                    tdg.edges.push(TdgEdge { from: NodeId(i), to: NodeId(j), dep, bytes });
+                    edges.push(TdgEdge { from: NodeId(i), to: NodeId(j), dep, bytes });
                 }
             }
         }
+        let mut tdg = Tdg::from_parts(nodes, edges, mode);
         if mode.relaxes_state() {
             tdg.relax_edges();
         }
@@ -162,14 +211,14 @@ impl Tdg {
         self.nodes.iter().position(|n| n.name == name).map(NodeId)
     }
 
-    /// Edges leaving `id`.
+    /// Edges leaving `id`, in [`Tdg::edges`] order. O(out-degree).
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &TdgEdge> + '_ {
-        self.edges.iter().filter(move |e| e.from == id)
+        self.out.at(id).iter().map(|&k| &self.edges[k])
     }
 
-    /// Edges entering `id`.
+    /// Edges entering `id`, in [`Tdg::edges`] order. O(in-degree).
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = &TdgEdge> + '_ {
-        self.edges.iter().filter(move |e| e.to == id)
+        self.into.at(id).iter().map(|&k| &self.edges[k])
     }
 
     /// Total normalized resource requirement `Σ R(a)` over all nodes.
@@ -221,33 +270,28 @@ impl Tdg {
     /// Kahn topological order (stable: ties broken by node index), or
     /// `None` if the graph contains a cycle.
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
+        self.topo_order_by(|id| id)
+    }
+
+    /// Kahn topological order that, among the nodes whose predecessors are
+    /// all emitted, takes the one with the smallest `(key(id), id)` next.
+    /// `None` if the graph contains a cycle.
+    pub fn topo_order_by<K: Ord>(&self, mut key: impl FnMut(NodeId) -> K) -> Option<Vec<NodeId>> {
         let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        for e in &self.edges {
-            indegree[e.to.0] += 1;
-        }
-        let mut out_adj = vec![Vec::new(); n];
-        for e in &self.edges {
-            out_adj[e.from.0].push(e.to.0);
-        }
-        // BTreeSet gives deterministic smallest-index-first extraction.
-        let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut indegree: Vec<usize> = self.node_ids().map(|id| self.into.at(id).len()).collect();
+        let mut ready: BTreeSet<(K, NodeId)> =
+            self.node_ids().filter(|id| indegree[id.0] == 0).map(|id| (key(id), id)).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(&u) = ready.iter().next() {
-            ready.remove(&u);
-            order.push(NodeId(u));
-            for &v in &out_adj[u] {
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
-                    ready.insert(v);
+        while let Some((_, u)) = ready.pop_first() {
+            order.push(u);
+            for e in self.out_edges(u) {
+                indegree[e.to.0] -= 1;
+                if indegree[e.to.0] == 0 {
+                    ready.insert((key(e.to), e.to));
                 }
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        (order.len() == n).then_some(order)
     }
 
     /// The subgraph induced by `keep`, with nodes re-indexed densely in the
@@ -266,7 +310,7 @@ impl Tdg {
             .filter(|e| keep.contains(&e.from) && keep.contains(&e.to))
             .map(|e| TdgEdge { from: NodeId(mapping[e.from.0]), to: NodeId(mapping[e.to.0]), ..*e })
             .collect();
-        Tdg { nodes, edges, mode: self.mode }
+        Tdg::from_parts(nodes, edges, self.mode)
     }
 
     /// Recomputes `A(a,b)` on every edge under a (possibly different)
@@ -353,20 +397,17 @@ impl Tdg {
         copy
     }
 
-    pub(crate) fn push_node(&mut self, node: TdgNode) -> NodeId {
-        self.nodes.push(node);
-        NodeId(self.nodes.len() - 1)
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
-    pub(crate) fn push_edge(&mut self, edge: TdgEdge) {
-        debug_assert!(edge.from.0 < self.nodes.len() && edge.to.0 < self.nodes.len());
-        self.edges.push(edge);
-    }
-
-    /// Direct construction from parts, used by merging and tests.
+    /// The one constructor: every other construction path (a program,
+    /// merging, an induced subgraph, explicit MATs, deserialization) ends
+    /// here, so the adjacency index is built exactly once per graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a node index `>= nodes.len()`.
     pub(crate) fn from_parts(nodes: Vec<TdgNode>, edges: Vec<TdgEdge>, mode: AnalysisMode) -> Self {
-        Tdg { nodes, edges, mode }
+        let out = Csr::build(nodes.len(), &edges, |e| e.from);
+        let into = Csr::build(nodes.len(), &edges, |e| e.to);
+        Tdg { nodes, edges, mode, out, into }
     }
 
     /// The inverse of [`Tdg::from_parts`]: merging moves a graph's nodes
@@ -394,7 +435,38 @@ impl Tdg {
                 TdgEdge { from: NodeId(from), to: NodeId(to), dep, bytes }
             })
             .collect();
-        Tdg { nodes, edges, mode }
+        Tdg::from_parts(nodes, edges, mode)
+    }
+}
+
+/// The derived shape (`nodes`, `edges`, `mode`); the index is not part of
+/// the serialized form.
+impl Serialize for Tdg {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("nodes".to_owned(), self.nodes.to_value()),
+            ("edges".to_owned(), self.edges.to_value()),
+            ("mode".to_owned(), self.mode.to_value()),
+        ])
+    }
+}
+
+/// Reads the derived shape and rebuilds the index, after checking what
+/// the constructor takes on trust: every edge endpoint is a node.
+impl Deserialize for Tdg {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let nodes: Vec<TdgNode> = Deserialize::from_value(v.get_field("nodes")?)?;
+        let edges: Vec<TdgEdge> = Deserialize::from_value(v.get_field("edges")?)?;
+        let mode = Deserialize::from_value(v.get_field("mode")?)?;
+        if let Some(e) = edges.iter().find(|e| e.from.0.max(e.to.0) >= nodes.len()) {
+            return Err(serde::Error::custom(format!(
+                "edge {} -> {} names a node outside the graph's {} nodes",
+                e.from,
+                e.to,
+                nodes.len()
+            )));
+        }
+        Ok(Tdg::from_parts(nodes, edges, mode))
     }
 }
 
@@ -471,13 +543,14 @@ mod tests {
     #[test]
     fn cycle_detected() {
         let prog = chain_program(2, 4);
-        let mut tdg = Tdg::from_program(&prog, AnalysisMode::PaperLiteral);
-        tdg.push_edge(TdgEdge {
+        let (nodes, mut edges) = Tdg::from_program(&prog, AnalysisMode::PaperLiteral).into_parts();
+        edges.push(TdgEdge {
             from: NodeId(1),
             to: NodeId(0),
             dep: DependencyType::Match,
             bytes: 1,
         });
+        let tdg = Tdg::from_parts(nodes, edges, AnalysisMode::PaperLiteral);
         assert!(!tdg.is_dag());
         assert_eq!(tdg.topo_order(), None);
     }
@@ -609,6 +682,112 @@ mod tests {
         // And reanalyze back into relaxed form.
         relaxed.reanalyze(AnalysisMode::RelaxedState);
         assert!(relaxed.edges().iter().any(|e| e.dep.is_relaxed()));
+    }
+
+    /// The index must answer what a scan of [`Tdg::edges`] answers — same
+    /// edges, same order, current `dep` / `bytes` — and nothing for an id
+    /// the graph does not have.
+    fn assert_index_matches_scan(tdg: &Tdg) {
+        for id in tdg.node_ids() {
+            let out: Vec<&TdgEdge> = tdg.edges().iter().filter(|e| e.from == id).collect();
+            assert_eq!(tdg.out_edges(id).collect::<Vec<_>>(), out, "out-edges of {id}");
+            let into: Vec<&TdgEdge> = tdg.edges().iter().filter(|e| e.to == id).collect();
+            assert_eq!(tdg.in_edges(id).collect::<Vec<_>>(), into, "in-edges of {id}");
+        }
+        for foreign in [NodeId(tdg.node_count()), NodeId(usize::MAX)] {
+            assert_eq!(tdg.out_edges(foreign).count() + tdg.in_edges(foreign).count(), 0);
+        }
+    }
+
+    #[test]
+    fn index_matches_scan_on_every_construction_path() {
+        use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
+        let mut programs = library::real_programs();
+        programs.extend(library::aggregation::all());
+        for seed in 0..8 {
+            programs.extend(SyntheticGenerator::new(seed, SyntheticConfig::default()).programs(4));
+        }
+        // from_program, in both the conservative and the relaxing mode.
+        let mut graphs: Vec<Tdg> = programs
+            .iter()
+            .flat_map(|p| {
+                [AnalysisMode::PaperLiteral, AnalysisMode::RelaxedState]
+                    .map(|mode| Tdg::from_program(p, mode))
+            })
+            .collect();
+        // Merging: the ten library programs, and everything at once.
+        let literal = |ps: &[Program]| -> Vec<Tdg> {
+            ps.iter().map(|p| Tdg::from_program(p, AnalysisMode::PaperLiteral)).collect()
+        };
+        graphs.push(crate::merge_all(literal(&library::real_programs())));
+        graphs.push(crate::merge_all(literal(&programs)));
+        for tdg in &graphs {
+            assert_index_matches_scan(tdg);
+            // An induced subgraph re-indexes its nodes and drops edges.
+            let keep: BTreeSet<NodeId> = tdg.node_ids().filter(|id| id.index() % 3 != 1).collect();
+            assert_index_matches_scan(&tdg.induced(&keep));
+            // A serde round trip rebuilds the index on read.
+            let back = Tdg::from_value(&tdg.to_value()).expect("round trip");
+            assert_eq!(&back, tdg);
+            assert_index_matches_scan(&back);
+            assert_index_matches_scan(&tdg.with_uniform_edge_bytes(1));
+        }
+        // from_mats_and_edges, with edges given out of node order.
+        let chain = chain_program(4, 4);
+        let mats = chain.tables().iter().map(|t| (t.name().to_owned(), t.clone())).collect();
+        let explicit = Tdg::from_mats_and_edges(
+            mats,
+            vec![
+                (2, 3, DependencyType::Match),
+                (0, 3, DependencyType::Successor),
+                (0, 1, DependencyType::Match),
+                (1, 2, DependencyType::Match),
+            ],
+            AnalysisMode::PaperLiteral,
+        );
+        assert_index_matches_scan(&explicit);
+        assert_eq!(explicit.in_edges(NodeId(3)).map(|e| e.from.0).collect::<Vec<_>>(), [2, 0]);
+    }
+
+    #[test]
+    fn index_sees_rewritten_edges_after_every_mutating_pass() {
+        let mut programs = library::aggregation::all();
+        programs.push(library::ecmp_lb());
+        for p in &programs {
+            let mut tdg = Tdg::from_program(p, AnalysisMode::PaperLiteral);
+            tdg.relax_edges();
+            assert_index_matches_scan(&tdg);
+            tdg.restore_base_edges();
+            assert_index_matches_scan(&tdg);
+            for mode in
+                [AnalysisMode::Intersection, AnalysisMode::RelaxedState, AnalysisMode::PaperLiteral]
+            {
+                tdg.reanalyze(mode);
+                assert_index_matches_scan(&tdg);
+            }
+        }
+        // And they do rewrite something for the index to show: relaxing
+        // runs after construction, on edges the index already points at.
+        let relaxed =
+            Tdg::from_program(&library::aggregation::allreduce(), AnalysisMode::RelaxedState);
+        assert!(relaxed.node_ids().any(|id| relaxed.in_edges(id).any(|e| e.dep.is_relaxed())));
+    }
+
+    #[test]
+    fn deserialization_rejects_edges_that_name_no_node() {
+        let tdg = Tdg::from_program(&chain_program(3, 4), AnalysisMode::PaperLiteral);
+        for endpoint in ["from", "to"] {
+            let mut value = tdg.to_value();
+            let Value::Map(fields) = &mut value else { panic!("a TDG serializes as a map") };
+            let Value::Seq(edges) = &mut fields.iter_mut().find(|(k, _)| k == "edges").unwrap().1
+            else {
+                panic!("edges serialize as a seq")
+            };
+            let Value::Map(edge) = &mut edges[0] else { panic!("an edge serializes as a map") };
+            edge.iter_mut().find(|(k, _)| k == endpoint).unwrap().1 = Value::UInt(3);
+            let err = Tdg::from_value(&value).expect_err("node 3 of 3 does not exist");
+            assert!(err.to_string().contains("outside the graph's 3 nodes"), "{err}");
+        }
     }
 
     #[test]

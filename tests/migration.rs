@@ -2,8 +2,9 @@
 //!
 //! The scheduler side: schedules are deterministic, every step's
 //! transient `A_max` is exact (explicit re-evaluation reproduces it), the
-//! staged peak never exceeds the all-at-once baseline, and infeasible
-//! staging windows are refused up front. The executor side: a clean
+//! staged peak never exceeds the all-at-once baseline and sits at the
+//! `max(A_max(A), A_max(B))` lower bound on a committed sweep of plan
+//! pairs, and infeasible staging windows are refused up front. The executor side: a clean
 //! migration lands plan B with the full event trail (including the
 //! mixed-epoch prefix gate), and a workload the gate refuses is aborted
 //! with plan A untouched.
@@ -11,12 +12,12 @@
 use hermes::backend::{check_transition, config::generate, validate_plan, EpochTransition};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    MigrateError, MigrationOrder, MigrationProblem, MigrationScheduler, ProgramAnalyzer,
-    RedeployOptions, SearchContext,
+    Budgeted, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
+    MigrateError, MigrationOrder, MigrationProblem, MigrationScheduler, OptimalSolver,
+    ProgramAnalyzer, RedeployOptions, SearchContext,
 };
 use hermes::dataplane::library;
-use hermes::net::{topology, Network};
+use hermes::net::{topology, Network, SwitchId};
 use hermes::runtime::{
     DeploymentRuntime, Event, FaultInjector, MigrationConfig, RetryPolicy, EVENT_SCHEMA_VERSION,
 };
@@ -42,6 +43,17 @@ fn drain(tdg: Tdg, net: Network) -> (Tdg, Network, DeploymentPlan, DeploymentPla
     (tdg, net, plan_a, plan_b)
 }
 
+/// `net` with every switch reshaped to `stages` stages of 0.45 capacity, so
+/// that packing the 0.4-unit chain MATs binds.
+fn shaped(mut net: Network, stages: usize) -> Network {
+    for id in net.switch_ids().collect::<Vec<_>>() {
+        let sw = net.switch_mut(id);
+        sw.stages = stages;
+        sw.stage_capacity = 0.45;
+    }
+    net
+}
+
 /// The standard instance: a ten-MAT metadata chain on five tight switches.
 fn drain_instance() -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
     drain(chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4), tiny_switches(5, 5, 0.45))
@@ -50,14 +62,6 @@ fn drain_instance() -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
 /// The standard instance plus the two other drains `results/BENCH_migration.json`
 /// records: a star and a fat-tree, every switch reshaped so packing binds.
 fn drain_scenarios() -> Vec<(Tdg, Network, DeploymentPlan, DeploymentPlan)> {
-    let shaped = |mut net: Network, stages: usize| {
-        for id in net.switch_ids().collect::<Vec<_>>() {
-            let sw = net.switch_mut(id);
-            sw.stages = stages;
-            sw.stage_capacity = 0.45;
-        }
-        net
-    };
     vec![
         drain_instance(),
         drain(chain_tdg(&[4, 7, 3, 8, 2, 6, 5], 0.4), shaped(topology::star(4, 10.0), 5)),
@@ -75,7 +79,7 @@ fn schedules_are_deterministic_and_never_worse_than_all_at_once() {
         let first = MigrationScheduler::new().plan(&problem, &ctx()).expect("schedulable");
         for _ in 0..3 {
             let again = MigrationScheduler::new().plan(&problem, &ctx()).expect("schedulable");
-            assert_eq!(first, again, "Auto race must pick a timing-independent winner");
+            assert_eq!(first, again, "Auto must be deterministic");
         }
         let all_at_once = first.all_at_once_peak.expect("in-order is valid on a chain");
         assert!(
@@ -98,26 +102,107 @@ fn schedules_are_deterministic_and_never_worse_than_all_at_once() {
     }
 }
 
-#[test]
-fn ordering_policies_are_consistent() {
-    let (tdg, net, plan_a, plan_b) = drain_instance();
-    let problem = MigrationProblem { tdg: &tdg, net: &net, from: &plan_a, to: &plan_b };
-    let peak = |order: MigrationOrder| {
-        MigrationScheduler::with_order(order).plan(&problem, &ctx()).map(|s| s.peak_transient_amax)
+/// The plans a fabric's operator moves between: the greedy plan, that plan
+/// with each occupied switch drained, with each adjacent pair of occupied
+/// switches drained, and the exact plan. Empty when the workload does not
+/// fit the fabric at all.
+fn plan_family(tdg: &Tdg, net: &Network) -> Vec<DeploymentPlan> {
+    let eps = Epsilon::loose();
+    let Ok(greedy) = GreedyHeuristic::new().deploy(tdg, net, &eps) else {
+        return Vec::new();
     };
-    // In-order and exact always succeed on a schedulable instance; the
-    // myopic greedy may dead-end on the acyclicity constraint.
-    let auto = peak(MigrationOrder::Auto).expect("auto");
-    let exact = peak(MigrationOrder::Exact).expect("exact");
-    let in_order = peak(MigrationOrder::InOrder).expect("in-order");
-    // Exact is optimal over the searched space, which contains both the
-    // in-order permutation and (when it succeeds) greedy's choice — so it
-    // lower-bounds them, and Auto's best racer matches it.
-    assert!(exact <= in_order, "exact {exact} worse than in-order {in_order}");
-    if let Ok(greedy) = peak(MigrationOrder::Greedy) {
-        assert!(exact <= greedy, "exact {exact} worse than greedy {greedy}");
+    let occupied: Vec<SwitchId> = greedy.occupied_switches().into_iter().collect();
+    let singles = occupied.iter().map(|&s| vec![s]);
+    let doubles = occupied.windows(2).map(<[SwitchId]>::to_vec);
+    let mut family: Vec<DeploymentPlan> = singles
+        .chain(doubles)
+        .filter_map(|drained| {
+            let opts = RedeployOptions::excluding(drained);
+            IncrementalDeployer::new().redeploy_with(tdg, &greedy, tdg, net, &eps, &opts).ok()
+        })
+        .map(|outcome| outcome.plan)
+        .collect();
+    family.extend(
+        Budgeted::new(OptimalSolver::new(), Duration::from_secs(10)).deploy(tdg, net, &eps),
+    );
+    family.push(greedy);
+    family
+}
+
+/// The scheduler's verdict, as a test. No order can peak below
+/// `max(A_max(A), A_max(B))` — both endpoints are states of every order —
+/// so a schedule that meets that bound is optimal and needs no oracle
+/// search to say so. The sweeps recorded in DESIGN.md §12 (97 220 ordered
+/// plan pairs, 18 876 of them schedulable) never saw the exact racer
+/// strictly ahead of `Auto`'s greedy orderer, which is why the racer is
+/// gone. This is the committed slice, on which greedy meets the bound on
+/// every pair: seven subsets of the library on the stock fabrics and the
+/// three `BENCH_migration` chains on capacity-shaped ones, every ordered
+/// pair of each [`plan_family`].
+#[test]
+fn auto_order_meets_the_lower_bound_on_the_committed_sweep() {
+    let library = library::real_programs();
+    let subsets = [
+        0b11_1111_0000_u32,
+        0b00_0011_1111,
+        0b10_1010_1011,
+        0b11_1111_1111,
+        0b01_1101_1101,
+        0b11_0011_0011,
+        0b00_1111_1100,
+    ];
+    let stock = [topology::linear(3, 10.0), topology::linear(5, 10.0), topology::fat_tree(4, 10.0)];
+    let tight = [
+        shaped(topology::linear(6, 10.0), 5),
+        shaped(topology::linear(8, 10.0), 4),
+        shaped(topology::fat_tree(4, 10.0), 4),
+    ];
+    let chains = [
+        chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4),
+        chain_tdg(&[4, 7, 3, 8, 2, 6, 5], 0.4),
+        chain_tdg(&[9, 2, 7, 4, 8, 3, 6, 5, 2, 7, 4], 0.4),
+    ];
+    let mut instances: Vec<(Tdg, &Network)> = Vec::new();
+    for mask in subsets {
+        let picked: Vec<_> =
+            (0..library.len()).filter(|i| mask >> i & 1 == 1).map(|i| library[i].clone()).collect();
+        let tdg = ProgramAnalyzer::new().analyze(&picked);
+        instances.extend(stock.iter().map(|net| (tdg.clone(), net)));
     }
-    assert_eq!(auto, exact, "auto must find the optimum");
+    for tdg in chains {
+        instances.extend(tight.iter().map(|net| (tdg.clone(), net)));
+    }
+
+    let (mut schedulable, mut cyclic_in_order) = (0usize, 0usize);
+    for (tdg, net) in &instances {
+        let family = plan_family(tdg, net);
+        for (from, to) in family.iter().flat_map(|a| family.iter().map(move |b| (a, b))) {
+            if from == to {
+                continue;
+            }
+            let problem = MigrationProblem { tdg, net, from, to };
+            // Unschedulable pairs (a staging window that overflows, no
+            // acyclic order) are refusals, not verdicts on the orderer.
+            let Ok(schedule) = MigrationScheduler::new().plan(&problem, &ctx()) else {
+                continue;
+            };
+            schedulable += 1;
+            assert_eq!(
+                schedule.peak_transient_amax,
+                schedule.from_amax.max(schedule.to_amax),
+                "{} order on a {}-switch fabric peaks above both endpoints",
+                schedule.planner,
+                net.switch_count()
+            );
+            cyclic_in_order += usize::from(schedule.all_at_once_peak.is_none());
+        }
+    }
+    // 524 schedulable pairs, 7 of them with a cyclic ascending-id order,
+    // when this was committed; the floors leave room for solver drift.
+    assert!(schedulable >= 400, "the sweep shrank to {schedulable} schedulable pairs");
+    // Ordering earns its place: the ascending-id order an all-at-once
+    // transaction uses is cyclic on some pairs Auto still schedules.
+    assert!(cyclic_in_order > 0, "no committed pair has a cyclic ascending-id order");
 }
 
 #[test]
