@@ -37,23 +37,25 @@ cargo test -q --release --workspace
 
 echo "==> parallel deploy determinism smoke (--threads 4 vs --threads 1, byte-diff)"
 # A 4-worker deploy must emit byte-identical artifacts to a single-worker
-# deploy of the same workload — the CLI face of the determinism guarantee.
-dep_1="$(cargo run -q --release -p hermes-cli --bin hermes -- \
-  deploy tests/fixtures/audit_workload.p4dsl --topology linear:3 \
-  --solver exact --threads 1 --json)"
-dep_4a="$(cargo run -q --release -p hermes-cli --bin hermes -- \
-  deploy tests/fixtures/audit_workload.p4dsl --topology linear:3 \
-  --solver exact --threads 4 --json)"
-dep_4b="$(cargo run -q --release -p hermes-cli --bin hermes -- \
-  deploy tests/fixtures/audit_workload.p4dsl --topology linear:3 \
-  --solver exact --threads 4 --json)"
-if [[ "$dep_1" != "$dep_4a" || "$dep_4a" != "$dep_4b" ]]; then
-  echo "deploy --threads output diverges across worker counts or runs:" >&2
-  diff <(printf '%s\n' "$dep_1") <(printf '%s\n' "$dep_4a") >&2 || true
-  diff <(printf '%s\n' "$dep_4a") <(printf '%s\n' "$dep_4b") >&2 || true
-  exit 1
-fi
-echo "deploy --threads 4 matches --threads 1 byte-for-byte"
+# deploy of the same workload — the CLI face of the determinism guarantee,
+# for the exact search and for the portfolio whose last stage it is.
+deploy() {
+  cargo run -q --release -p hermes-cli --bin hermes -- \
+    deploy tests/fixtures/audit_workload.p4dsl --topology linear:3 \
+    --solver "$1" --threads "$2" --json
+}
+for solver in exact portfolio; do
+  dep_1="$(deploy "$solver" 1)"
+  dep_4a="$(deploy "$solver" 4)"
+  dep_4b="$(deploy "$solver" 4)"
+  if [[ "$dep_1" != "$dep_4a" || "$dep_4a" != "$dep_4b" ]]; then
+    echo "deploy --solver $solver --threads output diverges across worker counts or runs:" >&2
+    diff <(printf '%s\n' "$dep_1") <(printf '%s\n' "$dep_4a") >&2 || true
+    diff <(printf '%s\n' "$dep_4a") <(printf '%s\n' "$dep_4b") >&2 || true
+    exit 1
+  fi
+  echo "deploy --solver $solver --threads 4 matches --threads 1 byte-for-byte"
+done
 
 echo "==> chaos rollout smoke under --threads 4 (fixed seed)"
 cargo run -q --release -p hermes-cli --bin hermes -- \

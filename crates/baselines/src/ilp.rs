@@ -184,20 +184,13 @@ impl IlpBaseline {
         if binaries > self.config.max_binaries || rank_cells > self.config.max_rank_cells {
             return self.surrogate(tdg, net, eps);
         }
-        // Budget: the context when racing, the configured limit otherwise.
-        // The shared incumbent is NOT passed down — it bounds A_max, which
-        // is not what these models minimize.
-        let controls = match ctx {
-            Some(ctx) => SolveControls {
-                deadline: ctx.deadline(),
-                stop: Some(ctx.cancel_token().as_flag()),
-                upper_bound: None,
-            },
-            None => SolveControls {
-                deadline: Some(Instant::now() + self.config.time_limit),
-                ..Default::default()
-            },
+        // Budget: the context's when there is one, the configured limit
+        // otherwise (a limit past the end of time is no deadline).
+        let deadline = match ctx {
+            Some(ctx) => ctx.deadline(),
+            None => Instant::now().checked_add(self.config.time_limit),
         };
+        let controls = SolveControls { deadline };
         match solve_assignment(tdg, net, eps, &candidates, self.objective, &controls) {
             Some(assign) => materialize(tdg, net, &candidates, &assign)
                 .filter(|p| p.end_to_end_latency_us() <= eps.max_latency_us)

@@ -41,7 +41,7 @@ pub fn standard_suite(ilp_budget: Duration) -> Vec<Box<dyn DeploymentAlgorithm>>
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
         Box::new(GreedyHeuristic::new()),
-        Box::new(Budgeted::new(OptimalSolver::default(), ilp_budget)),
+        Box::new(Budgeted::new(OptimalSolver::new(), ilp_budget)),
     ]
 }
 

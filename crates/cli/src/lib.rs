@@ -266,9 +266,7 @@ pub fn resolve_order(spec: &OrderSpec, net: &Network) -> Result<MigrationOrder, 
     Ok(MigrationOrder::Explicit(order))
 }
 
-/// The valid `--solver` names, in display order. Aliases (`hermes`,
-/// `optimal`, `ilp`, `min-stage`, `flightplan`) are accepted but not
-/// listed.
+/// The valid `--solver` names, in display order.
 pub const SOLVER_NAMES: &[&str] = &[
     "greedy",
     "exact",
@@ -332,21 +330,19 @@ pub fn solver_with_threads(
 ) -> Result<Box<dyn DeploymentAlgorithm>, UnknownSolverError> {
     let config = IlpConfig { time_limit, ..Default::default() };
     Ok(match name.to_ascii_lowercase().as_str() {
-        "greedy" | "hermes" => Box::new(GreedyHeuristic::new()),
-        "exact" | "optimal" => {
-            Box::new(Budgeted::new(OptimalSolver::default(), time_limit).with_threads(threads))
-        }
-        "milp" | "ilp" => Box::new(Budgeted::new(MilpHermes::default(), time_limit)),
+        "greedy" => Box::new(GreedyHeuristic::new()),
+        "exact" => Box::new(Budgeted::new(OptimalSolver::new(), time_limit).with_threads(threads)),
+        "milp" => Box::new(Budgeted::new(MilpHermes::default(), time_limit)),
         "portfolio" => {
             Box::new(Budgeted::new(Portfolio::greedy_exact(), time_limit).with_threads(threads))
         }
         "ffl" => Box::new(FirstFitByLevel),
         "ffls" => Box::new(FirstFitByLevelAndSize),
-        "ms" | "min-stage" => Box::new(IlpBaseline::min_stage(config)),
+        "ms" => Box::new(IlpBaseline::min_stage(config)),
         "sonata" => Box::new(Sonata::new(config)),
         "speed" => Box::new(IlpBaseline::speed(config)),
         "mtp" => Box::new(IlpBaseline::mtp(config)),
-        "fp" | "flightplan" => Box::new(IlpBaseline::flightplan(config)),
+        "fp" => Box::new(IlpBaseline::flightplan(config)),
         "p4all" => Box::new(IlpBaseline::p4all(config)),
         other => return Err(UnknownSolverError { given: other.to_owned() }),
     })
@@ -486,8 +482,8 @@ seeded fault injector and the given channel. Every schedule prefix is
 verified against per-stage capacity and the mixed-epoch consistency gate
 before the first commit; a mid-migration failure rolls back to plan A.
 
-`--threads N` caps the worker pool of the parallel exact search (and the
-per-racer budget of the portfolio) at N OS threads; the default is the
+`--threads N` caps the worker pool of the parallel exact search (`exact`,
+and the exact stage of `portfolio`) at N OS threads; the default is the
 machine's available parallelism. Results are byte-identical at every
 thread count.
 
@@ -1352,16 +1348,36 @@ mod tests {
         for name in SOLVER_NAMES {
             assert!(solver(name, Duration::from_secs(1)).is_ok(), "{name}");
         }
-        // Aliases from before the unification keep working.
-        for alias in ["hermes", "optimal", "ilp", "min-stage", "flightplan"] {
-            assert!(solver(alias, Duration::from_secs(1)).is_ok(), "{alias}");
+        // Nothing outside the list resolves, an older spelling included.
+        for retired in ["hermes", "optimal", "ilp", "min-stage", "flightplan", "gurobi"] {
+            let e = match solver(retired, Duration::from_secs(1)) {
+                Err(e) => e,
+                Ok(_) => panic!("`{retired}` accepted"),
+            };
+            assert_eq!(e.given, retired);
+            assert!(e.to_string().ends_with(&format!("(valid: {})", SOLVER_NAMES.join(", "))));
         }
-        let e = match solver("gurobi", Duration::from_secs(1)) {
-            Err(e) => e,
-            Ok(_) => panic!("`gurobi` accepted"),
+    }
+
+    #[test]
+    fn time_limit_past_the_end_of_time_is_no_deadline() {
+        // No `Instant` is that far away: the deadline must not be computed
+        // by an overflowing addition.
+        let fixture =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/audit_workload.p4dsl");
+        let report = |command: &[&str], limit: &str| {
+            let argv = [command, &[fixture, "--time-limit", limit]].concat();
+            let mut out = Vec::new();
+            run(&parse_args(&args(&argv)).unwrap(), &mut out).unwrap();
+            String::from_utf8(out).unwrap()
         };
-        assert_eq!(e.given, "gurobi");
-        assert!(e.to_string().contains("portfolio"), "{e}");
+        for command in [
+            &["deploy", "--topology", "linear:3", "--solver", "exact"][..],
+            &["deploy", "--topology", "linear:3", "--solver", "ms"],
+            &["migrate", "--topology", "linear:4", "--exclude", "0"],
+        ] {
+            assert_eq!(report(command, &u64::MAX.to_string()), report(command, "10"));
+        }
     }
 
     #[test]

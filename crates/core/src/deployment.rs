@@ -333,11 +333,11 @@ pub enum DeployError {
     },
     /// The network has no programmable switch.
     NoProgrammableSwitch,
-    /// An exhaustive search finished its whole space without beating the
-    /// incumbent bound published by another solver: that bound is thereby
-    /// *proven optimal*, but this solver holds no plan of its own. A
-    /// portfolio turns this into an optimality certificate for the
-    /// bound-holder's plan.
+    /// The exact search finished its whole space without beating the
+    /// incumbent bound its caller published, and its own greedy seed found
+    /// no plan either: that bound is thereby *proven optimal* — a
+    /// certificate for the plan the caller holds — but the search has no
+    /// plan of its own.
     NoImprovementProven {
         /// The externally published bound proven unimprovable.
         bound: u64,

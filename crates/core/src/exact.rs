@@ -24,22 +24,26 @@
 //!   search only ever opens one fresh switch at a time (symmetry breaking);
 //! - the pruning bound combines the subtree's own best leaf, the incumbent
 //!   captured at solve entry, and the live shared incumbent of the
-//!   [`SearchContext`] — in a [`crate::solver::Portfolio`] race the greedy
-//!   racer's early bound prunes this search;
-//! - in stand-alone (seeded) mode the greedy heuristic provides the
-//!   initial incumbent.
+//!   [`SearchContext`];
+//! - the greedy heuristic provides the initial incumbent, and a seed at
+//!   the context's proven objective floor (0 unless a
+//!   [`Precheck`](crate::precheck::Precheck) raised it, as
+//!   [`crate::solver::Portfolio`] does) is returned without a search.
 //!
 //! # Parallel search
 //!
 //! The DFS is sharded into **independent subtree tasks**: a breadth-first
 //! frontier expansion (in exact DFS candidate order) splits the tree at a
 //! depth where enough independent subtree roots exist to feed the worker
-//! pool, and each scoped worker claims the next canonical root from one
-//! shared atomic cursor and runs an iterative DFS over it with its own
+//! pool, and each worker claims the next canonical root from one shared
+//! atomic cursor and runs an iterative DFS over it with its own
 //! reversible [`IncrementalEval`] + stage-packing state (reset and
 //! replayed per root — no cross-worker sharing of mutable state). Search
 //! frames live in a per-worker arena (`Vec<Frame>`) that is reused across
-//! subtrees, so steady-state search allocates nothing.
+//! subtrees, so steady-state search allocates nothing. The calling thread
+//! is worker 0; the scoped helper threads start only once it has explored
+//! `HELPER_START_NODES` nodes, so a search that ends sooner — most do —
+//! never pays for a thread it cannot use.
 //!
 //! **Determinism:** results are byte-identical to the sequential search
 //! regardless of worker count or timing. Each worker accepts a leaf only
@@ -68,6 +72,7 @@ use hermes_net::{shortest_path, Network, SwitchId, CAP_TOL};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Target number of subtree roots per worker when splitting the search
@@ -76,34 +81,21 @@ use std::time::Instant;
 /// cost of more prefix replays.
 const ROOTS_PER_WORKER: usize = 8;
 
-/// Exact `A_max` minimizer driven entirely by a [`SearchContext`] (no
-/// private time budget).
-#[derive(Debug, Clone)]
-pub struct OptimalSolver {
-    /// When `true` (the default), the greedy heuristic seeds the incumbent
-    /// before the search, so a deadline expiry still returns a plan. A
-    /// portfolio uses [`OptimalSolver::bare`] instead — the greedy racer
-    /// already publishes that incumbent, and re-deriving it here would
-    /// erase the portfolio's wall-clock advantage.
-    pub seed_with_heuristic: bool,
-}
+/// Nodes the calling thread explores on its own before the helper threads
+/// start taking roots (a multiple of the 64-node poll cadence). Starting a
+/// thread costs about what exploring a few hundred nodes does.
+const HELPER_START_NODES: u64 = 4096;
 
-impl Default for OptimalSolver {
-    fn default() -> Self {
-        OptimalSolver { seed_with_heuristic: true }
-    }
-}
+/// Exact `A_max` minimizer driven entirely by a [`SearchContext`] (no
+/// private time budget). The greedy heuristic seeds the incumbent before
+/// the search, so a deadline expiry still returns a plan.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OptimalSolver;
 
 impl OptimalSolver {
-    /// The stand-alone configuration (greedy-seeded incumbent).
+    /// The exact solver.
     pub fn new() -> Self {
-        OptimalSolver::default()
-    }
-
-    /// The portfolio configuration: no internal heuristic seed; the
-    /// incumbent bound arrives through the shared [`SearchContext`].
-    pub fn bare() -> Self {
-        OptimalSolver { seed_with_heuristic: false }
+        OptimalSolver
     }
 
     /// Like [`Solver::solve`], but also reports parallel-search telemetry
@@ -138,31 +130,30 @@ impl OptimalSolver {
             );
         }
 
-        // Stand-alone mode: seed with the heuristic so deadline expiry
-        // still has a plan to return.
+        // Seed with the heuristic so deadline expiry still has a plan to
+        // return.
         let mut seed_plan: Option<(u64, DeploymentPlan)> = None;
-        if self.seed_with_heuristic {
-            if let Ok(plan) = GreedyHeuristic::new().deploy(tdg, net, eps) {
-                let objective = plan.max_inter_switch_bytes(tdg);
-                ctx.publish_incumbent(objective);
-                if objective == 0 {
-                    // A zero-overhead incumbent is already optimal.
-                    return (
-                        Ok(SolveOutcome {
-                            plan,
-                            objective: 0,
-                            proven_optimal: true,
-                            stats: SolveStats {
-                                nodes_explored: 0,
-                                wall: start.elapsed(),
-                                proven_bound: Some(0),
-                            },
-                        }),
-                        ParallelStats::default(),
-                    );
-                }
-                seed_plan = Some((objective, plan));
+        if let Ok(plan) = GreedyHeuristic::new().deploy(tdg, net, eps) {
+            let objective = plan.max_inter_switch_bytes(tdg);
+            ctx.publish_incumbent(objective);
+            if objective <= ctx.objective_floor() {
+                // An incumbent at the proven floor (zero overhead, when no
+                // floor was raised) is already optimal.
+                return (
+                    Ok(SolveOutcome {
+                        plan,
+                        objective,
+                        proven_optimal: true,
+                        stats: SolveStats {
+                            nodes_explored: 0,
+                            wall: start.elapsed(),
+                            proven_bound: Some(objective),
+                        },
+                    }),
+                    ParallelStats::default(),
+                );
             }
+            seed_plan = Some((objective, plan));
         }
         if ctx.incumbent_bound() == 0 {
             // Nothing can beat a zero bound published elsewhere.
@@ -233,24 +224,28 @@ impl OptimalSolver {
         drop(enumerator);
 
         // Phase 2: subtree execution; workers take roots in canonical
-        // order from one shared cursor.
-        let workers = if enum_stopped || frontier.count == 0 {
-            0
-        } else {
-            requested_workers.min(frontier.count)
-        };
+        // order from one shared cursor (a stopped enumeration leaves none).
+        // The calling thread is worker 0 and starts the helpers from its
+        // poll once it has explored `HELPER_START_NODES`.
+        let workers = requested_workers.min(frontier.count);
         let cursor = AtomicU32::new(0);
-        let outs: Vec<WorkerOut> = match workers {
-            0 => Vec::new(),
-            1 => vec![run_worker(&shared, &frontier, &cursor)],
-            _ => std::thread::scope(|scope| {
-                let (shared, frontier, cursor) = (&shared, &frontier, &cursor);
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(move || run_worker(shared, frontier, cursor)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-            }),
-        };
+        let outs: Mutex<Vec<WorkerOut>> = Mutex::new(Vec::with_capacity(workers));
+        if workers > 0 {
+            std::thread::scope(|scope| {
+                let (shared, frontier, cursor, outs) = (&shared, &frontier, &cursor, &outs);
+                let finish = move |out| {
+                    outs.lock().expect("a worker panicked while holding the results").push(out)
+                };
+                let start_helpers = move || {
+                    for _ in 1..workers {
+                        scope.spawn(move || finish(run_worker(shared, frontier, cursor, None)));
+                    }
+                };
+                finish(run_worker(shared, frontier, cursor, Some(&start_helpers)));
+            });
+        }
+        let outs = outs.into_inner().expect("a worker panicked while holding the results");
+        let workers = outs.len();
 
         // Phase 3: deterministic reduction — the lexicographic minimum
         // over (objective, canonical subtree index), i.e. the lowest-index
@@ -297,7 +292,8 @@ impl OptimalSolver {
             Some((objective, plan)) => Ok(SolveOutcome {
                 plan,
                 objective,
-                proven_optimal: exhausted && objective <= shared_bound,
+                proven_optimal: exhausted && objective <= shared_bound
+                    || objective <= ctx.objective_floor(),
                 stats: SolveStats { nodes_explored: explored, wall: start.elapsed(), proven_bound },
             }),
             None if exhausted && shared_bound != crate::solver::NO_BOUND => {
@@ -353,7 +349,8 @@ impl DeploymentAlgorithm for OptimalSolver {
 /// outcome: live-bound prune counts depend on thread timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Worker threads the subtree pool actually ran with.
+    /// Workers the subtree pool actually ran with: the calling thread plus
+    /// the helpers, if the search was long enough to start them.
     pub workers: usize,
     /// Depth of the subtree-splitting frontier.
     pub frontier_depth: usize,
@@ -456,8 +453,13 @@ struct WorkerOut {
 /// the context stops the search. The cursor publishes no data (the
 /// frontier is immutable and every claimed index is distinct), so
 /// `Relaxed` suffices; which worker runs a root never reaches the result.
-fn run_worker(sh: &SharedSearch<'_>, frontier: &Frontier, cursor: &AtomicU32) -> WorkerOut {
-    let mut ex = Explorer::new(sh);
+fn run_worker<'a>(
+    sh: &'a SharedSearch<'a>,
+    frontier: &Frontier,
+    cursor: &AtomicU32,
+    start_helpers: Option<&'a dyn Fn()>,
+) -> WorkerOut {
+    let mut ex = Explorer { start_helpers, ..Explorer::new(sh) };
     while !ex.stopped {
         let root = cursor.fetch_add(1, Ordering::Relaxed);
         if root as usize >= frontier.count {
@@ -501,6 +503,8 @@ struct Explorer<'a> {
     explored: u64,
     bound_prunes: u64,
     stopped: bool,
+    /// Worker 0 only: spawns the helper threads, once.
+    start_helpers: Option<&'a dyn Fn()>,
 }
 
 impl<'a> Explorer<'a> {
@@ -524,6 +528,7 @@ impl<'a> Explorer<'a> {
             explored: 0,
             bound_prunes: 0,
             stopped: false,
+            start_helpers: None,
         }
     }
 
@@ -547,14 +552,22 @@ impl<'a> Explorer<'a> {
     }
 
     /// Node-entry prologue shared by every depth: count, poll the deadline
-    /// (amortized — `Instant::now` costs more than a whole branch step),
-    /// apply the incumbent cut, accept leaves. Returns `true` when the
-    /// node's children should be explored.
+    /// (amortized — `Instant::now` costs more than a whole branch step)
+    /// and, on worker 0, the helper threshold; apply the incumbent cut,
+    /// accept leaves. Returns `true` when the node's children should be
+    /// explored.
     fn enter(&mut self, depth: usize) -> bool {
         self.explored += 1;
-        if (self.explored == 1 || self.explored & 0x3F == 0) && self.sh.ctx.should_stop() {
-            self.stopped = true;
-            return false;
+        if self.explored == 1 || self.explored & 0x3F == 0 {
+            if self.sh.ctx.should_stop() {
+                self.stopped = true;
+                return false;
+            }
+            if self.explored >= HELPER_START_NODES {
+                if let Some(start) = self.start_helpers.take() {
+                    start();
+                }
+            }
         }
         if self.cut(self.eval.amax()) {
             self.bound_prunes += 1;
@@ -821,13 +834,14 @@ mod tests {
     use hermes_dataplane::library;
     use hermes_dataplane::mat::{Mat, MatchKind};
     use hermes_dataplane::program::Program;
+    use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
     use hermes_net::Switch;
     use hermes_tdg::AnalysisMode;
     use std::num::NonZeroUsize;
     use std::time::Duration;
 
     fn solve_default(tdg: &Tdg, net: &Network, eps: &Epsilon) -> Result<SolveOutcome, DeployError> {
-        OptimalSolver::default().solve(
+        OptimalSolver::new().solve(
             tdg,
             net,
             eps,
@@ -924,30 +938,24 @@ mod tests {
         let tdg = chain_tdg(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.5);
         let net = tiny_switches(12, 2, 0.5);
         let ctx = SearchContext::with_time_limit(Duration::ZERO);
-        let out = OptimalSolver::default().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap();
+        let out = OptimalSolver::new().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap();
         assert!(!out.proven_optimal);
         assert!(!out.plan.placements().is_empty());
     }
 
     #[test]
-    fn bare_solver_with_expired_deadline_has_no_plan() {
-        let tdg = chain_tdg(&[1, 2, 3], 0.5);
-        let net = tiny_switches(3, 2, 0.5);
-        let ctx = SearchContext::with_time_limit(Duration::ZERO);
-        let err = OptimalSolver::bare().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap_err();
-        assert!(matches!(err, DeployError::NoFeasiblePlacement { .. }));
-    }
-
-    #[test]
-    fn bare_solver_proves_an_external_bound() {
-        // Publish the true optimum externally: the bare search exhausts
-        // without improving on it and returns the proof.
-        let tdg = chain_tdg(&[1, 4], 0.5);
+    fn exhaustion_without_a_plan_certifies_a_published_bound() {
+        // 3 x 0.8 of demand over 2 x 1.0 of capacity: neither the seed nor
+        // the search finds a plan, so under a bound the caller published
+        // the exhaustion is that bound's certificate, not a failure.
+        let tdg = chain_tdg(&[1, 1], 0.8);
         let net = tiny_switches(2, 2, 0.5);
         let ctx = SearchContext::unbounded();
-        ctx.publish_incumbent(1);
-        let err = OptimalSolver::bare().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap_err();
-        assert_eq!(err, DeployError::NoImprovementProven { bound: 1 });
+        ctx.publish_incumbent(5);
+        let err = OptimalSolver::new().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap_err();
+        assert_eq!(err, DeployError::NoImprovementProven { bound: 5 });
+        let err = solve_default(&tdg, &net, &Epsilon::loose()).unwrap_err();
+        assert!(matches!(err, DeployError::NoFeasiblePlacement { .. }), "{err}");
     }
 
     #[test]
@@ -972,25 +980,29 @@ mod tests {
     fn deploy_api_still_works() {
         let tdg = chain_tdg(&[1, 4], 0.5);
         let net = tiny_switches(2, 2, 0.5);
-        let plan = OptimalSolver::default().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
+        let plan = OptimalSolver::new().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
         assert_eq!(plan.max_inter_switch_bytes(&tdg), 1);
     }
 
     #[test]
     fn outcome_is_identical_across_worker_counts() {
-        // The ten-program library on the three-switch testbed: independent
-        // programs, so the frontier holds several roots per worker and
-        // their subtrees differ widely in size — roots finish, and the
-        // next ones are claimed, out of worker order.
-        let (tdg, net) = crate::test_support::linear_testbed(&library::real_programs());
+        // The ten-program library plus three synthetic programs on the
+        // three-switch testbed (≈5·10⁴ nodes at one worker, so the helpers
+        // start): independent programs, so the frontier holds several
+        // roots per worker and their subtrees differ widely in size —
+        // roots finish, and the next ones are claimed, out of worker order.
+        let config = SyntheticConfig { tables_min: 3, tables_max: 6, ..Default::default() };
+        let mut programs = library::real_programs();
+        programs.extend(SyntheticGenerator::new(3, config).programs(3));
+        let (tdg, net) = crate::test_support::linear_testbed(&programs);
         let eps = Epsilon::loose();
         let solve = |workers: usize| {
             let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(workers).unwrap());
-            let (result, stats) =
-                OptimalSolver::default().solve_instrumented(&tdg, &net, &eps, &ctx);
+            let (result, stats) = OptimalSolver::new().solve_instrumented(&tdg, &net, &eps, &ctx);
             (result.unwrap(), stats)
         };
-        let (reference, _) = solve(1);
+        let (reference, one) = solve(1);
+        assert_eq!(one.workers, 1, "{one:?}");
         for workers in 2..=8 {
             let (out, stats) = solve(workers);
             assert_eq!(stats.workers, workers, "{stats:?}");
@@ -1003,19 +1015,16 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_solve_reports_frontier_telemetry() {
-        // Bare solver, no incumbent: the frontier cannot be pruned away
-        // during enumeration, so subtree roots must reach the pool.
-        let tdg = chain_tdg(&[1, 4, 2, 8], 0.5);
-        let net = tiny_switches(3, 2, 0.5);
+    fn a_short_search_never_starts_the_helpers() {
+        // The library alone is settled in ≈10³ nodes, under the helper
+        // threshold: the calling thread is the whole pool.
+        let (tdg, net) = crate::test_support::linear_testbed(&library::real_programs());
         let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(4).unwrap());
         let (result, stats) =
-            OptimalSolver::bare().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
-        let out = result.unwrap();
-        assert!(out.proven_optimal);
-        assert!(stats.workers >= 1 && stats.workers <= 4, "{stats:?}");
-        assert!(stats.subtree_roots >= stats.workers, "{stats:?}");
-        assert!(stats.frontier_depth >= 1, "{stats:?}");
+            OptimalSolver::new().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
+        assert!(result.unwrap().proven_optimal);
+        assert!(stats.subtree_roots > 4, "{stats:?}");
+        assert_eq!(stats.workers, 1, "{stats:?}");
     }
 
     #[test]
@@ -1027,7 +1036,7 @@ mod tests {
         let net = tiny_switches(3, 2, 0.5);
         let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(4).unwrap());
         let (result, stats) =
-            OptimalSolver::default().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
+            OptimalSolver::new().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
         let out = result.unwrap();
         assert!(out.proven_optimal);
         assert!(stats.subtree_roots == 0 || stats.workers >= 1, "{stats:?}");

@@ -397,48 +397,6 @@ impl DeploymentAlgorithm for GreedyHeuristic {
         net: &Network,
         eps: &Epsilon,
     ) -> Result<DeploymentPlan, DeployError> {
-        self.deploy_inner(tdg, net, eps, None)
-    }
-}
-
-impl Solver for GreedyHeuristic {
-    fn solve(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        ctx: &SearchContext,
-    ) -> Result<SolveOutcome, DeployError> {
-        let start = Instant::now();
-        let plan = self.deploy_inner(tdg, net, eps, Some(ctx))?;
-        let objective = plan.max_inter_switch_bytes(tdg);
-        ctx.publish_incumbent(objective);
-        Ok(SolveOutcome {
-            plan,
-            objective,
-            // Zero bytes is a global lower bound, so a zero-overhead plan
-            // is optimal; otherwise the heuristic proves nothing.
-            proven_optimal: objective == 0,
-            stats: SolveStats {
-                nodes_explored: 0,
-                wall: start.elapsed(),
-                proven_bound: (objective == 0).then_some(0),
-            },
-        })
-    }
-}
-
-impl GreedyHeuristic {
-    /// The full deploy pipeline; when racing in a portfolio (`ctx` set),
-    /// the pre-refinement plan's objective is published as an incumbent
-    /// before the refinement pass starts hill-climbing.
-    fn deploy_inner(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        ctx: Option<&SearchContext>,
-    ) -> Result<DeploymentPlan, DeployError> {
         let programmable = net.programmable_switches();
         if programmable.is_empty() {
             return Err(DeployError::NoProgrammableSwitch);
@@ -472,7 +430,7 @@ impl GreedyHeuristic {
                     continue;
                 }
                 if let Some(plan) = self.try_place(tdg, net, eps, &segments, &candidates) {
-                    return Ok(self.maybe_refine(tdg, net, plan, eps, ctx));
+                    return Ok(self.maybe_refine(tdg, net, plan, eps));
                 }
             }
             if pass == 0 {
@@ -488,7 +446,7 @@ impl GreedyHeuristic {
         // cost of overhead-oblivious cuts — which the refinement pass then
         // claws back move by move.
         if let Some(plan) = self.first_fit_fallback(tdg, net, eps) {
-            return Ok(self.maybe_refine(tdg, net, plan, eps, ctx));
+            return Ok(self.maybe_refine(tdg, net, plan, eps));
         }
         Err(DeployError::NoFeasiblePlacement {
             reason: format!(
@@ -502,23 +460,44 @@ impl GreedyHeuristic {
     }
 }
 
+impl Solver for GreedyHeuristic {
+    fn solve(
+        &self,
+        tdg: &Tdg,
+        net: &Network,
+        eps: &Epsilon,
+        ctx: &SearchContext,
+    ) -> Result<SolveOutcome, DeployError> {
+        let start = Instant::now();
+        let plan = self.deploy(tdg, net, eps)?;
+        let objective = plan.max_inter_switch_bytes(tdg);
+        ctx.publish_incumbent(objective);
+        Ok(SolveOutcome {
+            plan,
+            objective,
+            // Zero bytes is a global lower bound, so a zero-overhead plan
+            // is optimal; otherwise the heuristic proves nothing.
+            proven_optimal: objective == 0,
+            stats: SolveStats {
+                nodes_explored: 0,
+                wall: start.elapsed(),
+                proven_bound: (objective == 0).then_some(0),
+            },
+        })
+    }
+}
+
 impl GreedyHeuristic {
     /// Local-search refinement is part of the full Hermes pipeline; the
     /// ablation split strategies stay unrefined so their comparisons
-    /// isolate the splitting objective. With a [`SearchContext`] present
-    /// the unrefined plan's objective is published *before* refinement —
-    /// the "publish early" half of the anytime-portfolio contract.
+    /// isolate the splitting objective.
     fn maybe_refine(
         &self,
         tdg: &Tdg,
         net: &Network,
         plan: DeploymentPlan,
         eps: &Epsilon,
-        ctx: Option<&SearchContext>,
     ) -> DeploymentPlan {
-        if let Some(ctx) = ctx {
-            ctx.publish_incumbent(plan.max_inter_switch_bytes(tdg));
-        }
         match self.strategy {
             SplitStrategy::MinMetadata => crate::refine::refine(tdg, net, plan, eps, REFINE_BUDGET),
             _ => plan,

@@ -55,11 +55,11 @@ pub struct RedeployOptions {
     /// are dropped and their MATs re-homed into residual capacity
     /// elsewhere; the full-redeploy fallback also avoids them.
     pub exclude: BTreeSet<SwitchId>,
-    /// When set, the full-redeploy fallback races the greedy heuristic
-    /// against the exact search ([`Portfolio::greedy_exact`]) under this
-    /// wall-clock budget instead of running the heuristic alone: the
-    /// heuristic guarantees a fast answer, and the exact search improves
-    /// on it whenever the instance is small enough to finish in time.
+    /// When set, the full-redeploy fallback follows the greedy heuristic
+    /// with the exact search it seeds ([`Portfolio::greedy_exact`]) under
+    /// this wall-clock budget instead of running the heuristic alone: the
+    /// heuristic guarantees an answer, and the exact search improves on it
+    /// whenever the instance is small enough to finish in time.
     /// `None` (the default) keeps the plain heuristic fallback.
     pub exact_budget_ms: Option<u64>,
 }
@@ -70,7 +70,7 @@ impl RedeployOptions {
         RedeployOptions { exclude: switches.into_iter().collect(), ..Default::default() }
     }
 
-    /// Builder: race greedy vs exact under `budget` on full redeploys.
+    /// Builder: greedy then exact under `budget` on full redeploys.
     #[must_use]
     pub fn with_exact_budget(mut self, budget: Duration) -> Self {
         self.exact_budget_ms = Some(budget.as_millis().try_into().unwrap_or(u64::MAX));
@@ -391,11 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_budget_races_portfolio_on_full_redeploy() {
+    fn exact_budget_runs_the_portfolio_on_full_redeploy() {
         // Two independent chains whose fabricated old plan crosses them
         // over the switches in opposite directions: the old visit order is
         // cyclic, so pinning always aborts and the fallback runs. With an
-        // exact budget, the fallback is the greedy-vs-exact portfolio.
+        // exact budget, the fallback is the greedy-then-exact portfolio.
         use crate::deployment::StagePlacement;
         let programs = hermes_dataplane::parser::parse_programs(
             "program p1 { metadata m.a: 4;
@@ -420,9 +420,9 @@ mod tests {
         }
         let eps = Epsilon::loose();
         let deployer = IncrementalDeployer::new();
-        let raced = RedeployOptions::default().with_exact_budget(Duration::from_secs(5));
-        assert_eq!(raced.exact_budget_ms, Some(5_000));
-        let out = deployer.redeploy_with(&tdg, &fake, &tdg, &net, &eps, &raced).unwrap();
+        let budgeted = RedeployOptions::default().with_exact_budget(Duration::from_secs(5));
+        assert_eq!(budgeted.exact_budget_ms, Some(5_000));
+        let out = deployer.redeploy_with(&tdg, &fake, &tdg, &net, &eps, &budgeted).unwrap();
         assert!(out.full_redeploy, "cyclic old order must force the fallback");
         assert!(verify(&tdg, &net, &out.plan, &eps).is_empty());
         let base = deployer
@@ -430,7 +430,7 @@ mod tests {
             .unwrap();
         assert!(
             out.plan.max_inter_switch_bytes(&tdg) <= base.plan.max_inter_switch_bytes(&tdg),
-            "the race can only improve on the heuristic"
+            "the exact stage can only improve on the heuristic"
         );
     }
 

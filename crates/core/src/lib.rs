@@ -14,11 +14,11 @@
 //!   constraints are checked by a single verifier ([`verify()`]).
 //!
 //! Every solver implements the [`Solver`] trait ([`solver`]): it takes a
-//! [`SearchContext`] carrying a deadline, a cooperative cancel token, and
-//! a shared incumbent bound, and returns a uniform [`SolveOutcome`]. The
-//! [`Portfolio`] runner races several solvers on threads — the heuristic
-//! publishes incumbents early, the exact searches prune against them —
-//! and picks a deterministic winner.
+//! [`SearchContext`] carrying a deadline, a worker budget, a shared
+//! incumbent bound and a proven objective floor, and returns a uniform
+//! [`SolveOutcome`]. The [`Portfolio`] is the pipeline over them, on the
+//! caller's thread: pre-solve certificates, then the greedy plan, then the
+//! exact search that plan seeds.
 //!
 //! # Quick start
 //!
@@ -77,8 +77,8 @@ pub use precheck::{Certificate, Precheck};
 pub use refine::refine;
 pub use report::{diff, explain, PlanDiff};
 pub use solver::{
-    Budgeted, CancelToken, Portfolio, RaceReport, RacerReport, SearchContext, SolveOutcome,
-    SolveStats, Solver, DEFAULT_DEPLOY_BUDGET, NO_BOUND,
+    Budgeted, Portfolio, SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET,
+    NO_BOUND,
 };
 pub use stage_assign::{assign_stages, fits_total_capacity, stage_feasible, StageAssignError};
 pub use stage_cache::{StageCacheStats, StageFeasCache};

@@ -22,9 +22,7 @@
 
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
 use crate::exact::materialize;
-use crate::solver::{
-    SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET, NO_BOUND,
-};
+use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
 use hermes_milp::{
     solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus,
     SolverConfig, VarId,
@@ -268,11 +266,7 @@ impl Solver for MilpHermes {
         // on the legacy `deploy` path, never underneath a `SearchContext`.
         let mut config = self.config.clone();
         config.time_limit = None;
-        let controls = SolveControls {
-            deadline: ctx.deadline(),
-            stop: Some(ctx.cancel_token().as_flag()),
-            upper_bound: Some(ctx.shared_incumbent()),
-        };
+        let controls = SolveControls { deadline: ctx.deadline() };
         let solution = solve_with_controls(&model, &config, &controls)
             .map_err(|e| DeployError::NoFeasiblePlacement { reason: format!("milp error: {e}") })?;
         let nodes_explored = solution.nodes_explored as u64;
@@ -293,34 +287,16 @@ impl Solver for MilpHermes {
                 let objective = plan.max_inter_switch_bytes(tdg);
                 ctx.publish_incumbent(objective);
                 let proven_optimal = solution.status == SolveStatus::Optimal;
-                let proven_bound = if proven_optimal {
-                    Some(objective)
-                } else if solution.exhausted {
-                    // Exhausted, but the externally published bound undercut
-                    // our incumbent: nothing below the shared bound exists.
-                    Some(ctx.incumbent_bound().min(objective))
-                } else {
-                    None
-                };
                 Ok(SolveOutcome {
                     plan,
                     objective,
                     proven_optimal,
-                    stats: SolveStats { nodes_explored, wall: start.elapsed(), proven_bound },
+                    stats: SolveStats {
+                        nodes_explored,
+                        wall: start.elapsed(),
+                        proven_bound: proven_optimal.then_some(objective),
+                    },
                 })
-            }
-            SolveStatus::LimitReached if solution.exhausted => {
-                // The tree was fully explored under an externally published
-                // bound without finding an incumbent of our own: the bound
-                // is a certificate, not a failure.
-                let bound = ctx.incumbent_bound();
-                if bound == NO_BOUND {
-                    Err(DeployError::NoFeasiblePlacement {
-                        reason: "milp search exhausted without an incumbent".to_owned(),
-                    })
-                } else {
-                    Err(DeployError::NoImprovementProven { bound })
-                }
             }
             other => Err(DeployError::NoFeasiblePlacement {
                 reason: format!("milp terminated with {other:?}"),
@@ -341,7 +317,7 @@ mod tests {
         let net = tiny_switches(2, 2, 0.5);
         let eps = Epsilon::loose();
         let milp_plan = MilpHermes::default().deploy(&tdg, &net, &eps).unwrap();
-        let exact = OptimalSolver::default()
+        let exact = OptimalSolver::new()
             .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(30)))
             .unwrap();
         assert_eq!(milp_plan.max_inter_switch_bytes(&tdg), exact.objective);
@@ -358,18 +334,6 @@ mod tests {
         assert_eq!(outcome.objective, 1);
         assert_eq!(outcome.stats.proven_bound, Some(1));
         assert_eq!(ctx.incumbent_bound(), 1, "the milp publishes its incumbent");
-    }
-
-    #[test]
-    fn milp_proves_an_externally_published_optimum() {
-        // Publishing the known optimum up front leaves the MILP nothing to
-        // improve: it must exhaust and certify the bound, not fail.
-        let tdg = chain_tdg(&[1, 4], 0.5);
-        let net = tiny_switches(2, 2, 0.5);
-        let ctx = SearchContext::with_time_limit(Duration::from_secs(30));
-        ctx.publish_incumbent(1);
-        let err = MilpHermes::default().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap_err();
-        assert_eq!(err, DeployError::NoImprovementProven { bound: 1 });
     }
 
     #[test]

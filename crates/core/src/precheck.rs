@@ -1,6 +1,6 @@
 //! Pre-solve infeasibility certificates and objective floors.
 //!
-//! Before a portfolio burns its wall-clock budget on an instance, a handful
+//! Before a search burns its wall-clock budget on an instance, a handful
 //! of O(V + E) bounds can already settle it: if a single MAT exceeds every
 //! switch, if total demand exceeds network capacity, if the ε₂ switch
 //! budget is below the provable minimum, or if ε₁ is below the latency any
@@ -12,12 +12,12 @@
 //!
 //! * **Infeasibility certificates** ([`Certificate::is_infeasible`] true):
 //!   the instance provably has no feasible plan. [`Portfolio`] returns
-//!   [`DeployError::ProvenInfeasible`] instantly instead of racing.
+//!   [`DeployError::ProvenInfeasible`] instantly instead of searching.
 //! * **Objective floors** (`AmaxFloor`): a proven lower bound on `A_max`
 //!   over *all* feasible plans. The portfolio seeds
-//!   [`SearchContext::raise_floor`] with it; a racer whose plan reaches the
-//!   floor is optimal by construction, which upgrades `proven_optimal`
-//!   without waiting for an exhaustion proof.
+//!   [`SearchContext::raise_floor`] with it; a plan that reaches the floor
+//!   is optimal by construction, which upgrades `proven_optimal` without
+//!   waiting for an exhaustion proof.
 //!
 //! Every bound here must be *sound*: it may be arbitrarily loose, but a
 //! certificate must never rule out a feasible instance and a floor must

@@ -1,45 +1,28 @@
-//! The unified solver architecture: one trait, one search context, and a
-//! parallel anytime portfolio runner.
+//! The unified solver architecture: one trait, one search context, and the
+//! portfolio pipeline.
 //!
 //! Every optimizer in the workspace — the greedy heuristic, the exact
 //! branch-over-assignments search, the MILP front end, and the baseline
 //! frameworks — implements [`Solver`]: it receives a [`SearchContext`]
 //! carrying the *only* time budget mechanism in the stack (a deadline), a
-//! cooperative [`CancelToken`], and a shared incumbent bound, and returns a
-//! uniform [`SolveOutcome`].
+//! worker budget, a shared incumbent bound and a proven objective floor,
+//! and returns a uniform [`SolveOutcome`].
 //!
-//! On top of the trait, [`Portfolio`] races any set of solvers on std
-//! threads. Fast heuristics publish incumbent objectives early through
-//! [`SearchContext::publish_incumbent`]; exhaustive searches prune against
-//! the best bound published by *any* thread ([`SearchContext::incumbent_bound`])
-//! and stop as soon as a racer proves optimality (cancel-on-proven).
-//!
-//! # Determinism rules
-//!
-//! Racing under a wall-clock budget is inherently timing-dependent, so the
-//! portfolio constrains *which* result can win:
-//!
-//! 1. The winner is the outcome with the **lowest objective**; ties break
-//!    by **fixed racer priority** (the order solvers were passed in).
-//! 2. A racer's own plan must be deterministic given its inputs. The
-//!    exact search qualifies even under shared-bound pruning: externally
-//!    published bounds always exceed the optimum, so they can never prune
-//!    the DFS path to the first optimal leaf, and later equal-valued
-//!    leaves are rejected by strict improvement — the returned assignment
-//!    is the first optimal leaf in DFS order regardless of timing.
-//! 3. `proven_optimal` and per-racer statistics (`nodes_explored`, wall
-//!    times) **are** timing-dependent; reproducibility guarantees cover
-//!    the winning plan and objective, not the stats.
-//!
-//! Consequence: with the default `{greedy, exact}` pairing the winning
-//! plan is byte-identical across runs whenever the budget either lets the
-//! exact racer finish or never lets it beat the heuristic.
+//! On top of the trait, [`Portfolio`] composes the stack's three answers
+//! in order of cost, on the caller's thread: the pre-solve certificates
+//! ([`Precheck`](crate::precheck::Precheck) — a proven-infeasible verdict
+//! or a proven `A_max` floor), the greedy heuristic, and the exact search
+//! that the greedy plan seeds. The exact search only ever accepts leaves
+//! strictly below the seed, so ties go to the greedy plan; its own answer
+//! is the lowest-index optimal leaf whatever the worker count or timing
+//! (see [`crate::exact`]), so the pipeline's plan is a function of its
+//! inputs whenever the budget lets the search finish.
 
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
 use hermes_net::Network;
 use hermes_tdg::Tdg;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,53 +35,17 @@ pub const NO_BOUND: u64 = u64::MAX;
 /// of the exact solver).
 pub const DEFAULT_DEPLOY_BUDGET: Duration = Duration::from_secs(30);
 
-/// Cooperative cancellation flag shared by every racer of a portfolio.
-///
-/// Cloning shares the underlying flag. Solvers poll
-/// [`SearchContext::should_stop`] at node granularity; nothing is ever
-/// interrupted preemptively.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation; every context sharing this token observes it.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// The raw shared flag, for handing to lower-level searches (e.g. the
-    /// `hermes-milp` branch-and-bound controls).
-    pub fn as_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.0)
-    }
-}
-
 /// Everything a [`Solver`] may consult while searching: the deadline, the
-/// cancellation token, and the shared incumbent bound.
+/// worker budget, the shared incumbent bound and the objective floor.
 ///
 /// This is the single time-budget mechanism of the solver stack — solvers
-/// hold no private timers. Cloning shares the token and the bound, so a
-/// portfolio hands each racer a clone of one context.
+/// hold no private timers. Cloning shares the bound and the floor.
 #[derive(Debug, Clone)]
 pub struct SearchContext {
     deadline: Option<Instant>,
-    cancel: CancelToken,
     incumbent: Arc<AtomicU64>,
     floor: Arc<AtomicU64>,
     /// Worker budget for parallel searches; `None` = available parallelism.
-    /// Plain data (not shared through an `Arc`): a portfolio hands every
-    /// racer a clone with its own cap so racers × workers never exceed the
-    /// requested total.
     threads: Option<NonZeroUsize>,
 }
 
@@ -113,16 +60,16 @@ impl SearchContext {
     pub fn unbounded() -> Self {
         SearchContext {
             deadline: None,
-            cancel: CancelToken::new(),
             incumbent: Arc::new(AtomicU64::new(NO_BOUND)),
             floor: Arc::new(AtomicU64::new(0)),
             threads: None,
         }
     }
 
-    /// Context whose deadline is `limit` from now.
+    /// Context whose deadline is `limit` from now; a limit past the end
+    /// of time is no deadline.
     pub fn with_time_limit(limit: Duration) -> Self {
-        SearchContext { deadline: Some(Instant::now() + limit), ..SearchContext::unbounded() }
+        SearchContext { deadline: Instant::now().checked_add(limit), ..SearchContext::unbounded() }
     }
 
     /// Context with an absolute deadline.
@@ -135,25 +82,12 @@ impl SearchContext {
         self.deadline
     }
 
-    /// The shared cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Returns this context with an explicit worker budget for parallel
     /// searches (the parallel exact solver sizes its subtree pool from it).
-    /// The budget is per-clone data: capping a racer's clone does not
-    /// affect the parent context.
     #[must_use]
     pub fn with_threads(mut self, threads: NonZeroUsize) -> Self {
         self.threads = Some(threads);
         self
-    }
-
-    /// The explicit worker budget, if one was set via
-    /// [`SearchContext::with_threads`].
-    pub fn thread_budget(&self) -> Option<NonZeroUsize> {
-        self.threads
     }
 
     /// The worker count a parallel search should use: the explicit budget,
@@ -165,21 +99,11 @@ impl SearchContext {
         }
     }
 
-    /// The shared incumbent slot, for lower-level searches that consume
-    /// the bound directly.
-    pub fn shared_incumbent(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.incumbent)
-    }
-
-    /// `true` once the deadline has passed.
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// `true` when the solver should stop searching: cancelled or past the
-    /// deadline. Cheap enough to poll per search node.
+    /// `true` when the solver should stop searching: the deadline has
+    /// passed. Solvers poll it at node granularity; nothing is ever
+    /// interrupted preemptively.
     pub fn should_stop(&self) -> bool {
-        self.cancel.is_cancelled() || self.deadline_exceeded()
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// The best objective published by any solver sharing this context
@@ -193,8 +117,8 @@ impl SearchContext {
     /// publication improved the shared bound.
     ///
     /// Only objectives **achieved by a feasible plan in hand** may be
-    /// published — exhaustive racers prune everything at or above this
-    /// bound and rely on some racer holding a plan that attains it.
+    /// published — exhaustive searches prune everything at or above this
+    /// bound and rely on the publisher holding a plan that attains it.
     pub fn publish_incumbent(&self, objective: u64) -> bool {
         self.incumbent.fetch_min(objective, Ordering::Relaxed) > objective
     }
@@ -212,7 +136,7 @@ impl SearchContext {
     ///
     /// Only *proven* lower bounds over all feasible plans may be raised
     /// (e.g. a [`Precheck`](crate::precheck::Precheck) mandatory-cut
-    /// certificate): racers treat a plan at the floor as optimal.
+    /// certificate): solvers treat a plan at the floor as optimal.
     pub fn raise_floor(&self, bound: u64) -> bool {
         self.floor.fetch_max(bound, Ordering::Relaxed) < bound
     }
@@ -227,7 +151,7 @@ pub struct SolveStats {
     pub wall: Duration,
     /// When `Some(b)`, the search *proved* that no plan with objective
     /// strictly below `b` exists (exhaustion certificate). Unlike
-    /// `proven_optimal` this can certify another racer's plan.
+    /// `proven_optimal` this can certify a plan the caller holds.
     pub proven_bound: Option<u64>,
 }
 
@@ -239,8 +163,8 @@ pub struct SolveOutcome {
     /// Its `A_max` objective in bytes (Eq. 1) — always recomputed from the
     /// plan, whatever the solver's native objective is.
     pub objective: u64,
-    /// `true` iff `plan` is proven `A_max`-optimal (by this solver alone
-    /// or, for portfolio outcomes, by any racer's exhaustion certificate).
+    /// `true` iff `plan` is proven `A_max`-optimal: by exhaustion, or by
+    /// reaching the context's proven objective floor.
     pub proven_optimal: bool,
     /// Effort counters.
     pub stats: SolveStats,
@@ -258,8 +182,9 @@ pub trait Solver: DeploymentAlgorithm + Send + Sync {
     /// # Errors
     ///
     /// Returns [`DeployError`] when no feasible plan was found — including
-    /// [`DeployError::NoImprovementProven`] when an exhaustive racer
-    /// finished without beating the shared bound (a proof, not a failure).
+    /// [`DeployError::NoImprovementProven`] when the exact search
+    /// finished without beating a bound the caller published (a proof, not
+    /// a failure).
     fn solve(
         &self,
         tdg: &Tdg,
@@ -340,234 +265,21 @@ impl<S: Solver> Solver for Budgeted<S> {
     }
 }
 
-/// Per-racer entry of a [`RaceReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RacerReport {
-    /// The racer's display name.
-    pub name: String,
-    /// Objective it achieved (`None` when it returned an error).
-    pub objective: Option<u64>,
-    /// Whether the racer itself claimed optimality.
-    pub proven_optimal: bool,
-    /// Exhaustion certificate (see [`SolveStats::proven_bound`]) — also
-    /// extracted from [`DeployError::NoImprovementProven`] errors.
-    pub proven_bound: Option<u64>,
-    /// Search nodes the racer visited.
-    pub nodes_explored: u64,
-    /// Wall-clock time the racer ran before returning.
-    pub wall: Duration,
-    /// The error message when the racer failed.
-    pub error: Option<String>,
-}
-
-/// Result of [`Portfolio::race`]: the winning outcome plus per-racer
-/// telemetry (objective-over-time summaries for the bench harness).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RaceReport {
-    /// Index into `reports` of the winning racer.
-    pub winner: usize,
-    /// The winning outcome, with `proven_optimal` upgraded by any racer's
-    /// exhaustion certificate.
-    pub outcome: SolveOutcome,
-    /// Wall-clock time of the whole race.
-    pub wall: Duration,
-    /// One entry per racer, in priority order.
-    pub reports: Vec<RacerReport>,
-}
-
-/// Anytime portfolio runner: races solvers on std threads against one
-/// shared [`SearchContext`].
-///
-/// Priority (for deterministic tie-breaking) is the order racers are
-/// passed in — put the deterministic heuristic first.
-pub struct Portfolio {
-    label: String,
-    racers: Vec<Box<dyn Solver>>,
-}
-
-impl std::fmt::Debug for Portfolio {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Portfolio")
-            .field("label", &self.label)
-            .field("racers", &self.racers.iter().map(|r| r.name().to_owned()).collect::<Vec<_>>())
-            .finish()
-    }
-}
+/// The portfolio pipeline: certificates, then the greedy seed, then the
+/// exact search, on the caller's thread (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct Portfolio;
 
 impl Portfolio {
-    /// Portfolio over `racers` in priority order.
-    pub fn new(label: impl Into<String>, racers: Vec<Box<dyn Solver>>) -> Self {
-        Portfolio { label: label.into(), racers }
-    }
-
-    /// The worker budget each racer's child context will carry in
-    /// [`Portfolio::race`]: the context's thread count minus one OS thread
-    /// per *other* racer, so racers × workers never exceeds the requested
-    /// total. Every racer but the parallel exact search is
-    /// single-threaded, so reserving one thread each is exact, not an
-    /// estimate.
-    pub fn planned_workers(&self, ctx: &SearchContext) -> NonZeroUsize {
-        let spare = ctx.worker_count().saturating_sub(self.racers.len().saturating_sub(1));
-        NonZeroUsize::new(spare.max(1)).expect("max(1) is nonzero")
-    }
-
-    /// The default deterministic pairing: the greedy heuristic publishes
-    /// an incumbent within milliseconds, the bare exact search (no
-    /// internal heuristic seed) prunes against it.
+    /// The one pairing: the greedy heuristic seeds the exact search.
     pub fn greedy_exact() -> Self {
-        Portfolio::new(
-            "Portfolio",
-            vec![
-                Box::new(crate::heuristic::GreedyHeuristic::new()),
-                Box::new(crate::exact::OptimalSolver::bare()),
-            ],
-        )
-    }
-
-    /// The racers' names, in priority order.
-    pub fn racer_names(&self) -> Vec<&str> {
-        self.racers.iter().map(|r| r.name()).collect()
-    }
-
-    /// Races every solver on its own thread under clones of `ctx` and
-    /// returns the deterministic winner plus per-racer telemetry.
-    ///
-    /// A racer that finishes with a proven-optimal outcome cancels the
-    /// rest. Racer panics are demoted to per-racer errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the highest-priority racer error when no racer produced a
-    /// plan.
-    pub fn race(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        ctx: &SearchContext,
-    ) -> Result<RaceReport, DeployError> {
-        if self.racers.is_empty() {
-            return Err(DeployError::NoFeasiblePlacement {
-                reason: "portfolio has no racers".to_owned(),
-            });
-        }
-        // Pre-solve bounds: a proven-infeasible instance returns instantly
-        // (certificate in hand) instead of burning the budget; a proven
-        // A_max floor seeds the shared context so a racer reaching it is
-        // optimal without an exhaustion proof.
-        let precheck = crate::precheck::Precheck::run(tdg, net, eps);
-        if let Some(cert) = precheck.infeasible() {
-            return Err(DeployError::ProvenInfeasible { certificate: cert.clone() });
-        }
-        ctx.raise_floor(precheck.amax_floor());
-        // Cap every racer's internal worker pool so the race as a whole
-        // respects the requested thread budget (racers × workers ≤ total).
-        let workers = self.planned_workers(ctx);
-        let start = Instant::now();
-        let results: Vec<Result<SolveOutcome, DeployError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .racers
-                .iter()
-                .map(|racer| {
-                    let child = ctx.clone().with_threads(workers);
-                    scope.spawn(move || {
-                        let result = racer.solve(tdg, net, eps, &child);
-                        if let Ok(outcome) = &result {
-                            // Belt and braces: solvers publish themselves,
-                            // but the race must never lose a bound.
-                            child.publish_incumbent(outcome.objective);
-                            // A plan at the proven objective floor cannot
-                            // be beaten — stop the other racers too.
-                            if outcome.proven_optimal
-                                || outcome.objective <= child.objective_floor()
-                            {
-                                child.cancel_token().cancel();
-                            }
-                        }
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(DeployError::NoFeasiblePlacement {
-                            reason: "solver thread panicked".to_owned(),
-                        })
-                    })
-                })
-                .collect()
-        });
-        let wall = start.elapsed();
-
-        let reports: Vec<RacerReport> = self
-            .racers
-            .iter()
-            .zip(&results)
-            .map(|(racer, result)| match result {
-                Ok(o) => RacerReport {
-                    name: racer.name().to_owned(),
-                    objective: Some(o.objective),
-                    proven_optimal: o.proven_optimal,
-                    proven_bound: o.stats.proven_bound,
-                    nodes_explored: o.stats.nodes_explored,
-                    wall: o.stats.wall,
-                    error: None,
-                },
-                Err(e) => RacerReport {
-                    name: racer.name().to_owned(),
-                    objective: None,
-                    proven_optimal: false,
-                    proven_bound: match e {
-                        DeployError::NoImprovementProven { bound } => Some(*bound),
-                        _ => None,
-                    },
-                    nodes_explored: 0,
-                    wall,
-                    error: Some(e.to_string()),
-                },
-            })
-            .collect();
-
-        // Deterministic winner: lowest objective, then racer priority.
-        let winner = match results
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().ok().map(|o| (o.objective, i)))
-            .min()
-        {
-            Some((_, i)) => i,
-            None => {
-                // No plan anywhere: surface the highest-priority hard
-                // error (a pure exhaustion proof means the bound came
-                // from outside this race).
-                let err = results
-                    .into_iter()
-                    .map(|r| r.expect_err("no Ok result"))
-                    .find(|e| !matches!(e, DeployError::NoImprovementProven { .. }))
-                    .unwrap_or(DeployError::NoFeasiblePlacement {
-                        reason: "every racer proved the external bound unimprovable".to_owned(),
-                    });
-                return Err(err);
-            }
-        };
-        let mut outcome = results.into_iter().nth(winner).expect("winner index").expect("is Ok");
-        // Any racer's exhaustion certificate at or above the winning
-        // objective — or the precheck's proven floor — certifies the
-        // winner optimal.
-        if reports.iter().filter_map(|r| r.proven_bound).any(|b| outcome.objective <= b)
-            || outcome.objective <= ctx.objective_floor()
-        {
-            outcome.proven_optimal = true;
-        }
-        Ok(RaceReport { winner, outcome, wall, reports })
+        Portfolio
     }
 }
 
 impl DeploymentAlgorithm for Portfolio {
     fn name(&self) -> &str {
-        &self.label
+        "Portfolio"
     }
 
     fn deploy(
@@ -581,7 +293,7 @@ impl DeploymentAlgorithm for Portfolio {
     }
 
     fn is_exhaustive(&self) -> bool {
-        self.racers.iter().any(|r| r.is_exhaustive())
+        true
     }
 }
 
@@ -593,14 +305,16 @@ impl Solver for Portfolio {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        let race = self.race(tdg, net, eps, ctx)?;
-        let mut outcome = race.outcome;
-        outcome.stats = SolveStats {
-            nodes_explored: race.reports.iter().map(|r| r.nodes_explored).sum(),
-            wall: race.wall,
-            proven_bound: race.reports.iter().filter_map(|r| r.proven_bound).max(),
-        };
-        Ok(outcome)
+        // Pre-solve bounds: a proven-infeasible instance returns instantly
+        // (certificate in hand) instead of burning the budget; a proven
+        // A_max floor lets a plan that reaches it — the greedy seed's
+        // included — stand as optimal without an exhaustion proof.
+        let precheck = crate::precheck::Precheck::run(tdg, net, eps);
+        if let Some(cert) = precheck.infeasible() {
+            return Err(DeployError::ProvenInfeasible { certificate: cert.clone() });
+        }
+        ctx.raise_floor(precheck.amax_floor());
+        crate::exact::OptimalSolver::new().solve(tdg, net, eps, ctx)
     }
 }
 
@@ -623,18 +337,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_is_shared_by_clones() {
-        let ctx = SearchContext::unbounded();
-        let clone = ctx.clone();
-        assert!(!ctx.should_stop());
-        clone.cancel_token().cancel();
+    fn deadline_in_the_past_stops_immediately() {
+        let ctx = SearchContext::with_time_limit(Duration::ZERO);
         assert!(ctx.should_stop());
     }
 
     #[test]
-    fn deadline_in_the_past_stops_immediately() {
-        let ctx = SearchContext::with_time_limit(Duration::ZERO);
-        assert!(ctx.should_stop());
+    fn time_limit_past_the_end_of_time_is_no_deadline() {
+        let ctx = SearchContext::with_time_limit(Duration::MAX);
+        assert_eq!(ctx.deadline(), None);
+        assert!(!ctx.should_stop());
     }
 
     #[test]
@@ -642,11 +354,11 @@ mod tests {
         let tdg = chain_tdg(&[1, 4], 0.5);
         let net = tiny_switches(2, 2, 0.5);
         let eps = Epsilon::loose();
-        let race = Portfolio::greedy_exact()
-            .race(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(10)))
+        let outcome = Portfolio::greedy_exact()
+            .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(10)))
             .unwrap();
-        assert_eq!(race.outcome.objective, 1);
-        assert!(race.outcome.proven_optimal, "{:?}", race.reports);
+        assert_eq!(outcome.objective, 1);
+        assert!(outcome.proven_optimal, "{:?}", outcome.stats);
     }
 
     #[test]
@@ -666,58 +378,38 @@ mod tests {
     }
 
     #[test]
-    fn shared_bound_prunes_the_exact_search() {
-        // The same instance explored bare vs with a pre-published greedy
-        // bound: the bound must strictly reduce the node count.
+    fn published_bound_prunes_the_exact_search() {
+        // The same instance explored under its own seed vs under a bound
+        // the caller published below it: the bound must strictly reduce
+        // the node count, and the seed plan it leaves is not proven.
         let tdg = chain_tdg(&[1, 2, 3, 4, 5, 6], 0.5);
         let net = tiny_switches(4, 2, 0.5);
         let eps = Epsilon::loose();
-        let bare = OptimalSolver::bare()
-            .solve(&tdg, &net, &eps, &SearchContext::unbounded())
-            .unwrap()
-            .stats
-            .nodes_explored;
-        let seeded_ctx = SearchContext::unbounded();
-        let greedy = GreedyHeuristic::new().solve(&tdg, &net, &eps, &seeded_ctx).unwrap().objective;
-        assert!(seeded_ctx.incumbent_bound() <= greedy);
-        let bounded = OptimalSolver::bare()
-            .solve(&tdg, &net, &eps, &seeded_ctx)
-            .map(|o| o.stats.nodes_explored)
-            .unwrap_or(0);
-        assert!(bounded < bare, "bound did not prune: {bounded} >= {bare}");
-    }
-
-    #[test]
-    fn empty_portfolio_is_an_error() {
-        let tdg = chain_tdg(&[1], 0.5);
-        let net = tiny_switches(2, 2, 0.5);
-        let err = Portfolio::new("empty", Vec::new())
-            .race(&tdg, &net, &Epsilon::loose(), &SearchContext::unbounded())
-            .unwrap_err();
-        assert!(matches!(err, DeployError::NoFeasiblePlacement { .. }));
+        let seeded = OptimalSolver::new().solve(&tdg, &net, &eps, &SearchContext::unbounded());
+        let seeded = seeded.unwrap();
+        assert!(seeded.objective > 1);
+        let ctx = SearchContext::unbounded();
+        ctx.publish_incumbent(1);
+        let bounded = OptimalSolver::new().solve(&tdg, &net, &eps, &ctx).unwrap();
+        assert!(!bounded.proven_optimal);
+        assert_eq!(bounded.stats.proven_bound, Some(1));
+        assert!(
+            bounded.stats.nodes_explored < seeded.stats.nodes_explored,
+            "bound did not prune: {} >= {}",
+            bounded.stats.nodes_explored,
+            seeded.stats.nodes_explored
+        );
     }
 
     #[test]
     fn budgeted_adapter_deploys() {
         let tdg = chain_tdg(&[1, 4], 0.5);
         let net = tiny_switches(2, 2, 0.5);
-        let algo = Budgeted::new(OptimalSolver::default(), Duration::from_secs(5));
+        let algo = Budgeted::new(OptimalSolver::new(), Duration::from_secs(5));
         assert_eq!(algo.name(), "Optimal");
         assert!(algo.is_exhaustive());
         let plan = algo.deploy(&tdg, &net, &Epsilon::loose()).unwrap();
         assert_eq!(plan.max_inter_switch_bytes(&tdg), 1);
-    }
-
-    #[test]
-    fn greedy_exact_leaves_one_thread_to_the_greedy_racer() {
-        // racers × workers ≤ requested: the single-threaded greedy racer
-        // reserves one OS thread, the exact racer gets the rest, floor 1.
-        let p = Portfolio::greedy_exact();
-        for (threads, workers) in [(1, 1), (2, 1), (3, 2), (8, 7)] {
-            let ctx = SearchContext::unbounded()
-                .with_threads(NonZeroUsize::new(threads).expect("nonzero"));
-            assert_eq!(p.planned_workers(&ctx).get(), workers, "workers at {threads}");
-        }
     }
 
     #[test]
@@ -741,39 +433,24 @@ mod tests {
         let eps = Epsilon::new(f64::INFINITY, 1);
         let start = Instant::now();
         let err = Portfolio::greedy_exact()
-            .race(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(10)))
+            .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(10)))
             .unwrap_err();
         assert!(matches!(err, DeployError::ProvenInfeasible { .. }), "{err}");
         assert!(start.elapsed() < Duration::from_millis(100), "{:?}", start.elapsed());
     }
 
     #[test]
-    fn mandatory_cut_floor_certifies_the_winner() {
+    fn mandatory_cut_floor_certifies_the_seed() {
         // Two 0.7 MATs cannot share a 1.0-capacity switch, so A_max >= 9;
-        // any plan achieving 9 is optimal via the floor alone.
+        // the greedy seed achieves 9 and is optimal via the floor alone —
+        // no search node is ever visited.
         let tdg = chain_tdg(&[9], 0.7);
         let net = tiny_switches(2, 2, 0.5);
         let ctx = SearchContext::with_time_limit(Duration::from_secs(10));
-        let race = Portfolio::greedy_exact().race(&tdg, &net, &Epsilon::loose(), &ctx).unwrap();
+        let outcome = Portfolio::greedy_exact().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap();
         assert_eq!(ctx.objective_floor(), 9);
-        assert_eq!(race.outcome.objective, 9);
-        assert!(race.outcome.proven_optimal);
-    }
-
-    #[test]
-    fn race_is_deterministic_on_small_instances() {
-        let tdg = chain_tdg(&[2, 7, 1, 8, 2], 0.5);
-        let net = tiny_switches(3, 2, 0.5);
-        let eps = Epsilon::loose();
-        let run = || {
-            let race = Portfolio::greedy_exact()
-                .race(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(10)))
-                .unwrap();
-            (race.winner, race.outcome.objective, race.outcome.plan)
-        };
-        let first = run();
-        for _ in 0..3 {
-            assert_eq!(run(), first);
-        }
+        assert_eq!(outcome.objective, 9);
+        assert!(outcome.proven_optimal);
+        assert_eq!(outcome.stats.nodes_explored, 0);
     }
 }

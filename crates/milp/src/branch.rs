@@ -8,8 +8,6 @@
 
 use crate::model::{Direction, Model, ModelError, VarId};
 use crate::simplex::{solve_relaxation_interruptible, LpStatus};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Termination and tolerance knobs.
@@ -44,26 +42,15 @@ impl SolverConfig {
     }
 }
 
-/// External run controls for cooperative solves (anytime portfolios).
-///
-/// Unlike [`SolverConfig`] these carry live shared state: an absolute
-/// deadline, a stop flag another thread may raise, and an externally
-/// published upper bound on the objective. All fields default to "off",
-/// and [`solve`] is exactly `solve_with_controls` with the defaults.
-#[derive(Debug, Clone, Default)]
+/// External run control for solves driven by a caller's budget: unlike
+/// [`SolverConfig::time_limit`], which counts from the start of the solve,
+/// the deadline is absolute. It defaults to "off", and [`solve`] is exactly
+/// `solve_with_controls` with the default.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SolveControls {
     /// Absolute wall-clock deadline (checked alongside
     /// `SolverConfig::time_limit`).
     pub deadline: Option<Instant>,
-    /// Cooperative stop flag; when raised the solve returns its incumbent
-    /// as if a limit had fired.
-    pub stop: Option<Arc<AtomicBool>>,
-    /// Externally published upper bound on the objective, in the *model's
-    /// objective units*, with `u64::MAX` meaning "none yet". Only honoured
-    /// for `Direction::Minimize` models: nodes whose relaxation bound
-    /// cannot beat it are pruned. The publisher must hold a feasible
-    /// solution attaining the bound, or optimality claims become unsound.
-    pub upper_bound: Option<Arc<AtomicU64>>,
 }
 
 /// Outcome of a MIP solve.
@@ -96,11 +83,6 @@ pub struct MipSolution {
     pub best_bound: f64,
     /// Wall-clock time spent.
     pub wall_time: Duration,
-    /// `true` iff the search tree was fully explored (no time/node limit,
-    /// stop flag, or early return fired). With an external upper bound in
-    /// play, `exhausted` plus a non-`Optimal` status still certifies that
-    /// no solution strictly better than that bound exists.
-    pub exhausted: bool,
 }
 
 impl MipSolution {
@@ -135,8 +117,7 @@ pub fn solve(model: &Model, config: &SolverConfig) -> Result<MipSolution, ModelE
     solve_with_controls(model, config, &SolveControls::default())
 }
 
-/// [`solve`] with live external controls: deadline, stop flag, and a
-/// shared objective upper bound (see [`SolveControls`]).
+/// [`solve`] under an absolute deadline (see [`SolveControls`]).
 ///
 /// # Errors
 ///
@@ -163,22 +144,13 @@ pub fn solve_with_controls(
     let mut incumbent: Option<(f64, Vec<f64>)> = None; // minimize-sense obj
     let mut root_bound = f64::NEG_INFINITY;
     let mut hit_limit = false;
-    let mut external_pruned = false;
 
-    // The external upper bound, as a minimize-sense value (only honoured
-    // for minimize models — the portfolio's shared incumbent is A_max).
-    let external = || -> f64 {
-        match (&controls.upper_bound, direction) {
-            (Some(ub), Direction::Minimize) => {
-                let b = ub.load(Ordering::Relaxed);
-                if b == u64::MAX {
-                    f64::INFINITY
-                } else {
-                    b as f64
-                }
-            }
-            _ => f64::INFINITY,
-        }
+    // Bound-based pruning: a node that cannot strictly beat the incumbent
+    // is dead.
+    let dead = |bound: f64, incumbent: &Option<(f64, Vec<f64>)>| {
+        incumbent
+            .as_ref()
+            .is_some_and(|(best, _)| bound >= best - config.mip_gap * best.abs().max(1.0))
     };
 
     let mut stack = vec![Node { lower: root_lower, upper: root_upper, bound: f64::NEG_INFINITY }];
@@ -196,34 +168,20 @@ pub fn solve_with_controls(
                 break;
             }
         }
-        if let Some(stop) = &controls.stop {
-            if stop.load(Ordering::Relaxed) {
-                hit_limit = true;
-                break;
-            }
-        }
         if let Some(limit) = config.node_limit {
             if nodes_explored >= limit {
                 hit_limit = true;
                 break;
             }
         }
-        // Bound-based pruning against the incumbent and the external
-        // bound: a node that cannot strictly beat either is dead.
-        let own = incumbent.as_ref().map_or(f64::INFINITY, |(best, _)| *best);
-        let cutoff = own.min(external());
-        if cutoff.is_finite() && node.bound >= cutoff - config.mip_gap * cutoff.abs().max(1.0) {
-            if node.bound < own {
-                external_pruned = true; // only the external bound cut this node
-            }
+        if dead(node.bound, &incumbent) {
             continue;
         }
         nodes_explored += 1;
         // One relaxation of a large model can outlast the whole budget, so
-        // the deadline/stop pair is polled inside the simplex loop too.
+        // both limits are polled inside the simplex loop too.
         let lp_stop = || {
             controls.deadline.is_some_and(|d| Instant::now() >= d)
-                || controls.stop.as_ref().is_some_and(|s| s.load(Ordering::Relaxed))
                 || config.time_limit.is_some_and(|l| start.elapsed() >= l)
         };
         let relax =
@@ -244,7 +202,6 @@ pub fn solve_with_controls(
                     nodes_explored,
                     best_bound: f64::NEG_INFINITY * sign,
                     wall_time: start.elapsed(),
-                    exhausted: false,
                 });
             }
             LpStatus::Optimal => {}
@@ -253,12 +210,7 @@ pub fn solve_with_controls(
         if nodes_explored == 1 {
             root_bound = bound;
         }
-        let own = incumbent.as_ref().map_or(f64::INFINITY, |(best, _)| *best);
-        let cutoff = own.min(external());
-        if cutoff.is_finite() && bound >= cutoff - config.mip_gap * cutoff.abs().max(1.0) {
-            if bound < own {
-                external_pruned = true;
-            }
+        if dead(bound, &incumbent) {
             continue;
         }
         // Most-fractional branching variable.
@@ -308,38 +260,22 @@ pub fn solve_with_controls(
         .min(incumbent.as_ref().map_or(f64::INFINITY, |(b, _)| *b))
         .max(root_bound);
     let wall_time = start.elapsed();
-    let exhausted = !hit_limit;
     Ok(match incumbent {
         Some((obj, values)) => MipSolution {
-            // The incumbent is proven optimal only when the tree was
-            // exhausted *and* the external bound never cut below it (the
-            // pruning cutoff was min(incumbent, external) throughout).
-            status: if exhausted && obj <= external() + 1e-9 {
-                SolveStatus::Optimal
-            } else {
-                SolveStatus::Feasible
-            },
+            status: if hit_limit { SolveStatus::Feasible } else { SolveStatus::Optimal },
             objective: sign * obj,
             values,
             nodes_explored,
             best_bound: sign * open_bound,
             wall_time,
-            exhausted,
         },
         None => MipSolution {
-            // Exhausting under an external bound proves "nothing strictly
-            // better than the bound", not infeasibility.
-            status: if hit_limit || external_pruned {
-                SolveStatus::LimitReached
-            } else {
-                SolveStatus::Infeasible
-            },
+            status: if hit_limit { SolveStatus::LimitReached } else { SolveStatus::Infeasible },
             objective: 0.0,
             values: Vec::new(),
             nodes_explored,
             best_bound: sign * open_bound,
             wall_time,
-            exhausted,
         },
     })
 }
@@ -496,50 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn stop_flag_halts_the_search() {
-        let m = small_min_model();
-        let stop = Arc::new(AtomicBool::new(true));
-        let controls = SolveControls { stop: Some(Arc::clone(&stop)), ..Default::default() };
-        let s = solve_with_controls(&m, &SolverConfig::default(), &controls).unwrap();
-        assert_eq!(s.status, SolveStatus::LimitReached);
-        assert!(!s.exhausted);
-        assert_eq!(s.nodes_explored, 0);
-    }
-
-    #[test]
-    fn external_bound_at_the_optimum_cuts_everything() {
-        // Publishing the known optimum (3) means no node can strictly
-        // beat it: the solve exhausts with no incumbent and must NOT
-        // claim infeasibility.
-        let m = small_min_model();
-        let bound = Arc::new(AtomicU64::new(3));
-        let controls = SolveControls { upper_bound: Some(bound), ..Default::default() };
-        let s = solve_with_controls(&m, &SolverConfig::default(), &controls).unwrap();
-        assert_eq!(s.status, SolveStatus::LimitReached);
-        assert!(s.exhausted, "tree fully explored under the bound");
-        assert!(!s.has_solution());
-    }
-
-    #[test]
-    fn loose_external_bound_keeps_optimality() {
-        let m = small_min_model();
-        let bound = Arc::new(AtomicU64::new(100));
-        let controls = SolveControls { upper_bound: Some(bound), ..Default::default() };
-        let s = solve_with_controls(&m, &SolverConfig::default(), &controls).unwrap();
-        assert_eq!(s.status, SolveStatus::Optimal);
-        assert!((s.objective - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn controls_deadline_in_the_past_returns_limit() {
         let m = small_min_model();
-        let controls = SolveControls {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..Default::default()
-        };
+        let controls = SolveControls { deadline: Some(Instant::now() - Duration::from_millis(1)) };
         let s = solve_with_controls(&m, &SolverConfig::default(), &controls).unwrap();
         assert_eq!(s.status, SolveStatus::LimitReached);
-        assert!(!s.exhausted);
+        assert_eq!(s.nodes_explored, 0);
     }
 
     #[test]

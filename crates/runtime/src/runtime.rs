@@ -277,8 +277,8 @@ impl DeploymentRuntime {
         }
     }
 
-    /// Builder: when healing falls back to a full redeploy, race the
-    /// greedy heuristic against the exact search under `budget` (the
+    /// Builder: when healing falls back to a full redeploy, follow the
+    /// greedy heuristic with the exact search under `budget` (the
     /// recovery deadline) instead of running the heuristic alone. Off by
     /// default — healing then uses the plain heuristic fallback.
     #[must_use]
@@ -1294,7 +1294,7 @@ mod tests {
 
     #[test]
     fn recovery_budget_heals_with_the_portfolio_fallback() {
-        // Same crash scenario as above, with healing allowed to race the
+        // Same crash scenario as above, with healing allowed to run the
         // exact search under a recovery deadline. Every heal must still
         // produce a verified plan avoiding the dead switches.
         let (tdg, net, plan) = workload();

@@ -60,7 +60,7 @@ proptest! {
         let (tdg, net, eps) = small_instance(seed);
         let pre = Precheck::run(&tdg, &net, &eps);
         let ctx = SearchContext::with_time_limit(Duration::from_secs(10));
-        let outcome = OptimalSolver::bare().solve(&tdg, &net, &eps, &ctx);
+        let outcome = OptimalSolver::new().solve(&tdg, &net, &eps, &ctx);
         if let Some(cert) = pre.infeasible() {
             prop_assert!(
                 outcome.is_err(),
@@ -120,7 +120,7 @@ fn portfolio_settles_infeasible_instance_within_one_percent_of_budget() {
     for (code, tdg, net, eps) in cases {
         let ctx = SearchContext::with_time_limit(budget);
         let start = Instant::now();
-        let outcome = Portfolio::greedy_exact().race(&tdg, &net, &eps, &ctx);
+        let outcome = Portfolio::greedy_exact().solve(&tdg, &net, &eps, &ctx);
         let wall = start.elapsed();
         match outcome {
             Err(DeployError::ProvenInfeasible { certificate }) => {
@@ -132,8 +132,8 @@ fn portfolio_settles_infeasible_instance_within_one_percent_of_budget() {
     }
 }
 
-/// A floor that equals the optimum upgrades the winning plan to
-/// proven-optimal without an exhaustion proof.
+/// A floor that equals the optimum upgrades the plan to proven-optimal
+/// without an exhaustion proof.
 #[test]
 fn floor_certified_win_is_proven_optimal() {
     // Two 0.7-resource MATs cannot share a 1.0-capacity switch: the
@@ -143,7 +143,7 @@ fn floor_certified_win_is_proven_optimal() {
     let net = tiny_switches(2, 2, 0.5);
     let eps = Epsilon::loose();
     let ctx = SearchContext::with_time_limit(Duration::from_secs(10));
-    let race = Portfolio::greedy_exact().race(&tdg, &net, &eps, &ctx).expect("feasible");
-    assert_eq!(race.outcome.objective, 9);
-    assert!(race.outcome.proven_optimal);
+    let outcome = Portfolio::greedy_exact().solve(&tdg, &net, &eps, &ctx).expect("feasible");
+    assert_eq!(outcome.objective, 9);
+    assert!(outcome.proven_optimal);
 }

@@ -1,16 +1,19 @@
 //! Property suite for the unified solver architecture: on random small
 //! TDGs and topologies every [`Solver`]'s plan verifies, objectives obey
-//! `exact <= portfolio <= greedy`, and the portfolio's winning output is
-//! byte-identical across repeated runs with the same seed and budget.
+//! `exact <= portfolio <= greedy`, the portfolio's output is
+//! byte-identical across repeated runs with the same seed and budget, and
+//! the pipeline answers what the thread race it replaced answered.
 
 use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::ProgramAnalyzer;
 use hermes::core::{
-    verify, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver, Portfolio, SearchContext, Solver,
+    verify, DeployError, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver, Portfolio,
+    SearchContext, Solver,
 };
+use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
-use hermes::net::Network;
+use hermes::net::{topology, Network};
 use hermes::tdg::Tdg;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,19 +95,19 @@ proptest! {
         prop_assert!(portfolio.objective <= greedy.objective);
     }
 
-    /// Determinism: the winning racer, objective, and plan serialize to
-    /// byte-identical JSON across repeated races with the same seed and
-    /// budget (per the determinism rules, stats are exempt).
+    /// Determinism: the objective, optimality flag and plan serialize to
+    /// byte-identical JSON across repeated solves with the same seed and
+    /// budget (node counts and wall times are exempt).
     #[test]
     fn portfolio_output_is_byte_identical_across_runs(seed in 0u64..1_000) {
         let (tdg, net) = random_chain_instance(seed);
         let eps = Epsilon::loose();
         let budget = Duration::from_secs(10);
         let fingerprint = || {
-            let race = Portfolio::greedy_exact()
-                .race(&tdg, &net, &eps, &SearchContext::with_time_limit(budget))
+            let outcome = Portfolio::greedy_exact()
+                .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(budget))
                 .expect("chain instances are feasible by construction");
-            serde_json::to_string(&(race.winner, race.outcome.objective, &race.outcome.plan))
+            serde_json::to_string(&(outcome.objective, outcome.proven_optimal, &outcome.plan))
                 .expect("plans serialize")
         };
         let first = fingerprint();
@@ -112,4 +115,81 @@ proptest! {
             prop_assert_eq!(fingerprint(), first.clone());
         }
     }
+}
+
+/// What the portfolio answers on one instance, as one golden line: the
+/// objective, the optimality flag and the plan's fingerprint, or the
+/// certificate code of a proven-infeasible verdict.
+fn golden_line(label: &str, tdg: &Tdg, net: &Network, eps: &Epsilon) -> String {
+    let ctx = SearchContext::with_time_limit(Duration::from_secs(30));
+    match Portfolio::greedy_exact().solve(tdg, net, eps, &ctx) {
+        Ok(o) => format!(
+            "{label} objective={} proven_optimal={} plan={:016x}\n",
+            o.objective,
+            o.proven_optimal,
+            o.plan.fingerprint()
+        ),
+        Err(DeployError::ProvenInfeasible { certificate }) => {
+            format!("{label} certificate={}\n", certificate.code())
+        }
+        Err(e) => format!("{label} error={e}\n"),
+    }
+}
+
+/// The portfolio pipeline answers exactly what the thread race it replaced
+/// answered. The fixture was written by `Portfolio::race` at the commit
+/// before the race was deleted: every subset of at least four library
+/// programs whose bitmask is a multiple of seven, on `linear:3` and
+/// `fattree:4` (220 instances, all settled by a zero-byte greedy plan), the
+/// whole library and forty random chains, and the two infeasible cases and
+/// the floor case of `tests/audit_soundness.rs`. `REGEN_GOLDEN=1` rewrites
+/// it.
+#[test]
+fn pipeline_matches_the_race_it_replaced() {
+    let library = library::real_programs();
+    let topologies =
+        [("linear:3", topology::linear(3, 10.0)), ("fattree:4", topology::fat_tree(4, 10.0))];
+    let mut dump = String::new();
+    for mask in (0u32..1 << library.len()).filter(|m| m.count_ones() >= 4 && m % 7 == 0) {
+        let programs: Vec<_> = library
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask >> i & 1 == 1)
+            .map(|(_, p)| p.clone())
+            .collect();
+        let tdg = ProgramAnalyzer::new().analyze(&programs);
+        for (spec, net) in &topologies {
+            dump += &golden_line(&format!("mask={mask:#05x} {spec}"), &tdg, net, &Epsilon::loose());
+        }
+    }
+    // Where the search has work to do: the whole library on the testbed
+    // (the exact stage beats the seed) and forty random chains (ties, which
+    // go to greedy, and strict wins).
+    let (tdg, net) = (ProgramAnalyzer::new().analyze(&library), &topologies[0].1);
+    dump += &golden_line("library linear:3", &tdg, net, &Epsilon::loose());
+    for seed in 0..40 {
+        let (tdg, net) = random_chain_instance(seed);
+        dump += &golden_line(&format!("chain seed={seed}"), &tdg, &net, &Epsilon::loose());
+    }
+    for (label, tdg, net, eps) in [
+        (
+            "eps2-floor",
+            chain_tdg(&[1, 1, 1], 0.5),
+            tiny_switches(3, 2, 0.5),
+            Epsilon::new(f64::INFINITY, 1),
+        ),
+        ("capacity", chain_tdg(&[1, 1], 0.8), tiny_switches(2, 2, 0.5), Epsilon::loose()),
+        ("amax-floor", chain_tdg(&[9], 0.7), tiny_switches(2, 2, 0.5), Epsilon::loose()),
+    ] {
+        dump += &golden_line(label, &tdg, &net, &eps);
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/portfolio_pipeline_golden.txt");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(path, &dump).expect("fixture is writable");
+    }
+    let fixture = std::fs::read_to_string(path).expect("run with REGEN_GOLDEN=1 to create");
+    assert_eq!(
+        dump, fixture,
+        "the portfolio's answers drifted from tests/fixtures/portfolio_pipeline_golden.txt"
+    );
 }

@@ -65,7 +65,7 @@ fn solver_roster() -> Vec<Box<dyn DeploymentAlgorithm>> {
     let budget = Duration::from_secs(5);
     vec![
         Box::new(GreedyHeuristic::new()),
-        Box::new(Budgeted::new(OptimalSolver::default(), budget)),
+        Box::new(Budgeted::new(OptimalSolver::new(), budget)),
         Box::new(Budgeted::new(MilpHermes::default(), budget)),
         Box::new(Budgeted::new(Portfolio::greedy_exact(), budget)),
         Box::new(FirstFitByLevel),
