@@ -4,8 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo fmt --check"
+echo "==> cargo fmt --check, bash -n pairs.sh"
 cargo fmt --check
+# pairs.sh (alternating parent / change benchmark pairs for results/runs/)
+# takes an hour of idle host, so CI only checks that it parses.
+bash -n pairs.sh
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

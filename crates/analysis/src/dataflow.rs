@@ -189,18 +189,13 @@ pub fn dataflow_diagnostics(tdg: &Tdg) -> Vec<Diagnostic> {
             id
         };
         let mut c = FieldSet::new();
-        for f in node
-            .mat
-            .match_fields()
-            .into_iter()
-            .chain(node.mat.action_read_fields())
-            .filter(Field::is_metadata)
-        {
-            c.insert(intern(&f, &mut fids));
+        let consumed_fields = node.mat.match_fields().iter().chain(node.mat.action_read_fields());
+        for f in consumed_fields.filter(|f| f.is_metadata()) {
+            c.insert(intern(f, &mut fids));
         }
         let mut w = FieldSet::new();
         for f in node.mat.written_metadata() {
-            w.insert(intern(&f, &mut fids));
+            w.insert(intern(f, &mut fids));
         }
         consumed.push(c);
         written.push(w);

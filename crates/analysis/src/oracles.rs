@@ -57,25 +57,21 @@ pub(crate) fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
     }
     let is_anc = |a: usize, b: usize| reachable[a].contains(&b);
 
-    let consumed: Vec<BTreeSet<Field>> = tdg
+    let consumed: Vec<BTreeSet<&Field>> = tdg
         .nodes()
         .iter()
-        .map(|node| {
-            let mut c = node.mat.match_fields();
-            c.extend(node.mat.action_read_fields());
-            c.into_iter().filter(Field::is_metadata).collect()
-        })
+        .map(|node| node.mat.consumed_fields().filter(|f| f.is_metadata()).collect())
         .collect();
-    let written: Vec<BTreeSet<Field>> =
-        tdg.nodes().iter().map(|node| node.mat.written_metadata()).collect();
+    let written: Vec<BTreeSet<&Field>> =
+        tdg.nodes().iter().map(|node| node.mat.written_metadata().collect()).collect();
 
     let mut writers: BTreeMap<&Field, Vec<usize>> = BTreeMap::new();
     let mut readers: BTreeMap<&Field, Vec<usize>> = BTreeMap::new();
     for v in 0..n {
-        for f in &written[v] {
+        for &f in &written[v] {
             writers.entry(f).or_default().push(v);
         }
-        for f in &consumed[v] {
+        for &f in &consumed[v] {
             readers.entry(f).or_default().push(v);
         }
     }
@@ -85,7 +81,7 @@ pub(crate) fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     for b in 0..n {
-        for f in &consumed[b] {
+        for &f in &consumed[b] {
             if written[b].contains(f) {
                 continue;
             }
@@ -103,7 +99,7 @@ pub(crate) fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
 
     let mut dead: Vec<Vec<&Field>> = vec![Vec::new(); n];
     for a in 0..n {
-        for f in &written[a] {
+        for &f in &written[a] {
             let rs = readers.get(f).unwrap_or(&empty);
             let alive = consumed[a].contains(f) || rs.iter().any(|&r| r != a && !is_anc(r, a));
             if !alive {
@@ -153,7 +149,7 @@ pub(crate) fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
 // ---------------------------------------------------------------------
 
 /// Every field the MAT set touches: match keys, action reads, and writes.
-fn touched_fields(mats: &[&Mat]) -> BTreeSet<Field> {
+fn touched_fields<'a>(mats: &[&'a Mat]) -> BTreeSet<&'a Field> {
     let mut out = BTreeSet::new();
     for m in mats {
         out.extend(m.match_fields());
@@ -209,11 +205,7 @@ fn oracle_verdict(field: &Field, mats: &[&Mat]) -> StateClass {
             writers.iter().all(|m| m.match_fields().iter().all(Field::is_header));
         let readers = mats
             .iter()
-            .filter(|m| {
-                let mut consumed = m.match_fields();
-                consumed.extend(m.action_read_fields());
-                consumed.contains(field) && !m.written_fields().contains(field)
-            })
+            .filter(|m| m.consumes(field) && !m.written_fields().contains(field))
             .count();
         if writes_replicable && producers_header_matched && readers > writers.len() {
             return StateClass::ReadMostlyReplicable;
@@ -230,13 +222,7 @@ where
     I: IntoIterator<Item = &'a Mat>,
 {
     let mats: Vec<&Mat> = mats.into_iter().collect();
-    touched_fields(&mats)
-        .into_iter()
-        .map(|f| {
-            let class = oracle_verdict(&f, &mats);
-            (f, class)
-        })
-        .collect()
+    touched_fields(&mats).into_iter().map(|f| (f.clone(), oracle_verdict(f, &mats))).collect()
 }
 
 // ---------------------------------------------------------------------

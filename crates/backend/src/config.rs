@@ -143,12 +143,12 @@ pub fn generate(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> DeploymentAr
         if u == v || e.bytes == 0 {
             continue;
         }
-        let carried = tdg.node(e.from).mat.written_metadata();
+        let carried = || tdg.node(e.from).mat.written_metadata().cloned();
         if let Some(config) = switches.get_mut(&u) {
-            config.appends.entry(v).or_default().extend(carried.iter().cloned());
+            config.appends.entry(v).or_default().extend(carried());
         }
         if let Some(config) = switches.get_mut(&v) {
-            config.parses.extend(carried);
+            config.parses.extend(carried());
         }
     }
 

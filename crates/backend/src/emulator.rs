@@ -62,7 +62,7 @@ impl Packet {
 
     /// Keeps headers plus the given metadata set; all other metadata is
     /// stripped (what happens on egress without a piggyback entry).
-    pub(crate) fn retain_for_wire(&mut self, piggyback: &BTreeSet<Field>) {
+    pub(crate) fn retain_for_wire(&mut self, piggyback: &BTreeSet<&Field>) {
         self.fields.retain(|f, _| f.is_header() || piggyback.contains(f));
     }
 }
@@ -198,7 +198,7 @@ pub(crate) struct Hop<'a> {
     /// The wire contract of the hop that leaves this switch: metadata
     /// written on this or an earlier switch of the order and still
     /// consumed on a later one. Empty after the last switch.
-    wire: BTreeSet<Field>,
+    wire: BTreeSet<&'a Field>,
     wire_bytes: u32,
 }
 
@@ -244,13 +244,12 @@ pub(crate) fn compile_hops<'a>(
             *slot = (*slot).max(to);
         }
     }
-    let mut wires: Vec<BTreeSet<Field>> = vec![BTreeSet::new(); order.len()];
+    let mut wires: Vec<BTreeSet<&Field>> = vec![BTreeSet::new(); order.len()];
     for id in tdg.node_ids() {
         let Some(from) = node_rank[id.index()] else { continue };
         if from < reach[id.index()] {
-            let written = tdg.node(id).mat.written_metadata();
             for wire in &mut wires[from..reach[id.index()]] {
-                wire.extend(written.iter().cloned());
+                wire.extend(tdg.node(id).mat.written_metadata());
             }
         }
     }
@@ -274,7 +273,7 @@ pub(crate) fn compile_hops<'a>(
                 .filter(|(_, e)| seen.insert(e.node))
                 .map(|(_, e)| Step { mat: &tdg.node(e.node).mat, table: &e.table })
                 .collect();
-            let wire_bytes = wire.iter().map(Field::size_bytes).sum();
+            let wire_bytes = wire.iter().map(|f| f.size_bytes()).sum();
             Hop { switch, steps, wire, wire_bytes }
         })
         .collect()
@@ -387,7 +386,7 @@ pub fn run_distributed(
 /// (which double-counts a field shared by several crossing edges), this is
 /// a true lower bound on what must ride the wire between the pair.
 pub fn pairwise_field_bytes(tdg: &Tdg, plan: &DeploymentPlan) -> u64 {
-    let mut per_pair: BTreeMap<(SwitchId, SwitchId), BTreeSet<Field>> = BTreeMap::new();
+    let mut per_pair: BTreeMap<(SwitchId, SwitchId), BTreeSet<&Field>> = BTreeMap::new();
     let assign = plan.switch_assignment(tdg.node_count());
     for e in tdg.edges() {
         let (Some(u), Some(v)) = (assign[e.from.index()], assign[e.to.index()]) else {

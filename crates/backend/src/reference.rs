@@ -78,12 +78,12 @@ fn execute_switch(tdg: &Tdg, config: &SwitchConfig, pkt: &mut Packet, regs: &mut
 
 /// Metadata written on any already-visited switch and still consumed by a
 /// MAT on any remaining switch: what genuinely must ride the wire now.
-fn transitive_piggyback(
-    tdg: &Tdg,
+fn transitive_piggyback<'a>(
+    tdg: &'a Tdg,
     plan: &DeploymentPlan,
     visited: &[SwitchId],
     remaining: &[SwitchId],
-) -> BTreeSet<Field> {
+) -> BTreeSet<&'a Field> {
     let mut out = BTreeSet::new();
     if remaining.is_empty() {
         return out;
@@ -114,7 +114,7 @@ fn run_distributed(
         execute_switch(tdg, &artifacts.switches[&switch], &mut pkt, &mut regs);
         let piggyback = transitive_piggyback(tdg, plan, &order[..=i], &order[i + 1..]);
         pkt.retain_for_wire(&piggyback);
-        wire_bytes.push(piggyback.iter().map(Field::size_bytes).sum());
+        wire_bytes.push(piggyback.iter().map(|f| f.size_bytes()).sum());
     }
     Some(Trace { packet: pkt, visits, wire_bytes })
 }

@@ -2,18 +2,21 @@
 //!
 //! Dependency typing (paper §IV) is decided entirely by intersection tests
 //! over the `F^m`/`F^a` read/write sets of MAT pairs, and `A(a,b)` sizing
-//! sums metadata widths over unions/intersections of those sets. With
-//! [`std::collections::BTreeSet<Field>`] every test walks tree nodes and
-//! compares strings; on the `O(n²)` pair loop of TDG construction that cost
-//! dominates. A [`FieldTable`] interns every distinct [`Field`] once into a
-//! dense `u32` id, and a [`FieldSet`] represents a field set as fixed-width
-//! `u64` words so that intersection tests become word-AND loops and byte
-//! sums become bit iterations over a precomputed overhead array.
+//! sums metadata widths over unions/intersections of those sets. Comparing
+//! [`Field`]s means comparing strings; on the pair loops of TDG
+//! construction and merging that cost dominates. A [`FieldTable`] interns
+//! every distinct [`Field`] once into a dense `u32` id, and a [`FieldSet`]
+//! represents a field set as fixed-width `u64` words so that intersection
+//! tests become word-AND loops and byte sums become bit iterations over a
+//! precomputed overhead array.
 //!
-//! The `BTreeSet<Field>` APIs on [`Mat`](crate::mat::Mat) remain the
-//! reference semantics (and the serde/export surface); [`FieldSet::to_btree`]
-//! converts back for that boundary. Equivalence of the two representations
-//! is asserted by the `eval_equivalence` property suite.
+//! The sorted `&[Field]` sets a [`Mat`](crate::mat::Mat) derives once and
+//! hands out by reference remain the reference semantics: the audit's
+//! graph check re-derives every edge from them, with `Field` comparisons
+//! and no table, precisely so that the bitset path has something other
+//! than itself to be compared with. [`FieldSet::to_btree`] converts a
+//! bitset back into `Field`s. Equivalence of the two representations is
+//! asserted by the `eval_equivalence` property suite.
 
 use crate::fields::Field;
 use serde::{Deserialize, Serialize};

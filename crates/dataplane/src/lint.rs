@@ -161,14 +161,12 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
         programs.iter().flat_map(|p| p.tables().iter().map(move |t| (p, t))).collect();
 
     // Read-before-write over metadata.
-    let mut written: BTreeSet<Field> = BTreeSet::new();
+    let mut written: BTreeSet<&Field> = BTreeSet::new();
     for (_, t) in &tables {
-        let mut consumed: BTreeSet<Field> = t.match_fields();
-        consumed.extend(t.action_read_fields());
-        for f in consumed.into_iter().filter(Field::is_metadata) {
+        for f in t.consumed_fields().filter(|f| f.is_metadata()) {
             // Self-produced metadata within the same table (hash + use) is
             // fine; check writes of *this* table too.
-            if !written.contains(&f) && !t.written_fields().contains(&f) {
+            if !written.contains(f) && !t.written_fields().contains(f) {
                 findings.push(Lint::MetadataReadBeforeWrite {
                     table: t.name().to_owned(),
                     field: f.name().to_owned(),
@@ -179,14 +177,14 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     }
 
     // Never-consumed metadata: collect all consumption, then check writes.
-    let mut all_consumed: BTreeSet<Field> = BTreeSet::new();
+    let mut all_consumed: BTreeSet<&Field> = BTreeSet::new();
     for (_, t) in &tables {
         all_consumed.extend(t.match_fields());
         all_consumed.extend(t.action_read_fields());
     }
     for (_, t) in &tables {
         for f in t.written_metadata() {
-            if !all_consumed.contains(&f) {
+            if !all_consumed.contains(f) {
                 findings.push(Lint::MetadataNeverConsumed {
                     table: t.name().to_owned(),
                     field: f.name().to_owned(),
@@ -237,7 +235,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     // silently clobbers the earlier one's value. Identical-signature
     // writers (shared MATs) are exempt for the same reason as above.
     {
-        let mut writers: BTreeMap<Field, Vec<(&Program, &crate::mat::Mat)>> = BTreeMap::new();
+        let mut writers: BTreeMap<&Field, Vec<(&Program, &crate::mat::Mat)>> = BTreeMap::new();
         for &(p, t) in &tables {
             for f in t.written_metadata() {
                 writers.entry(f).or_default().push((p, t));
@@ -270,7 +268,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     // every write were a fold of one common kind the field would instead
     // be `CommutativeUpdate` and the dependency relaxable.
     for p in programs {
-        let mut writers: BTreeMap<Field, Vec<&crate::mat::Mat>> = BTreeMap::new();
+        let mut writers: BTreeMap<&Field, Vec<&crate::mat::Mat>> = BTreeMap::new();
         for t in p.tables() {
             for f in t.written_fields() {
                 writers.entry(f).or_default().push(t);
@@ -281,7 +279,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
                 continue;
             }
             let write_ops = ws.iter().flat_map(|t| {
-                t.actions().iter().flat_map(|a| a.ops()).filter(|op| op.writes().contains(&&field))
+                t.actions().iter().flat_map(|a| a.ops()).filter(|op| op.writes().contains(&field))
             });
             let mut kinds: BTreeSet<Option<crate::action::FoldOp>> =
                 write_ops.map(crate::action::PrimitiveOp::fold_op).collect();
@@ -302,10 +300,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
         for &(from, to) in p.gates() {
             let a = &p.tables()[from];
             let b = &p.tables()[to];
-            let wa = a.written_fields();
-            let mut consumed = b.match_fields();
-            consumed.extend(b.action_read_fields());
-            if wa.iter().any(|f| consumed.contains(f)) {
+            if a.written_fields().iter().any(|f| b.consumes(f)) {
                 findings.push(Lint::RedundantGate {
                     from: a.name().to_owned(),
                     to: b.name().to_owned(),

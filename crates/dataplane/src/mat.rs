@@ -9,9 +9,10 @@
 
 use crate::action::Action;
 use crate::fields::Field;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a match field is compared against a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -158,7 +159,7 @@ impl std::error::Error for BuildMatError {}
 /// assert!(mat.written_fields().contains(&idx));
 /// # Ok::<(), hermes_dataplane::mat::BuildMatError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     name: String,
     match_specs: Vec<MatchSpec>,
@@ -166,6 +167,14 @@ pub struct Mat {
     rules: Vec<Rule>,
     capacity: usize,
     resource: f64,
+    /// `F^m`, `F^a` and the action-read set, derived once by
+    /// [`Mat::checked`] and shared by every clone: three runs in one
+    /// allocation, each ascending and duplicate-free — the order a
+    /// `BTreeSet<Field>` iterates in. `F^a` starts at `written_at`, the
+    /// action-read set at `read_at`.
+    field_sets: Arc<[Field]>,
+    written_at: usize,
+    read_at: usize,
 }
 
 impl Mat {
@@ -191,9 +200,9 @@ impl Mat {
         &self.match_specs
     }
 
-    /// The set `F^m` of matched fields.
-    pub fn match_fields(&self) -> BTreeSet<Field> {
-        self.match_specs.iter().map(|m| m.field.clone()).collect()
+    /// The set `F^m` of matched fields, ascending and duplicate-free.
+    pub fn match_fields(&self) -> &[Field] {
+        &self.field_sets[..self.written_at]
     }
 
     /// The action set `A`.
@@ -201,14 +210,41 @@ impl Mat {
         &self.actions
     }
 
-    /// The set `F^a` of fields written by any action of this table.
-    pub fn written_fields(&self) -> BTreeSet<Field> {
-        self.actions.iter().flat_map(|a| a.writes()).collect()
+    /// The set `F^a` of fields written by any action of this table,
+    /// ascending and duplicate-free.
+    pub fn written_fields(&self) -> &[Field] {
+        &self.field_sets[self.written_at..self.read_at]
     }
 
-    /// Fields read by action bodies (excluding the match keys).
-    pub fn action_read_fields(&self) -> BTreeSet<Field> {
-        self.actions.iter().flat_map(|a| a.reads()).collect()
+    /// Fields read by action bodies (excluding the match keys), ascending
+    /// and duplicate-free.
+    pub fn action_read_fields(&self) -> &[Field] {
+        &self.field_sets[self.read_at..]
+    }
+
+    /// `true` iff the table matches on `field` or reads it inside an action
+    /// body — the downstream side of a 𝕄 dependency.
+    pub fn consumes(&self, field: &Field) -> bool {
+        self.match_fields().contains(field) || self.action_read_fields().contains(field)
+    }
+
+    /// Everything the table consumes (`F^m` ∪ the action-read set),
+    /// ascending and duplicate-free.
+    pub fn consumed_fields(&self) -> impl Iterator<Item = &Field> + '_ {
+        let mut matched = self.match_fields().iter().peekable();
+        let mut read = self.action_read_fields().iter().peekable();
+        std::iter::from_fn(move || match (matched.peek(), read.peek()) {
+            (Some(m), Some(r)) => match m.cmp(r) {
+                std::cmp::Ordering::Less => matched.next(),
+                std::cmp::Ordering::Greater => read.next(),
+                std::cmp::Ordering::Equal => {
+                    read.next();
+                    matched.next()
+                }
+            },
+            (Some(_), None) => matched.next(),
+            (None, _) => read.next(),
+        })
     }
 
     /// The installed rule set `R`.
@@ -235,14 +271,14 @@ impl Mat {
 
     /// Metadata fields among `F^a` — the fields whose values must travel
     /// with the packet when a dependent table sits on another switch.
-    pub fn written_metadata(&self) -> BTreeSet<Field> {
-        self.written_fields().into_iter().filter(Field::is_metadata).collect()
+    pub fn written_metadata(&self) -> impl Iterator<Item = &Field> + '_ {
+        self.written_fields().iter().filter(|f| f.is_metadata())
     }
 
     /// Total bytes of metadata this table produces (sum of
     /// [`Mat::written_metadata`] sizes).
     pub fn written_metadata_bytes(&self) -> u32 {
-        self.written_metadata().iter().map(Field::size_bytes).sum()
+        self.written_metadata().map(Field::size_bytes).sum()
     }
 
     /// A stable structural signature: two tables with equal signatures are
@@ -346,38 +382,98 @@ impl MatBuilder {
     /// Returns [`BuildMatError`] if a rule references an unknown action, the
     /// rules exceed the capacity, or the resource requirement is invalid.
     pub fn build(self) -> Result<Mat, BuildMatError> {
-        for rule in &self.rules {
-            if !self.actions.iter().any(|a| a.name() == rule.action) {
-                return Err(BuildMatError::UnknownAction {
-                    table: self.name,
-                    action: rule.action.clone(),
-                });
-            }
+        let resource =
+            self.resource.unwrap_or_else(|| estimate_resource(&self.match_specs, self.capacity));
+        Mat::checked(self.name, self.match_specs, self.actions, self.rules, self.capacity, resource)
+    }
+}
+
+impl Mat {
+    /// The one way a [`Mat`] comes to exist, from the builder or from
+    /// serialized form: checks what every consumer takes on trust, then
+    /// derives the field sets.
+    fn checked(
+        name: String,
+        match_specs: Vec<MatchSpec>,
+        actions: Vec<Action>,
+        rules: Vec<Rule>,
+        capacity: usize,
+        resource: f64,
+    ) -> Result<Mat, BuildMatError> {
+        if let Some(rule) = rules.iter().find(|r| !actions.iter().any(|a| a.name() == r.action)) {
+            return Err(BuildMatError::UnknownAction { table: name, action: rule.action.clone() });
         }
-        if self.rules.len() > self.capacity {
+        if rules.len() > capacity {
             return Err(BuildMatError::CapacityExceeded {
-                table: self.name,
-                capacity: self.capacity,
-                rules: self.rules.len(),
+                table: name,
+                capacity,
+                rules: rules.len(),
             });
         }
-        let resource = match self.resource {
-            Some(r) => {
-                if !(r.is_finite() && r > 0.0) {
-                    return Err(BuildMatError::InvalidResource { table: self.name, value: r });
-                }
-                r
-            }
-            None => estimate_resource(&self.match_specs, self.capacity),
-        };
+        if !(resource.is_finite() && resource > 0.0) {
+            return Err(BuildMatError::InvalidResource { table: name, value: resource });
+        }
+
+        // Appends the distinct members of `run`, ascending, and empties it;
+        // returns where the next run starts.
+        fn close_run(fields: &mut Vec<Field>, run: &mut Vec<&Field>) -> usize {
+            run.sort_unstable();
+            run.dedup();
+            fields.extend(run.drain(..).cloned());
+            fields.len()
+        }
+        let ops = || actions.iter().flat_map(Action::ops);
+        let mut run: Vec<&Field> = match_specs.iter().map(|m| &m.field).collect();
+        let mut fields = Vec::with_capacity(run.len() + 2 * ops().count());
+        let written_at = close_run(&mut fields, &mut run);
+        run.extend(ops().flat_map(|op| op.writes()));
+        let read_at = close_run(&mut fields, &mut run);
+        run.extend(ops().flat_map(|op| op.reads()));
+        close_run(&mut fields, &mut run);
+
         Ok(Mat {
-            name: self.name,
-            match_specs: self.match_specs,
-            actions: self.actions,
-            rules: self.rules,
-            capacity: self.capacity,
+            field_sets: fields.into(),
+            written_at,
+            read_at,
+            name,
+            match_specs,
+            actions,
+            rules,
+            capacity,
             resource,
         })
+    }
+}
+
+/// The six declared properties, in declaration order; the field sets are
+/// not part of the serialized form.
+impl Serialize for Mat {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("name".to_owned(), self.name.to_value()),
+            ("match_specs".to_owned(), self.match_specs.to_value()),
+            ("actions".to_owned(), self.actions.to_value()),
+            ("rules".to_owned(), self.rules.to_value()),
+            ("capacity".to_owned(), self.capacity.to_value()),
+            ("resource".to_owned(), self.resource.to_value()),
+        ])
+    }
+}
+
+/// Reads the six properties and hands them to the checks
+/// [`MatBuilder::build`] makes, so a table read from JSON is as
+/// well-formed as a built one.
+impl Deserialize for Mat {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Mat::checked(
+            Deserialize::from_value(v.get_field("name")?)?,
+            Deserialize::from_value(v.get_field("match_specs")?)?,
+            Deserialize::from_value(v.get_field("actions")?)?,
+            Deserialize::from_value(v.get_field("rules")?)?,
+            Deserialize::from_value(v.get_field("capacity")?)?,
+            Deserialize::from_value(v.get_field("resource")?)?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -396,10 +492,31 @@ fn estimate_resource(specs: &[MatchSpec], capacity: usize) -> f64 {
     (capacity as f64 * tcam_weight / RULES_PER_STAGE).clamp(0.05, 4.0)
 }
 
+/// The three field sets as they were derived on every call before the
+/// table cached them: the definition the cache is tested against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn matched(mat: &Mat) -> BTreeSet<Field> {
+        mat.match_specs.iter().map(|m| m.field.clone()).collect()
+    }
+
+    pub fn written(mat: &Mat) -> BTreeSet<Field> {
+        mat.actions.iter().flat_map(|a| a.writes()).collect()
+    }
+
+    pub fn action_read(mat: &Mat) -> BTreeSet<Field> {
+        mat.actions.iter().flat_map(|a| a.reads()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::{FoldOp, PrimitiveOp};
     use crate::fields::{headers, Field};
+    use crate::synthetic::{SyntheticConfig, SyntheticGenerator};
 
     fn table() -> Mat {
         Mat::builder("t")
@@ -510,5 +627,99 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(a.signature(), b.signature());
+    }
+
+    /// The cached sets equal the per-call derivations, member for member in
+    /// iteration order, and so do the views built on them.
+    fn assert_sets_are_their_definition(mat: &Mat) {
+        let name = mat.name();
+        let (matched, written, read) =
+            (oracle::matched(mat), oracle::written(mat), oracle::action_read(mat));
+        assert!(mat.match_fields().iter().eq(&matched), "{name}: F^m");
+        assert!(mat.written_fields().iter().eq(&written), "{name}: F^a");
+        assert!(mat.action_read_fields().iter().eq(&read), "{name}: action reads");
+        assert!(mat.consumed_fields().eq(matched.union(&read)), "{name}: consumed");
+        assert!(mat.written_metadata().eq(written.iter().filter(|f| f.is_metadata())), "{name}");
+        assert_eq!(
+            mat.written_metadata_bytes(),
+            written.iter().map(Field::overhead_bytes).sum::<u32>(),
+            "{name}"
+        );
+        for f in matched.iter().chain(&written).chain(&read) {
+            assert_eq!(mat.consumes(f), matched.contains(f) || read.contains(f), "{name}: {f}");
+        }
+    }
+
+    #[test]
+    fn cached_sets_are_their_definition() {
+        let mut programs = crate::library::real_programs();
+        programs.extend(crate::library::sketches::all());
+        programs.extend(crate::library::aggregation::all());
+        programs.extend(SyntheticGenerator::new(50, SyntheticConfig::default()).programs(60));
+        let mats: Vec<&Mat> = programs.iter().flat_map(|p| p.tables()).collect();
+        assert!(mats.len() > 400, "{} tables", mats.len());
+        assert!(mats.iter().any(|m| m.match_fields().len() > 1 && m.written_fields().len() > 1));
+        for mat in mats {
+            assert_sets_are_their_definition(mat);
+            assert_sets_are_their_definition(&mat.clone());
+            let text = serde_json::to_string(mat).unwrap();
+            let back: Mat = serde_json::from_str(&text).unwrap();
+            assert_eq!(&back, mat);
+            assert_sets_are_their_definition(&back);
+        }
+    }
+
+    #[test]
+    fn sets_are_sorted_and_duplicate_free_whatever_the_declaration_order() {
+        let (a, b, c) =
+            (Field::metadata("meta.a", 1), Field::metadata("meta.b", 2), headers::ipv4_ttl());
+        let t = Mat::builder("t")
+            .match_field(b.clone(), MatchKind::Exact)
+            .match_field(a.clone(), MatchKind::Ternary)
+            .match_field(b.clone(), MatchKind::Range)
+            .action(Action::writing("w1", [b.clone(), a.clone()]))
+            .action(Action::new("w2").with_op(PrimitiveOp::Fold {
+                dst: a.clone(),
+                srcs: vec![c.clone(), b.clone()],
+                op: FoldOp::Add,
+            }))
+            .build()
+            .unwrap();
+        assert_eq!(t.match_fields(), [a.clone(), b.clone()]);
+        assert_eq!(t.written_fields(), [a.clone(), b.clone()]);
+        assert_eq!(t.action_read_fields(), [c.clone(), a.clone(), b.clone()]);
+        assert!(t.consumed_fields().eq([&c, &a, &b]));
+        assert_sets_are_their_definition(&t);
+    }
+
+    /// `table()` as the commit before the hand-written impls serialized it.
+    const TABLE_JSON: &str = r#"{"name":"t","match_specs":[{"field":{"name":"ipv4.dst","kind":"Header","size_bytes":4},"kind":"Lpm"}],"actions":[{"name":"set","ops":[{"Compute":{"dst":{"name":"meta.idx","kind":"Metadata","size_bytes":4},"srcs":[]}}]}],"rules":[{"patterns":["10.0.0.0/8"],"action":"set","priority":0}],"capacity":100,"resource":0.3}"#;
+
+    #[test]
+    fn json_form_is_the_six_declared_properties() {
+        assert_eq!(serde_json::to_string(&table()).unwrap(), TABLE_JSON);
+        let back: Mat = serde_json::from_str(TABLE_JSON).unwrap();
+        assert_eq!(back, table());
+        assert_eq!(serde_json::to_string(&back).unwrap(), TABLE_JSON);
+        let Value::Map(entries) = table().to_value() else { panic!("a table serializes as a map") };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["name", "match_specs", "actions", "rules", "capacity", "resource"]);
+    }
+
+    #[test]
+    fn deserialization_makes_the_checks_the_builder_makes() {
+        let malformed = [
+            (r#""action":"set","priority""#, r#""action":"missing","priority""#, "unknown action"),
+            (r#""capacity":100"#, r#""capacity":0"#, "exceed capacity 0"),
+            (r#""resource":0.3"#, r#""resource":-0.3"#, "must be positive and finite"),
+            (r#""resource":0.3"#, r#""resource":0"#, "must be positive and finite"),
+            (r#""resource":0.3"#, r#""resource":"nan""#, "must be positive and finite"),
+        ];
+        for (from, to, complaint) in malformed {
+            assert!(TABLE_JSON.contains(from));
+            let err = serde_json::from_str::<Mat>(&TABLE_JSON.replace(from, to)).unwrap_err();
+            assert!(err.to_string().contains(complaint), "{to}: {err}");
+            assert!(err.to_string().contains("table `t`"), "{to}: {err}");
+        }
     }
 }

@@ -567,8 +567,7 @@ mod tests {
         let p = parse_program(COUNTER).unwrap();
         let hash = p.table("hash").unwrap();
         let count = p.table("count").unwrap();
-        let written = hash.written_metadata();
-        assert!(count.match_fields().iter().any(|f| written.contains(f)));
+        assert!(hash.written_metadata().any(|f| count.match_fields().contains(f)));
     }
 
     #[test]

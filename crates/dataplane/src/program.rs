@@ -131,7 +131,7 @@ impl Program {
     }
 
     /// Every distinct field the program touches (matched, read, or written).
-    pub fn fields(&self) -> BTreeSet<crate::fields::Field> {
+    pub fn fields(&self) -> BTreeSet<&crate::fields::Field> {
         let mut out = BTreeSet::new();
         for t in &self.tables {
             out.extend(t.match_fields());

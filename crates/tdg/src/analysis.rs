@@ -22,7 +22,6 @@ use hermes_dataplane::fields::Field;
 use hermes_dataplane::fieldset::{FieldSet, FieldTable};
 use hermes_dataplane::Mat;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The four MAT dependency types of the paper, plus their *relaxed*
@@ -146,9 +145,7 @@ pub fn classify(a: &Mat, b: &Mat, gated: bool) -> Option<DependencyType> {
     // Downstream *consumes* a field either by matching on it or by reading
     // it inside an action body (e.g. a register index). Both are data
     // dependencies in the Jose et al. sense, so both type as Match.
-    let mut mb = b.match_fields();
-    mb.extend(b.action_read_fields());
-    if wa.iter().any(|f| mb.contains(f)) {
+    if wa.iter().any(|f| b.consumes(f)) {
         return Some(DependencyType::Match);
     }
     let wb = b.written_fields();
@@ -165,8 +162,8 @@ pub fn classify(a: &Mat, b: &Mat, gated: bool) -> Option<DependencyType> {
     None
 }
 
-fn metadata_bytes(fields: impl IntoIterator<Item = Field>) -> u32 {
-    fields.into_iter().filter(Field::is_metadata).map(|f| f.size_bytes()).sum()
+fn metadata_bytes<'a>(fields: impl IntoIterator<Item = &'a Field>) -> u32 {
+    fields.into_iter().map(Field::overhead_bytes).sum()
 }
 
 /// Computes `A(a,b)` — the bytes of metadata that must ride on every packet
@@ -183,25 +180,20 @@ pub fn metadata_amount(a: &Mat, b: &Mat, dep: DependencyType, mode: AnalysisMode
         (DependencyType::Match, AnalysisMode::PaperLiteral)
         | (DependencyType::Successor, AnalysisMode::PaperLiteral) => metadata_bytes(wa),
         (DependencyType::Match, AnalysisMode::Intersection) => {
-            let mut mb = b.match_fields();
-            mb.extend(b.action_read_fields());
-            metadata_bytes(wa.into_iter().filter(|f| mb.contains(f)))
+            metadata_bytes(wa.iter().filter(|f| b.consumes(f)))
         }
         (DependencyType::Successor, AnalysisMode::Intersection) => {
             // The gate outcome must travel; approximate it by the metadata
             // the downstream table consumes, falling back to 1 byte.
-            let consumed: BTreeSet<Field> =
-                b.match_fields().union(&b.action_read_fields()).cloned().collect();
-            let bytes = metadata_bytes(wa.into_iter().filter(|f| consumed.contains(f)));
-            bytes.max(1)
+            metadata_bytes(wa.iter().filter(|f| b.consumes(f))).max(1)
         }
         (DependencyType::Action, AnalysisMode::PaperLiteral) => {
-            let union: BTreeSet<Field> = wa.union(&b.written_fields()).cloned().collect();
-            metadata_bytes(union)
+            let wb = b.written_fields();
+            metadata_bytes(wa) + metadata_bytes(wb.iter().filter(|f| !wa.contains(f)))
         }
         (DependencyType::Action, AnalysisMode::Intersection) => {
             let wb = b.written_fields();
-            metadata_bytes(wa.into_iter().filter(|f| wb.contains(f)))
+            metadata_bytes(wa.iter().filter(|f| wb.contains(f)))
         }
         // Relaxed deps returned early; `byte_mode` never yields RelaxedState.
         _ => unreachable!("normalized above"),
@@ -209,13 +201,16 @@ pub fn metadata_amount(a: &Mat, b: &Mat, dep: DependencyType, mode: AnalysisMode
 }
 
 /// A MAT's field sets interned against a shared [`FieldTable`] — the
-/// hot-path mirror of the `BTreeSet` accessors on [`Mat`].
+/// hot-path mirror of the sorted-slice accessors on [`Mat`].
 ///
-/// Built once per node before the `O(n²)` pair loop of TDG construction;
-/// [`classify_profiles`] and [`metadata_amount_profiles`] then decide every
-/// pair with word-AND/OR loops instead of tree walks. The reference
-/// implementations ([`classify`] / [`metadata_amount`]) are kept unchanged
-/// and the `eval_equivalence` property suite pins the two paths together.
+/// Built once per node before the pair loops of TDG construction and
+/// merging; [`classify_profiles`] and [`metadata_amount_profiles`] then
+/// decide every pair with word-AND/OR loops instead of `Field`
+/// comparisons. It is interned straight from the MAT's match keys and
+/// action bodies, not from the sets the MAT caches, so the profile path and
+/// the reference path ([`classify`] / [`metadata_amount`], which read those
+/// sets) stay two derivations from one `Mat`: the audit's graph check and
+/// the `eval_equivalence` property suite compare one with the other.
 #[derive(Debug, Clone)]
 pub struct MatProfile {
     /// `F^m` — fields the MAT matches on.

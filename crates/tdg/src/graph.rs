@@ -144,7 +144,7 @@ impl Tdg {
             .collect();
         let gates: BTreeSet<(usize, usize)> = program.gates().iter().copied().collect();
         // Intern every field once so the O(n²) pair loop below runs on
-        // bitset profiles instead of BTreeSet walks; the equivalence with
+        // bitset profiles instead of `Field` comparisons; the equivalence with
         // `classify`/`metadata_amount` is pinned by the property suite.
         let mut table = FieldTable::new();
         let profiles: Vec<MatProfile> =

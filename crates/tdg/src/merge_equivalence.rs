@@ -4,7 +4,7 @@
 //!
 //! `merge_reference` is the former `merge_pair` body, unchanged apart from
 //! the [`Tally`] hooks: it rebuilds everything for the accumulated graph at
-//! every step, types pairs through the `BTreeSet` reference
+//! every step, types pairs through the `Field`-comparing reference
 //! [`classify`] / [`metadata_amount`], and answers every cycle question
 //! with a full Kahn pass. Being test code, it can count what it skipped,
 //! so the suite also proves its corpus reaches the hard cases.
@@ -275,6 +275,22 @@ fn twin_program(name: &str) -> Program {
     program(name, vec![twin("t1"), twin("t2"), table("reader", &[&acc], &[]), twin("t3")])
 }
 
+/// A request of the `wan-50` benchmark workload, the scale the merge's
+/// candidate index is for: the ten library programs plus 40 of the
+/// 60-program pool it draws from — two of every three in table-count
+/// order — some 620 surviving nodes and 1 900 edges.
+pub(crate) fn wan_50_shaped() -> Vec<Program> {
+    let pool = SyntheticGenerator::new(50, SyntheticConfig::default()).programs(60);
+    let mut by_size: Vec<usize> = (0..pool.len()).collect();
+    by_size.sort_by_key(|&i| (pool[i].tables().len(), i));
+    let mut members: Vec<usize> =
+        by_size.chunks(3).flat_map(|triple| &triple[..2]).copied().collect();
+    members.sort_unstable();
+    let mut programs = library::real_programs();
+    programs.extend(members.into_iter().map(|i| pool[i].clone()));
+    programs
+}
+
 /// The orders and repetitions every base list is merged in.
 fn variants(base: &[Program]) -> Vec<Vec<Program>> {
     let reversed: Vec<Program> = base.iter().rev().cloned().collect();
@@ -385,6 +401,11 @@ fn corpus() {
                 lists += 1;
             }
         }
+    }
+    // Once at the size the candidate index is for; the reference needs
+    // about half a second for it, so no variants and one mode.
+    if let Err(e) = check(&wan_50_shaped(), AnalysisMode::PaperLiteral, &mut tally) {
+        panic!("{e}");
     }
     assert!(lists >= 120, "{lists} lists");
     assert!(tally.folds >= 100, "{tally:?}");

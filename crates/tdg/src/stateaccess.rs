@@ -129,22 +129,20 @@ impl StateClassification {
     where
         I: IntoIterator<Item = &'a Mat>,
     {
-        let mut accs: BTreeMap<Field, FieldAcc> = BTreeMap::new();
+        let mut accs: BTreeMap<&Field, FieldAcc> = BTreeMap::new();
         for (i, mat) in mats.into_iter().enumerate() {
             let written = mat.written_fields();
             let match_headers_only = mat.match_fields().iter().all(Field::is_header);
-            let mut consumed: BTreeSet<Field> = mat.match_fields();
-            consumed.extend(mat.action_read_fields());
-            for f in &consumed {
+            for f in mat.match_fields().iter().chain(mat.action_read_fields()) {
                 if !written.contains(f) {
-                    accs.entry(f.clone()).or_default().reader_mats.insert(i);
+                    accs.entry(f).or_default().reader_mats.insert(i);
                 }
             }
             for action in mat.actions() {
                 for op in action.ops() {
                     let op_reads_headers_only = op.reads().iter().all(|f| f.is_header());
                     for dst in op.writes() {
-                        let acc = accs.entry(dst.clone()).or_default();
+                        let acc = accs.entry(dst).or_default();
                         acc.writer_mats.insert(i);
                         acc.writer_matches_header_pure &= match_headers_only;
                         match op {
@@ -164,13 +162,13 @@ impl StateClassification {
         let verdicts = accs
             .into_iter()
             .map(|(f, acc)| {
-                let class = Self::verdict(&f, &acc);
+                let class = Self::verdict(f, &acc);
                 let evidence = FieldEvidence {
                     class,
                     writer_mats: acc.writer_mats.len(),
                     reader_mats: acc.reader_mats.len(),
                 };
-                (f, evidence)
+                (f.clone(), evidence)
             })
             .collect();
         StateClassification { verdicts }
@@ -255,38 +253,33 @@ pub fn relaxed_type(
     base: DependencyType,
     class: &StateClassification,
 ) -> Option<DependencyType> {
-    let justified = |fields: BTreeSet<Field>, ok: &dyn Fn(&Field) -> bool| {
-        !fields.is_empty() && fields.iter().all(ok)
-    };
+    // Nonempty, and every member relaxable under `ok`.
+    fn justified<'a>(fields: impl Iterator<Item = &'a Field>, ok: impl Fn(&Field) -> bool) -> bool {
+        let mut fields = fields.peekable();
+        fields.peek().is_some() && fields.all(ok)
+    }
     match base.base() {
         DependencyType::Match => {
-            let wa = a.written_fields();
-            let mut consumed = b.match_fields();
-            consumed.extend(b.action_read_fields());
-            let justifying: BTreeSet<Field> =
-                wa.into_iter().filter(|f| consumed.contains(f)).collect();
-            let matched = b.match_fields();
-            justified(justifying, &|f| match class.class(f) {
+            let justifying = a.written_fields().iter().filter(|f| b.consumes(f));
+            justified(justifying, |f| match class.class(f) {
                 StateClass::ReadMostlyReplicable => true,
                 StateClass::CommutativeUpdate(k) => {
-                    !matched.contains(f) && consumes_only_via_fold(b, f, k)
+                    !b.match_fields().contains(f) && consumes_only_via_fold(b, f, k)
                 }
                 _ => false,
             })
             .then_some(DependencyType::RelaxedMatch)
         }
         DependencyType::Action => {
-            let wa = a.written_fields();
             let wb = b.written_fields();
-            let justifying: BTreeSet<Field> = wa.into_iter().filter(|f| wb.contains(f)).collect();
-            justified(justifying, &|f| matches!(class.class(f), StateClass::CommutativeUpdate(_)))
+            let justifying = a.written_fields().iter().filter(|f| wb.contains(f));
+            justified(justifying, |f| matches!(class.class(f), StateClass::CommutativeUpdate(_)))
                 .then_some(DependencyType::RelaxedAction)
         }
         DependencyType::ReverseMatch => {
-            let ma = a.match_fields();
             let wb = b.written_fields();
-            let justifying: BTreeSet<Field> = ma.into_iter().filter(|f| wb.contains(f)).collect();
-            justified(justifying, &|f| class.class(f).is_relaxable())
+            let justifying = a.match_fields().iter().filter(|f| wb.contains(f));
+            justified(justifying, |f| class.class(f).is_relaxable())
                 .then_some(DependencyType::RelaxedReverse)
         }
         _ => None,

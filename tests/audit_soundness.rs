@@ -8,15 +8,25 @@
 //!   on feasible instances (otherwise the portfolio would mark suboptimal
 //!   plans proven-optimal);
 //! - the portfolio must turn a certificate into a `ProvenInfeasible`
-//!   verdict in well under 1 % of its wall-clock budget.
+//!   verdict in well under 1 % of its wall-clock budget;
+//! - the recorded-edge check must catch what it exists to catch: one
+//!   mistyped or misweighted edge is reported on that edge and nowhere
+//!   else;
+//! - the whole audit of a `wan-50`-shaped instance is pinned, byte for
+//!   byte, to what an earlier commit reported.
 
-use hermes::analysis::audit_programs;
+use hermes::analysis::{audit_instance, audit_programs, check_tdg, Diagnostic};
 use hermes::core::precheck::Precheck;
 use hermes::core::test_support::{chain_tdg, tiny_switches};
-use hermes::core::{DeployError, Epsilon, OptimalSolver, Portfolio, SearchContext, Solver};
+use hermes::core::{
+    fnv1a64, DeployError, Epsilon, OptimalSolver, Portfolio, SearchContext, Solver,
+};
+use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
-use hermes::tdg::{AnalysisMode, Tdg};
+use hermes::net::topology;
+use hermes::tdg::{metadata_amount, AnalysisMode, DependencyType, Tdg, TdgEdge};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 use std::time::{Duration, Instant};
 
 fn synthetic_programs(seed: u64, count: usize) -> Vec<hermes::dataplane::Program> {
@@ -146,4 +156,128 @@ fn floor_certified_win_is_proven_optimal() {
     let outcome = Portfolio::greedy_exact().solve(&tdg, &net, &eps, &ctx).expect("feasible");
     assert_eq!(outcome.objective, 9);
     assert!(outcome.proven_optimal);
+}
+
+/// `tdg` with edge `k` recorded as `dep` carrying `bytes`. Every
+/// constructor derives what it records, so an edge the analysis would not
+/// have written is stated through the serialized form.
+fn with_edge(tdg: &Tdg, k: usize, dep: DependencyType, bytes: u32) -> Tdg {
+    let mut value = tdg.to_value();
+    let Value::Map(fields) = &mut value else { panic!("a TDG serializes as a map") };
+    let Some((_, Value::Seq(edges))) = fields.iter_mut().find(|(key, _)| key == "edges") else {
+        panic!("edges serialize as a seq")
+    };
+    edges[k] = TdgEdge { dep, bytes, ..tdg.edges()[k] }.to_value();
+    Tdg::from_value(&value).expect("endpoints are unchanged")
+}
+
+/// What `check_tdg` says about `edited` beyond what it said about the
+/// graph as derived, after checking that all of it is about edge `e`.
+fn new_findings(edited: &Tdg, derived: &[Diagnostic], e: &TdgEdge) -> Vec<String> {
+    let findings = check_tdg(edited);
+    assert!(derived.iter().all(|d| findings.contains(d)), "an edit of one edge hid a finding");
+    let (from, to) = (&edited.node(e.from).name, &edited.node(e.to).name);
+    let added: Vec<&Diagnostic> = findings.iter().filter(|d| !derived.contains(d)).collect();
+    for d in &added {
+        assert_eq!(
+            (d.span.mat.as_ref(), d.span.mat_to.as_ref()),
+            (Some(from), Some(to)),
+            "finding on another edge than {from} -> {to}: {d}"
+        );
+    }
+    added.iter().map(|d| d.code.clone()).collect()
+}
+
+/// One recorded edge of a clean graph retyped or reweighed: the audit
+/// names that edge, with the code for that defect, and no other edge.
+/// Successor edges are left alone — gates are declared, not derivable, so
+/// `check_tdg` takes a recorded 𝕊 on trust by design.
+#[test]
+fn a_mistyped_or_misweighted_edge_is_reported_on_that_edge_only() {
+    let mode = AnalysisMode::PaperLiteral;
+    let field_derivable =
+        [DependencyType::Match, DependencyType::Action, DependencyType::ReverseMatch];
+    let (mut retyped, mut reweighed) = (0, 0);
+    for program in library::real_programs() {
+        let tdg = Tdg::from_program(&program, mode);
+        let derived = check_tdg(&tdg);
+        assert!(derived.iter().all(|d| d.code == "HG205"), "{}: {derived:?}", program.name());
+        for (k, e) in tdg.edges().iter().enumerate() {
+            let (a, b) = (&tdg.node(e.from).mat, &tdg.node(e.to).mat);
+            let heavier = with_edge(&tdg, k, e.dep, e.bytes + 1);
+            assert_eq!(new_findings(&heavier, &derived, e), ["HG204"], "{} edge {k}", tdg);
+            reweighed += 1;
+            if e.dep == DependencyType::Successor {
+                continue;
+            }
+            for dep in field_derivable.into_iter().filter(|&dep| dep != e.dep) {
+                let codes = new_findings(&with_edge(&tdg, k, dep, e.bytes), &derived, e);
+                let (typed, weighed): (Vec<&str>, Vec<&str>) =
+                    codes.iter().map(String::as_str).partition(|&code| code != "HG204");
+                assert!(typed == ["HG203"] || typed == ["HG206"], "{e:?} as {dep}: {codes:?}");
+                let reweighs = metadata_amount(a, b, dep, mode) != e.bytes;
+                assert_eq!(weighed.len(), usize::from(reweighs), "{e:?} as {dep}: {codes:?}");
+                retyped += 1;
+            }
+        }
+    }
+    assert!(retyped >= 40 && reweighed >= 20, "{retyped} retypings, {reweighed} reweighings");
+}
+
+/// The ten library programs plus 40 of the 60-program pool the `wan-50`
+/// benchmark workload draws from: two of every three pool programs in
+/// table-count order, `draw` choosing which one each triple leaves out.
+fn wan_50_shaped(draw: usize) -> Vec<hermes::dataplane::Program> {
+    let pool = synthetic_programs(50, 60);
+    let mut by_size: Vec<usize> = (0..pool.len()).collect();
+    by_size.sort_by_key(|&i| (pool[i].tables().len(), i));
+    let mut members: Vec<usize> = by_size
+        .chunks(3)
+        .enumerate()
+        .flat_map(|(c, triple)| {
+            let skip = (c + draw) % triple.len();
+            triple.iter().enumerate().filter(move |(j, _)| *j != skip).map(|(_, &i)| i)
+        })
+        .collect();
+    members.sort_unstable();
+    let mut programs = library::real_programs();
+    programs.extend(members.into_iter().map(|i| pool[i].clone()));
+    programs
+}
+
+/// The complete audit report — every lint, graph, dataflow and
+/// certificate finding, in order — of three `wan-50`-shaped instances,
+/// as a digest per instance. The fixture was written by the commit before
+/// the MAT cached its field sets and the merge read its candidate pairs
+/// off a per-field index, so it pins both to the reports the per-call
+/// `BTreeSet` derivations and the all-pairs loop gave.
+/// `REGEN_GOLDEN=1` rewrites it.
+#[test]
+fn wan_50_shaped_audit_reports_match_the_golden_fixture() {
+    let mut dump = String::new();
+    for draw in 0..3 {
+        let programs = wan_50_shaped(draw);
+        let net = topology::table3_wan(draw);
+        let report = audit_instance(&programs, &net, &Epsilon::loose(), AnalysisMode::PaperLiteral);
+        assert!(!report.has_errors(), "draw {draw}: {report}");
+        let json = report.to_json();
+        dump += &format!(
+            "draw {draw} on wan:{}: {} programs, {} diagnostics, {} bytes, fnv1a64 {:016x}\n",
+            draw + 1,
+            programs.len(),
+            report.diagnostics.len(),
+            json.len(),
+            fnv1a64(json.as_bytes())
+        );
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/audit_wan50_golden.txt");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(path, &dump).expect("fixture is writable");
+    }
+    let fixture = std::fs::read_to_string(path).expect("run with REGEN_GOLDEN=1 to create");
+    assert_eq!(
+        dump, fixture,
+        "an audit report drifted from tests/fixtures/audit_wan50_golden.txt; re-generate with \
+         REGEN_GOLDEN=1 if the change is intentional"
+    );
 }
