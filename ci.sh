@@ -36,6 +36,10 @@ echo "==> cargo test -q --release --workspace"
 # release mode: the solver, hot-path, merge, migration, target, durability
 # and state-access equivalence suites, the vendored shims' own tests, and
 # the journal golden (tests/event_schema.rs; REGEN_GOLDEN=1 rewrites it).
+# The one place the whole greedy-side scale golden runs
+# (tests/greedy_scale.rs: 1 119 lines, ≈5 s here, minutes in a debug build,
+# so tier-1 above checks only its head; `REGEN_GOLDEN=1 cargo test
+# --release --test greedy_scale` rewrites it).
 cargo test -q --release --workspace
 
 echo "==> parallel deploy determinism smoke (--threads 4 vs --threads 1, byte-diff)"

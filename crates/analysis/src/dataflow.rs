@@ -159,7 +159,7 @@ pub fn dataflow_diagnostics(tdg: &Tdg) -> Vec<Diagnostic> {
 
     // Strict ancestors per node, in topological order.
     let mut anc: Vec<NodeBits> = vec![vec![0u64; words]; n];
-    for &id in &order {
+    for &id in order {
         let v = id.index();
         // Split-borrow via std::mem::take: anc[p] is final once p precedes
         // v in topo order.

@@ -284,8 +284,8 @@ pub(crate) fn compile_hops<'a>(
 fn compile_reference(tdg: &Tdg) -> Vec<Step<'_>> {
     tdg.topo_order()
         .expect("TDGs are DAGs")
-        .into_iter()
-        .map(|id| {
+        .iter()
+        .map(|&id| {
             let node = tdg.node(id);
             Step { mat: &node.mat, table: &node.name }
         })

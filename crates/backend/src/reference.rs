@@ -121,7 +121,7 @@ fn run_distributed(
 
 fn run_reference(tdg: &Tdg, mut pkt: Packet) -> Packet {
     let mut regs = Registers::default();
-    for id in tdg.topo_order().expect("TDGs are DAGs") {
+    for &id in tdg.topo_order().expect("TDGs are DAGs") {
         let node = tdg.node(id);
         execute_mat(&node.mat, &node.name, &mut pkt, &mut regs);
     }

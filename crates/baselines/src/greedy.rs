@@ -8,46 +8,26 @@
 //! behaviour Hermes improves on.
 
 use hermes_core::{
-    materialize, stage_feasible, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
-    SearchContext, SolveOutcome, SolveStats, Solver,
+    first_fit, one_shot_solve, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
+    SearchContext, SolveOutcome, Solver,
 };
 use hermes_net::Network;
 use hermes_tdg::{NodeId, Tdg};
-use std::collections::BTreeSet;
-use std::time::Instant;
+use std::cmp::Ordering;
 
-/// One-shot construction wrapped as a [`Solver`]: deploy once, publish the
-/// objective as an incumbent, and claim optimality only at zero overhead.
-pub(crate) fn one_shot_solve(
-    algo: &dyn DeploymentAlgorithm,
+/// [`first_fit`] over the programmable switches of the largest component,
+/// so routing between consecutive fill switches always exists (Table III
+/// topology 5 is disconnected).
+fn largest_component_first_fit(
     tdg: &Tdg,
     net: &Network,
     eps: &Epsilon,
-    ctx: &SearchContext,
-) -> Result<SolveOutcome, DeployError> {
-    let start = Instant::now();
-    let plan = algo.deploy(tdg, net, eps)?;
-    let objective = plan.max_inter_switch_bytes(tdg);
-    ctx.publish_incumbent(objective);
-    Ok(SolveOutcome {
-        plan,
-        objective,
-        proven_optimal: objective == 0,
-        stats: SolveStats {
-            nodes_explored: 0,
-            wall: start.elapsed(),
-            proven_bound: (objective == 0).then_some(0),
-        },
-    })
-}
-
-/// Tie-breaking order inside a dependency level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LevelOrder {
-    /// FFL: plain topological/level order.
-    ByLevel,
-    /// FFLS: within a level, largest resource first.
-    ByLevelAndSize,
+    within_level: impl Fn(NodeId, NodeId) -> Ordering,
+) -> Result<DeploymentPlan, DeployError> {
+    let component = net.largest_component();
+    let candidates: Vec<_> =
+        net.programmable_switches().into_iter().filter(|s| component.contains(s)).collect();
+    first_fit(tdg, net, eps, &candidates, within_level)
 }
 
 /// First fit by level.
@@ -69,7 +49,7 @@ impl DeploymentAlgorithm for FirstFitByLevel {
         net: &Network,
         eps: &Epsilon,
     ) -> Result<DeploymentPlan, DeployError> {
-        first_fit(tdg, net, eps, LevelOrder::ByLevel)
+        largest_component_first_fit(tdg, net, eps, |a, b| a.cmp(&b))
     }
 }
 
@@ -84,7 +64,11 @@ impl DeploymentAlgorithm for FirstFitByLevelAndSize {
         net: &Network,
         eps: &Epsilon,
     ) -> Result<DeploymentPlan, DeployError> {
-        first_fit(tdg, net, eps, LevelOrder::ByLevelAndSize)
+        // Within a level, largest resource first.
+        let resource = |id: NodeId| tdg.node(id).mat.resource();
+        largest_component_first_fit(tdg, net, eps, |a, b| {
+            resource(b).partial_cmp(&resource(a)).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+        })
     }
 }
 
@@ -110,103 +94,6 @@ impl Solver for FirstFitByLevelAndSize {
     ) -> Result<SolveOutcome, DeployError> {
         one_shot_solve(self, tdg, net, eps, ctx)
     }
-}
-
-/// Dependency level of each node: longest path from a root, the classic
-/// FFL level function.
-fn levels(tdg: &Tdg) -> Vec<usize> {
-    let order = tdg.topo_order().expect("TDGs are DAGs");
-    let mut level = vec![0usize; tdg.node_count()];
-    for &id in &order {
-        for e in tdg.out_edges(id) {
-            level[e.to.index()] = level[e.to.index()].max(level[id.index()] + 1);
-        }
-    }
-    level
-}
-
-fn first_fit(
-    tdg: &Tdg,
-    net: &Network,
-    eps: &Epsilon,
-    order_kind: LevelOrder,
-) -> Result<DeploymentPlan, DeployError> {
-    // Restrict to the largest component so routing between consecutive
-    // fill switches always exists (Table III topology 5 is disconnected).
-    let component = net.largest_component();
-    let candidates: Vec<_> =
-        net.programmable_switches().into_iter().filter(|s| component.contains(s)).collect();
-    if candidates.is_empty() {
-        return Err(DeployError::NoProgrammableSwitch);
-    }
-    if tdg.node_count() == 0 {
-        return Ok(DeploymentPlan::new());
-    }
-
-    // Order nodes by (level, tie-break), preserving dependency legality:
-    // a node's level strictly exceeds all its predecessors', so a level
-    // sort is a topological sort.
-    let level = levels(tdg);
-    let mut nodes: Vec<NodeId> = tdg.node_ids().collect();
-    nodes.sort_by(|&a, &b| {
-        let key_a = level[a.index()];
-        let key_b = level[b.index()];
-        key_a.cmp(&key_b).then_with(|| match order_kind {
-            LevelOrder::ByLevel => a.cmp(&b),
-            LevelOrder::ByLevelAndSize => tdg
-                .node(b)
-                .mat
-                .resource()
-                .partial_cmp(&tdg.node(a).mat.resource())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b)),
-        })
-    });
-
-    // Pack greedily: try the current switch; on failure advance. Never
-    // returns to an earlier switch, matching one-by-one deployment.
-    let mut assign = vec![usize::MAX; tdg.node_count()];
-    let mut current = 0usize;
-    let mut on_current: BTreeSet<NodeId> = BTreeSet::new();
-    for &id in &nodes {
-        loop {
-            if current >= candidates.len() || current >= eps.max_switches {
-                return Err(DeployError::NoFeasiblePlacement {
-                    reason: format!(
-                        "first-fit ran out of switches after {current} (eps2 = {})",
-                        eps.max_switches
-                    ),
-                });
-            }
-            let model = net.switch(candidates[current]).target_model();
-            let mut attempt = on_current.clone();
-            attempt.insert(id);
-            if stage_feasible(tdg, &attempt, &model) {
-                on_current = attempt;
-                assign[id.index()] = current;
-                break;
-            }
-            // A single MAT that fits no empty switch can never be placed.
-            if on_current.is_empty() {
-                return Err(DeployError::MatTooLarge {
-                    mat: tdg.node(id).name.clone(),
-                    resource: tdg.node(id).mat.resource(),
-                });
-            }
-            current += 1;
-            on_current.clear();
-        }
-    }
-
-    let plan = materialize(tdg, net, &candidates, &assign).ok_or_else(|| {
-        DeployError::NoFeasiblePlacement { reason: "routing failed for first-fit plan".to_owned() }
-    })?;
-    if plan.end_to_end_latency_us() > eps.max_latency_us {
-        return Err(DeployError::NoFeasiblePlacement {
-            reason: "first-fit plan exceeds eps1".to_owned(),
-        });
-    }
-    Ok(plan)
 }
 
 #[cfg(test)]
@@ -238,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_is_overhead_oblivious() {
+    fn ffl_is_overhead_oblivious() {
         // On the testbed workload, Hermes should never be worse than FFL.
         let (tdg, net) = testbed_inputs();
         let eps = Epsilon::loose();
@@ -251,15 +138,6 @@ mod tests {
             ffl.max_inter_switch_bytes(&tdg)
         );
         let _ = GreedyHeuristic::new();
-    }
-
-    #[test]
-    fn levels_respect_dependencies() {
-        let tdg = ProgramAnalyzer::new().analyze(&[library::l3_router()]);
-        let l = levels(&tdg);
-        for e in tdg.edges() {
-            assert!(l[e.from.index()] < l[e.to.index()]);
-        }
     }
 
     #[test]

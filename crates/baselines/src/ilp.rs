@@ -23,8 +23,8 @@
 //! the ILP attempt time; overhead experiments consume the decisions.
 
 use hermes_core::{
-    materialize, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic,
-    SearchContext, SolveOutcome, Solver, SplitStrategy,
+    materialize, one_shot_solve, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
+    GreedyHeuristic, SearchContext, SolveOutcome, Solver, SplitStrategy,
 };
 use hermes_milp::{
     solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus,
@@ -34,7 +34,7 @@ use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use std::time::{Duration, Instant};
 
-use crate::greedy::{one_shot_solve, FirstFitByLevel, FirstFitByLevelAndSize};
+use crate::greedy::{FirstFitByLevel, FirstFitByLevelAndSize};
 
 /// Which published objective an [`IlpBaseline`] encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

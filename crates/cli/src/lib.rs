@@ -20,7 +20,7 @@ use hermes_baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, Ilp
 use hermes_core::{
     explain, verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer,
     MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver, Portfolio,
-    ProgramAnalyzer, RedeployOptions, SearchContext,
+    ProgramAnalyzer, RedeployOptions, SearchContext, Violation,
 };
 use hermes_dataplane::lint::lint_composition;
 use hermes_dataplane::parser::parse_programs;
@@ -47,6 +47,12 @@ impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
+}
+
+/// Verifier findings as the CLI prints them: `[HV4xx] text`, `; `-joined.
+fn listed(violations: &[Violation]) -> String {
+    let each: Vec<String> = violations.iter().map(|v| format!("[{}] {v}", v.code())).collect();
+    each.join("; ")
 }
 
 /// Parses a topology spec: `linear:N`, `star:N`, `fattree:K`, `wan:I`
@@ -533,8 +539,13 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                     .ok_or_else(|| err("--eps1 needs a non-negative number of microseconds"))?
             }
             "--eps2" => {
-                options.eps2 =
-                    value(&mut iter)?.parse().map_err(|_| err("--eps2 needs an integer"))?
+                // Zero switches host nothing: no plan of a non-empty
+                // workload could satisfy Eq. 5.
+                options.eps2 = value(&mut iter)?
+                    .parse()
+                    .ok()
+                    .filter(|&switches: &usize| switches > 0)
+                    .ok_or_else(|| err("--eps2 needs a positive number of switches"))?
             }
             "--time-limit" => {
                 options.time_limit_secs =
@@ -1018,7 +1029,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
                 .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
             let violations = verify(&tdg, &net, &plan, &eps);
             if !violations.is_empty() {
-                return Err(err(format!("plan failed verification: {violations:?}")));
+                return Err(err(format!("plan failed verification: {}", listed(&violations))));
             }
             if options.journal.is_some() {
                 // Install over a clean control plane purely to produce
@@ -1175,6 +1186,30 @@ mod tests {
         for bad in ["NaN", "nan", "-5", "-inf", "-0.001", "soon"] {
             let e = eps1(bad).unwrap_err();
             assert!(e.0.contains("--eps1 needs a non-negative number"), "`{bad}`: {e}");
+        }
+    }
+
+    #[test]
+    fn violations_print_with_their_code_and_display_text() {
+        let found = [
+            Violation::SwitchBound { occupied: 1, bound: 0 },
+            Violation::NodeUnplaced { node: "p/t".to_owned() },
+        ];
+        assert_eq!(
+            listed(&found),
+            "[HV412] 1 occupied switches exceed eps2 = 0 (Eq. 5); \
+             [HV401] node `p/t` unplaced (Eq. 6)"
+        );
+    }
+
+    #[test]
+    fn eps2_flag_rejects_zero_and_garbage() {
+        let eps2 = |v: &str| parse_args(&args(&["deploy", "a.p4dsl", "--eps2", v])).map(|o| o.eps2);
+        assert_eq!(eps2("1").unwrap(), 1);
+        assert_eq!(parse_args(&args(&["deploy", "a.p4dsl"])).unwrap().eps2, usize::MAX);
+        for bad in ["0", "-1", "2.5", "many"] {
+            let e = eps2(bad).unwrap_err();
+            assert!(e.0.contains("--eps2 needs a positive number of switches"), "`{bad}`: {e}");
         }
     }
 

@@ -67,7 +67,7 @@ use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilo
 use crate::eval::IncrementalEval;
 use crate::heuristic::GreedyHeuristic;
 use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
-use crate::stage_assign::{assign_stages, Packing};
+use crate::stage_assign::{Packing, StageProbe};
 use hermes_net::{shortest_path, Network, SwitchId, CAP_TOL};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::BTreeSet;
@@ -197,7 +197,7 @@ impl OptimalSolver {
             tdg,
             net,
             eps,
-            order: &order,
+            order,
             candidates: &candidates,
             symmetric,
             fast_leaves: eps.max_latency_us.is_infinite() && all_pairs_routable,
@@ -798,14 +798,10 @@ pub fn materialize(
     assign: &[usize],
 ) -> Option<DeploymentPlan> {
     let mut plan = DeploymentPlan::new();
+    let mut probe = StageProbe::new(tdg);
     for (c, &switch) in candidates.iter().enumerate() {
-        let nodes: BTreeSet<NodeId> = tdg.node_ids().filter(|id| assign[id.index()] == c).collect();
-        if nodes.is_empty() {
-            continue;
-        }
         let model = net.switch(switch).target_model();
-        let placements = assign_stages(tdg, &nodes, switch, &model).ok()?;
-        for p in placements {
+        for p in probe.place(&model, switch, |id| assign[id.index()] == c).ok()? {
             plan.place(p);
         }
     }

@@ -11,15 +11,21 @@
 //!    nearest programmable switches within latency `ε₁` (`SELECT_SWITCHES`);
 //!    when enough candidates exist, map the `i`-th segment to the `i`-th
 //!    candidate and wire consecutive segments with latency-shortest paths.
+//!
+//! A segment is a range of the [`placement_order`]: the bisection only ever
+//! cuts a contiguous run in two, coalescing joins neighbours and the
+//! bounded splitter picks boundaries, so membership and prefix tests are
+//! position comparisons and "does it fit" is one [`StageProbe`] question
+//! over `pos ∈ range`. Node sets are built only at the `pub` boundary.
 
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
-use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver};
-use crate::stage_assign::{assign_stages, fits_total_capacity};
-use crate::stage_cache::StageFeasCache;
+use crate::exact::materialize;
+use crate::solver::{one_shot_solve, SearchContext, SolveOutcome, Solver};
+use crate::stage_assign::StageProbe;
 use hermes_net::{nearest_programmable, shortest_path, Network, SwitchId, TargetModel};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::ops::Range;
 
 /// How the splitter chooses the cut position (ablation hook; the paper's
 /// strategy is [`SplitStrategy::MinMetadata`]).
@@ -84,72 +90,126 @@ impl GreedyHeuristic {
         tdg: &Tdg,
         model: &TargetModel,
     ) -> Result<Vec<BTreeSet<NodeId>>, DeployError> {
-        let order = placement_order(tdg);
-        let all: BTreeSet<NodeId> = tdg.node_ids().collect();
-        let mut segments = Vec::new();
-        // One feasibility cache across the recursion *and* the coalescing
-        // pass: the bisection re-probes the same node sets at many depths.
-        let mut cache = StageFeasCache::new(tdg);
-        self.split_rec(tdg, &order, all, model, &mut segments, 0, &mut cache)?;
-        Ok(coalesce(tdg, segments, model, &mut cache))
+        let mut splitter = Splitter::new(tdg, model);
+        let segments = splitter.split(self.strategy)?;
+        Ok(splitter.node_sets(&segments))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn split_rec(
+    /// Capacity-bounded splitter used when the recursive bisection needs
+    /// more switches than the network offers. Chooses cut positions along
+    /// the topological order so that (a) every segment still fits one
+    /// switch, (b) at most `max_segments` segments result, and (c) the
+    /// *largest chosen boundary cost* — the metadata crossing that cut,
+    /// which upper-bounds every pair's `A(u,v)` across it — is minimized
+    /// via binary search over the distinct boundary costs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeployError::NoFeasiblePlacement`] when not even ignoring
+    /// boundary costs yields `<= max_segments` feasible segments, and
+    /// [`DeployError::MatTooLarge`] when one MAT alone overflows a switch.
+    pub fn split_bounded(
         &self,
         tdg: &Tdg,
-        topo: &[NodeId],
-        nodes: BTreeSet<NodeId>,
         model: &TargetModel,
-        out: &mut Vec<BTreeSet<NodeId>>,
+        max_segments: usize,
+    ) -> Result<Vec<BTreeSet<NodeId>>, DeployError> {
+        let mut splitter = Splitter::new(tdg, model);
+        let segments = splitter.split_bounded(max_segments)?;
+        Ok(splitter.node_sets(&segments))
+    }
+}
+
+fn mat_too_large(tdg: &Tdg, id: NodeId) -> DeployError {
+    let node = tdg.node(id);
+    DeployError::MatTooLarge { mat: node.name.clone(), resource: node.mat.resource() }
+}
+
+/// A run of consecutive positions of the [`placement_order`].
+type Segment = Range<usize>;
+
+/// Both splitters' state for one TDG and one pipeline shape.
+struct Splitter<'a> {
+    tdg: &'a Tdg,
+    model: &'a TargetModel,
+    /// The [`placement_order`].
+    order: Vec<NodeId>,
+    /// Node index → position in `order`.
+    pos: Vec<usize>,
+    probe: StageProbe<'a>,
+}
+
+impl<'a> Splitter<'a> {
+    fn new(tdg: &'a Tdg, model: &'a TargetModel) -> Self {
+        let order = placement_order(tdg);
+        let mut pos = vec![0usize; order.len()];
+        for (rank, id) in order.iter().enumerate() {
+            pos[id.index()] = rank;
+        }
+        Splitter { tdg, model, order, pos, probe: StageProbe::new(tdg) }
+    }
+
+    fn node_sets(&self, segments: &[Segment]) -> Vec<BTreeSet<NodeId>> {
+        segments.iter().map(|seg| self.order[seg.clone()].iter().copied().collect()).collect()
+    }
+
+    /// Algorithm 2 line 2: resource fit — tightened with a stage-assignment
+    /// probe so every returned segment is actually deployable.
+    fn fits(&mut self, seg: &Segment) -> bool {
+        let pos = &self.pos;
+        self.probe.fits(self.model, |id| seg.contains(&pos[id.index()]))
+    }
+
+    /// The recursive bisection, then [`Splitter::coalesce`].
+    fn split(&mut self, strategy: SplitStrategy) -> Result<Vec<Segment>, DeployError> {
+        let mut segments = Vec::new();
+        self.split_rec(strategy, 0..self.order.len(), 0, &mut segments)?;
+        Ok(self.coalesce(segments))
+    }
+
+    fn split_rec(
+        &mut self,
+        strategy: SplitStrategy,
+        seg: Segment,
         depth: u64,
-        cache: &mut StageFeasCache,
+        out: &mut Vec<Segment>,
     ) -> Result<(), DeployError> {
-        if nodes.is_empty() {
+        if seg.is_empty() {
             return Ok(());
         }
-        // Algorithm 2 line 2: resource fit — tightened with a stage-assignment
-        // probe so every returned segment is actually deployable.
-        if fits_total_capacity(tdg, &nodes, model) && cache.feasible_set(tdg, model, &nodes) {
-            out.push(nodes);
+        if self.fits(&seg) {
+            out.push(seg);
             return Ok(());
         }
-        if nodes.len() == 1 {
-            let id = *nodes.iter().next().expect("non-empty");
-            return Err(DeployError::MatTooLarge {
-                mat: tdg.node(id).name.clone(),
-                resource: tdg.node(id).mat.resource(),
-            });
+        let n = seg.len();
+        if n == 1 {
+            return Err(mat_too_large(self.tdg, self.order[seg.start]));
         }
 
-        // Restrict the global topological order to this segment.
-        let local: Vec<NodeId> = topo.iter().copied().filter(|id| nodes.contains(id)).collect();
-        let n = local.len();
-        let cut = match self.strategy {
+        let cut = match strategy {
             SplitStrategy::MinMetadata => {
                 // Enumerate prefix cuts, tracking crossing bytes incrementally:
                 // moving node `a` into the prefix adds its out-edges into the
                 // suffix and removes its in-edges from the prefix.
-                let mut prefix: BTreeSet<NodeId> = BTreeSet::new();
                 let mut best_cut = 1;
                 let mut best_cross = u64::MAX;
                 let mut cross: i64 = 0;
-                for (k, &a) in local.iter().enumerate().take(n - 1) {
-                    for e in tdg.in_edges(a) {
-                        if prefix.contains(&e.from) {
+                for at in seg.start..seg.end - 1 {
+                    let a = self.order[at];
+                    for e in self.tdg.in_edges(a) {
+                        if (seg.start..at).contains(&self.pos[e.from.index()]) {
                             cross -= i64::from(e.bytes);
                         }
                     }
-                    for e in tdg.out_edges(a) {
-                        if nodes.contains(&e.to) && !prefix.contains(&e.to) {
+                    for e in self.tdg.out_edges(a) {
+                        if (at + 1..seg.end).contains(&self.pos[e.to.index()]) {
                             cross += i64::from(e.bytes);
                         }
                     }
-                    prefix.insert(a);
                     let cross_u = u64::try_from(cross.max(0)).expect("non-negative");
                     if cross_u < best_cross {
                         best_cross = cross_u;
-                        best_cut = k + 1;
+                        best_cut = at + 1 - seg.start;
                     }
                 }
                 best_cut
@@ -164,12 +224,136 @@ impl GreedyHeuristic {
                 1 + (z as usize) % (n - 1)
             }
         };
-        let cut = cut.clamp(1, n - 1);
-        let left: BTreeSet<NodeId> = local[..cut].iter().copied().collect();
-        let right: BTreeSet<NodeId> = local[cut..].iter().copied().collect();
-        self.split_rec(tdg, topo, left, model, out, depth * 2 + 1, cache)?;
-        self.split_rec(tdg, topo, right, model, out, depth * 2 + 2, cache)?;
-        Ok(())
+        let cut = seg.start + cut.clamp(1, n - 1);
+        self.split_rec(strategy, seg.start..cut, depth * 2 + 1, out)?;
+        self.split_rec(strategy, cut..seg.end, depth * 2 + 2, out)
+    }
+
+    /// Merges adjacent segments back together whenever their union still
+    /// fits one switch. The recursive bisection can strand tiny segments (a
+    /// cheap cut near the graph's fringe); re-packing them onto the
+    /// neighbouring switch removes that pair's crossing metadata entirely,
+    /// so coalescing never increases `A_max` and reduces the switches
+    /// required.
+    fn coalesce(&mut self, segments: Vec<Segment>) -> Vec<Segment> {
+        let mut out: Vec<Segment> = Vec::with_capacity(segments.len());
+        for seg in segments {
+            if let Some(last) = out.last_mut() {
+                let union = last.start..seg.end;
+                if self.fits(&union) {
+                    *last = union;
+                    continue;
+                }
+            }
+            out.push(seg);
+        }
+        out
+    }
+
+    /// [`GreedyHeuristic::split_bounded`] on ranges.
+    fn split_bounded(&mut self, max_segments: usize) -> Result<Vec<Segment>, DeployError> {
+        let n = self.order.len();
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let fits_alone = |id: NodeId| self.model.fits_total(self.tdg.node(id).mat.resource());
+        if let Some(&id) = self.order.iter().find(|&&id| !fits_alone(id)) {
+            return Err(mat_too_large(self.tdg, id));
+        }
+        // cost[b] = metadata crossing the boundary before order[b]: an edge
+        // from position p to position q crosses the boundaries p + 1..=q.
+        let mut cost = vec![0u64; n + 1];
+        for e in self.tdg.edges() {
+            let crossed = self.pos[e.from.index()] + 1..=self.pos[e.to.index()];
+            cost[crossed].iter_mut().for_each(|c| *c += u64::from(e.bytes));
+        }
+        let mut thresholds: Vec<u64> = cost[1..n].to_vec();
+        thresholds.push(u64::MAX);
+        thresholds.sort_unstable();
+        thresholds.dedup();
+
+        // Greedy check: extend each segment as far as possible, ending only
+        // at boundaries within the cost threshold. Feasibility of a range
+        // is monotone (removing nodes never hurts), so farthest-first is
+        // optimal for segment count.
+        let mut try_threshold = |t: u64| -> Option<Vec<Segment>> {
+            let mut segments = Vec::new();
+            let mut from = 0usize;
+            while from < n {
+                let to = (from + 1..=n)
+                    .rev()
+                    .find(|&to| (to == n || cost[to] <= t) && self.fits(&(from..to)))?;
+                segments.push(from..to);
+                if segments.len() > max_segments {
+                    return None;
+                }
+                from = to;
+            }
+            Some(segments)
+        };
+
+        let (mut lo, mut hi) = (0usize, thresholds.len() - 1);
+        // Ensure some threshold works at all before bisecting.
+        let Some(mut best) = try_threshold(thresholds[hi]) else {
+            return Err(DeployError::NoFeasiblePlacement {
+                reason: format!("cannot fit the TDG into {max_segments} switches"),
+            });
+        };
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match try_threshold(thresholds[mid]) {
+                Some(segments) => {
+                    best = segments;
+                    hi = mid;
+                }
+                None => lo = mid + 1,
+            }
+        }
+        Ok(best)
+    }
+
+    /// Algorithm 2 lines 24–29: the `i`-th segment on the `i`-th candidate,
+    /// every dependent pair wired; `None` when a segment does not pack into
+    /// its switch, a pair is unroutable or the routes exceed `ε₁`.
+    fn try_place(
+        &mut self,
+        net: &Network,
+        eps: &Epsilon,
+        segments: &[Segment],
+        candidates: &[SwitchId],
+    ) -> Option<DeploymentPlan> {
+        let mut plan = DeploymentPlan::new();
+        let mut segment_of = vec![0usize; self.order.len()];
+        for (i, (seg, &s)) in segments.iter().zip(candidates).enumerate() {
+            let (model, pos) = (net.switch(s).target_model(), &self.pos);
+            for p in self.probe.place(&model, s, |id| seg.contains(&pos[id.index()])).ok()? {
+                plan.place(p);
+            }
+            for &id in &self.order[seg.clone()] {
+                segment_of[id.index()] = i;
+            }
+        }
+        // Wire every dependent segment pair via the latency-shortest path
+        // (lines 26–29 wire adjacent segments; non-adjacent dependencies —
+        // e.g. a shared hash feeding a far-away consumer — need routes
+        // too, or Eq. 7 is violated).
+        let pairs: BTreeSet<(usize, usize)> = self
+            .tdg
+            .edges()
+            .iter()
+            .map(|e| (segment_of[e.from.index()], segment_of[e.to.index()]))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let mut total_latency = 0.0;
+        for (u, v) in pairs {
+            let path = shortest_path(net, candidates[u], candidates[v])?;
+            total_latency += path.latency_us;
+            plan.route(PlanRoute { from: candidates[u], to: candidates[v], path });
+        }
+        if total_latency > eps.max_latency_us {
+            return None;
+        }
+        Some(plan)
     }
 }
 
@@ -238,145 +422,91 @@ pub(crate) fn conservative_model(net: &Network, programmable: &[SwitchId]) -> Ta
     model
 }
 
-impl GreedyHeuristic {
-    /// Capacity-bounded splitter used when the recursive bisection needs
-    /// more switches than the network offers. Chooses cut positions along
-    /// the topological order so that (a) every segment still fits one
-    /// switch, (b) at most `max_segments` segments result, and (c) the
-    /// *largest chosen boundary cost* — the metadata crossing that cut,
-    /// which upper-bounds every pair's `A(u,v)` across it — is minimized
-    /// via binary search over the distinct boundary costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError::NoFeasiblePlacement`] when not even ignoring
-    /// boundary costs yields `<= max_segments` feasible segments, and
-    /// [`DeployError::MatTooLarge`] when one MAT alone overflows a switch.
-    #[allow(clippy::needless_range_loop)] // `b` is a boundary position, not a `cost` iterator
-    pub fn split_bounded(
-        &self,
-        tdg: &Tdg,
-        model: &TargetModel,
-        max_segments: usize,
-    ) -> Result<Vec<BTreeSet<NodeId>>, DeployError> {
-        let order = placement_order(tdg);
-        let n = order.len();
-        if n == 0 {
-            return Ok(Vec::new());
+/// Dependency level of each node: longest path from a root, the classic
+/// FFL level function.
+fn levels(tdg: &Tdg) -> Vec<usize> {
+    let mut level = vec![0usize; tdg.node_count()];
+    for &id in tdg.topo_order().expect("TDGs are DAGs") {
+        for e in tdg.out_edges(id) {
+            level[e.to.index()] = level[e.to.index()].max(level[id.index()] + 1);
         }
-        for &id in &order {
-            let r = tdg.node(id).mat.resource();
-            if !model.fits_total(r) {
-                return Err(DeployError::MatTooLarge {
-                    mat: tdg.node(id).name.clone(),
-                    resource: r,
-                });
-            }
-        }
-        // cost[b] = metadata crossing the boundary before order[b].
-        let pos: Vec<usize> = {
-            let mut pos = vec![0usize; n];
-            for (rank, id) in order.iter().enumerate() {
-                pos[id.index()] = rank;
-            }
-            pos
-        };
-        let mut cost = vec![0u64; n + 1];
-        for b in 1..n {
-            cost[b] = tdg
-                .edges()
-                .iter()
-                .filter(|e| pos[e.from.index()] < b && pos[e.to.index()] >= b)
-                .map(|e| u64::from(e.bytes))
-                .sum();
-        }
-        let mut thresholds: Vec<u64> = cost[1..n].to_vec();
-        thresholds.push(u64::MAX);
-        thresholds.sort_unstable();
-        thresholds.dedup();
-
-        // RefCell because both closures below need the memoized cache: the
-        // binary search re-probes many (from, to) ranges across thresholds.
-        let cache = std::cell::RefCell::new(StageFeasCache::new(tdg));
-        let feasible_range = |from: usize, to: usize| -> bool {
-            let set: BTreeSet<NodeId> = order[from..to].iter().copied().collect();
-            fits_total_capacity(tdg, &set, model)
-                && cache.borrow_mut().feasible_set(tdg, model, &set)
-        };
-        // Greedy check: extend each segment as far as possible, ending only
-        // at boundaries within the cost threshold. Feasibility of a range
-        // is monotone (removing nodes never hurts), so farthest-first is
-        // optimal for segment count.
-        let try_threshold = |t: u64| -> Option<Vec<(usize, usize)>> {
-            let mut ranges = Vec::new();
-            let mut from = 0usize;
-            while from < n {
-                let mut best_to = None;
-                for to in (from + 1..=n).rev() {
-                    if (to == n || cost[to] <= t) && feasible_range(from, to) {
-                        best_to = Some(to);
-                        break;
-                    }
-                }
-                let to = best_to?;
-                ranges.push((from, to));
-                if ranges.len() > max_segments {
-                    return None;
-                }
-                from = to;
-            }
-            Some(ranges)
-        };
-
-        let (mut lo, mut hi) = (0usize, thresholds.len() - 1);
-        // Ensure some threshold works at all before bisecting.
-        let mut best = match try_threshold(thresholds[hi]) {
-            None => {
-                return Err(DeployError::NoFeasiblePlacement {
-                    reason: format!("cannot fit the TDG into {max_segments} switches"),
-                })
-            }
-            Some(r) => Some((thresholds[hi], r)),
-        };
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match try_threshold(thresholds[mid]) {
-                Some(r) => {
-                    best = Some((thresholds[mid], r));
-                    hi = mid;
-                }
-                None => lo = mid + 1,
-            }
-        }
-        let (_, ranges) = best.expect("checked above");
-        Ok(ranges.into_iter().map(|(from, to)| order[from..to].iter().copied().collect()).collect())
     }
+    level
 }
 
-/// Merges adjacent segments back together whenever their union still fits
-/// one switch. The recursive bisection can strand tiny segments (a cheap
-/// cut near the graph's fringe); re-packing them onto the neighbouring
-/// switch removes that pair's crossing metadata entirely, so coalescing
-/// never increases `A_max` and reduces the switches required.
-fn coalesce(
+/// Dependency-levelled first fit (Jose et al., extended by the paper to
+/// deploy on switches one by one): walk the TDG level by level —
+/// `within_level` orders the MATs of one level — and pack MATs into the
+/// current candidate until it cannot take the next one, then move on, never
+/// back. It never looks at metadata amounts, so edges are cut wherever
+/// capacity happens to run out: the FFL / FFLS baselines, and the greedy
+/// heuristic's last-resort feasibility net.
+///
+/// # Errors
+///
+/// [`DeployError::NoProgrammableSwitch`] without candidates,
+/// [`DeployError::MatTooLarge`] for a MAT no empty candidate holds, and
+/// [`DeployError::NoFeasiblePlacement`] when the candidates or `ε₂` run
+/// out, a dependent pair is unroutable or the routes exceed `ε₁`.
+pub fn first_fit(
     tdg: &Tdg,
-    segments: Vec<BTreeSet<NodeId>>,
-    model: &TargetModel,
-    cache: &mut StageFeasCache,
-) -> Vec<BTreeSet<NodeId>> {
-    let mut out: Vec<BTreeSet<NodeId>> = Vec::with_capacity(segments.len());
-    for seg in segments {
-        if let Some(last) = out.last_mut() {
-            let mut union = last.clone();
-            union.extend(seg.iter().copied());
-            if fits_total_capacity(tdg, &union, model) && cache.feasible_set(tdg, model, &union) {
-                *last = union;
-                continue;
-            }
-        }
-        out.push(seg);
+    net: &Network,
+    eps: &Epsilon,
+    candidates: &[SwitchId],
+    within_level: impl Fn(NodeId, NodeId) -> std::cmp::Ordering,
+) -> Result<DeploymentPlan, DeployError> {
+    if candidates.is_empty() {
+        return Err(DeployError::NoProgrammableSwitch);
     }
-    out
+    // Order nodes by (level, tie-break), preserving dependency legality:
+    // a node's level strictly exceeds all its predecessors', so a level
+    // sort is a topological sort.
+    let level = levels(tdg);
+    let mut nodes: Vec<NodeId> = tdg.node_ids().collect();
+    nodes
+        .sort_by(|&a, &b| level[a.index()].cmp(&level[b.index()]).then_with(|| within_level(a, b)));
+
+    // Pack greedily: try the current switch; on failure advance. Never
+    // returns to an earlier switch, matching one-by-one deployment. Every
+    // probe repacks "current switch ∪ {id}" in the canonical topological
+    // order — the level order is a different first fit.
+    let mut assign = vec![usize::MAX; tdg.node_count()];
+    let mut probe = StageProbe::new(tdg);
+    let (mut current, mut on_current) = (0usize, 0usize);
+    for &id in &nodes {
+        loop {
+            if current >= candidates.len() || current >= eps.max_switches {
+                return Err(DeployError::NoFeasiblePlacement {
+                    reason: format!(
+                        "first-fit ran out of switches after {current} (eps2 = {})",
+                        eps.max_switches
+                    ),
+                });
+            }
+            let model = net.switch(candidates[current]).target_model();
+            if probe.fits(&model, |n| n == id || assign[n.index()] == current) {
+                assign[id.index()] = current;
+                on_current += 1;
+                break;
+            }
+            // A single MAT that fits no empty switch can never be placed.
+            if on_current == 0 {
+                return Err(mat_too_large(tdg, id));
+            }
+            current += 1;
+            on_current = 0;
+        }
+    }
+
+    let plan = materialize(tdg, net, candidates, &assign).ok_or_else(|| {
+        DeployError::NoFeasiblePlacement { reason: "routing failed for first-fit plan".to_owned() }
+    })?;
+    if plan.end_to_end_latency_us() > eps.max_latency_us {
+        return Err(DeployError::NoFeasiblePlacement {
+            reason: "first-fit plan exceeds eps1".to_owned(),
+        });
+    }
+    Ok(plan)
 }
 
 /// Maximum accepted single-node moves of the refinement pass per deploy.
@@ -404,38 +534,53 @@ impl DeploymentAlgorithm for GreedyHeuristic {
         if tdg.node_count() == 0 {
             return Ok(DeploymentPlan::new());
         }
+        if eps.max_switches == 0 {
+            return Err(DeployError::NoFeasiblePlacement {
+                reason: "eps2 = 0 leaves no switch to occupy".to_owned(),
+            });
+        }
         // Homogeneous-pipeline assumption of the paper, generalized to
         // heterogeneous targets: split against the weakest programmable
         // switch along every axis (fewest budget-effective stages, smallest
         // per-stage capacity, tightest budget) so segments fit anywhere.
         let split_model = conservative_model(net, &programmable);
-        let mut segments = self.split(tdg, &split_model)?;
+        let mut splitter = Splitter::new(tdg, &split_model);
+        let mut segments = splitter.split(self.strategy)?;
+        // Local-search refinement is part of the full Hermes pipeline; the
+        // ablation split strategies stay unrefined so their comparisons
+        // isolate the splitting objective.
+        let refined = |plan| match self.strategy {
+            SplitStrategy::MinMetadata => crate::refine::refine(tdg, net, plan, eps, REFINE_BUDGET),
+            _ => plan,
+        };
 
         // Algorithm 2 lines 21–29: enumerate anchor switches. Two passes:
         // first with the paper's recursive split, then — if no anchor has
         // enough candidates — with the capacity-bounded splitter.
+        let mut most_candidates = 0;
         for pass in 0..2 {
             for u in net.switch_ids() {
                 if !net.switch(u).programmable {
                     continue;
                 }
-                let extra = eps.max_switches.saturating_sub(1).min(programmable.len() - 1);
+                let extra = (eps.max_switches - 1).min(programmable.len() - 1);
                 let mut candidates = vec![u];
                 candidates.extend(
                     nearest_programmable(net, u, extra, eps.max_latency_us)
                         .into_iter()
                         .map(|(s, _)| s),
                 );
+                most_candidates = most_candidates.max(candidates.len());
                 if segments.len() > candidates.len() {
                     continue;
                 }
-                if let Some(plan) = self.try_place(tdg, net, eps, &segments, &candidates) {
-                    return Ok(self.maybe_refine(tdg, net, plan, eps));
+                if let Some(plan) = splitter.try_place(net, eps, &segments, &candidates) {
+                    return Ok(refined(plan));
                 }
             }
             if pass == 0 {
                 let max_segments = eps.max_switches.min(programmable.len());
-                match self.split_bounded(tdg, &split_model, max_segments) {
+                match splitter.split_bounded(max_segments) {
                     Ok(bounded) if bounded.len() < segments.len() => segments = bounded,
                     _ => break,
                 }
@@ -445,13 +590,13 @@ impl DeploymentAlgorithm for GreedyHeuristic {
         // tighter than any contiguous split of the clustered order, at the
         // cost of overhead-oblivious cuts — which the refinement pass then
         // claws back move by move.
-        if let Some(plan) = self.first_fit_fallback(tdg, net, eps) {
-            return Ok(self.maybe_refine(tdg, net, plan, eps));
+        if let Ok(plan) = first_fit(tdg, net, eps, &programmable, |a, b| a.cmp(&b)) {
+            return Ok(refined(plan));
         }
         Err(DeployError::NoFeasiblePlacement {
             reason: format!(
-                "{} segments need {} candidate switches within eps2={} / eps1={} us",
-                segments.len(),
+                "no anchor places {} segments: at most {most_candidates} candidate switches \
+                 within eps2={} / eps1={} us",
                 segments.len(),
                 eps.max_switches,
                 eps.max_latency_us
@@ -468,141 +613,7 @@ impl Solver for GreedyHeuristic {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        let start = Instant::now();
-        let plan = self.deploy(tdg, net, eps)?;
-        let objective = plan.max_inter_switch_bytes(tdg);
-        ctx.publish_incumbent(objective);
-        Ok(SolveOutcome {
-            plan,
-            objective,
-            // Zero bytes is a global lower bound, so a zero-overhead plan
-            // is optimal; otherwise the heuristic proves nothing.
-            proven_optimal: objective == 0,
-            stats: SolveStats {
-                nodes_explored: 0,
-                wall: start.elapsed(),
-                proven_bound: (objective == 0).then_some(0),
-            },
-        })
-    }
-}
-
-impl GreedyHeuristic {
-    /// Local-search refinement is part of the full Hermes pipeline; the
-    /// ablation split strategies stay unrefined so their comparisons
-    /// isolate the splitting objective.
-    fn maybe_refine(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        plan: DeploymentPlan,
-        eps: &Epsilon,
-    ) -> DeploymentPlan {
-        match self.strategy {
-            SplitStrategy::MinMetadata => crate::refine::refine(tdg, net, plan, eps, REFINE_BUDGET),
-            _ => plan,
-        }
-    }
-
-    /// Level-ordered first-fit packing (never returns to an earlier
-    /// switch), used only when both splitters fail. Produces the same
-    /// placements an overhead-oblivious baseline would.
-    fn first_fit_fallback(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Option<DeploymentPlan> {
-        // Dependency levels: a level sort is a topological sort.
-        let order = tdg.topo_order().expect("TDGs are DAGs");
-        let mut level = vec![0usize; tdg.node_count()];
-        for &id in &order {
-            for e in tdg.out_edges(id) {
-                level[e.to.index()] = level[e.to.index()].max(level[id.index()] + 1);
-            }
-        }
-        let mut nodes: Vec<NodeId> = tdg.node_ids().collect();
-        nodes.sort_by_key(|&id| (level[id.index()], id.index()));
-
-        let candidates = net.programmable_switches();
-        let mut assign = vec![usize::MAX; tdg.node_count()];
-        let mut current = 0usize;
-        // The level order is a topological order, so every probe is an
-        // incremental "current switch ∪ {id}" extension — the cache's
-        // fast path — instead of a from-scratch repack per node.
-        let mut cache = StageFeasCache::new(tdg);
-        let mut words = vec![0u64; cache.word_len()];
-        let mut on_current = 0usize;
-        for &id in &nodes {
-            loop {
-                if current >= candidates.len() || current >= eps.max_switches {
-                    return None;
-                }
-                let sw_model = net.switch(candidates[current]).target_model();
-                if cache.feasible_with(tdg, &sw_model, &words, id) {
-                    words[id.index() / 64] |= 1u64 << (id.index() % 64);
-                    on_current += 1;
-                    assign[id.index()] = current;
-                    break;
-                }
-                if on_current == 0 {
-                    return None; // a single MAT that fits no empty switch
-                }
-                current += 1;
-                words.iter_mut().for_each(|w| *w = 0);
-                on_current = 0;
-            }
-        }
-        let plan = crate::exact::materialize(tdg, net, &candidates, &assign)?;
-        (plan.end_to_end_latency_us() <= eps.max_latency_us
-            && plan.occupied_switch_count() <= eps.max_switches)
-            .then_some(plan)
-    }
-
-    fn try_place(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        segments: &[BTreeSet<NodeId>],
-        candidates: &[SwitchId],
-    ) -> Option<DeploymentPlan> {
-        let mut plan = DeploymentPlan::new();
-        for (i, segment) in segments.iter().enumerate() {
-            let s = candidates[i];
-            let model = net.switch(s).target_model();
-            let placements = assign_stages(tdg, segment, s, &model).ok()?;
-            for p in placements {
-                plan.place(p);
-            }
-        }
-        // Wire every dependent segment pair via the latency-shortest path
-        // (lines 26–29 wire adjacent segments; non-adjacent dependencies —
-        // e.g. a shared hash feeding a far-away consumer — need routes
-        // too, or Eq. 7 is violated).
-        let mut node_switch = vec![usize::MAX; tdg.node_count()];
-        for (i, segment) in segments.iter().enumerate() {
-            for &id in segment {
-                node_switch[id.index()] = i;
-            }
-        }
-        let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for e in tdg.edges() {
-            let (u, v) = (node_switch[e.from.index()], node_switch[e.to.index()]);
-            if u != usize::MAX && v != usize::MAX && u != v {
-                pairs.insert((u, v));
-            }
-        }
-        let mut total_latency = 0.0;
-        for (u, v) in pairs {
-            let path = shortest_path(net, candidates[u], candidates[v])?;
-            total_latency += path.latency_us;
-            plan.route(PlanRoute { from: candidates[u], to: candidates[v], path });
-        }
-        if total_latency > eps.max_latency_us {
-            return None;
-        }
-        Some(plan)
+        one_shot_solve(self, tdg, net, eps, ctx)
     }
 }
 
@@ -610,6 +621,7 @@ impl GreedyHeuristic {
 mod tests {
     use super::*;
     use crate::deployment::Epsilon;
+    use crate::stage_assign::assign_stages;
     use hermes_dataplane::action::Action;
     use hermes_dataplane::fields::Field;
     use hermes_dataplane::library;
@@ -742,10 +754,13 @@ mod tests {
     fn epsilon2_restricts_candidates() {
         let tdg = figure4_tdg();
         let net = figure4_network();
-        // Needs 3 switches; eps2 = 2 makes it infeasible.
+        // Needs 3 switches; eps2 = 2 makes it infeasible, and the error
+        // names both counts: the segments and the candidates on offer.
         let eps = Epsilon::new(f64::INFINITY, 2);
         let err = GreedyHeuristic::new().deploy(&tdg, &net, &eps).unwrap_err();
         assert!(matches!(err, DeployError::NoFeasiblePlacement { .. }));
+        let text = err.to_string();
+        assert!(text.contains("3 segments: at most 2 candidate switches"), "{text}");
     }
 
     #[test]
@@ -804,6 +819,15 @@ mod tests {
             .deploy(&tdg, &net, &Epsilon::loose())
             .unwrap();
         assert!(paper.max_inter_switch_bytes(&tdg) <= random.max_inter_switch_bytes(&tdg));
+    }
+
+    #[test]
+    fn levels_respect_dependencies() {
+        let tdg = Tdg::from_program(&library::l3_router(), AnalysisMode::PaperLiteral);
+        let level = levels(&tdg);
+        for e in tdg.edges() {
+            assert!(level[e.from.index()] < level[e.to.index()]);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
 use crate::heuristic::{placement_order, GreedyHeuristic};
 use crate::solver::{Portfolio, SearchContext, Solver};
-use crate::stage_assign::{assign_stages, stage_feasible};
+use crate::stage_assign::StageProbe;
 use hermes_net::{nearest_programmable, shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use serde::{Deserialize, Serialize};
@@ -179,14 +179,14 @@ impl IncrementalDeployer {
         let old_by_name: BTreeMap<&str, NodeId> =
             old_tdg.node_ids().map(|id| (old_tdg.node(id).name.as_str(), id)).collect();
         let old_assign = old_plan.switch_assignment(old_tdg.node_count());
-        let mut pinned: BTreeMap<NodeId, SwitchId> = BTreeMap::new();
+        let mut home: Vec<Option<SwitchId>> = vec![None; new_tdg.node_count()];
         for id in new_tdg.node_ids() {
             let node = new_tdg.node(id);
             if let Some(&old_id) = old_by_name.get(node.name.as_str()) {
                 if old_tdg.node(old_id).mat.signature() == node.mat.signature() {
                     if let Some(switch) = old_assign[old_id.index()] {
                         if opts.usable(net, switch) {
-                            pinned.insert(id, switch);
+                            home[id.index()] = Some(switch);
                         }
                     }
                 }
@@ -214,57 +214,51 @@ impl IncrementalDeployer {
             order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         // Pinned nodes on switches outside the order (shouldn't happen)
         // abort the pinned attempt.
-        if pinned.values().any(|s| !rank.contains_key(s)) {
+        if home.iter().flatten().any(|s| !rank.contains_key(s)) {
             return None;
         }
+        let reused = home.iter().flatten().count();
 
         // Assign the remaining nodes in clustered topological order.
-        let mut assignment: BTreeMap<NodeId, SwitchId> = pinned.clone();
-        let mut per_switch: BTreeMap<SwitchId, BTreeSet<NodeId>> = BTreeMap::new();
-        for (&id, &s) in &assignment {
-            per_switch.entry(s).or_default().insert(id);
-        }
+        let mut probe = StageProbe::new(new_tdg);
         for id in placement_order(new_tdg) {
-            if assignment.contains_key(&id) {
+            if home[id.index()].is_some() {
                 continue;
             }
             // Dependencies force a minimum rank.
             let min_rank = new_tdg
                 .in_edges(id)
-                .filter_map(|e| assignment.get(&e.from))
-                .map(|s| rank[s])
+                .filter_map(|e| home[e.from.index()])
+                .map(|s| rank[&s])
                 .max()
                 .unwrap_or(0);
             let slot = order[min_rank..].iter().copied().find(|&s| {
                 let model = net.switch(s).target_model();
-                let mut attempt = per_switch.get(&s).cloned().unwrap_or_default();
-                attempt.insert(id);
-                stage_feasible(new_tdg, &attempt, &model)
+                probe.fits(&model, |n| n == id || home[n.index()] == Some(s))
             })?;
-            assignment.insert(id, slot);
-            per_switch.entry(slot).or_default().insert(id);
+            home[id.index()] = Some(slot);
         }
 
         // Materialize: stage assignment per switch, then routes per
         // dependent pair.
         let mut plan = DeploymentPlan::new();
-        for (&s, nodes) in &per_switch {
+        let occupied: BTreeSet<SwitchId> = home.iter().flatten().copied().collect();
+        for s in occupied {
             let model = net.switch(s).target_model();
-            let placements = assign_stages(new_tdg, nodes, s, &model).ok()?;
-            for p in placements {
+            for p in probe.place(&model, s, |n| home[n.index()] == Some(s)).ok()? {
                 plan.place(p);
             }
         }
         let mut pairs: BTreeSet<(SwitchId, SwitchId)> = BTreeSet::new();
         for e in new_tdg.edges() {
-            let (u, v) = (assignment.get(&e.from)?, assignment.get(&e.to)?);
+            let (u, v) = (home[e.from.index()]?, home[e.to.index()]?);
             if u != v {
                 // Dependencies must respect the established visit order,
                 // or the pinned deployment would need recirculation.
-                if rank[u] > rank[v] {
+                if rank[&u] > rank[&v] {
                     return None;
                 }
-                pairs.insert((*u, *v));
+                pairs.insert((u, v));
             }
         }
         let mut latency = 0.0;
@@ -276,7 +270,6 @@ impl IncrementalDeployer {
         if latency > eps.max_latency_us || plan.occupied_switch_count() > eps.max_switches {
             return None;
         }
-        let reused = pinned.len();
         Some(IncrementalOutcome {
             placed: new_tdg.node_count() - reused,
             reused,

@@ -54,7 +54,6 @@ pub mod refine;
 pub mod report;
 pub mod solver;
 pub mod stage_assign;
-pub mod stage_cache;
 pub mod test_support;
 pub mod verify;
 
@@ -66,7 +65,7 @@ pub use deployment::{
 pub use eval::IncrementalEval;
 pub use exact::{materialize, OptimalSolver};
 pub use fingerprint::{fnv1a64, json_fingerprint, tdg_fingerprint};
-pub use heuristic::{placement_order, GreedyHeuristic, SplitStrategy};
+pub use heuristic::{first_fit, placement_order, GreedyHeuristic, SplitStrategy};
 pub use incremental::{IncrementalDeployer, IncrementalOutcome, RedeployOptions};
 pub use migrate::{
     all_at_once_peak, MigrateError, MigrationOrder, MigrationProblem, MigrationSchedule,
@@ -77,9 +76,10 @@ pub use precheck::{Certificate, Precheck};
 pub use refine::refine;
 pub use report::{diff, explain, PlanDiff};
 pub use solver::{
-    Budgeted, Portfolio, SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET,
-    NO_BOUND,
+    one_shot_solve, Budgeted, Portfolio, SearchContext, SolveOutcome, SolveStats, Solver,
+    DEFAULT_DEPLOY_BUDGET, NO_BOUND,
 };
-pub use stage_assign::{assign_stages, fits_total_capacity, stage_feasible, StageAssignError};
-pub use stage_cache::{StageCacheStats, StageFeasCache};
+pub use stage_assign::{
+    assign_stages, fits_total_capacity, stage_feasible, StageAssignError, StageProbe,
+};
 pub use verify::{verify, Violation};

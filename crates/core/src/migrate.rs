@@ -9,8 +9,8 @@
 //!
 //! 1. **stage-feasible** — during switch `s`'s step, `s` holds its plan-A
 //!    *and* plan-B MATs simultaneously (make-before-break), and that
-//!    resident union must pack into `s`'s pipeline
-//!    ([`StageFeasCache::feasible_set`], memoized O(1) per re-probe);
+//!    resident union must pack into `s`'s pipeline (one [`StageProbe`]
+//!    question per switch, up front: the verdict is order-independent);
 //! 2. **acyclic** — each checkpoint must be a valid standalone deployment
 //!    whose switch-level dependency relation is a DAG, so the migration
 //!    can pause at any checkpoint indefinitely;
@@ -46,7 +46,7 @@
 use crate::deployment::DeploymentPlan;
 use crate::eval::IncrementalEval;
 use crate::solver::SearchContext;
-use crate::stage_cache::StageFeasCache;
+use crate::stage_assign::StageProbe;
 use hermes_net::{Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use serde::Serialize;
@@ -306,18 +306,16 @@ impl StepSim {
 
         // Make-before-break staging: during its own step a switch holds
         // both plans' MATs. Prove each union packs into the pipeline once
-        // up front (the verdict is order-independent; every later
-        // per-step probe hits the memoized entry).
-        let mut cache = StageFeasCache::new(tdg);
+        // up front.
+        let mut probe = StageProbe::new(tdg);
         let mut staged_nodes = BTreeMap::new();
         for &s in &occupied_b {
-            let resident: BTreeSet<NodeId> =
-                from.nodes_on(s).union(&to.nodes_on(s)).copied().collect();
-            let model = net.switch(s).target_model();
-            if !cache.feasible_set(tdg, &model, &resident) {
+            let slot = slot_of[&s];
+            let resident = |id: NodeId| a_slot[id.index()] == slot || b_slot[id.index()] == slot;
+            if !probe.fits(&net.switch(s).target_model(), resident) {
                 return Err(MigrateError::StagingInfeasible(s));
             }
-            staged_nodes.insert(s, resident.len());
+            staged_nodes.insert(s, tdg.node_ids().filter(|&id| resident(id)).count());
         }
 
         let node_ids: Vec<NodeId> = tdg.node_ids().collect();

@@ -445,7 +445,7 @@ fn longest_chain(tdg: &Tdg) -> Option<(usize, Vec<NodeId>)> {
     // dist[v] = longest chain ending at v (in nodes); pred for the witness.
     let mut dist = vec![1usize; n];
     let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    for &u in &order {
+    for &u in order {
         for e in tdg.out_edges(u) {
             if e.dep.is_relaxed() {
                 continue;

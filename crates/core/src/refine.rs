@@ -13,7 +13,7 @@
 use crate::deployment::{DeploymentPlan, Epsilon};
 use crate::eval::IncrementalEval;
 use crate::exact::materialize;
-use crate::stage_cache::StageFeasCache;
+use crate::stage_assign::StageProbe;
 use hermes_net::{Network, SwitchId, TargetModel};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,9 +24,8 @@ use std::collections::{BTreeMap, BTreeSet};
 ///
 /// Each trial move is evaluated through the shared hot-path machinery: the
 /// [`IncrementalEval`] updates the objective and switch-DAG acyclicity in
-/// O(degree) per move/revert, and per-switch stage feasibility goes through
-/// a memoized [`StageFeasCache`] — re-probing a set seen in an earlier
-/// trial is a hash hit instead of a repack.
+/// O(degree) per move/revert, and the two switches a move touches are
+/// repacked by one [`StageProbe`] selecting on the assignment vector.
 pub fn refine(
     tdg: &Tdg,
     net: &Network,
@@ -52,12 +51,9 @@ pub fn refine(
     let shapes: Vec<TargetModel> =
         candidates.iter().map(|&id| net.switch(id).target_model()).collect();
     let mut eval = IncrementalEval::new(tdg, q);
-    let mut cache = StageFeasCache::new(tdg);
-    let word_len = cache.word_len();
-    let mut switch_words = vec![vec![0u64; word_len]; q];
+    let mut probe = StageProbe::new(tdg);
     for (node, &c) in assign.iter().enumerate() {
         eval.place(node, c);
-        switch_words[c][node / 64] |= 1u64 << (node % 64);
     }
 
     let mut current = eval.amax();
@@ -86,21 +82,19 @@ pub fn refine(
                 // rejection the move is reverted in O(degree).
                 eval.unplace(n);
                 eval.place(n, target);
-                switch_words[home][n / 64] &= !(1u64 << (n % 64));
-                switch_words[target][n / 64] |= 1u64 << (n % 64);
+                assign[n] = target;
                 let gain = eval.amax();
                 let accept = gain < current
-                    && cache.feasible_words(tdg, &shapes[home], &switch_words[home])
-                    && cache.feasible_words(tdg, &shapes[target], &switch_words[target])
+                    && [home, target]
+                        .iter()
+                        .all(|&c| probe.fits(&shapes[c], |id| assign[id.index()] == c))
                     && eval.is_acyclic();
                 if !accept {
                     eval.unplace(n);
                     eval.place(n, home);
-                    switch_words[target][n / 64] &= !(1u64 << (n % 64));
-                    switch_words[home][n / 64] |= 1u64 << (n % 64);
+                    assign[n] = home;
                     continue;
                 }
-                assign[n] = target;
                 current = gain;
                 improved = true;
                 moves += 1;

@@ -194,6 +194,37 @@ pub trait Solver: DeploymentAlgorithm + Send + Sync {
     ) -> Result<SolveOutcome, DeployError>;
 }
 
+/// One-shot construction wrapped as a [`Solver`]: deploy once, publish the
+/// objective as an incumbent, and claim optimality only at zero overhead —
+/// zero bytes is a global lower bound; otherwise a construction proves
+/// nothing.
+///
+/// # Errors
+///
+/// Whatever `algo.deploy` returns.
+pub fn one_shot_solve(
+    algo: &dyn DeploymentAlgorithm,
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+    ctx: &SearchContext,
+) -> Result<SolveOutcome, DeployError> {
+    let start = Instant::now();
+    let plan = algo.deploy(tdg, net, eps)?;
+    let objective = plan.max_inter_switch_bytes(tdg);
+    ctx.publish_incumbent(objective);
+    Ok(SolveOutcome {
+        plan,
+        objective,
+        proven_optimal: objective == 0,
+        stats: SolveStats {
+            nodes_explored: 0,
+            wall: start.elapsed(),
+            proven_bound: (objective == 0).then_some(0),
+        },
+    })
+}
+
 /// Adapter giving any [`Solver`] a [`DeploymentAlgorithm`] face with an
 /// explicit wall-clock budget: the one place a `Duration` becomes a
 /// [`SearchContext`] for callers of the budget-less `deploy` API.

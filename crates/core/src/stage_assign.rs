@@ -11,8 +11,8 @@
 //! All capacity questions are answered by the switch's [`TargetModel`]:
 //! per-stage capacity, packing depth, and (for budgeted targets such as
 //! SmartNICs) the per-switch total-resource budget enforced incrementally
-//! by the internal `Packing` state. Budget-free targets take the exact code path the scalar
-//! `(stages, stage_capacity)` API used to.
+//! by the internal `Packing` state. Budget-free targets take the exact code
+//! path the scalar `(stages, stage_capacity)` API used to.
 
 use crate::deployment::StagePlacement;
 use hermes_net::{SwitchId, TargetModel, CAP_TOL};
@@ -86,18 +86,105 @@ pub fn assign_stages(
     switch: SwitchId,
     model: &TargetModel,
 ) -> Result<Vec<StagePlacement>, StageAssignError> {
-    let slices = assign_slices(tdg, nodes, model)?;
-    Ok(slices
-        .into_iter()
-        .map(|(node, stage, fraction)| StagePlacement { node, switch, stage, fraction })
-        .collect())
+    StageProbe::new(tdg).place(model, switch, |id| nodes.contains(&id))
 }
 
 /// `true` iff `nodes` admits a dependency-respecting stage assignment on
-/// `model`'s pipeline. Used as the fit probe of the splitting recursion,
-/// where no concrete switch has been chosen yet.
+/// `model`'s pipeline: [`StageProbe::fits`] for a one-off question.
 pub fn stage_feasible(tdg: &Tdg, nodes: &BTreeSet<NodeId>, model: &TargetModel) -> bool {
-    assign_slices(tdg, nodes, model).is_ok()
+    StageProbe::new(tdg).fits(model, |id| nodes.contains(&id))
+}
+
+/// `true` iff `nodes` could plausibly fit the switch by total resource
+/// (the quick check of Algorithm 2 line 2: `Σ R(a) <= C_stage * C_res`,
+/// clamped by the target's budget). Delegates to
+/// [`TargetModel::fits_total`] — the single definition of "fits".
+pub fn fits_total_capacity(tdg: &Tdg, nodes: &BTreeSet<NodeId>, model: &TargetModel) -> bool {
+    StageProbe::new(tdg).fits_total(model, |id| nodes.contains(&id))
+}
+
+/// The one packing path: "do the nodes `select` picks fit `model`'s
+/// pipeline", answered by one dependency-levelled first-fit pass in the
+/// TDG's own topological order over a scratch `Packing` that is reset,
+/// not reallocated, between questions.
+///
+/// A node set is whatever the caller's predicate says it is — a range of
+/// the placement order, a slot in an assignment vector, a `BTreeSet` — so
+/// no caller builds a set just to ask. The pass always runs in the
+/// *canonical* order ([`Tdg::topo_order`]): pushing nodes onto a live
+/// pipeline in level or placement order is a different first fit and can
+/// disagree with the stage assignment a plan is finally built from.
+#[derive(Debug)]
+pub struct StageProbe<'a> {
+    tdg: &'a Tdg,
+    order: &'a [NodeId],
+    scratch: Packing,
+}
+
+impl<'a> StageProbe<'a> {
+    /// A probe for `tdg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tdg` is not a DAG (TDGs always are).
+    pub fn new(tdg: &'a Tdg) -> Self {
+        let order = tdg.topo_order().expect("TDGs are DAGs");
+        // A pipeline of no stages: every question brings its own shape.
+        let scratch = Packing::new(&TargetModel::pipeline(0, 0.0), tdg.node_count());
+        StageProbe { tdg, order, scratch }
+    }
+
+    /// The quick check of Algorithm 2 line 2 alone: `Σ R(a)` over the
+    /// selected nodes, summed in node-index order, against
+    /// [`TargetModel::fits_total`].
+    pub fn fits_total(&self, model: &TargetModel, select: impl Fn(NodeId) -> bool) -> bool {
+        let selected = self.tdg.node_ids().filter(|&id| select(id));
+        model.fits_total(selected.map(|id| self.tdg.node(id).mat.resource()).sum())
+    }
+
+    /// Do the selected nodes fit one switch of this shape? The quick check
+    /// first — packing drops residues of up to 1e-12 per node, so it does
+    /// not subsume a comparison at [`CAP_TOL`] — then the first-fit pass.
+    pub fn fits(&mut self, model: &TargetModel, select: impl Fn(NodeId) -> bool) -> bool {
+        self.fits_total(model, &select) && self.pack(model, select, |_, _, _| {}).is_ok()
+    }
+
+    /// The stage assignment of the selected nodes on `switch`: the pass
+    /// itself, with its typed error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StageAssignError`] when the selection cannot fit.
+    pub fn place(
+        &mut self,
+        model: &TargetModel,
+        switch: SwitchId,
+        select: impl Fn(NodeId) -> bool,
+    ) -> Result<Vec<StagePlacement>, StageAssignError> {
+        let mut placements = Vec::new();
+        self.pack(model, select, |node, stage, fraction| {
+            placements.push(StagePlacement { node, switch, stage, fraction });
+        })
+        .map_err(|(e, id)| e.with_name(self.tdg, id, model.stages))?;
+        Ok(placements)
+    }
+
+    /// One first-fit pass over the canonical order; `emit` sees every
+    /// `(node, stage, fraction)` slice. Fails at the first node that does
+    /// not fit.
+    fn pack(
+        &mut self,
+        model: &TargetModel,
+        select: impl Fn(NodeId) -> bool,
+        mut emit: impl FnMut(NodeId, usize, f64),
+    ) -> Result<(), (PushFail, NodeId)> {
+        self.scratch.reset_to(model);
+        let mut on_slice = |id, stage, _before, take| emit(id, stage, take);
+        for &id in self.order.iter().filter(|&&id| select(id)) {
+            self.scratch.push_core(self.tdg, id, &mut on_slice).map_err(|e| (e, id))?;
+        }
+        Ok(())
+    }
 }
 
 /// Sentinel in [`Packing::end_stage`] for a node not placed yet. Doubles
@@ -121,15 +208,12 @@ pub(crate) enum PushFail {
 
 impl PushFail {
     fn with_name(self, tdg: &Tdg, id: NodeId, stages: usize) -> StageAssignError {
+        let mat = tdg.node(id).name.clone();
         match self {
             PushFail::ChainTooLong => StageAssignError::ChainTooLong { stages },
-            PushFail::OutOfStages => {
-                StageAssignError::OutOfStages { mat: tdg.node(id).name.clone() }
-            }
-            PushFail::SliceTooLarge => {
-                StageAssignError::SliceTooLarge { mat: tdg.node(id).name.clone() }
-            }
-            PushFail::OverBudget => StageAssignError::OverBudget { mat: tdg.node(id).name.clone() },
+            PushFail::OutOfStages => StageAssignError::OutOfStages { mat },
+            PushFail::SliceTooLarge => StageAssignError::SliceTooLarge { mat },
+            PushFail::OverBudget => StageAssignError::OverBudget { mat },
         }
     }
 }
@@ -138,13 +222,12 @@ impl PushFail {
 /// last stage occupied by each already-placed node, and (for budgeted
 /// targets) the running total-resource usage.
 ///
-/// [`assign_slices`] and the memoized feasibility cache
-/// ([`crate::stage_cache::StageFeasCache`]) both drive this one
-/// implementation, so the packing semantics cannot drift between the
-/// authoritative placement path and the cached probe path. Nodes must be
-/// pushed in topological order; a predecessor that was never pushed simply
-/// imposes no ordering constraint (the reference behaviour for in-edges
-/// from outside the placed subset).
+/// [`StageProbe`] (every "does it fit" and every stage assignment) and the
+/// exact search's live per-switch pipelines both drive this one
+/// implementation, so the packing semantics cannot drift between them.
+/// Nodes must be pushed in topological order; a predecessor that was never
+/// pushed simply imposes no ordering constraint (the reference behaviour
+/// for in-edges from outside the placed subset).
 #[derive(Debug, Clone)]
 pub(crate) struct Packing {
     stages: usize,
@@ -184,20 +267,17 @@ impl Packing {
         self.end_stage.fill(UNPLACED);
     }
 
-    /// Places `id` at the first stage after its already-placed
-    /// predecessors, greedily filling consecutive stages; each emitted
-    /// slice is `(node, stage, fraction)`.
-    pub(crate) fn push(
-        &mut self,
-        tdg: &Tdg,
-        id: NodeId,
-        mut emit: impl FnMut(NodeId, usize, f64),
-    ) -> Result<(), StageAssignError> {
-        self.push_core(tdg, id, &mut |id, stage, _old, take| emit(id, stage, take))
-            .map_err(|e| e.with_name(tdg, id, self.stages))
+    /// [`Packing::reset`] onto another pipeline shape, reusing both
+    /// buffers.
+    fn reset_to(&mut self, model: &TargetModel) {
+        self.stages = model.stages;
+        self.stage_capacity = model.stage_capacity;
+        self.budget = model.total_budget;
+        self.remaining.resize(model.stages, 0.0);
+        self.reset();
     }
 
-    /// Reversible [`Packing::push`]: the *prior* `remaining` of every
+    /// Reversible push of one node: the *prior* `remaining` of every
     /// modified stage is appended to `log`, so [`Packing::revert`]
     /// restores the exact bit-for-bit pipeline state. (Re-adding slice
     /// fractions instead would accumulate floating-point drift over
@@ -240,8 +320,10 @@ impl Packing {
         log.truncate(base);
     }
 
-    /// The one first-fit loop behind both entry points; `on_slice` sees
-    /// `(node, stage, remaining-before, take)` for every placed slice.
+    /// The one first-fit loop: places `id` at the first stage after its
+    /// already-placed predecessors, greedily filling consecutive stages.
+    /// `on_slice` sees `(node, stage, remaining-before, take)` for every
+    /// placed slice.
     fn push_core(
         &mut self,
         tdg: &Tdg,
@@ -294,39 +376,6 @@ impl Packing {
             u32::try_from(last).expect("pipeline depth fits u32 (UNPLACED is reserved)");
         Ok(())
     }
-}
-
-/// Core first-fit: returns `(node, stage, fraction)` slices.
-fn assign_slices(
-    tdg: &Tdg,
-    nodes: &BTreeSet<NodeId>,
-    model: &TargetModel,
-) -> Result<Vec<(NodeId, usize, f64)>, StageAssignError> {
-    if nodes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let order: Vec<NodeId> = tdg
-        .topo_order()
-        .expect("TDGs are DAGs")
-        .into_iter()
-        .filter(|id| nodes.contains(id))
-        .collect();
-
-    let mut packing = Packing::new(model, tdg.node_count());
-    let mut placements = Vec::new();
-    for &id in &order {
-        packing.push(tdg, id, |node, stage, take| placements.push((node, stage, take)))?;
-    }
-    Ok(placements)
-}
-
-/// `true` iff `nodes` could plausibly fit the switch by total resource
-/// (the quick check of Algorithm 2 line 2: `Σ R(a) <= C_stage * C_res`,
-/// clamped by the target's budget). Delegates to
-/// [`TargetModel::fits_total`] — the single definition of "fits".
-pub fn fits_total_capacity(tdg: &Tdg, nodes: &BTreeSet<NodeId>, model: &TargetModel) -> bool {
-    let total: f64 = nodes.iter().map(|&id| tdg.node(id).mat.resource()).sum();
-    model.fits_total(total)
 }
 
 #[cfg(test)]

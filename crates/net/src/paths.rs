@@ -1,10 +1,10 @@
-//! Path enumeration between switches.
+//! Shortest paths between switches.
 //!
-//! The MILP formulation needs the path sets `P(u, v)` and each path's
-//! latency `t_p(p)` (paper §V-A), while the greedy heuristic needs shortest
-//! paths and nearest-programmable-switch queries. Path latency follows the
-//! paper: the sum of `t_s` over every switch **on** the path (endpoints
-//! included) plus `t_l` over every link.
+//! Every solver routes a dependent switch pair over the latency-shortest
+//! path, and the greedy heuristic adds nearest-programmable-switch queries.
+//! Path latency `t_p(p)` follows the paper (§V-A): the sum of `t_s` over
+//! every switch **on** the path (endpoints included) plus `t_l` over every
+//! link.
 
 use crate::graph::{Network, SwitchId};
 use serde::{Deserialize, Serialize};
@@ -76,33 +76,9 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Recomputes a path's latency from the network (switch + link latencies).
-///
-/// # Panics
-///
-/// Panics if consecutive hops are not linked in `net`.
-pub fn path_latency(net: &Network, hops: &[SwitchId]) -> f64 {
-    let switch_lat: f64 = hops.iter().map(|&s| net.switch(s).latency_us).sum();
-    let link_lat: f64 = hops
-        .windows(2)
-        .map(|w| {
-            net.link_between(w[0], w[1])
-                .unwrap_or_else(|| panic!("hops {} and {} are not linked", w[0], w[1]))
-                .latency_us
-        })
-        .sum();
-    switch_lat + link_lat
-}
-
-/// Dijkstra shortest path (by latency) from `src` to `dst`, or `None` if
-/// unreachable. `banned` switches are treated as absent (used by Yen's
-/// algorithm); `src` itself is never banned.
-pub fn shortest_path_avoiding(
-    net: &Network,
-    src: SwitchId,
-    dst: SwitchId,
-    banned: &[bool],
-) -> Option<Path> {
+/// Dijkstra shortest path by latency, or `None` if unreachable.
+/// For `src == dst` the path is the single switch with latency `t_s(src)`.
+pub fn shortest_path(net: &Network, src: SwitchId, dst: SwitchId) -> Option<Path> {
     let n = net.switch_count();
     if src.index() >= n || dst.index() >= n {
         return None;
@@ -120,9 +96,6 @@ pub fn shortest_path_avoiding(
             break;
         }
         for (v, link_lat) in net.neighbors(SwitchId(u)) {
-            if banned.get(v.index()).copied().unwrap_or(false) {
-                continue;
-            }
             let nd = d + link_lat + net.switch(v).latency_us;
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
@@ -145,77 +118,6 @@ pub fn shortest_path_avoiding(
     }
     hops.reverse();
     Some(Path { hops, latency_us: dist[dst.index()] })
-}
-
-/// Dijkstra shortest path by latency, or `None` if unreachable.
-/// For `src == dst` the path is the single switch with latency `t_s(src)`.
-pub fn shortest_path(net: &Network, src: SwitchId, dst: SwitchId) -> Option<Path> {
-    let banned = vec![false; net.switch_count()];
-    shortest_path_avoiding(net, src, dst, &banned)
-}
-
-/// Yen's algorithm: up to `k` loop-free shortest paths from `src` to `dst`
-/// in non-decreasing latency order. This materializes the path set
-/// `P(u, v)` consumed by the MILP formulation.
-pub fn k_shortest_paths(net: &Network, src: SwitchId, dst: SwitchId, k: usize) -> Vec<Path> {
-    let Some(first) = shortest_path(net, src, dst) else {
-        return Vec::new();
-    };
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut paths = vec![first];
-    let mut candidates: Vec<Path> = Vec::new();
-    while paths.len() < k {
-        let last = paths.last().expect("non-empty").clone();
-        for i in 0..last.hops.len().saturating_sub(1) {
-            let spur = last.hops[i];
-            let root = &last.hops[..=i];
-            // Ban switches on the root (except the spur) to keep paths simple,
-            // and ban next-hops of paths sharing this root.
-            let mut banned = vec![false; net.switch_count()];
-            for &s in &root[..i] {
-                banned[s.index()] = true;
-            }
-            let mut banned_next: Vec<SwitchId> = Vec::new();
-            for p in paths.iter().chain(candidates.iter()) {
-                if p.hops.len() > i + 1 && p.hops[..=i] == *root {
-                    banned_next.push(p.hops[i + 1]);
-                }
-            }
-            for s in banned_next {
-                banned[s.index()] = true;
-            }
-            if let Some(spur_path) = shortest_path_avoiding(net, spur, dst, &banned) {
-                let mut hops = root[..i].to_vec();
-                hops.extend(spur_path.hops);
-                let latency = path_latency(net, &hops);
-                let candidate = Path { hops, latency_us: latency };
-                let duplicate =
-                    paths.iter().chain(candidates.iter()).any(|p| p.hops == candidate.hops);
-                if !duplicate {
-                    candidates.push(candidate);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Extract the lowest-latency candidate (ties: lexicographic hops).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.latency_us
-                    .partial_cmp(&b.latency_us)
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| a.hops.cmp(&b.hops))
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        paths.push(candidates.swap_remove(best));
-    }
-    paths
 }
 
 /// The programmable switches nearest to `origin` by shortest-path latency
@@ -284,40 +186,6 @@ mod tests {
         let a = net.add_switch(Switch::tofino("a"));
         let b = net.add_switch(Switch::tofino("b"));
         assert!(shortest_path(&net, a, b).is_none());
-    }
-
-    #[test]
-    fn k_shortest_enumerates_both_diamond_paths() {
-        let (net, [a, b, c, d]) = diamond();
-        let paths = k_shortest_paths(&net, a, d, 5);
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0].hops, vec![a, b, d]);
-        assert_eq!(paths[1].hops, vec![a, c, d]);
-        assert!(paths[0].latency_us <= paths[1].latency_us);
-    }
-
-    #[test]
-    fn k_limits_output() {
-        let (net, [a, _, _, d]) = diamond();
-        assert_eq!(k_shortest_paths(&net, a, d, 1).len(), 1);
-        assert!(k_shortest_paths(&net, a, d, 0).is_empty());
-    }
-
-    #[test]
-    fn paths_are_simple() {
-        let (net, [a, _, _, d]) = diamond();
-        for p in k_shortest_paths(&net, a, d, 10) {
-            let mut hops = p.hops.clone();
-            hops.sort();
-            hops.dedup();
-            assert_eq!(hops.len(), p.hops.len(), "loop in {:?}", p.hops);
-        }
-    }
-
-    #[test]
-    fn path_latency_matches_paper_formula() {
-        let (net, [a, b, _, d]) = diamond();
-        assert_eq!(path_latency(&net, &[a, b, d]), 5.0);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! inline from `Switch::stages` / `Switch::stage_capacity`: per-stage
 //! capacity, stage count, whether a resource demand fits a stage, total
 //! capacity, and per-target latency. **It is the one place that defines
-//! "fits"** — `stage_assign`, `StageFeasCache`, `precheck`, the MILP
-//! capacity rows, and the verifier all route their capacity math through
-//! it. A default (paper-model) switch yields a model whose every answer is
+//! "fits"** — `stage_assign`, `precheck`, the MILP capacity rows, and the
+//! verifier all route their capacity math through it. A default (paper-model) switch yields a model whose every answer is
 //! bit-for-bit what the scalar expressions used to produce, so the default
 //! unit-Tofino pipeline stays byte-identical.
 //!
@@ -206,13 +205,6 @@ impl TargetModel {
         }
     }
 
-    /// Exact cache/shape key: feasibility of a node set on this target is a
-    /// function of exactly these three values (depth, per-stage capacity
-    /// bits, budget bits). Targets with equal keys share packing verdicts.
-    pub fn shape_key(&self) -> (usize, u64, u64) {
-        (self.stages, self.stage_capacity.to_bits(), self.total_budget.to_bits())
-    }
-
     /// `true` when plans on the two targets are interchangeable — the
     /// exact solver's candidate-symmetry test. Matches the historical
     /// scalar check (stage count plus capacity within 1e-12) extended by
@@ -371,7 +363,6 @@ mod tests {
         let m = TargetModel::tofino();
         assert_eq!(m.total_capacity().to_bits(), (12.0f64).to_bits());
         assert_eq!(m.total_capacity().to_bits(), (m.stages as f64 * m.stage_capacity).to_bits());
-        assert_eq!(m.shape_key(), (12, 1.0f64.to_bits(), f64::INFINITY.to_bits()));
         assert_eq!(m.effective_stages(), 12);
         assert_eq!(m.stage_limit(), Some(12));
         assert!(m.fits_total(12.0) && !m.fits_total(12.1));

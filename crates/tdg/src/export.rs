@@ -74,7 +74,7 @@ pub fn stats(tdg: &Tdg) -> TdgStats {
     let order = tdg.topo_order().expect("TDGs are DAGs");
     let mut len = vec![1usize; tdg.node_count()];
     let mut bytes = vec![0u64; tdg.node_count()];
-    for &id in &order {
+    for &id in order {
         for e in tdg.out_edges(id) {
             let t = e.to.index();
             len[t] = len[t].max(len[id.index()] + 1);
@@ -102,7 +102,7 @@ pub fn critical_path(tdg: &Tdg) -> Vec<NodeId> {
     }
     let mut len = vec![1usize; n];
     let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    for &id in &order {
+    for &id in order {
         for e in tdg.out_edges(id) {
             let t = e.to.index();
             if len[id.index()] + 1 > len[t] {

@@ -99,11 +99,12 @@ impl Csr {
 
 /// A table dependency graph.
 ///
-/// The graph owns its adjacency: the one private constructor every
-/// construction path ends in indexes the edges by both endpoints.
-/// Endpoints never change afterwards — the mutating passes
-/// ([`Tdg::reanalyze`], [`Tdg::relax_edges`], [`Tdg::restore_base_edges`])
-/// rewrite only `dep` and `bytes` — so the index cannot go stale.
+/// The graph owns its adjacency and its canonical topological order: the
+/// one private constructor every construction path ends in indexes the
+/// edges by both endpoints and runs Kahn's algorithm once. Endpoints never
+/// change afterwards — the mutating passes ([`Tdg::reanalyze`],
+/// [`Tdg::relax_edges`], [`Tdg::restore_base_edges`]) rewrite only `dep`
+/// and `bytes` — so neither can go stale.
 ///
 /// # Examples
 ///
@@ -122,6 +123,8 @@ pub struct Tdg {
     mode: AnalysisMode,
     out: Csr,
     into: Csr,
+    /// [`Tdg::topo_order`]: `None` for a cyclic graph.
+    topo: Option<Vec<NodeId>>,
 }
 
 impl Tdg {
@@ -226,51 +229,16 @@ impl Tdg {
         self.nodes.iter().map(|n| n.mat.resource()).sum()
     }
 
-    /// Sum of `A(a,b)` over edges crossing from `left` into `right`.
-    /// This is the quantity Algorithm 2 minimizes when splitting.
-    pub fn cross_bytes(&self, left: &BTreeSet<NodeId>, right: &BTreeSet<NodeId>) -> u64 {
-        self.edges
-            .iter()
-            .filter(|e| left.contains(&e.from) && right.contains(&e.to))
-            .map(|e| u64::from(e.bytes))
-            .sum()
-    }
-
-    /// [`Tdg::cross_bytes`] with a caller-owned scratch buffer, for hot
-    /// paths that probe many cuts: `membership` is cleared and resized to
-    /// the node count, then each node is flagged left (bit 0) / right
-    /// (bit 1) so the edge scan needs no set lookups and the call allocates
-    /// only when the buffer is still too small.
-    pub fn cross_bytes_with(
-        &self,
-        left: &BTreeSet<NodeId>,
-        right: &BTreeSet<NodeId>,
-        membership: &mut Vec<u8>,
-    ) -> u64 {
-        membership.clear();
-        membership.resize(self.nodes.len(), 0);
-        for id in left {
-            membership[id.0] |= 1;
-        }
-        for id in right {
-            membership[id.0] |= 2;
-        }
-        self.edges
-            .iter()
-            .filter(|e| membership[e.from.0] & 1 != 0 && membership[e.to.0] & 2 != 0)
-            .map(|e| u64::from(e.bytes))
-            .sum()
-    }
-
     /// `true` iff the graph has no directed cycle.
     pub fn is_dag(&self) -> bool {
-        self.topo_order().is_some()
+        self.topo.is_some()
     }
 
-    /// Kahn topological order (stable: ties broken by node index), or
-    /// `None` if the graph contains a cycle.
-    pub fn topo_order(&self) -> Option<Vec<NodeId>> {
-        self.topo_order_by(|id| id)
+    /// The canonical topological order — Kahn's, ties broken by node index
+    /// — computed once at construction, or `None` if the graph contains a
+    /// cycle.
+    pub fn topo_order(&self) -> Option<&[NodeId]> {
+        self.topo.as_deref()
     }
 
     /// Kahn topological order that, among the nodes whose predecessors are
@@ -292,25 +260,6 @@ impl Tdg {
             }
         }
         (order.len() == n).then_some(order)
-    }
-
-    /// The subgraph induced by `keep`, with nodes re-indexed densely in the
-    /// iteration order of `keep`. Edges with either endpoint outside `keep`
-    /// are dropped.
-    pub fn induced(&self, keep: &BTreeSet<NodeId>) -> Tdg {
-        let mut mapping = vec![usize::MAX; self.nodes.len()];
-        let mut nodes = Vec::with_capacity(keep.len());
-        for (new_idx, old) in keep.iter().enumerate() {
-            mapping[old.0] = new_idx;
-            nodes.push(self.nodes[old.0].clone());
-        }
-        let edges = self
-            .edges
-            .iter()
-            .filter(|e| keep.contains(&e.from) && keep.contains(&e.to))
-            .map(|e| TdgEdge { from: NodeId(mapping[e.from.0]), to: NodeId(mapping[e.to.0]), ..*e })
-            .collect();
-        Tdg::from_parts(nodes, edges, self.mode)
     }
 
     /// Recomputes `A(a,b)` on every edge under a (possibly different)
@@ -398,8 +347,8 @@ impl Tdg {
     }
 
     /// The one constructor: every other construction path (a program,
-    /// merging, an induced subgraph, explicit MATs, deserialization) ends
-    /// here, so the adjacency index is built exactly once per graph.
+    /// merging, explicit MATs, deserialization) ends here, so the adjacency
+    /// index and the topological order are built exactly once per graph.
     ///
     /// # Panics
     ///
@@ -407,7 +356,9 @@ impl Tdg {
     pub(crate) fn from_parts(nodes: Vec<TdgNode>, edges: Vec<TdgEdge>, mode: AnalysisMode) -> Self {
         let out = Csr::build(nodes.len(), &edges, |e| e.from);
         let into = Csr::build(nodes.len(), &edges, |e| e.to);
-        Tdg { nodes, edges, mode, out, into }
+        let mut tdg = Tdg { nodes, edges, mode, out, into, topo: None };
+        tdg.topo = tdg.topo_order_by(|id| id);
+        tdg
     }
 
     /// The inverse of [`Tdg::from_parts`]: merging moves a graph's nodes
@@ -439,8 +390,8 @@ impl Tdg {
     }
 }
 
-/// The derived shape (`nodes`, `edges`, `mode`); the index is not part of
-/// the serialized form.
+/// The derived shape (`nodes`, `edges`, `mode`); the index and the
+/// topological order are not part of the serialized form.
 impl Serialize for Tdg {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -553,43 +504,6 @@ mod tests {
         let tdg = Tdg::from_parts(nodes, edges, AnalysisMode::PaperLiteral);
         assert!(!tdg.is_dag());
         assert_eq!(tdg.topo_order(), None);
-    }
-
-    #[test]
-    fn cross_bytes_counts_only_left_to_right() {
-        let tdg = Tdg::from_program(&chain_program(4, 4), AnalysisMode::PaperLiteral);
-        let left: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into();
-        let right: BTreeSet<NodeId> = [NodeId(2), NodeId(3)].into();
-        assert_eq!(tdg.cross_bytes(&left, &right), 4);
-        assert_eq!(tdg.cross_bytes(&right, &left), 0);
-    }
-
-    #[test]
-    fn cross_bytes_with_matches_reference_and_reuses_buffer() {
-        let tdg = Tdg::from_program(&chain_program(4, 4), AnalysisMode::PaperLiteral);
-        let left: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into();
-        let right: BTreeSet<NodeId> = [NodeId(2), NodeId(3)].into();
-        let mut scratch = Vec::new();
-        assert_eq!(tdg.cross_bytes_with(&left, &right, &mut scratch), 4);
-        assert_eq!(tdg.cross_bytes_with(&right, &left, &mut scratch), 0);
-        // Overlapping sets behave like the reference too.
-        let overlap: BTreeSet<NodeId> = [NodeId(1), NodeId(2)].into();
-        assert_eq!(
-            tdg.cross_bytes_with(&overlap, &overlap, &mut scratch),
-            tdg.cross_bytes(&overlap, &overlap)
-        );
-    }
-
-    #[test]
-    fn induced_subgraph_reindexes() {
-        let tdg = Tdg::from_program(&chain_program(4, 4), AnalysisMode::PaperLiteral);
-        let keep: BTreeSet<NodeId> = [NodeId(1), NodeId(2)].into();
-        let sub = tdg.induced(&keep);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
-        assert_eq!(sub.edges()[0].from, NodeId(0));
-        assert_eq!(sub.edges()[0].to, NodeId(1));
-        assert_eq!(sub.nodes()[0].name, "chain/t1");
     }
 
     #[test]
@@ -723,9 +637,6 @@ mod tests {
         graphs.push(crate::merge_all(literal(&programs)));
         for tdg in &graphs {
             assert_index_matches_scan(tdg);
-            // An induced subgraph re-indexes its nodes and drops edges.
-            let keep: BTreeSet<NodeId> = tdg.node_ids().filter(|id| id.index() % 3 != 1).collect();
-            assert_index_matches_scan(&tdg.induced(&keep));
             // A serde round trip rebuilds the index on read.
             let back = Tdg::from_value(&tdg.to_value()).expect("round trip");
             assert_eq!(&back, tdg);

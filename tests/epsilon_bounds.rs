@@ -66,3 +66,31 @@ fn verifier_flags_epsilon_violations_post_hoc() {
         assert!(!verify(&tdg, &net, &plan, &tight).is_empty());
     }
 }
+
+/// ε₂ = 0 leaves no switch to occupy: every solver refuses a non-empty
+/// workload itself — here one that fits a single switch, so the bound is
+/// the only possible reason — and none hands the verifier a plan to catch.
+#[test]
+fn eps2_zero_is_refused_by_every_solver() {
+    use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize};
+    use hermes::core::{DeployError, OptimalSolver, Portfolio};
+    let tdg = ProgramAnalyzer::new().analyze(&[library::l3_router()]);
+    let net = topology::linear(3, 10.0);
+    let one = Epsilon::new(f64::INFINITY, 1);
+    assert!(GreedyHeuristic::new().deploy(&tdg, &net, &one).is_ok(), "one switch suffices");
+    let solvers: [Box<dyn DeploymentAlgorithm>; 5] = [
+        Box::new(GreedyHeuristic::new()),
+        Box::new(OptimalSolver::new()),
+        Box::new(Portfolio::greedy_exact()),
+        Box::new(FirstFitByLevel),
+        Box::new(FirstFitByLevelAndSize),
+    ];
+    for solver in solvers {
+        match solver.deploy(&tdg, &net, &Epsilon::new(f64::INFINITY, 0)) {
+            Ok(plan) => panic!("{} placed {plan} under eps2 = 0", solver.name()),
+            Err(DeployError::NoFeasiblePlacement { .. } | DeployError::ProvenInfeasible { .. }) => {
+            }
+            Err(e) => panic!("{}: {e}", solver.name()),
+        }
+    }
+}

@@ -7,8 +7,8 @@
 //! - [`IncrementalEval`]'s running `A_max` and switch-order acyclicity
 //!   against from-scratch recomputation over random place/unplace
 //!   sequences;
-//! - the memoized [`StageFeasCache`] against [`stage_feasible`] on random
-//!   node subsets and pipeline shapes;
+//! - one reused [`StageProbe`] against a fresh [`assign_stages`] per
+//!   question, on random node subsets and pipeline shapes;
 //! - the parallel exact search against its single-threaded
 //!   engine: byte-identical `SolveOutcome`s at worker counts 2–8, across
 //!   pre-published incumbents and pre-expired deadlines, on random small
@@ -22,8 +22,8 @@ use hermes::core::eval::UNASSIGNED;
 use hermes::core::exact::ParallelStats;
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    stage_feasible, DeployError, Epsilon, IncrementalEval, OptimalSolver, Portfolio,
-    ProgramAnalyzer, SearchContext, SolveOutcome, Solver, StageFeasCache,
+    assign_stages, DeployError, Epsilon, IncrementalEval, OptimalSolver, Portfolio,
+    ProgramAnalyzer, SearchContext, SolveOutcome, Solver, StageProbe,
 };
 use hermes::dataplane::fieldset::FieldTable;
 use hermes::dataplane::library;
@@ -204,32 +204,36 @@ proptest! {
         }
     }
 
-    /// The memoized stage-feasibility cache answers exactly like the
-    /// from-scratch `stage_feasible` on random subsets and pipeline
-    /// shapes — including repeated probes served from the cache.
+    /// The probe is its definition: one [`StageProbe`] reused across
+    /// questions answers what a fresh `assign_stages` answers — the same
+    /// verdict from `fits` (so the quick `Σ R(a)` check in front of the pass
+    /// never overrules it) and the same slices or typed error from `place`
+    /// — while its scratch is reshaped between questions (deeper and
+    /// shallower pipelines, every third one budgeted) and often right after
+    /// a failed one.
     #[test]
-    fn stage_cache_matches_stage_feasible(
+    fn stage_probe_matches_assign_stages(
         seed in 0u64..1024,
         stages in 2usize..6,
         cap_tenths in 4u32..13,
     ) {
         let tdg = synthetic_tdg(seed, 2);
-        let n = tdg.node_count();
-        prop_assume!(n > 0);
-        let model = TargetModel::pipeline(stages, f64::from(cap_tenths) / 10.0);
-        let mut cache = StageFeasCache::new(&tdg);
+        prop_assume!(tdg.node_count() > 0);
+        let switch = topology::linear(1, 1.0).switch_ids().next().expect("one switch");
+        let mut probe = StageProbe::new(&tdg);
         let mut state = seed ^ 0x5EED_CAFE;
-        for _ in 0..40 {
-            let mut set = BTreeSet::new();
-            for id in tdg.node_ids() {
-                if splitmix64(&mut state) & 1 == 1 {
-                    set.insert(id);
-                }
+        for round in 0..40 {
+            let depth = stages + (splitmix64(&mut state) % 4) as usize;
+            let capacity = f64::from(cap_tenths + (splitmix64(&mut state) % 4) as u32) / 10.0;
+            let mut model = TargetModel::pipeline(depth, capacity);
+            if round % 3 == 2 {
+                model.total_budget = 0.5 + (splitmix64(&mut state) % 40) as f64 / 10.0;
             }
-            let expect = stage_feasible(&tdg, &set, &model);
-            prop_assert_eq!(cache.feasible_set(&tdg, &model, &set), expect);
-            // Second probe of the same set must come back identical.
-            prop_assert_eq!(cache.feasible_set(&tdg, &model, &set), expect);
+            let set: BTreeSet<NodeId> =
+                tdg.node_ids().filter(|_| splitmix64(&mut state) & 1 == 1).collect();
+            let reference = assign_stages(&tdg, &set, switch, &model);
+            prop_assert_eq!(probe.fits(&model, |id| set.contains(&id)), reference.is_ok());
+            prop_assert_eq!(&probe.place(&model, switch, |id| set.contains(&id)), &reference);
         }
     }
 
@@ -257,37 +261,6 @@ proptest! {
         let stages = 2 + (splitmix64(&mut state) as usize) % 2;
         let net = tiny_switches(q, stages, 0.5 + 0.1 * ((splitmix64(&mut state) % 4) as f64));
         assert_parallel_matches_one_worker(&tdg, &net, threads, stop, prebound);
-    }
-
-    /// `feasible_with` (the incremental "does node n still fit" fast path)
-    /// agrees with `stage_feasible` of the grown set when nodes arrive in
-    /// topological order — the exact solver's probe pattern.
-    #[test]
-    fn stage_cache_topo_extend_matches_reference(
-        seed in 0u64..1024,
-        stages in 2usize..6,
-        cap_tenths in 4u32..13,
-    ) {
-        let tdg = synthetic_tdg(seed, 2);
-        prop_assume!(tdg.node_count() > 0);
-        let model = TargetModel::pipeline(stages, f64::from(cap_tenths) / 10.0);
-        let mut cache = StageFeasCache::new(&tdg);
-        let mut words = vec![0u64; cache.word_len()];
-        let mut set = BTreeSet::new();
-        let mut state = seed ^ 0x0DDC_0FFE;
-        for id in tdg.topo_order().expect("TDGs are DAGs") {
-            if splitmix64(&mut state).is_multiple_of(3) {
-                continue; // leave some nodes out of the growing set
-            }
-            let mut grown = set.clone();
-            grown.insert(id);
-            let expect = stage_feasible(&tdg, &grown, &model);
-            prop_assert_eq!(cache.feasible_with(&tdg, &model, &words, id), expect);
-            if expect {
-                words[id.index() / 64] |= 1u64 << (id.index() % 64);
-                set = grown;
-            }
-        }
     }
 }
 
