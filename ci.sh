@@ -35,7 +35,11 @@ echo "==> cargo test -q --release --workspace"
 # Every crate's unit tests, every integration suite and every doctest, in
 # release mode: the solver, hot-path, merge, migration, target, durability
 # and state-access equivalence suites, the vendored shims' own tests, and
-# the journal golden (tests/event_schema.rs; REGEN_GOLDEN=1 rewrites it).
+# the journal, transactions and runtime-paths goldens (tests/event_schema.rs:
+# journal_golden.txt, transactions_golden.txt, runtime_paths_golden.txt —
+# every rollout, heal, gate, migration, undo, restore and recovery path on
+# fixed seeds; `REGEN_GOLDEN=1 cargo test --release --test event_schema`
+# rewrites them).
 # The one place the whole greedy-side scale golden runs
 # (tests/greedy_scale.rs: 1 119 lines, ≈5 s here, minutes in a debug build,
 # so tier-1 above checks only its head; `REGEN_GOLDEN=1 cargo test

@@ -29,7 +29,7 @@ use hermes_core::{
     MigrationProblem, MigrationScheduler, RedeployOptions, SearchContext,
 };
 use hermes_net::{topology, Network, SwitchId};
-use hermes_runtime::{DeploymentRuntime, FaultInjector, MigrationConfig, RetryPolicy};
+use hermes_runtime::{DeploymentRuntime, FaultInjector, RetryPolicy};
 use hermes_tdg::Tdg;
 use serde::Serialize;
 use std::process::ExitCode;
@@ -149,8 +149,7 @@ fn run_scenario(name: &str, net: &Network, tdg: &Tdg) -> Result<ScenarioReport, 
         return Err(format!("{name}: clean install of plan A failed"));
     }
     let (t0, m0) = (rt.now_us(), rt.messages_sent());
-    let outcome =
-        rt.migrate_with_schedule(tdg, plan_b.clone(), &schedule, &MigrationConfig::default());
+    let outcome = rt.migrate_with_schedule(tdg, plan_b.clone(), &schedule);
     let staged = ExecStats {
         ok: outcome.is_migrated() && rt.active_plan() == Some(&plan_b),
         outcome: outcome.to_string(),

@@ -28,7 +28,7 @@ use hermes_net::topology::{self, WanConfig};
 use hermes_net::{builtin_targets, parse_target, Network, SwitchId, TargetSpecError};
 use hermes_runtime::{
     replay_bytes, ChannelProfile, DeploymentRuntime, Event, FaultInjector, FaultProfile, InFlight,
-    Journal, MigrationConfig, RecoveredIntent, RetryPolicy, RolloutOutcome,
+    Journal, RecoveredIntent, RetryPolicy, RolloutOutcome,
 };
 use std::fmt;
 use std::time::Duration;
@@ -892,7 +892,7 @@ fn run_migrate(
     let schedule = {
         let problem = MigrationProblem { tdg, net: rt.network(), from: &plan_a, to: &plan_b };
         let ctx = SearchContext::with_time_limit(time_limit);
-        MigrationScheduler::with_order(order.clone())
+        MigrationScheduler::with_order(order)
             .plan(&problem, &ctx)
             .map_err(|e| err(format!("cannot schedule the migration: {e}")))?
     };
@@ -923,12 +923,7 @@ fn run_migrate(
 
     rt.set_injector(FaultInjector::new(options.seed, FaultProfile::chaos()));
     rt.set_channel_profile(channel);
-    let cfg = MigrationConfig {
-        plan_budget_ms: options.time_limit_secs.saturating_mul(1000),
-        order,
-        ..Default::default()
-    };
-    let outcome = rt.migrate_with_schedule(tdg, plan_b, &schedule, &cfg);
+    let outcome = rt.migrate_with_schedule(tdg, plan_b, &schedule);
     write_journal(&options.journal, rt.journal())?;
     writeln!(out, "seed {}: {}", options.seed, outcome).map_err(io)?;
     let log = rt.log();

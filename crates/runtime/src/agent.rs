@@ -25,11 +25,6 @@
 //!   stops serving rather than becoming a zombie serving stale state
 //!   while the controller heals around it.
 
-// The crate-level clippy.toml bans unwrap/expect so the recovery path
-// (journal.rs, recovery.rs) can never panic; this pre-durability module
-// keeps its intentional `expect`s on internal invariants.
-#![allow(clippy::disallowed_methods)]
-
 use hermes_backend::SwitchConfig;
 use hermes_net::SwitchId;
 use serde::{Deserialize, Serialize};
@@ -450,6 +445,7 @@ impl SwitchAgent {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hermes_net::topology;

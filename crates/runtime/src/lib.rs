@@ -28,6 +28,13 @@
 //!   deployer with surviving placements pinned and revalidating
 //!   (ε-verifier + packet-level equivalence) before activating the healed
 //!   plan.
+//! - `txn` (private) — the commit engine every installer above and below
+//!   runs on: one per-switch prepare → commit step, one commit window
+//!   (lease keep-alive, unreachable detection, the closing lease sweep),
+//!   one mixed-epoch gate, one out-of-band fleet restore and the journal
+//!   boundary. Deploy and heal prepare every switch before the point of no
+//!   return; a migration prepares and commits one switch per step; recovery
+//!   force-activates a switch that refuses.
 //! - [`migrate`] — staged live reconfiguration: executes a
 //!   [`hermes_core::MigrationSchedule`] switch by switch over the same
 //!   lossy channel and fault injector, gating every prefix of the commit
@@ -93,6 +100,7 @@ pub mod journal;
 pub mod migrate;
 pub mod recovery;
 pub mod runtime;
+mod txn;
 
 pub use agent::{
     AgentError, HandleNote, Reply, ReplyEnvelope, Request, RequestEnvelope, SwitchAgent,
@@ -107,6 +115,5 @@ pub use journal::{
 pub use migrate::{MigrationConfig, MigrationOutcome};
 pub use recovery::{
     InFlight, RecoveredIntent, RecoveryAction, RecoveryError, RecoveryReport, SnapshotState,
-    RECOVERY_ABORT_THRESHOLD,
 };
 pub use runtime::{ControllerCrash, DeploymentRuntime, RetryPolicy, RolloutOutcome};

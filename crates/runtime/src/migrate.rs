@@ -13,36 +13,34 @@
 //!    order is replayed through the mixed-epoch per-packet-consistency
 //!    check ([`hermes_backend::check_transition`]). A violating window
 //!    aborts the migration with plan A untouched.
-//! 3. **Execute** — each step prepares and commits one switch with the
-//!    runtime's bounded retry/backoff. A committed step is a
-//!    **checkpoint**: the mixed state it reaches was verified safe, so
-//!    the migration can hold there through arbitrarily many retries of
-//!    the next step.
+//! 3. **Execute** — each step is the commit engine's per-switch step
+//!    (prepare → commit, bounded retry/backoff) for one switch, all in one
+//!    commit window. A committed step is a **checkpoint**: the mixed state
+//!    it reaches was verified safe, so the migration can hold there
+//!    through arbitrarily many retries of the next step.
 //! 4. **Roll back** — when a step fails for good (its switch crashed, or
 //!    the retry budget drained), committed steps are undone in reverse
-//!    order by re-installing their plan-A configs under a fresh epoch.
-//!    If the undo itself fails, or total failures cross the abort
-//!    threshold, the runtime falls back to the out-of-band full restore
-//!    (clear the channel, force-activate plan A everywhere). Either way
-//!    the terminal state is exactly plan B installed or exactly plan A
-//!    serving — never a mix.
+//!    order by re-installing their plan-A configs under a fresh epoch, in
+//!    a commit window of their own. If the undo itself fails, or total
+//!    failures cross the abort threshold, the runtime falls back to the
+//!    out-of-band full restore (clear the channel, force-activate plan A
+//!    everywhere). Either way the terminal state is exactly plan B
+//!    installed or exactly plan A serving — never a mix.
 //!
 //! Unlike [`DeploymentRuntime::rollout`], migration never heals: healing
 //! changes the target mid-flight, and the contract here is bimodal (B or
 //! A). A post-migration switch failure is the next rollout's problem.
 
-// The crate-level clippy.toml bans unwrap/expect so the recovery path
-// (journal.rs, recovery.rs) can never panic; this pre-durability module
-// keeps its intentional `expect`s on internal invariants.
-#![allow(clippy::disallowed_methods)]
-
+use crate::agent::SwitchAgent;
 use crate::event::Event;
 use crate::journal::{CrashPoint, JournalRecord};
-use crate::runtime::{ActiveDeployment, ControllerCrash, DeploymentRuntime, Fingerprints};
-use hermes_backend::{check_transition, validate_plan, EpochTransition};
+use crate::runtime::{ControllerCrash, DeploymentRuntime};
+use crate::txn::{
+    mixed_epoch_gate, ActiveDeployment, Fingerprints, ABORT_THRESHOLD, LEASE_US, PACKET_SEEDS,
+};
+use hermes_backend::{validate_plan, EpochTransition, SwitchConfig};
 use hermes_core::{
-    verify, DeploymentPlan, MigrationOrder, MigrationProblem, MigrationSchedule,
-    MigrationScheduler, SearchContext,
+    verify, DeploymentPlan, MigrationProblem, MigrationSchedule, MigrationScheduler, SearchContext,
 };
 use hermes_net::SwitchId;
 use hermes_tdg::Tdg;
@@ -50,31 +48,24 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
 
-/// Tuning knobs for one migration run.
+/// Attempts per migration step. A failed prepare is re-attempted once
+/// (each attempt already retries per message with backoff); a failed
+/// *commit* never is: the switch may have silently committed, so it is
+/// waited out and declared down instead.
+const STEP_ATTEMPTS: u32 = 2;
+
+/// The one knob of a migration run: the schedule search's budget. Step
+/// attempts (two), the abort threshold (three failures) and the commit
+/// order (the scheduler's `auto`) are fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationConfig {
     /// Budget for the schedule search, milliseconds.
     pub plan_budget_ms: u64,
-    /// Extra whole-step attempts after a failed prepare (each attempt
-    /// already retries per-message with backoff). A failed *commit* is
-    /// never re-attempted: the switch may have silently committed, so it
-    /// is waited out and declared down instead.
-    pub step_retries: u32,
-    /// Once this many step/rollback failures accumulate, surgical
-    /// recovery is abandoned for the out-of-band full restore of plan A.
-    pub abort_threshold: u32,
-    /// How the commit order is chosen (see [`MigrationOrder`]).
-    pub order: MigrationOrder,
 }
 
 impl Default for MigrationConfig {
     fn default() -> Self {
-        MigrationConfig {
-            plan_budget_ms: 2_000,
-            step_retries: 1,
-            abort_threshold: 3,
-            order: MigrationOrder::Auto,
-        }
+        MigrationConfig { plan_budget_ms: 2_000 }
     }
 }
 
@@ -152,6 +143,12 @@ impl fmt::Display for MigrationOutcome {
     }
 }
 
+impl MigrationOutcome {
+    fn crashed(crash: ControllerCrash) -> Self {
+        MigrationOutcome::ControllerCrashed { epoch: crash.epoch, point: crash.point }
+    }
+}
+
 impl DeploymentRuntime {
     /// Plans and executes a staged migration from the active plan to
     /// `target`. See the module docs for the full protocol; the terminal
@@ -163,49 +160,25 @@ impl DeploymentRuntime {
         target: DeploymentPlan,
         cfg: &MigrationConfig,
     ) -> MigrationOutcome {
-        if let Some(crash) = self.crashed() {
-            return MigrationOutcome::ControllerCrashed { epoch: crash.epoch, point: crash.point };
-        }
-        match self.try_migrate(tdg, target, cfg) {
-            Ok(outcome) => outcome,
-            Err(crash) => {
-                MigrationOutcome::ControllerCrashed { epoch: crash.epoch, point: crash.point }
+        self.guarded(MigrationOutcome::crashed, |rt| {
+            let schedule = match &rt.active {
+                Some(active) if active.tdg == *tdg && active.plan != target => {
+                    let problem =
+                        MigrationProblem { tdg, net: &rt.net, from: &active.plan, to: &target };
+                    let ctx =
+                        SearchContext::with_time_limit(Duration::from_millis(cfg.plan_budget_ms));
+                    MigrationScheduler::new().plan(&problem, &ctx)
+                }
+                _ => return rt.refuse_or_skip(tdg),
+            };
+            match schedule {
+                Ok(schedule) => rt.run_migration(tdg, target, &schedule),
+                Err(e) => {
+                    let epoch = rt.advance_epoch()?;
+                    Ok(rt.migration_abort(epoch, format!("no safe schedule: {e}")))
+                }
             }
-        }
-    }
-
-    fn try_migrate(
-        &mut self,
-        tdg: &Tdg,
-        target: DeploymentPlan,
-        cfg: &MigrationConfig,
-    ) -> Result<MigrationOutcome, ControllerCrash> {
-        match self.check_preconditions(tdg, &target) {
-            Ok(Some(prior)) => prior,
-            Ok(None) => {
-                // Same plan: nothing to do, nothing to disturb.
-                return Ok(MigrationOutcome::Migrated {
-                    epoch: self.active_epoch().unwrap_or(0),
-                    steps: 0,
-                    reconfig_us: 0,
-                    messages: 0,
-                });
-            }
-            Err(outcome) => return Ok(outcome),
-        };
-        let schedule = {
-            let active = self.active.as_ref().expect("preconditions checked");
-            let problem = MigrationProblem { tdg, net: &self.net, from: &active.plan, to: &target };
-            let ctx = SearchContext::with_time_limit(Duration::from_millis(cfg.plan_budget_ms));
-            MigrationScheduler::with_order(cfg.order.clone()).plan(&problem, &ctx)
-        };
-        match schedule {
-            Ok(schedule) => self.try_migrate_with_schedule(tdg, target, &schedule, cfg),
-            Err(e) => {
-                let epoch = self.advance_epoch()?;
-                Ok(self.migration_abort(epoch, format!("no safe schedule: {e}")))
-            }
-        }
+        })
     }
 
     /// Executes a precomputed schedule (e.g. one the operator reviewed or
@@ -217,38 +190,43 @@ impl DeploymentRuntime {
         tdg: &Tdg,
         target: DeploymentPlan,
         schedule: &MigrationSchedule,
-        cfg: &MigrationConfig,
     ) -> MigrationOutcome {
-        if let Some(crash) = self.crashed() {
-            return MigrationOutcome::ControllerCrashed { epoch: crash.epoch, point: crash.point };
-        }
-        match self.try_migrate_with_schedule(tdg, target, schedule, cfg) {
-            Ok(outcome) => outcome,
-            Err(crash) => {
-                MigrationOutcome::ControllerCrashed { epoch: crash.epoch, point: crash.point }
+        self.guarded(MigrationOutcome::crashed, |rt| match &rt.active {
+            Some(active) if active.tdg == *tdg && active.plan != target => {
+                rt.run_migration(tdg, target, schedule)
             }
-        }
+            _ => rt.refuse_or_skip(tdg),
+        })
     }
 
-    fn try_migrate_with_schedule(
-        &mut self,
-        tdg: &Tdg,
-        target: DeploymentPlan,
-        schedule: &MigrationSchedule,
-        cfg: &MigrationConfig,
-    ) -> Result<MigrationOutcome, ControllerCrash> {
-        let prior = match self.check_preconditions(tdg, &target) {
-            Ok(Some(prior)) => prior,
-            Ok(None) => {
+    /// A migration that does not run: the target already serves (nothing
+    /// to do, nothing to disturb), or nothing of `tdg` serves to migrate
+    /// from.
+    fn refuse_or_skip(&mut self, tdg: &Tdg) -> Result<MigrationOutcome, ControllerCrash> {
+        let reason = match &self.active {
+            Some(active) if active.tdg == *tdg => {
                 return Ok(MigrationOutcome::Migrated {
-                    epoch: self.active_epoch().unwrap_or(0),
+                    epoch: active.epoch,
                     steps: 0,
                     reconfig_us: 0,
                     messages: 0,
                 });
             }
-            Err(outcome) => return Ok(outcome),
+            Some(_) => "the active deployment runs a different program set; use rollout",
+            None => "no active deployment to migrate from; use rollout",
         };
+        let epoch = self.advance_epoch()?;
+        Ok(self.migration_abort(epoch, reason.to_string()))
+    }
+
+    /// The migration proper, from the active deployment (plan A), which
+    /// stays active until `target` is activated or plan A restored.
+    fn run_migration(
+        &mut self,
+        tdg: &Tdg,
+        target: DeploymentPlan,
+        schedule: &MigrationSchedule,
+    ) -> Result<MigrationOutcome, ControllerCrash> {
         let epoch = self.advance_epoch()?;
         let start_us = self.clock_us;
         let messages_before = self.channel.messages_sent();
@@ -261,8 +239,7 @@ impl DeploymentRuntime {
 
         // Pre-flight validation: ε-constraints + packet equivalence on
         // the network as it is now.
-        let (report, artifacts) =
-            validate_plan(tdg, &self.net, &target, &self.eps, &self.packet_seeds);
+        let (report, artifacts) = validate_plan(tdg, &self.net, &target, &self.eps, &PACKET_SEEDS);
         if !report.is_ok() {
             self.log.push(Event::ValidationFailed {
                 epoch,
@@ -272,9 +249,13 @@ impl DeploymentRuntime {
             return Ok(self.migration_abort(epoch, "target plan failed validation".to_string()));
         }
         let order = schedule.commit_order();
-        let covered: BTreeSet<SwitchId> = order.iter().copied().collect();
-        let occupied: BTreeSet<SwitchId> = artifacts.switches.keys().copied().collect();
-        if covered != occupied || order.len() != covered.len() {
+        let configs: Vec<&SwitchConfig> =
+            order.iter().filter_map(|s| artifacts.switches.get(s)).collect();
+        let distinct = order.iter().collect::<BTreeSet<_>>().len();
+        if configs.len() != order.len()
+            || distinct != order.len()
+            || order.len() != artifacts.switches.len()
+        {
             return Ok(self.migration_abort(
                 epoch,
                 "schedule does not cover the target plan's switches exactly once".to_string(),
@@ -283,31 +264,21 @@ impl DeploymentRuntime {
 
         // Prefix gate: every window of the chosen commit order must keep
         // each packet on a single observable epoch end to end.
-        let transition = EpochTransition {
-            tdg,
-            old_plan: &prior.plan,
-            old_artifacts: &prior.artifacts,
-            new_plan: &target,
-            new_artifacts: &artifacts,
-        };
-        match check_transition(&transition, &order, &self.packet_seeds) {
-            Ok(windows) => self.log.push(Event::MixedEpochChecked {
-                epoch,
-                windows,
-                packets: self.packet_seeds.len(),
-                at_us: self.clock_us,
-            }),
-            Err(v) => {
-                self.log.push(Event::MixedEpochViolated {
-                    epoch,
-                    detail: v.to_string(),
-                    at_us: self.clock_us,
-                });
-                return Ok(self.migration_abort(
-                    epoch,
-                    format!("mixed-epoch window would break per-packet consistency: {v}"),
-                ));
+        let gate = match &self.active {
+            Some(prior) => {
+                let transition = EpochTransition {
+                    tdg,
+                    old_plan: &prior.plan,
+                    old_artifacts: &prior.artifacts,
+                    new_plan: &target,
+                    new_artifacts: &artifacts,
+                };
+                mixed_epoch_gate(&mut self.log, self.clock_us, epoch, &transition, &order)
             }
+            None => Err("no active deployment to migrate from; use rollout".to_string()),
+        };
+        if let Err(reason) = gate {
+            return Ok(self.migration_abort(epoch, reason));
         }
 
         // The migration's intent becomes durable before the first step
@@ -326,46 +297,31 @@ impl DeploymentRuntime {
 
         // Execute the schedule step by step; each committed step is a
         // checkpoint (its mixed state was verified safe above).
-        let mut committed: Vec<SwitchId> = Vec::new();
+        let mut window = self.open_window(epoch);
         let mut failures = 0u32;
-        let mut lease_refreshed_us = self.clock_us;
-        for (idx, step) in schedule.steps.iter().enumerate() {
+        for ((idx, step), config) in schedule.steps.iter().enumerate().zip(configs) {
             let switch = step.switch;
-            let config = artifacts.switches[&switch].clone();
-            // Keep earlier checkpoints' leases alive through a long
-            // migration window.
-            if self.clock_us.saturating_sub(lease_refreshed_us) > self.policy.lease_us / 4 {
-                let keep = committed.clone();
-                self.renew_leases(&keep, epoch);
-                lease_refreshed_us = self.clock_us;
-            }
+            self.keep_alive(&mut window);
             let mut step_ok = false;
             let mut last_reason = String::new();
-            'attempts: for _ in 0..=cfg.step_retries {
-                match self.prepare_with_retry(switch, &config, epoch) {
-                    Ok(()) => {
-                        if self.commit_with_retry(switch, epoch) {
-                            step_ok = true;
-                        } else {
-                            failures += 1;
-                            last_reason = format!("switch {switch} did not acknowledge the commit");
-                            self.log.push(Event::MigrationStepFailed {
-                                epoch,
-                                step: idx,
-                                switch,
-                                reason: last_reason.clone(),
-                                at_us: self.clock_us,
-                            });
-                            // The commit may have landed with its ack
-                            // lost. Wait out the lease so an alive-but-
-                            // unreachable agent provably self-fences
-                            // before anything rolls back.
-                            let keep = committed.clone();
-                            self.declare_unreachable(switch, epoch, &keep);
-                            lease_refreshed_us = self.clock_us;
-                        }
-                        // Commit outcomes are final for the step either way.
-                        break 'attempts;
+            for _ in 0..STEP_ATTEMPTS {
+                match self.step(&mut window, switch, config) {
+                    Ok(true) => step_ok = true,
+                    Ok(false) => {
+                        failures += 1;
+                        last_reason = format!("switch {switch} did not acknowledge the commit");
+                        self.log.push(Event::MigrationStepFailed {
+                            epoch,
+                            step: idx,
+                            switch,
+                            reason: last_reason.clone(),
+                            at_us: self.clock_us,
+                        });
+                        // The commit may have landed with its ack lost.
+                        // Wait out the lease so an alive-but-unreachable
+                        // agent provably self-fences before anything rolls
+                        // back.
+                        self.declare_unreachable(&mut window, switch);
                     }
                     Err(reason) => {
                         failures += 1;
@@ -377,78 +333,56 @@ impl DeploymentRuntime {
                             reason,
                             at_us: self.clock_us,
                         });
-                        if self.agents[&switch].is_crashed() || failures > cfg.abort_threshold {
-                            break 'attempts;
+                        let down = self.agents.get(&switch).is_some_and(SwitchAgent::is_crashed);
+                        if !down && failures <= ABORT_THRESHOLD {
+                            continue;
                         }
                     }
                 }
+                // Commit outcomes are final for the step either way.
+                break;
             }
-            if step_ok {
-                self.journal_note(JournalRecord::MigrationStepCommitted {
-                    epoch,
-                    step: idx,
-                    switch,
-                })?;
-                self.journal_note(JournalRecord::LeaseGranted {
-                    epoch,
-                    switch,
-                    until_us: self.clock_us + self.policy.lease_us,
-                })?;
-                committed.push(switch);
-                self.log.push(Event::MigrationStepCommitted {
-                    epoch,
-                    step: idx,
-                    switch,
-                    transient_amax: step.transient_amax,
-                    at_us: self.clock_us,
-                });
-            } else {
+            if !step_ok {
                 // Best-effort un-stage of a prepared-but-uncommitted
                 // config; fencing covers a lost abort.
                 self.abort_prepared(&[switch], epoch);
-                return self.migration_roll_back(
-                    prior,
-                    epoch,
-                    format!("step {idx} (switch {switch}) failed: {last_reason}"),
-                    &committed,
-                    failures,
-                    cfg,
-                );
+                let reason = format!("step {idx} (switch {switch}) failed: {last_reason}");
+                return self.migration_roll_back(epoch, reason, &window.committed, failures);
             }
+            self.journal_note(JournalRecord::MigrationStepCommitted { epoch, step: idx, switch })?;
+            self.journal_note(JournalRecord::LeaseGranted {
+                epoch,
+                switch,
+                until_us: self.clock_us + LEASE_US,
+            })?;
+            self.log.push(Event::MigrationStepCommitted {
+                epoch,
+                step: idx,
+                switch,
+                transient_amax: step.transient_amax,
+                at_us: self.clock_us,
+            });
         }
 
         // Commit-window supervision ends: a lease that lapsed without
         // renewal means that agent stopped serving mid-migration.
-        if let Some(&switch) = self.sweep_leases(&committed).first() {
+        if let Some(&switch) = self.close_window(&window).first() {
             failures += 1;
-            return self.migration_roll_back(
-                prior,
-                epoch,
-                format!("switch {switch}'s lease lapsed during the migration window"),
-                &committed,
-                failures,
-                cfg,
-            );
+            let reason = format!("switch {switch}'s lease lapsed during the migration window");
+            return self.migration_roll_back(epoch, reason, &window.committed, failures);
         }
         // Faults during the steps (lost links, crashed bystanders) may
         // have degraded the network; the target must still hold on what
         // is actually left before it becomes the active deployment.
-        let violations = verify(tdg, &self.net, &target, &self.eps);
-        if let Some(first) = violations.first() {
+        if let Some(first) = verify(tdg, &self.net, &target, &self.eps).first() {
             failures += 1;
-            return self.migration_roll_back(
-                prior,
-                epoch,
-                format!("target plan no longer valid after migration: {first}"),
-                &committed,
-                failures,
-                cfg,
-            );
+            let reason = format!("target plan no longer valid after migration: {first}");
+            return self.migration_roll_back(epoch, reason, &window.committed, failures);
         }
 
         let steps = schedule.steps.len();
         self.journal_note(JournalRecord::MigrationCompleted { epoch, steps })?;
-        self.activate(epoch, tdg.clone(), target, artifacts, fp)?;
+        self.activate(ActiveDeployment { epoch, tdg: tdg.clone(), plan: target, artifacts, fp })?;
         let reconfig_us = self.clock_us - start_us;
         let messages = self.channel.messages_sent() - messages_before;
         self.log.push(Event::MigrationCompleted {
@@ -459,36 +393,6 @@ impl DeploymentRuntime {
             at_us: self.clock_us,
         });
         Ok(MigrationOutcome::Migrated { epoch, steps, reconfig_us, messages })
-    }
-
-    /// Checks the migration preconditions. `Ok(Some(prior))` means go
-    /// (with the deployment to roll back to), `Ok(None)` means the target
-    /// is already serving, `Err` is the abort outcome to return.
-    fn check_preconditions(
-        &mut self,
-        tdg: &Tdg,
-        target: &DeploymentPlan,
-    ) -> Result<Option<ActiveDeployment>, MigrationOutcome> {
-        let reason = match &self.active {
-            Some(active) if active.tdg == *tdg => {
-                if active.plan == *target {
-                    return Ok(None);
-                }
-                return Ok(Some(active.clone()));
-            }
-            Some(_) => "the active deployment runs a different program set; use rollout",
-            None => "no active deployment to migrate from; use rollout",
-        };
-        let epoch = match self.advance_epoch() {
-            Ok(epoch) => epoch,
-            Err(crash) => {
-                return Err(MigrationOutcome::ControllerCrashed {
-                    epoch: crash.epoch,
-                    point: crash.point,
-                })
-            }
-        };
-        Err(self.migration_abort(epoch, reason.to_string()))
     }
 
     /// Logs and returns a pre-commit refusal (plan A untouched).
@@ -507,98 +411,64 @@ impl DeploymentRuntime {
     /// abort threshold is crossed.
     fn migration_roll_back(
         &mut self,
-        prior: ActiveDeployment,
         epoch: u64,
         reason: String,
         committed: &[SwitchId],
         failures: u32,
-        cfg: &MigrationConfig,
     ) -> Result<MigrationOutcome, ControllerCrash> {
-        let undone = committed.len();
         // The abandonment decision is durable before any undo touches an
         // agent: a controller that crashes mid-undo is known (on replay)
         // to have been rolling back, not still migrating forward.
-        self.journal_note(JournalRecord::MigrationRolledBack {
-            epoch,
-            forced: failures > cfg.abort_threshold,
-        })?;
-        if failures > cfg.abort_threshold {
-            return self.forced_restore(prior, epoch, reason, undone);
+        let forced = failures > ABORT_THRESHOLD;
+        self.journal_note(JournalRecord::MigrationRolledBack { epoch, forced })?;
+        let forced = forced || !self.undo(committed)?;
+        if forced {
+            self.force_restore(self.active.clone())?;
         }
-        // Undo checkpoints newest-first under a fresh epoch — the
-        // abandoned migration epoch is fenced wherever the undo lands, so
-        // a straggling migration commit can never re-activate it.
+        self.log.push(Event::MigrationRolledBack {
+            epoch,
+            reason: reason.clone(),
+            forced,
+            undone: committed.len(),
+            at_us: self.clock_us,
+        });
+        Ok(MigrationOutcome::RolledBack { epoch, reason, forced })
+    }
+
+    /// Undoes `committed` newest-first under a fresh epoch — the abandoned
+    /// migration epoch is fenced wherever the undo lands, so a straggling
+    /// migration commit can never re-activate it. `Ok(false)` when a
+    /// switch refused or its lease lapsed before the undo's window closed.
+    fn undo(&mut self, committed: &[SwitchId]) -> Result<bool, ControllerCrash> {
         let undo_epoch = self.advance_epoch()?;
-        let mut restored: Vec<SwitchId> = Vec::new();
+        let mut window = self.open_window(undo_epoch);
         for &switch in committed.iter().rev() {
-            let ok = match prior.artifacts.switches.get(&switch) {
+            let prior = self.active.as_ref();
+            let (prior_epoch, config) = (
+                prior.map_or(0, |p| p.epoch),
+                prior.and_then(|p| p.artifacts.switches.get(&switch)).cloned(),
+            );
+            match config {
                 Some(config) => {
-                    let config = config.clone();
-                    match self.prepare_with_retry(switch, &config, undo_epoch) {
-                        Ok(()) => self.commit_with_retry(switch, undo_epoch),
-                        Err(_) => false,
+                    if self.step(&mut window, switch, &config) != Ok(true) {
+                        return Ok(false);
                     }
                 }
                 None => {
                     // The switch exists only in plan B; nothing in plan A
                     // routes through it, so decommission it out of band.
-                    self.agents
-                        .get_mut(&switch)
-                        .expect("agents cover all switches")
-                        .force_activate(prior.epoch, None);
-                    true
+                    if let Some(agent) = self.agents.get_mut(&switch) {
+                        agent.force_activate(prior_epoch, None);
+                    }
+                    window.committed.push(switch);
                 }
-            };
-            if !ok {
-                return self.forced_restore(prior, epoch, reason, undone);
             }
             self.log.push(Event::MigrationStepRolledBack {
                 epoch: undo_epoch,
                 switch,
                 at_us: self.clock_us,
             });
-            restored.push(switch);
         }
-        // The undo transaction is over; release its commit leases. A
-        // lease that lapsed mid-undo means that agent stopped serving —
-        // surgical undo failed, restore everything.
-        for &switch in &restored {
-            let expired = self
-                .agents
-                .get_mut(&switch)
-                .expect("agents cover all switches")
-                .expire_lease(self.clock_us);
-            if expired.is_some() {
-                return self.forced_restore(prior, epoch, reason, undone);
-            }
-            self.agents.get_mut(&switch).expect("agents cover all switches").release_lease();
-        }
-        self.log.push(Event::MigrationRolledBack {
-            epoch,
-            reason: reason.clone(),
-            forced: false,
-            undone,
-            at_us: self.clock_us,
-        });
-        Ok(MigrationOutcome::RolledBack { epoch, reason, forced: false })
-    }
-
-    /// The escalation path: out-of-band full restore of plan A.
-    fn forced_restore(
-        &mut self,
-        prior: ActiveDeployment,
-        epoch: u64,
-        reason: String,
-        undone: usize,
-    ) -> Result<MigrationOutcome, ControllerCrash> {
-        self.force_restore(Some(prior))?;
-        self.log.push(Event::MigrationRolledBack {
-            epoch,
-            reason: reason.clone(),
-            forced: true,
-            undone,
-            at_us: self.clock_us,
-        });
-        Ok(MigrationOutcome::RolledBack { epoch, reason, forced: true })
+        Ok(self.close_window(&window).is_empty())
     }
 }

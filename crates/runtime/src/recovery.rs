@@ -31,10 +31,11 @@
 //!    decision is the point of no return — some agent may already serve
 //!    it); one without rolls *back* to the snapshot; a migration rolls
 //!    forward only if every step checkpointed. The chosen plan is
-//!    reinstalled switch by switch under the fresh epoch; a switch that
-//!    refuses is force-activated out of band, and past
-//!    [`RECOVERY_ABORT_THRESHOLD`] failures the surgical path is
-//!    abandoned for a full out-of-band restore.
+//!    reinstalled switch by switch under the fresh epoch through the
+//!    commit engine's per-switch step; a switch that refuses is
+//!    force-activated out of band, and past the abort threshold (three
+//!    failures, the migration's threshold) the surgical path is abandoned
+//!    for a full out-of-band restore.
 //!
 //! Recovery assumes the single-fault model: crash injection is disarmed
 //! on entry, and recovery's own journal writes bypass the injector, so a
@@ -46,17 +47,14 @@
 use crate::agent::{AgentError, Reply, Request};
 use crate::event::{Event, MessageKind};
 use crate::journal::{JournalError, JournalRecord, Replay, TxnKind};
-use crate::runtime::{ActiveDeployment, DeploymentRuntime, Fingerprints};
-use hermes_backend::{DeploymentArtifacts, SwitchConfig};
+use crate::runtime::DeploymentRuntime;
+use crate::txn::{ActiveDeployment, Fingerprints, ABORT_THRESHOLD, LEASE_US, MAX_ATTEMPTS};
+use hermes_backend::DeploymentArtifacts;
 use hermes_core::{verify, DeploymentPlan};
 use hermes_net::SwitchId;
 use hermes_tdg::Tdg;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Per-switch reinstall failures recovery tolerates before abandoning
-/// surgical repair for the out-of-band full restore.
-pub const RECOVERY_ABORT_THRESHOLD: u32 = 3;
 
 /// The repair a recovery run decided on, derived purely from the journal
 /// (see [`RecoveredIntent::planned_action`]) and demoted from a forward
@@ -171,6 +169,45 @@ pub enum InFlight {
 }
 
 impl InFlight {
+    /// Folds one record of this operation's epoch into it.
+    fn advance(&mut self, record: &JournalRecord) {
+        match (self, record) {
+            (InFlight::Txn { prepared, .. }, JournalRecord::Prepared { switch, .. }) => {
+                prepared.push(*switch);
+            }
+            (InFlight::Txn { commit_order, .. }, JournalRecord::CommitDecided { order, .. }) => {
+                *commit_order = Some(order.clone());
+            }
+            (InFlight::Txn { commit_acked, .. }, JournalRecord::CommitAcked { switch, .. }) => {
+                commit_acked.push(*switch);
+            }
+            (InFlight::Txn { committed, .. }, JournalRecord::TxnCommitted { .. }) => {
+                *committed = true;
+            }
+            (InFlight::Txn { aborted, .. }, JournalRecord::TxnAborted { .. }) => *aborted = true,
+            (
+                InFlight::Migration { steps_committed, .. },
+                JournalRecord::MigrationStepCommitted { switch, .. },
+            ) => steps_committed.push(*switch),
+            (
+                InFlight::Migration { rolled_back, .. },
+                JournalRecord::MigrationRolledBack { .. },
+            ) => {
+                *rolled_back = true;
+            }
+            (InFlight::Migration { completed, .. }, JournalRecord::MigrationCompleted { .. }) => {
+                *completed = true;
+            }
+            _ => {}
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        match self {
+            InFlight::Txn { epoch, .. } | InFlight::Migration { epoch, .. } => *epoch,
+        }
+    }
+
     fn tdg_fp(&self) -> u64 {
         match self {
             InFlight::Txn { tdg_fp, .. } | InFlight::Migration { tdg_fp, .. } => *tdg_fp,
@@ -215,10 +252,6 @@ impl RecoveredIntent {
         for record in &replay.records {
             intent.max_epoch = intent.max_epoch.max(record.epoch());
             match record {
-                JournalRecord::EpochAdvanced { .. }
-                | JournalRecord::LeaseGranted { .. }
-                | JournalRecord::RecoveryBegun { .. }
-                | JournalRecord::RecoveryCompleted { .. } => {}
                 JournalRecord::TxnBegun { epoch, kind, tdg_fp, plan_fp, plan, artifacts } => {
                     intent.in_flight = Some(InFlight::Txn {
                         epoch: *epoch,
@@ -233,45 +266,6 @@ impl RecoveredIntent {
                         committed: false,
                         aborted: false,
                     });
-                }
-                JournalRecord::Prepared { epoch, switch } => {
-                    if let Some(InFlight::Txn { epoch: e, prepared, .. }) = &mut intent.in_flight {
-                        if *e == *epoch {
-                            prepared.push(*switch);
-                        }
-                    }
-                }
-                JournalRecord::CommitDecided { epoch, order } => {
-                    if let Some(InFlight::Txn { epoch: e, commit_order, .. }) =
-                        &mut intent.in_flight
-                    {
-                        if *e == *epoch {
-                            *commit_order = Some(order.clone());
-                        }
-                    }
-                }
-                JournalRecord::CommitAcked { epoch, switch } => {
-                    if let Some(InFlight::Txn { epoch: e, commit_acked, .. }) =
-                        &mut intent.in_flight
-                    {
-                        if *e == *epoch {
-                            commit_acked.push(*switch);
-                        }
-                    }
-                }
-                JournalRecord::TxnCommitted { epoch, .. } => {
-                    if let Some(InFlight::Txn { epoch: e, committed, .. }) = &mut intent.in_flight {
-                        if *e == *epoch {
-                            *committed = true;
-                        }
-                    }
-                }
-                JournalRecord::TxnAborted { epoch, .. } => {
-                    if let Some(InFlight::Txn { epoch: e, aborted, .. }) = &mut intent.in_flight {
-                        if *e == *epoch {
-                            *aborted = true;
-                        }
-                    }
                 }
                 JournalRecord::Snapshot { epoch, tdg_fp, plan_fp, plan, artifacts, clock_us } => {
                     // An activation snapshot concludes whatever was in
@@ -312,31 +306,12 @@ impl RecoveredIntent {
                         completed: false,
                     });
                 }
-                JournalRecord::MigrationStepCommitted { epoch, switch, .. } => {
-                    if let Some(InFlight::Migration { epoch: e, steps_committed, .. }) =
-                        &mut intent.in_flight
-                    {
-                        if *e == *epoch {
-                            steps_committed.push(*switch);
-                        }
-                    }
-                }
-                JournalRecord::MigrationRolledBack { epoch, .. } => {
-                    if let Some(InFlight::Migration { epoch: e, rolled_back, .. }) =
-                        &mut intent.in_flight
-                    {
-                        if *e == *epoch {
-                            *rolled_back = true;
-                        }
-                    }
-                }
-                JournalRecord::MigrationCompleted { epoch, .. } => {
-                    if let Some(InFlight::Migration { epoch: e, completed, .. }) =
-                        &mut intent.in_flight
-                    {
-                        if *e == *epoch {
-                            *completed = true;
-                        }
+                // Every other record advances the operation in flight, if
+                // it belongs to that operation's epoch.
+                progress => {
+                    let epoch = progress.epoch();
+                    if let Some(op) = intent.in_flight.as_mut().filter(|op| op.epoch() == epoch) {
+                        op.advance(progress);
                     }
                 }
             }
@@ -491,7 +466,7 @@ impl DeploymentRuntime {
         // Fence by time: after two lease windows of silence, every agent
         // whose commit-window lease was running at the crash has provably
         // self-fenced — no zombie can still be serving a lapsed epoch.
-        self.clock_us += 2 * self.policy.lease_us;
+        self.clock_us += 2 * LEASE_US;
         // Fence by epoch: write-ahead advances make max(journal) + 1
         // strictly newer than anything any agent has seen. Recovery's own
         // journal writes bypass the injector (single-fault model).
@@ -539,16 +514,19 @@ impl DeploymentRuntime {
         let (reinstalled, forced) = match chosen {
             Some((plan, artifacts)) => {
                 let fp = Fingerprints { tdg: expected, plan: plan.fingerprint() };
-                self.reinstall(tdg, plan, artifacts, fp, fresh)
+                self.reinstall(ActiveDeployment {
+                    epoch: fresh,
+                    tdg: tdg.clone(),
+                    plan,
+                    artifacts,
+                    fp,
+                })
             }
             None => {
                 // Nothing to restore: journal the cleared state and wipe
                 // every live agent to match it.
                 self.journal.append(&JournalRecord::Cleared { epoch: fresh });
-                for agent in self.agents.values_mut() {
-                    agent.force_activate(fresh, None);
-                }
-                self.active = None;
+                self.restore_fleet(None);
                 (0, 0)
             }
         };
@@ -593,7 +571,7 @@ impl DeploymentRuntime {
         let switches: Vec<SwitchId> = self.net.switch_ids().collect();
         for switch in switches {
             let mut answered: Option<Reply> = None;
-            for _ in 0..self.policy.max_attempts {
+            for _ in 0..MAX_ATTEMPTS {
                 if let Some(reply) =
                     self.exchange(switch, fresh, Request::Probe, MessageKind::Probe)
                 {
@@ -635,92 +613,46 @@ impl DeploymentRuntime {
         unreachable
     }
 
-    /// Reinstalls `plan` on every live occupied switch under the fresh
-    /// epoch (prepare + commit, with the usual bounded retries), falling
-    /// back per switch to out-of-band force-activation and — past
-    /// [`RECOVERY_ABORT_THRESHOLD`] failures — to a full force restore.
-    /// Live agents the plan does not occupy are wiped so no stale epoch
-    /// keeps serving anywhere. Returns `(reinstalled, forced)` counts.
-    fn reinstall(
-        &mut self,
-        tdg: &Tdg,
-        plan: DeploymentPlan,
-        artifacts: DeploymentArtifacts,
-        fp: Fingerprints,
-        fresh: u64,
-    ) -> (usize, usize) {
-        let occupied: Vec<(SwitchId, SwitchConfig)> =
-            artifacts.switches.iter().map(|(&s, c)| (s, c.clone())).collect();
-        let mut committed: Vec<SwitchId> = Vec::new();
+    /// Reinstalls `deployment` on every live switch it occupies, under its
+    /// (fresh) epoch, one per-switch step each, falling back per switch to
+    /// out-of-band force-activation and — past the abort threshold — to
+    /// the full restore. Either way the fleet ends restored to exactly
+    /// `deployment` (agents it does not occupy wiped, so nothing stale
+    /// keeps serving beside it), which is journaled as the new snapshot.
+    /// Returns `(reinstalled, forced)` counts.
+    fn reinstall(&mut self, deployment: ActiveDeployment) -> (usize, usize) {
+        let down = self.net.down_switches();
+        let mut window = self.open_window(deployment.epoch);
         let mut forced = 0usize;
         let mut failures = 0u32;
-        let down = self.net.down_switches();
-        for (switch, config) in &occupied {
-            if down.contains(switch) {
-                continue;
-            }
-            let ok = match self.prepare_with_retry(*switch, config, fresh) {
-                Ok(()) => self.commit_with_retry(*switch, fresh),
-                Err(_) => false,
-            };
-            if ok {
-                committed.push(*switch);
+        for (&switch, config) in &deployment.artifacts.switches {
+            if down.contains(&switch) || self.step(&mut window, switch, config) == Ok(true) {
                 continue;
             }
             failures += 1;
-            if failures > RECOVERY_ABORT_THRESHOLD {
-                // Too much of the fleet refuses the protocol: stop being
-                // surgical and restore everything out of band.
-                let restored = ActiveDeployment {
-                    epoch: fresh,
-                    tdg: tdg.clone(),
-                    plan: plan.clone(),
-                    artifacts: artifacts.clone(),
-                    fp,
-                };
-                self.journal.append(&JournalRecord::Snapshot {
-                    epoch: fresh,
-                    tdg_fp: fp.tdg,
-                    plan_fp: fp.plan,
-                    plan: plan.clone(),
-                    artifacts: artifacts.clone(),
-                    clock_us: self.clock_us,
-                });
-                self.channel.clear();
-                for (&s, agent) in &mut self.agents {
-                    agent.force_activate(fresh, restored.artifacts.switches.get(&s).cloned());
-                }
-                let live = occupied.iter().filter(|(s, _)| !down.contains(s)).count();
-                self.active = Some(restored);
-                return (0, live);
+            if failures > ABORT_THRESHOLD {
+                break;
             }
             // Surgical fallback for this switch alone.
-            if let Some(agent) = self.agents.get_mut(switch) {
-                agent.force_activate(fresh, Some(config.clone()));
+            if let Some(agent) = self.agents.get_mut(&switch) {
+                agent.force_activate(deployment.epoch, Some(config.clone()));
             }
             forced += 1;
         }
-        // End commit-window supervision for the reinstalled agents (the
-        // same sweep a committing transaction runs).
-        self.sweep_leases(&committed);
-        // Wipe live agents the plan does not occupy: nothing stale may
-        // keep serving beside the restored deployment.
-        for (&switch, agent) in &mut self.agents {
-            if !artifacts.switches.contains_key(&switch) {
-                agent.force_activate(fresh, None);
-            }
-        }
-        self.journal.append(&JournalRecord::Snapshot {
-            epoch: fresh,
-            tdg_fp: fp.tdg,
-            plan_fp: fp.plan,
-            plan: plan.clone(),
-            artifacts: artifacts.clone(),
-            clock_us: self.clock_us,
-        });
-        self.active =
-            Some(ActiveDeployment { epoch: fresh, tdg: tdg.clone(), plan, artifacts, fp });
-        (committed.len(), forced)
+        let counts = if failures > ABORT_THRESHOLD {
+            // Too much of the fleet refuses the protocol: stop being
+            // surgical and restore everything out of band.
+            self.channel.clear();
+            (0, deployment.artifacts.switches.keys().filter(|s| !down.contains(s)).count())
+        } else {
+            // End commit-window supervision for the reinstalled agents
+            // (the same sweep a committing transaction runs).
+            self.close_window(&window);
+            (window.committed.len(), forced)
+        };
+        self.journal.append(&deployment.snapshot(self.clock_us));
+        self.restore_fleet(Some(deployment));
+        counts
     }
 }
 

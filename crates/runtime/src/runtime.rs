@@ -33,11 +33,10 @@
 //! event log. Healing deliberately skips the mixed-epoch gate: a dead
 //! switch already broke per-packet consistency, and repairing service
 //! outranks preserving a guarantee the failure voided.
-
-// The crate-level clippy.toml bans unwrap/expect so the recovery path
-// (journal.rs, recovery.rs) can never panic; this pre-durability module
-// keeps its intentional `expect`s on internal invariants.
-#![allow(clippy::disallowed_methods)]
+//!
+//! The transaction itself runs on the commit engine (`txn`), which
+//! migration and recovery share; this module keeps the public entry
+//! points, the virtual-clock message pump and heal.
 
 use crate::agent::{
     AgentError, HandleNote, Reply, ReplyEnvelope, Request, RequestEnvelope, SwitchAgent,
@@ -46,55 +45,26 @@ use crate::channel::{ChannelProfile, ControlChannel, Message, SendReceipt};
 use crate::event::{Event, EventLog, MessageKind};
 use crate::fault::{Fault, FaultInjector};
 use crate::journal::{CrashPoint, CrashTiming, Journal, JournalRecord, TxnKind};
-use hermes_backend::{check_transition, validate_plan, DeploymentArtifacts, EpochTransition};
-use hermes_core::{verify, DeploymentPlan, Epsilon, IncrementalDeployer, RedeployOptions};
+use crate::txn::{
+    ActiveDeployment, Fingerprints, TxnFailure, LEASE_US, PACKET_SEEDS, RPC_COST_US, TIMEOUT_US,
+};
+use hermes_backend::validate_plan;
+use hermes_core::{DeploymentPlan, Epsilon, IncrementalDeployer, RedeployOptions};
 use hermes_net::{Network, SwitchId};
 use hermes_tdg::Tdg;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Retry/backoff/lease policy for the transaction protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The transaction protocol's retry, backoff and lease policy. It is fixed
+/// — four attempts per request, backoff from 100 µs doubling to a 2 ms cap
+/// plus up to 100 µs of jitter, a 200 µs reply timeout, 50 µs round trips
+/// and a 20 ms commit-window lease — so `RetryPolicy::default()` is its
+/// only value; the type is kept because [`DeploymentRuntime::new`] takes
+/// one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum attempts per request kind per switch (including the first).
-    pub max_attempts: u32,
-    /// Backoff before attempt `n + 1` starts at `base_delay_us << (n - 1)`.
-    pub base_delay_us: u64,
-    /// Backoff (before jitter) is capped here.
-    pub max_delay_us: u64,
-    /// An exchange whose reply has not arrived after this long counts as
-    /// a timed-out attempt.
-    pub timeout_us: u64,
-    /// Virtual cost of one well-behaved round-trip to an agent (the
-    /// channel's one-way latency is half of this).
-    pub rpc_cost_us: u64,
-    /// Commit-window lease duration: an agent whose lease is not renewed
-    /// for this long self-fences, and the runtime waits this long before
-    /// declaring an unresponsive switch down.
-    pub lease_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay_us: 100,
-            max_delay_us: 2_000,
-            timeout_us: 200,
-            rpc_cost_us: 50,
-            lease_us: 20_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The pre-jitter backoff before `next_attempt` (2-based; there is no
-    /// delay before the first attempt).
-    fn backoff_us(&self, next_attempt: u32) -> u64 {
-        let shift = next_attempt.saturating_sub(2).min(63);
-        self.base_delay_us.saturating_mul(1u64 << shift).min(self.max_delay_us)
-    }
+    fixed: (),
 }
 
 /// Terminal state of one [`DeploymentRuntime::rollout`].
@@ -182,67 +152,23 @@ impl fmt::Display for ControllerCrash {
     }
 }
 
-/// Why [`DeploymentRuntime::install_transaction`] did not commit: a clean
-/// pre-commit abort (previous plan untouched) or a controller crash.
-pub(crate) enum TxnFailure {
-    /// The transaction aborted before any commit was sent.
-    Aborted(String),
-    /// The controller died mid-transaction.
-    Crashed(ControllerCrash),
-}
-
-impl From<ControllerCrash> for TxnFailure {
-    fn from(crash: ControllerCrash) -> Self {
-        TxnFailure::Crashed(crash)
-    }
-}
-
-/// The content fingerprints every journal record that carries a plan
-/// also carries. Serializing a large TDG to hash it costs milliseconds,
-/// so they are computed once per transaction and travel with the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Fingerprints {
-    pub(crate) tdg: u64,
-    pub(crate) plan: u64,
-}
-
-impl Fingerprints {
-    pub(crate) fn of(tdg: &Tdg, plan: &DeploymentPlan) -> Self {
-        Fingerprints { tdg: hermes_core::tdg_fingerprint(tdg), plan: plan.fingerprint() }
-    }
-}
-
-/// The plan currently serving traffic, with everything needed to heal it.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ActiveDeployment {
-    pub(crate) epoch: u64,
-    pub(crate) tdg: Tdg,
-    pub(crate) plan: DeploymentPlan,
-    pub(crate) artifacts: DeploymentArtifacts,
-    /// Fingerprints of `tdg` and `plan`.
-    pub(crate) fp: Fingerprints,
-}
-
 /// The transactional, failure-aware deployment runtime.
 ///
-/// Fields are crate-visible: the staged-migration executor
-/// ([`crate::migrate`]) drives the same agents, channel, clock, and log
-/// through the same helpers.
+/// Fields are crate-visible: the commit engine (`txn`), the
+/// staged-migration executor ([`crate::migrate`]) and recovery
+/// ([`crate::recovery`]) drive the same agents, channel, clock and log.
 #[derive(Debug, Clone)]
 pub struct DeploymentRuntime {
     pub(crate) net: Network,
     pub(crate) agents: BTreeMap<SwitchId, SwitchAgent>,
     pub(crate) injector: FaultInjector,
     pub(crate) channel: ControlChannel,
-    pub(crate) policy: RetryPolicy,
     pub(crate) eps: Epsilon,
-    pub(crate) packet_seeds: Vec<u64>,
     pub(crate) clock_us: u64,
     pub(crate) epoch: u64,
     pub(crate) seq: u64,
     pub(crate) log: EventLog,
     pub(crate) active: Option<ActiveDeployment>,
-    recovery_budget_ms: Option<u64>,
     pub(crate) journal: Journal,
     pub(crate) crashed: Option<ControllerCrash>,
 }
@@ -250,41 +176,25 @@ pub struct DeploymentRuntime {
 impl DeploymentRuntime {
     /// A runtime fronting `net` with one agent per switch and a perfect
     /// control channel ([`ChannelProfile::none`]); use
-    /// [`DeploymentRuntime::with_channel_profile`] to make it lossy.
-    pub fn new(net: Network, eps: Epsilon, injector: FaultInjector, policy: RetryPolicy) -> Self {
+    /// [`DeploymentRuntime::with_channel_profile`] to make it lossy. The
+    /// [`RetryPolicy`] is fixed.
+    pub fn new(net: Network, eps: Epsilon, injector: FaultInjector, _: RetryPolicy) -> Self {
         let agents = net.switch_ids().map(|s| (s, SwitchAgent::new(s))).collect();
-        let channel = ControlChannel::new(
-            injector.seed(),
-            ChannelProfile::none(),
-            (policy.rpc_cost_us / 2).max(1),
-        );
+        let channel = ControlChannel::new(injector.seed(), ChannelProfile::none(), RPC_COST_US / 2);
         DeploymentRuntime {
             net,
             agents,
             injector,
             channel,
-            policy,
             eps,
-            packet_seeds: vec![0, 1, 2, 3],
             clock_us: 0,
             epoch: 0,
             seq: 0,
             log: EventLog::new(),
             active: None,
-            recovery_budget_ms: None,
             journal: Journal::new(),
             crashed: None,
         }
-    }
-
-    /// Builder: when healing falls back to a full redeploy, follow the
-    /// greedy heuristic with the exact search under `budget` (the
-    /// recovery deadline) instead of running the heuristic alone. Off by
-    /// default — healing then uses the plain heuristic fallback.
-    #[must_use]
-    pub fn with_recovery_budget(mut self, budget: std::time::Duration) -> Self {
-        self.recovery_budget_ms = Some(budget.as_millis().try_into().unwrap_or(u64::MAX));
-        self
     }
 
     /// Builder-style variant of [`DeploymentRuntime::set_channel_profile`].
@@ -298,11 +208,7 @@ impl DeploymentRuntime {
     /// seeded from the fault injector's seed (any in-flight messages are
     /// discarded — configure the channel before rolling out).
     pub fn set_channel_profile(&mut self, profile: ChannelProfile) {
-        self.channel = ControlChannel::new(
-            self.injector.seed(),
-            profile,
-            (self.policy.rpc_cost_us / 2).max(1),
-        );
+        self.channel = ControlChannel::new(self.injector.seed(), profile, RPC_COST_US / 2);
     }
 
     /// The control channel's misbehavior profile.
@@ -386,12 +292,6 @@ impl DeploymentRuntime {
         self.agents.get(&switch)
     }
 
-    /// Overrides the packet seeds used for pre-activation equivalence
-    /// checks and mixed-epoch windows.
-    pub fn set_packet_seeds(&mut self, seeds: Vec<u64>) {
-        self.packet_seeds = seeds;
-    }
-
     /// Replaces the fault injector, e.g. to run one clean rollout and then
     /// turn chaos on for the next epoch. The control channel is reseeded
     /// from the new injector's seed, keeping its current profile.
@@ -411,57 +311,17 @@ impl DeploymentRuntime {
         self.log.push(Event::SwitchDown { switch, at_us: self.clock_us });
     }
 
-    /// Appends one record to the intent journal, letting the fault
-    /// injector strike the controller at the boundary. Write-ahead
-    /// discipline: call this *before* applying the transition the record
-    /// describes, so a `BeforeWrite` crash loses both the record and the
-    /// transition together.
-    pub(crate) fn journal_note(&mut self, record: JournalRecord) -> Result<(), ControllerCrash> {
-        let timing = self.injector.on_journal_write();
-        if !matches!(timing, Some(CrashTiming::BeforeWrite)) {
-            self.journal.append(&record);
-        }
-        match timing {
-            None => Ok(()),
-            Some(timing) => {
-                let crash =
-                    ControllerCrash { epoch: record.epoch(), point: record.crash_point(), timing };
-                self.crashed = Some(crash);
-                Err(crash)
-            }
-        }
-    }
-
-    /// Advances the controller epoch, journaling the new value *before*
-    /// the in-memory counter moves — so `max(journaled epochs) + 1` is
-    /// always a safe fresh epoch for recovery, no matter where a crash
-    /// strikes.
-    pub(crate) fn advance_epoch(&mut self) -> Result<u64, ControllerCrash> {
-        let next = self.epoch + 1;
-        self.journal_note(JournalRecord::EpochAdvanced { epoch: next })?;
-        self.epoch = next;
-        Ok(next)
-    }
-
-    /// Maps a sticky crash (if any) to the terminal outcome every public
-    /// entry point returns while the controller is down.
-    fn crashed_outcome(crash: ControllerCrash) -> RolloutOutcome {
-        RolloutOutcome::ControllerCrashed { epoch: crash.epoch, point: crash.point }
-    }
-
     /// Installs `plan` for `tdg` as a two-phase transaction, healing
     /// post-commit switch failures if any occur. Exactly one of three
     /// terminal states results: a committed, validated plan is serving;
     /// the transaction rolled back and the previous plan is untouched; or
     /// the controller crashed (injected) and only the journal survives.
     pub fn rollout(&mut self, tdg: &Tdg, plan: DeploymentPlan) -> RolloutOutcome {
-        if let Some(crash) = self.crashed {
-            return Self::crashed_outcome(crash);
-        }
-        match self.try_rollout(tdg, plan) {
-            Ok(outcome) => outcome,
-            Err(crash) => Self::crashed_outcome(crash),
-        }
+        let crashed = |c: ControllerCrash| RolloutOutcome::ControllerCrashed {
+            epoch: c.epoch,
+            point: c.point,
+        };
+        self.guarded(crashed, |rt| rt.try_rollout(tdg, plan))
     }
 
     fn try_rollout(
@@ -470,9 +330,6 @@ impl DeploymentRuntime {
         plan: DeploymentPlan,
     ) -> Result<RolloutOutcome, ControllerCrash> {
         let epoch = self.advance_epoch()?;
-        // Snapshot the pre-rollout deployment: it is what a failed heal
-        // rolls back to.
-        let prior = self.active.clone();
         let switches: Vec<SwitchId> = plan.occupied_switches().into_iter().collect();
         self.log.push(Event::RolloutStarted {
             epoch,
@@ -483,8 +340,7 @@ impl DeploymentRuntime {
         // Pre-install validation: constraints + packet equivalence. A
         // refusal here touched no agent, so nothing beyond the epoch
         // advance needs journaling — recovery sees no in-flight intent.
-        let (report, artifacts) =
-            validate_plan(tdg, &self.net, &plan, &self.eps, &self.packet_seeds);
+        let (report, artifacts) = validate_plan(tdg, &self.net, &plan, &self.eps, &PACKET_SEEDS);
         if !report.is_ok() {
             self.log.push(Event::ValidationFailed {
                 epoch,
@@ -503,30 +359,23 @@ impl DeploymentRuntime {
             plan: plan.clone(),
             artifacts: artifacts.clone(),
         })?;
-        match self.install_transaction(tdg, &plan, &artifacts, epoch, true) {
+        let dead = match self.install_transaction(tdg, &plan, &artifacts, epoch, true) {
             Err(TxnFailure::Crashed(crash)) => return Err(crash),
             Err(TxnFailure::Aborted(reason)) => return Ok(self.roll_back(epoch, reason)),
-            Ok(dead) => {
-                self.activate(epoch, tdg.clone(), plan, artifacts, fp)?;
-                if !dead.is_empty() {
-                    // Some switches were lost during the commit window
-                    // itself (unreachable or lease-lapsed): the committed
-                    // deployment is already degraded.
-                    return self.heal(prior);
-                }
-            }
+            Ok(dead) => dead,
+        };
+        // The deployment this one replaces is what a failed heal rolls
+        // back to.
+        let prior =
+            self.activate(ActiveDeployment { epoch, tdg: tdg.clone(), plan, artifacts, fp })?;
+        if !dead.is_empty() {
+            // Some switches were lost during the commit window itself
+            // (unreachable or lease-lapsed): the committed deployment is
+            // already degraded.
+            return self.heal(prior);
         }
-
         // The committed deployment may immediately lose a switch.
-        let occupied: Vec<SwitchId> = self
-            .active
-            .as_ref()
-            .expect("just activated")
-            .plan
-            .occupied_switches()
-            .into_iter()
-            .collect();
-        if let Some(dead) = self.injector.post_commit_crash(&occupied) {
+        if let Some(dead) = self.injector.post_commit_crash(&switches) {
             self.fail_switch(dead);
             return self.heal(prior);
         }
@@ -559,15 +408,13 @@ impl DeploymentRuntime {
                 at_us: self.clock_us,
             });
 
-            let mut opts = RedeployOptions::excluding(down);
-            opts.exact_budget_ms = self.recovery_budget_ms;
             let outcome = match IncrementalDeployer::new().redeploy_with(
                 &active.tdg,
                 &active.plan,
                 &active.tdg,
                 &self.net,
                 &self.eps,
-                &opts,
+                &RedeployOptions::excluding(down),
             ) {
                 Ok(outcome) => outcome,
                 Err(e) => {
@@ -591,7 +438,7 @@ impl DeploymentRuntime {
             // mixed-epoch gate is skipped (see module docs): the dead
             // switch already broke consistency, healing repairs service.
             let (report, artifacts) =
-                validate_plan(&active.tdg, &self.net, &outcome.plan, &self.eps, &self.packet_seeds);
+                validate_plan(&active.tdg, &self.net, &outcome.plan, &self.eps, &PACKET_SEEDS);
             if !report.is_ok() {
                 self.log.push(Event::HealingFailed {
                     epoch,
@@ -620,7 +467,9 @@ impl DeploymentRuntime {
                 }
                 Ok(dead) => {
                     let a_max_after = outcome.plan.max_inter_switch_bytes(&active.tdg);
-                    self.activate(epoch, active.tdg, outcome.plan, artifacts, fp)?;
+                    let healed =
+                        ActiveDeployment { epoch, plan: outcome.plan, artifacts, fp, ..active };
+                    self.activate(healed)?;
                     if dead.is_empty() {
                         self.log.push(Event::RecoveryCompleted {
                             epoch,
@@ -640,278 +489,6 @@ impl DeploymentRuntime {
         }
     }
 
-    /// Phase 1 (prepare with retry) + mid-transaction revalidation + the
-    /// mixed-epoch gate + phase 2 (commit with retry, leases, and
-    /// unreachable detection).
-    ///
-    /// `Err(Aborted)` means the transaction aborted *before any commit
-    /// was sent*: every staged agent received an abort (best-effort;
-    /// fencing covers the lost ones) and nothing was activated.
-    /// `Err(Crashed)` means the controller died at a journal boundary.
-    /// `Ok(dead)` means the commit phase ran; `dead` lists switches
-    /// declared down during it.
-    fn install_transaction(
-        &mut self,
-        tdg: &Tdg,
-        plan: &DeploymentPlan,
-        artifacts: &DeploymentArtifacts,
-        epoch: u64,
-        check_mixed: bool,
-    ) -> Result<Vec<SwitchId>, TxnFailure> {
-        let mut prepared: Vec<SwitchId> = Vec::new();
-        for (&switch, config) in &artifacts.switches {
-            match self.prepare_with_retry(switch, config, epoch) {
-                Ok(()) => {
-                    self.journal_note(JournalRecord::Prepared { epoch, switch })?;
-                    prepared.push(switch);
-                }
-                Err(reason) => return Err(self.abort_txn(&prepared, epoch, reason)),
-            }
-        }
-        // Faults during prepare (link down, crashed bystander) may have
-        // degraded the network under the transaction's feet; the plan must
-        // still hold on what is actually left before anything activates.
-        let violations = verify(tdg, &self.net, plan, &self.eps);
-        if !violations.is_empty() {
-            let reason = format!("plan no longer valid at commit time: {}", violations[0]);
-            return Err(self.abort_txn(&prepared, epoch, reason));
-        }
-        // Mixed-epoch gate: a same-program plan change is committed switch
-        // by switch, so every prefix of the commit order must keep packets
-        // on a single observable epoch. Checked BEFORE the first commit —
-        // afterwards a clean abort is no longer possible.
-        if check_mixed {
-            if let Some(active) = &self.active {
-                if active.tdg == *tdg && active.plan != *plan {
-                    let transition = EpochTransition {
-                        tdg,
-                        old_plan: &active.plan,
-                        old_artifacts: &active.artifacts,
-                        new_plan: plan,
-                        new_artifacts: artifacts,
-                    };
-                    match check_transition(&transition, &prepared, &self.packet_seeds) {
-                        Ok(windows) => self.log.push(Event::MixedEpochChecked {
-                            epoch,
-                            windows,
-                            packets: self.packet_seeds.len(),
-                            at_us: self.clock_us,
-                        }),
-                        Err(v) => {
-                            self.log.push(Event::MixedEpochViolated {
-                                epoch,
-                                detail: v.to_string(),
-                                at_us: self.clock_us,
-                            });
-                            let reason = format!(
-                                "mixed-epoch window would break per-packet consistency: {v}"
-                            );
-                            return Err(self.abort_txn(&prepared, epoch, reason));
-                        }
-                    }
-                }
-            }
-        }
-
-        // The point of no return: the decision to commit must be durable
-        // *before* the first commit message, so a crashed controller that
-        // already changed an agent's state can never be mistaken for one
-        // that was still free to abort.
-        self.journal_note(JournalRecord::CommitDecided { epoch, order: prepared.clone() })?;
-
-        let mut committed: Vec<SwitchId> = Vec::new();
-        let mut dead: Vec<SwitchId> = Vec::new();
-        let mut lease_refreshed_us = self.clock_us;
-        for &switch in &prepared {
-            // Keep already-committed agents' leases alive through a long
-            // commit window.
-            if self.clock_us.saturating_sub(lease_refreshed_us) > self.policy.lease_us / 4 {
-                self.renew_leases(&committed, epoch);
-                lease_refreshed_us = self.clock_us;
-            }
-            if self.commit_with_retry(switch, epoch) {
-                self.journal_note(JournalRecord::CommitAcked { epoch, switch })?;
-                self.journal_note(JournalRecord::LeaseGranted {
-                    epoch,
-                    switch,
-                    until_us: self.clock_us + self.policy.lease_us,
-                })?;
-                committed.push(switch);
-            } else {
-                self.declare_unreachable(switch, epoch, &committed);
-                lease_refreshed_us = self.clock_us;
-                dead.push(switch);
-            }
-        }
-        dead.extend(self.sweep_leases(&committed));
-        dead.sort_unstable();
-        self.journal_note(JournalRecord::TxnCommitted { epoch, dead: dead.clone() })?;
-        self.log.push(Event::Committed { epoch, at_us: self.clock_us });
-        Ok(dead)
-    }
-
-    /// Journals the abort decision (write-ahead), then best-effort aborts
-    /// every prepared switch. Returns the `TxnFailure` the transaction
-    /// terminates with — `Crashed` if the controller dies at the abort
-    /// boundary itself, `Aborted(reason)` otherwise.
-    fn abort_txn(&mut self, prepared: &[SwitchId], epoch: u64, reason: String) -> TxnFailure {
-        if let Err(crash) =
-            self.journal_note(JournalRecord::TxnAborted { epoch, reason: reason.clone() })
-        {
-            return TxnFailure::Crashed(crash);
-        }
-        self.abort_prepared(prepared, epoch);
-        TxnFailure::Aborted(reason)
-    }
-
-    /// One switch's prepare with bounded retry and exponential backoff.
-    pub(crate) fn prepare_with_retry(
-        &mut self,
-        switch: SwitchId,
-        config: &hermes_backend::SwitchConfig,
-        epoch: u64,
-    ) -> Result<(), String> {
-        for attempt in 1..=self.policy.max_attempts {
-            self.log.push(Event::PrepareAttempt { epoch, switch, attempt, at_us: self.clock_us });
-            match self.exchange(
-                switch,
-                epoch,
-                Request::Prepare(Box::new(config.clone())),
-                MessageKind::Prepare,
-            ) {
-                Some(Reply::Ack { .. }) => {
-                    self.log.push(Event::Prepared { epoch, switch, at_us: self.clock_us });
-                    return Ok(());
-                }
-                Some(Reply::Nack { error: AgentError::Crashed, .. }) => {
-                    return Err(format!("switch {switch} is down"));
-                }
-                // Transient refusal (install fault) or timeout: retry.
-                Some(Reply::Nack { .. }) | None => {}
-            }
-            if attempt == self.policy.max_attempts {
-                return Err(format!(
-                    "switch {switch} failed all {} prepare attempts",
-                    self.policy.max_attempts
-                ));
-            }
-            self.schedule_retry(switch, epoch, attempt);
-        }
-        unreachable!("loop returns on success or final attempt")
-    }
-
-    /// One switch's commit with bounded retry; unanswered commits are
-    /// resolved by probing (the commit may have landed with its ack
-    /// lost). Returns `true` iff the switch provably serves `epoch`.
-    pub(crate) fn commit_with_retry(&mut self, switch: SwitchId, epoch: u64) -> bool {
-        for attempt in 1..=self.policy.max_attempts {
-            match self.exchange(switch, epoch, Request::Commit, MessageKind::Commit) {
-                Some(Reply::Ack { .. }) => {
-                    self.log.push(Event::CommitAcked { epoch, switch, at_us: self.clock_us });
-                    return true;
-                }
-                // A commit nack (fenced, mismatch, crashed) is final: this
-                // switch cannot serve the epoch.
-                Some(Reply::Nack { .. }) => return false,
-                None => {}
-            }
-            if attempt < self.policy.max_attempts {
-                self.schedule_retry(switch, epoch, attempt);
-            }
-        }
-        for _ in 1..=self.policy.max_attempts {
-            match self.exchange(switch, epoch, Request::Probe, MessageKind::Probe) {
-                Some(Reply::Ack { .. }) => {
-                    self.log.push(Event::ProbeAcked { switch, epoch, at_us: self.clock_us });
-                    self.log.push(Event::CommitAcked { epoch, switch, at_us: self.clock_us });
-                    return true;
-                }
-                Some(Reply::Nack { .. }) => return false,
-                None => {}
-            }
-        }
-        false
-    }
-
-    /// Burns backoff time (with deterministic jitter) before retrying.
-    fn schedule_retry(&mut self, switch: SwitchId, epoch: u64, failed_attempt: u32) {
-        let delay_us = self.policy.backoff_us(failed_attempt + 1)
-            + self.injector.jitter_us(self.policy.base_delay_us);
-        self.clock_us += delay_us;
-        self.log.push(Event::RetryScheduled {
-            epoch,
-            switch,
-            next_attempt: failed_attempt + 1,
-            delay_us,
-            at_us: self.clock_us,
-        });
-    }
-
-    /// Ends commit-window supervision for `committed`: a lease that lapsed
-    /// without renewal means that agent stopped serving — it is logged,
-    /// marked down and returned; everyone else's lease is released into
-    /// steady state.
-    pub(crate) fn sweep_leases(&mut self, committed: &[SwitchId]) -> Vec<SwitchId> {
-        let now = self.clock_us;
-        let mut lapsed = Vec::new();
-        for &switch in committed {
-            let Some(agent) = self.agents.get_mut(&switch) else { continue };
-            if let Some(epoch) = agent.expire_lease(now) {
-                self.log.push(Event::LeaseExpired { switch, epoch, at_us: now });
-                self.fail_switch(switch);
-                lapsed.push(switch);
-            } else {
-                agent.release_lease();
-            }
-        }
-        lapsed
-    }
-
-    /// Single-attempt lease-renewal probes to every committed switch. A
-    /// lost probe is tolerated — the final lease sweep catches agents
-    /// whose leases genuinely lapsed.
-    pub(crate) fn renew_leases(&mut self, committed: &[SwitchId], epoch: u64) {
-        for &switch in committed {
-            if self.agents[&switch].is_crashed() {
-                continue;
-            }
-            if let Some(Reply::Ack { .. }) =
-                self.exchange(switch, epoch, Request::Probe, MessageKind::Probe)
-            {
-                self.log.push(Event::ProbeAcked { switch, epoch, at_us: self.clock_us });
-            }
-        }
-    }
-
-    /// A switch answered neither commits nor probes. Wait out its lease —
-    /// after `lease_us` of silence an alive-but-unreachable agent has
-    /// provably self-fenced, so declaring it down cannot leave a zombie
-    /// serving the epoch — then mark it down. Committed neighbors are
-    /// probed immediately before and after the wait so *their* leases
-    /// survive it.
-    pub(crate) fn declare_unreachable(
-        &mut self,
-        switch: SwitchId,
-        epoch: u64,
-        committed: &[SwitchId],
-    ) {
-        self.renew_leases(committed, epoch);
-        self.clock_us += self.policy.lease_us;
-        let expired = self
-            .agents
-            .get_mut(&switch)
-            .expect("agents cover all switches")
-            .expire_lease(self.clock_us);
-        if let Some(lapsed) = expired {
-            self.log.push(Event::LeaseExpired { switch, epoch: lapsed, at_us: self.clock_us });
-        }
-        self.log.push(Event::SwitchUnreachable { switch, epoch, at_us: self.clock_us });
-        if !self.agents[&switch].is_crashed() {
-            self.fail_switch(switch);
-        }
-        self.renew_leases(committed, epoch);
-    }
-
     /// Sends one request and runs the virtual-clock message pump until its
     /// reply arrives or the exchange times out. In-flight messages for
     /// other exchanges (duplicates, delayed stragglers) are delivered
@@ -928,7 +505,7 @@ impl DeploymentRuntime {
         let req = RequestEnvelope { epoch, seq, switch, body };
         let receipt = self.channel.send(self.clock_us, Message::Request(req));
         self.log_receipt(&receipt, kind, epoch, seq, switch);
-        let deadline = self.clock_us + self.policy.timeout_us;
+        let deadline = self.clock_us + TIMEOUT_US;
         while let Some((at, msg)) = self.channel.pop_due(deadline) {
             self.clock_us = self.clock_us.max(at);
             match msg {
@@ -956,17 +533,15 @@ impl DeploymentRuntime {
     /// the reply back through the channel.
     fn deliver_request(&mut self, req: RequestEnvelope) {
         let now = self.clock_us;
-        let lease_us = self.policy.lease_us;
-        let (crashed, seen) = {
-            let agent = &self.agents[&req.switch];
-            (agent.is_crashed(), agent.has_seen(req.epoch, req.seq))
-        };
+        // Every switch has an agent; a request for none goes unanswered.
+        let Some(agent) = self.agents.get(&req.switch) else { return };
+        let fresh = !agent.is_crashed() && !agent.has_seen(req.epoch, req.seq);
         let mut extra_delay_us = 0u64;
         let mut install_failure: Option<AgentError> = None;
-        if !crashed && !seen {
+        if fresh {
             if let Request::Prepare(config) = &req.body {
                 if let Some(fault) =
-                    self.injector.on_prepare(&self.net, config.stages.len(), self.policy.timeout_us)
+                    self.injector.on_prepare(&self.net, config.stages.len(), TIMEOUT_US)
                 {
                     self.log.push(Event::FaultInjected {
                         epoch: req.epoch,
@@ -993,24 +568,20 @@ impl DeploymentRuntime {
                 }
             }
         }
+        let Some(agent) = self.agents.get_mut(&req.switch) else { return };
         let reply = if let Some(error) = install_failure {
             // The install machinery failed before the agent's state
             // machine ran: nothing staged, nothing cached — a duplicate
             // delivery is a fresh install attempt.
-            let active_epoch = self.agents[&req.switch].active_epoch();
             ReplyEnvelope {
                 epoch: req.epoch,
                 seq: req.seq,
                 switch: req.switch,
-                body: Reply::Nack { error, active_epoch },
+                body: Reply::Nack { error, active_epoch: agent.active_epoch() },
             }
         } else {
-            let (reply, notes) = self
-                .agents
-                .get_mut(&req.switch)
-                .expect("agents cover all switches")
-                .handle(&req, now, lease_us);
-            let fenced = self.agents[&req.switch].fenced_epoch();
+            let (reply, notes) = agent.handle(&req, now, LEASE_US);
+            let fenced = agent.fenced_epoch();
             for note in notes {
                 match note {
                     HandleNote::Replayed => self.log.push(Event::ReplayAnswered {
@@ -1062,48 +633,6 @@ impl DeploymentRuntime {
         }
     }
 
-    /// Best-effort aborts to every prepared switch, fencing the epoch.
-    /// Lost aborts are safe: aborts only happen before the first commit
-    /// is sent, so the epoch can never activate anywhere — and any agent
-    /// that hears a later epoch fences this one on its own.
-    pub(crate) fn abort_prepared(&mut self, prepared: &[SwitchId], epoch: u64) {
-        for &switch in prepared {
-            let _ = self.exchange(switch, epoch, Request::Abort, MessageKind::Abort);
-        }
-    }
-
-    /// Makes `plan` the serving deployment. `fp` is the fingerprint pair
-    /// the transaction already journaled for `(tdg, plan)`.
-    pub(crate) fn activate(
-        &mut self,
-        epoch: u64,
-        tdg: Tdg,
-        plan: DeploymentPlan,
-        artifacts: DeploymentArtifacts,
-        fp: Fingerprints,
-    ) -> Result<(), ControllerCrash> {
-        // Activation snapshots are the journal's compaction points: a
-        // self-contained restart state that makes everything before them
-        // replay-irrelevant.
-        self.journal_note(JournalRecord::Snapshot {
-            epoch,
-            tdg_fp: fp.tdg,
-            plan_fp: fp.plan,
-            plan: plan.clone(),
-            artifacts: artifacts.clone(),
-            clock_us: self.clock_us,
-        })?;
-        self.log.push(Event::Activated {
-            epoch,
-            a_max_bytes: plan.max_inter_switch_bytes(&tdg),
-            latency_us: plan.end_to_end_latency_us(),
-            occupied: plan.occupied_switch_count(),
-            at_us: self.clock_us,
-        });
-        self.active = Some(ActiveDeployment { epoch, tdg, plan, artifacts, fp });
-        Ok(())
-    }
-
     /// Aborts epoch `epoch`, leaving the current active deployment as-is.
     fn roll_back(&mut self, epoch: u64, reason: String) -> RolloutOutcome {
         self.log.push(Event::RolledBack { epoch, reason: reason.clone(), at_us: self.clock_us });
@@ -1111,10 +640,8 @@ impl DeploymentRuntime {
     }
 
     /// Aborts epoch `epoch` and restores `previous` as the active
-    /// deployment, force-reactivating its configs on every surviving
-    /// agent out of band (the last-known-good rollback after a failed
-    /// heal). In-flight messages are discarded — the epochs they belong
-    /// to are dead, and agents fence them anyway.
+    /// deployment out of band (the last-known-good rollback after a failed
+    /// heal).
     fn roll_back_to(
         &mut self,
         previous: Option<ActiveDeployment>,
@@ -1124,43 +651,14 @@ impl DeploymentRuntime {
         self.force_restore(previous)?;
         Ok(self.roll_back(epoch, reason))
     }
-
-    /// The out-of-band full restore behind [`DeploymentRuntime::roll_back_to`]:
-    /// clears the channel and force-activates `previous`'s configs on
-    /// every surviving agent, bypassing staging, fencing, and leases. The
-    /// restored state is journaled (write-ahead) as a fresh snapshot — or
-    /// a `Cleared` marker when there is nothing to restore.
-    pub(crate) fn force_restore(
-        &mut self,
-        previous: Option<ActiveDeployment>,
-    ) -> Result<(), ControllerCrash> {
-        match &previous {
-            Some(p) => self.journal_note(JournalRecord::Snapshot {
-                epoch: p.epoch,
-                tdg_fp: p.fp.tdg,
-                plan_fp: p.fp.plan,
-                plan: p.plan.clone(),
-                artifacts: p.artifacts.clone(),
-                clock_us: self.clock_us,
-            })?,
-            None => self.journal_note(JournalRecord::Cleared { epoch: self.epoch })?,
-        }
-        self.channel.clear();
-        for (&switch, agent) in &mut self.agents {
-            let config = previous.as_ref().and_then(|p| p.artifacts.switches.get(&switch)).cloned();
-            let prev_epoch = previous.as_ref().map_or(0, |p| p.epoch);
-            agent.force_activate(prev_epoch, config);
-        }
-        self.active = previous;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::fault::FaultProfile;
-    use hermes_core::{DeploymentAlgorithm, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{verify, DeploymentAlgorithm, GreedyHeuristic, ProgramAnalyzer};
     use hermes_dataplane::library;
     use hermes_net::topology;
 
@@ -1290,35 +788,6 @@ mod tests {
             }
         }
         assert!(healed_seen, "no seed in 0..20 healed successfully");
-    }
-
-    #[test]
-    fn recovery_budget_heals_with_the_portfolio_fallback() {
-        // Same crash scenario as above, with healing allowed to run the
-        // exact search under a recovery deadline. Every heal must still
-        // produce a verified plan avoiding the dead switches.
-        let (tdg, net, plan) = workload();
-        let profile = FaultProfile { post_commit_crash_prob: 1.0, ..FaultProfile::none() };
-        let mut healed_seen = false;
-        for seed in 0..10u64 {
-            let mut rt = DeploymentRuntime::new(
-                net.clone(),
-                Epsilon::loose(),
-                FaultInjector::new(seed, profile),
-                RetryPolicy::default(),
-            )
-            .with_recovery_budget(std::time::Duration::from_secs(2));
-            if let RolloutOutcome::Committed { healed, .. } = rt.rollout(&tdg, plan.clone()) {
-                assert!(healed);
-                healed_seen = true;
-                let active = rt.active_plan().unwrap();
-                for down in rt.network().down_switches() {
-                    assert!(!active.occupied_switches().contains(&down));
-                }
-                assert!(verify(&tdg, rt.network(), active, &Epsilon::loose()).is_empty());
-            }
-        }
-        assert!(healed_seen, "no seed in 0..10 healed successfully");
     }
 
     #[test]

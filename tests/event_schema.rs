@@ -16,16 +16,18 @@
 use hermes::core::test_support::chain_tdg;
 use hermes::core::{
     fnv1a64, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    ProgramAnalyzer, RedeployOptions,
+    MigrationProblem, MigrationScheduler, ProgramAnalyzer, RedeployOptions, SearchContext,
 };
 use hermes::dataplane::library;
-use hermes::net::{topology, Network};
+use hermes::net::{topology, Network, SwitchId};
 use hermes::runtime::{
-    ChannelProfile, CrashTiming, DeploymentRuntime, Event, EventLog, FaultInjector, FaultProfile,
-    MigrationConfig, RetryPolicy, EVENT_SCHEMA_VERSION, JOURNAL_FORMAT_VERSION,
+    replay_bytes, ChannelProfile, CrashTiming, DeploymentRuntime, Event, EventLog, FaultInjector,
+    FaultProfile, JournalRecord, MigrationConfig, RetryPolicy, EVENT_SCHEMA_VERSION,
+    JOURNAL_FORMAT_VERSION,
 };
 use hermes::tdg::Tdg;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The first two library programs on linear:3 with their greedy plan.
 fn two_program_deploy() -> (Tdg, Network, Epsilon, DeploymentPlan) {
@@ -205,6 +207,406 @@ fn healed_migrated_and_recovered_records_match_the_golden_fixture() {
         "a journal or event log drifted from tests/fixtures/transactions_golden.txt; \
          re-generate with REGEN_GOLDEN=1 if the change is intentional"
     );
+}
+
+/// Which stretch of the runtime a pinned scenario drives; it decides which
+/// census entries the scenario's logs count towards.
+#[derive(Clone, Copy, PartialEq)]
+enum RuntimePath {
+    Rollout,
+    Migration,
+    Recovery,
+}
+
+/// `runtime_paths_golden.txt` being written, plus the failure machinery
+/// its scenarios were seen to reach.
+struct Paths {
+    dump: String,
+    reached: BTreeSet<String>,
+}
+
+impl Paths {
+    fn new() -> Self {
+        Paths {
+            dump: format!(
+                "journal_format_version={JOURNAL_FORMAT_VERSION}\n\
+                 event_schema_version={EVENT_SCHEMA_VERSION}\n"
+            ),
+            reached: BTreeSet::new(),
+        }
+    }
+
+    /// One line: the outcome, the journal's and the event log's digests.
+    fn record(&mut self, path: RuntimePath, scenario: &str, outcome: &str, rt: &DeploymentRuntime) {
+        let (log, journal) = (rt.log(), rt.journal().bytes());
+        self.dump += &format!(
+            "[{scenario}] {outcome}; {}; {}\n",
+            digest_line("journal", journal).trim_end(),
+            digest_line("event log", log.to_json().as_bytes()).trim_end()
+        );
+        if path != RuntimePath::Recovery {
+            let side = if path == RuntimePath::Rollout { "a rollout" } else { "a migration" };
+            if log.count(|e| matches!(e, Event::SwitchUnreachable { .. })) > 0 {
+                self.reached.insert(format!("SwitchUnreachable in {side}"));
+            }
+            if log.count(|e| matches!(e, Event::LeaseExpired { .. })) > 0 {
+                self.reached.insert(format!("LeaseExpired in {side}"));
+            }
+        }
+        match path {
+            RuntimePath::Rollout => {}
+            RuntimePath::Migration => {
+                if log.count(|e| matches!(e, Event::MigrationStepRolledBack { .. })) > 0 {
+                    self.reached.insert("MigrationStepRolledBack".into());
+                }
+                // The journaled decision says whether the threshold chose
+                // the full restore; a stepwise decision that still ends
+                // forced was escalated by a failing undo.
+                let decided =
+                    replay_bytes(journal).expect("the journal replays").records.iter().find_map(
+                        |r| match r {
+                            JournalRecord::MigrationRolledBack { forced, .. } => Some(*forced),
+                            _ => None,
+                        },
+                    );
+                let forced =
+                    log.count(|e| matches!(e, Event::MigrationRolledBack { forced: true, .. })) > 0;
+                match decided {
+                    Some(true) => {
+                        self.reached.insert("a forced restore decided by the threshold".into());
+                    }
+                    Some(false) if forced => {
+                        self.reached.insert("a forced restore escalated from undo".into());
+                    }
+                    _ => {}
+                }
+            }
+            // Per-switch force-activation stops at the abort threshold (3);
+            // more forced switches than that is the full restore.
+            RuntimePath::Recovery => {
+                if log.count(|e| matches!(e, Event::RecoveryApplied { forced, .. } if *forced > 3))
+                    > 0
+                {
+                    self.reached.insert("recovery's escalation".into());
+                }
+            }
+        }
+    }
+}
+
+/// Runtime under test, on a loose ε and the default retry policy.
+fn runtime(net: &Network, injector: FaultInjector, channel: ChannelProfile) -> DeploymentRuntime {
+    DeploymentRuntime::new(net.clone(), Epsilon::loose(), injector, RetryPolicy::default())
+        .with_channel_profile(channel)
+}
+
+fn library_tdg() -> Tdg {
+    ProgramAnalyzer::new().analyze(&library::real_programs())
+}
+
+fn greedy(tdg: &Tdg, net: &Network) -> DeploymentPlan {
+    GreedyHeuristic::new().deploy(tdg, net, &Epsilon::loose()).expect("deploys")
+}
+
+/// Plan A (greedy) and plan B (plan A's last occupied switch drained).
+fn drain_endpoints(tdg: &Tdg, net: &Network) -> (DeploymentPlan, DeploymentPlan) {
+    let plan_a = greedy(tdg, net);
+    let drained = *plan_a.occupied_switches().last().expect("non-empty plan");
+    let plan_b = IncrementalDeployer::new()
+        .redeploy_with(
+            tdg,
+            &plan_a,
+            tdg,
+            net,
+            &Epsilon::loose(),
+            &RedeployOptions::excluding([drained]),
+        )
+        .expect("drain is feasible")
+        .plan;
+    (plan_a, plan_b)
+}
+
+/// `migration_chaos.rs`'s capacity-bound reshaping of every switch.
+fn shaped(mut net: Network) -> Network {
+    let ids: Vec<SwitchId> = net.switch_ids().collect();
+    for id in ids {
+        let sw = net.switch_mut(id);
+        sw.stages = 5;
+        sw.stage_capacity = 0.45;
+    }
+    net
+}
+
+/// (a) The library under chaos on both soak topologies, perfect and lossy.
+fn chaos_rollouts(paths: &mut Paths, seeds: &[u64]) {
+    let tdg = library_tdg();
+    for (spec, net) in
+        [("linear:4", topology::linear(4, 10.0)), ("fattree:4", topology::fat_tree(4, 10.0))]
+    {
+        let plan = greedy(&tdg, &net);
+        for (channel, profile) in
+            [("perfect", ChannelProfile::none()), ("lossy", ChannelProfile::lossy())]
+        {
+            for &seed in seeds {
+                let injector = FaultInjector::new(seed, FaultProfile::chaos());
+                let mut rt = runtime(&net, injector, profile);
+                let outcome = rt.rollout(&tdg, plan.clone());
+                let label = format!("rollout {spec} {channel} seed {seed}");
+                paths.record(RuntimePath::Rollout, &label, &outcome.to_string(), &rt);
+            }
+        }
+    }
+}
+
+/// (b) Post-commit-crash heals and (c) the mixed-epoch gate's two verdicts.
+fn heals_and_gate(paths: &mut Paths) {
+    let tdg = library_tdg();
+    let net = topology::linear(4, 10.0);
+    let plan = greedy(&tdg, &net);
+    let post_commit = FaultProfile { post_commit_crash_prob: 1.0, ..FaultProfile::none() };
+    for seed in 0..20 {
+        let mut rt = runtime(&net, FaultInjector::new(seed, post_commit), ChannelProfile::none());
+        let outcome = rt.rollout(&tdg, plan.clone());
+        paths.record(RuntimePath::Rollout, &format!("heal seed {seed}"), &outcome.to_string(), &rt);
+    }
+
+    let exclude = *plan.occupied_switches().iter().next().expect("non-empty plan");
+    let moved = IncrementalDeployer::new()
+        .redeploy_with(
+            &tdg,
+            &plan,
+            &tdg,
+            &net,
+            &Epsilon::loose(),
+            &RedeployOptions::excluding([exclude]),
+        )
+        .expect("residual capacity fits the moved MATs")
+        .plan;
+    for (label, second) in
+        [("gate refuses moved MATs", moved), ("gate skips an identical plan", plan.clone())]
+    {
+        let mut rt = runtime(&net, FaultInjector::disabled(), ChannelProfile::none());
+        assert!(rt.rollout(&tdg, plan.clone()).is_committed());
+        let outcome = rt.rollout(&tdg, second);
+        paths.record(RuntimePath::Rollout, label, &outcome.to_string(), &rt);
+    }
+}
+
+/// (d) Chaos + lossy migrations on `migration_chaos.rs`'s two shaped
+/// chains, the reject-only threshold run, the three precondition refusals
+/// and a schedule that misses a switch.
+fn migrations(paths: &mut Paths, seeds: &[u64]) {
+    let chains = [
+        (
+            "linear:5",
+            shaped(topology::linear(5, 10.0)),
+            chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4),
+            &[451][..],
+        ),
+        (
+            "star:4",
+            shaped(topology::star(4, 10.0)),
+            chain_tdg(&[4, 7, 3, 8, 2, 6, 5], 0.4),
+            &[451, 162][..],
+        ),
+    ];
+    let migrate = |net: &Network, tdg: &Tdg, seed, profile, channel| {
+        let (plan_a, plan_b) = drain_endpoints(tdg, net);
+        let mut rt = runtime(net, FaultInjector::disabled(), ChannelProfile::none());
+        assert!(rt.rollout(tdg, plan_a).is_committed(), "clean install of plan A");
+        rt.set_injector(FaultInjector::new(seed, profile));
+        rt.set_channel_profile(channel);
+        let outcome = rt.migrate(tdg, plan_b, &MigrationConfig::default());
+        (rt, outcome)
+    };
+    for (spec, net, tdg, extras) in &chains {
+        for &seed in seeds.iter().chain(*extras) {
+            let (rt, outcome) =
+                migrate(net, tdg, seed, FaultProfile::chaos(), ChannelProfile::lossy());
+            let label = format!("migrate {spec} seed {seed}");
+            paths.record(RuntimePath::Migration, &label, &outcome.to_string(), &rt);
+        }
+    }
+    let (_, net, tdg, _) = &chains[0];
+    let rejecting = FaultProfile { reject_prob: 0.6, ..FaultProfile::none() };
+    let (rt, outcome) = migrate(net, tdg, 928, rejecting, ChannelProfile::none());
+    paths.record(
+        RuntimePath::Migration,
+        "migrate linear:5 perfect, reject 0.6, seed 928",
+        &outcome.to_string(),
+        &rt,
+    );
+
+    let (plan_a, plan_b) = drain_endpoints(tdg, net);
+    let mut rt = runtime(net, FaultInjector::disabled(), ChannelProfile::none());
+    let outcome = rt.migrate(tdg, plan_b.clone(), &MigrationConfig::default());
+    paths.record(RuntimePath::Migration, "migrate with nothing active", &outcome.to_string(), &rt);
+    assert!(rt.rollout(tdg, plan_a.clone()).is_committed());
+    let other = chain_tdg(&[6, 2, 9, 3], 0.4);
+    let outcome = rt.migrate(&other, greedy(&other, net), &MigrationConfig::default());
+    paths.record(
+        RuntimePath::Migration,
+        "migrate a different program set",
+        &outcome.to_string(),
+        &rt,
+    );
+    let outcome = rt.migrate(tdg, plan_a.clone(), &MigrationConfig::default());
+    paths.record(RuntimePath::Migration, "migrate to the active plan", &outcome.to_string(), &rt);
+    let problem = MigrationProblem { tdg, net, from: &plan_a, to: &plan_b };
+    let mut schedule = MigrationScheduler::new()
+        .plan(&problem, &SearchContext::with_time_limit(std::time::Duration::from_secs(10)))
+        .expect("schedulable");
+    schedule.steps.pop();
+    let outcome = rt.migrate_with_schedule(tdg, plan_b, &schedule);
+    paths.record(
+        RuntimePath::Migration,
+        "migrate on a schedule missing a switch",
+        &outcome.to_string(),
+        &rt,
+    );
+}
+
+/// `recovery_chaos.rs`'s scenarios: a deploy, a post-commit heal and a
+/// migration, each with an optional armed controller crash.
+#[derive(Clone, Copy, Debug)]
+enum Crashed {
+    Deploy,
+    Heal,
+    Migrate,
+}
+
+fn crash_run(
+    sc: Crashed,
+    seed: u64,
+    chaotic: bool,
+    arm: Option<(u64, CrashTiming)>,
+) -> DeploymentRuntime {
+    let programs = library::real_programs();
+    let tdg = ProgramAnalyzer::new().analyze(&programs[..2]);
+    let net = topology::linear(3, 10.0);
+    let (plan_a, plan_b) = drain_endpoints(&tdg, &net);
+    let channel = if chaotic { ChannelProfile::lossy() } else { ChannelProfile::none() };
+    let profile = if chaotic { FaultProfile::chaos() } else { FaultProfile::none() };
+    let mut rt = match sc {
+        Crashed::Deploy => runtime(&net, FaultInjector::new(seed, profile), channel),
+        Crashed::Heal => {
+            let profile = FaultProfile { post_commit_crash_prob: 1.0, ..profile };
+            runtime(&net, FaultInjector::new(seed, profile), channel)
+        }
+        Crashed::Migrate => {
+            let mut rt = runtime(&net, FaultInjector::disabled(), ChannelProfile::none());
+            assert!(rt.rollout(&tdg, plan_a.clone()).is_committed(), "clean install of A");
+            rt.set_injector(FaultInjector::new(seed, profile));
+            rt.set_channel_profile(channel);
+            rt
+        }
+    };
+    if let Some((nth, timing)) = arm {
+        rt.injector_mut().arm_controller_crash_at(nth, timing);
+    }
+    match sc {
+        Crashed::Deploy | Crashed::Heal => drop(rt.rollout(&tdg, plan_a)),
+        Crashed::Migrate => drop(rt.migrate(&tdg, plan_b, &MigrationConfig::default())),
+    }
+    rt
+}
+
+/// (e) A crash at every boundary (clean) and at a seed-derived one
+/// (chaos), each followed by recovery; then recovery's threshold escalation.
+fn recoveries(paths: &mut Paths, seeds: &[u64], sweep: bool) {
+    let tdg = ProgramAnalyzer::new().analyze(&library::real_programs()[..2]);
+    let mut recover = |label: String, mut rt: DeploymentRuntime| {
+        let report = rt.recover(&tdg).expect("recovery succeeds");
+        paths.record(RuntimePath::Recovery, &label, &format!("{report:?}"), &rt);
+    };
+    for sc in [Crashed::Deploy, Crashed::Heal, Crashed::Migrate] {
+        if sweep {
+            let writes = crash_run(sc, 7, false, None).injector().journal_writes();
+            for nth in 0..writes {
+                let timing =
+                    if nth % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
+                let rt = crash_run(sc, 7, false, Some((nth, timing)));
+                recover(format!("recover {sc:?} boundary {nth} {timing:?}"), rt);
+            }
+        }
+        for &seed in seeds {
+            let writes = crash_run(sc, seed, true, None).injector().journal_writes();
+            let nth = seed % writes;
+            let timing =
+                if seed % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
+            let rt = crash_run(sc, seed, true, Some((nth, timing)));
+            recover(format!("recover {sc:?} chaos seed {seed} boundary {nth} {timing:?}"), rt);
+        }
+    }
+
+    let tdg = library_tdg();
+    let net = topology::fat_tree(4, 10.0);
+    let plan = greedy(&tdg, &net);
+    let n = plan.occupied_switch_count() as u64;
+    let mut rt = runtime(&net, FaultInjector::disabled(), ChannelProfile::none());
+    rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+    assert!(!rt.rollout(&tdg, plan).is_committed());
+    rt.set_injector(FaultInjector::new(
+        1,
+        FaultProfile { reject_prob: 1.0, ..FaultProfile::none() },
+    ));
+    let report = rt.recover(&tdg).expect("recovery succeeds");
+    paths.record(
+        RuntimePath::Recovery,
+        "recover fattree:4 all rejecting",
+        &format!("{report:?}"),
+        &rt,
+    );
+}
+
+const RUNTIME_PATHS: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/runtime_paths_golden.txt");
+
+/// Every runtime path — rollout, heal, the mixed-epoch gate, migration with
+/// its undo and full restore, recovery with its escalation — on fixed
+/// seeds, one line per scenario. The fixture was written at the commit
+/// before the runtime's installers were folded onto one commit engine.
+/// `REGEN_GOLDEN=1 cargo test --release --test event_schema` rewrites it.
+#[test]
+fn every_runtime_path_matches_the_golden_fixture() {
+    let seeds: Vec<u64> = (0..50).collect();
+    let mut paths = Paths::new();
+    chaos_rollouts(&mut paths, &[&seeds[..], &[1944]].concat());
+    heals_and_gate(&mut paths);
+    migrations(&mut paths, &seeds);
+    recoveries(&mut paths, &seeds, true);
+    for needed in [
+        "SwitchUnreachable in a rollout",
+        "LeaseExpired in a rollout",
+        "SwitchUnreachable in a migration",
+        "LeaseExpired in a migration",
+        "MigrationStepRolledBack",
+        "a forced restore escalated from undo",
+        "a forced restore decided by the threshold",
+        "recovery's escalation",
+    ] {
+        assert!(paths.reached.contains(needed), "no pinned scenario reaches {needed}");
+    }
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(RUNTIME_PATHS, &paths.dump).expect("fixture is writable");
+    }
+    let fixture =
+        std::fs::read_to_string(RUNTIME_PATHS).expect("run with REGEN_GOLDEN=1 to create");
+    assert!(
+        paths.dump == fixture,
+        "a runtime path drifted from tests/fixtures/runtime_paths_golden.txt:\n{}",
+        first_difference(&paths.dump, &fixture)
+    );
+}
+
+/// The first line on which the two dumps part.
+fn first_difference(dump: &str, fixture: &str) -> String {
+    for (got, want) in dump.lines().zip(fixture.lines()) {
+        if got != want {
+            return format!("  got:     {got}\n  fixture: {want}");
+        }
+    }
+    format!("line counts differ: {} against {}", dump.lines().count(), fixture.lines().count())
 }
 
 proptest! {
