@@ -39,7 +39,10 @@ echo "==> cargo test -q --release --workspace"
 # journal_golden.txt, transactions_golden.txt, runtime_paths_golden.txt —
 # every rollout, heal, gate, migration, undo, restore and recovery path on
 # fixed seeds; `REGEN_GOLDEN=1 cargo test --release --test event_schema`
-# rewrites them).
+# rewrites them), and the serialization golden (tests/serialization_golden.rs:
+# serialization_golden.txt, the compact and pretty bytes of every shape the
+# JSON writer emits; `REGEN_GOLDEN=1 cargo test --release --test
+# serialization_golden` rewrites it; it runs in tier-1 too).
 # The one place the whole greedy-side scale golden runs
 # (tests/greedy_scale.rs: 1 119 lines, ≈5 s here, minutes in a debug build,
 # so tier-1 above checks only its head; `REGEN_GOLDEN=1 cargo test

@@ -212,16 +212,15 @@ pub struct AuditReport {
 // from the JSON instead of serialized as `"state": null` — existing report
 // snapshots must not change shape when the feature is off.
 impl Serialize for AuditReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("diagnostics".to_owned(), self.diagnostics.to_value()),
-            ("certificates".to_owned(), self.certificates.to_value()),
-            ("summary".to_owned(), self.summary.to_value()),
-        ];
+    fn serialize<W: serde::Write>(&self, s: &mut serde::Serializer<W>) -> Result<(), serde::Error> {
+        let mut map = s.begin_map()?;
+        map.field("diagnostics", &self.diagnostics)?;
+        map.field("certificates", &self.certificates)?;
+        map.field("summary", &self.summary)?;
         if let Some(state) = &self.state {
-            fields.push(("state".to_owned(), state.to_value()));
+            map.field("state", state)?;
         }
-        serde::Value::Map(fields)
+        map.end()
     }
 }
 

@@ -1877,6 +1877,48 @@ mod tests {
         assert!(e.0.contains("cannot read journal"), "{e}");
     }
 
+    /// A frame with a valid CRC whose payload opens a million arrays used
+    /// to overflow the stack of `recover`. Alone it is a torn tail; before
+    /// an intact frame it is mid-log corruption, a nonzero exit that names
+    /// the nesting limit.
+    #[test]
+    fn recover_survives_a_payload_nested_a_million_deep() {
+        // CRC32 (IEEE, reflected), bit by bit.
+        let crc32 = |bytes: &[u8]| {
+            !bytes.iter().fold(!0u32, |mut crc, &b| {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+                crc
+            })
+        };
+        let payload = vec![b'['; 1_000_000];
+        let mut deep = vec![0xA7, 0x4A];
+        deep.extend((payload.len() as u32).to_le_bytes());
+        deep.extend(crc32(&payload).to_le_bytes());
+        deep.extend(&payload);
+        let mut journal = hermes_runtime::Journal::new();
+        journal.append(&hermes_runtime::JournalRecord::EpochAdvanced { epoch: 1 });
+        let (header, intact) = journal.bytes().split_at(8);
+
+        let dir = std::env::temp_dir().join("hermes-cli-deep-journal-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let recover = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let options =
+                parse_args(&args(&["recover", "--journal", path.to_str().unwrap()])).unwrap();
+            let mut out = Vec::new();
+            run(&options, &mut out).map(|()| String::from_utf8(out).unwrap())
+        };
+        let text = recover("lone.hjl", &[header, &deep].concat()).unwrap();
+        assert!(text.contains("0 record(s) replayed, 1000010 torn tail byte(s)"), "{text}");
+        let e = recover("followed.hjl", &[header, &deep, intact].concat()).unwrap_err();
+        assert!(e.0.contains("journal replay failed: corrupt journal frame at byte 8"), "{e}");
+        assert!(e.0.contains("nesting deeper than 128 levels"), "{e}");
+    }
+
     #[test]
     fn missing_file_is_a_clean_error() {
         let options = parse_args(&args(&["analyze", "/nonexistent/path.p4dsl"])).unwrap();

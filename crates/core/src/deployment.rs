@@ -8,7 +8,7 @@
 
 use hermes_net::{Network, Path, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -233,11 +233,11 @@ impl DeploymentPlan {
 /// The derived shape (`placements`, `routes`); the node -> switch index is
 /// not part of the serialized form.
 impl Serialize for DeploymentPlan {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("placements".to_owned(), self.placements.to_value()),
-            ("routes".to_owned(), self.routes.to_value()),
-        ])
+    fn serialize<W: serde::Write>(&self, s: &mut Serializer<W>) -> Result<(), serde::Error> {
+        let mut map = s.begin_map()?;
+        map.field("placements", &self.placements)?;
+        map.field("routes", &self.routes)?;
+        map.end()
     }
 }
 

@@ -7,7 +7,9 @@
 //! journal stores only serialized state — so both sides compare a
 //! fingerprint: FNV-1a over the canonical `serde_json` serialization.
 //! The serialization is deterministic (ordered maps, fixed field order),
-//! which makes the fingerprint stable across runs and processes.
+//! which makes the fingerprint stable across runs and processes. The
+//! serializer streams its text straight into the hash, so a fingerprint
+//! never holds the JSON it covers.
 //!
 //! These are integrity checks against operator error, not cryptographic
 //! commitments; FNV-1a is collision-resistant enough to catch "wrong
@@ -21,14 +23,22 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// A running FNV-1a hash: the sink the serializer writes into.
+struct Fnv1a(u64);
+
+impl serde::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
 /// FNV-1a over raw bytes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut hash = Fnv1a(FNV_OFFSET);
+    serde::Write::write(&mut hash, bytes);
+    hash.0
 }
 
 /// FNV-1a over the canonical JSON serialization of `value`. Falls back to
@@ -36,8 +46,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// serialization of the types fingerprinted here cannot fail, but a
 /// fingerprint function must not panic).
 pub fn json_fingerprint<T: Serialize + ?Sized>(value: &T) -> u64 {
-    match serde_json::to_string(value) {
-        Ok(json) => fnv1a64(json.as_bytes()),
+    let mut hash = Fnv1a(FNV_OFFSET);
+    match serde_json::to_writer(&mut hash, value) {
+        Ok(()) => hash.0,
         Err(e) => fnv1a64(e.to_string().as_bytes()),
     }
 }

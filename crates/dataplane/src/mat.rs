@@ -9,7 +9,7 @@
 
 use crate::action::Action;
 use crate::fields::Field;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -448,15 +448,15 @@ impl Mat {
 /// The six declared properties, in declaration order; the field sets are
 /// not part of the serialized form.
 impl Serialize for Mat {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("match_specs".to_owned(), self.match_specs.to_value()),
-            ("actions".to_owned(), self.actions.to_value()),
-            ("rules".to_owned(), self.rules.to_value()),
-            ("capacity".to_owned(), self.capacity.to_value()),
-            ("resource".to_owned(), self.resource.to_value()),
-        ])
+    fn serialize<W: serde::Write>(&self, s: &mut Serializer<W>) -> Result<(), serde::Error> {
+        let mut map = s.begin_map()?;
+        map.field("name", &self.name)?;
+        map.field("match_specs", &self.match_specs)?;
+        map.field("actions", &self.actions)?;
+        map.field("rules", &self.rules)?;
+        map.field("capacity", &self.capacity)?;
+        map.field("resource", &self.resource)?;
+        map.end()
     }
 }
 
@@ -701,7 +701,9 @@ mod tests {
         let back: Mat = serde_json::from_str(TABLE_JSON).unwrap();
         assert_eq!(back, table());
         assert_eq!(serde_json::to_string(&back).unwrap(), TABLE_JSON);
-        let Value::Map(entries) = table().to_value() else { panic!("a table serializes as a map") };
+        let Value::Map(entries) = serde_json::to_value(&table()).unwrap() else {
+            panic!("a table serializes as a map")
+        };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["name", "match_specs", "actions", "rules", "capacity", "resource"]);
     }

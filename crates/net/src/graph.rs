@@ -63,21 +63,20 @@ pub struct Switch {
 }
 
 impl Serialize for Switch {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("programmable".to_owned(), self.programmable.to_value()),
-            ("stages".to_owned(), self.stages.to_value()),
-            ("stage_capacity".to_owned(), self.stage_capacity.to_value()),
-            ("latency_us".to_owned(), self.latency_us.to_value()),
-        ];
+    fn serialize<W: serde::Write>(&self, s: &mut serde::Serializer<W>) -> Result<(), serde::Error> {
+        let mut map = s.begin_map()?;
+        map.field("name", &self.name)?;
+        map.field("programmable", &self.programmable)?;
+        map.field("stages", &self.stages)?;
+        map.field("stage_capacity", &self.stage_capacity)?;
+        map.field("latency_us", &self.latency_us)?;
         if !self.target.is_pipeline() {
-            fields.push(("target".to_owned(), self.target.to_value()));
+            map.field("target", &self.target)?;
         }
         if self.total_budget.is_finite() {
-            fields.push(("total_budget".to_owned(), self.total_budget.to_value()));
+            map.field("total_budget", &self.total_budget)?;
         }
-        serde::Value::Map(fields)
+        map.end()
     }
 }
 

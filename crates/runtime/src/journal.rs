@@ -74,18 +74,28 @@ const FRAME_HEADER_LEN: usize = 2 + 4 + 4;
 /// corruption, not a large record.
 const MAX_PAYLOAD_LEN: usize = 64 * 1024 * 1024;
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes`. Guarantees detection of
-/// any single-bit error in the covered payload.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The CRC of every byte value under the reflected IEEE 802.3 polynomial,
+/// computed at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC32 (IEEE 802.3, reflected) over `bytes`, a byte per table lookup.
+/// Guarantees detection of any single-bit error in the covered payload.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| CRC_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8))
 }
 
 /// Where in the protocol a journal write (and therefore a potential
@@ -583,24 +593,27 @@ impl Journal {
         }
     }
 
-    /// Appends one record. A [`JournalRecord::Snapshot`] additionally
-    /// triggers compaction when enough history precedes it.
+    /// Appends one record. The frame is written in place: its header is
+    /// reserved, the payload streamed behind it, then its length and CRC
+    /// filled in. A [`JournalRecord::Snapshot`] additionally triggers
+    /// compaction when enough history precedes it.
     pub fn append(&mut self, record: &JournalRecord) {
-        let payload = match serde_json::to_string(record) {
-            Ok(p) => p,
-            Err(_) => {
-                // Derived serialization of journal records cannot fail; if
-                // it somehow does, dropping the record (and counting it)
-                // beats writing a frame that will never decode.
-                self.encode_failures += 1;
-                return;
-            }
-        };
         let frame_off = self.bytes.len();
+        let payload_off = frame_off + FRAME_HEADER_LEN;
         self.bytes.extend_from_slice(&FRAME_MAGIC);
-        self.bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
-        self.bytes.extend_from_slice(payload.as_bytes());
+        self.bytes.resize(payload_off, 0);
+        if serde_json::to_writer(&mut self.bytes, record).is_err() {
+            // Derived serialization of journal records cannot fail; if it
+            // somehow does, dropping the record (and counting it) beats
+            // writing a frame that will never decode.
+            self.bytes.truncate(frame_off);
+            self.encode_failures += 1;
+            return;
+        }
+        let payload = &self.bytes[payload_off..];
+        let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
+        self.bytes[frame_off + 2..frame_off + 6].copy_from_slice(&len);
+        self.bytes[frame_off + 6..payload_off].copy_from_slice(&crc);
         self.records += 1;
         self.appends += 1;
         if matches!(record, JournalRecord::Snapshot { .. })
@@ -671,6 +684,12 @@ mod tests {
             },
             clock_us: 5,
         }
+    }
+
+    #[test]
+    fn crc32_matches_the_standard_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::analysis::{
     MatProfile,
 };
 use hermes_dataplane::{FieldTable, Mat, Program};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -393,12 +393,12 @@ impl Tdg {
 /// The derived shape (`nodes`, `edges`, `mode`); the index and the
 /// topological order are not part of the serialized form.
 impl Serialize for Tdg {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("nodes".to_owned(), self.nodes.to_value()),
-            ("edges".to_owned(), self.edges.to_value()),
-            ("mode".to_owned(), self.mode.to_value()),
-        ])
+    fn serialize<W: serde::Write>(&self, s: &mut Serializer<W>) -> Result<(), serde::Error> {
+        let mut map = s.begin_map()?;
+        map.field("nodes", &self.nodes)?;
+        map.field("edges", &self.edges)?;
+        map.field("mode", &self.mode)?;
+        map.end()
     }
 }
 
@@ -638,7 +638,7 @@ mod tests {
         for tdg in &graphs {
             assert_index_matches_scan(tdg);
             // A serde round trip rebuilds the index on read.
-            let back = Tdg::from_value(&tdg.to_value()).expect("round trip");
+            let back = Tdg::from_value(&serde_json::to_value(tdg).unwrap()).expect("round trip");
             assert_eq!(&back, tdg);
             assert_index_matches_scan(&back);
             assert_index_matches_scan(&tdg.with_uniform_edge_bytes(1));
@@ -688,7 +688,7 @@ mod tests {
     fn deserialization_rejects_edges_that_name_no_node() {
         let tdg = Tdg::from_program(&chain_program(3, 4), AnalysisMode::PaperLiteral);
         for endpoint in ["from", "to"] {
-            let mut value = tdg.to_value();
+            let mut value = serde_json::to_value(&tdg).unwrap();
             let Value::Map(fields) = &mut value else { panic!("a TDG serializes as a map") };
             let Value::Seq(edges) = &mut fields.iter_mut().find(|(k, _)| k == "edges").unwrap().1
             else {

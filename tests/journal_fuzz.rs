@@ -5,14 +5,16 @@
 //! offset and a bit flip at **every** byte offset must either replay
 //! cleanly (a torn tail is discarded, with the discarded length
 //! reported) or fail with a typed [`JournalError`] — never a panic, and
-//! never a silent misparse that folds corrupt bytes into intent.
+//! never a silent misparse that folds corrupt bytes into intent. The
+//! same holds for a frame that is intact but crafted: a payload nested
+//! deeper than the JSON parser's limit.
 
 use hermes::core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
 use hermes::dataplane::library;
 use hermes::net::topology;
 use hermes::runtime::{
-    replay_bytes, CrashTiming, DeploymentRuntime, FaultInjector, FaultProfile, RecoveredIntent,
-    RetryPolicy, RolloutOutcome,
+    replay_bytes, CrashTiming, DeploymentRuntime, FaultInjector, FaultProfile, JournalError,
+    RecoveredIntent, RetryPolicy, RolloutOutcome,
 };
 use proptest::prelude::*;
 
@@ -133,5 +135,51 @@ proptest! {
             }
         }
         decode_is_total(&damaged);
+    }
+}
+
+/// CRC32 (IEEE 802.3, reflected), bit by bit: a reference independent of
+/// the journal's table-driven one, for framing hand-made payloads.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// `payload` framed as the journal frames a record: magic, length, CRC.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = vec![0xA7, 0x4A];
+    frame.extend((payload.len() as u32).to_le_bytes());
+    frame.extend(reference_crc32(payload).to_le_bytes());
+    frame.extend(payload);
+    frame
+}
+
+/// A frame with a valid CRC whose payload opens a million arrays: the
+/// parser stops at its nesting limit instead of overflowing the stack, so
+/// the frame alone is a torn tail and, with an intact frame after it,
+/// typed mid-log corruption.
+#[test]
+fn a_payload_nested_a_million_deep_is_a_typed_outcome() {
+    let header = &rich_journal()[..8];
+    let deep = frame(&vec![b'['; 1_000_000]);
+    let lone = [header, &deep].concat();
+    assert_eq!(decode_is_total(&lone), Some(0));
+    let replay = replay_bytes(&lone).expect("a lone undecodable frame is a torn tail");
+    assert_eq!(replay.discarded_tail_bytes, deep.len());
+
+    let intact = frame(br#"{"EpochAdvanced":{"epoch":1}}"#);
+    let followed = [header, &deep, &intact].concat();
+    match replay_bytes(&followed) {
+        Err(JournalError::CorruptFrame { offset: 8, next_intact, detail }) => {
+            assert_eq!(next_intact, 8 + deep.len());
+            assert!(detail.contains("nesting deeper than 128 levels"), "{detail}");
+        }
+        other => panic!("expected mid-log corruption, got {other:?}"),
     }
 }
