@@ -1926,4 +1926,53 @@ mod tests {
         let e = run(&options, &mut out).unwrap_err();
         assert!(e.0.contains("cannot read"), "{e}");
     }
+
+    #[test]
+    fn dsl_numbers_the_model_cannot_hold_fail_the_deploy_with_their_line() {
+        // Two metadata fields written by `t1` and matched by `t2`; at 11.5
+        // stages each the tables take a switch each on `linear:2`, so both
+        // fields would cross the link.
+        let wide = |width: &str| {
+            format!(
+                "program wide {{\n    metadata meta.a: {width};\n    metadata meta.b: {width};\n    \
+                 table t1 {{ actions {{ w {{ meta.a = const(); meta.b = const(); }} }} resource 11.5; }}\n    \
+                 table t2 {{ key {{ meta.a: exact; meta.b: exact; }} actions {{ n {{ drop(); }} }} \
+                 resource 11.5; }}\n}}\n"
+            )
+        };
+        let capped = |capacity: &str| {
+            format!(
+                "program cap {{\n    header ipv4.dst: 4;\n    table t {{\n        \
+                 key {{ ipv4.dst: exact; }}\n        actions {{ a {{ drop(); }} }}\n        \
+                 capacity {capacity};\n        resource 0.2;\n    }}\n}}\n"
+            )
+        };
+        let dir = std::env::temp_dir().join("hermes-cli-dsl-bounds-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let deploy = |name: &str, source: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, source).unwrap();
+            let path = path.to_str().unwrap();
+            let options = parse_args(&args(&["deploy", path, "--topology", "linear:2"])).unwrap();
+            run(&options, &mut Vec::new()).map_err(|e| e.0)
+        };
+        for width in ["3000000000", "1000000000000", "65536", "0"] {
+            let e = deploy(&format!("width-{width}.p4dsl"), &wide(width)).unwrap_err();
+            let want = format!(
+                "parse error: line 2: field `meta.a` width must be an integer from 1 to 65535 \
+                 bytes, found {width}"
+            );
+            assert_eq!(e, want);
+        }
+        for capacity in ["0.5", "2.9", "0"] {
+            let e = deploy(&format!("capacity-{capacity}.p4dsl"), &capped(capacity)).unwrap_err();
+            let want = format!(
+                "parse error: line 6: table `t`: capacity must be a positive integer, \
+                 found {capacity}"
+            );
+            assert_eq!(e, want);
+        }
+        deploy("width-65535.p4dsl", &wide("65535")).unwrap();
+        deploy("capacity-3.p4dsl", &capped("3")).unwrap();
+    }
 }

@@ -249,6 +249,7 @@ impl fmt::Display for Action {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::fields::headers;

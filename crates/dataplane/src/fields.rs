@@ -9,9 +9,10 @@
 //! overhead Hermes minimizes. Header fields never contribute to that
 //! overhead: they are already in the packet.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Whether a field lives in the packet itself or only in switch-local state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -32,11 +33,19 @@ impl fmt::Display for FieldKind {
     }
 }
 
+/// The widest field, in bytes: no field is wider than the largest IPv4
+/// packet. The DSL parser and [`Field`]'s deserializer refuse a width
+/// outside `1..=MAX_WIDTH_BYTES`.
+pub const MAX_WIDTH_BYTES: u32 = 65_535;
+
 /// A named packet or metadata field with a fixed width in bytes.
 ///
-/// Two fields are the same field iff their names are equal; the name is the
-/// identity used by dependency inference, so programs that share a field name
-/// genuinely share that field (e.g. every program reading `ipv4.dst`).
+/// Two fields are the same field iff their names, kinds and widths are all
+/// equal (`Eq`, `Ord` and `Hash` compare all three, names by content). That
+/// identity is what dependency inference uses, so programs that declare a
+/// field alike genuinely share it (e.g. every program reading `ipv4.dst`),
+/// while `meta.x: 4` and `meta.x: 8` are two fields with no dependency
+/// between them. The name is shared, not copied, by every clone.
 ///
 /// # Examples
 ///
@@ -51,9 +60,9 @@ impl fmt::Display for FieldKind {
 /// let dst = Field::header("ipv4.dst", 4);
 /// assert_eq!(dst.overhead_bytes(), 0); // headers ride for free
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Field {
-    name: Cow<'static, str>,
+    name: Arc<str>,
     kind: FieldKind,
     size_bytes: u32,
 }
@@ -66,7 +75,8 @@ impl Field {
     /// Panics if `size_bytes` is zero: a zero-width field can neither be
     /// matched nor carried and always indicates a construction bug.
     pub fn new(name: impl Into<Cow<'static, str>>, kind: FieldKind, size_bytes: u32) -> Self {
-        let name = name.into();
+        let name: Cow<'static, str> = name.into();
+        let name = Arc::<str>::from(name);
         assert!(size_bytes > 0, "field `{name}` must have a nonzero width");
         Field { name, kind, size_bytes }
     }
@@ -114,6 +124,22 @@ impl Field {
         } else {
             0
         }
+    }
+}
+
+/// Reads the three properties and refuses a width no field can have, as
+/// the DSL parser does, where [`Field::new`] would panic or accept it.
+impl Deserialize for Field {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let name: Arc<str> = Deserialize::from_value(v.get_field("name")?)?;
+        let kind = Deserialize::from_value(v.get_field("kind")?)?;
+        let size_bytes = Deserialize::from_value(v.get_field("size_bytes")?)?;
+        if !(1..=MAX_WIDTH_BYTES).contains(&size_bytes) {
+            return Err(serde::Error::custom(format!(
+                "field `{name}`: width {size_bytes} B is outside 1..={MAX_WIDTH_BYTES}"
+            )));
+        }
+        Ok(Field { name, kind, size_bytes })
     }
 }
 
@@ -212,6 +238,7 @@ pub mod headers {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
 
@@ -254,6 +281,14 @@ mod tests {
     }
 
     #[test]
+    fn same_name_different_width_is_a_different_field() {
+        let (narrow, wide) = (Field::metadata("meta.x", 4), Field::metadata("meta.x", 8));
+        assert_ne!(narrow, wide);
+        assert_ne!(narrow.cmp(&wide), std::cmp::Ordering::Equal);
+        assert_ne!(Field::header("meta.x", 4), narrow, "the kind is part of the identity too");
+    }
+
+    #[test]
     fn display_formats_name_kind_size() {
         let f = Field::metadata("meta.idx", 4);
         assert_eq!(f.to_string(), "meta.idx (metadata, 4 B)");
@@ -265,5 +300,20 @@ mod tests {
         let json = serde_json::to_string(&f).unwrap();
         let back: Field = serde_json::from_str(&json).unwrap();
         assert_eq!(f, back);
+        assert_eq!(json, r#"{"name":"meta.idx","kind":"Metadata","size_bytes":4}"#);
+    }
+
+    #[test]
+    fn deserialization_refuses_widths_no_field_has() {
+        let json =
+            |size: &str| format!(r#"{{"name":"meta.x","kind":"Metadata","size_bytes":{size}}}"#);
+        for bad in ["0", "65536", "3000000000"] {
+            let err = serde_json::from_str::<Field>(&json(bad)).unwrap_err();
+            assert!(err.to_string().contains("is outside 1..=65535"), "{bad}: {err}");
+            assert!(err.to_string().contains("field `meta.x`"), "{bad}: {err}");
+        }
+        assert!(serde_json::from_str::<Field>(&json("1000000000000")).is_err());
+        let widest = serde_json::from_str::<Field>(&json("65535")).unwrap();
+        assert_eq!(widest.size_bytes(), MAX_WIDTH_BYTES);
     }
 }

@@ -121,6 +121,10 @@ impl FieldTable {
         if let Some(&id) = self.index.get(field) {
             return FieldId(id);
         }
+        // Reaching 2^32 distinct fields takes over 100 GiB of `Field`s and
+        // index entries before this line could fail, so the ids stay `u32`
+        // and `intern` stays infallible for every caller.
+        #[allow(clippy::disallowed_methods)]
         let id = u32::try_from(self.fields.len()).expect("fewer than 2^32 distinct fields");
         self.fields.push(field.clone());
         self.overhead.push(field.overhead_bytes());
@@ -317,7 +321,9 @@ impl FieldSet {
 
     /// Iterates member ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = FieldId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        // A set only grows a word to hold a `u32` id, so the first id of
+        // every word is a `u32` too.
+        (0u32..).step_by(64).zip(&self.words).flat_map(|(first, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -325,7 +331,7 @@ impl FieldSet {
                 }
                 let bit = bits.trailing_zeros();
                 bits &= bits - 1;
-                Some(FieldId(u32::try_from(wi * 64).expect("small table") + bit))
+                Some(FieldId(first + bit))
             })
         })
     }
@@ -352,6 +358,7 @@ impl FromIterator<FieldId> for FieldSet {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
 

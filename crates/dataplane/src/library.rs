@@ -7,6 +7,11 @@
 //! identical tables (e.g. the 5-tuple hash) so that TDG merging has real
 //! redundancy to eliminate.
 
+// The crate-level clippy.toml bans unwrap/expect so that parsing and
+// deserializing can never panic; these constant programs keep their
+// `expect`s, which the tests exercise on every table.
+#![allow(clippy::disallowed_methods)]
+
 use crate::action::{Action, PrimitiveOp};
 use crate::fields::{headers, metadata, Field};
 use crate::mat::{Mat, MatchKind, Rule};
@@ -655,6 +660,7 @@ pub mod sketches {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
 

@@ -313,6 +313,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::action::Action;

@@ -10,7 +10,6 @@
 use crate::action::Action;
 use crate::fields::Field;
 use serde::{Deserialize, Serialize, Serializer, Value};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -159,22 +158,59 @@ impl std::error::Error for BuildMatError {}
 /// assert!(mat.written_fields().contains(&idx));
 /// # Ok::<(), hermes_dataplane::mat::BuildMatError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Mat {
+    /// Immutable once built, so a clone is a refcount bump and every
+    /// clone of a table — a TDG node, a copied graph, a prebuilt program —
+    /// reads one body.
+    body: Arc<MatBody>,
+}
+
+/// What a [`Mat`] handle shares: the six declared properties and what
+/// [`Mat::checked`] derives from them, once.
+#[derive(Debug, PartialEq)]
+struct MatBody {
     name: String,
     match_specs: Vec<MatchSpec>,
     actions: Vec<Action>,
     rules: Vec<Rule>,
     capacity: usize,
     resource: f64,
-    /// `F^m`, `F^a` and the action-read set, derived once by
-    /// [`Mat::checked`] and shared by every clone: three runs in one
-    /// allocation, each ascending and duplicate-free — the order a
-    /// `BTreeSet<Field>` iterates in. `F^a` starts at `written_at`, the
-    /// action-read set at `read_at`.
-    field_sets: Arc<[Field]>,
+    /// `F^m`, `F^a` and the action-read set: three runs in one slice, each
+    /// ascending and duplicate-free — the order a `BTreeSet<Field>`
+    /// iterates in. `F^a` starts at `written_at`, the action-read set at
+    /// `read_at`.
+    field_sets: Box<[Field]>,
     written_at: usize,
     read_at: usize,
+    signature: MatSignature,
+}
+
+/// Structural: two handles are equal when their bodies are, and one body
+/// is equal to itself without a look inside.
+impl PartialEq for Mat {
+    fn eq(&self, other: &Mat) -> bool {
+        Arc::ptr_eq(&self.body, &other.body) || self.body == other.body
+    }
+}
+
+/// Prints the body's fields as the table's own: that a handle shares them
+/// is not part of what a table is.
+impl fmt::Debug for Mat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let b = &*self.body;
+        f.debug_struct("Mat")
+            .field("name", &b.name)
+            .field("match_specs", &b.match_specs)
+            .field("actions", &b.actions)
+            .field("rules", &b.rules)
+            .field("capacity", &b.capacity)
+            .field("resource", &b.resource)
+            .field("field_sets", &b.field_sets)
+            .field("written_at", &b.written_at)
+            .field("read_at", &b.read_at)
+            .finish()
+    }
 }
 
 impl Mat {
@@ -192,34 +228,34 @@ impl Mat {
 
     /// The table's name, unique within its program.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// The match keys (field + discipline) in declaration order.
     pub fn match_specs(&self) -> &[MatchSpec] {
-        &self.match_specs
+        &self.body.match_specs
     }
 
     /// The set `F^m` of matched fields, ascending and duplicate-free.
     pub fn match_fields(&self) -> &[Field] {
-        &self.field_sets[..self.written_at]
+        &self.body.field_sets[..self.body.written_at]
     }
 
     /// The action set `A`.
     pub fn actions(&self) -> &[Action] {
-        &self.actions
+        &self.body.actions
     }
 
     /// The set `F^a` of fields written by any action of this table,
     /// ascending and duplicate-free.
     pub fn written_fields(&self) -> &[Field] {
-        &self.field_sets[self.written_at..self.read_at]
+        &self.body.field_sets[self.body.written_at..self.body.read_at]
     }
 
     /// Fields read by action bodies (excluding the match keys), ascending
     /// and duplicate-free.
     pub fn action_read_fields(&self) -> &[Field] {
-        &self.field_sets[self.read_at..]
+        &self.body.field_sets[self.body.read_at..]
     }
 
     /// `true` iff the table matches on `field` or reads it inside an action
@@ -249,24 +285,24 @@ impl Mat {
 
     /// The installed rule set `R`.
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        &self.body.rules
     }
 
     /// Maximum number of rules `C` the table can hold.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.body.capacity
     }
 
     /// Normalized resource requirement `R(a)` as a fraction of one pipeline
     /// stage (1.0 = a full stage). May exceed 1.0 for tables that must be
     /// spread over several stages.
     pub fn resource(&self) -> f64 {
-        self.resource
+        self.body.resource
     }
 
     /// `true` if any action of the table manipulates stateful memory.
     pub fn is_stateful(&self) -> bool {
-        self.actions.iter().any(Action::is_stateful)
+        self.actions().iter().any(Action::is_stateful)
     }
 
     /// Metadata fields among `F^a` — the fields whose values must travel
@@ -282,27 +318,32 @@ impl Mat {
     }
 
     /// A stable structural signature: two tables with equal signatures are
-    /// redundant in the SPEED sense and can be merged into one.
-    pub fn signature(&self) -> MatSignature {
-        MatSignature {
-            match_specs: self.match_specs.iter().cloned().collect(),
-            actions: self.actions.iter().cloned().collect(),
-            capacity: self.capacity,
-        }
+    /// redundant in the SPEED sense and can be merged into one. Derived
+    /// once, when the table is built.
+    pub fn signature(&self) -> &MatSignature {
+        &self.body.signature
+    }
+
+    /// `true` iff the two handles are clones of one table, not merely
+    /// equal tables: what lets a test pin that a layer shares tables
+    /// instead of copying them.
+    pub fn shares_body(&self, other: &Mat) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
     }
 }
 
 impl fmt::Display for Mat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let b = &*self.body;
         write!(
             f,
             "{} [{} keys, {} actions, {}/{} rules, R={:.2}]",
-            self.name,
-            self.match_specs.len(),
-            self.actions.len(),
-            self.rules.len(),
-            self.capacity,
-            self.resource
+            b.name,
+            b.match_specs.len(),
+            b.actions.len(),
+            b.rules.len(),
+            b.capacity,
+            b.resource
         )
     }
 }
@@ -312,10 +353,14 @@ impl fmt::Display for Mat {
 /// Deliberately excludes the table name (programs name shared functionality
 /// differently) and the installed rules (rule contents are control-plane
 /// state, and redundancy is decided on the data plane structure).
+///
+/// The match keys and the actions are held as sets: sorted, duplicate-free
+/// slices, which compare lexicographically and so order signatures exactly
+/// as `BTreeSet`s of them would, at a fraction of a tree's memory.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatSignature {
-    match_specs: BTreeSet<MatchSpec>,
-    actions: BTreeSet<Action>,
+    match_specs: Box<[MatchSpec]>,
+    actions: Box<[Action]>,
     capacity: usize,
 }
 
@@ -391,7 +436,7 @@ impl MatBuilder {
 impl Mat {
     /// The one way a [`Mat`] comes to exist, from the builder or from
     /// serialized form: checks what every consumer takes on trust, then
-    /// derives the field sets.
+    /// derives the field sets and the signature.
     fn checked(
         name: String,
         match_specs: Vec<MatchSpec>,
@@ -431,31 +476,44 @@ impl Mat {
         run.extend(ops().flat_map(|op| op.reads()));
         close_run(&mut fields, &mut run);
 
-        Ok(Mat {
+        // The distinct members of `items`, ascending.
+        fn set_of<T: Ord + Clone>(items: &[T]) -> Box<[T]> {
+            let mut sorted: Vec<&T> = items.iter().collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.into_iter().cloned().collect()
+        }
+        let signature =
+            MatSignature { match_specs: set_of(&match_specs), actions: set_of(&actions), capacity };
+
+        let body = MatBody {
             field_sets: fields.into(),
             written_at,
             read_at,
+            signature,
             name,
             match_specs,
             actions,
             rules,
             capacity,
             resource,
-        })
+        };
+        Ok(Mat { body: Arc::new(body) })
     }
 }
 
-/// The six declared properties, in declaration order; the field sets are
-/// not part of the serialized form.
+/// The six declared properties, in declaration order; the field sets and
+/// the signature are not part of the serialized form.
 impl Serialize for Mat {
     fn serialize<W: serde::Write>(&self, s: &mut Serializer<W>) -> Result<(), serde::Error> {
+        let b = &*self.body;
         let mut map = s.begin_map()?;
-        map.field("name", &self.name)?;
-        map.field("match_specs", &self.match_specs)?;
-        map.field("actions", &self.actions)?;
-        map.field("rules", &self.rules)?;
-        map.field("capacity", &self.capacity)?;
-        map.field("resource", &self.resource)?;
+        map.field("name", &b.name)?;
+        map.field("match_specs", &b.match_specs)?;
+        map.field("actions", &b.actions)?;
+        map.field("rules", &b.rules)?;
+        map.field("capacity", &b.capacity)?;
+        map.field("resource", &b.resource)?;
         map.end()
     }
 }
@@ -492,26 +550,44 @@ fn estimate_resource(specs: &[MatchSpec], capacity: usize) -> f64 {
     (capacity as f64 * tcam_weight / RULES_PER_STAGE).clamp(0.05, 4.0)
 }
 
-/// The three field sets as they were derived on every call before the
-/// table cached them: the definition the cache is tested against.
+/// The three field sets and the signature as they were derived on every
+/// call before the table cached them: the definitions the caches are
+/// tested against.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use std::collections::BTreeSet;
 
     pub fn matched(mat: &Mat) -> BTreeSet<Field> {
-        mat.match_specs.iter().map(|m| m.field.clone()).collect()
+        mat.match_specs().iter().map(|m| m.field.clone()).collect()
     }
 
     pub fn written(mat: &Mat) -> BTreeSet<Field> {
-        mat.actions.iter().flat_map(|a| a.writes()).collect()
+        mat.actions().iter().flat_map(|a| a.writes()).collect()
     }
 
     pub fn action_read(mat: &Mat) -> BTreeSet<Field> {
-        mat.actions.iter().flat_map(|a| a.reads()).collect()
+        mat.actions().iter().flat_map(|a| a.reads()).collect()
+    }
+
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub struct Signature {
+        match_specs: BTreeSet<MatchSpec>,
+        actions: BTreeSet<Action>,
+        capacity: usize,
+    }
+
+    pub fn signature(mat: &Mat) -> Signature {
+        Signature {
+            match_specs: mat.match_specs().iter().cloned().collect(),
+            actions: mat.actions().iter().cloned().collect(),
+            capacity: mat.capacity(),
+        }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::action::{FoldOp, PrimitiveOp};
@@ -650,23 +726,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_sets_are_their_definition() {
+    /// Every table of the library, the sketches, the aggregation programs,
+    /// the 60-program `wan-50` pool and the audit fixture.
+    fn corpus() -> Vec<Mat> {
         let mut programs = crate::library::real_programs();
         programs.extend(crate::library::sketches::all());
         programs.extend(crate::library::aggregation::all());
         programs.extend(SyntheticGenerator::new(50, SyntheticConfig::default()).programs(60));
-        let mats: Vec<&Mat> = programs.iter().flat_map(|p| p.tables()).collect();
+        let fixture = include_str!("../../../tests/fixtures/audit_workload.p4dsl");
+        programs.extend(crate::parser::parse_programs(fixture).unwrap());
+        let mats: Vec<Mat> = programs.iter().flat_map(|p| p.tables()).cloned().collect();
         assert!(mats.len() > 400, "{} tables", mats.len());
+        mats
+    }
+
+    /// A table as it reads back from its JSON form.
+    fn round_trip(mat: &Mat) -> Mat {
+        serde_json::from_str(&serde_json::to_string(mat).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn cached_sets_are_their_definition() {
+        let mats = corpus();
         assert!(mats.iter().any(|m| m.match_fields().len() > 1 && m.written_fields().len() > 1));
-        for mat in mats {
+        for mat in &mats {
             assert_sets_are_their_definition(mat);
             assert_sets_are_their_definition(&mat.clone());
-            let text = serde_json::to_string(mat).unwrap();
-            let back: Mat = serde_json::from_str(&text).unwrap();
+            let back = round_trip(mat);
             assert_eq!(&back, mat);
             assert_sets_are_their_definition(&back);
         }
+    }
+
+    /// Over every ordered pair of tables, the cached signature is equal and
+    /// ordered exactly as the `BTreeSet` one derived per call was — so the
+    /// merge's signature groups, and the order it folds them in, are too —
+    /// as built, cloned, and read back from JSON.
+    #[test]
+    fn cached_signature_compares_as_its_definition() {
+        let mats = corpus();
+        let clones = mats.clone();
+        let read_back: Vec<Mat> = mats.iter().map(round_trip).collect();
+        for ((mat, clone), back) in mats.iter().zip(&clones).zip(&read_back) {
+            assert!(clone.shares_body(mat), "{}: a clone is the same body", mat.name());
+            assert!(!back.shares_body(mat) && back == mat, "{}: a rebuilt equal body", mat.name());
+        }
+        let oracles: Vec<_> = mats.iter().map(oracle::signature).collect();
+        let mut equal_pairs = 0;
+        for (i, oi) in oracles.iter().enumerate() {
+            for (j, oj) in oracles.iter().enumerate() {
+                let want = oi.cmp(oj);
+                equal_pairs += usize::from(i != j && want.is_eq());
+                for (a, b) in [(&mats, &mats), (&clones, &mats), (&read_back, &clones)] {
+                    let (sa, sb) = (a[i].signature(), b[j].signature());
+                    assert_eq!(sa.cmp(sb), want, "{} vs {}", mats[i].name(), mats[j].name());
+                    assert_eq!(sa == sb, want.is_eq(), "{} vs {}", mats[i].name(), mats[j].name());
+                }
+            }
+        }
+        assert!(equal_pairs > 100, "the corpus has redundant tables to merge: {equal_pairs}");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! header/metadata kinds are unambiguous.
 
 use crate::action::{Action, FoldOp, PrimitiveOp};
-use crate::fields::{Field, FieldKind};
+use crate::fields::{Field, FieldKind, MAX_WIDTH_BYTES};
 use crate::mat::{Mat, MatchKind};
 use crate::program::Program;
 use std::collections::BTreeMap;
@@ -261,15 +261,19 @@ impl Parser {
     fn field_decl(&mut self, kind: FieldKind) -> Result<(), ParseError> {
         let name = self.ident("a field name")?;
         self.expect(Token::Colon)?;
-        let size = self.number("a byte width")?;
-        if size < 1.0 || size.fract() != 0.0 {
-            return Err(self.error(format!("field `{name}` width must be a positive integer")));
-        }
+        let width = self.number("a byte width")?;
+        let size = whole(width).and_then(|w| u32::try_from(w).ok());
+        let Some(size) = size.filter(|w| (1..=MAX_WIDTH_BYTES).contains(w)) else {
+            return Err(self.error(format!(
+                "field `{name}` width must be an integer from 1 to {MAX_WIDTH_BYTES} bytes, \
+                 found {width}"
+            )));
+        };
         self.expect(Token::Semi)?;
         if self.fields.contains_key(&name) {
             return Err(self.error(format!("field `{name}` declared twice")));
         }
-        self.fields.insert(name.clone(), Field::new(name, kind, size as u32));
+        self.fields.insert(name.clone(), Field::new(name, kind, size));
         Ok(())
     }
 
@@ -326,23 +330,21 @@ impl Parser {
                 }
                 self.expect(Token::RParen)?;
                 self.expect(Token::Semi)?;
-                let op = match (func.as_str(), args.len()) {
-                    ("const", 0) => PrimitiveOp::SetConst { dst },
-                    ("copy", 1) => {
-                        PrimitiveOp::Copy { dst, src: args.into_iter().next().expect("len 1") }
-                    }
+                let op = match (func.as_str(), args.as_slice()) {
+                    ("const", []) => PrimitiveOp::SetConst { dst },
+                    ("copy", [src]) => PrimitiveOp::Copy { dst, src: src.clone() },
                     ("compute", _) => PrimitiveOp::Compute { dst, srcs: args },
                     ("hash", _) => PrimitiveOp::Hash { dst, srcs: args },
-                    ("register", 1) => PrimitiveOp::RegisterOp {
-                        index: args.into_iter().next().expect("len 1"),
-                        out: Some(dst),
-                    },
+                    ("register", [index]) => {
+                        PrimitiveOp::RegisterOp { index: index.clone(), out: Some(dst) }
+                    }
                     ("fold_add", _) => PrimitiveOp::Fold { dst, srcs: args, op: FoldOp::Add },
                     ("fold_max", _) => PrimitiveOp::Fold { dst, srcs: args, op: FoldOp::Max },
                     ("fold_min", _) => PrimitiveOp::Fold { dst, srcs: args, op: FoldOp::Min },
                     ("fold_or", _) => PrimitiveOp::Fold { dst, srcs: args, op: FoldOp::Or },
-                    (f, n) => {
-                        return Err(self.error(format!("bad call `{f}` with {n} argument(s)")))
+                    (f, args) => {
+                        let n = args.len();
+                        return Err(self.error(format!("bad call `{f}` with {n} argument(s)")));
                     }
                 };
                 Ok(op)
@@ -395,8 +397,14 @@ impl Parser {
                     }
                     "capacity" => {
                         let n = self.number("a capacity")?;
+                        let c = whole(n).and_then(|c| usize::try_from(c).ok());
+                        let Some(c) = c.filter(|&c| c >= 1) else {
+                            return Err(self.error(format!(
+                                "table `{name}`: capacity must be a positive integer, found {n}"
+                            )));
+                        };
                         self.expect(Token::Semi)?;
-                        capacity = Some(n as usize);
+                        capacity = Some(c);
                     }
                     "resource" => {
                         let r = self.number("a resource fraction")?;
@@ -459,6 +467,13 @@ impl Parser {
     }
 }
 
+/// `n` as an integer, if it is one an `f64` holds exactly (at most 2^53):
+/// above that, two different numbers in the text can read as one.
+fn whole(n: f64) -> Option<u64> {
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    (n.fract() == 0.0 && (0.0..=EXACT).contains(&n)).then_some(n as u64)
+}
+
 /// Parses one program from DSL text.
 ///
 /// # Errors
@@ -518,6 +533,7 @@ pub fn parse_programs(src: &str) -> Result<Vec<Program>, ParseError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
 
@@ -671,6 +687,35 @@ mod tests {
         let t = p.table("t").unwrap();
         assert_eq!(t.capacity(), 77);
         assert_eq!(t.resource(), 0.5);
+    }
+
+    #[test]
+    fn widths_outside_one_to_65535_bytes_are_errors() {
+        for bad in ["0", "2.5", "65536", "3000000000", "1000000000000"] {
+            let src = format!("program p {{\n  header x: 4;\n  metadata meta.w: {bad};\n}}");
+            let err = parse_program(&src).unwrap_err();
+            assert_eq!(err.line, 3, "{bad}: {err}");
+            assert!(err.message.contains("width must be an integer from 1 to 65535"), "{err}");
+            assert!(err.message.ends_with(&format!("found {bad}")), "{err}");
+        }
+        let widest = parse_program("program p { metadata meta.w: 65535; }").unwrap();
+        assert!(widest.tables().is_empty());
+    }
+
+    #[test]
+    fn capacities_that_are_not_positive_integers_are_errors() {
+        for bad in ["0", "0.5", "2.9", "100000000000000000000"] {
+            let src = format!(
+                "program p {{\n  header x: 4;\n  table t {{\n    actions {{ a {{ drop(); }} }}\n    \
+                 capacity {bad};\n  }}\n}}"
+            );
+            let err = parse_program(&src).unwrap_err();
+            assert_eq!(err.line, 5, "{bad}: {err}");
+            assert!(
+                err.message.contains("table `t`: capacity must be a positive integer"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -210,6 +210,7 @@ impl ProgramBuilder {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::action::Action;

@@ -7,6 +7,11 @@
 //! fields written by the upstream MAT and matched by the downstream MAT, so
 //! the TDG inference recovers exactly the generated dependency structure.
 
+// The crate-level clippy.toml bans unwrap/expect so that parsing and
+// deserializing can never panic; the generator keeps its `expect`s on
+// tables it builds valid by construction.
+#![allow(clippy::disallowed_methods)]
+
 use crate::action::Action;
 use crate::fields::{headers, Field};
 use crate::mat::{Mat, MatchKind};
@@ -168,6 +173,7 @@ fn expect(mat: Result<Mat, crate::mat::BuildMatError>) -> Mat {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
 

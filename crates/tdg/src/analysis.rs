@@ -20,7 +20,7 @@
 
 use hermes_dataplane::fields::Field;
 use hermes_dataplane::fieldset::{FieldSet, FieldTable};
-use hermes_dataplane::Mat;
+use hermes_dataplane::{Action, Mat};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -233,12 +233,12 @@ impl MatProfile {
         }
         let mut written = FieldSet::new();
         let mut consumed = matched.clone();
-        for action in mat.actions() {
-            for f in action.writes() {
-                written.insert(table.intern(&f));
+        for op in mat.actions().iter().flat_map(Action::ops) {
+            for f in op.writes() {
+                written.insert(table.intern(f));
             }
-            for f in action.reads() {
-                consumed.insert(table.intern(&f));
+            for f in op.reads() {
+                consumed.insert(table.intern(f));
             }
         }
         let written_overhead = table.overhead_sum(&written);

@@ -702,6 +702,28 @@ mod tests {
     }
 
     #[test]
+    fn nodes_share_their_programs_table_bodies() {
+        let programs = library::real_programs();
+        for p in &programs {
+            let tdg = Tdg::from_program(p, AnalysisMode::PaperLiteral);
+            let copy = tdg.clone();
+            for ((node, copied), table) in tdg.nodes().iter().zip(copy.nodes()).zip(p.tables()) {
+                assert!(node.mat.shares_body(table), "{}", node.name);
+                assert!(copied.mat.shares_body(table), "{}: a copied graph", node.name);
+            }
+        }
+        // Merging moves nodes: every survivor is still its program's table.
+        let merged = crate::merge_all(
+            programs.iter().map(|p| Tdg::from_program(p, AnalysisMode::PaperLiteral)).collect(),
+        );
+        for node in merged.nodes() {
+            let (program, table) = node.name.split_once('/').unwrap();
+            let source = programs.iter().find(|p| p.name() == program).unwrap();
+            assert!(node.mat.shares_body(source.table(table).unwrap()), "{}", node.name);
+        }
+    }
+
+    #[test]
     fn empty_graph_behaves() {
         let tdg = Tdg::new(AnalysisMode::PaperLiteral);
         assert!(tdg.is_dag());

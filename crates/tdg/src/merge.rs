@@ -18,10 +18,11 @@
 //! what the incoming program brings, not what has piled up so far. For `P`
 //! inputs with `N` nodes in total and `E` merged edges:
 //!
-//! - every node is moved in once (never cloned), its signature computed
-//!   once, its field sets interned once into one shared [`FieldTable`] as
-//!   a [`MatProfile`], and its slot appended to the `writers` / `matchers`
-//!   list of every field it writes / matches on;
+//! - every node is moved in once (never cloned), filed under the signature
+//!   its table derived when it was built, its field sets interned once
+//!   into one shared [`FieldTable`] as a [`MatProfile`], and its slot
+//!   appended to the `writers` / `matchers` list of every field it writes /
+//!   matches on;
 //! - the cross-program pairs of a step are typed with
 //!   [`classify_profiles`] / [`metadata_amount_profiles`], a few word-AND
 //!   loops each — but only the pairs that share a field. A pair is related
@@ -54,9 +55,8 @@ use crate::analysis::{
     classify_profiles, metadata_amount_profiles, AnalysisMode, DependencyType, MatProfile,
 };
 use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};
-use hermes_dataplane::mat::MatSignature;
-use hermes_dataplane::FieldTable;
-use std::cmp::Reverse;
+use hermes_dataplane::{FieldTable, Mat};
+use std::cmp::{Ordering, Reverse};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -99,6 +99,30 @@ pub fn merge_pair(t1: Tdg, t2: Tdg) -> Tdg {
     acc.absorb(t2);
     acc.finish()
 }
+
+/// A table as a key ordered by its signature: a refcount, where the
+/// signature itself would be a copy of every match key and action.
+struct BySignature(Mat);
+
+impl Ord for BySignature {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.signature().cmp(other.0.signature())
+    }
+}
+
+impl PartialOrd for BySignature {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for BySignature {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.signature() == other.0.signature()
+    }
+}
+
+impl Eq for BySignature {}
 
 /// Where an edge stands in the edge list a step's fold phase works
 /// through, compared lexicographically. That list is the previous step's
@@ -155,7 +179,7 @@ struct Accumulator {
     /// Live slots of each signature, ascending; the first is the group's
     /// head and never folds. Ordered, because fold attempts run in
     /// signature order and an accepted fold can make a later one cycle.
-    groups: BTreeMap<MatSignature, Vec<usize>>,
+    groups: BTreeMap<BySignature, Vec<usize>>,
     /// Keyed by `(from, to)` slots — the order [`Accumulator::finish`]
     /// emits. Traversals go through `succ` / `pred`, which mirror the keys.
     edges: BTreeMap<(usize, usize), EdgeRec>,
@@ -202,7 +226,7 @@ impl Accumulator {
         let (nodes, edges) = tdg.into_parts();
         for node in nodes {
             let slot = self.nodes.len();
-            self.groups.entry(node.mat.signature()).or_default().push(slot);
+            self.groups.entry(BySignature(node.mat.clone())).or_default().push(slot);
             let profile = MatProfile::build(&node.mat, &mut self.table);
             self.writers.resize_with(self.table.len(), Vec::new);
             self.matchers.resize_with(self.table.len(), Vec::new);
