@@ -1,15 +1,14 @@
-//! Library backing the `hermes` command-line tool.
+//! Library backing the `hermes` command-line tool: argument parsing, the
+//! spec parsers, the solver table, and the eight commands (`analyze`,
+//! `audit`, `deploy`, `simulate`, `chaos`, `migrate`, `recover`,
+//! `targets`). `main.rs` is a thin shell around [`parse_args`] and [`run`].
 //!
-//! Everything testable lives here: argument parsing, topology-spec
-//! parsing, algorithm lookup, and the six commands (`analyze`, `audit`,
-//! `deploy`, `simulate`, `chaos`, `migrate`). `main.rs` is a thin shell
-//! around [`run`].
-//!
-//! User-supplied values (`--channel`, `--solver`, `--order`, numbers)
-//! parse into typed errors — [`ChannelSpecError`], [`UnknownSolverError`],
-//! [`OrderSpecError`] — at argument-parse time where possible; nothing on
-//! the input path unwraps (`clippy.toml` disallows `unwrap`/`expect` in
-//! this crate outside tests).
+//! The command line is one flag table: each row names a flag, its value
+//! placeholder, the commands that read it, and the parser that writes its
+//! typed value into [`Options`]. [`parse_args`] and [`usage`] read it, so
+//! [`run`] parses nothing. Malformed values are typed errors
+//! ([`ChannelSpecError`], [`UnknownSolverError`], [`OrderSpecError`]);
+//! `clippy.toml` bans `unwrap`/`expect` in this crate outside tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,20 +17,28 @@ use hermes_backend::config::generate;
 use hermes_backend::simulate::{simulate_plan, PlanFlowConfig};
 use hermes_baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
 use hermes_core::{
-    explain, verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver, Portfolio,
-    ProgramAnalyzer, RedeployOptions, SearchContext, Violation,
+    explain, verify, Budgeted, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic,
+    IncrementalDeployer, MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes,
+    OptimalSolver, Portfolio, ProgramAnalyzer, RedeployOptions, SearchContext, Violation,
 };
 use hermes_dataplane::lint::lint_composition;
 use hermes_dataplane::parser::parse_programs;
+use hermes_dataplane::Program;
 use hermes_net::topology::{self, WanConfig};
-use hermes_net::{builtin_targets, parse_target, Network, SwitchId, TargetSpecError};
+use hermes_net::{builtin_targets, parse_target, Network, SwitchId, TargetSpec};
 use hermes_runtime::{
     replay_bytes, ChannelProfile, DeploymentRuntime, Event, FaultInjector, FaultProfile, InFlight,
     Journal, RecoveredIntent, RetryPolicy, RolloutOutcome,
 };
+use hermes_tdg::{AnalysisMode, Tdg};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::ops::RangeBounds;
+use std::str::FromStr;
 use std::time::Duration;
+use Command::{Analyze, Audit, Chaos, Deploy, Migrate, Recover, Simulate, Targets};
+use Flag::{Switch, Value};
 
 /// A CLI usage or execution error.
 #[derive(Debug)]
@@ -45,6 +52,13 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Output errors: the only I/O errors `?` converts without naming a file.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError(format!("write failed: {e}"))
+    }
+}
+
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
@@ -55,12 +69,18 @@ fn listed(violations: &[Violation]) -> String {
     each.join("; ")
 }
 
+/// The most switches a topology spec may describe (`--target stages` is
+/// bounded the same way).
+pub const MAX_SWITCHES: usize = 4096;
+
 /// Parses a topology spec: `linear:N`, `star:N`, `fattree:K`, `wan:I`
-/// (Table III index, 1-based), or `waxman:N,ALPHA,BETA,SEED`.
+/// (Table III index, 1-based), or `waxman:N,ALPHA,BETA,SEED`. The size
+/// is checked before the network is built: an empty network, or one of
+/// more than [`MAX_SWITCHES`] switches, is refused.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on malformed specs.
+/// Returns [`CliError`] on malformed specs and sizes out of range.
 pub fn parse_topology(spec: &str) -> Result<Network, CliError> {
     let (kind, args) = spec
         .split_once(':')
@@ -68,15 +88,24 @@ pub fn parse_topology(spec: &str) -> Result<Network, CliError> {
     let int = |s: &str| -> Result<usize, CliError> {
         s.parse().map_err(|_| err(format!("`{s}` is not a number in `{spec}`")))
     };
+    // `max` is the largest size whose network has at most MAX_SWITCHES.
+    let size = |n: usize, max: usize| match n {
+        0 => Err(err(format!("topology `{spec}` is empty: its size must be at least 1"))),
+        n if n > max => Err(err(format!(
+            "topology `{spec}` exceeds {MAX_SWITCHES} switches: its size must be at most {max}"
+        ))),
+        n => Ok(n),
+    };
     match kind {
-        "linear" => Ok(topology::linear(int(args)?.max(1), 10.0)),
-        "star" => Ok(topology::star(int(args)?.max(1), 10.0)),
+        "linear" => Ok(topology::linear(size(int(args)?, MAX_SWITCHES)?, 10.0)),
+        "star" => Ok(topology::star(size(int(args)?, MAX_SWITCHES - 1)?, 10.0)),
         "fattree" => {
             let k = int(args)?;
             if k < 2 || k % 2 != 0 {
                 return Err(err("fat-tree arity must be even and >= 2"));
             }
-            Ok(topology::fat_tree(k, 10.0))
+            // 5k²/4 switches: 3 920 at k = 56, 4 205 at k = 58.
+            Ok(topology::fat_tree(size(k, 56)?, 10.0))
         }
         "wan" => {
             let i = int(args)?;
@@ -97,7 +126,7 @@ pub fn parse_topology(spec: &str) -> Result<Network, CliError> {
             if !(alpha > 0.0 && alpha <= 1.0 && beta > 0.0 && beta <= 1.0) {
                 return Err(err("alpha/beta must be in (0, 1]"));
             }
-            Ok(topology::waxman(n.max(1), alpha, beta, seed, &WanConfig::default()))
+            Ok(topology::waxman(size(n, MAX_SWITCHES)?, alpha, beta, seed, &WanConfig::default()))
         }
         other => Err(err(format!("unknown topology kind `{other}`"))),
     }
@@ -120,37 +149,14 @@ impl fmt::Display for ChannelSpecError {
 
 impl std::error::Error for ChannelSpecError {}
 
-impl From<ChannelSpecError> for CliError {
-    fn from(e: ChannelSpecError) -> Self {
-        CliError(e.to_string())
-    }
-}
-
-impl From<TargetSpecError> for CliError {
-    fn from(e: TargetSpecError) -> Self {
-        CliError(e.to_string())
-    }
-}
-
-/// Parses the topology spec and retargets its programmable switches per
-/// `--target`, when given. The flag is a no-op for topologies with no
-/// programmable switch.
-fn parse_network(options: &Options) -> Result<Network, CliError> {
-    let mut net = parse_topology(&options.topology)?;
-    if let Some(spec) = &options.target {
-        parse_target(spec)?.apply(&mut net);
-    }
-    Ok(net)
-}
-
 /// Parses a control-channel spec: `none`, `lossy`, or comma-separated
 /// knobs `drop=P,dup=P,reorder=P,delay=P,span=US` (omitted knobs stay 0;
-/// `span` is the max extra delay in microseconds).
+/// `span` is the max extra delay, a whole number of microseconds).
 ///
 /// # Errors
 ///
-/// Returns [`ChannelSpecError`] on malformed specs or out-of-range
-/// probabilities.
+/// Returns [`ChannelSpecError`] on malformed specs, out-of-range
+/// probabilities, and a `span` that is not a `u64`.
 pub fn parse_channel(spec: &str) -> Result<ChannelProfile, ChannelSpecError> {
     let bad = |detail: String| ChannelSpecError { spec: spec.to_owned(), detail };
     match spec {
@@ -171,7 +177,11 @@ pub fn parse_channel(spec: &str) -> Result<ChannelProfile, ChannelSpecError> {
             "dup" | "duplicate" => profile.duplicate_prob = num,
             "reorder" => profile.reorder_prob = num,
             "delay" => profile.delay_prob = num,
-            "span" => profile.delay_span_us = num as u64,
+            "span" => {
+                profile.delay_span_us = value.parse().map_err(|_| {
+                    bad(format!("knob `span` needs a whole number of microseconds, got `{value}`"))
+                })?
+            }
             other => {
                 return Err(bad(format!(
                     "unknown knob `{other}` (drop, dup, reorder, delay, span)"
@@ -200,12 +210,6 @@ impl fmt::Display for OrderSpecError {
 
 impl std::error::Error for OrderSpecError {}
 
-impl From<OrderSpecError> for CliError {
-    fn from(e: OrderSpecError) -> Self {
-        CliError(e.to_string())
-    }
-}
-
 /// A syntactically valid `--order` value, before switch indices are
 /// resolved against a concrete topology (see [`resolve_order`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,6 +233,7 @@ pub fn parse_order(spec: &str) -> Result<OrderSpec, OrderSpecError> {
         return Ok(OrderSpec::Auto);
     }
     let mut indices = Vec::new();
+    let mut seen = BTreeSet::new();
     for part in spec.split(',') {
         let idx: usize = part.trim().parse().map_err(|_| OrderSpecError {
             given: spec.to_owned(),
@@ -236,7 +241,7 @@ pub fn parse_order(spec: &str) -> Result<OrderSpec, OrderSpecError> {
                 "`{part}` is not a switch index (use `auto` or comma-separated switch indices)"
             ),
         })?;
-        if indices.contains(&idx) {
+        if !seen.insert(idx) {
             return Err(OrderSpecError {
                 given: spec.to_owned(),
                 detail: format!("switch index {idx} appears twice"),
@@ -272,59 +277,87 @@ pub fn resolve_order(spec: &OrderSpec, net: &Network) -> Result<MigrationOrder, 
     Ok(MigrationOrder::Explicit(order))
 }
 
-/// The valid `--solver` names, in display order.
-pub const SOLVER_NAMES: &[&str] = &[
-    "greedy",
-    "exact",
-    "milp",
-    "portfolio",
-    "ffl",
-    "ffls",
-    "ms",
-    "sonata",
-    "speed",
-    "mtp",
-    "fp",
-    "p4all",
+/// Builds a solver from its time limit `t` and its worker budget `n`.
+type Build = fn(Duration, Option<NonZeroUsize>) -> Box<dyn DeploymentAlgorithm>;
+
+/// The `--solver` names, in display order, and how each is built. Every
+/// budget flows through a `SearchContext` built from the time limit; the
+/// parallel searches (`exact`, and the exact stage of `portfolio`) also
+/// take the worker budget.
+const SOLVERS: &[(&str, Build)] = &[
+    ("greedy", |_, _| Box::new(GreedyHeuristic::new())),
+    ("exact", |t, n| Box::new(Budgeted::new(OptimalSolver::new(), t).with_threads(n))),
+    ("milp", |t, _| Box::new(Budgeted::new(MilpHermes::default(), t))),
+    ("portfolio", |t, n| Box::new(Budgeted::new(Portfolio::greedy_exact(), t).with_threads(n))),
+    ("ffl", |_, _| Box::new(FirstFitByLevel)),
+    ("ffls", |_, _| Box::new(FirstFitByLevelAndSize)),
+    ("ms", |t, _| Box::new(IlpBaseline::min_stage(ilp(t)))),
+    ("sonata", |t, _| Box::new(Sonata::new(ilp(t)))),
+    ("speed", |t, _| Box::new(IlpBaseline::speed(ilp(t)))),
+    ("mtp", |t, _| Box::new(IlpBaseline::mtp(ilp(t)))),
+    ("fp", |t, _| Box::new(IlpBaseline::flightplan(ilp(t)))),
+    ("p4all", |t, _| Box::new(IlpBaseline::p4all(ilp(t)))),
 ];
+
+fn ilp(time_limit: Duration) -> IlpConfig {
+    IlpConfig { time_limit, ..Default::default() }
+}
+
+/// A row of the solver table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Solver(usize);
+
+impl Solver {
+    /// Looks a solver up by its `--solver` name, in any ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownSolverError`] listing the valid set on unknown names.
+    pub fn named(name: &str) -> Result<Solver, UnknownSolverError> {
+        let name = name.to_ascii_lowercase();
+        match SOLVERS.iter().position(|&(known, _)| known == name) {
+            Some(row) => Ok(Solver(row)),
+            None => Err(UnknownSolverError { given: name }),
+        }
+    }
+
+    /// Builds the solver with a time limit and a worker budget for the
+    /// parallel searches (`None` = available parallelism).
+    pub fn build(
+        self,
+        limit: Duration,
+        threads: Option<NonZeroUsize>,
+    ) -> Box<dyn DeploymentAlgorithm> {
+        (SOLVERS[self.0].1)(limit, threads)
+    }
+
+    /// Plans `tdg` on the network under ε with the time limit and worker
+    /// budget; a failure names the solver and `what` the plan is for.
+    fn plan(self, options: &Options, tdg: &Tdg, what: &str) -> Result<DeploymentPlan, CliError> {
+        let algo = self.build(options.time_limit, options.threads);
+        algo.deploy(tdg, &options.network, &options.eps)
+            .map_err(|e| err(format!("{} failed{what}: {e}", algo.name())))
+    }
+}
 
 /// `--solver` got a name outside the valid set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownSolverError {
-    /// The rejected name, as given.
+    /// The rejected name, lowercased.
     pub given: String,
 }
 
 impl fmt::Display for UnknownSolverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown solver `{}` (valid: {})", self.given, SOLVER_NAMES.join(", "))
+        let valid: Vec<&str> = SOLVERS.iter().map(|&(name, _)| name).collect();
+        write!(f, "unknown solver `{}` (valid: {})", self.given, valid.join(", "))
     }
 }
 
 impl std::error::Error for UnknownSolverError {}
 
-impl From<UnknownSolverError> for CliError {
-    fn from(e: UnknownSolverError) -> Self {
-        CliError(e.to_string())
-    }
-}
-
-/// Looks a solver up by `--solver` name; every returned solver's budget
-/// flows through a `SearchContext` built from `time_limit`.
-///
-/// # Errors
-///
-/// Returns [`UnknownSolverError`] listing the valid set on unknown names.
-pub fn solver(
-    name: &str,
-    time_limit: Duration,
-) -> Result<Box<dyn DeploymentAlgorithm>, UnknownSolverError> {
-    solver_with_threads(name, time_limit, None)
-}
-
-/// Like [`solver`], but also stamps a worker budget for parallel searches
-/// onto the returned solver's [`SearchContext`] (`None` = available
-/// parallelism). Single-threaded solvers ignore the budget.
+/// Looks a solver up by `--solver` name and builds it (see
+/// [`Solver::build`]).
 ///
 /// # Errors
 ///
@@ -334,134 +367,227 @@ pub fn solver_with_threads(
     time_limit: Duration,
     threads: Option<std::num::NonZeroUsize>,
 ) -> Result<Box<dyn DeploymentAlgorithm>, UnknownSolverError> {
-    let config = IlpConfig { time_limit, ..Default::default() };
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "greedy" => Box::new(GreedyHeuristic::new()),
-        "exact" => Box::new(Budgeted::new(OptimalSolver::new(), time_limit).with_threads(threads)),
-        "milp" => Box::new(Budgeted::new(MilpHermes::default(), time_limit)),
-        "portfolio" => {
-            Box::new(Budgeted::new(Portfolio::greedy_exact(), time_limit).with_threads(threads))
-        }
-        "ffl" => Box::new(FirstFitByLevel),
-        "ffls" => Box::new(FirstFitByLevelAndSize),
-        "ms" => Box::new(IlpBaseline::min_stage(config)),
-        "sonata" => Box::new(Sonata::new(config)),
-        "speed" => Box::new(IlpBaseline::speed(config)),
-        "mtp" => Box::new(IlpBaseline::mtp(config)),
-        "fp" => Box::new(IlpBaseline::flightplan(config)),
-        "p4all" => Box::new(IlpBaseline::p4all(config)),
-        other => return Err(UnknownSolverError { given: other.to_owned() }),
-    })
+    Ok(Solver::named(name)?.build(time_limit, threads))
 }
 
-/// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Options {
-    /// Subcommand: analyze | audit | deploy | simulate | chaos.
-    pub command: String,
-    /// Program source files.
-    pub files: Vec<String>,
-    /// Topology spec (deploy/simulate).
-    pub topology: String,
-    /// Solver name (see [`SOLVER_NAMES`]).
-    pub solver: String,
-    /// ε₁ in microseconds.
-    pub eps1: f64,
-    /// ε₂.
-    pub eps2: usize,
-    /// Solver time limit in seconds.
-    pub time_limit_secs: u64,
-    /// Worker budget for the parallel exact search (deploy). `None` =
-    /// all available cores.
-    pub threads: Option<std::num::NonZeroUsize>,
-    /// Emit Graphviz dot (analyze).
-    pub dot: bool,
-    /// Emit JSON artifacts (deploy) or the event log (chaos).
-    pub json: bool,
-    /// Fault-injection seed (chaos).
-    pub seed: u64,
-    /// Sweep seeds `0..N` instead of one run (chaos).
-    pub trials: Option<u64>,
-    /// Control-channel spec (chaos): `none`, `lossy`, or `k=v` pairs.
-    pub channel: String,
-    /// Audit the built-in library programs (audit); program files become
-    /// optional and are appended to the workload.
-    pub library: bool,
-    /// Solver producing the starting plan A (migrate).
-    pub from_solver: String,
-    /// Migration step-order spec (migrate): auto | comma-separated
-    /// switch indices.
-    pub order: String,
-    /// Drain this 0-based switch index: plan B re-homes its MATs
-    /// elsewhere (migrate).
-    pub exclude: Option<usize>,
-    /// Journal path: written after the run (deploy/chaos/migrate), read
-    /// and replayed offline (recover).
-    pub journal: Option<String>,
-    /// Target spec (audit/deploy/migrate): retargets the topology's
-    /// programmable switches before planning.
-    pub target: Option<String>,
-    /// Attach the per-field state-access report (`HS5xx`) to the audit.
-    pub state_report: bool,
-    /// Analyze under [`hermes_tdg::AnalysisMode::RelaxedState`]: edges
-    /// justified only by replicable or commutative state are relaxed.
-    pub relax_state: bool,
+/// A `hermes` command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    /// Merge the programs and report the TDG.
+    Analyze,
+    /// The static workload audit and the pre-solve bounds.
+    Audit,
+    /// Plan, verify and print a deployment.
+    Deploy,
+    /// Plan, then simulate the per-packet impact.
+    Simulate,
+    /// Roll a plan out under the seeded fault injector.
+    Chaos,
+    /// Plan and execute a staged migration from plan A to plan B.
+    Migrate,
+    /// Replay a journal offline.
+    Recover,
+    /// List the built-in target models.
+    Targets,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            command: String::new(),
-            files: Vec::new(),
-            topology: "linear:3".to_owned(),
-            solver: "greedy".to_owned(),
-            eps1: f64::INFINITY,
-            eps2: usize::MAX,
-            time_limit_secs: 10,
-            threads: None,
-            dot: false,
-            json: false,
-            seed: 0,
-            trials: None,
-            channel: "none".to_owned(),
-            library: false,
-            from_solver: "ffl".to_owned(),
-            order: "auto".to_owned(),
-            exclude: None,
-            journal: None,
-            target: None,
-            state_report: false,
-            relax_state: false,
+/// Every command, in declaration order: its name and what its synopsis
+/// shows before the flags.
+const COMMANDS: [(Command, &str, &str); 8] = [
+    (Analyze, "analyze", "<files…>"),
+    (Audit, "audit", "<files…>"),
+    (Deploy, "deploy", "<files…>"),
+    (Simulate, "simulate", "<files…>"),
+    (Chaos, "chaos", "<files…>"),
+    (Migrate, "migrate", "<files…>"),
+    (Recover, "recover", "--journal PATH"),
+    (Targets, "targets", ""),
+];
+
+impl Command {
+    /// The command's name on the command line.
+    pub fn name(self) -> &'static str {
+        COMMANDS[self as usize].1
+    }
+}
+
+/// The most worker threads `--threads` may ask for: the exact search
+/// sizes its frontier by the request (8 subtree roots per worker).
+pub const MAX_THREADS: usize = 1024;
+
+/// One row of the flag table: the flag as typed, the commands that read it
+/// (every other command refuses it), and how it sets its [`Options`] field.
+enum Flag {
+    /// A flag without a value.
+    Switch(&'static str, &'static [Command], fn(&mut Options)),
+    /// A flag with a value: its synopsis placeholder and its parser.
+    Value(&'static str, &'static [Command], &'static str, Parse),
+}
+
+/// Parses a flag's value into its [`Options`] field.
+type Parse = fn(&mut Options, &str) -> Result<(), CliError>;
+
+impl Flag {
+    /// The flag as typed and the commands that read it.
+    fn key(&self) -> (&'static str, &'static [Command]) {
+        match *self {
+            Switch(name, commands, _) | Value(name, commands, ..) => (name, commands),
         }
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-hermes — network-wide data plane program deployment
+/// Stores a parsed value in its [`Options`] field; a parse error prints
+/// as itself.
+fn set<T>(field: &mut T, parsed: Result<T, impl fmt::Display>) -> Result<(), CliError> {
+    *field = parsed.map_err(|e| err(e.to_string()))?;
+    Ok(())
+}
 
-USAGE:
-  hermes analyze  <files…> [--dot]
-  hermes audit    <files…> [--library] [--topology SPEC] [--target SPEC]
-                  [--eps1 US] [--eps2 N] [--state-report] [--relax-state]
-                  [--json]
-  hermes deploy   <files…> [--topology SPEC] [--target SPEC] [--solver NAME]
-                  [--eps1 US] [--eps2 N] [--time-limit SECS] [--threads N]
-                  [--relax-state] [--json] [--journal PATH]
-  hermes simulate <files…> [--topology SPEC] [--solver NAME]
-  hermes chaos    <files…> [--topology SPEC] [--solver NAME] [--seed N]
-                  [--trials N] [--channel SPEC] [--eps1 US] [--eps2 N]
-                  [--json] [--journal PATH]
-  hermes migrate  <files…> [--topology SPEC] [--target SPEC]
-                  [--from-solver NAME] [--solver NAME] [--exclude N]
-                  [--order SPEC] [--seed N] [--channel SPEC] [--eps1 US]
-                  [--eps2 N] [--time-limit SECS] [--json] [--journal PATH]
-  hermes recover  --journal PATH [--json]
-  hermes targets
+/// Parses a number in `range`, or fails with what the flag `needs`.
+fn number<T: FromStr + PartialOrd>(
+    value: &str,
+    needs: &str,
+    range: impl RangeBounds<T>,
+) -> Result<T, CliError> {
+    value.parse().ok().filter(|n| range.contains(n)).ok_or_else(|| err(needs))
+}
 
+/// Commands that place a workload on a network.
+const PLACING: &[Command] = &[Audit, Deploy, Simulate, Chaos, Migrate];
+/// Commands that run a solver.
+const SOLVING: &[Command] = &[Deploy, Simulate, Chaos, Migrate];
+
+/// Every flag, in synopsis order.
+const FLAGS: &[Flag] = &[
+    Switch("--dot", &[Analyze], |o| o.dot = true),
+    Switch("--library", &[Audit], |o| o.library = true),
+    Value("--topology", PLACING, "SPEC", |o, v| set(&mut o.network, parse_topology(v))),
+    Value("--target", PLACING, "SPEC", |o, v| set(&mut o.target, parse_target(v).map(Some))),
+    Value("--from-solver", &[Migrate], "NAME", |o, v| set(&mut o.from_solver, Solver::named(v))),
+    Value("--solver", SOLVING, "NAME", |o, v| set(&mut o.solver, Solver::named(v))),
+    Value("--exclude", &[Migrate], "N", |o, v| {
+        set(&mut o.exclude, number(v, "--exclude needs a 0-based switch index", ..).map(Some))
+    }),
+    Value("--order", &[Migrate], "SPEC", |o, v| set(&mut o.order, parse_order(v))),
+    // `inf` (the default) is a legal bound; NaN compares false against every
+    // latency, so Eq. 4 would never be enforced.
+    Value("--eps1", PLACING, "US", |o, v| {
+        let needs = "--eps1 needs a non-negative number of microseconds";
+        set(&mut o.eps.max_latency_us, number(v, needs, 0.0..))
+    }),
+    // Zero switches host nothing: no plan of a non-empty workload could
+    // satisfy Eq. 5.
+    Value("--eps2", PLACING, "N", |o, v| {
+        set(&mut o.eps.max_switches, number(v, "--eps2 needs a positive number of switches", 1..))
+    }),
+    Value("--time-limit", SOLVING, "SECS", |o, v| {
+        set(&mut o.time_limit, number(v, "--time-limit needs seconds", ..).map(Duration::from_secs))
+    }),
+    Value("--threads", SOLVING, "N", |o, v| {
+        number::<NonZeroUsize>(v, "--threads needs a positive integer", ..)?;
+        let most = format!("--threads is at most {MAX_THREADS}");
+        set(&mut o.threads, number(v, &most, ..=MAX_THREADS).map(NonZeroUsize::new))
+    }),
+    Value("--seed", &[Chaos, Migrate], "N", |o, v| {
+        set(&mut o.seed, number(v, "--seed needs an integer", ..))
+    }),
+    Value("--trials", &[Chaos], "N", |o, v| {
+        set(&mut o.trials, number(v, "--trials needs an integer", ..).map(Some))
+    }),
+    Value("--channel", &[Chaos, Migrate], "SPEC", |o, v| set(&mut o.channel, parse_channel(v))),
+    Switch("--state-report", &[Audit], |o| o.state_report = true),
+    Switch("--relax-state", &[Analyze, Audit, Deploy, Simulate, Chaos, Migrate], |o| {
+        o.mode = AnalysisMode::RelaxedState
+    }),
+    Switch("--json", &[Audit, Deploy, Chaos, Migrate, Recover], |o| o.json = true),
+    Value("--journal", &[Deploy, Chaos, Migrate, Recover], "PATH", |o, v| {
+        o.journal = Some(v.to_owned());
+        Ok(())
+    }),
+];
+
+/// A parsed command line: every value typed and checked.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Options {
+    /// The command to run.
+    pub command: Command,
+    /// Program source files.
+    pub files: Vec<String>,
+    /// The `--topology` network, retargeted per `target`.
+    pub network: Network,
+    /// The `--target` spec, applied to `network` once every flag is read.
+    pub target: Option<TargetSpec>,
+    /// The solver of the plan (of plan B, for migrate).
+    pub solver: Solver,
+    /// The solver of migrate's starting plan A.
+    pub from_solver: Solver,
+    /// ε₁ (`--eps1`, microseconds) and ε₂ (`--eps2`, switches).
+    pub eps: Epsilon,
+    /// Solver time limit.
+    pub time_limit: Duration,
+    /// Worker budget for the parallel exact search; `None` = all cores.
+    pub threads: Option<NonZeroUsize>,
+    /// Emit Graphviz dot (analyze).
+    pub dot: bool,
+    /// Emit JSON (audit, deploy, chaos, migrate, recover).
+    pub json: bool,
+    /// Fault-injection seed (chaos, migrate).
+    pub seed: u64,
+    /// Sweep seeds `0..N` instead of one run (chaos).
+    pub trials: Option<u64>,
+    /// Control-channel profile (chaos, migrate).
+    pub channel: ChannelProfile,
+    /// Audit the built-in library programs too; files become optional.
+    pub library: bool,
+    /// Migration step order (migrate).
+    pub order: OrderSpec,
+    /// Drain this 0-based switch index: plan B re-homes its MATs (migrate).
+    pub exclude: Option<usize>,
+    /// Journal written after the run (deploy, chaos, migrate) or replayed.
+    pub journal: Option<String>,
+    /// Attach the per-field state-access report (`HS5xx`) to the audit.
+    pub state_report: bool,
+    /// TDG analysis mode; `--relax-state` selects `RelaxedState`.
+    pub mode: AnalysisMode,
+}
+
+/// The usage text: a synopsis per command, rendered from the flag table,
+/// the solver table, then the spec grammars and notes.
+pub fn usage() -> String {
+    let mut text = String::from("hermes — network-wide data plane program deployment\n\nUSAGE:\n");
+    // `head`, then `words` wrapped at 78 columns under an `indent`.
+    let wrap = |head: &str, indent: usize, words: &mut dyn Iterator<Item = String>| {
+        let (mut text, mut line) = (String::new(), head.to_owned());
+        for word in words {
+            if line.chars().count() + 1 + word.chars().count() > 78 {
+                text += &(line + "\n");
+                line = " ".repeat(indent);
+            }
+            line += &format!(" {word}");
+        }
+        text + &line + "\n"
+    };
+    for (command, name, operands) in COMMANDS {
+        let head = format!("  hermes {name:<8} {operands}");
+        let flags = FLAGS.iter().filter(|f| {
+            let (name, readers) = f.key();
+            readers.contains(&command) && !operands.contains(name)
+        });
+        let mut words = flags.map(|f| match *f {
+            Switch(name, ..) => format!("[{name}]"),
+            Value(name, _, placeholder, _) => format!("[{name} {placeholder}]"),
+        });
+        text += &wrap(head.trim_end(), 17, &mut words);
+    }
+    text.push('\n');
+    text += &wrap("SOLVERS:        ", 16, &mut SOLVERS.iter().map(|&(name, _)| name.to_owned()));
+    text + NOTES
+}
+
+/// The hand-written part of [`usage`].
+const NOTES: &str = "\
 TOPOLOGY SPECS:  linear:N  star:N  fattree:K  wan:1..10  waxman:N,A,B,SEED
-SOLVERS:         greedy exact milp portfolio ffl ffls ms sonata speed mtp
-                 fp p4all
+                 (1 to 4096 switches)
 CHANNEL SPECS:   none  lossy  drop=P,dup=P,reorder=P,delay=P,span=US
 ORDER SPECS:     auto  comma-separated switch indices
 TARGET SPECS:    tofino  smartnic  soft
@@ -489,9 +615,9 @@ verified against per-stage capacity and the mixed-epoch consistency gate
 before the first commit; a mid-migration failure rolls back to plan A.
 
 `--threads N` caps the worker pool of the parallel exact search (`exact`,
-and the exact stage of `portfolio`) at N OS threads; the default is the
-machine's available parallelism. Results are byte-identical at every
-thread count.
+and the exact stage of `portfolio`) at N OS threads (at most 1024); the
+default is the machine's available parallelism. Results are
+byte-identical at every thread count.
 
 `--journal PATH` writes the controller's write-ahead intent journal to
 PATH after the run. `recover` replays such a journal offline — without a
@@ -502,142 +628,105 @@ reported and discarded; mid-log corruption is a typed error and a
 nonzero exit.
 ";
 
-/// Parses raw arguments (without the binary name).
+/// Parses raw arguments (without the binary name) into typed [`Options`].
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] with usage guidance on malformed input.
+/// Returns [`CliError`] on an unknown command or flag, a flag the
+/// command does not read, a missing or malformed value, or missing
+/// operands.
 pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
-    let mut options = Options::default();
-    let mut iter = args.iter().peekable();
-    options.command =
-        iter.next().ok_or_else(|| err(format!("missing command\n\n{USAGE}")))?.clone();
-    if !matches!(
-        options.command.as_str(),
-        "analyze" | "audit" | "deploy" | "simulate" | "chaos" | "migrate" | "recover" | "targets"
-    ) {
-        return Err(err(format!("unknown command `{}`\n\n{USAGE}", options.command)));
-    }
+    let (name, rest) =
+        args.split_first().ok_or_else(|| err(format!("missing command\n\n{}", usage())))?;
+    let (command, ..) = COMMANDS
+        .into_iter()
+        .find(|&(_, known, _)| known == name.as_str())
+        .ok_or_else(|| err(format!("unknown command `{name}`\n\n{}", usage())))?;
+    let mut options = Options {
+        command,
+        files: Vec::new(),
+        network: topology::linear(3, 10.0),
+        target: None,
+        solver: Solver(0),      // greedy
+        from_solver: Solver(4), // ffl
+        eps: Epsilon::loose(),
+        time_limit: Duration::from_secs(10),
+        threads: None,
+        dot: false,
+        json: false,
+        seed: 0,
+        trials: None,
+        channel: ChannelProfile::none(),
+        library: false,
+        order: OrderSpec::Auto,
+        exclude: None,
+        journal: None,
+        state_report: false,
+        mode: AnalysisMode::PaperLiteral,
+    };
+    let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
-        let value = |iter: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-            iter.next().cloned().ok_or_else(|| err(format!("flag `{arg}` needs a value")))
-        };
-        match arg.as_str() {
-            "--topology" => options.topology = value(&mut iter)?,
-            "--solver" => {
-                let name = value(&mut iter)?;
-                solver(&name, Duration::from_secs(1)).map_err(|e| err(e.to_string()))?;
-                options.solver = name;
+        if !arg.starts_with("--") {
+            options.files.push(arg.clone());
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.key().0 == arg.as_str())
+            .ok_or_else(|| err(format!("unknown flag `{arg}`\n\n{}", usage())))?;
+        let readers = flag.key().1;
+        if !readers.contains(&command) {
+            let readers: Vec<&str> = readers.iter().map(|c| c.name()).collect();
+            return Err(err(format!(
+                "`{arg}` does not apply to `{name}` (it applies to {})",
+                readers.join(", ")
+            )));
+        }
+        match *flag {
+            Switch(.., set) => set(&mut options),
+            Value(.., set) => {
+                let value =
+                    iter.next().ok_or_else(|| err(format!("flag `{arg}` needs a value")))?;
+                set(&mut options, value)?;
             }
-            "--eps1" => {
-                // `inf` (the default) is a legal bound; NaN compares false
-                // against every latency, so Eq. 4 would never be enforced.
-                options.eps1 = value(&mut iter)?
-                    .parse()
-                    .ok()
-                    .filter(|us: &f64| *us >= 0.0)
-                    .ok_or_else(|| err("--eps1 needs a non-negative number of microseconds"))?
-            }
-            "--eps2" => {
-                // Zero switches host nothing: no plan of a non-empty
-                // workload could satisfy Eq. 5.
-                options.eps2 = value(&mut iter)?
-                    .parse()
-                    .ok()
-                    .filter(|&switches: &usize| switches > 0)
-                    .ok_or_else(|| err("--eps2 needs a positive number of switches"))?
-            }
-            "--time-limit" => {
-                options.time_limit_secs =
-                    value(&mut iter)?.parse().map_err(|_| err("--time-limit needs seconds"))?
-            }
-            "--threads" => {
-                options.threads = Some(
-                    value(&mut iter)?
-                        .parse()
-                        .map_err(|_| err("--threads needs a positive integer"))?,
-                )
-            }
-            "--seed" => {
-                options.seed =
-                    value(&mut iter)?.parse().map_err(|_| err("--seed needs an integer"))?
-            }
-            "--trials" => {
-                options.trials =
-                    Some(value(&mut iter)?.parse().map_err(|_| err("--trials needs an integer"))?)
-            }
-            "--channel" => {
-                let spec = value(&mut iter)?;
-                parse_channel(&spec)?;
-                options.channel = spec;
-            }
-            "--target" => {
-                let spec = value(&mut iter)?;
-                parse_target(&spec)?;
-                options.target = Some(spec);
-            }
-            "--from-solver" => {
-                let name = value(&mut iter)?;
-                solver(&name, Duration::from_secs(1)).map_err(|e| err(e.to_string()))?;
-                options.from_solver = name;
-            }
-            "--order" => {
-                let spec = value(&mut iter)?;
-                parse_order(&spec)?;
-                options.order = spec;
-            }
-            "--exclude" => {
-                options.exclude = Some(
-                    value(&mut iter)?
-                        .parse()
-                        .map_err(|_| err("--exclude needs a 0-based switch index"))?,
-                )
-            }
-            "--journal" => options.journal = Some(value(&mut iter)?),
-            "--dot" => options.dot = true,
-            "--json" => options.json = true,
-            "--library" => options.library = true,
-            "--state-report" => options.state_report = true,
-            "--relax-state" => options.relax_state = true,
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}`\n\n{USAGE}")))
-            }
-            file => options.files.push(file.to_owned()),
         }
     }
-    if options.state_report && options.command != "audit" {
-        return Err(err(format!("--state-report is an audit flag\n\n{USAGE}")));
+    if let Some(target) = &options.target {
+        target.apply(&mut options.network);
     }
-    if options.command == "recover" {
-        if options.journal.is_none() {
-            return Err(err(format!("recover needs --journal PATH\n\n{USAGE}")));
+    let files = !options.files.is_empty();
+    match command {
+        Recover if options.journal.is_none() => {
+            Err(err(format!("recover needs --journal PATH\n\n{}", usage())))
         }
-        if !options.files.is_empty() {
-            return Err(err("recover replays a journal, not program files".to_owned()));
+        Recover if files => Err(err("recover replays a journal, not program files")),
+        Targets if files => Err(err("targets lists built-in models and takes no program files")),
+        Recover | Targets => Ok(options),
+        _ if !files && !options.library => {
+            Err(err(format!("no program files given\n\n{}", usage())))
         }
-        return Ok(options);
+        _ => Ok(options),
     }
-    if options.command == "targets" {
-        if !options.files.is_empty() {
-            return Err(err("targets lists built-in models and takes no program files".to_owned()));
-        }
-        return Ok(options);
-    }
-    if options.files.is_empty() && !(options.command == "audit" && options.library) {
-        return Err(err(format!("no program files given\n\n{USAGE}")));
-    }
-    Ok(options)
 }
 
-fn load_programs(options: &Options) -> Result<Vec<hermes_dataplane::Program>, CliError> {
-    let mut sources = String::new();
-    for file in &options.files {
-        let text =
-            std::fs::read_to_string(file).map_err(|e| err(format!("cannot read `{file}`: {e}")))?;
-        sources.push_str(&text);
-        sources.push('\n');
-    }
-    parse_programs(&sources).map_err(|e| err(format!("parse error: {e}")))
+/// The programs of the command's files (after the built-in library, with
+/// `--library`) and their merged TDG.
+fn workload(options: &Options) -> Result<(Vec<Program>, Tdg), CliError> {
+    let read = |file: &String| {
+        let text = std::fs::read_to_string(file);
+        text.map(|text| text + "\n").map_err(|e| err(format!("cannot read `{file}`: {e}")))
+    };
+    let sources = options.files.iter().map(read).collect::<Result<String, _>>()?;
+    let mut programs =
+        if options.library { hermes_dataplane::library::real_programs() } else { Vec::new() };
+    programs.extend(parse_programs(&sources).map_err(|e| err(format!("parse error: {e}")))?);
+    let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&programs);
+    Ok((programs, tdg))
+}
+
+/// A controller over the network under ε, faulted by `injector`.
+fn runtime(options: &Options, injector: FaultInjector) -> DeploymentRuntime {
+    DeploymentRuntime::new(options.network.clone(), options.eps, injector, RetryPolicy::default())
 }
 
 fn write_journal(path: &Option<String>, journal: &Journal) -> Result<(), CliError> {
@@ -659,11 +748,10 @@ fn write_journal(path: &Option<String>, journal: &Journal) -> Result<(), CliErro
 /// the journal is corrupt mid-log ([`hermes_runtime::JournalError`]); a
 /// torn tail is reported and discarded, not an error.
 fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    let io = |e: std::io::Error| err(format!("write failed: {e}"));
     let path = options
         .journal
         .as_ref()
-        .ok_or_else(|| err(format!("recover needs --journal PATH\n\n{USAGE}")))?;
+        .ok_or_else(|| err(format!("recover needs --journal PATH\n\n{}", usage())))?;
     let bytes =
         std::fs::read(path).map_err(|e| err(format!("cannot read journal `{path}`: {e}")))?;
     let replay = replay_bytes(&bytes).map_err(|e| err(format!("journal replay failed: {e}")))?;
@@ -684,17 +772,15 @@ fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), Cl
             "{{\"records\":{},\"discarded_tail_bytes\":{},\"max_epoch\":{},\
              \"snapshot\":{snapshot},\"in_flight\":{in_flight},\"action\":\"{action}\"}}",
             intent.records, intent.discarded_tail_bytes, intent.max_epoch
-        )
-        .map_err(io)?;
+        )?;
         return Ok(());
     }
     writeln!(
         out,
         "journal: {} record(s) replayed, {} torn tail byte(s) discarded",
         intent.records, intent.discarded_tail_bytes
-    )
-    .map_err(io)?;
-    writeln!(out, "max journaled epoch: {}", intent.max_epoch).map_err(io)?;
+    )?;
+    writeln!(out, "max journaled epoch: {}", intent.max_epoch)?;
     match &intent.snapshot {
         Some(s) => writeln!(
             out,
@@ -702,9 +788,8 @@ fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), Cl
             s.epoch,
             s.plan.occupied_switches().len(),
             s.plan_fp
-        )
-        .map_err(io)?,
-        None => writeln!(out, "snapshot: none").map_err(io)?,
+        )?,
+        None => writeln!(out, "snapshot: none")?,
     }
     match &intent.in_flight {
         Some(InFlight::Txn { epoch, kind, prepared, commit_order, commit_acked, .. }) => {
@@ -715,8 +800,7 @@ fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), Cl
                 prepared.len(),
                 if commit_order.is_some() { "decided" } else { "undecided" },
                 commit_acked.len()
-            )
-            .map_err(io)?;
+            )?;
         }
         Some(InFlight::Migration { epoch, order, steps_committed, .. }) => {
             writeln!(
@@ -724,12 +808,11 @@ fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), Cl
                 "in flight: migration, epoch {epoch} ({}/{} steps committed)",
                 steps_committed.len(),
                 order.len()
-            )
-            .map_err(io)?;
+            )?;
         }
-        None => writeln!(out, "in flight: nothing").map_err(io)?,
+        None => writeln!(out, "in flight: nothing")?,
     }
-    writeln!(out, "recovery action: {action}").map_err(io)?;
+    writeln!(out, "recovery action: {action}")?;
     Ok(())
 }
 
@@ -741,24 +824,18 @@ fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), Cl
 /// # Errors
 ///
 /// Returns [`CliError`] (nonzero exit) if any run violates an invariant.
-#[allow(clippy::too_many_arguments)]
 fn run_trials(
     options: &Options,
     out: &mut dyn std::io::Write,
-    tdg: &hermes_tdg::Tdg,
-    net: &Network,
-    eps: Epsilon,
-    channel: ChannelProfile,
-    plan: &hermes_core::DeploymentPlan,
+    tdg: &Tdg,
+    plan: &DeploymentPlan,
     trials: u64,
 ) -> Result<(), CliError> {
-    let io = |e: std::io::Error| err(format!("write failed: {e}"));
     let (mut committed, mut healed, mut rolled_back) = (0u64, 0u64, 0u64);
     for seed in 0..trials {
         let run_once = |seed: u64| {
             let injector = FaultInjector::new(seed, FaultProfile::chaos());
-            let mut rt = DeploymentRuntime::new(net.clone(), eps, injector, RetryPolicy::default())
-                .with_channel_profile(channel);
+            let mut rt = runtime(options, injector).with_channel_profile(options.channel);
             let outcome = rt.rollout(tdg, plan.clone());
             (outcome, rt)
         };
@@ -815,14 +892,12 @@ fn run_trials(
             out,
             "{{\"trials\":{trials},\"committed\":{committed},\"healed\":{healed},\
              \"rolled_back\":{rolled_back}}}"
-        )
-        .map_err(io)?;
+        )?;
     } else {
         writeln!(
             out,
             "trials {trials}: {committed} committed, {healed} healed, {rolled_back} rolled back"
-        )
-        .map_err(io)?;
+        )?;
     }
     Ok(())
 }
@@ -834,36 +909,23 @@ fn run_trials(
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on malformed specs, infeasible plans, or when the
-/// starting plan cannot be installed.
-fn run_migrate(
-    options: &Options,
-    out: &mut dyn std::io::Write,
-    tdg: &hermes_tdg::Tdg,
-) -> Result<(), CliError> {
-    let io = |e: std::io::Error| err(format!("write failed: {e}"));
-    let net = parse_network(options)?;
-    let eps = Epsilon::new(options.eps1, options.eps2);
-    let channel = parse_channel(&options.channel)?;
-    let order = resolve_order(&parse_order(&options.order)?, &net)?;
-    let time_limit = Duration::from_secs(options.time_limit_secs);
-
-    let from_algo = solver(&options.from_solver, time_limit)?;
-    let plan_a = from_algo
-        .deploy(tdg, &net, &eps)
-        .map_err(|e| err(format!("{} failed for plan A: {e}", from_algo.name())))?;
+/// Returns [`CliError`] on out-of-range switch indices, infeasible plans,
+/// or when the starting plan cannot be installed.
+fn run_migrate(options: &Options, out: &mut dyn std::io::Write, tdg: &Tdg) -> Result<(), CliError> {
+    let net = &options.network;
+    let order = resolve_order(&options.order, net).map_err(|e| err(e.to_string()))?;
+    let plan_a = options.from_solver.plan(options, tdg, " for plan A")?;
     let plan_b = match options.exclude {
         Some(idx) => {
-            let ids: Vec<SwitchId> = net.switch_ids().collect();
-            let &drained = ids.get(idx).ok_or_else(|| {
+            let drained = net.switch_ids().nth(idx).ok_or_else(|| {
+                let switches = net.switch_count();
                 err(format!(
-                    "--exclude {idx} is out of range (the topology has {} switches)",
-                    ids.len()
+                    "--exclude {idx} is out of range (the topology has {switches} switches)"
                 ))
             })?;
-            let opts = RedeployOptions::excluding([drained]).with_exact_budget(time_limit);
+            let opts = RedeployOptions::excluding([drained]).with_exact_budget(options.time_limit);
             let outcome = IncrementalDeployer::new()
-                .redeploy_with(tdg, &plan_a, tdg, &net, &eps, &opts)
+                .redeploy_with(tdg, &plan_a, tdg, net, &options.eps, &opts)
                 .map_err(|e| err(format!("cannot drain switch {drained}: {e}")))?;
             writeln!(
                 out,
@@ -871,27 +933,21 @@ fn run_migrate(
                 outcome.reused,
                 outcome.placed,
                 if outcome.full_redeploy { " (full redeploy)" } else { "" }
-            )
-            .map_err(io)?;
+            )?;
             outcome.plan
         }
-        None => {
-            let algo = solver(&options.solver, time_limit)?;
-            algo.deploy(tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed for plan B: {e}", algo.name())))?
-        }
+        None => options.solver.plan(options, tdg, " for plan B")?,
     };
 
     // Plan A goes in over a clean control plane; only the migration
     // itself runs under the requested chaos.
-    let mut rt =
-        DeploymentRuntime::new(net, eps, FaultInjector::disabled(), RetryPolicy::default());
+    let mut rt = runtime(options, FaultInjector::disabled());
     if !rt.rollout(tdg, plan_a.clone()).is_committed() {
         return Err(err("could not install plan A on a clean network"));
     }
     let schedule = {
         let problem = MigrationProblem { tdg, net: rt.network(), from: &plan_a, to: &plan_b };
-        let ctx = SearchContext::with_time_limit(time_limit);
+        let ctx = SearchContext::with_time_limit(options.time_limit);
         MigrationScheduler::with_order(order)
             .plan(&problem, &ctx)
             .map_err(|e| err(format!("cannot schedule the migration: {e}")))?
@@ -904,10 +960,9 @@ fn run_migrate(
         schedule.from_amax,
         schedule.peak_transient_amax,
         schedule.to_amax
-    )
-    .map_err(io)?;
+    )?;
     if let Some(peak) = schedule.all_at_once_peak {
-        writeln!(out, "all-at-once peak: {peak} B").map_err(io)?;
+        writeln!(out, "all-at-once peak: {peak} B")?;
     }
     for (i, step) in schedule.steps.iter().enumerate() {
         writeln!(
@@ -917,15 +972,14 @@ fn run_migrate(
             step.moved.len(),
             step.staged_nodes,
             step.transient_amax
-        )
-        .map_err(io)?;
+        )?;
     }
 
     rt.set_injector(FaultInjector::new(options.seed, FaultProfile::chaos()));
-    rt.set_channel_profile(channel);
+    rt.set_channel_profile(options.channel);
     let outcome = rt.migrate_with_schedule(tdg, plan_b, &schedule);
     write_journal(&options.journal, rt.journal())?;
-    writeln!(out, "seed {}: {}", options.seed, outcome).map_err(io)?;
+    writeln!(out, "seed {}: {}", options.seed, outcome)?;
     let log = rt.log();
     writeln!(
         out,
@@ -934,10 +988,9 @@ fn run_migrate(
         log.count(|e| matches!(e, Event::FaultInjected { .. })),
         log.count(|e| matches!(e, Event::MigrationStepFailed { .. })),
         log.count(|e| matches!(e, Event::MigrationRolledBack { .. })),
-    )
-    .map_err(io)?;
+    )?;
     if options.json {
-        writeln!(out, "{}", log.to_json()).map_err(io)?;
+        writeln!(out, "{}", log.to_json())?;
     }
     Ok(())
 }
@@ -946,52 +999,35 @@ fn run_migrate(
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on any failure (I/O, parse, deployment).
+/// Returns [`CliError`] on any failure (I/O, deployment, verification).
 pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    let io = |e: std::io::Error| err(format!("write failed: {e}"));
-    if options.command == "recover" {
-        return run_recover(options, out);
-    }
-    if options.command == "targets" {
-        for model in builtin_targets() {
-            writeln!(out, "{model}").map_err(io)?;
+    let (net, eps) = (&options.network, &options.eps);
+    match options.command {
+        Recover => return run_recover(options, out),
+        Targets => {
+            for model in builtin_targets() {
+                writeln!(out, "{model}")?;
+            }
         }
-        return Ok(());
-    }
-    let mut programs = if options.library && options.command == "audit" {
-        hermes_dataplane::library::real_programs()
-    } else {
-        Vec::new()
-    };
-    programs.extend(load_programs(options)?);
-    let mode = if options.relax_state {
-        hermes_tdg::AnalysisMode::RelaxedState
-    } else {
-        hermes_tdg::AnalysisMode::PaperLiteral
-    };
-    let tdg = ProgramAnalyzer::with_mode(mode).analyze(&programs);
-
-    match options.command.as_str() {
-        "analyze" => {
+        Analyze => {
+            let (programs, tdg) = workload(options)?;
             let stats = hermes_tdg::stats(&tdg);
-            writeln!(out, "programs: {}", programs.len()).map_err(io)?;
+            writeln!(out, "programs: {}", programs.len())?;
             writeln!(
                 out,
                 "merged TDG: {} MATs, {} dependencies, {:.2} stage-units, critical path {} MATs",
                 stats.nodes, stats.edges, stats.total_resource, stats.critical_path_len
-            )
-            .map_err(io)?;
+            )?;
             for finding in lint_composition(&programs) {
-                writeln!(out, "lint: {finding}").map_err(io)?;
+                writeln!(out, "lint: {finding}")?;
             }
             if options.dot {
-                writeln!(out, "{}", hermes_tdg::to_dot(&tdg)).map_err(io)?;
+                writeln!(out, "{}", hermes_tdg::to_dot(&tdg))?;
             }
         }
-        "audit" => {
-            let net = parse_network(options)?;
-            let eps = Epsilon::new(options.eps1, options.eps2);
-            let mut report = hermes_analysis::audit_instance(&programs, &net, &eps, mode);
+        Audit => {
+            let (programs, tdg) = workload(options)?;
+            let mut report = hermes_analysis::audit_instance(&programs, net, eps, options.mode);
             if options.state_report {
                 let state = hermes_analysis::state_report_of_tdg(&tdg);
                 let mut diags = report.diagnostics;
@@ -1000,9 +1036,9 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
                     hermes_analysis::AuditReport::new(diags, report.certificates).with_state(state);
             }
             if options.json {
-                writeln!(out, "{}", report.to_json()).map_err(io)?;
+                writeln!(out, "{}", report.to_json())?;
             } else {
-                writeln!(out, "{report}").map_err(io)?;
+                writeln!(out, "{report}")?;
             }
             if report.has_errors() {
                 return Err(err(format!(
@@ -1011,99 +1047,61 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
                 )));
             }
         }
-        "deploy" => {
-            let net = parse_network(options)?;
-            let eps = Epsilon::new(options.eps1, options.eps2);
-            let algo = solver_with_threads(
-                &options.solver,
-                Duration::from_secs(options.time_limit_secs),
-                options.threads,
-            )?;
-            let plan = algo
-                .deploy(&tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
-            let violations = verify(&tdg, &net, &plan, &eps);
+        Deploy => {
+            let (_, tdg) = workload(options)?;
+            let plan = options.solver.plan(options, &tdg, "")?;
+            let violations = verify(&tdg, net, &plan, eps);
             if !violations.is_empty() {
                 return Err(err(format!("plan failed verification: {}", listed(&violations))));
             }
             if options.journal.is_some() {
                 // Install over a clean control plane purely to produce
                 // the durable intent journal of the transaction.
-                let mut rt = DeploymentRuntime::new(
-                    net.clone(),
-                    eps,
-                    FaultInjector::disabled(),
-                    RetryPolicy::default(),
-                );
+                let mut rt = runtime(options, FaultInjector::disabled());
                 if !rt.rollout(&tdg, plan.clone()).is_committed() {
                     return Err(err("could not install the plan to journal it"));
                 }
                 write_journal(&options.journal, rt.journal())?;
             }
             if options.json {
-                let artifacts = generate(&tdg, &net, &plan);
-                writeln!(
-                    out,
-                    "{}",
-                    serde_json::to_string_pretty(&artifacts)
-                        .map_err(|e| err(format!("serialize: {e}")))?
-                )
-                .map_err(io)?;
+                let json = serde_json::to_string_pretty(&generate(&tdg, net, &plan));
+                writeln!(out, "{}", json.map_err(|e| err(format!("serialize: {e}")))?)?;
             } else {
-                write!(out, "{}", explain(&tdg, &net, &plan)).map_err(io)?;
+                write!(out, "{}", explain(&tdg, net, &plan))?;
             }
         }
-        "simulate" => {
-            let net = parse_network(options)?;
-            let eps = Epsilon::new(options.eps1, options.eps2);
-            let algo = solver_with_threads(
-                &options.solver,
-                Duration::from_secs(options.time_limit_secs),
-                options.threads,
-            )?;
-            let plan = algo
-                .deploy(&tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
-            let artifacts = generate(&tdg, &net, &plan);
-            let result = simulate_plan(&tdg, &net, &plan, &artifacts, &PlanFlowConfig::default())
+        Simulate => {
+            let (_, tdg) = workload(options)?;
+            let plan = options.solver.plan(options, &tdg, "")?;
+            let artifacts = generate(&tdg, net, &plan);
+            let result = simulate_plan(&tdg, net, &plan, &artifacts, &PlanFlowConfig::default())
                 .ok_or_else(|| err("plan could not be simulated (empty or unroutable)"))?;
-            writeln!(out, "overhead: {} B per packet", result.overhead_bytes).map_err(io)?;
-            writeln!(out, "switches traversed: {}", result.traversed.len()).map_err(io)?;
-            writeln!(out, "loaded:   {}", result.loaded).map_err(io)?;
-            writeln!(out, "baseline: {}", result.baseline).map_err(io)?;
+            writeln!(out, "overhead: {} B per packet", result.overhead_bytes)?;
+            writeln!(out, "switches traversed: {}", result.traversed.len())?;
+            writeln!(out, "loaded:   {}", result.loaded)?;
+            writeln!(out, "baseline: {}", result.baseline)?;
             writeln!(
                 out,
                 "impact: {:.3}x FCT, {:.3}x goodput",
                 result.fct_ratio(),
                 result.goodput_ratio()
-            )
-            .map_err(io)?;
-        }
-        "chaos" => {
-            let net = parse_network(options)?;
-            let eps = Epsilon::new(options.eps1, options.eps2);
-            let channel = parse_channel(&options.channel)?;
-            let algo = solver_with_threads(
-                &options.solver,
-                Duration::from_secs(options.time_limit_secs),
-                options.threads,
             )?;
-            let plan = algo
-                .deploy(&tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
+        }
+        Chaos => {
+            let (_, tdg) = workload(options)?;
+            let plan = options.solver.plan(options, &tdg, "")?;
             if let Some(trials) = options.trials {
                 if options.journal.is_some() {
                     return Err(err("--journal wants a single run, not --trials"));
                 }
-                return run_trials(options, out, &tdg, &net, eps, channel, &plan, trials);
+                return run_trials(options, out, &tdg, &plan, trials);
             }
             let injector = FaultInjector::new(options.seed, FaultProfile::chaos());
-            let mut runtime = DeploymentRuntime::new(net, eps, injector, RetryPolicy::default())
-                .with_channel_profile(channel);
-            let outcome = runtime.rollout(&tdg, plan);
-            write_journal(&options.journal, runtime.journal())?;
-            writeln!(out, "seed {}: {}", options.seed, outcome).map_err(io)?;
-            let log = runtime.log();
+            let mut rt = runtime(options, injector).with_channel_profile(options.channel);
+            let outcome = rt.rollout(&tdg, plan);
+            write_journal(&options.journal, rt.journal())?;
+            writeln!(out, "seed {}: {}", options.seed, outcome)?;
+            let log = rt.log();
             writeln!(
                 out,
                 "events: {} ({} faults, {} retries, {} rollbacks)",
@@ -1111,8 +1109,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
                 log.count(|e| matches!(e, Event::FaultInjected { .. })),
                 log.count(|e| matches!(e, Event::RetryScheduled { .. })),
                 log.count(|e| matches!(e, Event::RolledBack { .. })),
-            )
-            .map_err(io)?;
+            )?;
             if let RolloutOutcome::Committed { healed: true, .. } = outcome {
                 for e in &log.events {
                     if let Event::RecoveryCompleted {
@@ -1122,17 +1119,18 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
                         writeln!(
                             out,
                             "recovery: {recovery_us} us, A_max {a_max_before} -> {a_max_after} B"
-                        )
-                        .map_err(io)?;
+                        )?;
                     }
                 }
             }
             if options.json {
-                writeln!(out, "{}", log.to_json()).map_err(io)?;
+                writeln!(out, "{}", log.to_json())?;
             }
         }
-        "migrate" => run_migrate(options, out, &tdg)?,
-        _ => unreachable!("validated in parse_args"),
+        Migrate => {
+            let (_, tdg) = workload(options)?;
+            run_migrate(options, out, &tdg)?;
+        }
     }
     Ok(())
 }
@@ -1162,19 +1160,21 @@ mod tests {
             "--json",
         ]))
         .unwrap();
-        assert_eq!(options.command, "deploy");
+        assert_eq!(options.command, Deploy);
         assert_eq!(options.files, vec!["a.p4dsl"]);
-        assert_eq!(options.topology, "wan:3");
-        assert_eq!(options.solver, "ffl");
-        assert_eq!(options.eps2, 4);
-        assert_eq!(options.time_limit_secs, 7);
+        assert_eq!(options.network, parse_topology("wan:3").unwrap());
+        assert_eq!(options.solver, Solver::named("ffl").unwrap());
+        assert_eq!(options.eps.max_switches, 4);
+        assert_eq!(options.time_limit, Duration::from_secs(7));
         assert!(options.json);
-        assert!(options.eps1.is_infinite());
+        assert!(options.eps.max_latency_us.is_infinite());
     }
 
     #[test]
     fn eps1_flag_rejects_nan_and_negatives_and_keeps_inf() {
-        let eps1 = |v: &str| parse_args(&args(&["deploy", "a.p4dsl", "--eps1", v])).map(|o| o.eps1);
+        let eps1 = |v: &str| {
+            parse_args(&args(&["deploy", "a.p4dsl", "--eps1", v])).map(|o| o.eps.max_latency_us)
+        };
         assert_eq!(eps1("12.5").unwrap(), 12.5);
         assert_eq!(eps1("0").unwrap(), 0.0);
         assert!(eps1("inf").unwrap().is_infinite());
@@ -1199,9 +1199,11 @@ mod tests {
 
     #[test]
     fn eps2_flag_rejects_zero_and_garbage() {
-        let eps2 = |v: &str| parse_args(&args(&["deploy", "a.p4dsl", "--eps2", v])).map(|o| o.eps2);
+        let eps2 = |v: &str| {
+            parse_args(&args(&["deploy", "a.p4dsl", "--eps2", v])).map(|o| o.eps.max_switches)
+        };
         assert_eq!(eps2("1").unwrap(), 1);
-        assert_eq!(parse_args(&args(&["deploy", "a.p4dsl"])).unwrap().eps2, usize::MAX);
+        assert_eq!(parse_args(&args(&["deploy", "a.p4dsl"])).unwrap().eps.max_switches, usize::MAX);
         for bad in ["0", "-1", "2.5", "many"] {
             let e = eps2(bad).unwrap_err();
             assert!(e.0.contains("--eps2 needs a positive number of switches"), "`{bad}`: {e}");
@@ -1218,11 +1220,13 @@ mod tests {
         let e = parse_args(&args(&["deploy", "a.p4dsl", "--threads", "lots"])).unwrap_err();
         assert!(e.0.contains("--threads needs a positive integer"), "{e}");
         assert!(parse_args(&args(&["deploy", "a.p4dsl", "--threads"])).is_err());
-    }
-
-    #[test]
-    fn help_documents_the_threads_flag() {
-        assert!(USAGE.contains("--threads N"), "usage must document --threads");
+        // The exact search sizes its frontier by the request: 8 roots a worker.
+        let most = MAX_THREADS.to_string();
+        assert!(parse_args(&args(&["deploy", "a.p4dsl", "--threads", &most])).is_ok());
+        for huge in [&(MAX_THREADS + 1).to_string(), "18446744073709551615"] {
+            let e = parse_args(&args(&["deploy", "a.p4dsl", "--threads", huge])).unwrap_err();
+            assert_eq!(e.0, "--threads is at most 1024");
+        }
     }
 
     #[test]
@@ -1231,7 +1235,7 @@ mod tests {
             let flag = format!("--{name}");
             let e = parse_args(&args(&["deploy", "a.p4dsl", &flag, value])).unwrap_err();
             assert!(e.0.contains(&format!("unknown flag `{flag}`")), "{e}");
-            assert!(e.0.contains(USAGE), "{e}");
+            assert!(e.0.contains(&usage()), "{e}");
         }
     }
 
@@ -1239,7 +1243,7 @@ mod tests {
     fn unknown_solver_is_rejected_at_parse_time_with_the_valid_set() {
         let e = parse_args(&args(&["deploy", "a.p4dsl", "--solver", "gurobi"])).unwrap_err();
         assert!(e.0.contains("unknown solver `gurobi`"), "{e}");
-        for name in SOLVER_NAMES {
+        for (name, _) in SOLVERS {
             assert!(e.0.contains(name), "error does not list `{name}`: {e}");
         }
     }
@@ -1247,13 +1251,16 @@ mod tests {
     #[test]
     fn target_flag_parses_and_retargets_the_network() {
         let options = parse_args(&args(&["deploy", "a.p4dsl", "--target", "smartnic"])).unwrap();
-        assert_eq!(options.target.as_deref(), Some("smartnic"));
-        let net = parse_network(&Options {
-            topology: "linear:3".to_owned(),
-            target: Some("mix:tofino+smartnic".to_owned()),
-            ..Options::default()
-        })
-        .unwrap();
+        assert_eq!(options.target, Some(parse_target("smartnic").unwrap()));
+        // `--target` applies to the final topology, whatever the flag order.
+        let net = |argv: &[&str]| parse_args(&args(argv)).unwrap().network;
+        let mix = ["--target", "mix:tofino+smartnic"];
+        let wide = ["--topology", "linear:3"];
+        let net = net(&[&["deploy", "a.p4dsl"][..], &mix, &wide].concat());
+        assert_eq!(
+            net,
+            parse_args(&args(&[&["deploy", "a.p4dsl"][..], &wide, &mix].concat())).unwrap().network
+        );
         let kinds: Vec<_> = net.switch_ids().map(|s| net.switch(s).target).collect();
         assert_eq!(
             kinds,
@@ -1324,13 +1331,165 @@ mod tests {
     }
 
     #[test]
+    fn topology_sizes_are_bounded_before_the_network_is_built() {
+        for (spec, switches) in
+            [("linear:1", 1), ("linear:4096", 4096), ("star:4095", 4096), ("fattree:56", 3920)]
+        {
+            assert_eq!(parse_topology(spec).unwrap().switch_count(), switches, "{spec}");
+        }
+        for spec in ["linear:0", "star:0", "waxman:0,0.4,0.4,1"] {
+            let want = format!("topology `{spec}` is empty: its size must be at least 1");
+            assert_eq!(parse_topology(spec).unwrap_err().0, want);
+        }
+        for (spec, max) in [
+            ("linear:4097", 4096),
+            ("star:4096", 4095),
+            ("fattree:58", 56),
+            ("waxman:4097,0.4,0.4,1", 4096),
+            ("linear:100000000", 4096),
+            ("star:18446744073709551615", 4095),
+        ] {
+            let want =
+                format!("topology `{spec}` exceeds 4096 switches: its size must be at most {max}");
+            assert_eq!(parse_topology(spec).unwrap_err().0, want);
+        }
+    }
+
+    /// A value `flag` takes on every command that reads it.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "--topology" => "linear:4",
+            "--target" => "soft",
+            "--solver" | "--from-solver" => "exact",
+            "--order" => "auto",
+            "--channel" => "lossy",
+            "--journal" => "j.hjl",
+            _ => "1",
+        }
+    }
+
+    /// `command` with the operands it needs, then `extra`.
+    fn invocation(command: Command, extra: &[&str]) -> Vec<String> {
+        let operands: &[&str] = match command {
+            Recover => &["--journal", "j.hjl"],
+            Targets => &[],
+            _ => &["a.p4dsl"],
+        };
+        args(&[&[command.name()], operands, extra].concat())
+    }
+
+    #[test]
+    fn every_flag_is_accepted_exactly_by_the_commands_the_table_lists() {
+        let text = usage();
+        for command in COMMANDS.map(|(command, ..)| command) {
+            // The synopsis: this command's line and its continuations.
+            let head = format!("  hermes {:<8}", command.name());
+            let synopsis: Vec<&str> = text
+                .lines()
+                .skip_while(|line| !line.starts_with(&head))
+                .enumerate()
+                .take_while(|&(i, line)| i == 0 || line.starts_with("                  "))
+                .flat_map(|(_, line)| line.split(['[', ']', ' ']))
+                .collect();
+            for flag in FLAGS {
+                let (name, readers) = flag.key();
+                let reads = readers.contains(&command);
+                assert_eq!(synopsis.contains(&name), reads, "{} {name}", command.name());
+                let mut extra = vec![name];
+                if let Value(..) = flag {
+                    extra.push(sample(name));
+                }
+                match parse_args(&invocation(command, &extra)) {
+                    Ok(_) => assert!(reads, "{} accepted {name}", command.name()),
+                    Err(e) => {
+                        let readers: Vec<&str> = readers.iter().map(|c| c.name()).collect();
+                        let want = format!(
+                            "`{name}` does not apply to `{}` (it applies to {})",
+                            command.name(),
+                            readers.join(", ")
+                        );
+                        assert!(!reads && e.0 == want, "{} {name}: {e}", command.name());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every value the model needs bounded is.
+    fn assert_bounded(options: &Options, what: &str) {
+        let net = &options.network;
+        assert!((1..=MAX_SWITCHES).contains(&net.switch_count()), "{what}");
+        for switch in net.switch_ids().map(|s| net.switch(s)) {
+            let capacity = switch.stage_capacity;
+            assert!(capacity.is_finite() && capacity > 0.0, "{what}");
+            assert!(switch.latency_us.is_finite() && switch.latency_us > 0.0, "{what}");
+        }
+        assert!(options.eps.max_latency_us >= 0.0 && options.eps.max_switches >= 1, "{what}");
+        assert!(options.channel.validate().is_ok(), "{what}");
+        assert!(options.threads.is_none_or(|t| t.get() <= MAX_THREADS), "{what}");
+    }
+
+    #[test]
+    fn every_valued_flag_parses_extremes_into_bounded_values_or_a_clean_error() {
+        // A million bytes of distinct switch indices, the longest `--order`.
+        let mut long = String::new();
+        for i in 0.. {
+            if long.len() >= 1_000_000 {
+                break;
+            }
+            long += &format!("{i},");
+        }
+        long.truncate(1_000_000);
+        let extremes = [
+            "",
+            "0",
+            "-1",
+            "NaN",
+            "inf",
+            "1e400",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1e30",
+            &long,
+        ];
+        for flag in FLAGS {
+            let Value(name, commands, ..) = *flag else { continue };
+            let templates: &[&str] = match name {
+                "--topology" => &[
+                    "{}",
+                    "linear:{}",
+                    "star:{}",
+                    "fattree:{}",
+                    "wan:{}",
+                    "waxman:{},0.5,0.5,1",
+                    "waxman:8,{},0.5,1",
+                ],
+                "--target" => &["{}", "smartnic:stages={}", "soft:cap={}", "tofino:latency={}"],
+                "--channel" => &["{}", "drop={}", "delay=0.5,span={}"],
+                "--order" => &["{}", "0,{}"],
+                _ => &["{}"],
+            };
+            for template in templates {
+                for value in extremes {
+                    let value = template.replace("{}", value);
+                    let what = format!("{name} {}", &value[..value.len().min(40)]);
+                    let argv = invocation(commands[0], &[name, &value]);
+                    if let Ok(options) = parse_args(&argv) {
+                        assert_bounded(&options, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn chaos_flags_parse() {
         let options =
             parse_args(&args(&["chaos", "a.p4dsl", "--seed", "42", "--topology", "linear:4"]))
                 .unwrap();
-        assert_eq!(options.command, "chaos");
+        assert_eq!(options.command, Chaos);
         assert_eq!(options.seed, 42);
-        assert_eq!(options.topology, "linear:4");
+        assert_eq!(options.network.switch_count(), 4);
         assert!(parse_args(&args(&["chaos", "a.p4dsl", "--seed", "banana"])).is_err());
         // Default seed is 0 when the flag is absent.
         assert_eq!(parse_args(&args(&["chaos", "a.p4dsl"])).unwrap().seed, 0);
@@ -1346,10 +1505,13 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.trials, Some(25));
-        assert_eq!(options.channel, "lossy");
+        assert_eq!(options.channel, ChannelProfile::lossy());
         assert!(parse_args(&args(&["chaos", "a.p4dsl", "--trials", "many"])).is_err());
         assert_eq!(parse_args(&args(&["chaos", "a.p4dsl"])).unwrap().trials, None);
-        assert_eq!(parse_args(&args(&["chaos", "a.p4dsl"])).unwrap().channel, "none");
+        assert_eq!(
+            parse_args(&args(&["chaos", "a.p4dsl"])).unwrap().channel,
+            ChannelProfile::none()
+        );
     }
 
     #[test]
@@ -1371,21 +1533,32 @@ mod tests {
         let e = parse_channel("drop=1.5").unwrap_err();
         assert_eq!(e.spec, "drop=1.5");
         assert!(e.to_string().contains("not a probability"), "{e}");
+        // `span` is a whole number of microseconds, never a cast float.
+        assert_eq!(parse_channel("span=18446744073709551615").unwrap().delay_span_us, u64::MAX);
+        for bad in ["1e30", "-5", "NaN", "inf", "2.5", "18446744073709551616"] {
+            let e = parse_channel(&format!("delay=1,span={bad}")).unwrap_err();
+            assert_eq!(
+                e.detail,
+                format!("knob `span` needs a whole number of microseconds, got `{bad}`")
+            );
+        }
     }
 
     #[test]
     fn solver_lookup() {
-        for name in SOLVER_NAMES {
-            assert!(solver(name, Duration::from_secs(1)).is_ok(), "{name}");
+        let names: Vec<&str> = SOLVERS.iter().map(|&(name, _)| name).collect();
+        for name in &names {
+            assert_eq!(Solver::named(&name.to_ascii_uppercase()), Solver::named(name));
+            assert!(solver_with_threads(name, Duration::from_secs(1), None).is_ok(), "{name}");
         }
         // Nothing outside the list resolves, an older spelling included.
         for retired in ["hermes", "optimal", "ilp", "min-stage", "flightplan", "gurobi"] {
-            let e = match solver(retired, Duration::from_secs(1)) {
+            let e = match solver_with_threads(retired, Duration::from_secs(1), None) {
                 Err(e) => e,
                 Ok(_) => panic!("`{retired}` accepted"),
             };
             assert_eq!(e.given, retired);
-            assert!(e.to_string().ends_with(&format!("(valid: {})", SOLVER_NAMES.join(", "))));
+            assert!(e.to_string().ends_with(&format!("(valid: {})", names.join(", "))));
         }
     }
 
@@ -1522,17 +1695,18 @@ mod tests {
             "9",
         ]))
         .unwrap();
-        assert_eq!(options.command, "migrate");
-        assert_eq!(options.from_solver, "ffl");
-        assert_eq!(options.solver, "greedy");
+        assert_eq!(options.command, Migrate);
+        assert_eq!(options.from_solver, Solver::named("ffl").unwrap());
+        assert_eq!(options.solver, Solver::named("greedy").unwrap());
         assert_eq!(options.exclude, Some(1));
-        assert_eq!(options.order, "2,0");
-        assert_eq!(options.channel, "lossy");
+        assert_eq!(options.order, OrderSpec::Explicit(vec![2, 0]));
+        assert_eq!(options.channel, ChannelProfile::lossy());
         assert_eq!(options.seed, 9);
         // Defaults.
         let options = parse_args(&args(&["migrate", "a.p4dsl"])).unwrap();
-        assert_eq!(options.from_solver, "ffl");
-        assert_eq!(options.order, "auto");
+        assert_eq!(options.from_solver, Solver::named("ffl").unwrap());
+        assert_eq!(options.solver, Solver::named("greedy").unwrap());
+        assert_eq!(options.order, OrderSpec::Auto);
         assert_eq!(options.exclude, None);
     }
 
@@ -1577,7 +1751,7 @@ mod tests {
     #[test]
     fn audit_flags_parse() {
         let options = parse_args(&args(&["audit", "--library", "--json"])).unwrap();
-        assert_eq!(options.command, "audit");
+        assert_eq!(options.command, Audit);
         assert!(options.library);
         assert!(options.json);
         assert!(options.files.is_empty());
@@ -1592,16 +1766,15 @@ mod tests {
         let options =
             parse_args(&args(&["audit", "--library", "--state-report", "--relax-state"])).unwrap();
         assert!(options.state_report);
-        assert!(options.relax_state);
+        assert_eq!(options.mode, AnalysisMode::RelaxedState);
         // Defaults are off.
         let options = parse_args(&args(&["audit", "--library"])).unwrap();
-        assert!(!options.state_report && !options.relax_state);
+        assert!(!options.state_report && options.mode == AnalysisMode::PaperLiteral);
         // --state-report is audit-only; --relax-state also drives deploy.
         let e = parse_args(&args(&["deploy", "a.p4dsl", "--state-report"])).unwrap_err();
-        assert!(e.0.contains("--state-report is an audit flag"), "{e}");
-        assert!(parse_args(&args(&["deploy", "a.p4dsl", "--relax-state"])).unwrap().relax_state);
-        assert!(USAGE.contains("--state-report"), "usage must document --state-report");
-        assert!(USAGE.contains("--relax-state"), "usage must document --relax-state");
+        assert_eq!(e.0, "`--state-report` does not apply to `deploy` (it applies to audit)");
+        let options = parse_args(&args(&["deploy", "a.p4dsl", "--relax-state"])).unwrap();
+        assert_eq!(options.mode, AnalysisMode::RelaxedState);
     }
 
     #[test]
@@ -1780,7 +1953,7 @@ mod tests {
     #[test]
     fn recover_flags_parse() {
         let options = parse_args(&args(&["recover", "--journal", "/tmp/x.hjl", "--json"])).unwrap();
-        assert_eq!(options.command, "recover");
+        assert_eq!(options.command, Recover);
         assert_eq!(options.journal.as_deref(), Some("/tmp/x.hjl"));
         assert!(options.json);
         // recover insists on a journal and refuses program files.

@@ -6,8 +6,8 @@
 //! latency formula; and generators for the evaluation topologies.
 //!
 //! - [`graph`] — [`Network`], [`Switch`], [`Link`].
-//! - [`paths`] — Dijkstra shortest paths, Yen's k-shortest paths
-//!   (materializing `P(u, v)`), nearest-programmable queries.
+//! - [`paths`] — Dijkstra shortest paths and nearest-programmable
+//!   queries.
 //! - [`topology`] — linear testbed, Table III WANs, fat-tree, star.
 //!
 //! # Quick start
