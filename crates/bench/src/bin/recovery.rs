@@ -71,7 +71,6 @@ struct AppendStats {
 fn bench_append(w: &Workload, records: u64) -> AppendStats {
     let mut journal = Journal::new();
     let switch = w.plan_a.occupied_switches().first().copied();
-    let artifacts = hermes_backend::config::generate(&w.tdg, &w.net, &w.plan_a);
     let start = Instant::now();
     for i in 0..records {
         let record = match (i % 16, switch) {
@@ -81,7 +80,6 @@ fn bench_append(w: &Workload, records: u64) -> AppendStats {
                 tdg_fp: 0,
                 plan_fp: 0,
                 plan: w.plan_a.clone(),
-                artifacts: artifacts.clone(),
                 clock_us: i,
             },
             (n, Some(s)) if n % 2 == 0 => JournalRecord::Prepared { epoch: i, switch: s },
@@ -112,8 +110,8 @@ struct ReplayPoint {
 fn bench_replay(w: &Workload, sizes: &[u64]) -> Result<Vec<ReplayPoint>, String> {
     let mut points = Vec::new();
     for &size in sizes {
-        // No compaction, so replay really walks `size` records.
-        let mut journal = Journal::with_compact_threshold(usize::MAX);
+        // No snapshot, so no compaction: replay really walks `size` records.
+        let mut journal = Journal::new();
         let switch = w.plan_a.occupied_switches().first().copied();
         for i in 0..size {
             match switch {

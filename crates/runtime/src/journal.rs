@@ -38,15 +38,27 @@
 //! with their own typed errors. Nothing on this path panics (enforced by
 //! the crate's `clippy.toml` unwrap/expect ban).
 //!
+//! # What is journaled
+//!
+//! Only what recovery cannot re-derive. A record that carries a plan
+//! carries its fingerprints with it, but never the per-switch configs:
+//! those are a pure function of the TDG and the plan
+//! ([`hermes_backend::generate`]), and recovery, which must be handed the
+//! TDG anyway, regenerates them for the one plan it restores.
+//!
 //! # Compaction
 //!
-//! Activation writes a [`JournalRecord::Snapshot`] carrying the full
-//! active deployment. Once the bytes *preceding* the latest snapshot
-//! exceed a threshold, the journal drops them: replay then starts from a
-//! self-contained snapshot instead of the beginning of time, bounding
-//! both journal size and recovery replay work.
+//! Every [`JournalRecord::Snapshot`] is a self-contained restart point, so
+//! appending one drops everything before it: the image is always the
+//! header, the latest snapshot and what followed it. One fact of the
+//! dropped history is kept: the highest epoch ever journaled. A snapshot
+//! can be older than the epochs before it (the out-of-band restore
+//! journals the *previous* deployment after an epoch was spent), and
+//! recovery's fresh epoch is `max(journaled) + 1`, so when the dropped
+//! records held a higher epoch than the snapshot, one
+//! [`JournalRecord::EpochAdvanced`] carrying it is written in front of the
+//! snapshot.
 
-use hermes_backend::DeploymentArtifacts;
 use hermes_core::DeploymentPlan;
 use hermes_net::SwitchId;
 use serde::{Deserialize, Serialize};
@@ -58,7 +70,9 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"HJL1";
 /// Version of the journal byte format (header + framing + record schema).
 ///
 /// History: 1 — original format (PR 7).
-pub const JOURNAL_FORMAT_VERSION: u16 = 1;
+/// 2 — `TxnBegun`, `Snapshot` and `MigrationBegun` carry no per-switch
+/// configs; every snapshot compacts.
+pub const JOURNAL_FORMAT_VERSION: u16 = 2;
 
 /// Per-frame magic, chosen to be invalid UTF-8 so it cannot collide with
 /// JSON payload bytes.
@@ -105,8 +119,8 @@ fn crc32(bytes: &[u8]) -> u32 {
 pub enum CrashPoint {
     /// Advancing the controller epoch counter.
     EpochAdvance,
-    /// Recording a transaction's intent (plan + artifacts) before the
-    /// first prepare.
+    /// Recording a transaction's intent (the plan) before the first
+    /// prepare.
     TxnBegin,
     /// Recording one switch's prepare acknowledgement.
     Prepare,
@@ -191,9 +205,10 @@ impl fmt::Display for TxnKind {
 }
 
 /// One durable state transition. Records carry everything recovery needs
-/// to rebuild intent without the controller's memory: transaction records
-/// embed the full serialized plan and per-switch artifacts, snapshots
-/// embed the whole active deployment.
+/// to rebuild intent without the controller's memory and nothing it can
+/// re-derive: transaction, migration and snapshot records embed the plan
+/// and its fingerprints, and recovery regenerates the per-switch configs
+/// from the plan and the TDG.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JournalRecord {
     /// The controller is about to start using `epoch` (write-ahead: the
@@ -214,8 +229,6 @@ pub enum JournalRecord {
         plan_fp: u64,
         /// The target plan.
         plan: DeploymentPlan,
-        /// The compiled per-switch configs.
-        artifacts: DeploymentArtifacts,
     },
     /// One switch acknowledged its prepare.
     Prepared {
@@ -265,7 +278,7 @@ pub enum JournalRecord {
         reason: String,
     },
     /// The active deployment after an activation — a self-contained
-    /// restart point (compaction drops everything before the latest one).
+    /// restart point (appending one drops everything before it).
     Snapshot {
         /// The active epoch.
         epoch: u64,
@@ -275,8 +288,6 @@ pub enum JournalRecord {
         plan_fp: u64,
         /// The active plan.
         plan: DeploymentPlan,
-        /// The active per-switch configs.
-        artifacts: DeploymentArtifacts,
         /// Virtual time of the activation.
         clock_us: u64,
     },
@@ -296,8 +307,6 @@ pub enum JournalRecord {
         plan_fp: u64,
         /// The target plan.
         plan: DeploymentPlan,
-        /// The target per-switch configs.
-        artifacts: DeploymentArtifacts,
         /// The scheduled commit order.
         order: Vec<SwitchId>,
     },
@@ -546,9 +555,25 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, JournalError> {
     Ok(Replay { records, discarded_tail_bytes: 0 })
 }
 
-/// Default compaction threshold: once more than this many bytes precede
-/// the latest snapshot, they are dropped.
-pub const DEFAULT_COMPACT_THRESHOLD: usize = 64 * 1024;
+/// Appends `record` to `buf` as one frame, written in place: the frame
+/// header is reserved, the payload streamed behind it, then its length and
+/// CRC filled in. `false` (and `buf` unchanged) if the record failed to
+/// serialize.
+fn write_frame(buf: &mut Vec<u8>, record: &JournalRecord) -> bool {
+    let frame_off = buf.len();
+    let payload_off = frame_off + FRAME_HEADER_LEN;
+    buf.extend_from_slice(&FRAME_MAGIC);
+    buf.resize(payload_off, 0);
+    if serde_json::to_writer(&mut *buf, record).is_err() {
+        buf.truncate(frame_off);
+        return false;
+    }
+    let payload = &buf[payload_off..];
+    let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
+    buf[frame_off + 2..frame_off + 6].copy_from_slice(&len);
+    buf[frame_off + 6..payload_off].copy_from_slice(&crc);
+    true
+}
 
 /// The in-memory journal image the runtime appends to. `bytes()` is the
 /// durable representation — what a resident server would fsync and what
@@ -560,7 +585,9 @@ pub struct Journal {
     appends: u64,
     compactions: u64,
     encode_failures: u64,
-    compact_threshold: usize,
+    /// The highest epoch any appended record carried, compacted ones
+    /// included.
+    max_epoch: u64,
 }
 
 impl Default for Journal {
@@ -570,61 +597,44 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// An empty journal (header only) with the default compaction
-    /// threshold.
+    /// An empty journal (header only).
     pub fn new() -> Self {
-        Journal::with_compact_threshold(DEFAULT_COMPACT_THRESHOLD)
-    }
-
-    /// An empty journal that compacts once more than `threshold` bytes
-    /// precede the latest snapshot.
-    pub fn with_compact_threshold(threshold: usize) -> Self {
         let mut bytes = Vec::with_capacity(HEADER_LEN);
         bytes.extend_from_slice(&JOURNAL_MAGIC);
         bytes.extend_from_slice(&JOURNAL_FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&[0, 0]);
-        Journal {
-            bytes,
-            records: 0,
-            appends: 0,
-            compactions: 0,
-            encode_failures: 0,
-            compact_threshold: threshold,
-        }
+        Journal { bytes, records: 0, appends: 0, compactions: 0, encode_failures: 0, max_epoch: 0 }
     }
 
-    /// Appends one record. The frame is written in place: its header is
-    /// reserved, the payload streamed behind it, then its length and CRC
-    /// filled in. A [`JournalRecord::Snapshot`] additionally triggers
-    /// compaction when enough history precedes it.
+    /// Appends one record as a frame streamed into the image. A
+    /// [`JournalRecord::Snapshot`] then compacts: everything before it is
+    /// dropped, except an [`JournalRecord::EpochAdvanced`] for the highest
+    /// epoch journaled if that is above the snapshot's (see the module
+    /// docs).
     pub fn append(&mut self, record: &JournalRecord) {
         let frame_off = self.bytes.len();
-        let payload_off = frame_off + FRAME_HEADER_LEN;
-        self.bytes.extend_from_slice(&FRAME_MAGIC);
-        self.bytes.resize(payload_off, 0);
-        if serde_json::to_writer(&mut self.bytes, record).is_err() {
+        if !write_frame(&mut self.bytes, record) {
             // Derived serialization of journal records cannot fail; if it
             // somehow does, dropping the record (and counting it) beats
             // writing a frame that will never decode.
-            self.bytes.truncate(frame_off);
             self.encode_failures += 1;
             return;
         }
-        let payload = &self.bytes[payload_off..];
-        let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
-        self.bytes[frame_off + 2..frame_off + 6].copy_from_slice(&len);
-        self.bytes[frame_off + 6..payload_off].copy_from_slice(&crc);
         self.records += 1;
         self.appends += 1;
-        if matches!(record, JournalRecord::Snapshot { .. })
-            && frame_off - HEADER_LEN > self.compact_threshold
-        {
-            // Drop everything between the header and this snapshot frame:
-            // the snapshot is a self-contained restart point.
-            self.bytes.drain(HEADER_LEN..frame_off);
-            self.records = 1;
+        let epoch = record.epoch();
+        if matches!(record, JournalRecord::Snapshot { .. }) && frame_off > HEADER_LEN {
+            let mut kept = Vec::new();
+            if self.max_epoch > epoch {
+                write_frame(&mut kept, &JournalRecord::EpochAdvanced { epoch: self.max_epoch });
+            }
+            self.records = 1 + usize::from(!kept.is_empty());
+            // One move of the snapshot frame down to the header (and the
+            // epoch frame, if any).
+            self.bytes.splice(HEADER_LEN..frame_off, kept);
             self.compactions += 1;
         }
+        self.max_epoch = self.max_epoch.max(epoch);
     }
 
     /// The durable byte image (header + frames).
@@ -678,10 +688,6 @@ mod tests {
             tdg_fp: 11,
             plan_fp: 22,
             plan: DeploymentPlan::new(),
-            artifacts: DeploymentArtifacts {
-                switches: std::collections::BTreeMap::new(),
-                routes: Vec::new(),
-            },
             clock_us: 5,
         }
     }
@@ -696,10 +702,10 @@ mod tests {
     fn append_replay_round_trips_in_order() {
         let mut j = Journal::new();
         let records = vec![
-            record(1),
-            JournalRecord::TxnAborted { epoch: 1, reason: "no".into() },
-            JournalRecord::CommitDecided { epoch: 2, order: vec![] },
-            snapshot(2),
+            snapshot(1),
+            record(2),
+            JournalRecord::TxnAborted { epoch: 2, reason: "no".into() },
+            JournalRecord::CommitDecided { epoch: 3, order: vec![] },
         ];
         for r in &records {
             j.append(r);
@@ -777,8 +783,18 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_journal_is_refused() {
+        let mut v1 = Journal::new().bytes().to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            replay_bytes(&v1),
+            Err(JournalError::UnsupportedVersion { found: 1, supported: 2 })
+        );
+    }
+
+    #[test]
     fn snapshot_compaction_drops_history_and_keeps_replayability() {
-        let mut j = Journal::with_compact_threshold(256);
+        let mut j = Journal::new();
         for epoch in 1..=40 {
             j.append(&record(epoch));
         }
@@ -800,6 +816,35 @@ mod tests {
             Err(e) => panic!("{e}"),
         };
         assert_eq!(replay.records.len(), 2);
+    }
+
+    /// The epochs of the replayed image, in order.
+    fn epochs(j: &Journal) -> Vec<u64> {
+        match j.replay() {
+            Ok(r) => r.records.iter().map(JournalRecord::epoch).collect(),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_the_highest_epoch_journaled() {
+        // An out-of-band restore journals a snapshot older than the epochs
+        // spent before it: the compacted image must still know them.
+        let mut j = Journal::new();
+        for epoch in 1..=3_000 {
+            j.append(&record(epoch));
+        }
+        j.append(&snapshot(10));
+        assert_eq!(epochs(&j), vec![3_000, 10]);
+        assert_eq!(j.record_count(), 2);
+        // The next snapshot rewrites the one epoch frame, never stacks it.
+        j.append(&snapshot(11));
+        assert_eq!(epochs(&j), vec![3_000, 11]);
+        // A snapshot at or above the highest epoch needs none.
+        j.append(&record(3_001));
+        j.append(&snapshot(3_001));
+        assert_eq!(epochs(&j), vec![3_001]);
+        assert_eq!(j.record_count(), 1);
     }
 
     #[test]

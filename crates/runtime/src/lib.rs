@@ -49,7 +49,9 @@
 //!   controller state transition (epoch advance, prepare, commit
 //!   decision, lease grant, migration step, snapshot) is recorded as a
 //!   length-framed, CRC-checked record *before* the transition takes
-//!   effect, with snapshot compaction bounding replay cost. A torn tail
+//!   effect. Records hold plans, never the per-switch configs recovery can
+//!   regenerate from them, and every snapshot compacts the image to itself
+//!   and what follows (keeping the highest epoch). A torn tail
 //!   is discarded silently; mid-log corruption is a typed
 //!   [`JournalError`], never a panic.
 //! - [`recovery`] — restart-time replay and reconciliation:

@@ -291,7 +291,6 @@ impl DeploymentRuntime {
             tdg_fp: fp.tdg,
             plan_fp: fp.plan,
             plan: target.clone(),
-            artifacts: artifacts.clone(),
             order: order.clone(),
         })?;
 

@@ -30,9 +30,10 @@
 //!    transaction whose commit decision was durable rolls *forward* (the
 //!    decision is the point of no return — some agent may already serve
 //!    it); one without rolls *back* to the snapshot; a migration rolls
-//!    forward only if every step checkpointed. The chosen plan is
-//!    reinstalled switch by switch under the fresh epoch through the
-//!    commit engine's per-switch step; a switch that refuses is
+//!    forward only if every step checkpointed. The journal holds no
+//!    per-switch configs: they are regenerated from the chosen plan and
+//!    the TDG, and reinstalled switch by switch under the fresh epoch
+//!    through the commit engine's per-switch step; a switch that refuses is
 //!    force-activated out of band, and past the abort threshold (three
 //!    failures, the migration's threshold) the surgical path is abandoned
 //!    for a full out-of-band restore.
@@ -40,19 +41,21 @@
 //! Recovery assumes the single-fault model: crash injection is disarmed
 //! on entry, and recovery's own journal writes bypass the injector, so a
 //! recovering controller cannot crash again mid-repair. Nothing on this
-//! path panics — corrupt journals surface as [`RecoveryError::Journal`]
-//! and a foreign journal as [`RecoveryError::TdgFingerprintMismatch`]
-//! (enforced by the crate's `clippy.toml` unwrap/expect ban).
+//! path panics — corrupt journals surface as [`RecoveryError::Journal`],
+//! a foreign journal as [`RecoveryError::TdgFingerprintMismatch`] and a
+//! plan placed outside the TDG or the network as
+//! [`RecoveryError::PlacementOutOfRange`] (enforced by the crate's
+//! `clippy.toml` unwrap/expect ban).
 
 use crate::agent::{AgentError, Reply, Request};
 use crate::event::{Event, MessageKind};
 use crate::journal::{JournalError, JournalRecord, Replay, TxnKind};
 use crate::runtime::DeploymentRuntime;
 use crate::txn::{ActiveDeployment, Fingerprints, ABORT_THRESHOLD, LEASE_US, MAX_ATTEMPTS};
-use hermes_backend::DeploymentArtifacts;
+use hermes_backend::generate;
 use hermes_core::{verify, DeploymentPlan};
 use hermes_net::SwitchId;
-use hermes_tdg::Tdg;
+use hermes_tdg::{NodeId, Tdg};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -107,8 +110,6 @@ pub struct SnapshotState {
     pub plan_fp: u64,
     /// The snapshotted plan.
     pub plan: DeploymentPlan,
-    /// The snapshotted per-switch configs.
-    pub artifacts: DeploymentArtifacts,
     /// Virtual time of the activation.
     pub clock_us: u64,
 }
@@ -128,8 +129,6 @@ pub enum InFlight {
         plan_fp: u64,
         /// The target plan.
         plan: DeploymentPlan,
-        /// The compiled per-switch configs.
-        artifacts: DeploymentArtifacts,
         /// Switches whose prepare ack was journaled.
         prepared: Vec<SwitchId>,
         /// The journaled commit order — `Some` iff the point of no
@@ -154,8 +153,6 @@ pub enum InFlight {
         plan_fp: u64,
         /// The target plan (plan B).
         plan: DeploymentPlan,
-        /// The target per-switch configs.
-        artifacts: DeploymentArtifacts,
         /// The scheduled commit order.
         order: Vec<SwitchId>,
         /// Switches whose step checkpoint was journaled.
@@ -213,6 +210,12 @@ impl InFlight {
             InFlight::Txn { tdg_fp, .. } | InFlight::Migration { tdg_fp, .. } => *tdg_fp,
         }
     }
+
+    fn plan(&self) -> &DeploymentPlan {
+        match self {
+            InFlight::Txn { plan, .. } | InFlight::Migration { plan, .. } => plan,
+        }
+    }
 }
 
 /// Everything a journal replay says about where the controller was when
@@ -252,14 +255,13 @@ impl RecoveredIntent {
         for record in &replay.records {
             intent.max_epoch = intent.max_epoch.max(record.epoch());
             match record {
-                JournalRecord::TxnBegun { epoch, kind, tdg_fp, plan_fp, plan, artifacts } => {
+                JournalRecord::TxnBegun { epoch, kind, tdg_fp, plan_fp, plan } => {
                     intent.in_flight = Some(InFlight::Txn {
                         epoch: *epoch,
                         kind: *kind,
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
                         plan: plan.clone(),
-                        artifacts: artifacts.clone(),
                         prepared: Vec::new(),
                         commit_order: None,
                         commit_acked: Vec::new(),
@@ -267,7 +269,7 @@ impl RecoveredIntent {
                         aborted: false,
                     });
                 }
-                JournalRecord::Snapshot { epoch, tdg_fp, plan_fp, plan, artifacts, clock_us } => {
+                JournalRecord::Snapshot { epoch, tdg_fp, plan_fp, plan, clock_us } => {
                     // An activation snapshot concludes whatever was in
                     // flight: the controller reached a consistent state.
                     intent.snapshot = Some(SnapshotState {
@@ -275,7 +277,6 @@ impl RecoveredIntent {
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
                         plan: plan.clone(),
-                        artifacts: artifacts.clone(),
                         clock_us: *clock_us,
                     });
                     intent.in_flight = None;
@@ -286,20 +287,12 @@ impl RecoveredIntent {
                     intent.in_flight = None;
                     intent.cleared = true;
                 }
-                JournalRecord::MigrationBegun {
-                    epoch,
-                    tdg_fp,
-                    plan_fp,
-                    plan,
-                    artifacts,
-                    order,
-                } => {
+                JournalRecord::MigrationBegun { epoch, tdg_fp, plan_fp, plan, order } => {
                     intent.in_flight = Some(InFlight::Migration {
                         epoch: *epoch,
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
                         plan: plan.clone(),
-                        artifacts: artifacts.clone(),
                         order: order.clone(),
                         steps_committed: Vec::new(),
                         rolled_back: false,
@@ -372,6 +365,15 @@ pub enum RecoveryError {
         /// Fingerprint the journal records carry.
         found: u64,
     },
+    /// A journaled plan places a MAT on a node the TDG does not have or on
+    /// a switch the network does not have: its configs cannot be
+    /// regenerated, and no agent could be told to serve it.
+    PlacementOutOfRange {
+        /// The placed node.
+        node: NodeId,
+        /// The hosting switch.
+        switch: SwitchId,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -383,6 +385,11 @@ impl fmt::Display for RecoveryError {
                 "journal records a different workload: tdg fingerprint {found:#018x}, expected \
                  {expected:#018x}"
             ),
+            RecoveryError::PlacementOutOfRange { node, switch } => write!(
+                f,
+                "journaled plan places node {node} on switch {switch}, outside the TDG or the \
+                 network"
+            ),
         }
     }
 }
@@ -391,7 +398,8 @@ impl std::error::Error for RecoveryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RecoveryError::Journal(e) => Some(e),
-            RecoveryError::TdgFingerprintMismatch { .. } => None,
+            RecoveryError::TdgFingerprintMismatch { .. }
+            | RecoveryError::PlacementOutOfRange { .. } => None,
         }
     }
 }
@@ -433,9 +441,11 @@ impl DeploymentRuntime {
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::Journal`] when the journal cannot replay, and
+    /// [`RecoveryError::Journal`] when the journal cannot replay,
     /// [`RecoveryError::TdgFingerprintMismatch`] when it describes a
-    /// different workload than `tdg`. In both cases nothing was changed.
+    /// different workload than `tdg`, and
+    /// [`RecoveryError::PlacementOutOfRange`] when a plan it holds places a
+    /// MAT outside `tdg` or the network. In every case nothing was changed.
     pub fn recover(&mut self, tdg: &Tdg) -> Result<RecoveryReport, RecoveryError> {
         // Replay before touching anything: a corrupt journal must leave
         // the runtime exactly as it was.
@@ -444,6 +454,20 @@ impl DeploymentRuntime {
         let expected = hermes_core::tdg_fingerprint(tdg);
         if let Some(found) = intent.tdg_fp().filter(|&fp| fp != expected) {
             return Err(RecoveryError::TdgFingerprintMismatch { expected, found });
+        }
+        // Configs are regenerated from whichever plan is restored, which
+        // indexes the TDG and the network by its placements.
+        let bad = intent
+            .snapshot
+            .iter()
+            .map(|s| &s.plan)
+            .chain(intent.in_flight.iter().map(InFlight::plan))
+            .flat_map(DeploymentPlan::placements)
+            .find(|p| {
+                p.node.index() >= tdg.node_count() || p.switch.index() >= self.net.switch_count()
+            });
+        if let Some(p) = bad {
+            return Err(RecoveryError::PlacementOutOfRange { node: p.node, switch: p.switch });
         }
 
         let start_us = self.clock_us;
@@ -487,37 +511,38 @@ impl DeploymentRuntime {
         // post-crash network (a switch may have died with the controller).
         let mut action = intent.planned_action();
         let forward = match (&action, &intent.in_flight) {
-            (RecoveryAction::ResumeCommit, Some(InFlight::Txn { plan, artifacts, .. }))
-            | (
-                RecoveryAction::CompleteMigration,
-                Some(InFlight::Migration { plan, artifacts, .. }),
-            ) => Some((plan.clone(), artifacts.clone())),
+            (RecoveryAction::ResumeCommit, Some(InFlight::Txn { plan, .. }))
+            | (RecoveryAction::CompleteMigration, Some(InFlight::Migration { plan, .. })) => {
+                Some(plan)
+            }
             _ => None,
         };
         let chosen = match forward {
-            Some((plan, artifacts)) if verify(tdg, &self.net, &plan, &self.eps).is_empty() => {
-                Some((plan, artifacts))
-            }
+            Some(plan) if verify(tdg, &self.net, plan, &self.eps).is_empty() => Some(plan),
             Some(_) => {
                 action = match action {
                     RecoveryAction::CompleteMigration => RecoveryAction::RollBackMigration,
                     _ => RecoveryAction::RollBackTxn,
                 };
-                intent.snapshot.as_ref().map(|s| (s.plan.clone(), s.artifacts.clone()))
+                intent.snapshot.as_ref().map(|s| &s.plan)
             }
             None => match action {
                 RecoveryAction::Cleared => None,
-                _ => intent.snapshot.as_ref().map(|s| (s.plan.clone(), s.artifacts.clone())),
+                _ => intent.snapshot.as_ref().map(|s| &s.plan),
             },
         };
 
         let (reinstalled, forced) = match chosen {
-            Some((plan, artifacts)) => {
+            Some(plan) => {
+                // The journal holds plans, not configs: they are derived
+                // from the plan and the TDG, as the controller derived them
+                // before the crash.
+                let artifacts = generate(tdg, &self.net, plan);
                 let fp = Fingerprints { tdg: expected, plan: plan.fingerprint() };
                 self.reinstall(ActiveDeployment {
                     epoch: fresh,
                     tdg: tdg.clone(),
-                    plan,
+                    plan: plan.clone(),
                     artifacts,
                     fp,
                 })
@@ -663,7 +688,9 @@ mod tests {
     use crate::fault::{FaultInjector, FaultProfile};
     use crate::journal::{CrashPoint, CrashTiming, Journal};
     use crate::runtime::{RetryPolicy, RolloutOutcome};
-    use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{
+        DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer, StagePlacement,
+    };
     use hermes_dataplane::library;
     use hermes_net::{topology, Network};
 
@@ -688,15 +715,12 @@ mod tests {
         let mut j = Journal::new();
         j.append(&JournalRecord::EpochAdvanced { epoch: 1 });
         let (_, _, plan) = workload();
-        let artifacts =
-            DeploymentArtifacts { switches: std::collections::BTreeMap::new(), routes: Vec::new() };
         j.append(&JournalRecord::TxnBegun {
             epoch: 1,
             kind: TxnKind::Deploy,
             tdg_fp: 7,
             plan_fp: 8,
             plan: plan.clone(),
-            artifacts: artifacts.clone(),
         });
         let intent = RecoveredIntent::from_replay(&j.replay().unwrap());
         assert_eq!(intent.planned_action(), RecoveryAction::RollBackTxn);
@@ -711,14 +735,7 @@ mod tests {
         let intent = RecoveredIntent::from_replay(&j.replay().unwrap());
         assert_eq!(intent.planned_action(), RecoveryAction::RollBackTxn);
 
-        j.append(&JournalRecord::Snapshot {
-            epoch: 1,
-            tdg_fp: 7,
-            plan_fp: 8,
-            plan,
-            artifacts,
-            clock_us: 0,
-        });
+        j.append(&JournalRecord::Snapshot { epoch: 1, tdg_fp: 7, plan_fp: 8, plan, clock_us: 0 });
         let intent = RecoveredIntent::from_replay(&j.replay().unwrap());
         assert_eq!(intent.planned_action(), RecoveryAction::AffirmSnapshot);
         assert!(intent.in_flight.is_none());
@@ -727,8 +744,6 @@ mod tests {
     #[test]
     fn intent_folding_tracks_migrations_and_cleared_state() {
         let (_, _, plan) = workload();
-        let artifacts =
-            DeploymentArtifacts { switches: std::collections::BTreeMap::new(), routes: Vec::new() };
         let mut j = Journal::new();
         assert_eq!(
             RecoveredIntent::from_replay(&j.replay().unwrap()).planned_action(),
@@ -739,7 +754,6 @@ mod tests {
             tdg_fp: 7,
             plan_fp: 9,
             plan: plan.clone(),
-            artifacts,
             order: vec![],
         });
         let intent = RecoveredIntent::from_replay(&j.replay().unwrap());
@@ -852,6 +866,85 @@ mod tests {
             }
             other => panic!("foreign workload must be refused, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_plan_placed_outside_the_tdg_or_the_network_is_refused_untouched() {
+        let (tdg, net, plan) = workload();
+        let fp = Fingerprints::of(&tdg, &plan);
+        let first = plan.placements()[0].clone();
+        let node: NodeId = serde_json::from_str(&tdg.node_count().to_string()).unwrap();
+        let switch: SwitchId = serde_json::from_str(&net.switch_count().to_string()).unwrap();
+        for (node, switch) in [(node, first.switch), (first.node, switch)] {
+            let mut bad = plan.clone();
+            bad.place(StagePlacement { node, switch, ..first.clone() });
+            let snapshot = vec![JournalRecord::Snapshot {
+                epoch: 1,
+                tdg_fp: fp.tdg,
+                plan_fp: bad.fingerprint(),
+                plan: bad.clone(),
+                clock_us: 0,
+            }];
+            let resumable = vec![
+                JournalRecord::TxnBegun {
+                    epoch: 1,
+                    kind: TxnKind::Deploy,
+                    tdg_fp: fp.tdg,
+                    plan_fp: bad.fingerprint(),
+                    plan: bad.clone(),
+                },
+                JournalRecord::CommitDecided { epoch: 1, order: vec![] },
+            ];
+            for records in [snapshot, resumable] {
+                let mut rt = runtime(net.clone());
+                for record in &records {
+                    rt.journal.append(record);
+                }
+                let before = format!("{rt:?}");
+                assert_eq!(
+                    rt.recover(&tdg),
+                    Err(RecoveryError::PlacementOutOfRange { node, switch })
+                );
+                assert_eq!(format!("{rt:?}"), before, "a refused recovery changes nothing");
+            }
+        }
+    }
+
+    /// The highest epoch any agent has staged, fenced, served or answered
+    /// a request of.
+    fn highest_epoch_seen(rt: &DeploymentRuntime) -> u64 {
+        let cached = |a: &crate::agent::SwitchAgent| {
+            (0..=rt.epoch).filter(|&e| (0..=rt.seq).any(|s| a.has_seen(e, s))).max()
+        };
+        rt.agents()
+            .flat_map(|a| [a.active_epoch(), a.staged_epoch(), Some(a.fenced_epoch()), cached(a)])
+            .flatten()
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn recovery_after_a_forced_restore_uses_an_epoch_no_agent_has_seen() {
+        let (tdg, net, plan) = workload();
+        let post_commit = FaultProfile { post_commit_crash_prob: 1.0, ..FaultProfile::none() };
+        // A re-rollout whose heal fails restores the first deployment out
+        // of band: a snapshot older than the epochs spent before it.
+        let mut rt = (0..50u64)
+            .find_map(|seed| {
+                let mut rt = runtime(net.clone());
+                assert!(rt.rollout(&tdg, plan.clone()).is_committed());
+                rt.set_injector(FaultInjector::new(seed, post_commit));
+                let outcome = rt.rollout(&tdg, plan.clone());
+                matches!(outcome, RolloutOutcome::RolledBack { .. }).then_some(rt)
+            })
+            .expect("some seed's heal fails");
+        assert_eq!(rt.active_epoch(), Some(1), "the first deployment was restored");
+        assert!(rt.epoch > 2, "the failed heal spent an epoch after the restored one");
+        rt.injector_mut().arm_controller_crash_at(0, CrashTiming::BeforeWrite);
+        assert!(matches!(rt.rollout(&tdg, plan), RolloutOutcome::ControllerCrashed { .. }));
+        let seen = highest_epoch_seen(&rt);
+        let report = rt.recover(&tdg).expect("recovery succeeds");
+        assert!(report.epoch > seen, "recovery epoch {} reuses epoch {seen}", report.epoch);
     }
 
     #[test]

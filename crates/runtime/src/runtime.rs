@@ -357,7 +357,6 @@ impl DeploymentRuntime {
             tdg_fp: fp.tdg,
             plan_fp: fp.plan,
             plan: plan.clone(),
-            artifacts: artifacts.clone(),
         })?;
         let dead = match self.install_transaction(tdg, &plan, &artifacts, epoch, true) {
             Err(TxnFailure::Crashed(crash)) => return Err(crash),
@@ -458,7 +457,6 @@ impl DeploymentRuntime {
                 tdg_fp: fp.tdg,
                 plan_fp: fp.plan,
                 plan: outcome.plan.clone(),
-                artifacts: artifacts.clone(),
             })?;
             match self.install_transaction(&active.tdg, &outcome.plan, &artifacts, epoch, false) {
                 Err(TxnFailure::Crashed(crash)) => return Err(crash),
@@ -898,25 +896,40 @@ mod tests {
     fn fault_free_rollout_journals_a_replayable_clean_history() {
         use crate::journal::JournalRecord;
         let (tdg, net, plan) = workload();
-        let mut rt = DeploymentRuntime::new(
-            net,
-            Epsilon::loose(),
-            FaultInjector::disabled(),
-            RetryPolicy::default(),
-        );
+        let fresh = || {
+            DeploymentRuntime::new(
+                net.clone(),
+                Epsilon::loose(),
+                FaultInjector::disabled(),
+                RetryPolicy::default(),
+            )
+        };
+        let mut rt = fresh();
         assert!(rt.rollout(&tdg, plan.clone()).is_committed());
         let replay = rt.journal().replay().expect("clean journal must replay");
         assert_eq!(replay.discarded_tail_bytes, 0);
+        // The activation snapshot compacts the transaction's history away.
+        assert!(matches!(replay.records[..], [JournalRecord::Snapshot { epoch: 1, .. }]));
+        // A crash just before the snapshot lands leaves that history.
+        let snapshot_boundary = rt.injector().journal_writes() - 1;
+        let mut rt = fresh();
+        rt.injector_mut().arm_controller_crash_at(snapshot_boundary, CrashTiming::BeforeWrite);
+        let outcome = rt.rollout(&tdg, plan.clone());
+        assert_eq!(
+            outcome,
+            RolloutOutcome::ControllerCrashed { epoch: 1, point: CrashPoint::Snapshot }
+        );
+        let replay = rt.journal().replay().expect("clean journal must replay");
         // Write-ahead order: epoch advance, txn begin, one Prepared +
         // CommitAcked + LeaseGranted per switch, commit decision before
-        // any ack, then TxnCommitted and the activation snapshot.
+        // any ack, then TxnCommitted.
         let kinds: Vec<CrashPoint> =
             replay.records.iter().map(JournalRecord::crash_point).collect();
         assert_eq!(kinds[0], CrashPoint::EpochAdvance);
         assert_eq!(kinds[1], CrashPoint::TxnBegin);
         let pos = |p: CrashPoint| kinds.iter().position(|&k| k == p).unwrap();
         assert!(pos(CrashPoint::CommitDecision) < pos(CrashPoint::CommitAck));
-        assert!(pos(CrashPoint::TxnCommit) < pos(CrashPoint::Snapshot));
+        assert_eq!(kinds.last(), Some(&CrashPoint::TxnCommit));
         let n = plan.occupied_switch_count();
         assert_eq!(kinds.iter().filter(|&&k| k == CrashPoint::Prepare).count(), n);
         assert_eq!(kinds.iter().filter(|&&k| k == CrashPoint::CommitAck).count(), n);

@@ -92,6 +92,9 @@ pub(crate) struct ActiveDeployment {
     pub(crate) epoch: u64,
     pub(crate) tdg: Tdg,
     pub(crate) plan: DeploymentPlan,
+    /// The per-switch configs `plan` compiles to. Kept in memory for the
+    /// mixed-epoch gate, migration undo and the fleet restore; never
+    /// journaled (recovery regenerates them).
     pub(crate) artifacts: DeploymentArtifacts,
     /// Fingerprints of `tdg` and `plan`.
     pub(crate) fp: Fingerprints,
@@ -106,7 +109,6 @@ impl ActiveDeployment {
             tdg_fp: self.fp.tdg,
             plan_fp: self.fp.plan,
             plan: self.plan.clone(),
-            artifacts: self.artifacts.clone(),
             clock_us,
         }
     }
@@ -487,7 +489,7 @@ impl DeploymentRuntime {
     ) -> Result<Option<ActiveDeployment>, ControllerCrash> {
         // Activation snapshots are the journal's compaction points: a
         // self-contained restart state that makes everything before them
-        // replay-irrelevant.
+        // replay-irrelevant (the journal keeps only the highest epoch).
         self.journal_note(deployment.snapshot(self.clock_us))?;
         self.log.push(Event::Activated {
             epoch: deployment.epoch,

@@ -13,6 +13,7 @@
 //! version, so any wire or schema change lands with a reviewed update of
 //! `tests/fixtures/journal_golden.txt`.
 
+use hermes::backend::generate;
 use hermes::core::test_support::chain_tdg;
 use hermes::core::{
     fnv1a64, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
@@ -237,13 +238,40 @@ impl Paths {
     }
 
     /// One line: the outcome, the journal's and the event log's digests.
-    fn record(&mut self, path: RuntimePath, scenario: &str, outcome: &str, rt: &DeploymentRuntime) {
+    /// `tdg` and `healthy` (the network before any fault) are what the
+    /// scenario's plans were built for.
+    fn record(
+        &mut self,
+        path: RuntimePath,
+        scenario: &str,
+        outcome: &str,
+        rt: &DeploymentRuntime,
+        tdg: &Tdg,
+        healthy: &Network,
+    ) {
         let (log, journal) = (rt.log(), rt.journal().bytes());
         self.dump += &format!(
             "[{scenario}] {outcome}; {}; {}\n",
             digest_line("journal", journal).trim_end(),
             digest_line("event log", log.to_json().as_bytes()).trim_end()
         );
+        let records = replay_bytes(journal).expect("the journal replays").records;
+        // The journal holds plans, not configs: whatever failures the
+        // scenario left in the network, every plan it journaled or serves
+        // compiles to the configs it compiled to on the healthy network.
+        let plans = records.iter().filter_map(|r| match r {
+            JournalRecord::TxnBegun { plan, .. }
+            | JournalRecord::Snapshot { plan, .. }
+            | JournalRecord::MigrationBegun { plan, .. } => Some(plan),
+            _ => None,
+        });
+        for plan in plans.chain(rt.active_plan()) {
+            assert_eq!(
+                generate(tdg, rt.network(), plan),
+                generate(tdg, healthy, plan),
+                "[{scenario}]: the configs depend on the failed switches or links"
+            );
+        }
         if path != RuntimePath::Recovery {
             let side = if path == RuntimePath::Rollout { "a rollout" } else { "a migration" };
             if log.count(|e| matches!(e, Event::SwitchUnreachable { .. })) > 0 {
@@ -259,26 +287,23 @@ impl Paths {
                 if log.count(|e| matches!(e, Event::MigrationStepRolledBack { .. })) > 0 {
                     self.reached.insert("MigrationStepRolledBack".into());
                 }
-                // The journaled decision says whether the threshold chose
-                // the full restore; a stepwise decision that still ends
-                // forced was escalated by a failing undo.
-                let decided =
-                    replay_bytes(journal).expect("the journal replays").records.iter().find_map(
-                        |r| match r {
-                            JournalRecord::MigrationRolledBack { forced, .. } => Some(*forced),
-                            _ => None,
-                        },
-                    );
-                let forced =
-                    log.count(|e| matches!(e, Event::MigrationRolledBack { forced: true, .. })) > 0;
-                match decided {
-                    Some(true) => {
+                // The full restore's snapshot compacts the journaled
+                // decision away, but not the highest epoch: a stepwise undo
+                // spends one past the migration's before it can escalate,
+                // a restore the threshold chose spends none.
+                let forced = log.events.iter().find_map(|e| match e {
+                    Event::MigrationRolledBack { epoch, forced: true, .. } => Some(*epoch),
+                    _ => None,
+                });
+                let highest = records.iter().map(JournalRecord::epoch).max();
+                match forced {
+                    Some(epoch) if highest == Some(epoch) => {
                         self.reached.insert("a forced restore decided by the threshold".into());
                     }
-                    Some(false) if forced => {
+                    Some(_) => {
                         self.reached.insert("a forced restore escalated from undo".into());
                     }
-                    _ => {}
+                    None => {}
                 }
             }
             // Per-switch force-activation stops at the abort threshold (3);
@@ -352,7 +377,7 @@ fn chaos_rollouts(paths: &mut Paths, seeds: &[u64]) {
                 let mut rt = runtime(&net, injector, profile);
                 let outcome = rt.rollout(&tdg, plan.clone());
                 let label = format!("rollout {spec} {channel} seed {seed}");
-                paths.record(RuntimePath::Rollout, &label, &outcome.to_string(), &rt);
+                paths.record(RuntimePath::Rollout, &label, &outcome.to_string(), &rt, &tdg, &net);
             }
         }
     }
@@ -367,7 +392,8 @@ fn heals_and_gate(paths: &mut Paths) {
     for seed in 0..20 {
         let mut rt = runtime(&net, FaultInjector::new(seed, post_commit), ChannelProfile::none());
         let outcome = rt.rollout(&tdg, plan.clone());
-        paths.record(RuntimePath::Rollout, &format!("heal seed {seed}"), &outcome.to_string(), &rt);
+        let label = format!("heal seed {seed}");
+        paths.record(RuntimePath::Rollout, &label, &outcome.to_string(), &rt, &tdg, &net);
     }
 
     let exclude = *plan.occupied_switches().iter().next().expect("non-empty plan");
@@ -388,7 +414,7 @@ fn heals_and_gate(paths: &mut Paths) {
         let mut rt = runtime(&net, FaultInjector::disabled(), ChannelProfile::none());
         assert!(rt.rollout(&tdg, plan.clone()).is_committed());
         let outcome = rt.rollout(&tdg, second);
-        paths.record(RuntimePath::Rollout, label, &outcome.to_string(), &rt);
+        paths.record(RuntimePath::Rollout, label, &outcome.to_string(), &rt, &tdg, &net);
     }
 }
 
@@ -424,7 +450,7 @@ fn migrations(paths: &mut Paths, seeds: &[u64]) {
             let (rt, outcome) =
                 migrate(net, tdg, seed, FaultProfile::chaos(), ChannelProfile::lossy());
             let label = format!("migrate {spec} seed {seed}");
-            paths.record(RuntimePath::Migration, &label, &outcome.to_string(), &rt);
+            paths.record(RuntimePath::Migration, &label, &outcome.to_string(), &rt, tdg, net);
         }
     }
     let (_, net, tdg, _) = &chains[0];
@@ -435,12 +461,15 @@ fn migrations(paths: &mut Paths, seeds: &[u64]) {
         "migrate linear:5 perfect, reject 0.6, seed 928",
         &outcome.to_string(),
         &rt,
+        tdg,
+        net,
     );
 
     let (plan_a, plan_b) = drain_endpoints(tdg, net);
     let mut rt = runtime(net, FaultInjector::disabled(), ChannelProfile::none());
     let outcome = rt.migrate(tdg, plan_b.clone(), &MigrationConfig::default());
-    paths.record(RuntimePath::Migration, "migrate with nothing active", &outcome.to_string(), &rt);
+    let label = "migrate with nothing active";
+    paths.record(RuntimePath::Migration, label, &outcome.to_string(), &rt, tdg, net);
     assert!(rt.rollout(tdg, plan_a.clone()).is_committed());
     let other = chain_tdg(&[6, 2, 9, 3], 0.4);
     let outcome = rt.migrate(&other, greedy(&other, net), &MigrationConfig::default());
@@ -449,9 +478,12 @@ fn migrations(paths: &mut Paths, seeds: &[u64]) {
         "migrate a different program set",
         &outcome.to_string(),
         &rt,
+        tdg,
+        net,
     );
     let outcome = rt.migrate(tdg, plan_a.clone(), &MigrationConfig::default());
-    paths.record(RuntimePath::Migration, "migrate to the active plan", &outcome.to_string(), &rt);
+    let label = "migrate to the active plan";
+    paths.record(RuntimePath::Migration, label, &outcome.to_string(), &rt, tdg, net);
     let problem = MigrationProblem { tdg, net, from: &plan_a, to: &plan_b };
     let mut schedule = MigrationScheduler::new()
         .plan(&problem, &SearchContext::with_time_limit(std::time::Duration::from_secs(10)))
@@ -463,6 +495,8 @@ fn migrations(paths: &mut Paths, seeds: &[u64]) {
         "migrate on a schedule missing a switch",
         &outcome.to_string(),
         &rt,
+        tdg,
+        net,
     );
 }
 
@@ -515,9 +549,10 @@ fn crash_run(
 /// (chaos), each followed by recovery; then recovery's threshold escalation.
 fn recoveries(paths: &mut Paths, seeds: &[u64], sweep: bool) {
     let tdg = ProgramAnalyzer::new().analyze(&library::real_programs()[..2]);
+    let net = topology::linear(3, 10.0);
     let mut recover = |label: String, mut rt: DeploymentRuntime| {
         let report = rt.recover(&tdg).expect("recovery succeeds");
-        paths.record(RuntimePath::Recovery, &label, &format!("{report:?}"), &rt);
+        paths.record(RuntimePath::Recovery, &label, &format!("{report:?}"), &rt, &tdg, &net);
     };
     for sc in [Crashed::Deploy, Crashed::Heal, Crashed::Migrate] {
         if sweep {
@@ -556,6 +591,8 @@ fn recoveries(paths: &mut Paths, seeds: &[u64], sweep: bool) {
         "recover fattree:4 all rejecting",
         &format!("{report:?}"),
         &rt,
+        &tdg,
+        &net,
     );
 }
 

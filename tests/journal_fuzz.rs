@@ -18,10 +18,11 @@ use hermes::runtime::{
 };
 use proptest::prelude::*;
 
-/// A realistic journal: a committed deploy (snapshot + compaction), a
-/// second rollout crashed mid-protocol (in-flight txn records), and a
-/// completed recovery (recovery + snapshot records). Built once — the
-/// scenario is deterministic.
+/// A realistic journal: a committed deploy, a second rollout crashed
+/// mid-protocol and recovered (whose reinstall snapshot compacts the image
+/// to that snapshot + the recovery record), then a third rollout crashed
+/// mid-protocol (in-flight txn records). Built once — the scenario is
+/// deterministic.
 fn rich_journal() -> &'static [u8] {
     static JOURNAL: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     JOURNAL.get_or_init(build_journal)
@@ -43,10 +44,14 @@ fn build_journal() -> Vec<u8> {
     );
     assert!(rt.rollout(&tdg, plan.clone()).is_committed());
     let n = plan.occupied_switch_count() as u64;
-    rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::BeforeWrite);
-    let outcome = rt.rollout(&tdg, plan);
-    assert!(matches!(outcome, RolloutOutcome::ControllerCrashed { .. }));
+    let crash_mid_rollout = |rt: &mut DeploymentRuntime| {
+        rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::BeforeWrite);
+        let outcome = rt.rollout(&tdg, plan.clone());
+        assert!(matches!(outcome, RolloutOutcome::ControllerCrashed { .. }));
+    };
+    crash_mid_rollout(&mut rt);
     rt.recover(&tdg).expect("recovery over an intact journal succeeds");
+    crash_mid_rollout(&mut rt);
     rt.journal().bytes().to_vec()
 }
 

@@ -22,6 +22,7 @@
 //! since the fault schedule is clean), and a 50-seed chaos soak places a
 //! seed-derived crash in each scenario under the full chaos profile.
 
+use hermes::backend::validate_plan;
 use hermes::core::{
     DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
     ProgramAnalyzer, RedeployOptions,
@@ -225,6 +226,32 @@ fn every_boundary_recovers_to_exactly_a_or_exactly_b() {
                     active == Some(&w.plan_a) || active == Some(&w.plan_b),
                     "{label}: terminal state is neither plan A nor plan B"
                 ),
+            }
+        }
+    }
+}
+
+/// The journal holds plans, not configs: after a crash at every boundary
+/// of a deploy and of a staged migration, recovery regenerates the configs,
+/// and every live agent serves exactly the one `validate_plan` compiled
+/// for the plan it restored (nothing where that plan places nothing).
+#[test]
+fn recovered_agents_serve_the_configs_of_the_restored_plan() {
+    let w = workload();
+    for sc in [Scenario::Deploy, Scenario::Migrate] {
+        for nth in 0..boundaries(&w, sc, 0, false) {
+            let timing =
+                if nth % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
+            let label = format!("{sc:?} boundary {nth} ({timing:?})");
+            let (mut rt, crashed) = run_scenario(&w, sc, 0, false, Some((nth, timing)));
+            assert!(crashed, "{label}: the armed crash must fire");
+            rt.recover(&w.tdg).expect("recovery succeeds");
+            let artifacts = rt
+                .active_plan()
+                .map(|plan| validate_plan(&w.tdg, &w.net, plan, &Epsilon::loose(), &[]).1);
+            for agent in rt.agents().filter(|a| !a.is_crashed()) {
+                let expected = artifacts.as_ref().and_then(|a| a.switches.get(&agent.id()));
+                assert_eq!(agent.active_config(), expected, "{label}: switch {}", agent.id());
             }
         }
     }

@@ -42,7 +42,7 @@ fn line<T: Serialize + ?Sized>(what: &str, value: &T) -> String {
 
 /// The `wan-50` shapes: the library plus 40 synthetic programs merged into
 /// one TDG, its greedy plan on `wan:3`, the plan's artifacts, the two
-/// journal records that carry them, the audit report with its state
+/// journal records that carry the plan, the audit report with its state
 /// section, and the network.
 fn wan_50_lines(dump: &mut String) {
     let mut programs = library::real_programs();
@@ -62,11 +62,9 @@ fn wan_50_lines(dump: &mut String) {
         tdg_fp,
         plan_fp,
         plan: plan.clone(),
-        artifacts: artifacts.clone(),
     };
     *dump += &line("wan-50 TxnBegun", &begun);
-    let snapshot =
-        JournalRecord::Snapshot { epoch: 7, tdg_fp, plan_fp, plan, artifacts, clock_us: 9 };
+    let snapshot = JournalRecord::Snapshot { epoch: 7, tdg_fp, plan_fp, plan, clock_us: 9 };
     *dump += &line("wan-50 Snapshot", &snapshot);
     let mut report = audit_instance(&programs, &net, &eps, AnalysisMode::PaperLiteral);
     *dump += &line("wan-50 audit report", &report);
