@@ -12,7 +12,7 @@ use crate::config::DeploymentArtifacts;
 use crate::emulator::{test_packet, CompiledPlan};
 use hermes_core::DeploymentPlan;
 use hermes_net::{shortest_path, Network, SwitchId};
-use hermes_sim::engine::{FlowStats, SimFlow, SimLink, SimNode, Simulation};
+use hermes_sim::{lone_flow, FlowStats};
 use hermes_tdg::Tdg;
 
 /// Flow parameters for a deployment simulation.
@@ -91,37 +91,26 @@ pub fn simulate_plan(
     // The realized per-packet metadata load (pass-through included).
     let overhead = compiled.run(test_packet(0)).max_wire_bytes();
 
+    // host — traversed switches — host. Host links get a nominal 1 us;
+    // switch-switch links use the substrate latency.
+    let links: Vec<(f64, f64)> = std::iter::once(1.0)
+        .chain(
+            traversed
+                .windows(2)
+                .map(|w| net.link_between(w[0], w[1]).map_or(1.0, |l| l.latency_us)),
+        )
+        .chain(std::iter::once(1.0))
+        .map(|delay| (config.rate_gbps, delay))
+        .collect();
+    let forwarding_us: f64 = traversed.iter().map(|&s| net.switch(s).latency_us).sum();
     let run = |overhead: u32| -> FlowStats {
-        let mut sim = Simulation::new();
-        let src = sim.add_node(SimNode { latency_us: 0.0 });
-        let mut nodes = vec![src];
-        for &s in &traversed {
-            nodes.push(sim.add_node(SimNode { latency_us: net.switch(s).latency_us }));
-        }
-        let dst = sim.add_node(SimNode { latency_us: 0.0 });
-        nodes.push(dst);
-        for (i, w) in nodes.windows(2).enumerate() {
-            // Host links get a nominal 1 us; switch-switch links use the
-            // substrate latency.
-            let delay = if i == 0 || i + 2 == nodes.len() {
-                1.0
-            } else {
-                net.link_between(traversed[i - 1], traversed[i]).map_or(1.0, |l| l.latency_us)
-            };
-            sim.add_link(SimLink {
-                from: w[0],
-                to: w[1],
-                rate_gbps: config.rate_gbps,
-                delay_us: delay,
-            });
-        }
-        sim.add_flow(SimFlow::constant(
-            nodes,
+        lone_flow(
+            &links,
+            forwarding_us,
             config.packets,
             config.packet_size + overhead,
             config.packet_size - config.header_bytes,
-        ));
-        sim.run().expect("chain flows are valid")[0]
+        )
     };
 
     Some(PlanSimResult {
@@ -157,6 +146,44 @@ mod tests {
         assert!(result.traversed.len() >= plan.occupied_switch_count());
         assert!(result.fct_ratio() >= 1.0);
         assert!(result.goodput_ratio() <= 1.0);
+    }
+
+    #[test]
+    fn the_closed_form_matches_the_engine_on_the_plan_path() {
+        // The same path as a discrete-event chain: WAN link latencies differ
+        // per hop, so this also pins the per-link delays and the switch
+        // forwarding latencies.
+        use hermes_sim::{SimFlow, SimLink, SimNode, Simulation};
+        let tdg = ProgramAnalyzer::new().analyze(&library::real_programs());
+        let net = topology::table3_wan(9);
+        let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
+        let art = generate(&tdg, &net, &plan);
+        let config = PlanFlowConfig { packets: 300, ..Default::default() };
+        let result = simulate_plan(&tdg, &net, &plan, &art, &config).unwrap();
+        assert!(result.traversed.len() > 2, "{:?}", result.traversed);
+
+        for (overhead, closed) in [(result.overhead_bytes, result.loaded), (0, result.baseline)] {
+            let mut sim = Simulation::new();
+            let mut nodes = vec![sim.add_node(SimNode { latency_us: 0.0 })];
+            for &s in &result.traversed {
+                nodes.push(sim.add_node(SimNode { latency_us: net.switch(s).latency_us }));
+            }
+            nodes.push(sim.add_node(SimNode { latency_us: 0.0 }));
+            for (i, w) in nodes.windows(2).enumerate() {
+                let delay = if i == 0 || i + 2 == nodes.len() {
+                    1.0
+                } else {
+                    let (a, b) = (result.traversed[i - 1], result.traversed[i]);
+                    net.link_between(a, b).map_or(1.0, |l| l.latency_us)
+                };
+                sim.add_link(SimLink { from: w[0], to: w[1], rate_gbps: 100.0, delay_us: delay });
+            }
+            sim.add_flow(SimFlow::constant(nodes, 300, 1024 + overhead, 1024 - 54));
+            let engine = sim.run().unwrap()[0];
+            assert_eq!(engine.packets, closed.packets);
+            assert!((engine.fct_us - closed.fct_us).abs() <= 1e-9 * engine.fct_us);
+            assert!((engine.goodput_gbps - closed.goodput_gbps).abs() <= 1e-9);
+        }
     }
 
     #[test]

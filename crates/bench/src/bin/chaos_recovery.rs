@@ -141,5 +141,5 @@ fn main() {
         ]);
     }
     println!("Chaos recovery: {SEEDS} seeded fault schedules per topology\n");
-    print!("{}", table.render());
+    print!("{}", table.markdown());
 }

@@ -132,5 +132,5 @@ fn main() {
         "Lossy commit: {SEEDS} seeds per drop rate on fattree:4 \
          (dup/reorder/delay at lossy defaults, faults off)\n"
     );
-    print!("{}", table.render());
+    print!("{}", table.markdown());
 }

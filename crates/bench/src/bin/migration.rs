@@ -231,7 +231,7 @@ fn main() -> ExitCode {
                 r.all_at_once.messages.to_string(),
             ]);
         }
-        println!("{}", t.render());
+        println!("{}", t.markdown());
         for r in &report.scenarios {
             println!(
                 "{}: drained {}, A_max {} -> {} B, planner {}, transient curve {:?}",

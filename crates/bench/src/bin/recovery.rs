@@ -257,7 +257,7 @@ fn main() -> ExitCode {
         for p in &report.replay {
             t.row([p.records_replayed.to_string(), p.bytes.to_string(), p.replay_us.to_string()]);
         }
-        println!("{}", t.render());
+        println!("{}", t.markdown());
         for (name, points) in
             [("deploy", &report.deploy_crash_points), ("migration", &report.migration_crash_points)]
         {
@@ -272,7 +272,7 @@ fn main() -> ExitCode {
                     p.recovery_us.to_string(),
                 ]);
             }
-            println!("{}", t.render());
+            println!("{}", t.markdown());
         }
     }
     ExitCode::SUCCESS

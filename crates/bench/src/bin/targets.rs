@@ -155,6 +155,6 @@ fn main() {
                 ]);
             }
         }
-        println!("{}", t.render());
+        println!("{}", t.markdown());
     }
 }

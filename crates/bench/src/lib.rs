@@ -1,41 +1,32 @@
-//! Experiment harness regenerating every table and figure of the paper.
-//! Performance is measured elsewhere — by the deploy-request benchmark in
-//! `bench/` — and equivalence and determinism are asserted by the cargo
-//! test suites; this crate only prints the paper's artifacts and the
-//! extension experiments.
+//! The paper's evaluation, regenerated. Performance is measured elsewhere —
+//! by the deploy-request benchmark in `bench/` — and equivalence and
+//! determinism are asserted by the cargo test suites; this crate produces
+//! the paper's tables and figures and the extension experiments.
 //!
-//! One binary per artifact (run with `cargo run -p hermes-bench --bin …`):
+//! One binary, `reproduce`, writes every artifact of [`eval::ARTIFACTS`]
+//! under `results/` (`cargo run --release -p hermes-bench --bin reproduce
+//! -- --only exp1`); `tests/reproduce.rs` recomputes each one and checks
+//! every cell that does not depend on the host against the committed file.
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `fig2` | Figure 2 — overhead vs. normalized FCT/goodput |
-//! | `table3` | Table III — the ten WAN topologies |
-//! | `exp1` | Figure 5 — testbed: overhead, time, FCT, goodput vs. #programs |
-//! | `exp2_4` | Figures 6, 7, 8 — overhead, execution time, FCT/goodput at scale |
-//! | `exp5` | Figure 9 — scalability on topology 10 |
-//! | `exp6` | switch resource consumption (sketches) |
-//!
-//! This library hosts the shared machinery: the standard workload
-//! (10 real + N synthetic programs), the measurement loop over the
-//! algorithm suite, time capping for solver-backed frameworks (mirroring
-//! the paper's 2-hour bar cap), the two [`Sweep`]s Figures 5–9 are panels
-//! of, and table/JSON reporting.
+//! This module hosts the shared machinery: the standard workload (10 real +
+//! N synthetic programs), the measurement loop over the algorithm suite,
+//! time capping for solver-backed frameworks (mirroring the paper's 2-hour
+//! bar cap), and the [`Sweep`]s Figures 5–9 are panels of.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod eval;
 pub mod report;
 
 use hermes_baselines::standard_suite;
-use hermes_core::{Epsilon, ProgramAnalyzer};
+use hermes_core::{verify, DeploymentAlgorithm, DeploymentPlan, Epsilon, ProgramAnalyzer};
 use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes_dataplane::{library, Program};
-use hermes_net::topology::{table3_wan, TABLE3};
 use hermes_net::Network;
 use hermes_sim::testbed::{normalized_impact, TestbedConfig};
 use hermes_tdg::Tdg;
-use report::{fmt_ms, Table};
-use serde::Serialize;
+use report::{fmt_ms, host, Table};
 use std::time::{Duration, Instant};
 
 /// Reported execution time (ms) for solver runs that exceed the paper's
@@ -49,6 +40,26 @@ pub const ILP_SIZE_GUARD: usize = 4_000;
 /// Companion guard on rank-linearization cells (`edges × switches²`);
 /// mirrors [`hermes_baselines::IlpConfig::max_rank_cells`].
 pub const ILP_RANK_GUARD: usize = 2_500;
+
+/// Budget of every ILP / exhaustive solve in the committed results (the
+/// stand-in for the paper's two-hour Gurobi cap).
+pub const DEFAULT_BUDGET: Duration = Duration::from_secs(3);
+
+/// How one run of the evaluation measures.
+#[derive(Debug, Clone)]
+pub struct Ctx {
+    /// Budget of every ILP / exhaustive solve.
+    pub budget: Duration,
+    /// The host, stamped under every host-dependent cell.
+    pub provenance: String,
+}
+
+impl Ctx {
+    /// The committed results' budget: what a check recomputes.
+    pub fn check() -> Ctx {
+        Ctx { budget: DEFAULT_BUDGET, provenance: "a check run".into() }
+    }
+}
 
 /// The workload of the paper's evaluation: the ten real programs plus
 /// `total - 10` synthetic ones (seeded, so every run sees the same set).
@@ -70,7 +81,7 @@ pub fn analyze(programs: &[Program]) -> Tdg {
 }
 
 /// One algorithm's measurements on one instance.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Algorithm display name.
     pub algorithm: String,
@@ -85,66 +96,110 @@ pub struct Measurement {
     pub reported_ms: f64,
     /// `true` when `reported_ms` was capped.
     pub capped: bool,
+    /// `false` when an exhaustive solver ran out of its budget, so its plan
+    /// is whatever incumbent this host reached in time.
+    pub deterministic: bool,
     /// Normalized FCT (≥ 1) of a 1024-byte-packet flow carrying this
-    /// plan's overhead through the testbed simulator.
+    /// plan's overhead through the testbed model.
     pub fct_ratio: Option<f64>,
     /// Normalized goodput (≤ 1), same setting.
     pub goodput_ratio: Option<f64>,
 }
 
+/// `plan`, once checked against the paper's constraints under the loose
+/// ε-bounds; otherwise an error naming `algorithm` and the violation.
+pub fn verified(
+    algorithm: &str,
+    tdg: &Tdg,
+    net: &Network,
+    plan: DeploymentPlan,
+) -> Result<DeploymentPlan, String> {
+    match verify(tdg, net, &plan, &Epsilon::loose()).pop() {
+        Some(violation) => Err(format!("{algorithm}'s plan violates {violation}")),
+        None => Ok(plan),
+    }
+}
+
+/// One solver run: its verified plan (`None` when it found none) and how
+/// long it took.
+#[derive(Debug, Clone)]
+pub struct Deployed {
+    /// The plan, checked against the paper's constraints.
+    pub plan: Option<DeploymentPlan>,
+    /// Wall-clock time of the solve.
+    pub elapsed: Duration,
+    /// `true` when an exhaustive solver used its whole budget, so its plan
+    /// is whatever incumbent this host reached in time.
+    pub host_dependent: bool,
+}
+
+/// Runs `algo` on `(tdg, net)` under the paper's loose ε-bounds, timing the
+/// solve and verifying its plan ([`verified`]); `budget` is the budget
+/// `algo` was built with.
+pub fn deploy_measured(
+    algo: &dyn DeploymentAlgorithm,
+    tdg: &Tdg,
+    net: &Network,
+    budget: Duration,
+) -> Result<Deployed, String> {
+    let start = Instant::now();
+    let plan = algo.deploy(tdg, net, &Epsilon::loose()).ok();
+    let elapsed = start.elapsed();
+    Ok(Deployed {
+        plan: plan.map(|p| verified(algo.name(), tdg, net, p)).transpose()?,
+        elapsed,
+        host_dependent: algo.is_exhaustive() && elapsed >= budget,
+    })
+}
+
 /// Runs the standard suite (`budget` per exhaustive solve) on `(tdg, net)`
-/// under the paper's loose ε-bounds and gathers the four panel metrics:
-/// overhead, time, and the FCT/goodput of a 1024-byte-packet flow (paper
-/// Exp#4) carrying each plan's overhead through the testbed simulator.
-fn measure(tdg: &Tdg, net: &Network, budget: Duration) -> Vec<Measurement> {
+/// and gathers the four panel metrics: overhead, time, and the FCT/goodput
+/// of a 1024-byte-packet flow (paper Exp#4) carrying each plan's overhead
+/// through the testbed model.
+///
+/// Every plan is verified ([`deploy_measured`]), and an Optimal that
+/// exhausted its search must be no worse than any other framework; a
+/// violation is an error naming it.
+pub fn measure(tdg: &Tdg, net: &Network, budget: Duration) -> Result<Vec<Measurement>, String> {
     let sim = TestbedConfig { packets: 5_000, ..Default::default() };
-    let eps = Epsilon::loose();
     let q = net.programmable_switches().len();
     let binaries = tdg.node_count() * q;
     let rank_cells = tdg.edge_count() * q * q;
-    standard_suite(budget)
-        .iter()
-        .map(|algo| {
-            let start = Instant::now();
-            let plan = algo.deploy(tdg, net, &eps).ok();
-            let measured_ms = start.elapsed().as_secs_f64() * 1000.0;
-            let capped =
-                algo.is_exhaustive() && (binaries > ILP_SIZE_GUARD || rank_cells > ILP_RANK_GUARD);
-            let overhead = plan.as_ref().map(|p| p.max_inter_switch_bytes(tdg));
-            let perf = overhead.map(|bytes| normalized_impact(&sim, 1024, bytes as u32));
-            Measurement {
-                algorithm: algo.name().to_owned(),
-                overhead_bytes: overhead,
-                occupied_switches: plan.as_ref().map(|p| p.occupied_switch_count()),
-                measured_ms,
-                reported_ms: if capped { CAPPED_TIME_MS } else { measured_ms },
-                capped,
-                fct_ratio: perf.map(|p| p.fct_ratio),
-                goodput_ratio: perf.map(|p| p.goodput_ratio),
-            }
-        })
-        .collect()
-}
-
-/// Reads the ILP/exhaustive-solver budget from `HERMES_ILP_BUDGET_SECS`
-/// (default `default_secs`). Lets quick runs and full reproductions share
-/// the binaries.
-pub fn ilp_budget(default_secs: u64) -> Duration {
-    std::env::var("HERMES_ILP_BUDGET_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map_or(Duration::from_secs(default_secs), Duration::from_secs)
-}
-
-/// Reads the workload size of the WAN sweep from `HERMES_PROGRAMS`
-/// (default 50, the paper's).
-pub fn program_count() -> usize {
-    std::env::var("HERMES_PROGRAMS").ok().and_then(|s| s.parse().ok()).unwrap_or(50)
+    let mut rows = Vec::new();
+    for algo in standard_suite(budget) {
+        let run = deploy_measured(algo.as_ref(), tdg, net, budget)?;
+        let measured_ms = run.elapsed.as_secs_f64() * 1000.0;
+        let capped =
+            algo.is_exhaustive() && (binaries > ILP_SIZE_GUARD || rank_cells > ILP_RANK_GUARD);
+        let overhead = run.plan.as_ref().map(|p| p.max_inter_switch_bytes(tdg));
+        let perf = overhead.map(|bytes| normalized_impact(&sim, 1024, bytes as u32));
+        rows.push(Measurement {
+            algorithm: algo.name().to_owned(),
+            overhead_bytes: overhead,
+            occupied_switches: run.plan.as_ref().map(|p| p.occupied_switch_count()),
+            measured_ms,
+            reported_ms: if capped { CAPPED_TIME_MS } else { measured_ms },
+            capped,
+            deterministic: !run.host_dependent,
+            fct_ratio: perf.map(|p| p.fct_ratio),
+            goodput_ratio: perf.map(|p| p.goodput_ratio),
+        });
+    }
+    let best = rows.iter().filter_map(|m| m.overhead_bytes).min();
+    if let Some(optimal) = rows.iter().find(|m| m.algorithm == "Optimal" && m.deterministic) {
+        if optimal.overhead_bytes != best {
+            return Err(format!(
+                "a finished Optimal found {:?}, another {best:?}",
+                optimal.overhead_bytes
+            ));
+        }
+    }
+    Ok(rows)
 }
 
 /// What varies along a sweep: the Table III topology (Exp#2–4) or the
 /// number of concurrently deployed programs (Exp#1, Exp#5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
     /// Point `at` is topology `at` of Table III (1-based).
     Topology,
@@ -153,8 +208,8 @@ pub enum Axis {
 }
 
 /// One column of a figure: every framework's measurements on "topology
-/// `at`" or on "`at` programs".
-#[derive(Debug, Clone, Serialize)]
+/// `at`" or on "`at` programs", and where they were taken.
+#[derive(Debug, Clone)]
 pub struct Point {
     /// Position on the sweep's [`Axis`].
     pub at: usize,
@@ -176,20 +231,25 @@ pub enum Panel {
 }
 
 impl Panel {
+    /// The cell of `m`, marked host-dependent when it is a measured time or
+    /// the incumbent of a solver that ran out of budget.
     fn cell(self, m: &Measurement) -> String {
-        match self {
+        let value = match self {
             Panel::Overhead => m.overhead_bytes.map_or("-".into(), |b| b.to_string()),
-            Panel::Time => fmt_ms(m.reported_ms, m.capped),
+            // A capped bar follows from the instance size alone.
+            Panel::Time => return host(fmt_ms(m.reported_ms, m.capped), !m.capped),
             Panel::Fct => m.fct_ratio.map_or("-".into(), |f| format!("{f:.3}")),
             Panel::Goodput => m.goodput_ratio.map_or("-".into(), |g| format!("{g:.3}")),
-        }
+        };
+        host(value, !m.deterministic)
     }
 }
 
 /// The standard suite measured at every point of one axis. Figures 6, 7
-/// and 8 are three panels of [`Sweep::over_wans`]; Figures 5 and 9 are the
-/// four panels of [`Sweep::over_program_counts`] on two networks.
-#[derive(Debug, Clone, Serialize)]
+/// and 8 are three panels of one sweep over the Table III WANs; Figures 5
+/// and 9 are the four panels of a sweep over program counts on two
+/// networks.
+#[derive(Debug, Clone)]
 pub struct Sweep {
     /// What `at` means.
     pub axis: Axis,
@@ -198,23 +258,17 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Deploys the first `programs` programs of the evaluation workload on
-    /// each of the ten Table III WANs (`budget` per exhaustive solve).
-    pub fn over_wans(programs: usize, budget: Duration) -> Sweep {
-        let tdg = analyze(&workload(programs));
-        let points = (0..TABLE3.len())
-            .map(|i| Point { at: i + 1, results: measure(&tdg, &table3_wan(i), budget) })
-            .collect();
-        Sweep { axis: Axis::Topology, points }
-    }
-
-    /// Deploys `n` programs on `net` for every `n` in `counts`.
-    pub fn over_program_counts(net: &Network, counts: &[usize], budget: Duration) -> Sweep {
-        let points = counts
+    /// Measures `measure(at)` at every `at` of `ats` along `axis`.
+    pub fn run(
+        axis: Axis,
+        ats: &[usize],
+        measure: impl Fn(usize) -> Result<Vec<Measurement>, String>,
+    ) -> Result<Sweep, String> {
+        let points = ats
             .iter()
-            .map(|&n| Point { at: n, results: measure(&analyze(&workload(n)), net, budget) })
-            .collect();
-        Sweep { axis: Axis::Programs, points }
+            .map(|&at| Ok(Point { at, results: measure(at)? }))
+            .collect::<Result<_, String>>()?;
+        Ok(Sweep { axis, points })
     }
 
     /// Framework names, in row order.
@@ -225,6 +279,11 @@ impl Sweep {
     /// `algorithm`'s measurement at every point, in sweep order.
     pub fn series<'a>(&'a self, algorithm: &'a str) -> impl Iterator<Item = &'a Measurement> {
         self.points.iter().filter_map(move |p| p.results.iter().find(|m| m.algorithm == algorithm))
+    }
+
+    /// Whether every measurement of `algorithm` is host-independent.
+    pub fn deterministic(&self, algorithm: &str) -> bool {
+        self.series(algorithm).all(|m| m.deterministic)
     }
 
     /// Mean of `metric` over the points where `algorithm` has one (0 when
@@ -251,11 +310,6 @@ impl Sweep {
         }
         table
     }
-
-    /// Prints `panel` under a title line.
-    pub fn print_panel(&self, title: &str, panel: Panel) {
-        println!("{title}\n{}", self.panel(panel).render());
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +335,10 @@ mod tests {
     #[test]
     fn sweep_produces_all_metrics_in_every_panel() {
         let net = topology::linear(3, 10.0);
-        let sweep = Sweep::over_program_counts(&net, &[2, 3], Duration::from_millis(500));
+        let sweep = Sweep::run(Axis::Programs, &[2, 3], |n| {
+            measure(&analyze(&workload(n)), &net, Duration::from_millis(500))
+        })
+        .unwrap();
         assert_eq!(sweep.axis, Axis::Programs);
         assert_eq!(sweep.points.iter().map(|p| p.at).collect::<Vec<_>>(), [2, 3]);
         let rows = &sweep.points[1].results;
@@ -291,6 +348,7 @@ mod tests {
             assert!(r.fct_ratio.unwrap() >= 1.0 - 1e-9);
             assert!(r.goodput_ratio.unwrap() <= 1.0 + 1e-9);
             assert!(!r.capped, "tiny instance should not cap");
+            assert!(r.deterministic, "{} ran out of budget on a tiny instance", r.algorithm);
         }
         // Hermes never worse than the overhead-oblivious baselines.
         let get = |name: &str| sweep.series(name).last().unwrap().overhead_bytes.unwrap();
@@ -302,10 +360,10 @@ mod tests {
 
         // Header, rule, one line per framework; one column per point.
         for panel in [Panel::Overhead, Panel::Time, Panel::Fct, Panel::Goodput] {
-            let text = sweep.panel(panel).render();
+            let text = sweep.panel(panel).markdown();
             assert_eq!(text.lines().count(), 2 + rows.len(), "{text}");
-            assert!(text.lines().next().unwrap().ends_with("2 progs  3 progs"), "{text}");
-            assert!(text.contains("\nHermes "), "{text}");
+            assert!(text.lines().next().unwrap().ends_with("| 2 progs | 3 progs |"), "{text}");
+            assert!(text.contains("\n| Hermes "), "{text}");
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Plain-text table and JSON reporting for the experiment binaries.
+//! Markdown table and JSON reporting for the experiment binaries.
 
 use serde::Serialize;
 
-/// A simple left-aligned text table.
+/// A simple left-aligned table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -30,36 +30,35 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+    /// Renders the table as a Markdown pipe table with padded columns.
+    pub fn markdown(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count().max(3)).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(cell.len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.chars().count());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| {
-            let mut line = String::new();
-            for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{:<width$}", cell, width = widths[i]));
-            }
-            line.trim_end().to_owned()
+        let line = |cells: &mut dyn Iterator<Item = String>| {
+            let cells: Vec<String> = cells.zip(&widths).map(|(c, &w)| format!("{c:<w$}")).collect();
+            format!("| {} |\n", cells.join(" | "))
         };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
+        let mut out = line(&mut self.header.iter().cloned());
+        out += &line(&mut widths.iter().map(|&w| "-".repeat(w)));
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
+            out += &line(&mut row.iter().cloned());
         }
         out
+    }
+}
+
+/// Marks a value that depends on the host it was measured on — a wall-clock
+/// time, or the incumbent of a solver that ran out of budget — with a
+/// trailing `*`, the marker `tests/reproduce.rs` skips.
+pub fn host(value: String, host_dependent: bool) -> String {
+    if host_dependent {
+        value + "*"
+    } else {
+        value
     }
 }
 
@@ -95,25 +94,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_alignment() {
-        let mut t = Table::new(["name", "value"]);
+    fn markdown_pads_columns_and_short_rows() {
+        let mut t = Table::new(["name", "v", "w"]);
         t.row(["hermes", "4"]);
-        t.row(["a-very-long-name", "123456"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[2].starts_with("hermes"));
-        // Columns aligned: "value" column starts at the same offset.
-        let col = lines[0].find("value").unwrap();
-        assert_eq!(&lines[3][col - 2..col], "  ");
-    }
-
-    #[test]
-    fn short_rows_padded() {
-        let mut t = Table::new(["a", "b", "c"]);
-        t.row(["x"]);
-        assert!(t.render().contains('x'));
+        assert_eq!(
+            t.markdown(),
+            "| name   | v   | w   |\n| ------ | --- | --- |\n| hermes | 4   |     |\n"
+        );
     }
 
     #[test]

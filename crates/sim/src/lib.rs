@@ -1,12 +1,14 @@
-//! Deterministic discrete-event packet-level network simulator.
+//! Deterministic packet-level network model.
 //!
 //! Stands in for the paper's PktGen/DPDK testbed: flows of fixed-size
 //! packets traverse store-and-forward links and switches, and piggybacked
-//! metadata inflates every packet's wire size. The simulator measures the
-//! two end-to-end metrics the paper reports — flow completion time and
-//! goodput — and the [`testbed`] module packages the exact §II-B
-//! methodology (five switch hops, 512/1024/1500-byte packets, overhead
-//! swept 28–108 bytes, results normalized to the zero-overhead run).
+//! metadata inflates every packet's wire size. The model measures the two
+//! end-to-end metrics the paper reports — flow completion time and goodput.
+//! The [`testbed`] module packages the exact §II-B methodology (five switch
+//! hops, 512/1024/1500-byte packets, overhead swept 28–108 bytes, results
+//! normalized to the zero-overhead run); a lone flow there is closed-form
+//! ([`lone_flow`]). The discrete-event [`engine`] runs what has no closed
+//! form: many flows competing for the same links ([`workload`]).
 //!
 //! # Quick start
 //!
@@ -28,7 +30,7 @@ pub mod workload;
 
 pub use engine::{chain, FlowStats, SimError, SimFlow, SimLink, SimNode, SimTime, Simulation};
 pub use testbed::{
-    fig2_sweep, normalized_impact, run_flow, Fig2Row, NormalizedPerf, TestbedConfig,
+    fig2_sweep, lone_flow, normalized_impact, run_flow, Fig2Row, NormalizedPerf, TestbedConfig,
 };
 pub use workload::{
     aggregate, generate_flows, run_workload, AggregateStats, FlowSizes, OverheadModel,

@@ -7,7 +7,7 @@
 //! end-to-end FCT rises and goodput falls. Results are reported
 //! normalized against the zero-overhead run, exactly like Figure 2.
 
-use crate::engine::{chain, FlowStats, SimFlow};
+use crate::engine::FlowStats;
 use serde::{Deserialize, Serialize};
 
 /// Ethernet MTU (bytes).
@@ -50,8 +50,40 @@ impl Default for TestbedConfig {
     }
 }
 
+/// FCT and goodput of a lone flow: `packets` packets of `wire_bytes` each,
+/// all ready at time 0, crossing store-and-forward `links` (`(rate_gbps,
+/// delay_us)` in path order) with no competing traffic; `forwarding_us` is
+/// the summed latency of the nodes between the links.
+///
+/// Such a flow never queues behind another, so its FCT is closed-form: the
+/// first packet arrives after every link's serialization and propagation
+/// plus the forwarding latencies, and each later packet one serialization
+/// of the slowest link behind it. [`Simulation`](crate::Simulation) gives
+/// the same numbers; the engine is needed only where flows compete
+/// ([`crate::workload`]).
+pub fn lone_flow(
+    links: &[(f64, f64)],
+    forwarding_us: f64,
+    packets: u64,
+    wire_bytes: u32,
+    payload_bytes: u32,
+) -> FlowStats {
+    let tx_us = |rate_gbps: f64| f64::from(wire_bytes) * 8.0 / (rate_gbps * 1000.0);
+    let first: f64 =
+        links.iter().map(|&(rate, delay)| tx_us(rate) + delay).sum::<f64>() + forwarding_us;
+    let gap = links.iter().map(|&(rate, _)| tx_us(rate)).fold(0.0, f64::max);
+    let fct_us = first + packets.saturating_sub(1) as f64 * gap;
+    let payload_bits = f64::from(payload_bytes) * packets as f64 * 8.0;
+    FlowStats {
+        fct_us,
+        goodput_gbps: if fct_us > 0.0 { payload_bits / fct_us / 1000.0 } else { 0.0 },
+        packets,
+    }
+}
+
 /// Runs one flow of `packets` fixed-size packets with `overhead_bytes` of
-/// piggybacked metadata per packet.
+/// piggybacked metadata per packet through `hops` switches (host — switches
+/// — host, so `hops + 1` links).
 ///
 /// The wire size is `packet_size + overhead`; the application payload is
 /// `packet_size - PROTO_HEADER_BYTES` (the paper tunes the MTU so the
@@ -62,17 +94,13 @@ impl Default for TestbedConfig {
 /// Panics if `packet_size` does not exceed the protocol headers.
 pub fn run_flow(config: &TestbedConfig, packet_size: u32, overhead_bytes: u32) -> FlowStats {
     assert!(packet_size > PROTO_HEADER_BYTES, "packet must fit its headers");
-    let (mut sim, route) =
-        chain(config.hops, config.switch_latency_us, config.rate_gbps, config.link_delay_us);
-    sim.add_flow(SimFlow {
-        route,
-        packets: config.packets,
-        wire_bytes: packet_size + overhead_bytes,
-        wire_growth_per_hop: 0,
-        payload_bytes: packet_size - PROTO_HEADER_BYTES,
-        start_us: 0.0,
-    });
-    sim.run().expect("chain flows are valid")[0]
+    lone_flow(
+        &vec![(config.rate_gbps, config.link_delay_us); config.hops + 1],
+        config.hops as f64 * config.switch_latency_us,
+        config.packets,
+        packet_size + overhead_bytes,
+        packet_size - PROTO_HEADER_BYTES,
+    )
 }
 
 /// FCT and goodput of an overhead-carrying run normalized to the
@@ -182,6 +210,46 @@ mod tests {
         let n = normalized_impact(&config, 512, 108);
         let expected = (512.0 + 108.0) / 512.0;
         assert!((n.fct_ratio - expected).abs() < 0.02, "{} vs {expected}", n.fct_ratio);
+    }
+
+    #[test]
+    fn closed_form_matches_the_engine_on_the_figure_2_grid() {
+        // The discrete-event engine on the same chain, every cell of
+        // Figure 2 at the default packet count, overhead 0 included.
+        let config = TestbedConfig::default();
+        for overhead in [0, 28, 48, 68, 88, 108] {
+            for size in PACKET_SIZES {
+                let (mut sim, route) = crate::engine::chain(
+                    config.hops,
+                    config.switch_latency_us,
+                    config.rate_gbps,
+                    config.link_delay_us,
+                );
+                sim.add_flow(crate::engine::SimFlow::constant(
+                    route,
+                    config.packets,
+                    size + overhead,
+                    size - PROTO_HEADER_BYTES,
+                ));
+                let engine = sim.run().unwrap()[0];
+                let formula = run_flow(&config, size, overhead);
+                assert_eq!(engine.packets, formula.packets);
+                for (a, b) in
+                    [(engine.fct_us, formula.fct_us), (engine.goodput_gbps, formula.goodput_gbps)]
+                {
+                    assert!((a - b).abs() <= 1e-9 * a, "{size} B + {overhead} B: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_flow_is_paced_by_its_slowest_link() {
+        // 1000 B: 0.08 us at 100 G, 0.8 us at 10 G. The first packet takes
+        // 0.08 + 0.1 + 1.0 + 0.8 + 0.1 us; nine more follow 0.8 us apart.
+        let stats = lone_flow(&[(100.0, 0.1), (10.0, 0.1)], 1.0, 10, 1000, 900);
+        assert!((stats.fct_us - (2.08 + 9.0 * 0.8)).abs() < 1e-9, "{}", stats.fct_us);
+        assert_eq!(stats.packets, 10);
     }
 
     #[test]
