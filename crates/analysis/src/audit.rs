@@ -4,9 +4,11 @@
 //! [`audit_programs`] runs everything that needs only the workload: the
 //! `hermes_dataplane` composition lints, the exhaustive per-program graph
 //! cross-check, and the dataflow + recorded-edge passes over the merged
-//! TDG. [`audit_instance`] adds the [`hermes_core::precheck`] bounds for a
-//! concrete network and ε budget — the same certificates the portfolio
-//! consumes to return proven-infeasible before burning wall clock.
+//! TDG. Each program's TDG is built once: the graph cross-check runs on
+//! it, then those same graphs are merged. [`audit_instance`] adds the
+//! [`hermes_core::precheck`] bounds for a concrete network and ε budget —
+//! the same certificates the portfolio consumes to return
+//! proven-infeasible before burning wall clock.
 //! [`audit_plan`] re-emits the plan verifier's violations as diagnostics
 //! for auditing an already-computed deployment.
 //!
@@ -16,14 +18,14 @@
 
 use crate::dataflow::dataflow_diagnostics;
 use crate::diag::{AuditReport, Diagnostic, Severity, Span};
-use crate::graphcheck::{check_program, check_tdg};
+use crate::graphcheck::{check_part, check_tdg};
 use hermes_core::precheck::{Certificate, Precheck};
 use hermes_core::verify::Violation;
-use hermes_core::{DeploymentPlan, Epsilon, ProgramAnalyzer};
+use hermes_core::{DeploymentPlan, Epsilon};
 use hermes_dataplane::lint::{lint_composition, Lint};
 use hermes_dataplane::program::Program;
 use hermes_net::Network;
-use hermes_tdg::{AnalysisMode, Tdg};
+use hermes_tdg::{merge_all, AnalysisMode, Tdg};
 
 /// Re-renders a composition lint as a typed diagnostic.
 pub fn lint_to_diagnostic(lint: &Lint) -> Diagnostic {
@@ -104,27 +106,32 @@ pub fn violation_to_diagnostic(violation: &Violation) -> Diagnostic {
         .with_hint("the plan violates a hard constraint; it must not be installed")
 }
 
-/// Everything the audit derives from the workload alone, over the merged
-/// TDG the caller built once: composition lints, exhaustive per-program
-/// dependency re-derivation, and the dataflow + graph passes.
-fn workload_diagnostics(programs: &[Program], merged: &Tdg, mode: AnalysisMode) -> Vec<Diagnostic> {
+/// Everything the audit derives from the workload alone: composition
+/// lints, exhaustive per-program dependency re-derivation, and the
+/// dataflow + graph passes over the merged TDG, which it returns. Each
+/// program's TDG is built once: the graph check runs on it, then
+/// [`merge_all`] merges those same graphs — [`ProgramAnalyzer::analyze`]'s
+/// two steps, so the merged graph is the one the solver gets.
+///
+/// [`ProgramAnalyzer::analyze`]: hermes_core::ProgramAnalyzer::analyze
+fn workload_diagnostics(programs: &[Program], mode: AnalysisMode) -> (Vec<Diagnostic>, Tdg) {
     let mut diags: Vec<Diagnostic> =
         lint_composition(programs).iter().map(lint_to_diagnostic).collect();
-    for p in programs {
-        diags.extend(check_program(p, mode));
+    let parts: Vec<Tdg> = programs.iter().map(|p| Tdg::from_program(p, mode)).collect();
+    for (p, part) in programs.iter().zip(&parts) {
+        diags.extend(check_part(p, part));
     }
-    diags.extend(dataflow_diagnostics(merged));
-    diags.extend(check_tdg(merged));
-    diags
+    let merged = merge_all(parts);
+    diags.extend(dataflow_diagnostics(&merged));
+    diags.extend(check_tdg(&merged));
+    (diags, merged)
 }
 
 /// Audits a workload (no network needed): composition lints, exhaustive
 /// per-program dependency re-derivation, and the dataflow + graph passes
-/// over the merged TDG — built the way the deployment pipeline builds it,
-/// by [`ProgramAnalyzer`].
+/// over the merged TDG — built the way the deployment pipeline builds it.
 pub fn audit_programs(programs: &[Program], mode: AnalysisMode) -> AuditReport {
-    let merged = ProgramAnalyzer::with_mode(mode).analyze(programs);
-    AuditReport::new(workload_diagnostics(programs, &merged, mode), Vec::new())
+    AuditReport::new(workload_diagnostics(programs, mode).0, Vec::new())
 }
 
 /// Audits a full deployment instance: everything [`audit_programs`] does,
@@ -138,8 +145,7 @@ pub fn audit_instance(
     eps: &Epsilon,
     mode: AnalysisMode,
 ) -> AuditReport {
-    let merged = ProgramAnalyzer::with_mode(mode).analyze(programs);
-    let mut diags = workload_diagnostics(programs, &merged, mode);
+    let (mut diags, merged) = workload_diagnostics(programs, mode);
     let precheck = Precheck::run(&merged, net, eps);
     diags.extend(precheck.certificates.iter().map(certificate_to_diagnostic));
     AuditReport::new(diags, precheck.certificates)
@@ -156,6 +162,7 @@ pub fn audit_plan(tdg: &Tdg, net: &Network, plan: &DeploymentPlan, eps: &Epsilon
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_core::ProgramAnalyzer;
     use hermes_dataplane::action::Action;
     use hermes_dataplane::fields::Field;
     use hermes_dataplane::library;

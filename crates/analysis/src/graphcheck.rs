@@ -12,7 +12,8 @@
 //!
 //! * [`check_program`] — exhaustive: rebuilds the full `i < j` pair set of
 //!   one program (including its declared gates) and compares both
-//!   directions, so a bug in either the profile path or the reference
+//!   directions against the program's own TDG (the audit passes the one it
+//!   then merges), so a bug in either the profile path or the reference
 //!   shows up as a divergence. Only well-defined per program, because
 //!   merged graphs intentionally drop folded/cycle-closing edges.
 //! * [`check_tdg`] — validates whatever graph it is given (typically the
@@ -143,7 +144,13 @@ fn cyclic_graph() -> Diagnostic {
 /// A clean program yields no diagnostics; any divergence between the two
 /// derivation paths — or a stale recorded edge — is an error.
 pub fn check_program(program: &Program, mode: AnalysisMode) -> Vec<Diagnostic> {
-    let tdg = Tdg::from_program(program, mode);
+    check_part(program, &Tdg::from_program(program, mode))
+}
+
+/// [`check_program`] over `tdg`, the graph `Tdg::from_program` built for
+/// `program` in `tdg.mode()` — for a caller that goes on to merge it.
+pub(crate) fn check_part(program: &Program, tdg: &Tdg) -> Vec<Diagnostic> {
+    let mode = tdg.mode();
     let tables = program.tables();
     let gates: std::collections::BTreeSet<(usize, usize)> =
         program.gates().iter().copied().collect();

@@ -161,6 +161,7 @@ pub fn generate(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> DeploymentAr
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};

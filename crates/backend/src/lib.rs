@@ -13,8 +13,9 @@
 //! - [`emulator`] — a functional pipeline emulator that pushes packets
 //!   through the distributed deployment, stripping non-piggybacked
 //!   metadata at every egress. A deployment is compiled once
-//!   ([`emulator::CompiledPlan`]: visit order, per-switch MAT lists,
-//!   per-hop wire contracts) and packets run against the compiled form.
+//!   ([`emulator::CompiledPlan`]: field slots, MAT ops, visit order,
+//!   per-switch MAT lists, per-hop wire contracts) and packets run against
+//!   the compiled form as slot vectors.
 //!   [`emulator::equivalent`] checks that the distributed execution
 //!   matches a single logical switch — Goal #2 of the paper, *observed*
 //!   instead of assumed — and [`Trace::wire_bytes`](emulator::Trace)
@@ -56,7 +57,7 @@ pub mod validate;
 pub use config::{generate, DeploymentArtifacts, RouteEntry, StageEntry, SwitchConfig};
 pub use emulator::{
     equivalent, pairwise_field_bytes, run_distributed, run_reference, test_packet, CompiledPlan,
-    Packet, Registers, Trace,
+    Packet, Trace,
 };
 pub use mixed::{check_transition, check_window, EpochTransition, MixedEpochViolation};
 pub use simulate::{simulate_plan, PlanFlowConfig, PlanSimResult};

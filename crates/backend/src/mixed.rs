@@ -22,9 +22,7 @@
 //! that must be rolled back rather than committed gradually.
 
 use crate::config::DeploymentArtifacts;
-use crate::emulator::{
-    compile_hops, same_observable, test_packet, CompiledPlan, Hop, Packet, Registers,
-};
+use crate::emulator::{CompiledPlan, Frame, Hop, Registers};
 use hermes_core::DeploymentPlan;
 use hermes_net::SwitchId;
 use hermes_tdg::Tdg;
@@ -85,18 +83,21 @@ impl std::error::Error for MixedEpochViolation {}
 /// A transition compiled for replay: the old plan (its route is the one
 /// traffic follows throughout the window) and, per switch of that route
 /// the new plan also configures, the new epoch's MAT list and the wire
-/// contract the new plan implies at that position of the old route.
+/// contract the new plan implies at that position of the old route — both
+/// epochs over the old plan's field slots.
 struct CompiledTransition<'a> {
     old: CompiledPlan<'a>,
-    new: Vec<Option<Hop<'a>>>,
+    new: Vec<Option<Hop>>,
 }
 
 impl<'a> CompiledTransition<'a> {
     fn compile(t: &EpochTransition<'a>) -> Result<Self, MixedEpochViolation> {
-        let old = CompiledPlan::compile(t.tdg, t.old_plan, t.old_artifacts)
+        let mut old = CompiledPlan::compile(t.tdg, t.old_plan, t.old_artifacts)
             .ok_or(MixedEpochViolation::UnorderedOldPlan)?;
         let order: Vec<SwitchId> = old.visit_order().collect();
-        let new = compile_hops(t.tdg, t.new_plan, t.new_artifacts, &order)
+        let new = old
+            .code
+            .hops(t.tdg, t.new_plan, t.new_artifacts, &order)
             .into_iter()
             .map(|hop| t.new_artifacts.switches.contains_key(&hop.switch).then_some(hop))
             .collect();
@@ -108,31 +109,37 @@ impl<'a> CompiledTransition<'a> {
     /// new config *and* its new wire contract — what the new epoch believes
     /// later switches still consume — even though traffic still follows
     /// the old route.
-    fn run_mixed(&self, committed: &BTreeSet<SwitchId>, mut pkt: Packet) -> Packet {
-        let mut regs = Registers::default();
+    fn run_mixed(&self, committed: &BTreeSet<SwitchId>, mut frame: Frame) -> Frame {
+        let mut regs = Registers::new();
         for (old, new) in self.old.hops.iter().zip(&self.new) {
             let serving = new.as_ref().filter(|_| committed.contains(&old.switch)).unwrap_or(old);
-            serving.process(&mut pkt, &mut regs);
+            self.old.code.process(serving, &mut frame, &mut regs);
         }
-        pkt
+        frame
     }
 
-    /// The single-epoch reference outcome of every packet seed; the same
-    /// for every window of the transition.
-    fn references(&self, packet_seeds: &[u64]) -> Vec<Packet> {
-        packet_seeds.iter().map(|&seed| self.old.run_reference(test_packet(seed))).collect()
+    /// Every packet seed's test frame and its single-epoch reference
+    /// outcome; the same for every window of the transition.
+    fn packets(&self, packet_seeds: &[u64]) -> Vec<(u64, Frame, Frame)> {
+        packet_seeds
+            .iter()
+            .map(|&seed| {
+                let frame = self.old.code.test_frame(seed);
+                (seed, frame.clone(), self.old.reference_frame(frame))
+            })
+            .collect()
     }
 
     fn check_window(
         &self,
         committed: &BTreeSet<SwitchId>,
-        packet_seeds: &[u64],
-        references: &[Packet],
+        packets: &[(u64, Frame, Frame)],
     ) -> Result<(), MixedEpochViolation> {
-        for (&seed, reference) in packet_seeds.iter().zip(references) {
-            if !same_observable(&self.run_mixed(committed, test_packet(seed)), reference) {
+        for (seed, input, reference) in packets {
+            if !self.old.code.same_observable(&self.run_mixed(committed, input.clone()), reference)
+            {
                 return Err(MixedEpochViolation::Divergence {
-                    packet_seed: seed,
+                    packet_seed: *seed,
                     committed: committed.iter().copied().collect(),
                 });
             }
@@ -154,7 +161,7 @@ pub fn check_window(
     packet_seeds: &[u64],
 ) -> Result<(), MixedEpochViolation> {
     let compiled = CompiledTransition::compile(t)?;
-    compiled.check_window(committed, packet_seeds, &compiled.references(packet_seeds))
+    compiled.check_window(committed, &compiled.packets(packet_seeds))
 }
 
 /// Checks every window the intended `commit_order` can realize: after
@@ -166,8 +173,9 @@ pub fn check_window(
 /// order means the transition cannot be committed gradually and must
 /// roll back instead.
 ///
-/// Both plans are compiled once and the reference outcomes computed once
-/// per seed; a window then only runs its packets.
+/// Both plans are compiled once, over one set of field slots, and the
+/// reference outcomes computed once per seed; a window then only runs its
+/// packets.
 ///
 /// # Errors
 ///
@@ -182,16 +190,17 @@ pub fn check_transition(
         return Ok(0);
     }
     let compiled = CompiledTransition::compile(t)?;
-    let references = compiled.references(packet_seeds);
+    let packets = compiled.packets(packet_seeds);
     let mut committed = BTreeSet::new();
     for &switch in commit_order {
         committed.insert(switch);
-        compiled.check_window(&committed, packet_seeds, &references)?;
+        compiled.check_window(&committed, &packets)?;
     }
     Ok(commit_order.len())
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::config::generate;

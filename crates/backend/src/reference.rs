@@ -4,24 +4,118 @@
 //! packet re-derived the visit order, every visited switch re-sorted its
 //! stage entries, and every hop re-scanned the TDG's edges — resolving
 //! both endpoints with [`DeploymentPlan::switch_of`] — for the metadata
-//! that must survive it. That definition is easy to read off the paper's
-//! model ("written on a switch already visited, consumed on one still to
-//! come"), so it stays here, test-only, and the suite below pins the
-//! compiled form to it: same final packets, visits, wire bytes,
-//! validation reports and mixed-epoch verdicts.
+//! that must survive it; every MAT ran its action over a `Field`-keyed
+//! packet, with register arrays keyed by table name. That definition is
+//! easy to read off the paper's model ("written on a switch already
+//! visited, consumed on one still to come"), so it stays here, test-only,
+//! and the suite below pins the compiled form to it: same final packets,
+//! visits, wire bytes, validation reports and mixed-epoch verdicts.
 #![cfg(test)]
+#![allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 
 use crate::config::{generate, DeploymentArtifacts, StageEntry, SwitchConfig};
-use crate::emulator::{
-    self, execute_mat, same_observable, test_packet, CompiledPlan, Packet, Registers, Trace,
-};
+use crate::emulator::{self, mix, name_seed, test_packet, CompiledPlan, Packet, Trace};
 use crate::mixed::{self, EpochTransition, MixedEpochViolation};
 use crate::validate::{self, ValidationFailure, ValidationReport};
 use hermes_core::{verify, DeploymentPlan, Epsilon};
+use hermes_dataplane::action::{FoldOp, PrimitiveOp};
 use hermes_dataplane::fields::Field;
+use hermes_dataplane::Mat;
 use hermes_net::{Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Per-deployment register state: each stateful table owns an array.
+#[derive(Debug, Clone, Default)]
+struct Registers {
+    arrays: BTreeMap<String, BTreeMap<u64, u64>>,
+}
+
+impl Registers {
+    fn read_modify(&mut self, table: &str, index: u64) -> u64 {
+        let slot = self.arrays.entry(table.to_owned()).or_default().entry(index).or_insert(0);
+        *slot += 1;
+        *slot
+    }
+}
+
+/// Keeps headers plus the given metadata set; all other metadata is
+/// stripped (what happens on egress without a piggyback entry).
+fn retain_for_wire(pkt: &mut Packet, piggyback: &BTreeSet<&Field>) {
+    pkt.fields.retain(|f, _| f.is_header() || piggyback.contains(f));
+}
+
+/// Executes one MAT over the packet: the first action of the table runs
+/// (rule lookup is control-plane state; data-plane semantics — who writes
+/// what from what — are what equivalence needs).
+fn execute_mat(mat: &Mat, table_name: &str, pkt: &mut Packet, regs: &mut Registers) {
+    let Some(action) = mat.actions().first() else {
+        return;
+    };
+    for op in action.ops() {
+        match op {
+            PrimitiveOp::SetConst { dst } => {
+                pkt.set(dst.clone(), name_seed(action.name()));
+            }
+            PrimitiveOp::Copy { dst, src } => {
+                let v = pkt.get(src);
+                pkt.set(dst.clone(), v);
+            }
+            PrimitiveOp::Compute { dst, srcs } => {
+                let mut v = name_seed(action.name());
+                for s in srcs {
+                    v = mix(v, pkt.get(s));
+                }
+                pkt.set(dst.clone(), v);
+            }
+            PrimitiveOp::Hash { dst, srcs } => {
+                let mut v = 0;
+                for s in srcs {
+                    v = mix(v, pkt.get(s));
+                }
+                pkt.set(dst.clone(), v);
+            }
+            PrimitiveOp::RegisterOp { index, out } => {
+                let idx = pkt.get(index);
+                let value = regs.read_modify(table_name, idx);
+                if let Some(out) = out {
+                    pkt.set(out.clone(), value);
+                }
+            }
+            PrimitiveOp::Fold { dst, srcs, op } => {
+                let contrib = srcs.iter().fold(0u64, |v, s| mix(v, pkt.get(s)));
+                let v = if pkt.fields().contains_key(dst) {
+                    let acc = pkt.get(dst);
+                    match op {
+                        FoldOp::Add => acc.wrapping_add(contrib),
+                        FoldOp::Max => acc.max(contrib),
+                        FoldOp::Min => acc.min(contrib),
+                        FoldOp::Or => acc | contrib,
+                    }
+                } else {
+                    contrib
+                };
+                pkt.set(dst.clone(), v);
+            }
+            PrimitiveOp::Drop => {
+                pkt.dropped = true;
+            }
+            PrimitiveOp::Forward { port } => {
+                let v = pkt.get(port);
+                pkt.set(port.clone(), v);
+            }
+        }
+    }
+}
+
+/// Observable equality of two final packet states: header fields plus
+/// drop status.
+fn same_observable(a: &Packet, b: &Packet) -> bool {
+    let headers = |p: &Packet| -> BTreeMap<Field, u64> {
+        p.fields().iter().filter(|(f, _)| f.is_header()).map(|(f, v)| (f.clone(), *v)).collect()
+    };
+    headers(a) == headers(b) && a.is_dropped() == b.is_dropped()
+}
 
 /// The switches of `artifacts` in topological order of the switch-level
 /// DAG, ties by switch id; `None` when that graph is cyclic.
@@ -113,7 +207,7 @@ fn run_distributed(
         visits.push(switch);
         execute_switch(tdg, &artifacts.switches[&switch], &mut pkt, &mut regs);
         let piggyback = transitive_piggyback(tdg, plan, &order[..=i], &order[i + 1..]);
-        pkt.retain_for_wire(&piggyback);
+        retain_for_wire(&mut pkt, &piggyback);
         wire_bytes.push(piggyback.iter().map(|f| f.size_bytes()).sum());
     }
     Some(Trace { packet: pkt, visits, wire_bytes })
@@ -174,7 +268,7 @@ fn run_mixed(
         };
         execute_switch(t.tdg, config, &mut pkt, &mut regs);
         let piggyback = transitive_piggyback(t.tdg, plan, &order[..=i], &order[i + 1..]);
-        pkt.retain_for_wire(&piggyback);
+        retain_for_wire(&mut pkt, &piggyback);
     }
     Ok(pkt)
 }
@@ -277,8 +371,92 @@ mod suite {
                 }
             }
             assert!(out.len() >= 15, "only {} instances deploy", out.len());
+            out.push(pins());
             out
         })
+    }
+
+    /// A hand-placed deployment for what the solver plans never show the
+    /// slot interpreter: `Forward` on a port the packet lacks (the header
+    /// becomes present with value 0), a `Min` fold into an absent
+    /// accumulator (which installs the contribution, where folding into 0
+    /// would not),
+    /// two MATs of one table name on different switches (one register
+    /// array across the hops of a packet), and a metadata field outside
+    /// the wire contract (`lost` has no edge to its reader on the next
+    /// switch, which reads 0 there: the plan diverges).
+    fn pins() -> Instance {
+        use hermes_dataplane::action::Action;
+        use hermes_dataplane::fields::headers;
+        use hermes_tdg::{AnalysisMode, DependencyType};
+
+        let (acc, lost) = (Field::metadata("meta.acc", 4), Field::metadata("meta.lost", 4));
+        let mat = |name: &str, ops: Vec<PrimitiveOp>| {
+            let action = ops.into_iter().fold(Action::new(name), Action::with_op);
+            Mat::builder(name).action(action).resource(0.2).build().expect("valid MAT")
+        };
+        let tdg = Tdg::from_mats_and_edges(
+            vec![
+                ("lost".to_owned(), mat("lost", vec![PrimitiveOp::SetConst { dst: lost.clone() }])),
+                (
+                    "count".to_owned(),
+                    mat(
+                        "first",
+                        vec![
+                            PrimitiveOp::Forward { port: Field::header("std.egress_port", 2) },
+                            PrimitiveOp::Fold {
+                                dst: acc.clone(),
+                                srcs: vec![headers::ipv4_src()],
+                                op: FoldOp::Min,
+                            },
+                            PrimitiveOp::RegisterOp { index: headers::ipv4_proto(), out: None },
+                        ],
+                    ),
+                ),
+                (
+                    "count".to_owned(),
+                    mat(
+                        "second",
+                        vec![
+                            PrimitiveOp::Fold {
+                                dst: acc.clone(),
+                                srcs: vec![headers::ipv4_dst()],
+                                op: FoldOp::Add,
+                            },
+                            PrimitiveOp::Copy { dst: headers::ipv4_dscp(), src: acc },
+                            PrimitiveOp::RegisterOp {
+                                index: headers::ipv4_proto(),
+                                out: Some(headers::ipv4_ttl()),
+                            },
+                            PrimitiveOp::Copy { dst: headers::eth_type(), src: lost },
+                        ],
+                    ),
+                ),
+            ],
+            vec![(1, 2, DependencyType::Action)],
+            AnalysisMode::PaperLiteral,
+        );
+        let net = topology::linear(2, 10.0);
+        let ids: Vec<SwitchId> = net.switch_ids().collect();
+        let nodes: Vec<NodeId> = tdg.node_ids().collect();
+        let mut plan = DeploymentPlan::new();
+        for (node, switch, stage) in
+            [(nodes[0], ids[0], 0), (nodes[1], ids[0], 1), (nodes[2], ids[1], 0)]
+        {
+            plan.place(StagePlacement { node, switch, stage, fraction: 0.2 });
+        }
+        let path = paths::shortest_path(&net, ids[0], ids[1]).expect("connected");
+        plan.route(PlanRoute { from: ids[0], to: ids[1], path });
+        ("pins on linear:2".to_owned(), tdg, net, vec![("hand", plan)])
+    }
+
+    /// `test_packet(seed)` plus a header and a metadata field no MAT of
+    /// any instance touches.
+    fn with_untouched(seed: u64) -> Packet {
+        let mut pkt = test_packet(seed);
+        pkt.set(Field::header("pins.tag", 2), seed);
+        pkt.set(Field::metadata("pins.note", 2), seed);
+        pkt
     }
 
     #[test]
@@ -298,19 +476,24 @@ mod suite {
                     "{ctx}"
                 );
                 multi_switch += usize::from(compiled.visit_order().len() > 1);
-                for &seed in &seeds {
-                    let oracle = run_distributed(tdg, plan, &artifacts, test_packet(seed))
-                        .expect("orderable");
-                    assert_eq!(compiled.run(test_packet(seed)), oracle, "{ctx}, packet {seed}");
+                let packets =
+                    seeds.iter().map(|&seed| test_packet(seed)).chain([with_untouched(7)]);
+                for (i, pkt) in packets.enumerate() {
+                    let ctx = format!("{ctx}, packet {i}");
+                    let oracle =
+                        run_distributed(tdg, plan, &artifacts, pkt.clone()).expect("orderable");
+                    assert_eq!(compiled.run(pkt.clone()), oracle, "{ctx}");
                     assert_eq!(
-                        emulator::run_distributed(tdg, plan, &artifacts, test_packet(seed)),
+                        emulator::run_distributed(tdg, plan, &artifacts, pkt.clone()),
                         Some(oracle),
-                        "{ctx}, packet {seed}"
+                        "{ctx}"
                     );
-                    let reference = run_reference(tdg, test_packet(seed));
-                    assert_eq!(compiled.run_reference(test_packet(seed)), reference, "{ctx}");
-                    assert_eq!(emulator::run_reference(tdg, test_packet(seed)), reference);
+                    let reference = run_reference(tdg, pkt.clone());
+                    assert_eq!(compiled.run_reference(pkt.clone()), reference, "{ctx}");
+                    assert_eq!(emulator::run_reference(tdg, pkt), Some(reference), "{ctx}");
                 }
+                let tag = Field::header("pins.tag", 2);
+                assert_eq!(compiled.run(with_untouched(7)).packet.fields().get(&tag), Some(&7));
                 let (report, generated) = validate::validate_plan(tdg, net, plan, &eps, &seeds);
                 assert_eq!(report, validate_plan(tdg, net, plan, &eps, &seeds), "{ctx}");
                 assert_eq!(generated, artifacts, "{ctx}");
@@ -433,6 +616,57 @@ mod suite {
         (tdg, plan)
     }
 
+    /// A window that skips a MAT whose only effect is a `Forward` on a port
+    /// the packet lacks: `x`@s0, `f`@s1 becomes `f`@s0, `x`@s1, and s1
+    /// commits first, so neither switch runs `f`. The packet differs from
+    /// the reference only in whether the port header is present.
+    #[test]
+    fn header_presence_alone_is_a_divergence() {
+        use hermes_dataplane::action::Action;
+        use hermes_dataplane::fields::headers;
+        use hermes_tdg::AnalysisMode;
+
+        let mat = |name: &str, op: PrimitiveOp| {
+            let action = Action::new(name).with_op(op);
+            Mat::builder(name).action(action).resource(0.2).build().expect("valid MAT")
+        };
+        let tdg = Tdg::from_mats_and_edges(
+            vec![
+                ("x".to_owned(), mat("x", PrimitiveOp::SetConst { dst: headers::eth_type() })),
+                (
+                    "f".to_owned(),
+                    mat("f", PrimitiveOp::Forward { port: Field::header("std.egress_port", 2) }),
+                ),
+            ],
+            Vec::new(),
+            AnalysisMode::PaperLiteral,
+        );
+        let net = topology::linear(2, 10.0);
+        let ids: Vec<SwitchId> = net.switch_ids().collect();
+        let nodes: Vec<NodeId> = tdg.node_ids().collect();
+        let place = |homes: [SwitchId; 2]| {
+            let mut plan = DeploymentPlan::new();
+            for (&node, switch) in nodes.iter().zip(homes) {
+                plan.place(StagePlacement { node, switch, stage: 0, fraction: 0.2 });
+            }
+            plan
+        };
+        let (old_plan, new_plan) = (place([ids[0], ids[1]]), place([ids[1], ids[0]]));
+        let (old_art, new_art) = (generate(&tdg, &net, &old_plan), generate(&tdg, &net, &new_plan));
+        let t = EpochTransition {
+            tdg: &tdg,
+            old_plan: &old_plan,
+            old_artifacts: &old_art,
+            new_plan: &new_plan,
+            new_artifacts: &new_art,
+        };
+        assert!(!assert_same_verdicts(&t, &[ids[1], ids[0]], "skipped forward"));
+        assert_eq!(
+            mixed::check_window(&t, &[ids[1]].into(), &[0]),
+            Err(MixedEpochViolation::Divergence { packet_seed: 0, committed: vec![ids[1]] })
+        );
+    }
+
     /// The violating transition of `mixed`'s own test: a@s0, b@s1 becomes
     /// both on s0, s0 commits first. Same seed, same committed set.
     #[test]
@@ -491,5 +725,39 @@ mod suite {
         assert_eq!(check_transition(&t, &ids, &[0]), Err(MixedEpochViolation::UnorderedOldPlan));
         let flow = crate::simulate::PlanFlowConfig::default();
         assert_eq!(crate::simulate::simulate_plan(&tdg, &net, &plan, &artifacts, &flow), None);
+    }
+
+    #[test]
+    fn register_state_accumulates() {
+        let mut regs = Registers::default();
+        assert_eq!(regs.read_modify("t", 5), 1);
+        assert_eq!(regs.read_modify("t", 5), 2);
+        assert_eq!(regs.read_modify("t", 6), 1);
+        assert_eq!(regs.read_modify("u", 5), 1);
+    }
+
+    #[test]
+    fn dropping_piggybacked_metadata_breaks_semantics() {
+        // A two-MAT chain: `a` hashes headers into meta.idx, `b` copies the
+        // metadata into a header field. Splitting them across switches
+        // WITHOUT piggybacking meta.idx must corrupt the result.
+        use hermes_dataplane::fields::headers;
+        let net = topology::linear(2, 10.0);
+        let ids: Vec<SwitchId> = net.switch_ids().collect();
+        let (tdg, _) = chain(&[ids[0], ids[1]], &net);
+        let reference = run_reference(&tdg, test_packet(9));
+
+        // "Broken deployment": execute a, strip ALL metadata, execute b.
+        let mut pkt = test_packet(9);
+        let mut regs = Registers::default();
+        let order = tdg.topo_order().unwrap();
+        execute_mat(&tdg.node(order[0]).mat, "t0", &mut pkt, &mut regs);
+        retain_for_wire(&mut pkt, &BTreeSet::new()); // no piggyback contract
+        execute_mat(&tdg.node(order[1]).mat, "t1", &mut pkt, &mut regs);
+        assert_ne!(
+            reference.get(&headers::ipv4_dst()),
+            pkt.get(&headers::ipv4_dst()),
+            "losing meta.f0 must corrupt t1's output"
+        );
     }
 }

@@ -122,6 +122,7 @@ pub fn simulate_plan(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::config::generate;

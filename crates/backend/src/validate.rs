@@ -119,6 +119,7 @@ pub fn validate_plan(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_core::{DeploymentAlgorithm, GreedyHeuristic, ProgramAnalyzer};

@@ -5,7 +5,7 @@
 //! Each artifact checks what it measures while it runs — every plan against
 //! the paper's constraints, every figure against the invariant its claim
 //! rests on — and marks each cell that depends on the host with `*`
-//! ([`report::host`]); everything else is a pure function of the code, which
+//! ([`host`]); everything else is a pure function of the code, which
 //! `tests/reproduce.rs` holds the committed files to.
 
 use crate::report::{fmt_ms, host, Table};

@@ -9,7 +9,7 @@
 
 use crate::fields::Field;
 use crate::program::Program;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 /// One lint finding.
@@ -160,8 +160,10 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     let tables: Vec<(&Program, &crate::mat::Mat)> =
         programs.iter().flat_map(|p| p.tables().iter().map(move |t| (p, t))).collect();
 
-    // Read-before-write over metadata.
-    let mut written: BTreeSet<&Field> = BTreeSet::new();
+    // Read-before-write over metadata. `written` and `all_consumed` are
+    // only asked for membership, never iterated, so hashing them leaves
+    // the findings' order as it is.
+    let mut written: HashSet<&Field> = HashSet::new();
     for (_, t) in &tables {
         for f in t.consumed_fields().filter(|f| f.is_metadata()) {
             // Self-produced metadata within the same table (hash + use) is
@@ -177,7 +179,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     }
 
     // Never-consumed metadata: collect all consumption, then check writes.
-    let mut all_consumed: BTreeSet<&Field> = BTreeSet::new();
+    let mut all_consumed: HashSet<&Field> = HashSet::new();
     for (_, t) in &tables {
         all_consumed.extend(t.match_fields());
         all_consumed.extend(t.action_read_fields());
