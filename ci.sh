@@ -48,10 +48,12 @@ echo "==> cargo test -q --release --workspace"
 # deploy byte-diff, the `chaos --threads 4` smoke, and the audit and
 # state-report goldens; `REGEN_GOLDEN=1 cargo test --test cli_golden`
 # rewrites cli_golden.txt and stateaccess_golden.json; tier-1 too).
-# The paper's evaluation (tests/reproduce.rs: every artifact of the
-# `reproduce` bin recomputed and held to results/*.md, host-dependent `*`
-# cells aside; the sweeps spend seconds of solver budget per point, so they
-# run only here, ≈60 s). The one place the whole greedy-side scale golden runs
+# The paper's evaluation and its five extension experiments
+# (tests/reproduce.rs: every artifact of the `reproduce` bin recomputed and
+# held to results/*.md, host-dependent `*` cells aside; the sweeps and
+# `targets` spend seconds of solver budget per point, so they run only here:
+# 67 s of this stage on a 2-thread Xeon, the whole `reproduce` run 2 min 11 s).
+# The one place the whole greedy-side scale golden runs
 # (tests/greedy_scale.rs: 1 119 lines, ≈5 s here, minutes in a debug build,
 # so tier-1 above checks only its head; `REGEN_GOLDEN=1 cargo test
 # --release --test greedy_scale` rewrites it).

@@ -1,5 +1,5 @@
-//! Regenerates the paper's evaluation: every table and figure, one
-//! Markdown file each, under `results/`.
+//! Regenerates the paper's evaluation and the experiments that extend it:
+//! every table and figure, one Markdown file each, under `results/`.
 //!
 //! ```text
 //! reproduce [--only NAME,...] [--out DIR] [--budget SECS]

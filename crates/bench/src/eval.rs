@@ -1,4 +1,6 @@
-//! Every artifact of the paper's evaluation, measured and rendered as one
+//! Every artifact of the paper's evaluation, and of five experiments that
+//! extend it (the runtime's healing, lossy channels, staged migration,
+//! crash recovery and heterogeneous targets), measured and rendered as one
 //! Markdown file under `results/` each (Exp#2–4 share one sweep and write
 //! three).
 //!
@@ -12,12 +14,19 @@ use crate::report::{fmt_ms, host, Table};
 use crate::{analyze, deploy_measured, measure, verified, workload, Axis, Ctx, Panel, Sweep};
 use hermes_backend::{config::generate, emulator, simulate_plan, PlanFlowConfig};
 use hermes_baselines::{standard_suite, IlpBaseline, IlpConfig};
+use hermes_core::test_support::chain_tdg;
 use hermes_core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, ProgramAnalyzer, SplitStrategy,
+    Budgeted, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
+    MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver,
+    ProgramAnalyzer, RedeployOptions, SearchContext, SplitStrategy,
 };
-use hermes_dataplane::library::sketches;
+use hermes_dataplane::library::{self, sketches};
 use hermes_net::topology::{self, table3_wan, TABLE3};
-use hermes_net::Network;
+use hermes_net::{parse_target, Network, SwitchId};
+use hermes_runtime::{
+    ChannelProfile, CrashTiming, DeploymentRuntime, Event, FaultInjector, FaultProfile,
+    MigrationConfig, MigrationOutcome, RetryPolicy, RolloutOutcome,
+};
 use hermes_sim::testbed::{fig2_sweep, NormalizedPerf, TestbedConfig, PACKET_SIZES};
 use hermes_sim::workload::{aggregate, run_workload, FlowSizes, OverheadModel, WorkloadConfig};
 use hermes_tdg::{AnalysisMode, Tdg};
@@ -41,7 +50,7 @@ pub struct Output {
     pub text: String,
 }
 
-/// The evaluation, in the paper's order.
+/// The evaluation in the paper's order, then the extension experiments.
 pub const ARTIFACTS: &[Artifact] = &[
     Artifact { name: "fig2", about: "Figure 2: overhead vs. normalized FCT/goodput", run: fig2 },
     Artifact { name: "table3", about: "Table III: the ten WAN topologies", run: table3 },
@@ -64,6 +73,15 @@ pub const ARTIFACTS: &[Artifact] = &[
         about: "constant metadata vs. INT-style accumulation",
         run: int_comparison,
     },
+    Artifact {
+        name: "chaos_recovery",
+        about: "healing under injected faults, two topologies",
+        run: chaos_recovery,
+    },
+    Artifact { name: "lossy_commit", about: "commit cost vs. message loss", run: lossy_commit },
+    Artifact { name: "migration", about: "staged vs. all-at-once reconfiguration", run: migration },
+    Artifact { name: "recovery", about: "controller crash at every journal write", run: recovery },
+    Artifact { name: "targets", about: "A_max and feasibility per target mix", run: targets },
 ];
 
 /// A Markdown report under construction.
@@ -99,6 +117,13 @@ fn budget_note(ctx: &Ctx) -> String {
          times, and the incumbents of solvers that ran out of budget.",
         ctx.budget.as_secs_f64()
     )
+}
+
+/// Hermes's plan for `(tdg, net)`, verified ([`deploy_measured`]).
+fn hermes_plan(tdg: &Tdg, net: &Network, ctx: &Ctx) -> Result<DeploymentPlan, String> {
+    deploy_measured(&GreedyHeuristic::new(), tdg, net, ctx.budget)?
+        .plan
+        .ok_or_else(|| "Hermes found no plan".to_owned())
 }
 
 fn fig2(_: &Ctx) -> Result<Vec<Output>, String> {
@@ -322,9 +347,7 @@ fn exp6(ctx: &Ctx) -> Result<Vec<Output>, String> {
         }
     };
 
-    let hermes = deploy_measured(&GreedyHeuristic::new(), &tdg, &net, ctx.budget)?
-        .plan
-        .ok_or("Hermes found no plan")?;
+    let hermes = hermes_plan(&tdg, &net, ctx)?;
     let speed = IlpBaseline::speed(IlpConfig { time_limit: ctx.budget, ..Default::default() });
     let speed = deploy_measured(&speed, &tdg, &net, ctx.budget)?;
     let speed_host = speed.host_dependent;
@@ -475,6 +498,478 @@ fn int_comparison(_: &Ctx) -> Result<Vec<Output>, String> {
          piggyback (what Hermes minimizes) does not.",
     );
     Ok(vec![doc.done("int_comparison.md")])
+}
+
+/// `plan` with its highest-id occupied switch drained: the incremental
+/// redeployer re-homes that switch's MATs onto the others, so every
+/// make-before-break staging window fits. Returns the switch and the new
+/// plan, verified.
+fn drain(
+    tdg: &Tdg,
+    net: &Network,
+    plan: &DeploymentPlan,
+) -> Result<(SwitchId, DeploymentPlan), String> {
+    let eps = Epsilon::loose();
+    let drained = *plan.occupied_switches().last().ok_or("plan A occupies no switch")?;
+    let options = RedeployOptions::excluding([drained]);
+    let drained_plan = IncrementalDeployer::new()
+        .redeploy_with(tdg, plan, tdg, net, &eps, &options)
+        .map_err(|e| format!("cannot drain {drained}: {e}"))?
+        .plan;
+    if &drained_plan == plan {
+        return Err(format!("draining {drained} changed nothing"));
+    }
+    Ok((drained, verified("the drain", tdg, net, drained_plan)?))
+}
+
+/// A fault-free controller over `net`.
+fn clean_runtime(net: &Network) -> DeploymentRuntime {
+    DeploymentRuntime::new(
+        net.clone(),
+        Epsilon::loose(),
+        FaultInjector::disabled(),
+        RetryPolicy::default(),
+    )
+}
+
+/// A fault-free controller over `net` with `plan` committed.
+fn installed(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> Result<DeploymentRuntime, String> {
+    let mut rt = clean_runtime(net);
+    match rt.rollout(tdg, plan.clone()) {
+        outcome if outcome.is_committed() => Ok(rt),
+        outcome => Err(format!("the clean install of plan A ended {outcome}")),
+    }
+}
+
+/// Mean of `values`, 0 when there are none.
+fn mean(values: &[u64]) -> f64 {
+    values.iter().sum::<u64>() as f64 / values.len().max(1) as f64
+}
+
+fn chaos_recovery(ctx: &Ctx) -> Result<Vec<Output>, String> {
+    const SEEDS: u64 = 60;
+    let tdg = analyze(&library::real_programs());
+    let mut t = Table::new([
+        "topology",
+        "runs",
+        "clean",
+        "healed",
+        "rolled back",
+        "faults",
+        "retries",
+        "mean rec (us)",
+        "max rec (us)",
+        "A_max pre",
+        "A_max post",
+    ]);
+    for (name, net) in
+        [("linear:4", topology::linear(4, 10.0)), ("fattree:4", topology::fat_tree(4, 10.0))]
+    {
+        let plan = hermes_plan(&tdg, &net, ctx).map_err(|e| format!("{name}: {e}"))?;
+        let (mut clean, mut healed, mut rolled_back, mut faults, mut retries) = (0, 0, 0, 0, 0);
+        let (mut recoveries, mut before, mut after) = (Vec::new(), Vec::new(), Vec::new());
+        for seed in 0..SEEDS {
+            let injector = FaultInjector::new(seed, FaultProfile::chaos());
+            let mut rt = DeploymentRuntime::new(
+                net.clone(),
+                Epsilon::loose(),
+                injector,
+                RetryPolicy::default(),
+            );
+            let outcome = rt.rollout(&tdg, plan.clone());
+            let log = rt.log();
+            faults += log.count(|e| matches!(e, Event::FaultInjected { .. }));
+            retries += log.count(|e| matches!(e, Event::RetryScheduled { .. }));
+            match outcome {
+                RolloutOutcome::Committed { healed: false, .. } => clean += 1,
+                RolloutOutcome::Committed { healed: true, .. } => {
+                    healed += 1;
+                    for e in &log.events {
+                        if let Event::RecoveryCompleted {
+                            recovery_us,
+                            a_max_before,
+                            a_max_after,
+                            ..
+                        } = e
+                        {
+                            recoveries.push(*recovery_us);
+                            before.push(*a_max_before);
+                            after.push(*a_max_after);
+                        }
+                    }
+                }
+                RolloutOutcome::RolledBack { .. } => rolled_back += 1,
+                RolloutOutcome::ControllerCrashed { .. } => {
+                    return Err(format!(
+                        "{name}, seed {seed}: the controller crashed, which the chaos profile \
+                         never injects"
+                    ))
+                }
+            }
+        }
+        t.row([
+            name.to_owned(),
+            SEEDS.to_string(),
+            clean.to_string(),
+            healed.to_string(),
+            rolled_back.to_string(),
+            faults.to_string(),
+            retries.to_string(),
+            format!("{:.0}", mean(&recoveries)),
+            recoveries.iter().max().unwrap_or(&0).to_string(),
+            format!("{:.1}", mean(&before)),
+            format!("{:.1}", mean(&after)),
+        ]);
+    }
+    let mut doc = Doc::new("Chaos recovery — healing a rollout under injected faults");
+    doc.para(format!(
+        "The ten real programs, placed by Hermes and rolled out under the chaos fault profile on \
+         {SEEDS} seeded fault schedules per topology. Healing re-homes lost MATs into residual \
+         capacity, so the healed layout may pay more per-packet overhead (A_max, mean over \
+         healed runs) than the original plan. Times are on the runtime's virtual clock."
+    ));
+    doc.table("outcomes per topology", &t);
+    Ok(vec![doc.done("chaos_recovery.md")])
+}
+
+fn lossy_commit(ctx: &Ctx) -> Result<Vec<Output>, String> {
+    const SEEDS: u64 = 40;
+    let tdg = analyze(&library::real_programs());
+    let net = topology::fat_tree(4, 10.0);
+    let plan = hermes_plan(&tdg, &net, ctx)?;
+    let mut t = Table::new([
+        "drop",
+        "runs",
+        "clean",
+        "healed",
+        "rolled back",
+        "mean msgs",
+        "mean retries",
+        "mean commit (us)",
+    ]);
+    for drop_prob in [0.0, 0.05, 0.10, 0.20, 0.30] {
+        let profile = ChannelProfile { drop_prob, ..ChannelProfile::lossy() };
+        let (mut clean, mut healed, mut rolled_back) = (0, 0, 0);
+        let (mut messages, mut retries, mut latencies) = (Vec::new(), Vec::new(), Vec::new());
+        for seed in 0..SEEDS {
+            // Faults off: the channel is the only adversary.
+            let injector = FaultInjector::new(seed, FaultProfile::none());
+            let mut rt = DeploymentRuntime::new(
+                net.clone(),
+                Epsilon::loose(),
+                injector,
+                RetryPolicy::default(),
+            )
+            .with_channel_profile(profile);
+            let outcome = rt.rollout(&tdg, plan.clone());
+            messages.push(rt.messages_sent());
+            retries.push(rt.log().count(|e| matches!(e, Event::RetryScheduled { .. })) as u64);
+            match outcome {
+                RolloutOutcome::Committed { healed: was_healed, .. } => {
+                    if was_healed {
+                        healed += 1;
+                    } else {
+                        clean += 1;
+                    }
+                    latencies.push(rt.now_us());
+                }
+                RolloutOutcome::RolledBack { .. } => rolled_back += 1,
+                RolloutOutcome::ControllerCrashed { .. } => {
+                    return Err(format!(
+                        "drop {drop_prob}, seed {seed}: the controller crashed, which a \
+                         fault-free profile never injects"
+                    ))
+                }
+            }
+        }
+        t.row([
+            format!("{drop_prob:.2}"),
+            SEEDS.to_string(),
+            clean.to_string(),
+            healed.to_string(),
+            rolled_back.to_string(),
+            format!("{:.1}", mean(&messages)),
+            format!("{:.1}", mean(&retries)),
+            format!("{:.0}", mean(&latencies)),
+        ]);
+    }
+    let mut doc = Doc::new("Lossy commit — protocol cost vs. message loss");
+    doc.para(format!(
+        "The ten real programs, placed by Hermes on fattree:4 and rolled out through the \
+         epoch-fenced agent protocol, {SEEDS} seeds per drop rate; duplication, reordering and \
+         delay stay at the lossy channel's defaults and no faults are injected. Retries, \
+         idempotent replays and leases buy reliability from the channel at a message cost. \
+         Commit latency is on the virtual clock, over the runs that committed."
+    ));
+    doc.table("outcomes and cost per drop rate", &t);
+    Ok(vec![doc.done("lossy_commit.md")])
+}
+
+/// Reshapes every switch to `stages` pipeline stages of `cap` capacity so
+/// packing binds (stock capacities would fit each chain on one switch and
+/// make every transient curve flat).
+fn shape(mut net: Network, stages: usize, cap: f64) -> Network {
+    let ids: Vec<SwitchId> = net.switch_ids().collect();
+    for id in ids {
+        let sw = net.switch_mut(id);
+        sw.stages = stages;
+        sw.stage_capacity = cap;
+    }
+    net
+}
+
+fn migration(ctx: &Ctx) -> Result<Vec<Output>, String> {
+    // Chains whose MATs only read and write metadata: the shape the
+    // mixed-epoch gate admits under any commit order, so both styles run.
+    let scenarios = [
+        (
+            "linear-5",
+            shape(topology::linear(5, 10.0), 5, 0.45),
+            chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4),
+        ),
+        ("star-4", shape(topology::star(4, 10.0), 5, 0.45), chain_tdg(&[4, 7, 3, 8, 2, 6, 5], 0.4)),
+        (
+            "fattree-4",
+            shape(topology::fat_tree(4, 10.0), 4, 0.45),
+            chain_tdg(&[9, 2, 7, 4, 8, 3, 6, 5, 2, 7, 4], 0.4),
+        ),
+    ];
+    let mut plans = Table::new([
+        "scenario",
+        "switches",
+        "MATs",
+        "drained",
+        "A_max A -> B (B)",
+        "planner",
+        "transient curve (B)",
+    ]);
+    let mut cost = Table::new([
+        "scenario",
+        "steps",
+        "staged peak B",
+        "all-at-once peak B",
+        "staged us",
+        "all-at-once us",
+        "staged msgs",
+        "all-at-once msgs",
+    ]);
+    let mut outcomes = Table::new(["scenario", "staged", "all at once"]);
+    for (name, net, tdg) in &scenarios {
+        let fail = |e: String| format!("{name}: {e}");
+        let plan_a = hermes_plan(tdg, net, ctx).map_err(fail)?;
+        let (drained, plan_b) = drain(tdg, net, &plan_a).map_err(fail)?;
+        let problem = MigrationProblem { tdg, net, from: &plan_a, to: &plan_b };
+        let schedule = MigrationScheduler::with_order(MigrationOrder::Auto)
+            .plan(&problem, &SearchContext::with_time_limit(ctx.budget))
+            .map_err(|e| fail(format!("cannot schedule: {e}")))?;
+        if let Some(peak) = schedule.all_at_once_peak.filter(|&p| schedule.peak_transient_amax > p)
+        {
+            return Err(fail(format!(
+                "staged peaks at {} B, above all-at-once's {peak} B",
+                schedule.peak_transient_amax
+            )));
+        }
+
+        // The staged schedule, then a plain rollout of B, each from plan A.
+        let mut staged = installed(tdg, net, &plan_a).map_err(fail)?;
+        let (t0, m0) = (staged.now_us(), staged.messages_sent());
+        let staged_outcome = staged.migrate_with_schedule(tdg, plan_b.clone(), &schedule);
+        if !staged_outcome.is_migrated() || staged.active_plan() != Some(&plan_b) {
+            return Err(fail(format!("staged: {staged_outcome}, not on plan B")));
+        }
+        let mut at_once = installed(tdg, net, &plan_a).map_err(fail)?;
+        let (t1, m1) = (at_once.now_us(), at_once.messages_sent());
+        let at_once_outcome = at_once.rollout(tdg, plan_b.clone());
+        if !at_once_outcome.is_committed() || at_once.active_plan() != Some(&plan_b) {
+            return Err(fail(format!("all at once: {at_once_outcome}, not on plan B")));
+        }
+
+        plans.row([
+            name.to_string(),
+            net.switch_count().to_string(),
+            tdg.node_count().to_string(),
+            drained.to_string(),
+            format!("{} -> {}", schedule.from_amax, schedule.to_amax),
+            schedule.planner.clone(),
+            format!("{:?}", schedule.transient_curve()),
+        ]);
+        cost.row([
+            name.to_string(),
+            schedule.steps.len().to_string(),
+            schedule.peak_transient_amax.to_string(),
+            schedule.all_at_once_peak.map_or("-".to_owned(), |p| p.to_string()),
+            (staged.now_us() - t0).to_string(),
+            (at_once.now_us() - t1).to_string(),
+            (staged.messages_sent() - m0).to_string(),
+            (at_once.messages_sent() - m1).to_string(),
+        ]);
+        outcomes.row([name.to_string(), staged_outcome.to_string(), at_once_outcome.to_string()]);
+    }
+    let mut doc = Doc::new("Migration — staged vs. all-at-once reconfiguration");
+    doc.para(
+        "Each scenario places a metadata chain with Hermes (plan A) on a capacity-bound \
+         topology and drains plan A's last occupied switch (plan B). The staged run commits \
+         switch by switch in the order that minimizes the peak transient A_max, through the \
+         mixed-epoch gate; the all-at-once run is a plain rollout of B, whose commit window \
+         walks the switches in ascending id order. The transient curve is A_max before the \
+         first step and after every staged step. Times are on the virtual clock, over a clean \
+         channel.",
+    );
+    doc.table("plans and the staged schedule", &plans);
+    doc.table("reconfiguration cost", &cost);
+    doc.table("outcomes", &outcomes);
+    Ok(vec![doc.done("migration.md")])
+}
+
+/// Recovery from a controller crash armed at every journal write of a
+/// deploy of `a` (`to` is `None`) or of a migration from `a` to `to`: one
+/// row per write, or an error if a crash does not fire or recovery lands on
+/// anything but exactly `a`, exactly `to` or nothing.
+fn crash_points(
+    tdg: &Tdg,
+    net: &Network,
+    a: &DeploymentPlan,
+    to: Option<&DeploymentPlan>,
+) -> Result<Table, String> {
+    let run = |arm: Option<(u64, CrashTiming)>| -> Result<(DeploymentRuntime, bool), String> {
+        let mut rt = match to {
+            Some(_) => installed(tdg, net, a)?,
+            None => clean_runtime(net),
+        };
+        // A fresh injector counts the operation's journal writes from 0.
+        rt.set_injector(FaultInjector::disabled());
+        if let Some((nth, timing)) = arm {
+            rt.injector_mut().arm_controller_crash_at(nth, timing);
+        }
+        let crashed = match to {
+            None => matches!(rt.rollout(tdg, a.clone()), RolloutOutcome::ControllerCrashed { .. }),
+            Some(b) => matches!(
+                rt.migrate(tdg, b.clone(), &MigrationConfig::default()),
+                MigrationOutcome::ControllerCrashed { .. }
+            ),
+        };
+        Ok((rt, crashed))
+    };
+    let writes = run(None)?.0.injector().journal_writes();
+    let mut t = Table::new([
+        "boundary",
+        "timing",
+        "action",
+        "msgs",
+        "reinstalled",
+        "forced",
+        "unreachable",
+        "recovery us",
+    ]);
+    for nth in 0..writes {
+        let timing = if nth % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
+        let (mut rt, crashed) = run(Some((nth, timing)))?;
+        if !crashed {
+            return Err(format!("boundary {nth}: the armed crash did not fire"));
+        }
+        let before = rt.messages_sent();
+        let report = rt.recover(tdg).map_err(|e| format!("boundary {nth}: recover: {e}"))?;
+        let active = rt.active_plan();
+        if !(active.is_none() || active == Some(a) || active == to) {
+            return Err(format!("boundary {nth}: recovered to a mixed plan"));
+        }
+        t.row([
+            nth.to_string(),
+            format!("{timing:?}"),
+            report.action.to_string(),
+            (rt.messages_sent() - before).to_string(),
+            report.reinstalled.to_string(),
+            report.forced.to_string(),
+            report.unreachable.to_string(),
+            report.recovery_us.to_string(),
+        ]);
+    }
+    Ok(t)
+}
+
+fn recovery(ctx: &Ctx) -> Result<Vec<Output>, String> {
+    let tdg = analyze(&workload(2));
+    let net = topology::linear(3, 10.0);
+    let plan_a = hermes_plan(&tdg, &net, ctx)?;
+    let (_, plan_b) = drain(&tdg, &net, &plan_a)?;
+    let mut doc = Doc::new("Recovery — a controller crash at every journal write");
+    doc.para(
+        "Two real programs on linear:3: a deploy of Hermes's plan A, and a migration to plan B \
+         (plan A with its last occupied switch drained). For each journal write of the \
+         operation, a controller crash is armed before (even boundaries) or after (odd) it, and \
+         the restarted controller recovers; it must land on exactly plan A, exactly plan B or \
+         nothing. Messages are those recovery spends probing and reinstalling; times are on the \
+         virtual clock.",
+    );
+    doc.table("crash points during deploy", &crash_points(&tdg, &net, &plan_a, None)?);
+    doc.table("crash points during migration", &crash_points(&tdg, &net, &plan_a, Some(&plan_b))?);
+    Ok(vec![doc.done("recovery.md")])
+}
+
+fn targets(ctx: &Ctx) -> Result<Vec<Output>, String> {
+    let workloads: Vec<(usize, Tdg)> = [4, 7, 10].map(|n| (n, analyze(&workload(n)))).into();
+    let solvers: [Box<dyn DeploymentAlgorithm>; 3] = [
+        Box::new(GreedyHeuristic::new()),
+        Box::new(Budgeted::new(OptimalSolver::new(), ctx.budget)),
+        Box::new(Budgeted::new(MilpHermes::default(), ctx.budget)),
+    ];
+    let mut sizes = Table::new(["programs", "TDG nodes", "stage units"]);
+    for (programs, tdg) in &workloads {
+        sizes.row([
+            programs.to_string(),
+            tdg.node_count().to_string(),
+            format!("{:.2}", tdg.total_resource()),
+        ]);
+    }
+    let mut summary = Table::new(["target", "capacity units", "feasible cells"]);
+    let mut frontiers = Vec::new();
+    for spec in ["tofino", "smartnic", "soft", "mix:tofino+smartnic+soft"] {
+        let mut net = topology::linear(3, 10.0);
+        parse_target(spec).map_err(|e| format!("{spec}: {e}"))?.apply(&mut net);
+        let capacity: f64 = net.switch_ids().map(|s| net.switch(s).total_capacity()).sum();
+        let mut t = Table::new(["programs", "solver", "A_max (B)", "ms"]);
+        let (mut feasible, mut host_dependent) = (0, false);
+        for (programs, tdg) in &workloads {
+            for algo in &solvers {
+                let run = deploy_measured(algo.as_ref(), tdg, &net, ctx.budget)
+                    .map_err(|e| format!("{spec}: {e}"))?;
+                feasible += usize::from(run.plan.is_some());
+                host_dependent |= run.host_dependent;
+                let a_max =
+                    run.plan.map_or("-".into(), |p| p.max_inter_switch_bytes(tdg).to_string());
+                t.row([
+                    programs.to_string(),
+                    algo.name().to_owned(),
+                    host(a_max, run.host_dependent),
+                    host(fmt_ms(run.elapsed.as_secs_f64() * 1000.0, false), true),
+                ]);
+            }
+        }
+        let cells = workloads.len() * solvers.len();
+        summary.row([
+            spec.to_owned(),
+            format!("{capacity:.1}"),
+            host(
+                format!("{feasible} of {cells} ({:.0}%)", feasible as f64 * 100.0 / cells as f64),
+                host_dependent,
+            ),
+        ]);
+        frontiers.push((spec, t));
+    }
+    let mut doc = Doc::new("Targets — A_max and feasibility per target mix, linear:3 testbed");
+    doc.para(format!(
+        "Each built-in target spec retargets the three switches of the testbed; Hermes, the \
+         exact search and the MILP then place 4, 7 and 10 real programs on it. {} A `-` is no \
+         plan: the solver proved the instance infeasible, or (marked *) ran out of budget.",
+        budget_note(ctx)
+    ));
+    doc.table("workloads", &sizes);
+    doc.table("targets", &summary);
+    for (spec, t) in &frontiers {
+        doc.table(&format!("target {spec}"), t);
+    }
+    doc.footnote(ctx);
+    Ok(vec![doc.done("targets.md")])
 }
 
 /// The artifact called `name`.

@@ -1,12 +1,15 @@
 //! The paper's evaluation, regenerated. Performance is measured elsewhere —
 //! by the deploy-request benchmark in `bench/` — and equivalence and
 //! determinism are asserted by the cargo test suites; this crate produces
-//! the paper's tables and figures and the extension experiments.
+//! the paper's tables and figures, and five experiments that extend them
+//! (healing under faults, commit over a lossy channel, staged migration,
+//! crash recovery, heterogeneous targets).
 //!
 //! One binary, `reproduce`, writes every artifact of [`eval::ARTIFACTS`]
 //! under `results/` (`cargo run --release -p hermes-bench --bin reproduce
 //! -- --only exp1`); `tests/reproduce.rs` recomputes each one and checks
 //! every cell that does not depend on the host against the committed file.
+//! A failed check is an `Err` naming it, never a panic.
 //!
 //! This module hosts the shared machinery: the standard workload (10 real +
 //! N synthetic programs), the measurement loop over the algorithm suite,
@@ -313,6 +316,7 @@ impl Sweep {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_net::topology;

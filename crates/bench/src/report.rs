@@ -1,6 +1,4 @@
-//! Markdown table and JSON reporting for the experiment binaries.
-
-use serde::Serialize;
+//! The cells and tables every `results/*.md` artifact is rendered from.
 
 /// A simple left-aligned table.
 #[derive(Debug, Clone, Default)]
@@ -78,18 +76,8 @@ pub fn fmt_ms(ms: f64, capped: bool) -> String {
     }
 }
 
-/// Prints a serializable value as pretty JSON when `--json` was passed on
-/// the command line; returns whether it printed.
-pub fn maybe_json<T: Serialize>(value: &T) -> bool {
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(value).expect("report types serialize"));
-        true
-    } else {
-        false
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
 

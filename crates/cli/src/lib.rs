@@ -1011,7 +1011,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
         }
         Analyze => {
             let (programs, tdg) = workload(options)?;
-            let stats = hermes_tdg::stats(&tdg);
+            let stats = hermes_tdg::stats(&tdg).ok_or_else(|| err("the merged TDG has a cycle"))?;
             writeln!(out, "programs: {}", programs.len())?;
             writeln!(
                 out,

@@ -298,6 +298,7 @@ pub fn metadata_amount_profiles(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_dataplane::action::Action;

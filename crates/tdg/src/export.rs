@@ -6,7 +6,7 @@
 //! placement can achieve before running a solver.
 
 use crate::analysis::DependencyType;
-use crate::graph::{NodeId, Tdg};
+use crate::graph::Tdg;
 use std::fmt::Write as _;
 
 /// Renders the TDG in Graphviz `dot` format. Node labels carry the MAT
@@ -69,9 +69,10 @@ pub struct TdgStats {
     pub roots: usize,
 }
 
-/// Computes [`TdgStats`].
-pub fn stats(tdg: &Tdg) -> TdgStats {
-    let order = tdg.topo_order().expect("TDGs are DAGs");
+/// Computes [`TdgStats`], or `None` if the graph has a cycle (a TDG the
+/// builder makes never does, but one read from JSON can).
+pub fn stats(tdg: &Tdg) -> Option<TdgStats> {
+    let order = tdg.topo_order()?;
     let mut len = vec![1usize; tdg.node_count()];
     let mut bytes = vec![0u64; tdg.node_count()];
     for &id in order {
@@ -82,7 +83,7 @@ pub fn stats(tdg: &Tdg) -> TdgStats {
         }
     }
     let roots = tdg.node_ids().filter(|&id| tdg.in_edges(id).next().is_none()).count();
-    TdgStats {
+    Some(TdgStats {
         nodes: tdg.node_count(),
         edges: tdg.edge_count(),
         total_resource: tdg.total_resource(),
@@ -90,46 +91,11 @@ pub fn stats(tdg: &Tdg) -> TdgStats {
         critical_path_len: len.iter().copied().max().unwrap_or(0),
         critical_path_bytes: bytes.iter().copied().max().unwrap_or(0),
         roots,
-    }
-}
-
-/// The nodes of one longest dependency chain, in order.
-pub fn critical_path(tdg: &Tdg) -> Vec<NodeId> {
-    let order = tdg.topo_order().expect("TDGs are DAGs");
-    let n = tdg.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut len = vec![1usize; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    for &id in order {
-        for e in tdg.out_edges(id) {
-            let t = e.to.index();
-            if len[id.index()] + 1 > len[t] {
-                len[t] = len[id.index()] + 1;
-                pred[t] = Some(id);
-            }
-        }
-    }
-    let mut cur = (0..n).max_by_key(|&i| len[i]).map(NodeId::from_index).expect("n > 0");
-    let mut path = vec![cur];
-    while let Some(p) = pred[cur.index()] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    path
-}
-
-impl NodeId {
-    /// Internal: rebuild an id from a dense index (indices come from this
-    /// crate's own iteration, so this stays crate-private).
-    pub(crate) fn from_index(i: usize) -> NodeId {
-        NodeId(i)
-    }
+    })
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::analysis::AnalysisMode;
@@ -157,7 +123,7 @@ mod tests {
     #[test]
     fn stats_are_consistent() {
         let tdg = merged();
-        let s = stats(&tdg);
+        let s = stats(&tdg).unwrap();
         assert_eq!(s.nodes, tdg.node_count());
         assert_eq!(s.edges, tdg.edge_count());
         assert!(s.critical_path_len >= 2);
@@ -167,24 +133,24 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_is_a_real_chain() {
-        let tdg = merged();
-        let path = critical_path(&tdg);
-        assert_eq!(path.len(), stats(&tdg).critical_path_len);
-        for w in path.windows(2) {
-            assert!(
-                tdg.out_edges(w[0]).any(|e| e.to == w[1]),
-                "consecutive path nodes must be linked"
-            );
-        }
+    fn empty_tdg_stats() {
+        let tdg = Tdg::new(AnalysisMode::PaperLiteral);
+        let s = stats(&tdg).unwrap();
+        assert_eq!(s.nodes, 0);
+        assert_eq!(s.critical_path_len, 0);
     }
 
     #[test]
-    fn empty_tdg_stats() {
-        let tdg = Tdg::new(AnalysisMode::PaperLiteral);
-        let s = stats(&tdg);
-        assert_eq!(s.nodes, 0);
-        assert_eq!(s.critical_path_len, 0);
-        assert!(critical_path(&tdg).is_empty());
+    fn a_cyclic_tdg_read_from_json_has_no_stats() {
+        // The JSON reader accepts a cycle the builder never makes.
+        let mats = library::real_programs()[0].tables()[..2]
+            .iter()
+            .map(|m| (m.name().to_owned(), m.clone()))
+            .collect();
+        let edges = vec![(0, 1, DependencyType::Successor), (1, 0, DependencyType::Successor)];
+        let cyclic = Tdg::from_mats_and_edges(mats, edges, AnalysisMode::PaperLiteral);
+        let read: Tdg = serde_json::from_str(&serde_json::to_string(&cyclic).unwrap()).unwrap();
+        assert_eq!(read.edge_count(), 2);
+        assert_eq!(stats(&read), None);
     }
 }

@@ -435,6 +435,7 @@ impl fmt::Display for Tdg {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_dataplane::action::Action;

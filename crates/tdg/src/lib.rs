@@ -38,7 +38,7 @@ pub use analysis::{
     classify, classify_profiles, metadata_amount, metadata_amount_profiles, AnalysisMode,
     DependencyType, MatProfile,
 };
-pub use export::{critical_path, stats, to_dot, TdgStats};
+pub use export::{stats, to_dot, TdgStats};
 pub use graph::{NodeId, Tdg, TdgEdge, TdgNode};
 pub use merge::{merge_all, merge_pair};
 pub use stateaccess::{relaxed_type, FieldEvidence, StateClass, StateClassification};

@@ -417,12 +417,12 @@ impl Accumulator {
 
     /// Removes the edge under `key` from the map, pinning the rank it has
     /// in this step before its key changes. The caller owns both
-    /// adjacency entries.
-    fn take_edge(&mut self, key: (usize, usize)) -> EdgeRec {
-        let mut rec = self.edges.remove(&key).expect("adjacency lists mirror the edge map");
+    /// adjacency entries, which mirror the map, so the edge is there.
+    fn take_edge(&mut self, key: (usize, usize)) -> Option<EdgeRec> {
+        let mut rec = self.edges.remove(&key)?;
         rec.rank = rec.rank_in(self.step, key);
         rec.ranked_at = self.step;
-        rec
+        Some(rec)
     }
 
     /// Contracts `dup` into `head`: provenance and edges move over, an edge
@@ -432,16 +432,16 @@ impl Accumulator {
         let programs = std::mem::take(&mut self.nodes[dup].programs);
         self.nodes[head].programs.extend(programs);
         for to in std::mem::take(&mut self.succ[dup]) {
-            let rec = self.take_edge((dup, to));
+            let rec = self.take_edge((dup, to)).filter(|_| to != head);
             self.pred[to].retain(|&p| p != dup);
-            if to != head {
+            if let Some(rec) = rec {
                 self.put((head, to), rec);
             }
         }
         for from in std::mem::take(&mut self.pred[dup]) {
-            let rec = self.take_edge((from, dup));
+            let rec = self.take_edge((from, dup)).filter(|_| from != head);
             self.succ[from].retain(|&s| s != dup);
-            if from != head {
+            if let Some(rec) = rec {
                 self.put((from, head), rec);
             }
         }
@@ -483,6 +483,7 @@ impl Accumulator {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::analysis::{AnalysisMode, DependencyType};

@@ -10,6 +10,7 @@
 //! so the suite also proves its corpus reaches the hard cases.
 
 #![cfg(test)]
+#![allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 
 use crate::analysis::{classify, metadata_amount, AnalysisMode};
 use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};

@@ -181,9 +181,10 @@ impl StateClassification {
         // Relaxation is only ever claimed for metadata: header writes alter
         // the packet itself and stay order-sensitive conservatively.
         if field.is_metadata() {
-            if !acc.non_fold_write && acc.fold_kinds.len() == 1 && acc.fold_srcs_header_pure {
-                let kind = *acc.fold_kinds.iter().next().expect("len 1");
-                return StateClass::CommutativeUpdate(kind);
+            if !acc.non_fold_write && acc.fold_srcs_header_pure {
+                if let (1, Some(&kind)) = (acc.fold_kinds.len(), acc.fold_kinds.first()) {
+                    return StateClass::CommutativeUpdate(kind);
+                }
             }
             if acc.writes_replicable
                 && acc.writer_matches_header_pure
@@ -287,6 +288,7 @@ pub fn relaxed_type(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_dataplane::action::Action;

@@ -59,7 +59,7 @@ fn drain_instance() -> (Tdg, Network, DeploymentPlan, DeploymentPlan) {
     drain(chain_tdg(&[6, 2, 9, 3, 5, 4, 7, 2, 8], 0.4), tiny_switches(5, 5, 0.45))
 }
 
-/// The standard instance plus the two other drains `results/BENCH_migration.json`
+/// The standard instance plus the two other drains `results/migration.md`
 /// records: a star and a fat-tree, every switch reshaped so packing binds.
 fn drain_scenarios() -> Vec<(Tdg, Network, DeploymentPlan, DeploymentPlan)> {
     vec![
@@ -137,7 +137,7 @@ fn plan_family(tdg: &Tdg, net: &Network) -> Vec<DeploymentPlan> {
 /// strictly ahead of `Auto`'s greedy orderer, which is why the racer is
 /// gone. This is the committed slice, on which greedy meets the bound on
 /// every pair: seven subsets of the library on the stock fabrics and the
-/// three `BENCH_migration` chains on capacity-shaped ones, every ordered
+/// three `results/migration.md` chains on capacity-shaped ones, every ordered
 /// pair of each [`plan_family`].
 #[test]
 fn auto_order_meets_the_lower_bound_on_the_committed_sweep() {

@@ -4,9 +4,9 @@
 //! the committed budget, and compares it with the committed file cell by
 //! cell. Cells and lines marked `*` — wall-clock times, and the incumbents
 //! of solvers that ran out of budget — are skipped on either side; every
-//! other cell must be equal. The sweeps spend seconds of solver budget per
-//! point, so they run in release builds only (`cargo test --release`, a
-//! `ci.sh` stage); the rest run in tier-1.
+//! other cell must be equal. The sweeps and `targets` spend seconds of
+//! solver budget per point, so they run in release builds only (`cargo test
+//! --release`, a `ci.sh` stage); the rest run in tier-1.
 //!
 //! After a change that means to move a figure, regenerate it with
 //! `cargo run --release -p hermes-bench --bin reproduce -- --only NAME`.
@@ -66,6 +66,8 @@ fn exact_mismatches(committed: &str, fresh: &str) -> Vec<String> {
 fn check(name: &str) {
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let outputs = (eval::artifact(name).unwrap().run)(&Ctx::check()).unwrap();
+    let files: Vec<&str> = outputs.iter().map(|o| o.file).collect();
+    assert_eq!(FILES.iter().find(|(a, _)| *a == name).map(|(_, f)| *f), Some(&files[..]));
     let mut mismatches = Vec::new();
     for output in outputs {
         let committed = std::fs::read_to_string(results.join(output.file)).unwrap();
@@ -151,45 +153,65 @@ fn wire_accounting() {
 }
 
 #[test]
+fn chaos_recovery_healing() {
+    check("chaos_recovery");
+}
+
+#[test]
+fn lossy_commit_drop_rates() {
+    check("lossy_commit");
+}
+
+#[test]
+fn migration_staged_vs_all_at_once() {
+    check("migration");
+}
+
+#[test]
+fn recovery_crash_points() {
+    check("recovery");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "solver budgets; runs in release")]
+fn targets_frontier() {
+    check("targets");
+}
+
+/// Every artifact, in `eval::ARTIFACTS` order, and the files it writes
+/// under `results/`.
+const FILES: &[(&str, &[&str])] = &[
+    ("fig2", &["fig2.md"]),
+    ("table3", &["table3.md"]),
+    ("exp1", &["exp1.md"]),
+    ("exp2_4", &["exp2.md", "exp3.md", "exp4.md"]),
+    ("exp5", &["exp5.md"]),
+    ("exp6", &["exp6.md"]),
+    ("ablations", &["ablations.md"]),
+    ("wire_accounting", &["wire_accounting.md"]),
+    ("int_comparison", &["int_comparison.md"]),
+    ("chaos_recovery", &["chaos_recovery.md"]),
+    ("lossy_commit", &["lossy_commit.md"]),
+    ("migration", &["migration.md"]),
+    ("recovery", &["recovery.md"]),
+    ("targets", &["targets.md"]),
+];
+
+#[test]
 fn every_results_file_is_checked() {
-    // One test per artifact above; every Markdown file under results/ is
-    // one artifact's output.
+    // One test per artifact above, and each checks that its artifact
+    // writes the files listed for it. Every entry of results/ but the run
+    // records is one of those files, so nothing unchecked lands there.
     let names: Vec<&str> = eval::ARTIFACTS.iter().map(|a| a.name).collect();
-    assert_eq!(
-        names,
-        [
-            "fig2",
-            "table3",
-            "exp1",
-            "exp2_4",
-            "exp5",
-            "exp6",
-            "ablations",
-            "wire_accounting",
-            "int_comparison"
-        ]
-    );
-    let mut files: Vec<String> =
+    assert_eq!(names, FILES.iter().map(|(name, _)| *name).collect::<Vec<_>>());
+    let mut entries: Vec<String> =
         std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("results"))
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|f| f.ends_with(".md"))
+            .filter(|f| f != "runs")
             .collect();
+    entries.sort();
+    let mut files: Vec<&str> = FILES.iter().flat_map(|(_, files)| files.iter().copied()).collect();
     files.sort();
-    assert_eq!(
-        files,
-        [
-            "ablations.md",
-            "exp1.md",
-            "exp2.md",
-            "exp3.md",
-            "exp4.md",
-            "exp5.md",
-            "exp6.md",
-            "fig2.md",
-            "int_comparison.md",
-            "table3.md",
-            "wire_accounting.md"
-        ]
-    );
+    assert_eq!(entries, files);
 }

@@ -132,7 +132,7 @@ proptest! {
     }
 }
 
-/// The built-in target specs `results/BENCH_targets.json` compares.
+/// The built-in target specs `results/targets.md` compares.
 const TARGET_SPECS: [&str; 4] = ["tofino", "smartnic", "soft", "mix:tofino+smartnic+soft"];
 
 #[test]
