@@ -3,9 +3,9 @@
 //!
 //! Each framework keeps its published optimization objective but — like
 //! the paper's re-implementations — runs on the same solver (here
-//! `hermes-milp` in place of Gurobi) over the same switch-granularity
-//! assignment encoding that [`hermes_core::build_p1`] uses, minus the
-//! `A_max` objective none of them optimizes:
+//! `hermes-milp` in place of Gurobi) over the switch-granularity
+//! assignment encoding of [`hermes_core::build_p1`], minus the `A_max`
+//! objective none of them optimizes:
 //!
 //! | Framework | Objective encoded |
 //! |---|---|
@@ -16,19 +16,25 @@
 //! | Flightplan (FP) | minimize the number of cut dependency edges |
 //! | P4All | minimize the maximum per-switch load (elastic headroom) |
 //!
+//! That encoding is P#1's own code: the placement binaries with Eq. 6 and
+//! Eq. 9, the Eq. 7 ranks, the Eq. 5 occupancy bound and the decode back
+//! into an assignment are [`hermes_core::milp_formulation`]'s functions,
+//! called in P#1's order, so the rows match P#1's name for name. Every
+//! plan is built by [`hermes_core::materialize`].
+//!
 //! Exactly as in the paper, these solvers blow up on large instances;
 //! every framework therefore carries (a) a wall-clock budget after which
 //! the incumbent is used and (b) a documented greedy *surrogate* used when
 //! the model would not even fit in memory (`size_guard`). Exp#3 measures
 //! the ILP attempt time; overhead experiments consume the decisions.
 
+use hermes_core::milp_formulation::{decode_assignment, occupancy_rows, placement_rows, rank_rows};
 use hermes_core::{
     materialize, one_shot_solve, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
     GreedyHeuristic, SearchContext, SolveOutcome, Solver, SplitStrategy,
 };
 use hermes_milp::{
-    solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus,
-    SolverConfig, VarId,
+    solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus, SolverConfig,
 };
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
@@ -192,10 +198,8 @@ impl IlpBaseline {
         };
         let controls = SolveControls { deadline };
         match solve_assignment(tdg, net, eps, &candidates, self.objective, &controls) {
-            Some(assign) => materialize(tdg, net, &candidates, &assign)
-                .filter(|p| p.end_to_end_latency_us() <= eps.max_latency_us)
-                .map(Ok)
-                .unwrap_or_else(|| self.surrogate(tdg, net, eps)),
+            Some(assign) => materialize(tdg, net, eps, &candidates, &assign)
+                .or_else(|_| self.surrogate(tdg, net, eps)),
             None => self.surrogate(tdg, net, eps),
         }
     }
@@ -241,66 +245,10 @@ fn solve_assignment(
     let n = tdg.node_count();
     let mut model = Model::new("baseline-assignment");
     let nodes: Vec<NodeId> = tdg.node_ids().collect();
-
-    let z: Vec<Vec<VarId>> =
-        (0..n).map(|a| (0..q).map(|c| model.binary(format!("z_{a}_{c}"))).collect()).collect();
-
-    for (a, vars) in z.iter().enumerate() {
-        model.add_constraint(
-            format!("place_{a}"),
-            LinExpr::sum(vars.iter().map(|&v| (v, 1.0))),
-            Sense::Eq,
-            1.0,
-        );
-    }
-    for (c, &sw) in candidates.iter().enumerate() {
-        let cap = net.switch(sw).total_capacity();
-        let load = LinExpr::sum((0..n).map(|a| (z[a][c], tdg.node(nodes[a]).mat.resource())));
-        model.add_constraint(format!("cap_{c}"), load, Sense::Le, cap);
-    }
-
-    // Chainability ranks (same encoding as P#1).
-    let big_m = (q + 1) as f64;
-    let ranks: Vec<VarId> =
-        (0..q).map(|c| model.continuous(format!("r_{c}"), 0.0, q as f64)).collect();
-    for (ei, e) in tdg.edges().iter().enumerate() {
-        for u in 0..q {
-            for v in 0..q {
-                if u == v {
-                    continue;
-                }
-                model.add_constraint(
-                    format!("rank_{ei}_{u}_{v}"),
-                    LinExpr::from(ranks[u]) - LinExpr::from(ranks[v])
-                        + LinExpr::from(z[e.from.index()][u]) * big_m
-                        + LinExpr::from(z[e.to.index()][v]) * big_m,
-                    Sense::Le,
-                    2.0 * big_m - 1.0,
-                );
-            }
-        }
-    }
-
-    // ε₂ (only when binding).
-    if eps.max_switches < q {
-        let occ: Vec<VarId> = (0..q).map(|c| model.binary(format!("occ_{c}"))).collect();
-        for (a, vars) in z.iter().enumerate() {
-            for c in 0..q {
-                model.add_constraint(
-                    format!("occ_{a}_{c}"),
-                    LinExpr::from(occ[c]) - LinExpr::from(vars[c]),
-                    Sense::Ge,
-                    0.0,
-                );
-            }
-        }
-        model.add_constraint(
-            "eps2",
-            LinExpr::sum(occ.iter().map(|&v| (v, 1.0))),
-            Sense::Le,
-            eps.max_switches as f64,
-        );
-    }
+    // P#1's rows, in P#1's order.
+    let z = placement_rows(&mut model, tdg, net, candidates);
+    rank_rows(&mut model, tdg, &z, q);
+    occupancy_rows(&mut model, &z, q, eps.max_switches);
 
     // Objective-specific machinery.
     match objective {
@@ -386,31 +334,15 @@ fn solve_assignment(
 
     let solution = solve_with_controls(&model, &SolverConfig::default(), controls).ok()?;
     match solution.status {
-        SolveStatus::Optimal | SolveStatus::Feasible => {}
-        _ => return None,
+        SolveStatus::Optimal | SolveStatus::Feasible => decode_assignment(&solution, &z),
+        _ => None,
     }
-    Some((0..n).map(|a| (0..q).find(|&c| solution.value(z[a][c]) > 0.5).expect("placed")).collect())
 }
 
 /// Sonata \[4\]: deploys programs one at a time, each through its own small
 /// pack-left ILP against the capacity left by earlier programs.
-#[derive(Debug, Clone)]
-pub struct Sonata {
-    config: IlpConfig,
-}
-
-impl Sonata {
-    /// Sonata with the given per-program solve budget.
-    pub fn new(config: IlpConfig) -> Self {
-        Sonata { config }
-    }
-}
-
-impl Default for Sonata {
-    fn default() -> Self {
-        Sonata::new(IlpConfig::default())
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sonata;
 
 impl DeploymentAlgorithm for Sonata {
     fn name(&self) -> &str {
@@ -466,15 +398,7 @@ impl DeploymentAlgorithm for Sonata {
                 used[c] += tdg.node(id).mat.resource();
             }
         }
-        let _ = &self.config;
-        materialize(tdg, net, &candidates, &assign)
-            .filter(|p| {
-                p.end_to_end_latency_us() <= eps.max_latency_us
-                    && p.occupied_switch_count() <= eps.max_switches
-            })
-            .ok_or_else(|| DeployError::NoFeasiblePlacement {
-                reason: "sonata placement violated ε-bounds or staging".to_owned(),
-            })
+        materialize(tdg, net, eps, &candidates, &assign)
     }
 }
 
@@ -582,7 +506,7 @@ mod tests {
     fn sonata_places_programs_sequentially() {
         let (tdg, net) = small_inputs();
         let eps = Epsilon::loose();
-        let plan = Sonata::default().deploy(&tdg, &net, &eps).unwrap();
+        let plan = Sonata.deploy(&tdg, &net, &eps).unwrap();
         let violations = verify(&tdg, &net, &plan, &eps);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -604,7 +528,7 @@ mod tests {
         let h = hermes.max_inter_switch_bytes(&tdg);
         for plan in [
             IlpBaseline::min_stage(fast()).deploy(&tdg, &net, &eps).unwrap(),
-            Sonata::default().deploy(&tdg, &net, &eps).unwrap(),
+            Sonata.deploy(&tdg, &net, &eps).unwrap(),
         ] {
             assert!(h <= plan.max_inter_switch_bytes(&tdg));
         }

@@ -33,7 +33,7 @@ pub fn standard_suite(ilp_budget: Duration) -> Vec<Box<dyn DeploymentAlgorithm>>
     let config = IlpConfig { time_limit: ilp_budget, ..Default::default() };
     vec![
         Box::new(IlpBaseline::min_stage(config.clone())),
-        Box::new(Sonata::new(config.clone())),
+        Box::new(Sonata),
         Box::new(IlpBaseline::speed(config.clone())),
         Box::new(IlpBaseline::mtp(config.clone())),
         Box::new(IlpBaseline::flightplan(config.clone())),

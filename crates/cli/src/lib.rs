@@ -292,7 +292,7 @@ const SOLVERS: &[(&str, Build)] = &[
     ("ffl", |_, _| Box::new(FirstFitByLevel)),
     ("ffls", |_, _| Box::new(FirstFitByLevelAndSize)),
     ("ms", |t, _| Box::new(IlpBaseline::min_stage(ilp(t)))),
-    ("sonata", |t, _| Box::new(Sonata::new(ilp(t)))),
+    ("sonata", |_, _| Box::new(Sonata)),
     ("speed", |t, _| Box::new(IlpBaseline::speed(ilp(t)))),
     ("mtp", |t, _| Box::new(IlpBaseline::mtp(ilp(t)))),
     ("fp", |t, _| Box::new(IlpBaseline::flightplan(ilp(t)))),

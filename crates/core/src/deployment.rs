@@ -210,16 +210,6 @@ impl DeploymentPlan {
         crate::fingerprint::json_fingerprint(self)
     }
 
-    /// Total resource placed on each stage of each switch, keyed by
-    /// `(switch, stage)` — the left side of Eq. 9.
-    pub fn stage_loads(&self) -> BTreeMap<(SwitchId, usize), f64> {
-        let mut loads = BTreeMap::new();
-        for p in &self.placements {
-            *loads.entry((p.switch, p.stage)).or_insert(0.0) += p.fraction;
-        }
-        loads
-    }
-
     /// Summary of all three objective values against a TDG.
     pub fn metrics(&self, tdg: &Tdg) -> PlanMetrics {
         PlanMetrics {
@@ -492,7 +482,6 @@ mod tests {
         plan.place(StagePlacement { node: n, switch: s, stage: 2, fraction: 0.5 });
         plan.place(StagePlacement { node: n, switch: s, stage: 3, fraction: 0.5 });
         assert_eq!(plan.stage_span(n), Some((2, 3)));
-        assert_eq!(plan.stage_loads()[&(s, 2)], 0.5);
     }
 
     /// `switch_of` must answer what a first-match scan of the placements

@@ -63,14 +63,13 @@
 //! execution-time experiment (Exp#3) uses to flag timed-out ILP-style
 //! runs.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
+use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
 use crate::eval::IncrementalEval;
 use crate::heuristic::GreedyHeuristic;
 use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
-use crate::stage_assign::{Packing, StageProbe};
-use hermes_net::{shortest_path, Network, SwitchId, CAP_TOL};
+use crate::stage_assign::{materialize, Packing};
+use hermes_net::{fits, shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -280,7 +279,7 @@ impl OptimalSolver {
 
         let mut best_plan = seed_plan;
         if let Some(assign) = best_assign {
-            if let Some(plan) = materialize(tdg, net, &candidates, &assign) {
+            if let Ok(plan) = materialize(tdg, net, eps, &candidates, &assign) {
                 best_plan = Some((plan.max_inter_switch_bytes(tdg).min(own_best), plan));
             }
         }
@@ -586,7 +585,7 @@ impl<'a> Explorer<'a> {
     fn try_place(&mut self, depth: usize, c: usize) -> Option<u32> {
         let node = self.sh.order[depth];
         let resource = self.sh.tdg.node(node).mat.resource();
-        if self.eval.used_capacity(c) + resource > self.sh.total_caps[c] + CAP_TOL {
+        if !fits(self.eval.used_capacity(c) + resource, self.sh.total_caps[c]) {
             return None;
         }
         // ε₂: opening a new switch must stay within the bound.
@@ -759,16 +758,13 @@ impl<'a> Explorer<'a> {
             }
             return;
         }
-        // Full assignment below the ceiling: validate stages + routes.
-        let Some(plan) =
-            materialize(self.sh.tdg, self.sh.net, self.sh.candidates, self.eval.assignment())
+        // Full assignment below the ceiling: validate stages, routes and ε.
+        let sh = self.sh;
+        let Ok(plan) = materialize(sh.tdg, sh.net, sh.eps, sh.candidates, self.eval.assignment())
         else {
             return;
         };
-        if plan.end_to_end_latency_us() > self.sh.eps.max_latency_us {
-            return;
-        }
-        let objective = plan.max_inter_switch_bytes(self.sh.tdg);
+        let objective = plan.max_inter_switch_bytes(sh.tdg);
         if objective < ceiling {
             self.record(objective);
         }
@@ -781,44 +777,6 @@ impl<'a> Explorer<'a> {
         self.root_assign.extend_from_slice(self.eval.assignment());
         self.sh.ctx.publish_incumbent(objective);
     }
-}
-
-/// Builds a full plan (stage placements + routes) from a switch-level
-/// assignment: `assign[node] = index into candidates` (`usize::MAX` =
-/// unplaced). Returns `None` when stage assignment or routing fails.
-///
-/// Shared by the exact solver, the MILP front end, and the baseline
-/// frameworks — every algorithm in the workspace goes through the same
-/// stage assigner and router, so plans differ only in their placement
-/// decisions.
-pub fn materialize(
-    tdg: &Tdg,
-    net: &Network,
-    candidates: &[SwitchId],
-    assign: &[usize],
-) -> Option<DeploymentPlan> {
-    let mut plan = DeploymentPlan::new();
-    let mut probe = StageProbe::new(tdg);
-    for (c, &switch) in candidates.iter().enumerate() {
-        let model = net.switch(switch).target_model();
-        for p in probe.place(&model, switch, |id| assign[id.index()] == c).ok()? {
-            plan.place(p);
-        }
-    }
-    // One route per dependent cross-switch pair.
-    let mut pairs: BTreeSet<(SwitchId, SwitchId)> = BTreeSet::new();
-    for e in tdg.edges() {
-        let (u, v) = (assign[e.from.index()], assign[e.to.index()]);
-        if u == usize::MAX || v == usize::MAX || u == v {
-            continue;
-        }
-        pairs.insert((candidates[u], candidates[v]));
-    }
-    for (u, v) in pairs {
-        let path = shortest_path(net, u, v)?;
-        plan.route(PlanRoute { from: u, to: v, path });
-    }
-    Some(plan)
 }
 
 #[cfg(test)]

@@ -18,11 +18,10 @@
 //! position comparisons and "does it fit" is one [`StageProbe`] question
 //! over `pos ∈ range`. Node sets are built only at the `pub` boundary.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
-use crate::exact::materialize;
+use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
 use crate::solver::{one_shot_solve, SearchContext, SolveOutcome, Solver};
-use crate::stage_assign::StageProbe;
-use hermes_net::{nearest_programmable, shortest_path, Network, SwitchId, TargetModel};
+use crate::stage_assign::{materialize, StageProbe};
+use hermes_net::{nearest_programmable, Network, SwitchId, TargetModel};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -312,48 +311,17 @@ impl<'a> Splitter<'a> {
         Ok(best)
     }
 
-    /// Algorithm 2 lines 24–29: the `i`-th segment on the `i`-th candidate,
-    /// every dependent pair wired; `None` when a segment does not pack into
-    /// its switch, a pair is unroutable or the routes exceed `ε₁`.
-    fn try_place(
-        &mut self,
-        net: &Network,
-        eps: &Epsilon,
-        segments: &[Segment],
-        candidates: &[SwitchId],
-    ) -> Option<DeploymentPlan> {
-        let mut plan = DeploymentPlan::new();
-        let mut segment_of = vec![0usize; self.order.len()];
-        for (i, (seg, &s)) in segments.iter().zip(candidates).enumerate() {
-            let (model, pos) = (net.switch(s).target_model(), &self.pos);
-            for p in self.probe.place(&model, s, |id| seg.contains(&pos[id.index()])).ok()? {
-                plan.place(p);
-            }
+    /// Node index → index of the segment holding it: the assignment that
+    /// puts the `i`-th segment on the `i`-th candidate (Algorithm 2 lines
+    /// 24–29, wired by [`materialize`]).
+    fn assignment(&self, segments: &[Segment]) -> Vec<usize> {
+        let mut assign = vec![usize::MAX; self.order.len()];
+        for (i, seg) in segments.iter().enumerate() {
             for &id in &self.order[seg.clone()] {
-                segment_of[id.index()] = i;
+                assign[id.index()] = i;
             }
         }
-        // Wire every dependent segment pair via the latency-shortest path
-        // (lines 26–29 wire adjacent segments; non-adjacent dependencies —
-        // e.g. a shared hash feeding a far-away consumer — need routes
-        // too, or Eq. 7 is violated).
-        let pairs: BTreeSet<(usize, usize)> = self
-            .tdg
-            .edges()
-            .iter()
-            .map(|e| (segment_of[e.from.index()], segment_of[e.to.index()]))
-            .filter(|(u, v)| u != v)
-            .collect();
-        let mut total_latency = 0.0;
-        for (u, v) in pairs {
-            let path = shortest_path(net, candidates[u], candidates[v])?;
-            total_latency += path.latency_us;
-            plan.route(PlanRoute { from: candidates[u], to: candidates[v], path });
-        }
-        if total_latency > eps.max_latency_us {
-            return None;
-        }
-        Some(plan)
+        assign
     }
 }
 
@@ -498,15 +466,7 @@ pub fn first_fit(
         }
     }
 
-    let plan = materialize(tdg, net, candidates, &assign).ok_or_else(|| {
-        DeployError::NoFeasiblePlacement { reason: "routing failed for first-fit plan".to_owned() }
-    })?;
-    if plan.end_to_end_latency_us() > eps.max_latency_us {
-        return Err(DeployError::NoFeasiblePlacement {
-            reason: "first-fit plan exceeds eps1".to_owned(),
-        });
-    }
-    Ok(plan)
+    materialize(tdg, net, eps, candidates, &assign)
 }
 
 /// Maximum accepted single-node moves of the refinement pass per deploy.
@@ -559,6 +519,7 @@ impl DeploymentAlgorithm for GreedyHeuristic {
         // enough candidates — with the capacity-bounded splitter.
         let mut most_candidates = 0;
         for pass in 0..2 {
+            let assign = splitter.assignment(&segments);
             for u in net.switch_ids() {
                 if !net.switch(u).programmable {
                     continue;
@@ -574,7 +535,8 @@ impl DeploymentAlgorithm for GreedyHeuristic {
                 if segments.len() > candidates.len() {
                     continue;
                 }
-                if let Some(plan) = splitter.try_place(net, eps, &segments, &candidates) {
+                let candidates = &candidates[..segments.len()];
+                if let Ok(plan) = materialize(tdg, net, eps, candidates, &assign) {
                     return Ok(refined(plan));
                 }
             }

@@ -10,11 +10,11 @@
 //! feasibility, and the established switch visit order — and falls back
 //! to a full redeploy only when the pinned placement is infeasible.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
+use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
 use crate::heuristic::{placement_order, GreedyHeuristic};
 use crate::solver::{Portfolio, SearchContext, Solver};
-use crate::stage_assign::StageProbe;
-use hermes_net::{nearest_programmable, shortest_path, Network, SwitchId};
+use crate::stage_assign::{materialize, StageProbe};
+use hermes_net::{nearest_programmable, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -239,37 +239,17 @@ impl IncrementalDeployer {
             home[id.index()] = Some(slot);
         }
 
-        // Materialize: stage assignment per switch, then routes per
-        // dependent pair.
-        let mut plan = DeploymentPlan::new();
-        let occupied: BTreeSet<SwitchId> = home.iter().flatten().copied().collect();
-        for s in occupied {
-            let model = net.switch(s).target_model();
-            for p in probe.place(&model, s, |n| home[n.index()] == Some(s)).ok()? {
-                plan.place(p);
-            }
-        }
-        let mut pairs: BTreeSet<(SwitchId, SwitchId)> = BTreeSet::new();
-        for e in new_tdg.edges() {
-            let (u, v) = (home[e.from.index()]?, home[e.to.index()]?);
-            if u != v {
-                // Dependencies must respect the established visit order,
-                // or the pinned deployment would need recirculation.
-                if rank[&u] > rank[&v] {
-                    return None;
-                }
-                pairs.insert((u, v));
-            }
-        }
-        let mut latency = 0.0;
-        for (u, v) in pairs {
-            let path = shortest_path(net, u, v)?;
-            latency += path.latency_us;
-            plan.route(PlanRoute { from: u, to: v, path });
-        }
-        if latency > eps.max_latency_us || plan.occupied_switch_count() > eps.max_switches {
+        // Dependencies must respect the established visit order, or the
+        // pinned deployment would need recirculation.
+        let home: Vec<SwitchId> = home.into_iter().collect::<Option<_>>()?;
+        if new_tdg.edges().iter().any(|e| rank[&home[e.from.index()]] > rank[&home[e.to.index()]]) {
             return None;
         }
+        let occupied: Vec<SwitchId> =
+            home.iter().copied().collect::<BTreeSet<_>>().into_iter().collect();
+        let assign: Vec<usize> =
+            home.iter().map(|s| occupied.binary_search(s).unwrap_or(usize::MAX)).collect();
+        let plan = materialize(new_tdg, net, eps, &occupied, &assign).ok()?;
         Some(IncrementalOutcome {
             placed: new_tdg.node_count() - reused,
             reused,

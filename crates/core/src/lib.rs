@@ -63,7 +63,7 @@ pub use deployment::{
     StagePlacement,
 };
 pub use eval::IncrementalEval;
-pub use exact::{materialize, OptimalSolver};
+pub use exact::OptimalSolver;
 pub use fingerprint::{fnv1a64, json_fingerprint, tdg_fingerprint};
 pub use heuristic::{first_fit, placement_order, GreedyHeuristic, SplitStrategy};
 pub use incremental::{IncrementalDeployer, IncrementalOutcome, RedeployOptions};
@@ -79,7 +79,5 @@ pub use solver::{
     one_shot_solve, Budgeted, Portfolio, SearchContext, SolveOutcome, SolveStats, Solver,
     DEFAULT_DEPLOY_BUDGET, NO_BOUND,
 };
-pub use stage_assign::{
-    assign_stages, fits_total_capacity, stage_feasible, StageAssignError, StageProbe,
-};
+pub use stage_assign::{assign_stages, materialize, stage_feasible, StageAssignError, StageProbe};
 pub use verify::{verify, Violation};

@@ -16,15 +16,21 @@
 //! - optional knapsack rows enforce per-switch resources (Eq. 9 in
 //!   aggregate) and the ε-bounds (Eq. 4–5).
 //!
+//! The rows that do not mention `A_max` — `z` with Eq. 6, Eq. 9, the Eq. 7
+//! ranks and the Eq. 5 occupancy bound — and the decode of `z` back into an
+//! assignment are written once here ([`placement_rows`], [`rank_rows`],
+//! [`occupancy_rows`], [`decode_assignment`]); the ILP baselines build
+//! their models from the same functions, row for row.
+//!
 //! Solved exactly on small instances; on large ones the branch-and-bound
 //! runs to its time budget and returns the incumbent — the behaviour the
 //! execution-time experiment (Exp#3) measures.
 
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
-use crate::exact::materialize;
 use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
+use crate::stage_assign::materialize;
 use hermes_milp::{
-    solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus,
+    solve_with_controls, Direction, LinExpr, MipSolution, Model, Sense, SolveControls, SolveStatus,
     SolverConfig, VarId,
 };
 use hermes_net::{shortest_path, Network, SwitchId};
@@ -51,32 +57,9 @@ pub fn build_p1(tdg: &Tdg, net: &Network, eps: &Epsilon) -> (Model, P1Variables)
     let candidates = net.programmable_switches();
     assert!(!candidates.is_empty(), "P#1 needs at least one programmable switch");
     let q = candidates.len();
-    let n = tdg.node_count();
     let mut model = Model::new("hermes-p1");
-
-    // z(a, u) — Eq. 6 output variables at switch granularity.
-    let placement: Vec<Vec<VarId>> =
-        (0..n).map(|a| (0..q).map(|c| model.binary(format!("z_{a}_{c}"))).collect()).collect();
+    let placement = placement_rows(&mut model, tdg, net, &candidates);
     let a_max = model.continuous("A_max", 0.0, f64::INFINITY);
-
-    // Eq. 6: every MAT on exactly one switch.
-    for (a, vars) in placement.iter().enumerate() {
-        model.add_constraint(
-            format!("place_{a}"),
-            LinExpr::sum(vars.iter().map(|&v| (v, 1.0))),
-            Sense::Eq,
-            1.0,
-        );
-    }
-
-    // Eq. 9 (aggregate): per-switch resource capacity.
-    for (c, &sw) in candidates.iter().enumerate() {
-        let cap = net.switch(sw).total_capacity();
-        let load = LinExpr::sum(
-            (0..n).map(|a| (placement[a][c], tdg.node(hermes_node(tdg, a)).mat.resource())),
-        );
-        model.add_constraint(format!("cap_{c}"), load, Sense::Le, cap);
-    }
 
     // Linearized pair products + the A_max epigraph (Eq. 1).
     let edges: Vec<_> = tdg.edges().to_vec();
@@ -121,28 +104,7 @@ pub fn build_p1(tdg: &Tdg, net: &Network, eps: &Epsilon) -> (Model, P1Variables)
         }
     }
 
-    // Chainability (Eq. 7): ranks keep the switch dependency graph acyclic.
-    let big_m = (q + 1) as f64;
-    let ranks: Vec<VarId> =
-        (0..q).map(|c| model.continuous(format!("r_{c}"), 0.0, q as f64)).collect();
-    for (ei, e) in edges.iter().enumerate() {
-        for u in 0..q {
-            for v in 0..q {
-                if u == v {
-                    continue;
-                }
-                // r_u + 1 <= r_v + M(2 - z(a,u) - z(b,v))
-                model.add_constraint(
-                    format!("rank_{ei}_{u}_{v}"),
-                    LinExpr::from(ranks[u]) - LinExpr::from(ranks[v])
-                        + LinExpr::from(placement[e.from.index()][u]) * big_m
-                        + LinExpr::from(placement[e.to.index()][v]) * big_m,
-                    Sense::Le,
-                    2.0 * big_m - 1.0,
-                );
-            }
-        }
-    }
+    rank_rows(&mut model, tdg, &placement, q);
 
     // Eq. 4: latency bound over shortest-path pair latencies (only when
     // finite — the experiments run with loose bounds).
@@ -165,33 +127,100 @@ pub fn build_p1(tdg: &Tdg, net: &Network, eps: &Epsilon) -> (Model, P1Variables)
         model.add_constraint("eps1", LinExpr::sum(latency_terms), Sense::Le, eps.max_latency_us);
     }
 
-    // Eq. 5: occupied-switch bound (only when binding).
-    if eps.max_switches < q {
-        let occ: Vec<VarId> = (0..q).map(|c| model.binary(format!("occ_{c}"))).collect();
-        for (a, vars) in placement.iter().enumerate() {
-            for c in 0..q {
-                model.add_constraint(
-                    format!("occ_{a}_{c}"),
-                    LinExpr::from(occ[c]) - LinExpr::from(vars[c]),
-                    Sense::Ge,
-                    0.0,
-                );
-            }
-        }
-        model.add_constraint(
-            "eps2",
-            LinExpr::sum(occ.iter().map(|&v| (v, 1.0))),
-            Sense::Le,
-            eps.max_switches as f64,
-        );
-    }
+    occupancy_rows(&mut model, &placement, q, eps.max_switches);
 
     model.set_objective(Direction::Minimize, LinExpr::from(a_max));
     (model, P1Variables { placement, a_max, candidates })
 }
 
-fn hermes_node(tdg: &Tdg, index: usize) -> hermes_tdg::NodeId {
-    tdg.node_ids().nth(index).expect("dense node index")
+/// Adds the binaries `z(a, c)` (MAT `a` on candidate `c`, named `z_a_c`)
+/// with Eq. 6 — every MAT on exactly one switch (`place_a`) — and Eq. 9
+/// in aggregate — per-switch resource capacity (`cap_c`). Returns `z`,
+/// indexed by node, then candidate.
+pub fn placement_rows(
+    model: &mut Model,
+    tdg: &Tdg,
+    net: &Network,
+    candidates: &[SwitchId],
+) -> Vec<Vec<VarId>> {
+    let q = candidates.len();
+    let z: Vec<Vec<VarId>> = (0..tdg.node_count())
+        .map(|a| (0..q).map(|c| model.binary(format!("z_{a}_{c}"))).collect())
+        .collect();
+    for (a, vars) in z.iter().enumerate() {
+        model.add_constraint(
+            format!("place_{a}"),
+            LinExpr::sum(vars.iter().map(|&v| (v, 1.0))),
+            Sense::Eq,
+            1.0,
+        );
+    }
+    for (c, &sw) in candidates.iter().enumerate() {
+        let cap = net.switch(sw).total_capacity();
+        let load =
+            LinExpr::sum(z.iter().zip(tdg.nodes()).map(|(vars, n)| (vars[c], n.mat.resource())));
+        model.add_constraint(format!("cap_{c}"), load, Sense::Le, cap);
+    }
+    z
+}
+
+/// Eq. 7 (chainability): rank variables `r_c` for the `q` candidates with
+/// one big-M row `rank_e_u_v` per edge and ordered candidate pair, keeping
+/// the switch-level dependency graph acyclic.
+pub fn rank_rows(model: &mut Model, tdg: &Tdg, z: &[Vec<VarId>], q: usize) {
+    let big_m = (q + 1) as f64;
+    let ranks: Vec<VarId> =
+        (0..q).map(|c| model.continuous(format!("r_{c}"), 0.0, q as f64)).collect();
+    for (ei, e) in tdg.edges().iter().enumerate() {
+        for u in 0..q {
+            for v in 0..q {
+                if u == v {
+                    continue;
+                }
+                // r_u + 1 <= r_v + M(2 - z(a,u) - z(b,v))
+                model.add_constraint(
+                    format!("rank_{ei}_{u}_{v}"),
+                    LinExpr::from(ranks[u]) - LinExpr::from(ranks[v])
+                        + LinExpr::from(z[e.from.index()][u]) * big_m
+                        + LinExpr::from(z[e.to.index()][v]) * big_m,
+                    Sense::Le,
+                    2.0 * big_m - 1.0,
+                );
+            }
+        }
+    }
+}
+
+/// Eq. 5, only when binding (`max_switches` below the candidate count
+/// `q`): binaries `occ_c` with rows `occ_a_c` (`occ_c ≥ z(a, c)`) and the
+/// bound `eps2`.
+pub fn occupancy_rows(model: &mut Model, z: &[Vec<VarId>], q: usize, max_switches: usize) {
+    if max_switches >= q {
+        return;
+    }
+    let occ: Vec<VarId> = (0..q).map(|c| model.binary(format!("occ_{c}"))).collect();
+    for (a, vars) in z.iter().enumerate() {
+        for c in 0..q {
+            model.add_constraint(
+                format!("occ_{a}_{c}"),
+                LinExpr::from(occ[c]) - LinExpr::from(vars[c]),
+                Sense::Ge,
+                0.0,
+            );
+        }
+    }
+    model.add_constraint(
+        "eps2",
+        LinExpr::sum(occ.iter().map(|&v| (v, 1.0))),
+        Sense::Le,
+        max_switches as f64,
+    );
+}
+
+/// The assignment an incumbent encodes: `assign[a]` = the candidate whose
+/// `z(a, c)` is set. `None` if some MAT has none.
+pub fn decode_assignment(solution: &MipSolution, z: &[Vec<VarId>]) -> Option<Vec<usize>> {
+    z.iter().map(|vars| vars.iter().position(|&v| solution.value(v) > 0.5)).collect()
 }
 
 /// Hermes solved through the MILP formulation — the "Optimal (Gurobi)"
@@ -272,18 +301,12 @@ impl Solver for MilpHermes {
         let nodes_explored = solution.nodes_explored as u64;
         match solution.status {
             SolveStatus::Optimal | SolveStatus::Feasible => {
-                let assign: Vec<usize> = (0..tdg.node_count())
-                    .map(|a| {
-                        (0..vars.candidates.len())
-                            .find(|&c| solution.value(vars.placement[a][c]) > 0.5)
-                            .expect("Eq. 6 places every node")
-                    })
-                    .collect();
-                let plan = materialize(tdg, net, &vars.candidates, &assign).ok_or_else(|| {
+                let assign = decode_assignment(&solution, &vars.placement).ok_or_else(|| {
                     DeployError::NoFeasiblePlacement {
-                        reason: "stage assignment failed for the MILP placement".to_owned(),
+                        reason: "the milp incumbent leaves a MAT unplaced".to_owned(),
                     }
                 })?;
+                let plan = materialize(tdg, net, eps, &vars.candidates, &assign)?;
                 let objective = plan.max_inter_switch_bytes(tdg);
                 ctx.publish_incumbent(objective);
                 let proven_optimal = solution.status == SolveStatus::Optimal;

@@ -29,7 +29,7 @@
 //! [`SearchContext::raise_floor`]: crate::solver::SearchContext::raise_floor
 
 use crate::deployment::Epsilon;
-use hermes_net::{Network, TargetModel, CAP_TOL};
+use hermes_net::{fits, Network, TargetModel};
 use hermes_tdg::{NodeId, Tdg};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -250,8 +250,8 @@ impl Precheck {
 
         for node in tdg.nodes() {
             let r = node.mat.resource();
-            if r > cap_max + CAP_TOL {
-                if r <= pipe_max + CAP_TOL {
+            if !fits(r, cap_max) {
+                if fits(r, pipe_max) {
                     certs.push(Certificate::MatExceedsTargetBudget {
                         mat: node.name.clone(),
                         resource: r,
@@ -270,9 +270,9 @@ impl Precheck {
 
         let required = tdg.total_resource();
         let available: f64 = caps.iter().sum();
-        if required > available + CAP_TOL {
+        if !fits(required, available) {
             let pipeline_available: f64 = models.iter().map(TargetModel::pipeline_capacity).sum();
-            if required <= pipeline_available + CAP_TOL {
+            if fits(required, pipeline_available) {
                 certs.push(Certificate::BudgetedCapacityInsufficient {
                     required,
                     available,
@@ -291,7 +291,7 @@ impl Precheck {
         {
             let mut acc = 0.0;
             let mut k = 0usize;
-            while acc + CAP_TOL < required && k < caps.len() {
+            while !fits(required, acc) && k < caps.len() {
                 acc += caps[k];
                 k += 1;
             }
@@ -342,7 +342,7 @@ impl Precheck {
         // they never raise the route count or the A_max floor.
         for e in tdg.edges() {
             let (a, b) = (tdg.node(e.from), tdg.node(e.to));
-            if a.mat.resource() + b.mat.resource() > cap_max + CAP_TOL {
+            if !fits(a.mat.resource() + b.mat.resource(), cap_max) {
                 needed = needed.max(2);
                 if e.dep.is_relaxed() {
                     continue;

@@ -12,8 +12,7 @@
 
 use crate::deployment::{DeploymentPlan, Epsilon};
 use crate::eval::IncrementalEval;
-use crate::exact::materialize;
-use crate::stage_assign::StageProbe;
+use crate::stage_assign::{materialize, StageProbe};
 use hermes_net::{Network, SwitchId, TargetModel};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::{BTreeMap, BTreeSet};
@@ -106,13 +105,9 @@ pub fn refine(
         }
     }
 
-    // Rebuild; if materialization or ε-bounds fail, keep the original.
-    match materialize(tdg, net, &candidates, &assign) {
-        Some(refined)
-            if refined.end_to_end_latency_us() <= eps.max_latency_us
-                && refined.occupied_switch_count() <= eps.max_switches
-                && refined.max_inter_switch_bytes(tdg) <= plan.max_inter_switch_bytes(tdg) =>
-        {
+    // Rebuild; if materialization fails or `A_max` grew, keep the original.
+    match materialize(tdg, net, eps, &candidates, &assign) {
+        Ok(refined) if refined.max_inter_switch_bytes(tdg) <= plan.max_inter_switch_bytes(tdg) => {
             refined
         }
         _ => plan,

@@ -13,9 +13,13 @@
 //! SmartNICs) the per-switch total-resource budget enforced incrementally
 //! by the internal `Packing` state. Budget-free targets take the exact code
 //! path the scalar `(stages, stage_capacity)` API used to.
+//!
+//! [`materialize`] builds on it: a switch-level assignment becomes a whole
+//! plan — stages on every switch, routes, ε-bounds — for every solver.
 
-use crate::deployment::StagePlacement;
-use hermes_net::{SwitchId, TargetModel, CAP_TOL};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon, PlanRoute, StagePlacement};
+use crate::verify::Violation;
+use hermes_net::{fits, shortest_path, Network, SwitchId, TargetModel};
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -95,14 +99,6 @@ pub fn stage_feasible(tdg: &Tdg, nodes: &BTreeSet<NodeId>, model: &TargetModel) 
     StageProbe::new(tdg).fits(model, |id| nodes.contains(&id))
 }
 
-/// `true` iff `nodes` could plausibly fit the switch by total resource
-/// (the quick check of Algorithm 2 line 2: `Σ R(a) <= C_stage * C_res`,
-/// clamped by the target's budget). Delegates to
-/// [`TargetModel::fits_total`] — the single definition of "fits".
-pub fn fits_total_capacity(tdg: &Tdg, nodes: &BTreeSet<NodeId>, model: &TargetModel) -> bool {
-    StageProbe::new(tdg).fits_total(model, |id| nodes.contains(&id))
-}
-
 /// The one packing path: "do the nodes `select` picks fit `model`'s
 /// pipeline", answered by one dependency-levelled first-fit pass in the
 /// TDG's own topological order over a scratch `Packing` that is reset,
@@ -144,7 +140,8 @@ impl<'a> StageProbe<'a> {
 
     /// Do the selected nodes fit one switch of this shape? The quick check
     /// first — packing drops residues of up to 1e-12 per node, so it does
-    /// not subsume a comparison at [`CAP_TOL`] — then the first-fit pass.
+    /// not subsume the capacity tolerance of [`hermes_net::fits`] — then
+    /// the first-fit pass.
     pub fn fits(&mut self, model: &TargetModel, select: impl Fn(NodeId) -> bool) -> bool {
         self.fits_total(model, &select) && self.pack(model, select, |_, _, _| {}).is_ok()
     }
@@ -185,6 +182,68 @@ impl<'a> StageProbe<'a> {
         }
         Ok(())
     }
+}
+
+/// The one way from a switch-level assignment to a plan, shared by every
+/// solver in the workspace (the exact search, P#1, the splitter, first
+/// fit, `refine`, the pinned redeploy and the ILP baselines), so plans
+/// differ only in their placement decisions. `assign[node]` is an index
+/// into `candidates` (`usize::MAX` = unplaced).
+///
+/// Stages are packed per candidate in list order, then one
+/// latency-shortest route is built per dependent cross-switch pair —
+/// every pair, not only adjacent ones, or Eq. 7 would break — ordered by
+/// candidate index. Route order is plan bytes, so each caller's list order
+/// pins its plans: a sorted list gives `SwitchId` order, the splitter's
+/// anchor-first list gives segment order. Last, the plan is held to the
+/// ε-bounds (Eq. 4–5).
+///
+/// # Errors
+///
+/// [`DeployError::NoFeasiblePlacement`] when a candidate's nodes do not
+/// pack into its pipeline, a dependent pair has no path, or the plan
+/// exceeds `ε₁` or `ε₂`.
+pub fn materialize(
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+    candidates: &[SwitchId],
+    assign: &[usize],
+) -> Result<DeploymentPlan, DeployError> {
+    let infeasible = |reason: String| DeployError::NoFeasiblePlacement { reason };
+    let mut plan = DeploymentPlan::new();
+    let mut probe = StageProbe::new(tdg);
+    for (c, &switch) in candidates.iter().enumerate() {
+        let model = net.switch(switch).target_model();
+        let placements = probe
+            .place(&model, switch, |id| assign[id.index()] == c)
+            .map_err(|e| infeasible(format!("stage assignment on {switch} failed: {e}")))?;
+        for p in placements {
+            plan.place(p);
+        }
+    }
+    let pairs: BTreeSet<(usize, usize)> = tdg
+        .edges()
+        .iter()
+        .map(|e| (assign[e.from.index()], assign[e.to.index()]))
+        .filter(|&(u, v)| u != v && u != usize::MAX && v != usize::MAX)
+        .collect();
+    for (u, v) in pairs {
+        let (from, to) = (candidates[u], candidates[v]);
+        let path = shortest_path(net, from, to)
+            .ok_or_else(|| infeasible(format!("no path from {from} to {to}")))?;
+        plan.route(PlanRoute { from, to, path });
+    }
+    let (latency_us, occupied) = (plan.end_to_end_latency_us(), plan.occupied_switch_count());
+    if latency_us > eps.max_latency_us {
+        let bound_us = eps.max_latency_us;
+        return Err(infeasible(Violation::LatencyBound { latency_us, bound_us }.to_string()));
+    }
+    if occupied > eps.max_switches {
+        let bound = eps.max_switches;
+        return Err(infeasible(Violation::SwitchBound { occupied, bound }.to_string()));
+    }
+    Ok(plan)
 }
 
 /// Sentinel in [`Packing::end_stage`] for a node not placed yet. Doubles
@@ -230,11 +289,9 @@ impl PushFail {
 /// for in-edges from outside the placed subset).
 #[derive(Debug, Clone)]
 pub(crate) struct Packing {
-    stages: usize,
-    stage_capacity: f64,
-    /// Per-switch total-resource budget; `INFINITY` on budget-free targets,
-    /// where the budget check below compiles to an always-false compare.
-    budget: f64,
+    /// The pipeline shape. Its `total_budget` is `INFINITY` on budget-free
+    /// targets, where the budget check below is always false.
+    model: TargetModel,
     /// Total resource of successfully placed nodes (budget accounting).
     used: f64,
     remaining: Vec<f64>,
@@ -247,9 +304,7 @@ impl Packing {
     /// nodes.
     pub(crate) fn new(model: &TargetModel, node_count: usize) -> Self {
         Packing {
-            stages: model.stages,
-            stage_capacity: model.stage_capacity,
-            budget: model.total_budget,
+            model: *model,
             used: 0.0,
             remaining: vec![model.stage_capacity; model.stages],
             end_stage: vec![UNPLACED; node_count],
@@ -263,16 +318,14 @@ impl Packing {
     /// residue from prior placements survives.
     pub(crate) fn reset(&mut self) {
         self.used = 0.0;
-        self.remaining.fill(self.stage_capacity);
+        self.remaining.fill(self.model.stage_capacity);
         self.end_stage.fill(UNPLACED);
     }
 
     /// [`Packing::reset`] onto another pipeline shape, reusing both
     /// buffers.
     fn reset_to(&mut self, model: &TargetModel) {
-        self.stages = model.stages;
-        self.stage_capacity = model.stage_capacity;
-        self.budget = model.total_budget;
+        self.model = *model;
         self.remaining.resize(model.stages, 0.0);
         self.reset();
     }
@@ -288,7 +341,7 @@ impl Packing {
     /// is unchanged.
     pub(crate) fn push_logged(&mut self, tdg: &Tdg, id: NodeId, log: &mut Vec<(u32, f64)>) -> bool {
         let base = log.len();
-        if self.budget.is_finite() {
+        if self.model.total_budget.is_finite() {
             log.push((UNPLACED, self.used));
         }
         let result = self.push_core(tdg, id, &mut |_, stage, old, _| {
@@ -332,9 +385,9 @@ impl Packing {
     ) -> Result<(), PushFail> {
         let mat = &tdg.node(id).mat;
         let resource = mat.resource();
-        // Always-false on budget-free targets (`used + r > INF` never holds),
+        // Always-false on budget-free targets (`used + r` always fits INF),
         // and checked before any mutation so failure needs no rollback.
-        if self.used + resource > self.budget + CAP_TOL {
+        if !fits(self.used + resource, self.model.total_budget) {
             return Err(PushFail::OverBudget);
         }
         let earliest = tdg
@@ -344,20 +397,20 @@ impl Packing {
             .map(|s| s as usize + 1)
             .max()
             .unwrap_or(0);
-        if earliest >= self.stages {
+        if earliest >= self.model.stages {
             return Err(PushFail::ChainTooLong);
         }
         let mut need = resource;
         let mut stage = earliest;
         let mut last = earliest;
         while need > 1e-12 {
-            if stage >= self.stages {
+            if stage >= self.model.stages {
                 return Err(PushFail::OutOfStages);
             }
             let old = self.remaining[stage];
             let take = need.min(old);
             if take > 1e-12 {
-                if take > self.stage_capacity + CAP_TOL {
+                if !self.model.fits_stage(take) {
                     return Err(PushFail::SliceTooLarge);
                 }
                 on_slice(id, stage, old, take);
@@ -369,7 +422,7 @@ impl Packing {
                 stage += 1;
             }
         }
-        if self.budget.is_finite() {
+        if self.model.total_budget.is_finite() {
             self.used += resource;
         }
         self.end_stage[id.index()] =
@@ -513,10 +566,33 @@ mod tests {
     }
 
     #[test]
-    fn fits_total_capacity_quick_check() {
+    fn materialize_orders_routes_by_candidate_and_holds_eps() {
+        // a -> b -> c, one MAT per switch, candidates out of id order.
+        let tdg = crate::test_support::chain_tdg(&[1, 4], 0.5);
+        let net = crate::test_support::tiny_switches(3, 2, 0.5);
+        let ids: Vec<SwitchId> = net.switch_ids().collect();
+        let candidates = [ids[2], ids[0], ids[1]];
+        let build = |eps| materialize(&tdg, &net, &eps, &candidates, &[0, 1, 2]);
+        let plan = build(Epsilon::loose()).unwrap();
+        let routes: Vec<_> = plan.routes().iter().map(|r| (r.from, r.to)).collect();
+        assert_eq!(routes, [(ids[2], ids[0]), (ids[0], ids[1])], "candidate order, not id order");
+        let latency = plan.end_to_end_latency_us();
+        assert!(build(Epsilon::new(latency, 3)).is_ok());
+        for (eps, bound) in
+            [(Epsilon::new(latency - 1.0, 3), "eps1"), (Epsilon::new(latency, 2), "eps2")]
+        {
+            let err = build(eps).unwrap_err();
+            assert!(matches!(err, DeployError::NoFeasiblePlacement { .. }), "{err}");
+            assert!(err.to_string().contains(bound), "{err}");
+        }
+    }
+
+    #[test]
+    fn fits_total_quick_check() {
         let tdg = independent(&[1.0, 1.0]);
-        assert!(fits_total_capacity(&tdg, &all(&tdg), &shape(2, 1.0)));
-        assert!(!fits_total_capacity(&tdg, &all(&tdg), &shape(1, 1.0)));
+        let probe = StageProbe::new(&tdg);
+        assert!(probe.fits_total(&shape(2, 1.0), |_| true));
+        assert!(!probe.fits_total(&shape(1, 1.0), |_| true));
     }
 
     #[test]
@@ -540,7 +616,7 @@ mod tests {
         let err = assign_stages(&tdg, &all(&tdg), sw(), &budgeted).unwrap_err();
         assert!(matches!(err, StageAssignError::OverBudget { .. }), "{err}");
         assert!(!stage_feasible(&tdg, &all(&tdg), &budgeted));
-        assert!(!fits_total_capacity(&tdg, &all(&tdg), &budgeted));
+        assert!(!StageProbe::new(&tdg).fits_total(&budgeted, |_| true));
         assert!(stage_feasible(&tdg, &all(&tdg), &shape(12, 1.0)));
     }
 

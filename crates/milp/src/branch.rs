@@ -94,11 +94,6 @@ impl MipSolution {
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.index()]
     }
-
-    /// `true` iff an incumbent solution is available.
-    pub fn has_solution(&self) -> bool {
-        matches!(self.status, SolveStatus::Optimal | SolveStatus::Feasible)
-    }
 }
 
 struct Node {
@@ -332,7 +327,6 @@ mod tests {
         m.set_objective(Direction::Minimize, LinExpr::from(x));
         let s = solve(&m, &SolverConfig::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Infeasible);
-        assert!(!s.has_solution());
     }
 
     #[test]

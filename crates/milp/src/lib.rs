@@ -33,14 +33,12 @@
 #![forbid(unsafe_code)]
 
 pub mod branch;
-pub mod export;
 pub mod model;
 pub mod simplex;
 
 pub use branch::{
     solve, solve_with_controls, MipSolution, SolveControls, SolveStatus, SolverConfig,
 };
-pub use export::write_lp;
 pub use model::{
     Constraint, Direction, LinExpr, Model, ModelError, Sense, VarId, VarKind, Variable,
 };

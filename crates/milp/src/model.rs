@@ -77,11 +77,6 @@ impl LinExpr {
         LinExpr::default()
     }
 
-    /// A constant expression.
-    pub fn constant_expr(c: f64) -> Self {
-        LinExpr { terms: BTreeMap::new(), constant: c }
-    }
-
     /// Adds `coeff * var` to the expression.
     pub fn add_term(&mut self, var: VarId, coeff: f64) -> &mut Self {
         let entry = self.terms.entry(var).or_insert(0.0);

@@ -32,5 +32,5 @@ pub mod topology;
 pub use graph::{Link, Network, NetworkError, Switch, SwitchId, TOFINO_STAGES};
 pub use paths::{nearest_programmable, shortest_path, Path};
 pub use target::{
-    builtin_targets, parse_target, TargetKind, TargetModel, TargetSpec, TargetSpecError, CAP_TOL,
+    builtin_targets, fits, parse_target, TargetKind, TargetModel, TargetSpec, TargetSpecError,
 };

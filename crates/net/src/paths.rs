@@ -26,22 +26,15 @@ impl Path {
         self.hops.len().saturating_sub(1)
     }
 
-    /// Source switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty path, which [`shortest_path`] never produces.
-    pub fn source(&self) -> SwitchId {
-        self.hops[0]
+    /// Source switch; `None` on an empty path, which [`shortest_path`]
+    /// never produces but a plan read from JSON may hold.
+    pub fn source(&self) -> Option<SwitchId> {
+        self.hops.first().copied()
     }
 
-    /// Target switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty path, which [`shortest_path`] never produces.
-    pub fn target(&self) -> SwitchId {
-        *self.hops.last().expect("paths are non-empty")
+    /// Target switch; `None` on an empty path (see [`Path::source`]).
+    pub fn target(&self) -> Option<SwitchId> {
+        self.hops.last().copied()
     }
 
     /// `true` iff the given switch lies on the path (the `E(a, p)`
@@ -145,6 +138,7 @@ pub fn nearest_programmable(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::graph::{Network, Switch};

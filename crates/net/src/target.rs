@@ -31,9 +31,17 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Absolute slack for resource-capacity comparisons (capacities are
-/// human-scale numbers, so an absolute tolerance suffices). This is the
-/// single tolerance every "fits" decision in the workspace uses.
-pub const CAP_TOL: f64 = 1e-9;
+/// human-scale numbers, so an absolute tolerance suffices). Private: every
+/// "fits" decision in the workspace goes through [`fits`].
+const CAP_TOL: f64 = 1e-9;
+
+/// Does a resource `demand` fit a `capacity`, up to the one capacity
+/// tolerance? The comparison behind [`TargetModel::fits_total`],
+/// [`TargetModel::fits_stage`] and every other capacity check.
+#[inline]
+pub fn fits(demand: f64, capacity: f64) -> bool {
+    demand <= capacity + CAP_TOL
+}
 
 /// Pipeline stage count of the SmartNIC-like target (fewer, deeper stages).
 pub const SMARTNIC_STAGES: usize = 4;
@@ -84,7 +92,7 @@ impl TargetKind {
 ///
 /// Derived from a [`Switch`] via [`Switch::target_model`] (it is a cheap
 /// `Copy` view, safe to construct inside hot loops) or built directly via
-/// the named constructors. All capacity comparisons use [`CAP_TOL`].
+/// the named constructors. All capacity comparisons go through [`fits`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetModel {
     /// Display name of the model family (`tofino`, `smartnic`, `soft`,
@@ -184,13 +192,15 @@ impl TargetModel {
     /// Does a total resource demand fit this target? **The** definition of
     /// the quick-fit check (Algorithm 2 line 2: `Σ R(a) <= C_stage × C_res`,
     /// extended by the budget clamp).
+    #[inline]
     pub fn fits_total(&self, demand: f64) -> bool {
-        demand <= self.total_capacity() + CAP_TOL
+        fits(demand, self.total_capacity())
     }
 
     /// Does a resource demand fit within one stage (no splitting)?
+    #[inline]
     pub fn fits_stage(&self, demand: f64) -> bool {
-        demand <= self.stage_capacity + CAP_TOL
+        fits(demand, self.stage_capacity)
     }
 
     /// Stage count usable before the budget binds: `min(stages,
@@ -354,6 +364,7 @@ pub fn parse_target(spec: &str) -> Result<TargetSpec, TargetSpecError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::topology;

@@ -5,6 +5,11 @@
 //! counts, standing in for the Internet Topology Zoo graphs), and generic
 //! fat-tree/star generators for the examples.
 
+// The crate-level clippy.toml bans unwrap/expect so that target specs and
+// switch JSON can never panic; these generators build graphs of a constant
+// shape and keep their `add_link(..).expect`s, which the tests exercise.
+#![allow(clippy::disallowed_methods)]
+
 use crate::graph::{Network, Switch, SwitchId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -403,7 +403,8 @@ impl Serialize for Tdg {
 }
 
 /// Reads the derived shape and rebuilds the index, after checking what
-/// the constructor takes on trust: every edge endpoint is a node.
+/// the constructor takes on trust: every edge endpoint is a node, and the
+/// edges form no cycle (every solver takes a TDG to be a DAG).
 impl Deserialize for Tdg {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let nodes: Vec<TdgNode> = Deserialize::from_value(v.get_field("nodes")?)?;
@@ -417,7 +418,11 @@ impl Deserialize for Tdg {
                 nodes.len()
             )));
         }
-        Ok(Tdg::from_parts(nodes, edges, mode))
+        let tdg = Tdg::from_parts(nodes, edges, mode);
+        if !tdg.is_dag() {
+            return Err(serde::Error::custom("the edges form a cycle; a TDG must be acyclic"));
+        }
+        Ok(tdg)
     }
 }
 
@@ -700,6 +705,17 @@ mod tests {
             let err = Tdg::from_value(&value).expect_err("node 3 of 3 does not exist");
             assert!(err.to_string().contains("outside the graph's 3 nodes"), "{err}");
         }
+    }
+
+    #[test]
+    fn deserialization_rejects_a_cycle() {
+        let program = chain_program(2, 4);
+        let mats = program.tables().iter().map(|m| (m.name().to_owned(), m.clone())).collect();
+        let edges = vec![(0, 1, DependencyType::Match), (1, 0, DependencyType::Successor)];
+        let cyclic = Tdg::from_mats_and_edges(mats, edges, AnalysisMode::PaperLiteral);
+        let err = Tdg::from_value(&serde_json::to_value(&cyclic).unwrap())
+            .expect_err("every solver takes a TDG to be a DAG");
+        assert!(err.to_string().contains("cycle"), "{err}");
     }
 
     #[test]

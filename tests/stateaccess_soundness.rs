@@ -16,7 +16,7 @@
 //!    byte-identical plan serializations run-to-run; on fold-free
 //!    workloads the relaxed mode is a byte-level no-op.
 
-use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpConfig, Sonata};
+use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, Sonata};
 use hermes::core::{
     verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
     Portfolio, ProgramAnalyzer,
@@ -70,7 +70,7 @@ fn solver_roster() -> Vec<Box<dyn DeploymentAlgorithm>> {
         Box::new(Budgeted::new(Portfolio::greedy_exact(), budget)),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
-        Box::new(Sonata::new(IlpConfig { time_limit: budget, ..Default::default() })),
+        Box::new(Sonata),
     ]
 }
 

@@ -35,7 +35,7 @@ fn all_solvers() -> Vec<Box<dyn Solver>> {
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
         Box::new(IlpBaseline::min_stage(fast)),
-        Box::new(Sonata::default()),
+        Box::new(Sonata),
     ]
 }
 
