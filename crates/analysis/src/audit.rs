@@ -160,6 +160,7 @@ pub fn audit_plan(tdg: &Tdg, net: &Network, plan: &DeploymentPlan, eps: &Epsilon
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_core::ProgramAnalyzer;

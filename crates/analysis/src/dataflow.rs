@@ -282,6 +282,7 @@ pub fn dataflow_diagnostics(tdg: &Tdg) -> Vec<Diagnostic> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use crate::oracles::dataflow_reference;

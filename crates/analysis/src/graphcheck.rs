@@ -22,6 +22,13 @@
 //!   transitive-redundancy and cycle reporting. Successor edges are exempt
 //!   from type re-derivation — gates are declared, not derivable from
 //!   field sets — but their `A(a,b)` is still checked.
+//!
+//! HG205's witness for an edge u → v is the successor of u with the
+//! smallest name that reaches v. Nodes are ranked by name once and each
+//! node's successors sorted by rank once — an O(E log E) sort in all —
+//! so the search per edge is a run of O(1) reachability probes in name
+//! order that stops at the first hit; only an edge with no witness probes
+//! every successor.
 
 use crate::diag::{Diagnostic, Severity, Span};
 use hermes_dataplane::program::Program;
@@ -97,7 +104,7 @@ fn bytes_mismatch(from: &str, to: &str, recorded: u32, expected: u32) -> Diagnos
     .with_hint("stale edge weights corrupt the objective; re-run reanalyze() after edits")
 }
 
-fn transitive_redundant(from: &str, to: &str, via: &str) -> Diagnostic {
+pub(crate) fn transitive_redundant(from: &str, to: &str, via: &str) -> Diagnostic {
     Diagnostic::new(
         "HG205",
         Severity::Info,
@@ -247,32 +254,45 @@ pub fn check_tdg(tdg: &Tdg) -> Vec<Diagnostic> {
         return out;
     };
 
-    // Strict-descendant bitsets, reverse topological order.
+    // Strict-descendant bitsets, reverse topological order, as one flat
+    // array of `words`-long rows (one allocation, not one per node); each
+    // row is OR-ed together in `mine` from its successors' rows.
     let words = n.div_ceil(64);
-    let mut desc: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
+    let mut desc = vec![0u64; n * words];
+    let mut mine = vec![0u64; words];
     for &id in order.iter().rev() {
-        let u = id.index();
-        let mut mine = std::mem::take(&mut desc[u]);
+        mine.fill(0);
         for s in tdg.out_edges(id).map(|e| e.to.index()) {
-            for (d, &w) in mine.iter_mut().zip(&desc[s]) {
+            for (d, &w) in mine.iter_mut().zip(&desc[s * words..(s + 1) * words]) {
                 *d |= w;
             }
             mine[s / 64] |= 1u64 << (s % 64);
         }
-        desc[u] = mine;
+        let u = id.index();
+        desc[u * words..(u + 1) * words].copy_from_slice(&mine);
     }
-    let reaches = |a: usize, b: usize| desc[a][b / 64] & (1u64 << (b % 64)) != 0;
+    let reaches = |a: usize, b: usize| desc[a * words + b / 64] & (1u64 << (b % 64)) != 0;
 
-    for e in tdg.edges() {
-        let (u, v) = (e.from.index(), e.to.index());
-        let via = tdg
-            .out_edges(e.from)
-            .map(|out| out.to.index())
-            .filter(|&w| w != v && reaches(w, v))
-            .map(name)
-            .min();
-        if let Some(via) = via {
-            out.push(transitive_redundant(name(u), name(v), via));
+    // HG205 names, for an edge u -> v, the successor of u with the
+    // smallest name that also reaches v. Rank the nodes by name once (ties
+    // by index) and sort each node's successors by rank in one reused
+    // buffer: the first that reaches v is that successor.
+    let mut by_name: Vec<usize> = (0..n).collect();
+    by_name.sort_by(|&a, &b| name(a).cmp(name(b)));
+    let mut rank = vec![0usize; n];
+    for (r, &i) in by_name.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut succ: Vec<usize> = Vec::with_capacity(n);
+    for id in tdg.node_ids() {
+        succ.clear();
+        succ.extend(tdg.out_edges(id).map(|e| rank[e.to.index()]));
+        succ.sort_unstable();
+        for v in tdg.out_edges(id).map(|e| e.to.index()) {
+            let via = succ.iter().map(|&r| by_name[r]).find(|&w| w != v && reaches(w, v));
+            if let Some(w) = via {
+                out.push(transitive_redundant(name(id.index()), name(v), name(w)));
+            }
         }
     }
 
@@ -281,6 +301,7 @@ pub fn check_tdg(tdg: &Tdg) -> Vec<Diagnostic> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
     use hermes_dataplane::action::Action;

@@ -1,21 +1,25 @@
-//! The two naive oracles the fast passes are pinned to, and the suites
+//! The three naive oracles the fast passes are pinned to, and the suites
 //! that hold each pair together.
 //!
 //! `dataflow_reference` is the dataflow pass on `BTreeSet`s and per-node
 //! DFS; it must emit exactly what [`dataflow_diagnostics`] emits on every
-//! input. `oracle_classification` is a per-field rescan written from the
-//! state-access lattice definition rather than from the accumulator
-//! plumbing of [`StateClassification::of_mats`]; the two must agree field
-//! for field. Both are written naively on purpose, and being test code
-//! they are no part of the crate's API.
+//! input. `transitive_reference` is the HG205 search as a scan of every
+//! successor, keeping the smallest name; [`check_tdg`]'s HG205 findings
+//! must equal it byte for byte. `oracle_classification` is a per-field
+//! rescan written from the state-access lattice definition rather than
+//! from the accumulator plumbing of [`StateClassification::of_mats`]; the
+//! two must agree field for field. All are written naively on purpose,
+//! and being test code they are no part of the crate's API.
 
 #![cfg(test)]
+#![allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 
 use crate::dataflow::{
     conflicting_writes, cyclic_graph, dataflow_diagnostics, dead_mat, dead_write, name_ordered,
     order_dependent_read, uninitialized_read, unused_field,
 };
 use crate::diag::Diagnostic;
+use crate::graphcheck::{check_tdg, transitive_redundant};
 use hermes_core::ProgramAnalyzer;
 use hermes_dataplane::action::{Action, FoldOp, PrimitiveOp};
 use hermes_dataplane::fields::Field;
@@ -30,6 +34,22 @@ use std::collections::{BTreeMap, BTreeSet};
 // Dataflow: BTreeSet + per-node DFS.
 // ---------------------------------------------------------------------
 
+/// Strict descendants of every node, by DFS over out-edges.
+fn descendants(tdg: &Tdg) -> Vec<BTreeSet<usize>> {
+    tdg.node_ids()
+        .map(|start| {
+            let mut seen: BTreeSet<usize> = BTreeSet::new();
+            let mut stack: Vec<_> = tdg.out_edges(start).map(|e| e.to).collect();
+            while let Some(v) = stack.pop() {
+                if seen.insert(v.index()) {
+                    stack.extend(tdg.out_edges(v).map(|e| e.to));
+                }
+            }
+            seen
+        })
+        .collect()
+}
+
 /// Runs the dataflow pass on `BTreeSet`s (the reference oracle).
 ///
 /// Must emit exactly what [`dataflow_diagnostics`] emits on every input —
@@ -43,18 +63,7 @@ pub(crate) fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
         return vec![cyclic_graph()];
     }
 
-    // reachable[a] = strict descendants of a, by DFS over out-edges.
-    let mut reachable: Vec<BTreeSet<usize>> = Vec::with_capacity(n);
-    for start in tdg.node_ids() {
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut stack: Vec<_> = tdg.out_edges(start).map(|e| e.to).collect();
-        while let Some(v) = stack.pop() {
-            if seen.insert(v.index()) {
-                stack.extend(tdg.out_edges(v).map(|e| e.to));
-            }
-        }
-        reachable.push(seen);
-    }
+    let reachable = descendants(tdg);
     let is_anc = |a: usize, b: usize| reachable[a].contains(&b);
 
     let consumed: Vec<BTreeSet<&Field>> = tdg
@@ -142,6 +151,109 @@ pub(crate) fn dataflow_reference(tdg: &Tdg) -> Vec<Diagnostic> {
 
     out.sort();
     out
+}
+
+// ---------------------------------------------------------------------
+// HG205: every successor scanned, the smallest name kept.
+// ---------------------------------------------------------------------
+
+/// The HG205 findings of an acyclic `tdg` (the reference oracle): for
+/// each edge u → v, every successor w ≠ v of u that reaches v is a
+/// witness, and the finding names the smallest by name.
+///
+/// [`check_tdg`]'s HG205 findings must equal these byte for byte.
+fn transitive_reference(tdg: &Tdg) -> Vec<Diagnostic> {
+    let reachable = descendants(tdg);
+    let name = |i: usize| tdg.nodes()[i].name.as_str();
+    let mut out: Vec<Diagnostic> = tdg
+        .edges()
+        .iter()
+        .filter_map(|e| {
+            let (u, v) = (e.from.index(), e.to.index());
+            let via = tdg
+                .out_edges(e.from)
+                .map(|out| out.to.index())
+                .filter(|&w| w != v && reachable[w].contains(&v))
+                .map(name)
+                .min()?;
+            Some(transitive_redundant(name(u), name(v), via))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// `check_tdg`'s HG205 findings against the reference's.
+fn assert_transitive_matches(tdg: &Tdg) {
+    let fast: Vec<Diagnostic> = check_tdg(tdg).into_iter().filter(|d| d.code == "HG205").collect();
+    assert_eq!(fast, transitive_reference(tdg));
+}
+
+#[test]
+fn transitive_search_matches_scan_on_library_merge() {
+    let tdgs: Vec<Tdg> = library::real_programs()
+        .iter()
+        .map(|p| Tdg::from_program(p, AnalysisMode::PaperLiteral))
+        .collect();
+    let merged = hermes_tdg::merge_all(tdgs);
+    assert_transitive_matches(&merged);
+    assert!(
+        check_tdg(&merged).iter().any(|d| d.code == "HG205"),
+        "the library merge has transitively implied edges to check"
+    );
+}
+
+#[test]
+fn transitive_search_matches_scan_on_fifty_program_merge() {
+    let programs = SyntheticGenerator::new(50, SyntheticConfig::default()).programs(50);
+    let merged = ProgramAnalyzer::new().analyze(&programs);
+    assert!(merged.node_count() > 500, "{} nodes", merged.node_count());
+    assert_transitive_matches(&merged);
+}
+
+/// A random DAG: `names[i]` picks node i's name from a pool of four, so
+/// names repeat; node i sits at position `(keys[i], i)` of a hidden order,
+/// and each `(a, b)` with `a != b` is an edge from the earlier of the two
+/// in that order to the later. Node indices are thus no topological
+/// order, and a repeated pair is a parallel edge.
+fn random_dag(names: &[usize], keys: &[u32], pairs: &[(usize, usize)]) -> Tdg {
+    let mat = Mat::builder("t").action(Action::new("n")).resource(0.1).build().unwrap();
+    let mats = names.iter().map(|&k| (["d", "b", "c", "a"][k].to_owned(), mat.clone())).collect();
+    let edges = pairs
+        .iter()
+        .filter(|(a, b)| a != b)
+        .map(|&(a, b)| {
+            let (from, to) = if (keys[a], a) < (keys[b], b) { (a, b) } else { (b, a) };
+            (from, to, DependencyType::Successor)
+        })
+        .collect();
+    Tdg::from_mats_and_edges(mats, edges, AnalysisMode::PaperLiteral)
+}
+
+type DagSpec = (Vec<usize>, Vec<u32>, Vec<(usize, usize)>);
+
+fn dag_spec() -> impl Strategy<Value = DagSpec> {
+    (1usize..14).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(0usize..4, n),
+            proptest::collection::vec(0u32..1000, n),
+            proptest::collection::vec((0..n, 0..n), 0..40),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `check_tdg`'s ranked first-hit HG205 search ≡ the full scan, on
+    /// random DAGs with repeated names and parallel edges.
+    #[test]
+    fn transitive_search_matches_scan_on_random_dags(spec in dag_spec()) {
+        let (names, keys, pairs) = spec;
+        let tdg = random_dag(&names, &keys, &pairs);
+        prop_assert!(tdg.is_dag());
+        assert_transitive_matches(&tdg);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -9,9 +9,11 @@
 //! overhead Hermes minimizes. Header fields never contribute to that
 //! overhead: they are already in the packet.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Whether a field lives in the packet itself or only in switch-local state.
@@ -41,11 +43,18 @@ pub const MAX_WIDTH_BYTES: u32 = 65_535;
 /// A named packet or metadata field with a fixed width in bytes.
 ///
 /// Two fields are the same field iff their names, kinds and widths are all
-/// equal (`Eq`, `Ord` and `Hash` compare all three, names by content). That
+/// equal (`Eq` and `Ord` compare all three, names by content). That
 /// identity is what dependency inference uses, so programs that declare a
 /// field alike genuinely share it (e.g. every program reading `ipv4.dst`),
 /// while `meta.x: 4` and `meta.x: 8` are two fields with no dependency
 /// between them. The name is shared, not copied, by every clone.
+///
+/// A field also carries a 64-bit hash of that content, computed once when
+/// it is made. `Hash` writes only that word, and `Eq` compares it before
+/// anything else, so two different fields almost always differ in one
+/// word compare; equal hashes still fall through to the full comparison.
+/// `Ord` ignores it (fields sort by name, kind, width) and so does the
+/// JSON.
 ///
 /// # Examples
 ///
@@ -60,11 +69,31 @@ pub const MAX_WIDTH_BYTES: u32 = 65_535;
 /// let dst = Field::header("ipv4.dst", 4);
 /// assert_eq!(dst.overhead_bytes(), 0); // headers ride for free
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone)]
 pub struct Field {
     name: Arc<str>,
     kind: FieldKind,
     size_bytes: u32,
+    /// [`content_hash`] of the three fields above.
+    hash: u64,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over the name's bytes, the kind and the width, finished with
+/// MurmurHash3's `fmix64` so every bit of the word depends on every input
+/// byte (hash tables index by the low bits and probe by the high ones).
+fn content_hash(name: &str, kind: FieldKind, size_bytes: u32) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in name.as_bytes().iter().chain(&[kind as u8]).chain(&size_bytes.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 impl Field {
@@ -78,7 +107,14 @@ impl Field {
         let name: Cow<'static, str> = name.into();
         let name = Arc::<str>::from(name);
         assert!(size_bytes > 0, "field `{name}` must have a nonzero width");
-        Field { name, kind, size_bytes }
+        Field::from_parts(name, kind, size_bytes)
+    }
+
+    /// The one place a `Field` is assembled, so its hash always matches
+    /// its content.
+    fn from_parts(name: Arc<str>, kind: FieldKind, size_bytes: u32) -> Self {
+        let hash = content_hash(&name, kind, size_bytes);
+        Field { name, kind, size_bytes, hash }
     }
 
     /// Creates a header field (`FieldKind::Header`).
@@ -139,9 +175,98 @@ impl Deserialize for Field {
                 "field `{name}`: width {size_bytes} B is outside 1..={MAX_WIDTH_BYTES}"
             )));
         }
-        Ok(Field { name, kind, size_bytes })
+        Ok(Field::from_parts(name, kind, size_bytes))
     }
 }
+
+/// The three properties in declaration order, as the former derive wrote
+/// them; the hash is not part of the JSON.
+impl Serialize for Field {
+    fn serialize<W: serde::Write>(&self, s: &mut Serializer<W>) -> Result<(), serde::Error> {
+        let mut map = s.begin_map()?;
+        map.field("name", &self.name)?;
+        map.field("kind", &self.kind)?;
+        map.field("size_bytes", &self.size_bytes)?;
+        map.end()
+    }
+}
+
+impl PartialEq for Field {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.kind == other.kind
+            && self.size_bytes == other.size_bytes
+            && self.name == other.name
+    }
+}
+
+impl Eq for Field {}
+
+/// By name, then kind, then width — the order the former derive gave.
+impl Ord for Field {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.name
+            .cmp(&other.name)
+            .then(self.kind.cmp(&other.kind))
+            .then(self.size_bytes.cmp(&other.size_bytes))
+    }
+}
+
+impl PartialOrd for Field {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Writes the content hash, one word; see [`FieldHasher`].
+impl Hash for Field {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Prints the three properties, as the former derive did.
+impl fmt::Debug for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Field")
+            .field("name", &self.name)
+            .field("kind", &self.kind)
+            .field("size_bytes", &self.size_bytes)
+            .finish()
+    }
+}
+
+/// A pass-through [`Hasher`] for maps and sets keyed by [`Field`]: a
+/// field's `Hash` writes its precomputed content hash, and this hasher
+/// returns that word as it is instead of running SipHash over it.
+///
+/// Not DoS-resistant: the word is a fixed function of the field, so
+/// chosen names can collide on purpose. A collision costs only time —
+/// `Eq` still compares the content. Any other key type hashes through
+/// the FNV-1a fallback in [`Hasher::write`], and a key that writes
+/// several words (a tuple of fields) folds them by rotate-and-xor.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FieldHasher(u64);
+
+impl Hasher for FieldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(5) ^ word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`FieldHasher`]: `HashMap<Field, V,
+/// BuildFieldHasher>`.
+pub type BuildFieldHasher = BuildHasherDefault<FieldHasher>;
 
 impl fmt::Display for Field {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -280,12 +405,84 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// The hash of `f` under the pass-through hasher and under std's
+    /// `DefaultHasher`.
+    fn hashes(f: &Field) -> (u64, u64) {
+        use std::hash::BuildHasher;
+        let mut sip = std::collections::hash_map::DefaultHasher::new();
+        f.hash(&mut sip);
+        (BuildFieldHasher::default().hash_one(f), sip.finish())
+    }
+
     #[test]
-    fn same_name_different_width_is_a_different_field() {
-        let (narrow, wide) = (Field::metadata("meta.x", 4), Field::metadata("meta.x", 8));
-        assert_ne!(narrow, wide);
-        assert_ne!(narrow.cmp(&wide), std::cmp::Ordering::Equal);
-        assert_ne!(Field::header("meta.x", 4), narrow, "the kind is part of the identity too");
+    fn a_field_is_one_field_however_it_is_made() {
+        let built = Field::new("meta.idx", FieldKind::Metadata, 4);
+        let program = crate::parser::parse_program(
+            "program p {
+                header ipv4.src: 4;
+                metadata meta.idx: 4;
+                table hash { actions { go { meta.idx = hash(ipv4.src); } } resource 0.2; }
+                table use { key { meta.idx: exact; } actions { n { } } resource 0.2; }
+            }",
+        )
+        .unwrap();
+        let parsed = program.tables()[0].written_fields()[0].clone();
+        let read: Field = serde_json::from_str(&serde_json::to_string(&built).unwrap()).unwrap();
+        let mut table = crate::FieldTable::new();
+        let id = table.intern(&built);
+        for other in [&parsed, &read] {
+            assert_eq!(other, &built);
+            assert_eq!(other.cmp(&built), Ordering::Equal);
+            assert_eq!(hashes(other), hashes(&built));
+            assert_eq!(table.intern(other), id);
+        }
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn kind_or_width_alone_makes_a_different_field() {
+        let narrow = Field::metadata("meta.x", 4);
+        let others = [Field::metadata("meta.x", 8), Field::header("meta.x", 4)];
+        let mut table = crate::FieldTable::new();
+        let id = table.intern(&narrow);
+        for other in &others {
+            assert_ne!(other, &narrow);
+            assert_ne!(other.cmp(&narrow), Ordering::Equal);
+            assert_ne!(hashes(other).0, hashes(&narrow).0);
+            assert_ne!(table.intern(other), id);
+        }
+        assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn fields_sort_by_name_then_kind_then_width() {
+        let mut fields: Vec<Field> = crate::library::real_programs()
+            .iter()
+            .flat_map(|p| p.tables())
+            .flat_map(|t| {
+                t.match_fields().iter().chain(t.written_fields()).chain(t.action_read_fields())
+            })
+            .cloned()
+            .collect();
+        // Names the library shares across kinds and widths, so ties on
+        // the name are broken by the kind and then the width.
+        fields.extend([
+            Field::header("meta.hash_index", 2),
+            Field::metadata("ipv4.src", 4),
+            Field::header("ipv4.src", 16),
+            Field::header("ipv4.src", 1),
+        ]);
+        // Fisher–Yates on a fixed linear congruential sequence.
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        for i in (1..fields.len()).rev() {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            fields.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let tuple = |f: &Field| (f.name().to_owned(), f.kind(), f.size_bytes());
+        let mut tuples: Vec<_> = fields.iter().map(tuple).collect();
+        tuples.sort();
+        fields.sort();
+        assert_eq!(fields.iter().map(tuple).collect::<Vec<_>>(), tuples);
     }
 
     #[test]

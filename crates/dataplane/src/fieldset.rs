@@ -18,7 +18,7 @@
 //! bitset back into `Field`s. Equivalence of the two representations is
 //! asserted by the `eval_equivalence` property suite.
 
-use crate::fields::Field;
+use crate::fields::{BuildFieldHasher, Field};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -102,11 +102,12 @@ impl fmt::Display for FieldId {
 
 /// Interner mapping every distinct [`Field`] (structural identity: name,
 /// kind, width) to a dense [`FieldId`], with the per-field piggyback
-/// overhead cached for O(1) lookup during `A(a,b)` sizing.
+/// overhead cached for O(1) lookup during `A(a,b)` sizing. The index
+/// hashes each field as its precomputed word ([`BuildFieldHasher`]).
 #[derive(Debug, Clone, Default)]
 pub struct FieldTable {
     fields: Vec<Field>,
-    index: HashMap<Field, u32>,
+    index: HashMap<Field, u32, BuildFieldHasher>,
     overhead: Vec<u32>,
 }
 

@@ -7,7 +7,7 @@
 //! and metadata that is produced but never consumed (pure pipeline
 //! waste, and a piggyback candidate that inflates `A(a,b)` for nothing).
 
-use crate::fields::Field;
+use crate::fields::{BuildFieldHasher, Field};
 use crate::program::Program;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
@@ -162,8 +162,9 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
 
     // Read-before-write over metadata. `written` and `all_consumed` are
     // only asked for membership, never iterated, so hashing them leaves
-    // the findings' order as it is.
-    let mut written: HashSet<&Field> = HashSet::new();
+    // the findings' order as it is; a field hashes as its precomputed
+    // word, passed through as it is.
+    let mut written: HashSet<&Field, BuildFieldHasher> = HashSet::default();
     for (_, t) in &tables {
         for f in t.consumed_fields().filter(|f| f.is_metadata()) {
             // Self-produced metadata within the same table (hash + use) is
@@ -179,7 +180,7 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     }
 
     // Never-consumed metadata: collect all consumption, then check writes.
-    let mut all_consumed: HashSet<&Field> = HashSet::new();
+    let mut all_consumed: HashSet<&Field, BuildFieldHasher> = HashSet::default();
     for (_, t) in &tables {
         all_consumed.extend(t.match_fields());
         all_consumed.extend(t.action_read_fields());
