@@ -14,17 +14,24 @@
 //! - **the running objective** `A_max = max pair_bytes` — kept with a
 //!   count of pairs currently *at* the max, so increments are O(1) and the
 //!   O(q²) rescan only happens when the last maximal pair is removed;
-//! - **per-switch order-edge counts** `order_edges[a*q + b]` — the number
-//!   of dependency edges forcing switch `a` before switch `b`; a Kahn pass
-//!   over the q×q matrix runs only when an edge count crosses 0↔1 in the
-//!   direction that could flip acyclicity;
+//! - **the switch order and its transitive closure** — `order_edges[a*q +
+//!   b]` counts the dependency edges forcing switch `a` before switch `b`,
+//!   and one bitset row per slot holds every slot it reaches. A new order
+//!   edge updates the rows in O(q · q/64); losing one rebuilds them
+//!   (Warshall, O(q² · q/64)). The closure answers acyclicity (no slot
+//!   reaches itself), [`IncrementalEval::creates_cycle`] before a
+//!   placement is made, and [`IncrementalEval::precedes`] for the exact
+//!   search's lookahead;
 //! - **occupancy** — per-switch node counts and used capacity, with the
 //!   capacity snapped back to exactly `0.0` when a switch empties so
 //!   floating-point residue cannot leak across branches.
 //!
-//! All buffers (CSR adjacency, the two q×q matrices, Kahn scratch) are
+//! All buffers (CSR adjacency, the two q×q matrices, the closure rows) are
 //! allocated at construction; steady-state `place`/`unplace` perform no
 //! heap allocation.
+
+// Every failure here is made impossible by a type.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use hermes_tdg::Tdg;
 
@@ -42,11 +49,11 @@ pub struct IncrementalEval {
     q: usize,
     /// CSR over in-edges: for node `v`, `in_adj[in_off[v]..in_off[v+1]]`
     /// holds `(u, bytes)` for each TDG edge `u -> v`.
-    in_off: Vec<u32>,
-    in_adj: Vec<(u32, u32)>,
+    in_off: Vec<usize>,
+    in_adj: Vec<(usize, u32)>,
     /// CSR over out-edges, same layout.
-    out_off: Vec<u32>,
-    out_adj: Vec<(u32, u32)>,
+    out_off: Vec<usize>,
+    out_adj: Vec<(usize, u32)>,
     resource: Vec<f64>,
     assign: Vec<usize>,
     used_capacity: Vec<f64>,
@@ -56,10 +63,15 @@ pub struct IncrementalEval {
     order_edges: Vec<u32>,
     amax: u64,
     at_max: u32,
+    /// `u64` words per closure row.
+    words: usize,
+    /// Transitive closure of the switch order: bit `b` of row `a`
+    /// (`reach[a*words..][b / 64]`) is set iff a chain of order edges
+    /// leads from `a` to `b`. Exact in every state, cyclic ones included.
+    reach: Vec<u64>,
+    /// Scratch row for closure updates.
+    row: Vec<u64>,
     acyclic: bool,
-    // Kahn scratch, reused across checks.
-    kahn_indegree: Vec<u32>,
-    kahn_stack: Vec<u32>,
 }
 
 impl IncrementalEval {
@@ -68,16 +80,16 @@ impl IncrementalEval {
         let n = tdg.node_count();
         // The TDG owns the adjacency; the hot loops keep an inline copy of
         // just `(neighbour, bytes)` so a probe touches one packed array.
-        let narrow = |i: usize| u32::try_from(i).expect("node and edge counts fit u32");
-        let (mut in_off, mut out_off) = (vec![0u32], vec![0u32]);
+        let (mut in_off, mut out_off) = (vec![0], vec![0]);
         let mut in_adj = Vec::with_capacity(tdg.edge_count());
         let mut out_adj = Vec::with_capacity(tdg.edge_count());
         for id in tdg.node_ids() {
-            in_adj.extend(tdg.in_edges(id).map(|e| (narrow(e.from.index()), e.bytes)));
-            in_off.push(narrow(in_adj.len()));
-            out_adj.extend(tdg.out_edges(id).map(|e| (narrow(e.to.index()), e.bytes)));
-            out_off.push(narrow(out_adj.len()));
+            in_adj.extend(tdg.in_edges(id).map(|e| (e.from.index(), e.bytes)));
+            in_off.push(in_adj.len());
+            out_adj.extend(tdg.out_edges(id).map(|e| (e.to.index(), e.bytes)));
+            out_off.push(out_adj.len());
         }
+        let words = q.div_ceil(64);
         IncrementalEval {
             q,
             in_off,
@@ -93,9 +105,10 @@ impl IncrementalEval {
             order_edges: vec![0; q * q],
             amax: 0,
             at_max: 0,
+            words,
+            reach: vec![0; q * words],
+            row: vec![0; words],
             acyclic: true,
-            kahn_indegree: vec![0; q],
-            kahn_stack: Vec::with_capacity(q),
         }
     }
 
@@ -118,6 +131,7 @@ impl IncrementalEval {
         self.order_edges.fill(0);
         self.amax = 0;
         self.at_max = 0;
+        self.reach.fill(0);
         self.acyclic = true;
     }
 
@@ -130,6 +144,42 @@ impl IncrementalEval {
     /// dependency edges is acyclic (a deployable assignment).
     pub fn is_acyclic(&self) -> bool {
         self.acyclic
+    }
+
+    /// `true` iff a chain of switch-order edges leads from slot `a` to
+    /// slot `b` (`a` must come before `b` on every packet's path).
+    pub fn precedes(&self, a: usize, b: usize) -> bool {
+        self.reach[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+
+    /// The closure row of slot `a`: bit `b` is set iff `a` precedes `b`.
+    pub(crate) fn successors_row(&self, a: usize) -> &[u64] {
+        &self.reach[a * self.words..(a + 1) * self.words]
+    }
+
+    /// `true` iff placing the unplaced `node` on slot `c` would leave the
+    /// switch order cyclic — asked before [`IncrementalEval::place`], so a
+    /// caller can refuse the placement without making and undoing it. A
+    /// cyclic relation stays cyclic whatever is placed.
+    pub fn creates_cycle(&self, node: usize, c: usize) -> bool {
+        if !self.acyclic {
+            return true;
+        }
+        // Every new order edge touches `c`, so a new cycle runs out of `c`
+        // (along an old edge or a new `c -> s`) and back into it along a
+        // new `p -> c`, or back through `c` itself after a new `c -> s`.
+        let preds = self.in_adj[self.in_off[node]..self.in_off[node + 1]]
+            .iter()
+            .map(|&(u, _)| self.assign[u])
+            .filter(move |&p| p != UNASSIGNED && p != c);
+        let mut succs = self.out_adj[self.out_off[node]..self.out_off[node + 1]]
+            .iter()
+            .map(|&(v, _)| self.assign[v])
+            .filter(move |&s| s != UNASSIGNED && s != c);
+        preds.clone().any(|p| self.precedes(c, p))
+            || succs.any(|s| {
+                self.precedes(s, c) || preds.clone().any(|p| p == s || self.precedes(s, p))
+            })
     }
 
     /// Number of slots currently holding at least one node.
@@ -157,9 +207,19 @@ impl IncrementalEval {
         self.pair_bytes[a * self.q + b]
     }
 
+    /// The TDG in-edges of `node` as `(predecessor index, bytes)`.
+    pub(crate) fn in_edges(&self, node: usize) -> &[(usize, u32)] {
+        &self.in_adj[self.in_off[node]..self.in_off[node + 1]]
+    }
+
+    /// The resource `R(a)` of `node`.
+    pub(crate) fn resource(&self, node: usize) -> f64 {
+        self.resource[node]
+    }
+
     /// Places `node` on slot `c`, updating all derived state in
-    /// O(degree(node)) (plus a q×q Kahn pass only when a new switch-order
-    /// edge appears while the relation was acyclic).
+    /// O(degree(node)) (plus an O(q · q/64) closure update per new
+    /// switch-order edge).
     ///
     /// # Panics
     ///
@@ -172,25 +232,19 @@ impl IncrementalEval {
         if self.nodes_on[c] == 1 {
             self.occupied += 1;
         }
-        let mut order_added = false;
         for i in self.in_off[node]..self.in_off[node + 1] {
-            let (u, bytes) = self.in_adj[i as usize];
-            let uc = self.assign[u as usize];
-            if uc != UNASSIGNED && uc != c {
-                order_added |= self.add_edge(uc, c, bytes);
+            let (u, bytes) = self.in_adj[i];
+            let uc = self.assign[u];
+            if uc != UNASSIGNED && uc != c && self.add_edge(uc, c, bytes) {
+                self.link(uc, c);
             }
         }
         for i in self.out_off[node]..self.out_off[node + 1] {
-            let (v, bytes) = self.out_adj[i as usize];
-            let vc = self.assign[v as usize];
-            if vc != UNASSIGNED && vc != c {
-                order_added |= self.add_edge(c, vc, bytes);
+            let (v, bytes) = self.out_adj[i];
+            let vc = self.assign[v];
+            if vc != UNASSIGNED && vc != c && self.add_edge(c, vc, bytes) {
+                self.link(c, vc);
             }
-        }
-        // A fresh order edge is the only way an acyclic relation can gain a
-        // cycle; adding bytes to existing edges never changes reachability.
-        if order_added && self.acyclic {
-            self.acyclic = self.kahn_acyclic();
         }
     }
 
@@ -213,23 +267,22 @@ impl IncrementalEval {
         }
         let mut order_removed = false;
         for i in self.in_off[node]..self.in_off[node + 1] {
-            let (u, bytes) = self.in_adj[i as usize];
-            let uc = self.assign[u as usize];
+            let (u, bytes) = self.in_adj[i];
+            let uc = self.assign[u];
             if uc != UNASSIGNED && uc != c {
                 order_removed |= self.remove_edge(uc, c, bytes);
             }
         }
         for i in self.out_off[node]..self.out_off[node + 1] {
-            let (v, bytes) = self.out_adj[i as usize];
-            let vc = self.assign[v as usize];
+            let (v, bytes) = self.out_adj[i];
+            let vc = self.assign[v];
             if vc != UNASSIGNED && vc != c {
                 order_removed |= self.remove_edge(c, vc, bytes);
             }
         }
-        // Losing an order edge is the only way a cyclic relation can
-        // become acyclic again.
-        if order_removed && !self.acyclic {
-            self.acyclic = self.kahn_acyclic();
+        // Reachability cannot shrink edge by edge; rebuild it.
+        if order_removed {
+            self.rebuild_closure();
         }
     }
 
@@ -288,41 +341,55 @@ impl IncrementalEval {
         }
     }
 
-    /// Kahn's algorithm over the q×q order-edge matrix, using the
-    /// preallocated scratch buffers.
-    fn kahn_acyclic(&mut self) -> bool {
-        let q = self.q;
-        self.kahn_stack.clear();
-        for b in 0..q {
-            let mut indeg = 0u32;
-            for a in 0..q {
-                if self.order_edges[a * q + b] > 0 {
-                    indeg += 1;
+    /// Adds the order edge `a -> b` to the closure: every slot that is `a`
+    /// or reaches `a` now also reaches `b` and all `b` reaches. A chain
+    /// that uses the new edge twice contains a cycle through it and is
+    /// covered by its last use, so one pass is exact.
+    fn link(&mut self, a: usize, b: usize) {
+        let w = self.words;
+        // The edge closes a cycle iff `b` already reaches `a`.
+        if self.precedes(b, a) {
+            self.acyclic = false;
+        }
+        self.row.copy_from_slice(&self.reach[b * w..(b + 1) * w]);
+        self.row[b / 64] |= 1 << (b % 64);
+        for x in 0..self.q {
+            if x == a || self.precedes(x, a) {
+                for (r, &add) in self.reach[x * w..(x + 1) * w].iter_mut().zip(&self.row) {
+                    *r |= add;
                 }
             }
-            self.kahn_indegree[b] = indeg;
-            if indeg == 0 {
-                self.kahn_stack.push(u32::try_from(b).expect("slot count fits u32"));
-            }
         }
-        let mut visited = 0usize;
-        while let Some(a) = self.kahn_stack.pop() {
-            visited += 1;
-            let a = a as usize;
+    }
+
+    /// Recomputes the closure from the order-edge counts (Warshall over
+    /// bitset rows) and with it acyclicity.
+    fn rebuild_closure(&mut self) {
+        let (q, w) = (self.q, self.words);
+        self.reach.fill(0);
+        for a in 0..q {
             for b in 0..q {
                 if self.order_edges[a * q + b] > 0 {
-                    self.kahn_indegree[b] -= 1;
-                    if self.kahn_indegree[b] == 0 {
-                        self.kahn_stack.push(u32::try_from(b).expect("slot count fits u32"));
+                    self.reach[a * w + b / 64] |= 1 << (b % 64);
+                }
+            }
+        }
+        for k in 0..q {
+            self.row.copy_from_slice(&self.reach[k * w..(k + 1) * w]);
+            for x in 0..q {
+                if self.precedes(x, k) {
+                    for (r, &add) in self.reach[x * w..(x + 1) * w].iter_mut().zip(&self.row) {
+                        *r |= add;
                     }
                 }
             }
         }
-        visited == q
+        self.acyclic = (0..q).all(|a| !self.precedes(a, a));
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::test_support::chain_tdg;
@@ -331,6 +398,7 @@ mod tests {
     use hermes_dataplane::mat::{Mat, MatchKind};
     use hermes_dataplane::program::Program;
     use hermes_tdg::AnalysisMode;
+    use std::collections::BTreeSet;
 
     /// Reference objective: recompute the pair matrix from scratch.
     fn scratch_amax(tdg: &Tdg, assign: &[usize], q: usize) -> u64 {
@@ -377,9 +445,49 @@ mod tests {
         seen == q
     }
 
+    /// Reference closure: does a chain of order edges lead from `a` to `b`?
+    fn scratch_precedes(tdg: &Tdg, assign: &[usize], a: usize, b: usize) -> bool {
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![a];
+        while let Some(x) = stack.pop() {
+            for e in tdg.edges() {
+                let (u, v) = (assign[e.from.index()], assign[e.to.index()]);
+                if u == x && v != UNASSIGNED && u != v && seen.insert(v) {
+                    stack.push(v);
+                }
+            }
+        }
+        seen.contains(&b)
+    }
+
+    /// Checks the running state against from-scratch recomputation: the
+    /// objective, acyclicity, the closure between occupied slots, and the
+    /// cycle test for every unplaced node on every slot.
     fn check_against_reference(eval: &IncrementalEval, tdg: &Tdg, q: usize) {
-        assert_eq!(eval.amax(), scratch_amax(tdg, eval.assignment(), q));
-        assert_eq!(eval.is_acyclic(), scratch_acyclic(tdg, eval.assignment(), q));
+        check_probing(eval, tdg, q, &(0..q).collect::<Vec<_>>());
+    }
+
+    /// [`check_against_reference`], probing the cycle test on `slots` only.
+    fn check_probing(eval: &IncrementalEval, tdg: &Tdg, q: usize, slots: &[usize]) {
+        let assign = eval.assignment();
+        assert_eq!(eval.amax(), scratch_amax(tdg, assign, q));
+        assert_eq!(eval.is_acyclic(), scratch_acyclic(tdg, assign, q));
+        let occupied: BTreeSet<usize> =
+            assign.iter().copied().filter(|&c| c != UNASSIGNED).collect();
+        for &a in &occupied {
+            for &b in &occupied {
+                assert_eq!(eval.precedes(a, b), scratch_precedes(tdg, assign, a, b), "{a} -> {b}");
+            }
+        }
+        let mut probe = assign.to_vec();
+        for node in (0..assign.len()).filter(|&node| assign[node] == UNASSIGNED) {
+            for &c in slots {
+                probe[node] = c;
+                let cyclic = !scratch_acyclic(tdg, &probe, q);
+                assert_eq!(eval.creates_cycle(node, c), cyclic, "node {node} on {c}");
+            }
+            probe[node] = UNASSIGNED;
+        }
     }
 
     #[test]
@@ -488,6 +596,28 @@ mod tests {
         eval.unplace(1);
         assert_eq!(eval.used_capacity(1), 0.0);
         assert_eq!(eval.occupied(), 0);
+    }
+
+    #[test]
+    fn closure_rows_of_several_words_match_scratch_reference() {
+        // 130 slots: the closure rows span three words. The chain's nodes
+        // land on slots spread over all of them, on both sides of each
+        // word boundary.
+        let tdg = chain_tdg(&[3, 1, 4, 1, 5, 9, 2, 6], 0.1);
+        let q = 130;
+        let slots = [0, 63, 64, 65, 127, 128, 129, 1];
+        let mut eval = IncrementalEval::new(&tdg, q);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..300 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (node, slot) = ((state >> 33) as usize % tdg.node_count(), (state >> 45) as usize);
+            if eval.assignment()[node] == UNASSIGNED {
+                eval.place(node, slots[slot % slots.len()]);
+            } else {
+                eval.unplace(node);
+            }
+            check_probing(&eval, &tdg, q, &slots);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! - the running `A_max` is monotone in the partial assignment, so any
 //!   partial plan at or above the incumbent is cut;
 //! - all per-step bookkeeping (pair bytes, the running `A_max`, per-switch
-//!   occupancy, switch-order acyclicity) lives in one per-worker
-//!   [`IncrementalEval`] updated in O(delta) per place/unplace;
+//!   occupancy, the switch order's transitive closure) lives in one
+//!   per-worker [`IncrementalEval`] updated in O(delta) per place/unplace;
 //! - each candidate switch carries a live incremental pipeline packing
 //!   with exact-snapshot undo (`Packing::push_logged` / `revert`): because
 //!   nodes are assigned in topological order, the per-switch packed state
@@ -29,6 +29,37 @@
 //!   the context's proven objective floor (0 unless a
 //!   [`Precheck`](crate::precheck::Precheck) raised it, as
 //!   [`crate::solver::Portfolio`] does) is returned without a search.
+//!
+//! # Three cuts that keep the returned leaf
+//!
+//! The search returns the first leaf of minimum objective in DFS order
+//! (below the entry bound). A cut may drop any subtree that holds no leaf
+//! that beats what the search has already recorded, and the three below
+//! drop nothing else; the test-only `oracle` module holds the outcome to a
+//! plain DFS without them.
+//!
+//! 1. **One incumbent key for all workers.** Every recorded leaf lowers a
+//!    shared lexicographic minimum `(objective, subtree index)`. A later
+//!    subtree is cut at `A_max >=` its objective — its leaves could only
+//!    tie, and a tie loses to the lower index — and an earlier one only at
+//!    `>`. The reduction's answer, the lowest-index optimum, is never cut,
+//!    however the workers interleave.
+//! 2. **A lookahead at node entry.** One allocation-free pass over the
+//!    unplaced nodes gives each a domain: the candidates ε₂ and capacity
+//!    leave open, that precede (transitively) no switch holding one of its
+//!    placed ancestors, and whose live packing has room for it from its
+//!    earliest stage there. Placements only fill switches, raise start
+//!    stages and grow the switch order, so every leaf below puts each node
+//!    inside its domain: an empty domain, or nodes forced onto one switch
+//!    that overflow it, mean no leaf below. The same holds for the lower
+//!    bound — per node, the cheapest candidate of its domain, costing the
+//!    largest pair its placed predecessors would load; per pair, its bytes
+//!    plus those of the nodes forced onto it — so the incumbent cut applied
+//!    to it drops only subtrees the cut would drop leaf by leaf.
+//! 3. **A cycle test before the push.** [`IncrementalEval`] keeps the
+//!    switch order's transitive closure, so a placement that would make it
+//!    cyclic is refused before the packing push, the evaluator update and
+//!    their undo — the same placements as testing after them.
 //!
 //! # Parallel search
 //!
@@ -52,7 +83,7 @@
 //! the *live* shared incumbent is only used to cut subtrees whose partial
 //! objective strictly exceeds it (which can never contain a leaf matching
 //! the global optimum, since every published incumbent is a feasible
-//! objective). The final answer is the lexicographic minimum over
+//! objective), and the shared key as cut 1 above says. The final answer is the lexicographic minimum over
 //! `(objective, canonical subtree index)`, i.e. the lowest-index optimal
 //! solution — exactly the leaf the sequential DFS would have accepted
 //! last. `NoImprovementProven` certificates are only issued when the
@@ -63,14 +94,17 @@
 //! execution-time experiment (Exp#3) uses to flag timed-out ILP-style
 //! runs.
 
+// Every failure here is a typed `DeployError` or made impossible by a type.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
-use crate::eval::IncrementalEval;
+use crate::eval::{IncrementalEval, UNASSIGNED};
 use crate::heuristic::GreedyHeuristic;
 use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
 use crate::stage_assign::{materialize, Packing};
-use hermes_net::{fits, shortest_path, Network, SwitchId};
+use hermes_net::{fits, mutually_reachable, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -174,41 +208,11 @@ impl OptimalSolver {
             );
         }
 
-        let order = tdg.topo_order().expect("TDGs are DAGs");
-        let q = candidates.len();
-        assert!(q <= usize::from(u16::MAX), "candidate index must fit u16");
-        let symmetric = eps.max_latency_us.is_infinite()
-            && candidates.windows(2).all(|w| {
-                net.switch(w[0]).target_model().symmetric_to(&net.switch(w[1]).target_model())
-            });
-
-        // Leaf fast path precondition: with no latency bound and every
-        // ordered candidate pair routable, a stage-feasible full assignment
-        // is always materializable, so leaves can be scored from the
-        // evaluator's running objective without building a plan.
-        let all_pairs_routable = (0..q).all(|a| {
-            (0..q).all(|b| a == b || shortest_path(net, candidates[a], candidates[b]).is_some())
-        });
-        let total_caps: Vec<f64> =
-            candidates.iter().map(|&id| net.switch(id).total_capacity()).collect();
-
-        let shared = SharedSearch {
-            tdg,
-            net,
-            eps,
-            order,
-            candidates: &candidates,
-            symmetric,
-            fast_leaves: eps.max_latency_us.is_infinite() && all_pairs_routable,
-            total_caps,
-            // The acceptance ceiling every worker prunes and records
-            // against. Read once, after seed publication, so it is a
-            // deterministic function of the solver's inputs — the live
-            // incumbent may drop below it mid-search but only ever
-            // tightens the (timing-safe) strict cut in `Explorer::cut`.
-            entry_bound: ctx.incumbent_bound(),
-            ctx,
+        let Some(order) = tdg.topo_order() else {
+            let reason = "the TDG has a dependency cycle".to_owned();
+            return (Err(DeployError::NoFeasiblePlacement { reason }), ParallelStats::default());
         };
+        let shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx);
 
         let requested_workers = ctx.worker_count().max(1);
         let target_roots = requested_workers * ROOTS_PER_WORKER;
@@ -218,9 +222,7 @@ impl OptimalSolver {
         // subtree roots.
         let mut enumerator = Explorer::new(&shared);
         let frontier = build_frontier(&mut enumerator, target_roots);
-        let enum_explored = enumerator.explored;
-        let enum_stopped = enumerator.stopped;
-        drop(enumerator);
+        let enumerated = WorkerOut::of(enumerator);
 
         // Phase 2: subtree execution; workers take roots in canonical
         // order from one shared cursor (a stopped enumeration leaves none).
@@ -232,8 +234,12 @@ impl OptimalSolver {
         if workers > 0 {
             std::thread::scope(|scope| {
                 let (shared, frontier, cursor, outs) = (&shared, &frontier, &cursor, &outs);
+                // A poisoned lock drops the result; the reduction below then
+                // refuses the whole search.
                 let finish = move |out| {
-                    outs.lock().expect("a worker panicked while holding the results").push(out)
+                    if let Ok(mut outs) = outs.lock() {
+                        outs.push(out);
+                    }
                 };
                 let start_helpers = move || {
                     for _ in 1..workers {
@@ -243,7 +249,10 @@ impl OptimalSolver {
                 finish(run_worker(shared, frontier, cursor, Some(&start_helpers)));
             });
         }
-        let outs = outs.into_inner().expect("a worker panicked while holding the results");
+        let Ok(outs) = outs.into_inner() else {
+            let reason = "a search worker panicked while holding the results".to_owned();
+            return (Err(DeployError::NoFeasiblePlacement { reason }), ParallelStats::default());
+        };
         let workers = outs.len();
 
         // Phase 3: deterministic reduction — the lexicographic minimum
@@ -251,13 +260,19 @@ impl OptimalSolver {
         // optimal solution, exactly what the sequential DFS returns.
         let mut best: Option<(u64, u32)> = None;
         let mut best_assign: Option<Vec<usize>> = None;
-        let mut explored = enum_explored;
-        let mut bound_prunes = 0u64;
-        let mut worker_stopped = false;
-        for out in outs {
+        let mut pstats = ParallelStats {
+            workers,
+            frontier_depth: frontier.depth,
+            subtree_roots: frontier.count,
+            ..ParallelStats::default()
+        };
+        let (mut explored, mut stopped) = (0, false);
+        for out in std::iter::once(enumerated).chain(outs) {
             explored += out.explored;
-            bound_prunes += out.bound_prunes;
-            worker_stopped |= out.stopped;
+            pstats.bound_prunes += out.bound_prunes;
+            pstats.lookahead_prunes += out.lookahead_prunes;
+            pstats.cycle_rejects += out.cycle_rejects;
+            stopped |= out.stopped;
             if let Some(key) = out.best {
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -265,18 +280,11 @@ impl OptimalSolver {
                 }
             }
         }
-        let exhausted = !enum_stopped && !worker_stopped;
+        let exhausted = !stopped;
         let mut own_best = seed_plan.as_ref().map(|(obj, _)| *obj).unwrap_or(u64::MAX);
         if let Some((obj, _)) = best {
             own_best = own_best.min(obj);
         }
-        let pstats = ParallelStats {
-            workers,
-            frontier_depth: frontier.depth,
-            subtree_roots: frontier.count,
-            bound_prunes,
-        };
-
         let mut best_plan = seed_plan;
         if let Some(assign) = best_assign {
             if let Ok(plan) = materialize(tdg, net, eps, &candidates, &assign) {
@@ -355,8 +363,13 @@ pub struct ParallelStats {
     pub frontier_depth: usize,
     /// Number of independent subtree roots handed to the pool.
     pub subtree_roots: usize,
-    /// Nodes cut by the incumbent bound (entry or live).
+    /// Nodes cut by the incumbent bound (entry, live or the shared key).
     pub bound_prunes: u64,
+    /// Nodes cut by the lookahead: an empty domain, an overfull forced
+    /// switch, or a lower bound the incumbent cut rejects.
+    pub lookahead_prunes: u64,
+    /// Placements refused because they would close a switch-order cycle.
+    pub cycle_rejects: u64,
 }
 
 /// Immutable per-solve state shared (by reference) across workers.
@@ -369,29 +382,101 @@ struct SharedSearch<'a> {
     symmetric: bool,
     /// Leaves may be scored from `eval.amax()` without materializing.
     fast_leaves: bool,
+    /// Per node: the position in `order` of its first ancestor
+    /// (`usize::MAX` for none), so at depth `d` it has a placed ancestor
+    /// iff the value is below `d`.
+    reached_from: Vec<usize>,
     /// Per-candidate [`hermes_net::TargetModel::total_capacity`] (budget
     /// clamp included).
     total_caps: Vec<f64>,
     /// Incumbent bound captured once at solve entry (after seed
     /// publication): the deterministic acceptance ceiling.
     entry_bound: u64,
+    /// The lexicographic minimum `(objective, subtree index)` over every
+    /// leaf any worker recorded, packed as `objective << 32 | index`
+    /// ([`NO_KEY`] until then; objectives of 2³² B and more are not
+    /// shared). `Relaxed` suffices: the key publishes no other data, and
+    /// any value a worker reads is the key of some recorded leaf, which is
+    /// all [`Explorer::cut`] needs.
+    best_key: AtomicU64,
     ctx: &'a SearchContext,
 }
 
-/// Sentinel candidate index for "nothing placed at this frame".
-const NO_CANDIDATE: u32 = u32::MAX;
+impl<'a> SharedSearch<'a> {
+    fn new(
+        tdg: &'a Tdg,
+        net: &'a Network,
+        eps: &'a Epsilon,
+        order: &'a [NodeId],
+        candidates: &'a [SwitchId],
+        ctx: &'a SearchContext,
+    ) -> Self {
+        let symmetric = eps.max_latency_us.is_infinite()
+            && candidates.windows(2).all(|w| {
+                net.switch(w[0]).target_model().symmetric_to(&net.switch(w[1]).target_model())
+            });
+        let mut position = vec![0; tdg.node_count()];
+        for (k, id) in order.iter().enumerate() {
+            position[id.index()] = k;
+        }
+        let mut reached_from = vec![usize::MAX; tdg.node_count()];
+        for &id in order {
+            for e in tdg.in_edges(id) {
+                let u = e.from.index();
+                let first = position[u].min(reached_from[u]);
+                reached_from[id.index()] = reached_from[id.index()].min(first);
+            }
+        }
+        SharedSearch {
+            tdg,
+            net,
+            eps,
+            order,
+            candidates,
+            symmetric,
+            // Leaf fast path precondition: with no latency bound and every
+            // ordered candidate pair routable, a stage-feasible full
+            // assignment is always materializable, so leaves can be scored
+            // from the evaluator's running objective without building a
+            // plan.
+            fast_leaves: eps.max_latency_us.is_infinite() && mutually_reachable(net, candidates),
+            reached_from,
+            total_caps: candidates.iter().map(|&id| net.switch(id).total_capacity()).collect(),
+            // The acceptance ceiling every worker prunes and records
+            // against. Read once, after seed publication, so it is a
+            // deterministic function of the solver's inputs — the live
+            // incumbent may drop below it mid-search but only ever
+            // tightens the (timing-safe) cuts in `Explorer::cut`.
+            entry_bound: ctx.incumbent_bound(),
+            best_key: AtomicU64::new(NO_KEY),
+            ctx,
+        }
+    }
+}
+
+/// [`SharedSearch::best_key`] before any leaf is recorded.
+const NO_KEY: u64 = u64::MAX;
+
+/// Slack on the lookahead's room test, far above the 1e-9 of
+/// [`hermes_net::fits`], the 1e-12 a push may leave unplaced and the
+/// rounding of both: a domain may only ever be too wide.
+const ROOM_SLACK: f64 = 1e-6;
+
+/// Sentinel candidate index for "nothing placed at this frame" and for a
+/// lookahead domain of more than one candidate.
+const NO_CANDIDATE: usize = usize::MAX;
 
 /// One level of the iterative DFS, in the per-worker frame arena.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     /// Next candidate index to try at this depth.
-    next_c: u32,
+    next_c: usize,
     /// Candidate currently placed at this depth ([`NO_CANDIDATE`] = none).
-    placed_c: u32,
+    placed_c: usize,
     /// Undo-log base of the current placement's `push_logged`.
-    log_base: u32,
+    log_base: usize,
     /// Symmetry-break cap (occupied switches at frame entry).
-    used_switches: u32,
+    used_switches: usize,
 }
 
 /// The deterministic subtree frontier: `count` prefixes of length `depth`
@@ -399,13 +484,13 @@ struct Frame {
 /// order. The prefix index is the canonical subtree index used for
 /// tie-breaking.
 struct Frontier {
-    prefixes: Vec<u16>,
+    prefixes: Vec<usize>,
     count: usize,
     depth: usize,
 }
 
 impl Frontier {
-    fn prefix(&self, root: u32) -> &[u16] {
+    fn prefix(&self, root: u32) -> &[usize] {
         let base = root as usize * self.depth;
         &self.prefixes[base..base + self.depth]
     }
@@ -418,11 +503,11 @@ impl Frontier {
 /// leaves below the entry bound.
 fn build_frontier(ex: &mut Explorer<'_>, target: usize) -> Frontier {
     let n = ex.sh.order.len();
-    let mut level: Vec<u16> = Vec::new();
+    let mut level: Vec<usize> = Vec::new();
     let mut count = 1usize; // depth 0: the single empty prefix
     let mut depth = 0usize;
     while depth < n && count < target && count > 0 {
-        let mut next: Vec<u16> = Vec::with_capacity(count.saturating_mul(depth + 2));
+        let mut next: Vec<usize> = Vec::with_capacity(count.saturating_mul(depth + 2));
         let mut next_count = 0usize;
         for i in 0..count {
             let prefix = &level[i * depth..(i + 1) * depth];
@@ -445,7 +530,23 @@ struct WorkerOut {
     best_assign: Vec<usize>,
     explored: u64,
     bound_prunes: u64,
+    lookahead_prunes: u64,
+    cycle_rejects: u64,
     stopped: bool,
+}
+
+impl WorkerOut {
+    fn of(ex: Explorer<'_>) -> Self {
+        WorkerOut {
+            best: ex.best,
+            best_assign: ex.best_assign,
+            explored: ex.explored,
+            bound_prunes: ex.bound_prunes,
+            lookahead_prunes: ex.lookahead_prunes,
+            cycle_rejects: ex.cycle_rejects,
+            stopped: ex.stopped,
+        }
+    }
 }
 
 /// Explores roots claimed from `cursor` until the frontier is used up or
@@ -466,18 +567,13 @@ fn run_worker<'a>(
         }
         ex.run_root(root, frontier.prefix(root));
     }
-    WorkerOut {
-        best: ex.best,
-        best_assign: ex.best_assign,
-        explored: ex.explored,
-        bound_prunes: ex.bound_prunes,
-        stopped: ex.stopped,
-    }
+    WorkerOut::of(ex)
 }
 
 /// A worker's private search state: one reversible evaluator + packing
 /// set, reset and replayed per claimed subtree, plus the reusable frame
-/// arena of the iterative DFS. Nothing here is shared across workers.
+/// arena of the iterative DFS and the lookahead's scratch. Nothing here is
+/// shared across workers.
 struct Explorer<'a> {
     sh: &'a SharedSearch<'a>,
     eval: IncrementalEval,
@@ -491,6 +587,8 @@ struct Explorer<'a> {
     stage_log: Vec<(u32, f64)>,
     /// Frame arena of the iterative DFS, reused across subtrees.
     frames: Vec<Frame>,
+    /// Index of the subtree being explored.
+    root: u32,
     /// Best objective in the subtree currently being explored.
     root_best: u64,
     root_found: bool,
@@ -501,24 +599,58 @@ struct Explorer<'a> {
     best_assign: Vec<usize>,
     explored: u64,
     bound_prunes: u64,
+    lookahead_prunes: u64,
+    cycle_rejects: u64,
     stopped: bool,
     /// Worker 0 only: spawns the helper threads, once.
     start_helpers: Option<&'a dyn Fn()>,
+    /// Lookahead scratch, sized once. Per candidate (closure-row stride):
+    /// the candidates preceding it; per node: the candidates that precede
+    /// a switch holding one of its placed ancestors.
+    before: Vec<u64>,
+    blocked: Vec<u64>,
+    /// Per candidate: the largest node that can still start at each stage
+    /// (one past the last included), candidate `c` at
+    /// `limit[room_at[c]..room_at[c + 1]]`; stale rows are rebuilt, all of
+    /// them when ε₂ closes or reopens the empty switches.
+    limit: Vec<f64>,
+    limit_stale: Vec<bool>,
+    limits_closed: bool,
+    room_at: Vec<usize>,
+    /// Per candidate, for the node at hand: the bytes its placed
+    /// predecessors there add and its earliest stage there; `touched`
+    /// lists the candidates holding any of them.
+    added: Vec<u64>,
+    start: Vec<usize>,
+    touched: Vec<usize>,
+    /// Per candidate: resource of the nodes forced onto it.
+    forced_resource: Vec<f64>,
+    /// Per ordered pair: bytes that nodes forced onto its second switch
+    /// add to it.
+    forced_bytes: Vec<u64>,
 }
 
 impl<'a> Explorer<'a> {
     fn new(sh: &'a SharedSearch<'a>) -> Self {
         let n = sh.tdg.node_count();
+        let q = sh.candidates.len();
+        let words = q.div_ceil(64);
+        let packings: Vec<Packing> = sh
+            .candidates
+            .iter()
+            .map(|&id| Packing::new(&sh.net.switch(id).target_model(), n))
+            .collect();
+        let mut room_at = vec![0];
+        for p in &packings {
+            room_at.push(room_at[room_at.len() - 1] + p.stages() + 1);
+        }
         Explorer {
             sh,
-            eval: IncrementalEval::new(sh.tdg, sh.candidates.len()),
-            packings: sh
-                .candidates
-                .iter()
-                .map(|&id| Packing::new(&sh.net.switch(id).target_model(), n))
-                .collect(),
+            eval: IncrementalEval::new(sh.tdg, q),
+            packings,
             stage_log: Vec::with_capacity(64),
             frames: Vec::with_capacity(n),
+            root: 0,
             root_best: u64::MAX,
             root_found: false,
             root_assign: Vec::with_capacity(n),
@@ -526,8 +658,21 @@ impl<'a> Explorer<'a> {
             best_assign: Vec::new(),
             explored: 0,
             bound_prunes: 0,
+            lookahead_prunes: 0,
+            cycle_rejects: 0,
             stopped: false,
             start_helpers: None,
+            before: vec![0; q * words],
+            blocked: vec![0; n * words],
+            limit: vec![0.0; room_at.last().copied().unwrap_or(0)],
+            limit_stale: vec![true; q],
+            limits_closed: false,
+            room_at,
+            added: vec![0; q],
+            start: vec![0; q],
+            touched: Vec::with_capacity(q),
+            forced_resource: vec![0.0; q],
+            forced_bytes: vec![0; q * q],
         }
     }
 
@@ -539,22 +684,44 @@ impl<'a> Explorer<'a> {
             p.reset();
         }
         self.stage_log.clear();
+        self.limit_stale.fill(true);
     }
 
-    /// The incumbent cut. The first disjunct is deterministic (subtree
-    /// best ∧ entry bound, both timing-independent); the second uses the
-    /// live shared incumbent but only *strictly* above it, so a subtree
-    /// containing a globally optimal leaf (whose partial objective never
-    /// exceeds the optimum ≤ every published incumbent) is never cut.
-    fn cut(&self, amax: u64) -> bool {
-        amax >= self.root_best.min(self.sh.entry_bound) || amax > self.sh.ctx.incumbent_bound()
+    /// The incumbent cut on a lower bound of every leaf below the node.
+    /// The first disjunct is deterministic (subtree best ∧ entry bound,
+    /// both timing-independent) and is all the frontier enumeration uses
+    /// (`live == false`). The live parts never cut the leaf the reduction
+    /// returns, the lowest-index optimal one: the shared incumbent only
+    /// *strictly* above it (every published incumbent is a feasible
+    /// objective, so at least the optimum), and the shared key
+    /// `(objective, index)` — a recorded leaf's — at or above its
+    /// objective only in subtrees after its own, and strictly above it in
+    /// earlier ones.
+    fn cut(&self, bound: u64, live: bool) -> bool {
+        if bound >= self.root_best.min(self.sh.entry_bound) {
+            return true;
+        }
+        if !live {
+            return false;
+        }
+        if bound > self.sh.ctx.incumbent_bound() {
+            return true;
+        }
+        let key = self.sh.best_key.load(Ordering::Relaxed);
+        let (objective, root) = (key >> 32, key & u64::from(u32::MAX));
+        key != NO_KEY
+            && match u64::from(self.root).cmp(&root) {
+                std::cmp::Ordering::Greater => bound >= objective,
+                std::cmp::Ordering::Less => bound > objective,
+                std::cmp::Ordering::Equal => false,
+            }
     }
 
     /// Node-entry prologue shared by every depth: count, poll the deadline
     /// (amortized — `Instant::now` costs more than a whole branch step)
     /// and, on worker 0, the helper threshold; apply the incumbent cut,
-    /// accept leaves. Returns `true` when the node's children should be
-    /// explored.
+    /// accept leaves, run the lookahead. Returns `true` when the node's
+    /// children should be explored.
     fn enter(&mut self, depth: usize) -> bool {
         self.explored += 1;
         if self.explored == 1 || self.explored & 0x3F == 0 {
@@ -568,7 +735,7 @@ impl<'a> Explorer<'a> {
                 }
             }
         }
-        if self.cut(self.eval.amax()) {
+        if self.cut(self.eval.amax(), true) {
             self.bound_prunes += 1;
             return false;
         }
@@ -576,15 +743,168 @@ impl<'a> Explorer<'a> {
             self.accept_leaf();
             return false;
         }
+        if self.lookahead_cuts(depth, true) {
+            self.lookahead_prunes += 1;
+            return false;
+        }
         true
+    }
+
+    /// The lookahead: one pass over the unplaced nodes `order[depth..]`
+    /// gives each a domain — the candidates with room for it (ε₂ and
+    /// capacity), that precede no switch holding one of its placed
+    /// ancestors (it would close a cycle) and whose live packing has room
+    /// for it from its earliest stage there. Every further placement only
+    /// narrows these tests, so a domain holds every candidate the node
+    /// takes in a leaf below. `true` when a domain is empty, when the nodes
+    /// forced onto one switch overflow it, or when [`Explorer::cut`] holds
+    /// for a lower bound on every leaf below: per node, the cheapest
+    /// candidate of its domain, each costing the largest pair its placed
+    /// predecessors would load; per pair, its bytes plus those the nodes
+    /// forced onto its second switch add.
+    fn lookahead_cuts(&mut self, depth: usize, live: bool) -> bool {
+        let sh = self.sh;
+        let q = sh.candidates.len();
+        let words = q.div_ceil(64);
+        let eval = &self.eval;
+        let assign = eval.assignment();
+        // `limit[s]` per candidate: the largest node that can still start
+        // at stage `s` there — the room from `s` on, capped by what its
+        // capacity has left, and nothing on a switch ε₂ keeps closed.
+        // Rows are rebuilt only for candidates whose packing changed.
+        let no_new_switch = eval.occupied() >= sh.eps.max_switches;
+        if no_new_switch != self.limits_closed {
+            self.limits_closed = no_new_switch;
+            self.limit_stale.fill(true);
+        }
+        for (c, packing) in self.packings.iter().enumerate() {
+            if !std::mem::take(&mut self.limit_stale[c]) {
+                continue;
+            }
+            let limit = &mut self.limit[self.room_at[c]..self.room_at[c + 1]];
+            if eval.nodes_on(c) == 0 && no_new_switch {
+                limit.fill(f64::NEG_INFINITY);
+                continue;
+            }
+            packing.room_from_each_stage(limit);
+            let capacity_left = sh.total_caps[c] - eval.used_capacity(c);
+            for room in limit.iter_mut() {
+                *room = room.min(capacity_left) + ROOM_SLACK;
+            }
+            if let Some(past_the_end) = limit.last_mut() {
+                *past_the_end = f64::NEG_INFINITY;
+            }
+        }
+        // `before[a]`: the candidates that precede `a` in the switch order.
+        self.before.fill(0);
+        for x in 0..q {
+            for (k, &word) in eval.successors_row(x).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let a = k * 64 + bits.trailing_zeros() as usize;
+                    self.before[a * words + x / 64] |= 1 << (x % 64);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.forced_resource.fill(0.0);
+        self.forced_bytes.fill(0);
+        let mut bound = eval.amax();
+        for &node in &sh.order[depth..] {
+            let v = node.index();
+            // A node none of whose ancestors is placed yet has no
+            // predecessor bytes, start stage or order constraint.
+            let reached = sh.reached_from[v] < depth;
+            if reached {
+                // The candidates that precede a switch holding one of its
+                // placed ancestors: a placed predecessor's, or those an
+                // unplaced one (earlier in the order) has.
+                self.blocked[v * words..(v + 1) * words].fill(0);
+                for &(u, bytes) in eval.in_edges(v) {
+                    let a = assign[u];
+                    if a == UNASSIGNED {
+                        if sh.reached_from[u] < depth {
+                            for k in 0..words {
+                                let bits = self.blocked[u * words + k];
+                                self.blocked[v * words + k] |= bits;
+                            }
+                        }
+                        continue;
+                    }
+                    for k in 0..words {
+                        self.blocked[v * words + k] |= self.before[a * words + k];
+                    }
+                    if !self.touched.contains(&a) {
+                        self.touched.push(a);
+                    }
+                    self.added[a] += u64::from(bytes);
+                    if let Some(end) = self.packings[a].end_stage(u) {
+                        self.start[a] = self.start[a].max(end + 1);
+                    }
+                }
+            }
+            // The domain, and the cost of its cheapest candidate: the
+            // largest pair its placed predecessors would load there.
+            let resource = eval.resource(v);
+            let (mut size, mut only, mut cheapest) = (0usize, NO_CANDIDATE, u64::MAX);
+            for c in 0..q {
+                if resource > self.limit[self.room_at[c] + self.start[c]]
+                    || reached && self.blocked[v * words + c / 64] >> (c % 64) & 1 == 1
+                {
+                    continue;
+                }
+                size += 1;
+                only = c;
+                if cheapest > bound {
+                    let cost = self
+                        .touched
+                        .iter()
+                        .filter(|&&a| a != c)
+                        .map(|&a| eval.pair_bytes(a, c) + self.added[a])
+                        .max()
+                        .unwrap_or(0);
+                    cheapest = cheapest.min(cost);
+                }
+            }
+            if size == 1 {
+                self.forced_resource[only] += resource;
+                for &a in self.touched.iter().filter(|&&a| a != only) {
+                    self.forced_bytes[a * q + only] += self.added[a];
+                }
+            }
+            for &a in &self.touched {
+                self.added[a] = 0;
+                self.start[a] = 0;
+            }
+            self.touched.clear();
+            if size == 0 {
+                return true;
+            }
+            if cheapest > bound {
+                bound = cheapest;
+                if self.cut(bound, live) {
+                    return true;
+                }
+            }
+        }
+        for c in 0..q {
+            let forced = self.forced_resource[c];
+            if forced > 0.0 && eval.used_capacity(c) + forced > sh.total_caps[c] + ROOM_SLACK {
+                return true;
+            }
+            for a in 0..q {
+                bound = bound.max(eval.pair_bytes(a, c) + self.forced_bytes[a * q + c]);
+            }
+        }
+        self.cut(bound, live)
     }
 
     /// Runs every feasibility check for placing the depth-`depth` node on
     /// candidate `c`; on success the node stays placed and the packing
     /// undo-log base is returned for the later revert.
-    fn try_place(&mut self, depth: usize, c: usize) -> Option<u32> {
+    fn try_place(&mut self, depth: usize, c: usize) -> Option<usize> {
         let node = self.sh.order[depth];
-        let resource = self.sh.tdg.node(node).mat.resource();
+        let resource = self.eval.resource(node.index());
         if !fits(self.eval.used_capacity(c) + resource, self.sh.total_caps[c]) {
             return None;
         }
@@ -592,39 +912,41 @@ impl<'a> Explorer<'a> {
         if self.eval.nodes_on(c) == 0 && self.eval.occupied() + 1 > self.sh.eps.max_switches {
             return None;
         }
+        // The switch DAG must stay acyclic (no packet recirculation
+        // through a switch): asked of the closure before anything moves.
+        if self.eval.creates_cycle(node.index(), c) {
+            self.cycle_rejects += 1;
+            return None;
+        }
         // Stage-feasibility prune: pushing onto the switch's live packing
         // is the exact check (its state equals the prefix state of a full
         // repack), cutting precisely the subtrees whose leaves would fail
-        // `materialize`. A failed push rolls itself back and leaves the
-        // log untouched.
-        let log_base = u32::try_from(self.stage_log.len()).expect("log fits u32");
+        // `materialize`. A failed push leaves the packing and the log
+        // untouched.
+        let log_base = self.stage_log.len();
         if !self.packings[c].push_logged(self.sh.tdg, node, &mut self.stage_log) {
             return None;
         }
         self.eval.place(node.index(), c);
-        // The switch DAG must stay acyclic (no packet recirculation
-        // through a switch).
-        if !self.eval.is_acyclic() {
-            self.eval.unplace(node.index());
-            self.packings[c].revert(node, &mut self.stage_log, log_base as usize);
-            return None;
-        }
+        self.limit_stale[c] = true;
+        debug_assert!(self.eval.is_acyclic());
         Some(log_base)
     }
 
-    fn undo(&mut self, depth: usize, c: usize, log_base: u32) {
+    fn undo(&mut self, depth: usize, c: usize, log_base: usize) {
         let node = self.sh.order[depth];
         self.eval.unplace(node.index());
-        self.packings[c].revert(node, &mut self.stage_log, log_base as usize);
+        self.packings[c].revert(node, &mut self.stage_log, log_base);
+        self.limit_stale[c] = true;
     }
 
     /// Appends every viable one-node extension of `prefix` (in candidate
     /// order, deterministic prunes only) to `out`; returns how many.
     /// Used by the frontier builder.
-    fn expand(&mut self, prefix: &[u16], out: &mut Vec<u16>) -> usize {
+    fn expand(&mut self, prefix: &[usize], out: &mut Vec<usize>) -> usize {
         self.reset_state();
         for (k, &c) in prefix.iter().enumerate() {
-            if self.try_place(k, c as usize).is_none() {
+            if self.try_place(k, c).is_none() {
                 debug_assert!(false, "frontier prefix must replay cleanly");
                 return 0;
             }
@@ -645,15 +967,17 @@ impl<'a> Explorer<'a> {
                 self.stopped = true;
                 return added;
             }
-            // Child-entry incumbent cut, deterministic part only: the
-            // frontier (and with it the canonical subtree indexing) must
-            // not depend on live-incumbent timing.
-            if self.eval.amax() < self.sh.entry_bound {
-                out.extend_from_slice(prefix);
-                out.push(u16::try_from(c).expect("candidate fits u16"));
-                added += 1;
-            } else {
+            // Child-entry incumbent cut and lookahead, deterministic parts
+            // only: the frontier (and with it the canonical subtree
+            // indexing) must not depend on live-incumbent timing.
+            if self.cut(self.eval.amax(), false) {
                 self.bound_prunes += 1;
+            } else if depth + 1 < self.sh.order.len() && self.lookahead_cuts(depth + 1, false) {
+                self.lookahead_prunes += 1;
+            } else {
+                out.extend_from_slice(prefix);
+                out.push(c);
+                added += 1;
             }
             self.undo(depth, c, log_base);
         }
@@ -663,14 +987,15 @@ impl<'a> Explorer<'a> {
     /// Explores one claimed subtree: reset, replay the prefix, run the
     /// iterative DFS below it, then fold the subtree's best leaf into the
     /// worker's `(objective, subtree index)` minimum.
-    fn run_root(&mut self, root: u32, prefix: &[u16]) {
+    fn run_root(&mut self, root: u32, prefix: &[usize]) {
         self.reset_state();
         for (k, &c) in prefix.iter().enumerate() {
-            if self.try_place(k, c as usize).is_none() {
+            if self.try_place(k, c).is_none() {
                 debug_assert!(false, "frontier prefix must replay cleanly");
                 return;
             }
         }
+        self.root = root;
         self.root_best = u64::MAX;
         self.root_found = false;
         self.run_subtree(prefix.len());
@@ -703,20 +1028,20 @@ impl<'a> Explorer<'a> {
             // Undo the placement left by the previous descent, if any.
             let Frame { placed_c, log_base, used_switches, .. } = self.frames[top];
             if placed_c != NO_CANDIDATE {
-                self.undo(depth, placed_c as usize, log_base);
+                self.undo(depth, placed_c, log_base);
                 self.frames[top].placed_c = NO_CANDIDATE;
             }
             // Advance to the next viable candidate at this depth.
             let q = self.sh.candidates.len();
             let mut descended = false;
             loop {
-                let c = self.frames[top].next_c as usize;
-                if c >= q || (self.sh.symmetric && c > used_switches as usize) {
+                let c = self.frames[top].next_c;
+                if c >= q || (self.sh.symmetric && c > used_switches) {
                     break;
                 }
                 self.frames[top].next_c += 1;
                 let Some(log_base) = self.try_place(depth, c) else { continue };
-                self.frames[top].placed_c = c as u32;
+                self.frames[top].placed_c = c;
                 self.frames[top].log_base = log_base;
                 if self.enter(depth + 1) {
                     let frame = self.fresh_frame();
@@ -739,7 +1064,7 @@ impl<'a> Explorer<'a> {
             next_c: 0,
             placed_c: NO_CANDIDATE,
             log_base: 0,
-            used_switches: if self.sh.symmetric { self.eval.occupied() as u32 } else { 0 },
+            used_switches: if self.sh.symmetric { self.eval.occupied() } else { 0 },
         }
     }
 
@@ -776,10 +1101,19 @@ impl<'a> Explorer<'a> {
         self.root_assign.clear();
         self.root_assign.extend_from_slice(self.eval.assignment());
         self.sh.ctx.publish_incumbent(objective);
+        if let Ok(objective) = u32::try_from(objective) {
+            let key = u64::from(objective) << 32 | u64::from(self.root);
+            self.sh.best_key.fetch_min(key, Ordering::Relaxed);
+        }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod oracle;
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::test_support::{chain_tdg, tiny_switches};
@@ -941,7 +1275,7 @@ mod tests {
     #[test]
     fn outcome_is_identical_across_worker_counts() {
         // The ten-program library plus three synthetic programs on the
-        // three-switch testbed (≈5·10⁴ nodes at one worker, so the helpers
+        // three-switch testbed (≈3·10⁴ nodes at one worker, so the helpers
         // start): independent programs, so the frontier holds several
         // roots per worker and their subtrees differ widely in size —
         // roots finish, and the next ones are claimed, out of worker order.

@@ -337,32 +337,22 @@ impl Packing {
     /// millions of push/undo cycles in the exact search.) On budgeted
     /// targets the prior `used` total is snapshotted first under the
     /// [`UNPLACED`] stage marker — budget-free targets log nothing extra.
-    /// On failure the partial modifications are rolled back here and `log`
-    /// is unchanged.
+    /// A failed push changes nothing, `log` included.
     pub(crate) fn push_logged(&mut self, tdg: &Tdg, id: NodeId, log: &mut Vec<(u32, f64)>) -> bool {
-        let base = log.len();
+        let Ok(earliest) = self.fit(tdg, id) else { return false };
         if self.model.total_budget.is_finite() {
             log.push((UNPLACED, self.used));
         }
-        let result = self.push_core(tdg, id, &mut |_, stage, old, _| {
+        self.commit(tdg, id, earliest, &mut |_, stage, old, _| {
             log.push((u32::try_from(stage).expect("pipeline depth fits u32"), old));
         });
-        if result.is_err() {
-            self.unwind(log, base);
-        }
-        result.is_ok()
+        true
     }
 
     /// Undoes a successful [`Packing::push_logged`] of `id`, restoring the
     /// logged `remaining` (and `used`) snapshots in reverse and truncating
     /// `log` back to `base` (its length before the push).
     pub(crate) fn revert(&mut self, id: NodeId, log: &mut Vec<(u32, f64)>, base: usize) {
-        self.unwind(log, base);
-        self.end_stage[id.index()] = UNPLACED;
-    }
-
-    /// Restores every snapshot in `log[base..]` in reverse and truncates.
-    fn unwind(&mut self, log: &mut Vec<(u32, f64)>, base: usize) {
         for &(stage, old) in log[base..].iter().rev() {
             if stage == UNPLACED {
                 self.used = old;
@@ -371,22 +361,42 @@ impl Packing {
             }
         }
         log.truncate(base);
+        self.end_stage[id.index()] = UNPLACED;
     }
 
-    /// The one first-fit loop: places `id` at the first stage after its
-    /// already-placed predecessors, greedily filling consecutive stages.
-    /// `on_slice` sees `(node, stage, remaining-before, take)` for every
-    /// placed slice.
-    fn push_core(
-        &mut self,
-        tdg: &Tdg,
-        id: NodeId,
-        on_slice: &mut dyn FnMut(NodeId, usize, f64, f64),
-    ) -> Result<(), PushFail> {
-        let mat = &tdg.node(id).mat;
-        let resource = mat.resource();
-        // Always-false on budget-free targets (`used + r` always fits INF),
-        // and checked before any mutation so failure needs no rollback.
+    /// Pipeline depth.
+    pub(crate) fn stages(&self) -> usize {
+        self.model.stages
+    }
+
+    /// The last stage `node` (an index) occupies, if it was pushed.
+    pub(crate) fn end_stage(&self, node: usize) -> Option<usize> {
+        let stage = self.end_stage[node];
+        (stage != UNPLACED).then_some(stage as usize)
+    }
+
+    /// Writes into `room[s]` the capacity left in stages `s..`, for every
+    /// `s` up to the depth (`room[stages]` = 0). A push that starts at
+    /// stage `s` takes its slices from that capacity, so a node larger
+    /// than `room[s]` (up to the 1e-12 a push may leave unplaced and the
+    /// rounding of the sum) cannot start there, and pushes only shrink
+    /// it: the exact search asks this of nodes it has not reached yet.
+    pub(crate) fn room_from_each_stage(&self, room: &mut [f64]) {
+        let stages = self.model.stages;
+        let mut left = 0.0;
+        room[stages] = 0.0;
+        for (slot, &remaining) in room[..stages].iter_mut().zip(&self.remaining).rev() {
+            left += remaining;
+            *slot = left;
+        }
+    }
+
+    /// The first-fit question without its side effects: `Ok` with the
+    /// node's start stage — the first after its already-placed
+    /// predecessors — when its full `R(a)` fits from there.
+    fn fit(&self, tdg: &Tdg, id: NodeId) -> Result<usize, PushFail> {
+        let resource = tdg.node(id).mat.resource();
+        // Always-false on budget-free targets (`used + r` always fits INF).
         if !fits(self.used + resource, self.model.total_budget) {
             return Err(PushFail::OverBudget);
         }
@@ -401,25 +411,49 @@ impl Packing {
             return Err(PushFail::ChainTooLong);
         }
         let mut need = resource;
-        let mut stage = earliest;
-        let mut last = earliest;
-        while need > 1e-12 {
-            if stage >= self.model.stages {
-                return Err(PushFail::OutOfStages);
+        for &old in &self.remaining[earliest..] {
+            if need <= 1e-12 {
+                break;
             }
-            let old = self.remaining[stage];
             let take = need.min(old);
             if take > 1e-12 {
                 if !self.model.fits_stage(take) {
                     return Err(PushFail::SliceTooLarge);
                 }
+                need -= take;
+            }
+        }
+        if need > 1e-12 {
+            return Err(PushFail::OutOfStages);
+        }
+        Ok(earliest)
+    }
+
+    /// Places `id` from stage `earliest`, greedily filling consecutive
+    /// stages — the same walk, in the same arithmetic, that
+    /// [`Packing::fit`] just approved. `on_slice` sees `(node, stage,
+    /// remaining-before, take)` for every placed slice.
+    fn commit(
+        &mut self,
+        tdg: &Tdg,
+        id: NodeId,
+        earliest: usize,
+        on_slice: &mut dyn FnMut(NodeId, usize, f64, f64),
+    ) {
+        let resource = tdg.node(id).mat.resource();
+        let mut need = resource;
+        let mut last = earliest;
+        for stage in earliest..self.model.stages {
+            if need <= 1e-12 {
+                break;
+            }
+            let old = self.remaining[stage];
+            let take = need.min(old);
+            if take > 1e-12 {
                 on_slice(id, stage, old, take);
                 self.remaining[stage] = old - take;
                 need -= take;
                 last = stage;
-            }
-            if need > 1e-12 {
-                stage += 1;
             }
         }
         if self.model.total_budget.is_finite() {
@@ -427,6 +461,17 @@ impl Packing {
         }
         self.end_stage[id.index()] =
             u32::try_from(last).expect("pipeline depth fits u32 (UNPLACED is reserved)");
+    }
+
+    /// The one first-fit push: [`Packing::fit`], then [`Packing::commit`].
+    fn push_core(
+        &mut self,
+        tdg: &Tdg,
+        id: NodeId,
+        on_slice: &mut dyn FnMut(NodeId, usize, f64, f64),
+    ) -> Result<(), PushFail> {
+        let earliest = self.fit(tdg, id)?;
+        self.commit(tdg, id, earliest, on_slice);
         Ok(())
     }
 }

@@ -30,7 +30,7 @@ pub mod target;
 pub mod topology;
 
 pub use graph::{Link, Network, NetworkError, Switch, SwitchId, TOFINO_STAGES};
-pub use paths::{nearest_programmable, shortest_path, Path};
+pub use paths::{mutually_reachable, nearest_programmable, shortest_path, Path};
 pub use target::{
     builtin_targets, fits, parse_target, TargetKind, TargetModel, TargetSpec, TargetSpecError,
 };

@@ -137,6 +137,34 @@ pub fn nearest_programmable(
     reachable
 }
 
+/// `true` iff [`shortest_path`] finds a path between every ordered pair
+/// of distinct `switches`. Links are undirected, so one traversal from the
+/// first switch answers it in place of a Dijkstra run per pair: the others
+/// must all be reached, over hops whose link and far switch have a finite
+/// latency (the hops `shortest_path` can take).
+pub fn mutually_reachable(net: &Network, switches: &[SwitchId]) -> bool {
+    let n = net.switch_count();
+    let [first, rest @ ..] = switches else { return true };
+    if rest.is_empty() {
+        return true;
+    }
+    if switches.iter().any(|s| s.index() >= n) || !net.switch(*first).latency_us.is_finite() {
+        return false;
+    }
+    let mut seen = vec![false; n];
+    seen[first.index()] = true;
+    let mut stack = vec![*first];
+    while let Some(u) = stack.pop() {
+        for (v, link_latency_us) in net.neighbors(u) {
+            if !seen[v.index()] && (link_latency_us + net.switch(v).latency_us).is_finite() {
+                seen[v.index()] = true;
+                stack.push(v);
+            }
+        }
+    }
+    rest.iter().all(|s| seen[s.index()])
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
@@ -197,5 +225,50 @@ mod tests {
         let near = nearest_programmable(&net, a, 1, f64::INFINITY);
         assert_eq!(near.len(), 1);
         let _ = d;
+    }
+
+    /// The per-pair form [`mutually_reachable`] replaces.
+    fn every_pair_routes(net: &Network, switches: &[SwitchId]) -> bool {
+        switches
+            .iter()
+            .all(|&a| switches.iter().all(|&b| a == b || shortest_path(net, a, b).is_some()))
+    }
+
+    #[test]
+    fn mutually_reachable_matches_every_pair_on_the_wans_and_a_split_network() {
+        let mut verdicts = Vec::new();
+        for index in 0..10 {
+            let mut net = crate::topology::table3_wan(index);
+            let programmable = net.programmable_switches();
+            let whole = mutually_reachable(&net, &programmable);
+            assert_eq!(whole, every_pair_routes(&net, &programmable), "WAN {index}");
+            verdicts.push(whole);
+            // Cut every link of the first programmable switch, isolating it.
+            let first = programmable[0];
+            let cut: Vec<SwitchId> = net.neighbors(first).map(|(v, _)| v).collect();
+            for v in cut {
+                net.fail_link(first, v);
+            }
+            for switches in [&programmable[..], &programmable[1..], &programmable[..1]] {
+                let fast = mutually_reachable(&net, switches);
+                assert_eq!(fast, every_pair_routes(&net, switches), "WAN {index}");
+                verdicts.push(fast);
+            }
+            assert!(!mutually_reachable(&net, &programmable), "WAN {index}");
+        }
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
+        // Two diamonds with no link between them.
+        let (mut net, left) = diamond();
+        let right: Vec<SwitchId> =
+            (0..4).map(|i| net.add_switch(Switch::tofino(format!("r{i}")))).collect();
+        net.add_link(right[0], right[1], 1.0).unwrap();
+        net.add_link(right[1], right[2], 1.0).unwrap();
+        net.add_link(right[2], right[3], 1.0).unwrap();
+        let both: Vec<SwitchId> = left.iter().chain(&right).copied().collect();
+        for switches in [&both[..], &left[..], &right[..], &both[3..5], &[]] {
+            assert_eq!(mutually_reachable(&net, switches), every_pair_routes(&net, switches));
+        }
+        assert!(!mutually_reachable(&net, &both));
+        assert!(mutually_reachable(&net, &left) && mutually_reachable(&net, &right));
     }
 }

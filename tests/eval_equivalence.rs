@@ -4,9 +4,9 @@
 //! - interned-bitset dependency typing ([`classify_profiles`] /
 //!   [`metadata_amount_profiles`]) against the `BTreeSet` reference
 //!   ([`classify`] / [`metadata_amount`]) on random synthetic programs;
-//! - [`IncrementalEval`]'s running `A_max` and switch-order acyclicity
-//!   against from-scratch recomputation over random place/unplace
-//!   sequences;
+//! - [`IncrementalEval`]'s running `A_max`, switch-order acyclicity and
+//!   its cycle test before a placement against from-scratch recomputation
+//!   over random place/unplace sequences;
 //! - one reused [`StageProbe`] against a fresh [`assign_stages`] per
 //!   question, on random node subsets and pipeline shapes;
 //! - the parallel exact search against its single-threaded
@@ -184,7 +184,8 @@ proptest! {
     }
 
     /// `IncrementalEval` matches from-scratch `A_max` and acyclicity after
-    /// every step of a random place/unplace sequence.
+    /// every step of a random place/unplace sequence, and its cycle test
+    /// before each placement matches acyclicity after it.
     #[test]
     fn incremental_eval_matches_scratch(seed in 0u64..1024, q in 2usize..5) {
         let tdg = synthetic_tdg(seed, 2);
@@ -195,7 +196,11 @@ proptest! {
         for _ in 0..200 {
             let node = (splitmix64(&mut state) as usize) % n;
             if eval.assignment()[node] == UNASSIGNED {
-                eval.place(node, (splitmix64(&mut state) as usize) % q);
+                let c = (splitmix64(&mut state) as usize) % q;
+                let mut probe = eval.assignment().to_vec();
+                probe[node] = c;
+                prop_assert_eq!(eval.creates_cycle(node, c), !scratch_acyclic(&tdg, &probe, q));
+                eval.place(node, c);
             } else {
                 eval.unplace(node);
             }
@@ -265,9 +270,10 @@ proptest! {
 }
 
 /// The same property where the threads actually run: the ten-program
-/// library plus three synthetic programs on `linear:3` takes ≈5·10⁴ nodes at
+/// library plus three synthetic programs on `linear:3` takes ≈3·10⁴ nodes at
 /// one worker, past the point where the calling thread starts its helpers —
-/// the random chains above are settled long before it.
+/// the random chains above are settled long before it. Every search that
+/// runs refuses cyclic placements and cuts subtrees by lookahead.
 #[test]
 fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
     let config = SyntheticConfig { tables_min: 3, tables_max: 6, ..SyntheticConfig::default() };
@@ -287,6 +293,9 @@ fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
         let stats = assert_parallel_matches_one_worker(&tdg, &net, threads, stop, prebound);
         assert!(stats.workers == threads || stats.workers <= 1, "{stats:?}");
         helped += usize::from(stats.workers > 1);
+        if stop != 2 {
+            assert!(stats.lookahead_prunes > 0 && stats.cycle_rejects > 0, "{stats:?}");
+        }
     }
     assert!(helped >= 2, "the helper threads started in {helped} of 6 cases");
 }
