@@ -50,6 +50,7 @@ impl ProgramAnalyzer {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hermes_dataplane::library;

@@ -363,6 +363,14 @@ impl fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
+impl DeployError {
+    /// The refusal of a TDG whose dependencies form a cycle: it has no
+    /// topological order, so no solver can order its placement.
+    pub(crate) fn dependency_cycle() -> Self {
+        DeployError::NoFeasiblePlacement { reason: "the TDG has a dependency cycle".to_owned() }
+    }
+}
+
 /// The interface every deployment framework (Hermes and all baselines)
 /// implements, so experiments can sweep algorithms uniformly.
 pub trait DeploymentAlgorithm {
@@ -391,6 +399,7 @@ pub trait DeploymentAlgorithm {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hermes_net::topology;

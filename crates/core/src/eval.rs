@@ -30,9 +30,6 @@
 //! allocated at construction; steady-state `place`/`unplace` perform no
 //! heap allocation.
 
-// Every failure here is made impossible by a type.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use hermes_tdg::Tdg;
 
 /// Marker for an unplaced node in [`IncrementalEval::assignment`].
@@ -389,7 +386,7 @@ impl IncrementalEval {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::test_support::chain_tdg;

@@ -28,7 +28,9 @@
 //! - the greedy heuristic provides the initial incumbent, and a seed at
 //!   the context's proven objective floor (0 unless a
 //!   [`Precheck`](crate::precheck::Precheck) raised it, as
-//!   [`crate::solver::Portfolio`] does) is returned without a search.
+//!   [`crate::solver::Portfolio`] does) is returned without a search;
+//! - galloping contours look for the optimum under low ceilings before
+//!   the frontier is built (below).
 //!
 //! # Three cuts that keep the returned leaf
 //!
@@ -61,6 +63,40 @@
 //!    cyclic is refused before the packing push, the evaluator update and
 //!    their undo — the same placements as testing after them.
 //!
+//! # Contours: the optimum before the proof
+//!
+//! Most of a search seeded with a poor incumbent goes into lowering it:
+//! under a ceiling one above the optimum the committed `tight-exact`
+//! instances take a fifth of their nodes. So between the seed and the
+//! frontier the calling thread runs **contours** (iterative deepening on
+//! the objective, after Korf's depth-first iterative deepening, *Artificial
+//! Intelligence* 27, 1985): one-worker DFS runs from the root, with every
+//! cut above, under the ceilings F+1, F+2, F+4, F+8, … strictly below the
+//! entry bound g, where F is the context's objective floor. They share one
+//! budget of `CONTOUR_NODES` nodes. How a contour ends decides what comes
+//! next:
+//!
+//! - **It completes and recorded a leaf.** Every earlier contour proved
+//!   that no leaf lies below its own ceiling, so this leaf is of minimum
+//!   objective, and the DFS records a leaf only when it beats the last
+//!   one: it is the *first* leaf of minimum objective in DFS order —
+//!   exactly the leaf the frontier search would return. It is returned,
+//!   proven, with no frontier built and no thread started.
+//! - **It completes without a leaf.** Every leaf is at or above its
+//!   ceiling; the next contour runs.
+//! - **The budget stops it after a leaf of objective v.** Every optimum is
+//!   at most v; the final search runs under the ceiling v + 1, not v, so
+//!   that the first leaf at v stays acceptable when v is the optimum.
+//! - **Anything else** — the budget stops it before a leaf, the ceilings
+//!   reach g, or the deadline stops it — leaves the final search the entry
+//!   bound, as if no contour had run.
+//!
+//! A contour's leaves are recorded under the subtree index `u32::MAX`,
+//! after every frontier root: the shared key they publish cuts only
+//! subtrees strictly worse than the leaf, and the leaf loses every tie in
+//! the reduction, where it matters only if the final search is stopped.
+//! Contour nodes and prunes count in [`ParallelStats`] with the rest.
+//!
 //! # Parallel search
 //!
 //! The DFS is sharded into **independent subtree tasks**: a breadth-first
@@ -83,19 +119,18 @@
 //! the *live* shared incumbent is only used to cut subtrees whose partial
 //! objective strictly exceeds it (which can never contain a leaf matching
 //! the global optimum, since every published incumbent is a feasible
-//! objective), and the shared key as cut 1 above says. The final answer is the lexicographic minimum over
+//! objective), and the shared key as cut 1 above says. The final answer
+//! is the lexicographic minimum over
 //! `(objective, canonical subtree index)`, i.e. the lowest-index optimal
 //! solution — exactly the leaf the sequential DFS would have accepted
 //! last. `NoImprovementProven` certificates are only issued when the
 //! frontier enumeration and every subtree ran to completion.
 //!
-//! The [`SearchContext`] deadline bounds the worst case (polled per
-//! worker); the outcome reports whether optimality was proven, which the
-//! execution-time experiment (Exp#3) uses to flag timed-out ILP-style
-//! runs.
-
-// Every failure here is a typed `DeployError` or made impossible by a type.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! The [`SearchContext`] deadline bounds the worst case (polled every 64
+//! nodes, and by each worker before its first root); the outcome reports
+//! whether optimality was proven, which the execution-time experiment
+//! (Exp#3) uses to flag timed-out ILP-style runs. A deadline stop never
+//! proves a leaf, however far the contours got.
 
 use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
 use crate::eval::{IncrementalEval, UNASSIGNED};
@@ -119,6 +154,16 @@ const ROOTS_PER_WORKER: usize = 8;
 /// thread costs about what exploring a few hundred nodes does.
 const HELPER_START_NODES: u64 = 4096;
 
+/// Nodes all the contours of one search may explore together before the
+/// search falls back to the frontier and the workers.
+const CONTOUR_NODES: u64 = 1 << 16;
+
+/// The subtree index the contours record their leaves under: past every
+/// frontier root, so a contour's leaf loses every tie to the final
+/// search's and the shared key it publishes cuts only strictly worse
+/// subtrees.
+const CONTOUR_ROOT: u32 = u32::MAX;
+
 /// Exact `A_max` minimizer driven entirely by a [`SearchContext`] (no
 /// private time budget). The greedy heuristic seeds the incumbent before
 /// the search, so a deadline expiry still returns a plan.
@@ -132,14 +177,28 @@ impl OptimalSolver {
     }
 
     /// Like [`Solver::solve`], but also reports parallel-search telemetry
-    /// (worker/frontier/prune counters) alongside the outcome. Telemetry is
-    /// zeroed on the trivial early-out paths that never start a search.
+    /// (contour/worker/frontier/prune counters) alongside the outcome.
+    /// Telemetry is zeroed on the trivial early-out paths that never start
+    /// a search.
     pub fn solve_instrumented(
         &self,
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
         ctx: &SearchContext,
+    ) -> (Result<SolveOutcome, DeployError>, ParallelStats) {
+        self.solve_with_contour_budget(tdg, net, eps, ctx, CONTOUR_NODES)
+    }
+
+    /// [`OptimalSolver::solve_instrumented`] with the contours limited to
+    /// `contour_nodes` nodes in all.
+    fn solve_with_contour_budget(
+        &self,
+        tdg: &Tdg,
+        net: &Network,
+        eps: &Epsilon,
+        ctx: &SearchContext,
+        contour_nodes: u64,
     ) -> (Result<SolveOutcome, DeployError>, ParallelStats) {
         let start = Instant::now();
         let candidates = net.programmable_switches();
@@ -209,65 +268,33 @@ impl OptimalSolver {
         }
 
         let Some(order) = tdg.topo_order() else {
-            let reason = "the TDG has a dependency cycle".to_owned();
-            return (Err(DeployError::NoFeasiblePlacement { reason }), ParallelStats::default());
+            return (Err(DeployError::dependency_cycle()), ParallelStats::default());
         };
-        let shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx);
+        let mut shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx);
 
-        let requested_workers = ctx.worker_count().max(1);
-        let target_roots = requested_workers * ROOTS_PER_WORKER;
-
-        // Phase 1: deterministic frontier enumeration (single-threaded,
-        // exact DFS candidate order) splitting the tree into independent
-        // subtree roots.
-        let mut enumerator = Explorer::new(&shared);
-        let frontier = build_frontier(&mut enumerator, target_roots);
-        let enumerated = WorkerOut::of(enumerator);
-
-        // Phase 2: subtree execution; workers take roots in canonical
-        // order from one shared cursor (a stopped enumeration leaves none).
-        // The calling thread is worker 0 and starts the helpers from its
-        // poll once it has explored `HELPER_START_NODES`.
-        let workers = requested_workers.min(frontier.count);
-        let cursor = AtomicU32::new(0);
-        let outs: Mutex<Vec<WorkerOut>> = Mutex::new(Vec::with_capacity(workers));
-        if workers > 0 {
-            std::thread::scope(|scope| {
-                let (shared, frontier, cursor, outs) = (&shared, &frontier, &cursor, &outs);
-                // A poisoned lock drops the result; the reduction below then
-                // refuses the whole search.
-                let finish = move |out| {
-                    if let Ok(mut outs) = outs.lock() {
-                        outs.push(out);
-                    }
-                };
-                let start_helpers = move || {
-                    for _ in 1..workers {
-                        scope.spawn(move || finish(run_worker(shared, frontier, cursor, None)));
-                    }
-                };
-                finish(run_worker(shared, frontier, cursor, Some(&start_helpers)));
-            });
+        // Phase 0: the contours, on the calling thread. One that settles
+        // the search leaves nothing for the frontier and the workers.
+        let mut contour = Explorer::new(&shared);
+        let (contours, final_ceiling) = contour.run_contours(ctx.objective_floor(), contour_nodes);
+        let mut outs = vec![WorkerOut::of(contour)];
+        let mut pstats = ParallelStats { contours, workers: 1, ..ParallelStats::default() };
+        if let Some(ceiling) = final_ceiling {
+            shared.entry_bound = ceiling;
+            let Some(searched) = search_frontier(&shared, ctx.worker_count().max(1), &mut pstats)
+            else {
+                let reason = "a search worker panicked while holding the results".to_owned();
+                return (Err(DeployError::NoFeasiblePlacement { reason }), pstats);
+            };
+            outs.extend(searched);
         }
-        let Ok(outs) = outs.into_inner() else {
-            let reason = "a search worker panicked while holding the results".to_owned();
-            return (Err(DeployError::NoFeasiblePlacement { reason }), ParallelStats::default());
-        };
-        let workers = outs.len();
 
         // Phase 3: deterministic reduction — the lexicographic minimum
         // over (objective, canonical subtree index), i.e. the lowest-index
         // optimal solution, exactly what the sequential DFS returns.
         let mut best: Option<(u64, u32)> = None;
         let mut best_assign: Option<Vec<usize>> = None;
-        let mut pstats = ParallelStats {
-            workers,
-            frontier_depth: frontier.depth,
-            subtree_roots: frontier.count,
-            ..ParallelStats::default()
-        };
         let (mut explored, mut stopped) = (0, false);
-        for out in std::iter::once(enumerated).chain(outs) {
+        for out in outs {
             explored += out.explored;
             pstats.bound_prunes += out.bound_prunes;
             pstats.lookahead_prunes += out.lookahead_prunes;
@@ -356,14 +383,19 @@ impl DeploymentAlgorithm for OptimalSolver {
 /// outcome: live-bound prune counts depend on thread timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
+    /// Contours run before the frontier (see the module docs).
+    pub contours: usize,
     /// Workers the subtree pool actually ran with: the calling thread plus
-    /// the helpers, if the search was long enough to start them.
+    /// the helpers, if the search was long enough to start them; 1 when a
+    /// contour settled the search on the calling thread.
     pub workers: usize,
     /// Depth of the subtree-splitting frontier.
     pub frontier_depth: usize,
-    /// Number of independent subtree roots handed to the pool.
+    /// Number of independent subtree roots handed to the pool (0 when a
+    /// contour settled the search).
     pub subtree_roots: usize,
-    /// Nodes cut by the incumbent bound (entry, live or the shared key).
+    /// Nodes cut by the incumbent bound (ceiling, live or the shared key),
+    /// contours included, like the two counters below.
     pub bound_prunes: u64,
     /// Nodes cut by the lookahead: an empty domain, an overfull forced
     /// switch, or a lower bound the incumbent cut rejects.
@@ -390,7 +422,8 @@ struct SharedSearch<'a> {
     /// clamp included).
     total_caps: Vec<f64>,
     /// Incumbent bound captured once at solve entry (after seed
-    /// publication): the deterministic acceptance ceiling.
+    /// publication), or one above the leaf of a contour the node budget
+    /// stopped: the final search's deterministic acceptance ceiling.
     entry_bound: u64,
     /// The lexicographic minimum `(objective, subtree index)` over every
     /// leaf any worker recorded, packed as `objective << 32 | index`
@@ -523,6 +556,52 @@ fn build_frontier(ex: &mut Explorer<'_>, target: usize) -> Frontier {
     Frontier { prefixes: level, count, depth }
 }
 
+/// Phases 1 and 2 of the search below `shared.entry_bound`: the frontier
+/// enumeration (single-threaded, exact DFS candidate order), then the
+/// subtree pool — workers take roots in canonical order from one shared
+/// cursor (a stopped enumeration leaves none); the calling thread is
+/// worker 0 and starts the helpers from its poll once it has explored
+/// `HELPER_START_NODES`. Returns the enumerator's and every worker's
+/// result, or `None` when a worker panicked while holding the results.
+fn search_frontier(
+    shared: &SharedSearch<'_>,
+    requested_workers: usize,
+    pstats: &mut ParallelStats,
+) -> Option<Vec<WorkerOut>> {
+    let mut enumerator = Explorer::new(shared);
+    let frontier = build_frontier(&mut enumerator, requested_workers * ROOTS_PER_WORKER);
+    let workers = requested_workers.min(frontier.count);
+    let cursor = AtomicU32::new(0);
+    let outs: Mutex<Vec<WorkerOut>> = Mutex::new(Vec::with_capacity(workers + 1));
+    if workers > 0 {
+        std::thread::scope(|scope| {
+            let (frontier, cursor, outs) = (&frontier, &cursor, &outs);
+            // A poisoned lock drops the result; the caller then refuses
+            // the whole search.
+            let finish = move |out| {
+                if let Ok(mut outs) = outs.lock() {
+                    outs.push(out);
+                }
+            };
+            let start_helpers = move || {
+                for _ in 1..workers {
+                    scope.spawn(move || finish(run_worker(shared, frontier, cursor, None)));
+                }
+            };
+            finish(run_worker(shared, frontier, cursor, Some(&start_helpers)));
+        });
+    }
+    let mut outs = outs.into_inner().ok()?;
+    *pstats = ParallelStats {
+        workers: outs.len(),
+        frontier_depth: frontier.depth,
+        subtree_roots: frontier.count,
+        ..*pstats
+    };
+    outs.push(WorkerOut::of(enumerator));
+    Some(outs)
+}
+
 /// Per-worker result, merged by the deterministic reduction.
 struct WorkerOut {
     /// Best `(objective, canonical subtree index)` this worker accepted.
@@ -560,6 +639,7 @@ fn run_worker<'a>(
     start_helpers: Option<&'a dyn Fn()>,
 ) -> WorkerOut {
     let mut ex = Explorer { start_helpers, ..Explorer::new(sh) };
+    ex.stopped = sh.ctx.should_stop();
     while !ex.stopped {
         let root = cursor.fetch_add(1, Ordering::Relaxed);
         if root as usize >= frontier.count {
@@ -576,6 +656,11 @@ fn run_worker<'a>(
 /// shared across workers.
 struct Explorer<'a> {
     sh: &'a SharedSearch<'a>,
+    /// Acceptance ceiling: leaves at or above it are never recorded.
+    /// [`SharedSearch::entry_bound`], except in a contour.
+    ceiling: u64,
+    /// The search stops once it has explored more nodes than this.
+    node_budget: u64,
     eval: IncrementalEval,
     /// Per-candidate incremental pipeline state: nodes reach each switch
     /// in topological order, so the packed state always equals the prefix
@@ -584,7 +669,7 @@ struct Explorer<'a> {
     packings: Vec<Packing>,
     /// Shared undo log for [`Packing::push_logged`]; each DFS frame
     /// remembers its base index and reverts to it.
-    stage_log: Vec<(u32, f64)>,
+    stage_log: Vec<(usize, f64)>,
     /// Frame arena of the iterative DFS, reused across subtrees.
     frames: Vec<Frame>,
     /// Index of the subtree being explored.
@@ -646,6 +731,8 @@ impl<'a> Explorer<'a> {
         }
         Explorer {
             sh,
+            ceiling: sh.entry_bound,
+            node_budget: u64::MAX,
             eval: IncrementalEval::new(sh.tdg, q),
             packings,
             stage_log: Vec::with_capacity(64),
@@ -688,8 +775,8 @@ impl<'a> Explorer<'a> {
     }
 
     /// The incumbent cut on a lower bound of every leaf below the node.
-    /// The first disjunct is deterministic (subtree best ∧ entry bound,
-    /// both timing-independent) and is all the frontier enumeration uses
+    /// The first disjunct is deterministic (subtree best ∧ ceiling, both
+    /// timing-independent) and is all the frontier enumeration uses
     /// (`live == false`). The live parts never cut the leaf the reduction
     /// returns, the lowest-index optimal one: the shared incumbent only
     /// *strictly* above it (every published incumbent is a feasible
@@ -698,7 +785,7 @@ impl<'a> Explorer<'a> {
     /// objective only in subtrees after its own, and strictly above it in
     /// earlier ones.
     fn cut(&self, bound: u64, live: bool) -> bool {
-        if bound >= self.root_best.min(self.sh.entry_bound) {
+        if bound >= self.root_best.min(self.ceiling) {
             return true;
         }
         if !live {
@@ -717,14 +804,19 @@ impl<'a> Explorer<'a> {
             }
     }
 
-    /// Node-entry prologue shared by every depth: count, poll the deadline
-    /// (amortized — `Instant::now` costs more than a whole branch step)
-    /// and, on worker 0, the helper threshold; apply the incumbent cut,
-    /// accept leaves, run the lookahead. Returns `true` when the node's
-    /// children should be explored.
+    /// Node-entry prologue shared by every depth: count, apply the node
+    /// budget, poll the deadline (every 64th node — `Instant::now` costs
+    /// more than a whole branch step; a worker also polls before its first
+    /// root) and, on worker 0, the helper threshold; apply the incumbent
+    /// cut, accept leaves, run the lookahead. Returns `true` when the
+    /// node's children should be explored.
     fn enter(&mut self, depth: usize) -> bool {
         self.explored += 1;
-        if self.explored == 1 || self.explored & 0x3F == 0 {
+        if self.explored > self.node_budget {
+            self.stopped = true;
+            return false;
+        }
+        if self.explored & 0x3F == 0 {
             if self.sh.ctx.should_stop() {
                 self.stopped = true;
                 return false;
@@ -1008,6 +1100,40 @@ impl<'a> Explorer<'a> {
         }
     }
 
+    /// Runs the contours (see the module docs) up from the proven `floor`,
+    /// within `budget` nodes in all. Returns how many ran and the ceiling
+    /// the final search needs — `None` when a contour completed and
+    /// recorded a leaf, which is then the search's answer. A deadline stop
+    /// leaves [`Explorer::stopped`] set; a budget stop clears it.
+    fn run_contours(&mut self, floor: u64, budget: u64) -> (usize, Option<u64>) {
+        let entry = self.sh.entry_bound;
+        self.node_budget = budget;
+        let mut ran = 0;
+        let ceilings = (0..u64::BITS).map_while(|k| floor.checked_add(1 << k));
+        for ceiling in ceilings.take_while(|&ceiling| ceiling < entry) {
+            self.ceiling = ceiling;
+            self.run_root(CONTOUR_ROOT, &[]);
+            ran += 1;
+            if self.stopped {
+                break;
+            }
+            if self.best.is_some() {
+                return (ran, None);
+            }
+        }
+        // Every ceiling below `entry` ran dry, or the deadline stopped a
+        // contour: the final search runs as if none had run.
+        if !self.stopped || self.explored <= budget {
+            return (ran, Some(entry));
+        }
+        // The budget, not the deadline, stopped a contour. After a leaf
+        // of objective `v` every optimum is at most `v`, and the first
+        // leaf at `v` must stay acceptable: the ceiling is `v + 1`, which
+        // is at most the contour's own, so below `entry`.
+        self.stopped = false;
+        (ran, Some(self.best.map_or(entry, |(v, _)| v + 1)))
+    }
+
     /// Iterative DFS below an already-replayed prefix of length `base`,
     /// using the reusable frame arena instead of the call stack. Mirrors
     /// the recursive formulation exactly: undo-before-advance, candidate
@@ -1069,10 +1195,10 @@ impl<'a> Explorer<'a> {
     }
 
     fn accept_leaf(&mut self) {
-        // Acceptance ceiling: subtree best ∧ entry bound — both
-        // deterministic, so which leaves each subtree records never
-        // depends on other workers' timing.
-        let ceiling = self.root_best.min(self.sh.entry_bound);
+        // Acceptance ceiling: subtree best ∧ ceiling — both deterministic,
+        // so which leaves each subtree records never depends on other
+        // workers' timing.
+        let ceiling = self.root_best.min(self.ceiling);
         if self.sh.fast_leaves {
             // Stage feasibility was enforced on every step and all routes
             // exist, so the assignment is materializable by construction
@@ -1109,11 +1235,11 @@ impl<'a> Explorer<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::disallowed_methods)]
 mod oracle;
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::test_support::{chain_tdg, tiny_switches};
@@ -1275,10 +1401,13 @@ mod tests {
     #[test]
     fn outcome_is_identical_across_worker_counts() {
         // The ten-program library plus three synthetic programs on the
-        // three-switch testbed (≈3·10⁴ nodes at one worker, so the helpers
-        // start): independent programs, so the frontier holds several
-        // roots per worker and their subtrees differ widely in size —
-        // roots finish, and the next ones are claimed, out of worker order.
+        // three-switch testbed, optimum 2: independent programs, so the
+        // frontier holds several roots per worker and their subtrees differ
+        // widely in size — roots finish, and the next ones are claimed, out
+        // of worker order. Alone, the contours settle it (≈8·10³ nodes); a
+        // bound of 3 published beforehand leaves them only the ceilings 1
+        // and 2, so the frontier search finds the optimum, and runs long
+        // enough that the helpers start.
         let config = SyntheticConfig { tables_min: 3, tables_max: 6, ..Default::default() };
         let mut programs = library::real_programs();
         programs.extend(SyntheticGenerator::new(3, config).programs(3));
@@ -1286,11 +1415,13 @@ mod tests {
         let eps = Epsilon::loose();
         let solve = |workers: usize| {
             let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(workers).unwrap());
+            ctx.publish_incumbent(3);
             let (result, stats) = OptimalSolver::new().solve_instrumented(&tdg, &net, &eps, &ctx);
             (result.unwrap(), stats)
         };
         let (reference, one) = solve(1);
-        assert_eq!(one.workers, 1, "{one:?}");
+        assert_eq!((reference.objective, reference.proven_optimal), (2, true));
+        assert_eq!((one.contours, one.workers), (2, 1), "{one:?}");
         for workers in 2..=8 {
             let (out, stats) = solve(workers);
             assert_eq!(stats.workers, workers, "{stats:?}");
@@ -1304,14 +1435,15 @@ mod tests {
 
     #[test]
     fn a_short_search_never_starts_the_helpers() {
-        // The library alone is settled in ≈10³ nodes, under the helper
-        // threshold: the calling thread is the whole pool.
+        // The library alone is settled by a contour in ≈5·10² nodes: no
+        // frontier is built and the calling thread is the whole pool.
         let (tdg, net) = crate::test_support::linear_testbed(&library::real_programs());
         let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(4).unwrap());
         let (result, stats) =
             OptimalSolver::new().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
         assert!(result.unwrap().proven_optimal);
-        assert!(stats.subtree_roots > 4, "{stats:?}");
+        assert!(stats.contours > 0, "{stats:?}");
+        assert_eq!(stats.subtree_roots, 0, "{stats:?}");
         assert_eq!(stats.workers, 1, "{stats:?}");
     }
 

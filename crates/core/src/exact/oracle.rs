@@ -121,7 +121,7 @@ struct Dfs<'a> {
     entry_bound: u64,
     eval: IncrementalEval,
     packings: Vec<Packing>,
-    log: Vec<(u32, f64)>,
+    log: Vec<(usize, f64)>,
     best: u64,
     best_assign: Option<Vec<usize>>,
     ctx: &'a SearchContext,
@@ -216,8 +216,7 @@ fn production(
     prebound: Option<u64>,
     workers: usize,
 ) -> String {
-    let ctx = context(prebound).with_threads(NonZeroUsize::new(workers).expect("workers >= 1"));
-    render(OptimalSolver::new().solve(tdg, net, eps, &ctx))
+    production_within(tdg, net, eps, &shaped(0, prebound, workers), CONTOUR_NODES)
 }
 
 fn reference(tdg: &Tdg, net: &Network, eps: &Epsilon, prebound: Option<u64>) -> String {
@@ -239,6 +238,73 @@ fn render(result: Result<SolveOutcome, DeployError>) -> String {
         outcome
     });
     format!("{result:?}")
+}
+
+/// A fresh unbounded context at `workers`, its floor raised to `floor` and
+/// `prebound` published on it.
+fn shaped(floor: u64, prebound: Option<u64>, workers: usize) -> SearchContext {
+    let ctx = context(prebound).with_threads(NonZeroUsize::new(workers).expect("workers >= 1"));
+    ctx.raise_floor(floor);
+    ctx
+}
+
+/// The production search under `ctx`, with the contours limited to
+/// `budget` nodes, rendered like [`production`].
+fn production_within(
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+    ctx: &SearchContext,
+    budget: u64,
+) -> String {
+    render(OptimalSolver::new().solve_with_contour_budget(tdg, net, eps, ctx, budget).0)
+}
+
+/// The contours alone, as the production search runs them at one worker
+/// under [`shaped`] and within `budget` nodes: the leaf recorded last, if
+/// any, and whether the budget stopped them.
+fn contours(
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+    (floor, prebound): (u64, Option<u64>),
+    budget: u64,
+) -> (Option<u64>, bool) {
+    let ctx = shaped(floor, prebound, 1);
+    if let Ok(plan) = GreedyHeuristic::new().deploy(tdg, net, eps) {
+        ctx.publish_incumbent(plan.max_inter_switch_bytes(tdg));
+    }
+    let candidates = net.programmable_switches();
+    let order = tdg.topo_order().expect("test TDGs are DAGs");
+    let shared = SharedSearch::new(tdg, net, eps, order, &candidates, &ctx);
+    let mut explorer = Explorer::new(&shared);
+    explorer.run_contours(ctx.objective_floor(), budget);
+    (explorer.best.map(|(objective, _)| objective), explorer.explored > budget)
+}
+
+/// The contour budget that stops the contours right after their first
+/// leaf — the smallest at which they record one — or `None` when they
+/// record none within [`CONTOUR_NODES`].
+fn first_leaf_budget(
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+    shape: (u64, Option<u64>),
+) -> Option<u64> {
+    let records = |budget| contours(tdg, net, eps, shape, budget).0.is_some();
+    if !records(CONTOUR_NODES) {
+        return None;
+    }
+    let (mut below, mut at) = (0, CONTOUR_NODES);
+    while at - below > 1 {
+        let mid = below + (at - below) / 2;
+        if records(mid) {
+            at = mid;
+        } else {
+            below = mid;
+        }
+    }
+    Some(at)
 }
 
 /// Splitmix64, so one proptest seed draws a whole instance.
@@ -339,21 +405,68 @@ proptest! {
     }
 }
 
-/// The library plus three programs from the synthetic generator on
-/// `linear:3`, as the committed `tight-exact` instances are built.
-fn committed_instance(generator_seed: u64, tables: (usize, usize), extra: usize) -> (Tdg, Network) {
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The contours return the reference's outcome too, run to their
+    /// budget or stopped right after their first leaf — where the final
+    /// search must still find the lowest-index optimum at or below it —
+    /// under a floor raised as [`crate::solver::Portfolio`] raises it (to
+    /// at most the optimum) and under a pre-published bound, at one worker
+    /// and at 2–4.
+    #[test]
+    fn the_contours_return_the_reference_outcome(seed in 0u64..1 << 40, workers in 2usize..5) {
+        let mut state = seed;
+        let programs = random_programs(&mut state);
+        let tdg = ProgramAnalyzer::new().analyze(&programs);
+        let net = random_switches(&mut state);
+        let eps = match next(&mut state) % 4 {
+            0 => Epsilon::new(f64::INFINITY, 2),
+            1 => Epsilon::new(200.0, usize::MAX),
+            _ => Epsilon::loose(),
+        };
+        let optimum = reference_solve(&tdg, &net, &eps, &SearchContext::unbounded())
+            .map_or(0, |outcome| outcome.objective);
+        let floor = next(&mut state) % (optimum + 1);
+        let prebound = next(&mut state) % 24;
+        for (floor, prebound) in [(floor, None), (0, Some(prebound))] {
+            let expected = render(reference_solve(&tdg, &net, &eps, &shaped(floor, prebound, 1)));
+            let first_leaf = first_leaf_budget(&tdg, &net, &eps, (floor, prebound));
+            for budget in [Some(CONTOUR_NODES), first_leaf].into_iter().flatten() {
+                for workers in [1, workers] {
+                    let ctx = shaped(floor, prebound, workers);
+                    prop_assert_eq!(
+                        production_within(&tdg, &net, &eps, &ctx, budget),
+                        expected.clone(),
+                        "floor = {}, prebound = {:?}, budget = {}, workers = {}",
+                        floor, prebound, budget, workers
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The library plus `extra` programs from the synthetic generator on
+/// `linear:<switches>`, as the committed `tight-exact` instances are built.
+fn committed_instance(
+    generator_seed: u64,
+    tables: (usize, usize),
+    extra: usize,
+    switches: usize,
+) -> (Tdg, Network) {
     let config =
         SyntheticConfig { tables_min: tables.0, tables_max: tables.1, ..Default::default() };
     let mut programs = library::real_programs();
     programs.extend(SyntheticGenerator::new(generator_seed, config).programs(extra));
-    crate::test_support::linear_testbed(&programs)
+    (ProgramAnalyzer::new().analyze(&programs), hermes_net::topology::linear(switches, 10.0))
 }
 
-/// A committed `tight-exact` instance the helper threads start on
-/// (≈3·10⁴ nodes): the same outcome as the reference at 1 and 2 workers.
+/// A committed `tight-exact` instance (≈3·10⁴ nodes before the contours):
+/// the same outcome as the reference at 1 and 2 workers.
 #[test]
 fn a_committed_instance_returns_the_reference_outcome() {
-    let (tdg, net) = committed_instance(3, (3, 6), 3);
+    let (tdg, net) = committed_instance(3, (3, 6), 3, 3);
     let eps = Epsilon::loose();
     let expected = reference(&tdg, &net, &eps, None);
     for workers in [1, 2] {
@@ -361,22 +474,105 @@ fn a_committed_instance_returns_the_reference_outcome() {
     }
 }
 
-/// The cuts' yield on the hardest committed instance, at one worker (where
-/// the count is deterministic): 1 183 911 nodes before them.
+/// A committed `tight-exact` instance: generator seed, table range, extra
+/// programs, switches.
+type Instance = (u64, (usize, usize), usize, usize);
+
+/// The twelve committed `tight-exact` instances with their optimum and the
+/// search's nodes at one worker (where the count is deterministic).
+const COMMITTED: [(Instance, u64, u64); 12] = [
+    ((2, (3, 6), 3, 3), 2, 11_524),
+    ((6, (3, 8), 2, 3), 13, 414_794),
+    ((0, (3, 8), 2, 3), 6, 58_246),
+    ((2, (5, 8), 2, 3), 5, 54_078),
+    ((6, (3, 6), 3, 3), 2, 4_031),
+    ((0, (5, 8), 4, 4), 1, 36_257),
+    ((3, (3, 6), 3, 3), 2, 8_025),
+    ((2, (3, 8), 4, 4), 0, 1_114),
+    ((5, (5, 8), 3, 5), 0, 1_277),
+    ((7, (5, 8), 2, 4), 0, 227),
+    ((0, (3, 8), 3, 4), 0, 396),
+    ((1, (5, 8), 3, 5), 0, 28_210),
+];
+
+/// The cuts' and the contours' yield: every committed instance is proven
+/// optimal at one worker within 5 % of its pinned node count (2 318 983
+/// nodes in all before the contours, 618 179 with them), and the cuts all
+/// fire.
 #[test]
-fn the_hardest_committed_instance_takes_at_most_800_000_nodes() {
-    let (tdg, net) = committed_instance(2, (3, 6), 3);
-    let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::MIN);
-    let (result, stats) =
-        OptimalSolver::new().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
-    let outcome = result.expect("the instance is feasible");
-    assert_eq!((outcome.objective, outcome.proven_optimal), (2, true));
-    assert!(
-        outcome.stats.nodes_explored <= 800_000,
-        "{} nodes, {stats:?}",
-        outcome.stats.nodes_explored
-    );
-    assert!(stats.lookahead_prunes > 0 && stats.cycle_rejects > 0, "{stats:?}");
+fn the_committed_instances_take_at_most_their_pinned_nodes() {
+    let mut total = ParallelStats::default();
+    for ((seed, tables, extra, switches), optimum, nodes) in COMMITTED {
+        let (tdg, net) = committed_instance(seed, tables, extra, switches);
+        let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::MIN);
+        let (result, stats) =
+            OptimalSolver::new().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
+        let outcome = result.expect("the instance is feasible");
+        assert_eq!((outcome.objective, outcome.proven_optimal), (optimum, true), "seed {seed}");
+        let explored = outcome.stats.nodes_explored;
+        assert!(explored <= nodes + nodes / 20, "seed {seed}: {explored} nodes, {stats:?}");
+        total.lookahead_prunes += stats.lookahead_prunes;
+        total.cycle_rejects += stats.cycle_rejects;
+        total.bound_prunes += stats.bound_prunes;
+    }
+    assert!(total.lookahead_prunes > 0 && total.cycle_rejects > 0, "{total:?}");
+    assert!(total.bound_prunes > 0, "{total:?}");
+}
+
+/// `TIGHT_INSTANCES[2]`: greedy finds no plan, the contours at 1, 2 and
+/// 4 find no leaf, and the one at 8 records 7 before the optimum 6. A
+/// contour stopped right after that leaf hands the final search the
+/// ceiling 8, which still returns the optimum — the leaf of 7 is no
+/// answer, proven or not.
+#[test]
+fn a_contour_stopped_after_its_first_leaf_hands_on_a_ceiling() {
+    let (tdg, net) = committed_instance(0, (3, 8), 2, 3);
+    let eps = Epsilon::loose();
+    let shape = (0, None);
+    assert!(GreedyHeuristic::new().deploy(&tdg, &net, &eps).is_err());
+    let budget = first_leaf_budget(&tdg, &net, &eps, shape).expect("a contour records a leaf");
+    assert_eq!(contours(&tdg, &net, &eps, shape, budget), (Some(7), true));
+    let expected = production_within(&tdg, &net, &eps, &shaped(0, None, 1), CONTOUR_NODES);
+    assert!(expected.contains("objective: 6, proven_optimal: true"), "{expected}");
+    for workers in [1, 2] {
+        let ctx = shaped(0, None, workers);
+        assert_eq!(production_within(&tdg, &net, &eps, &ctx, budget), expected);
+    }
+}
+
+/// A deadline stop proves nothing. On the generator's instance 394 (nine
+/// tables on four switches, optimum 8) the contours record a leaf of 14 at
+/// their 41st node and run on past their 64th, where they first read the
+/// clock. Under a deadline that has already passed, whether the deadline
+/// stops them there or the budget stops them right after that leaf (and
+/// the final search then stops at once), the search returns a plan above
+/// the optimum and never calls it optimal.
+#[test]
+fn a_deadline_stop_never_proves_the_contours_leaf() {
+    let mut state = 394;
+    let tdg = ProgramAnalyzer::new().analyze(&random_programs(&mut state));
+    let net = random_switches(&mut state);
+    let eps = Epsilon::loose();
+    let shape = (0, None);
+    let first_leaf = first_leaf_budget(&tdg, &net, &eps, shape).expect("a contour records a leaf");
+    assert!(first_leaf < 64, "the first leaf comes at node {first_leaf}");
+    assert_eq!(contours(&tdg, &net, &eps, shape, first_leaf), (Some(14), true));
+    let optimum = production_within(&tdg, &net, &eps, &shaped(0, None, 1), CONTOUR_NODES);
+    assert!(optimum.contains("objective: 8, proven_optimal: true"), "{optimum}");
+    for budget in [first_leaf, CONTOUR_NODES] {
+        for workers in [1, 2] {
+            let ctx = SearchContext::with_deadline(std::time::Instant::now())
+                .with_threads(NonZeroUsize::new(workers).expect("workers >= 1"));
+            let (result, stats) =
+                OptimalSolver::new().solve_with_contour_budget(&tdg, &net, &eps, &ctx, budget);
+            let outcome = result.expect("the contours' leaf is a plan");
+            assert!(stats.contours > 0, "{stats:?}");
+            assert!(
+                !outcome.proven_optimal && outcome.objective > 8,
+                "budget {budget}, workers {workers}: {outcome:?}"
+            );
+        }
+    }
 }
 
 /// The lookahead's ancestor test on its own: `x -> y` puts switch 0

@@ -61,6 +61,7 @@ pub fn tdg_fingerprint(tdg: &Tdg) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::test_support::chain_tdg;

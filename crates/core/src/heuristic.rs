@@ -83,13 +83,14 @@ impl GreedyHeuristic {
     /// # Errors
     ///
     /// Returns [`DeployError::MatTooLarge`] when a single MAT cannot fit a
-    /// switch by itself.
+    /// switch by itself, and [`DeployError::NoFeasiblePlacement`] when the
+    /// TDG has a dependency cycle.
     pub fn split(
         &self,
         tdg: &Tdg,
         model: &TargetModel,
     ) -> Result<Vec<BTreeSet<NodeId>>, DeployError> {
-        let mut splitter = Splitter::new(tdg, model);
+        let mut splitter = Splitter::new(tdg, model)?;
         let segments = splitter.split(self.strategy)?;
         Ok(splitter.node_sets(&segments))
     }
@@ -105,15 +106,16 @@ impl GreedyHeuristic {
     /// # Errors
     ///
     /// Returns [`DeployError::NoFeasiblePlacement`] when not even ignoring
-    /// boundary costs yields `<= max_segments` feasible segments, and
-    /// [`DeployError::MatTooLarge`] when one MAT alone overflows a switch.
+    /// boundary costs yields `<= max_segments` feasible segments or the TDG
+    /// has a dependency cycle, and [`DeployError::MatTooLarge`] when one
+    /// MAT alone overflows a switch.
     pub fn split_bounded(
         &self,
         tdg: &Tdg,
         model: &TargetModel,
         max_segments: usize,
     ) -> Result<Vec<BTreeSet<NodeId>>, DeployError> {
-        let mut splitter = Splitter::new(tdg, model);
+        let mut splitter = Splitter::new(tdg, model)?;
         let segments = splitter.split_bounded(max_segments)?;
         Ok(splitter.node_sets(&segments))
     }
@@ -139,13 +141,13 @@ struct Splitter<'a> {
 }
 
 impl<'a> Splitter<'a> {
-    fn new(tdg: &'a Tdg, model: &'a TargetModel) -> Self {
-        let order = placement_order(tdg);
+    fn new(tdg: &'a Tdg, model: &'a TargetModel) -> Result<Self, DeployError> {
+        let order = placement_order(tdg).ok_or_else(DeployError::dependency_cycle)?;
         let mut pos = vec![0usize; order.len()];
         for (rank, id) in order.iter().enumerate() {
             pos[id.index()] = rank;
         }
-        Splitter { tdg, model, order, pos, probe: StageProbe::new(tdg) }
+        Ok(Splitter { tdg, model, order, pos, probe: StageProbe::new(tdg) })
     }
 
     fn node_sets(&self, segments: &[Segment]) -> Vec<BTreeSet<NodeId>> {
@@ -205,7 +207,7 @@ impl<'a> Splitter<'a> {
                             cross += i64::from(e.bytes);
                         }
                     }
-                    let cross_u = u64::try_from(cross.max(0)).expect("non-negative");
+                    let cross_u = cross.max(0).unsigned_abs();
                     if cross_u < best_cross {
                         best_cross = cross_u;
                         best_cut = at + 1 - seg.start;
@@ -330,8 +332,9 @@ impl<'a> Splitter<'a> {
 /// breaks ties by `(cluster, program, node index)`. Prefix cuts then fall
 /// between unrelated program groups, where the crossing metadata is
 /// minimal — which is what lets the splitter co-locate, say, every sketch
-/// with the 5-tuple hash they all consume.
-pub fn placement_order(tdg: &Tdg) -> Vec<NodeId> {
+/// with the 5-tuple hash they all consume. `None` when the TDG has a
+/// cycle.
+pub fn placement_order(tdg: &Tdg) -> Option<Vec<NodeId>> {
     // Rank programs by first appearance over node indexes.
     let mut program_rank: std::collections::BTreeMap<&str, usize> = Default::default();
     for id in tdg.node_ids() {
@@ -371,7 +374,6 @@ pub fn placement_order(tdg: &Tdg) -> Vec<NodeId> {
         let cluster = if prog == usize::MAX { usize::MAX } else { find(&mut parent, prog) };
         (cluster, prog)
     })
-    .expect("TDGs are DAGs")
 }
 
 /// The weakest pipeline any programmable switch offers: fewest
@@ -382,7 +384,7 @@ pub fn placement_order(tdg: &Tdg) -> Vec<NodeId> {
 pub(crate) fn conservative_model(net: &Network, programmable: &[SwitchId]) -> TargetModel {
     let models: Vec<TargetModel> =
         programmable.iter().map(|&s| net.switch(s).target_model()).collect();
-    let stages = models.iter().map(TargetModel::effective_stages).min().expect("non-empty");
+    let stages = models.iter().map(TargetModel::effective_stages).min().unwrap_or(0);
     let capacity = models.iter().map(|m| m.stage_capacity).fold(f64::INFINITY, f64::min);
     let budget = models.iter().map(|m| m.total_budget).fold(f64::INFINITY, f64::min);
     let mut model = TargetModel::pipeline(stages, capacity);
@@ -391,15 +393,15 @@ pub(crate) fn conservative_model(net: &Network, programmable: &[SwitchId]) -> Ta
 }
 
 /// Dependency level of each node: longest path from a root, the classic
-/// FFL level function.
-fn levels(tdg: &Tdg) -> Vec<usize> {
+/// FFL level function. `None` when the TDG has a cycle.
+fn levels(tdg: &Tdg) -> Option<Vec<usize>> {
     let mut level = vec![0usize; tdg.node_count()];
-    for &id in tdg.topo_order().expect("TDGs are DAGs") {
+    for &id in tdg.topo_order()? {
         for e in tdg.out_edges(id) {
             level[e.to.index()] = level[e.to.index()].max(level[id.index()] + 1);
         }
     }
-    level
+    Some(level)
 }
 
 /// Dependency-levelled first fit (Jose et al., extended by the paper to
@@ -414,8 +416,9 @@ fn levels(tdg: &Tdg) -> Vec<usize> {
 ///
 /// [`DeployError::NoProgrammableSwitch`] without candidates,
 /// [`DeployError::MatTooLarge`] for a MAT no empty candidate holds, and
-/// [`DeployError::NoFeasiblePlacement`] when the candidates or `ε₂` run
-/// out, a dependent pair is unroutable or the routes exceed `ε₁`.
+/// [`DeployError::NoFeasiblePlacement`] when the TDG has a dependency
+/// cycle, the candidates or `ε₂` run out, a dependent pair is unroutable
+/// or the routes exceed `ε₁`.
 pub fn first_fit(
     tdg: &Tdg,
     net: &Network,
@@ -429,7 +432,7 @@ pub fn first_fit(
     // Order nodes by (level, tie-break), preserving dependency legality:
     // a node's level strictly exceeds all its predecessors', so a level
     // sort is a topological sort.
-    let level = levels(tdg);
+    let level = levels(tdg).ok_or_else(DeployError::dependency_cycle)?;
     let mut nodes: Vec<NodeId> = tdg.node_ids().collect();
     nodes
         .sort_by(|&a, &b| level[a.index()].cmp(&level[b.index()]).then_with(|| within_level(a, b)));
@@ -504,7 +507,7 @@ impl DeploymentAlgorithm for GreedyHeuristic {
         // switch along every axis (fewest budget-effective stages, smallest
         // per-stage capacity, tightest budget) so segments fit anywhere.
         let split_model = conservative_model(net, &programmable);
-        let mut splitter = Splitter::new(tdg, &split_model);
+        let mut splitter = Splitter::new(tdg, &split_model)?;
         let mut segments = splitter.split(self.strategy)?;
         // Local-search refinement is part of the full Hermes pipeline; the
         // ablation split strategies stay unrefined so their comparisons
@@ -580,6 +583,7 @@ impl Solver for GreedyHeuristic {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::deployment::Epsilon;
@@ -590,7 +594,7 @@ mod tests {
     use hermes_dataplane::mat::{Mat, MatchKind};
     use hermes_dataplane::program::Program;
     use hermes_net::{topology, Switch};
-    use hermes_tdg::{merge_all, AnalysisMode};
+    use hermes_tdg::{merge_all, AnalysisMode, DependencyType};
 
     /// The Figure 4 worked example: five MATs a..e with dependency amounts
     /// chosen so the first min-metadata cut is {a,b,c}|{d,e} (3 bytes) and
@@ -786,7 +790,7 @@ mod tests {
     #[test]
     fn levels_respect_dependencies() {
         let tdg = Tdg::from_program(&library::l3_router(), AnalysisMode::PaperLiteral);
-        let level = levels(&tdg);
+        let level = levels(&tdg).unwrap();
         for e in tdg.edges() {
             assert!(level[e.from.index()] < level[e.to.index()]);
         }
@@ -798,5 +802,30 @@ mod tests {
         let net = topology::linear(2, 10.0);
         let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
         assert_eq!(plan.placements().len(), 0);
+    }
+
+    #[test]
+    fn a_cyclic_tdg_is_a_typed_error() {
+        // Neither the analyzer nor the JSON reader makes a cycle; built
+        // directly, every entry point refuses it instead of panicking.
+        let mats = library::real_programs()[0].tables()[..2]
+            .iter()
+            .map(|m| (m.name().to_owned(), m.clone()))
+            .collect();
+        let edges = vec![(0, 1, DependencyType::Successor), (1, 0, DependencyType::Successor)];
+        let tdg = Tdg::from_mats_and_edges(mats, edges, AnalysisMode::PaperLiteral);
+        let net = topology::linear(2, 10.0);
+        let (eps, cyclic) = (Epsilon::loose(), DeployError::dependency_cycle());
+        assert_eq!(GreedyHeuristic::new().deploy(&tdg, &net, &eps), Err(cyclic.clone()));
+        let model = TargetModel::tofino();
+        assert_eq!(GreedyHeuristic::new().split(&tdg, &model), Err(cyclic.clone()));
+        assert_eq!(GreedyHeuristic::new().split_bounded(&tdg, &model, 2), Err(cyclic.clone()));
+        let candidates = net.programmable_switches();
+        assert_eq!(first_fit(&tdg, &net, &eps, &candidates, |a, b| a.cmp(&b)), Err(cyclic));
+        assert_eq!(placement_order(&tdg), None);
+        let everything = tdg.node_ids().collect();
+        let refused = assign_stages(&tdg, &everything, candidates[0], &model);
+        assert_eq!(refused, Err(crate::StageAssignError::DependencyCycle));
+        assert!(!StageProbe::new(&tdg).fits(&model, |_| true));
     }
 }

@@ -221,7 +221,7 @@ impl IncrementalDeployer {
 
         // Assign the remaining nodes in clustered topological order.
         let mut probe = StageProbe::new(new_tdg);
-        for id in placement_order(new_tdg) {
+        for id in placement_order(new_tdg)? {
             if home[id.index()].is_some() {
                 continue;
             }
@@ -260,6 +260,7 @@ impl IncrementalDeployer {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::analyzer::ProgramAnalyzer;

@@ -329,6 +329,7 @@ impl Solver for MilpHermes {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::exact::OptimalSolver;

@@ -459,7 +459,7 @@ fn longest_chain(tdg: &Tdg) -> Option<(usize, Vec<NodeId>)> {
     }
     let end = order.iter().copied().max_by_key(|v| dist[v.index()])?;
     let mut path = vec![end];
-    while let Some(p) = pred[path.last().unwrap().index()] {
+    while let Some(p) = pred[path[path.len() - 1].index()] {
         path.push(p);
     }
     path.reverse();
@@ -508,6 +508,7 @@ fn weakly_connected(tdg: &Tdg) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::test_support::{chain_tdg, tiny_switches};

@@ -32,13 +32,10 @@ pub fn explain(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> String {
             sw.total_capacity()
         );
         // Stage-ordered table listing.
-        let mut by_first_stage: Vec<(usize, NodeId)> = nodes
-            .iter()
-            .filter_map(|&id| plan.stage_span(id).map(|(begin, _)| (begin, id)))
-            .collect();
-        by_first_stage.sort();
-        for (_, id) in by_first_stage {
-            let (begin, end) = plan.stage_span(id).expect("placed");
+        let mut by_first_stage: Vec<((usize, usize), NodeId)> =
+            nodes.iter().filter_map(|&id| plan.stage_span(id).map(|span| (span, id))).collect();
+        by_first_stage.sort_by_key(|&((begin, _), id)| (begin, id));
+        for ((begin, end), id) in by_first_stage {
             let stages = if begin == end {
                 format!("stage {begin}")
             } else {
@@ -122,6 +119,7 @@ pub fn diff(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::analyzer::ProgramAnalyzer;

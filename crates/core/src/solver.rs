@@ -350,6 +350,7 @@ impl Solver for Portfolio {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::exact::OptimalSolver;

@@ -50,6 +50,9 @@ pub enum StageAssignError {
         /// Program-qualified name of the MAT.
         mat: String,
     },
+    /// The TDG's dependencies form a cycle, so its MATs have no stage
+    /// order.
+    DependencyCycle,
 }
 
 impl fmt::Display for StageAssignError {
@@ -67,6 +70,7 @@ impl fmt::Display for StageAssignError {
             StageAssignError::OverBudget { mat } => {
                 write!(f, "placing `{mat}` exceeds the switch's total-resource budget")
             }
+            StageAssignError::DependencyCycle => f.write_str("the TDG has a dependency cycle"),
         }
     }
 }
@@ -113,18 +117,16 @@ pub fn stage_feasible(tdg: &Tdg, nodes: &BTreeSet<NodeId>, model: &TargetModel) 
 #[derive(Debug)]
 pub struct StageProbe<'a> {
     tdg: &'a Tdg,
-    order: &'a [NodeId],
+    /// [`Tdg::topo_order`]: `None` on a cyclic TDG, where nothing fits.
+    order: Option<&'a [NodeId]>,
     scratch: Packing,
 }
 
 impl<'a> StageProbe<'a> {
-    /// A probe for `tdg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tdg` is not a DAG (TDGs always are).
+    /// A probe for `tdg`. On a cyclic TDG it answers every question "does
+    /// not fit" ([`StageAssignError::DependencyCycle`]).
     pub fn new(tdg: &'a Tdg) -> Self {
-        let order = tdg.topo_order().expect("TDGs are DAGs");
+        let order = tdg.topo_order();
         // A pipeline of no stages: every question brings its own shape.
         let scratch = Packing::new(&TargetModel::pipeline(0, 0.0), tdg.node_count());
         StageProbe { tdg, order, scratch }
@@ -162,23 +164,27 @@ impl<'a> StageProbe<'a> {
         self.pack(model, select, |node, stage, fraction| {
             placements.push(StagePlacement { node, switch, stage, fraction });
         })
-        .map_err(|(e, id)| e.with_name(self.tdg, id, model.stages))?;
+        .map_err(|fail| match fail {
+            PackFail::At(e, id) => e.with_name(self.tdg, id, model.stages),
+            PackFail::Cycle => StageAssignError::DependencyCycle,
+        })?;
         Ok(placements)
     }
 
     /// One first-fit pass over the canonical order; `emit` sees every
     /// `(node, stage, fraction)` slice. Fails at the first node that does
-    /// not fit.
+    /// not fit — on a cyclic TDG, before the first.
     fn pack(
         &mut self,
         model: &TargetModel,
         select: impl Fn(NodeId) -> bool,
         mut emit: impl FnMut(NodeId, usize, f64),
-    ) -> Result<(), (PushFail, NodeId)> {
+    ) -> Result<(), PackFail> {
+        let order = self.order.ok_or(PackFail::Cycle)?;
         self.scratch.reset_to(model);
         let mut on_slice = |id, stage, _before, take| emit(id, stage, take);
-        for &id in self.order.iter().filter(|&&id| select(id)) {
-            self.scratch.push_core(self.tdg, id, &mut on_slice).map_err(|e| (e, id))?;
+        for &id in order.iter().filter(|&&id| select(id)) {
+            self.scratch.push_core(self.tdg, id, &mut on_slice).map_err(|e| PackFail::At(e, id))?;
         }
         Ok(())
     }
@@ -246,9 +252,10 @@ pub fn materialize(
     Ok(plan)
 }
 
-/// Sentinel in [`Packing::end_stage`] for a node not placed yet. Doubles
-/// as the stage marker of budget-snapshot entries in push logs.
-pub(crate) const UNPLACED: u32 = u32::MAX;
+/// Sentinel in [`Packing::end_stage`] for a node not placed yet (no stage
+/// index reaches it). Doubles as the stage marker of budget-snapshot
+/// entries in push logs.
+pub(crate) const UNPLACED: usize = usize::MAX;
 
 /// Name-free push failure for hot probe paths; [`StageAssignError`]
 /// carries the MAT name, and building it clones a `String` — measurable
@@ -263,6 +270,14 @@ pub(crate) enum PushFail {
     SliceTooLarge,
     /// See [`StageAssignError::OverBudget`].
     OverBudget,
+}
+
+/// Why a [`StageProbe`] pass failed: a push, at the node it names, or the
+/// TDG's lack of a topological order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PackFail {
+    At(PushFail, NodeId),
+    Cycle,
 }
 
 impl PushFail {
@@ -296,7 +311,7 @@ pub(crate) struct Packing {
     used: f64,
     remaining: Vec<f64>,
     /// `end_stage[node index]` = last stage occupied, or [`UNPLACED`].
-    end_stage: Vec<u32>,
+    end_stage: Vec<usize>,
 }
 
 impl Packing {
@@ -338,13 +353,18 @@ impl Packing {
     /// targets the prior `used` total is snapshotted first under the
     /// [`UNPLACED`] stage marker — budget-free targets log nothing extra.
     /// A failed push changes nothing, `log` included.
-    pub(crate) fn push_logged(&mut self, tdg: &Tdg, id: NodeId, log: &mut Vec<(u32, f64)>) -> bool {
+    pub(crate) fn push_logged(
+        &mut self,
+        tdg: &Tdg,
+        id: NodeId,
+        log: &mut Vec<(usize, f64)>,
+    ) -> bool {
         let Ok(earliest) = self.fit(tdg, id) else { return false };
         if self.model.total_budget.is_finite() {
             log.push((UNPLACED, self.used));
         }
         self.commit(tdg, id, earliest, &mut |_, stage, old, _| {
-            log.push((u32::try_from(stage).expect("pipeline depth fits u32"), old));
+            log.push((stage, old));
         });
         true
     }
@@ -352,12 +372,12 @@ impl Packing {
     /// Undoes a successful [`Packing::push_logged`] of `id`, restoring the
     /// logged `remaining` (and `used`) snapshots in reverse and truncating
     /// `log` back to `base` (its length before the push).
-    pub(crate) fn revert(&mut self, id: NodeId, log: &mut Vec<(u32, f64)>, base: usize) {
+    pub(crate) fn revert(&mut self, id: NodeId, log: &mut Vec<(usize, f64)>, base: usize) {
         for &(stage, old) in log[base..].iter().rev() {
             if stage == UNPLACED {
                 self.used = old;
             } else {
-                self.remaining[stage as usize] = old;
+                self.remaining[stage] = old;
             }
         }
         log.truncate(base);
@@ -372,7 +392,7 @@ impl Packing {
     /// The last stage `node` (an index) occupies, if it was pushed.
     pub(crate) fn end_stage(&self, node: usize) -> Option<usize> {
         let stage = self.end_stage[node];
-        (stage != UNPLACED).then_some(stage as usize)
+        (stage != UNPLACED).then_some(stage)
     }
 
     /// Writes into `room[s]` the capacity left in stages `s..`, for every
@@ -404,7 +424,7 @@ impl Packing {
             .in_edges(id)
             .map(|e| self.end_stage[e.from.index()])
             .filter(|&s| s != UNPLACED)
-            .map(|s| s as usize + 1)
+            .map(|s| s + 1)
             .max()
             .unwrap_or(0);
         if earliest >= self.model.stages {
@@ -459,8 +479,7 @@ impl Packing {
         if self.model.total_budget.is_finite() {
             self.used += resource;
         }
-        self.end_stage[id.index()] =
-            u32::try_from(last).expect("pipeline depth fits u32 (UNPLACED is reserved)");
+        self.end_stage[id.index()] = last;
     }
 
     /// The one first-fit push: [`Packing::fit`], then [`Packing::commit`].
@@ -477,6 +496,7 @@ impl Packing {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hermes_dataplane::action::Action;

@@ -4,7 +4,9 @@
 //! now live in one place so fixtures cannot drift apart. The module is
 //! compiled unconditionally (it is tiny) but is intended for `#[cfg(test)]`
 //! consumers in `hermes-core`, `hermes-baselines`, `hermes-backend`, and
-//! the workspace-level integration tests.
+//! the workspace-level integration tests. Its fixtures are constant, so
+//! a builder that rejected one would be a bug here: it may panic.
+#![allow(clippy::disallowed_methods)]
 
 use hermes_dataplane::action::Action;
 use hermes_dataplane::fields::Field;
@@ -78,6 +80,7 @@ pub fn tiny_switches(n: usize, stages: usize, cap: f64) -> Network {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -386,6 +386,7 @@ pub fn verify(tdg: &Tdg, net: &Network, plan: &DeploymentPlan, eps: &Epsilon) ->
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::deployment::{DeploymentAlgorithm, StagePlacement};

@@ -55,10 +55,12 @@ fn synthetic_tdg(seed: u64, programs: usize) -> Tdg {
 }
 
 /// Deterministic stop shapes for the parallel-equivalence property: an
-/// expired deadline stops the search before its first node; a generous one
-/// and none at all let it run to exhaustion. Mid-flight expiry is
-/// inherently timing-dependent, so these three are the only stop shapes
-/// whose outcome is well-defined enough to compare byte-for-byte.
+/// expired deadline stops the search at its first poll — the contours
+/// read the clock at their 64th node, the frontier enumeration at its
+/// 64th, each worker before its first root; a generous one and none at
+/// all let it run to exhaustion. Mid-flight expiry is inherently
+/// timing-dependent, so these three are the only stop shapes whose outcome
+/// is well-defined enough to compare byte-for-byte.
 fn stop_context(stop: usize) -> SearchContext {
     match stop % 3 {
         0 => SearchContext::unbounded(),
@@ -270,10 +272,14 @@ proptest! {
 }
 
 /// The same property where the threads actually run: the ten-program
-/// library plus three synthetic programs on `linear:3` takes ≈3·10⁴ nodes at
-/// one worker, past the point where the calling thread starts its helpers —
-/// the random chains above are settled long before it. Every search that
-/// runs refuses cyclic placements and cuts subtrees by lookahead.
+/// library plus three synthetic programs on `linear:3` (optimum 2). Alone
+/// or under a bound far above the optimum, the contours settle it in
+/// ≈8·10³ nodes on the calling thread; under a bound of 3 published
+/// beforehand only the contours below 3 run, and the frontier search that
+/// finds the optimum goes past the point where the calling thread starts
+/// its helpers — the random chains above are settled long before it.
+/// Every search that runs refuses cyclic placements and cuts subtrees by
+/// lookahead.
 #[test]
 fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
     let config = SyntheticConfig { tables_min: 3, tables_max: 6, ..SyntheticConfig::default() };
@@ -289,6 +295,8 @@ fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
         (3, 1, Some(2)),
         (4, 0, Some(1)),
         (4, 2, None),
+        (2, 0, Some(3)),
+        (4, 1, Some(3)),
     ] {
         let stats = assert_parallel_matches_one_worker(&tdg, &net, threads, stop, prebound);
         assert!(stats.workers == threads || stats.workers <= 1, "{stats:?}");
@@ -297,7 +305,7 @@ fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
             assert!(stats.lookahead_prunes > 0 && stats.cycle_rejects > 0, "{stats:?}");
         }
     }
-    assert!(helped >= 2, "the helper threads started in {helped} of 6 cases");
+    assert!(helped >= 2, "the helper threads started in {helped} of 8 cases");
 }
 
 /// The portfolio on the ten-program library still produces byte-identical

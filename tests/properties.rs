@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn splits_partition_the_node_set(seed in 0u64..5_000, programs in 1usize..6) {
         let tdg = synthetic_tdg(seed, programs);
-        let order = placement_order(&tdg);
+        let order = placement_order(&tdg).expect("analyzed TDGs are DAGs");
         for model in [TargetModel::tofino(), TargetModel::pipeline(3, 1.0)] {
             for strategy in
                 [SplitStrategy::MinMetadata, SplitStrategy::Balanced, SplitStrategy::Random(seed)]
