@@ -97,6 +97,7 @@ impl Solver for FirstFitByLevelAndSize {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hermes_core::{verify, GreedyHeuristic, ProgramAnalyzer};

@@ -466,6 +466,7 @@ fn solve_program_packing(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use hermes_core::verify;

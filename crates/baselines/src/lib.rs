@@ -46,6 +46,7 @@ pub fn standard_suite(ilp_budget: Duration) -> Vec<Box<dyn DeploymentAlgorithm>>
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -792,23 +792,12 @@ fn run_recover(options: &Options, out: &mut dyn std::io::Write) -> Result<(), Cl
         None => writeln!(out, "snapshot: none")?,
     }
     match &intent.in_flight {
-        Some(InFlight::Txn { epoch, kind, prepared, commit_order, commit_acked, .. }) => {
-            writeln!(
-                out,
-                "in flight: {kind:?} transaction, epoch {epoch} ({} prepared, commit {}, \
-                 {} commit ack(s))",
-                prepared.len(),
-                if commit_order.is_some() { "decided" } else { "undecided" },
-                commit_acked.len()
-            )?;
+        Some(InFlight::Txn { epoch, kind, commit_order, .. }) => {
+            let decided = if commit_order.is_some() { "decided" } else { "undecided" };
+            writeln!(out, "in flight: {kind:?} transaction, epoch {epoch} (commit {decided})")?;
         }
-        Some(InFlight::Migration { epoch, order, steps_committed, .. }) => {
-            writeln!(
-                out,
-                "in flight: migration, epoch {epoch} ({}/{} steps committed)",
-                steps_committed.len(),
-                order.len()
-            )?;
+        Some(InFlight::Migration { epoch, order, .. }) => {
+            writeln!(out, "in flight: migration, epoch {epoch} ({} steps scheduled)", order.len())?;
         }
         None => writeln!(out, "in flight: nothing")?,
     }
@@ -2042,6 +2031,55 @@ mod tests {
         let mut out = Vec::new();
         let e = run(&options, &mut out).unwrap_err();
         assert!(e.0.contains("journal replay failed"), "{e}");
+
+        // An unconcluded transaction or migration is named with what the
+        // journal decides recovery by: the commit decision, the schedule.
+        use hermes_runtime::{JournalRecord, TxnKind};
+        let plan = hermes_core::DeploymentPlan::new();
+        let txn = JournalRecord::TxnBegun {
+            epoch: 2,
+            kind: TxnKind::Deploy,
+            tdg_fp: 1,
+            plan_fp: 2,
+            plan: plan.clone(),
+        };
+        let decided = JournalRecord::CommitDecided { epoch: 2, order: vec![] };
+        let migration = JournalRecord::MigrationBegun {
+            epoch: 3,
+            tdg_fp: 1,
+            plan_fp: 2,
+            plan,
+            order: topology::linear(2, 10.0).switch_ids().collect(),
+        };
+        for (records, line, action) in [
+            (
+                vec![&txn],
+                "in flight: Deploy transaction, epoch 2 (commit undecided)",
+                "roll-back-txn",
+            ),
+            (
+                vec![&txn, &decided],
+                "in flight: Deploy transaction, epoch 2 (commit decided)",
+                "resume-commit",
+            ),
+            (
+                vec![&migration],
+                "in flight: migration, epoch 3 (2 steps scheduled)",
+                "roll-back-migration",
+            ),
+        ] {
+            let mut journal = Journal::new();
+            records.into_iter().for_each(|r| journal.append(r));
+            let path = dir.join("in-flight.hjl");
+            std::fs::write(&path, journal.bytes()).unwrap();
+            let options =
+                parse_args(&args(&["recover", "--journal", path.to_str().unwrap()])).unwrap();
+            let mut out = Vec::new();
+            run(&options, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.contains(line), "{text}");
+            assert!(text.contains(&format!("recovery action: {action}")), "{text}");
+        }
 
         // Missing file: clean error.
         let options = parse_args(&args(&["recover", "--journal", "/nonexistent/j.hjl"])).unwrap();

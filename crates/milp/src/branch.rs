@@ -124,7 +124,7 @@ pub fn solve_with_controls(
 ) -> Result<MipSolution, ModelError> {
     model.validate()?;
     let start = Instant::now();
-    let direction = *model.objective().expect("validated").0;
+    let direction = *model.objective().ok_or(ModelError::NoObjective)?.0;
     // Internally compare in minimize sense.
     let sign = match direction {
         Direction::Minimize => 1.0,
@@ -276,6 +276,7 @@ pub fn solve_with_controls(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::model::{LinExpr, Model, Sense};

@@ -438,6 +438,7 @@ impl fmt::Display for Model {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

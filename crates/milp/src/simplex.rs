@@ -123,7 +123,7 @@ pub fn solve_relaxation_interruptible(
 
     // Objective: minimize c'x' (+ constant collected separately).
     let (direction, obj_expr) = {
-        let (d, e) = model.objective().expect("validated");
+        let (d, e) = model.objective().ok_or(ModelError::NoObjective)?;
         (*d, e.clone())
     };
     let mut costs = vec![0.0; n];
@@ -390,6 +390,7 @@ pub fn solve_lp(model: &Model) -> Result<LpResult, ModelError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::model::{Direction, LinExpr, Model, Sense};

@@ -1,12 +1,11 @@
 //! The controller's durable write-ahead intent journal.
 //!
-//! Every state transition the controller makes — epoch advances,
-//! transaction begin/prepare/commit/abort, lease grants, migration step
-//! checkpoints, activation snapshots — is appended here as a
-//! [`JournalRecord`] *before* the transition takes effect (write-ahead
-//! discipline). After a controller crash, [`crate::recovery`] replays the
-//! journal to rebuild the intended state and reconciles it against the
-//! live agents.
+//! Every decision the controller makes — epoch advances, a transaction's
+//! or migration's intent, its commit, abort or rollback decision and its
+//! conclusion, activation snapshots — is appended here as a
+//! [`JournalRecord`] *before* it takes effect (write-ahead discipline).
+//! After a controller crash, [`crate::recovery`] replays the journal to
+//! rebuild the intended state and reconciles it against the live agents.
 //!
 //! # On-disk format
 //!
@@ -46,6 +45,12 @@
 //! ([`hermes_backend::generate`]), and recovery, which must be handed the
 //! TDG anyway, regenerates them for the one plan it restores.
 //!
+//! Nor are per-switch acknowledgements or leases: recovery decides from
+//! the coordinator's decisions alone (presumed abort), waits out every
+//! lease by time and probes every agent, so a prepare or commit ack, a
+//! lease grant or a migration step checkpoint would change nothing it
+//! does.
+//!
 //! # Compaction
 //!
 //! Every [`JournalRecord::Snapshot`] is a self-contained restart point, so
@@ -72,7 +77,9 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"HJL1";
 /// History: 1 — original format (PR 7).
 /// 2 — `TxnBegun`, `Snapshot` and `MigrationBegun` carry no per-switch
 /// configs; every snapshot compacts.
-pub const JOURNAL_FORMAT_VERSION: u16 = 2;
+/// 3 — no per-switch acknowledgement or lease records (`Prepared`,
+/// `CommitAcked`, `LeaseGranted`, `MigrationStepCommitted`).
+pub const JOURNAL_FORMAT_VERSION: u16 = 3;
 
 /// Per-frame magic, chosen to be invalid UTF-8 so it cannot collide with
 /// JSON payload bytes.
@@ -114,7 +121,11 @@ fn crc32(bytes: &[u8]) -> u32 {
 
 /// Where in the protocol a journal write (and therefore a potential
 /// controller crash) sits. Every [`JournalRecord`] maps to exactly one
-/// crash point; the fault injector can strike at any of them.
+/// crash point; the fault injector can strike at any of them. A crash
+/// between two writes (mid-prepare, between commits, between migration
+/// steps) leaves the same journal as an `AfterWrite` crash at the write
+/// before it; only the agents differ, and recovery probes them and
+/// reinstalls under a fresh epoch either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CrashPoint {
     /// Advancing the controller epoch counter.
@@ -122,14 +133,8 @@ pub enum CrashPoint {
     /// Recording a transaction's intent (the plan) before the first
     /// prepare.
     TxnBegin,
-    /// Recording one switch's prepare acknowledgement.
-    Prepare,
     /// The point of no return: the decision to start committing.
     CommitDecision,
-    /// Recording one switch's commit acknowledgement.
-    CommitAck,
-    /// Recording a commit-window lease grant.
-    LeaseGrant,
     /// Recording that the whole transaction committed.
     TxnCommit,
     /// Recording a pre-commit abort.
@@ -138,8 +143,6 @@ pub enum CrashPoint {
     Snapshot,
     /// Recording a migration's intent (target plan + commit order).
     MigrationBegin,
-    /// Recording one migration step checkpoint.
-    MigrationStep,
     /// Recording the decision to roll a migration back.
     MigrationRollback,
     /// Recording that every migration step committed.
@@ -154,15 +157,11 @@ impl fmt::Display for CrashPoint {
         f.write_str(match self {
             CrashPoint::EpochAdvance => "epoch-advance",
             CrashPoint::TxnBegin => "txn-begin",
-            CrashPoint::Prepare => "prepare",
             CrashPoint::CommitDecision => "commit-decision",
-            CrashPoint::CommitAck => "commit-ack",
-            CrashPoint::LeaseGrant => "lease-grant",
             CrashPoint::TxnCommit => "txn-commit",
             CrashPoint::TxnAbort => "txn-abort",
             CrashPoint::Snapshot => "snapshot",
             CrashPoint::MigrationBegin => "migration-begin",
-            CrashPoint::MigrationStep => "migration-step",
             CrashPoint::MigrationRollback => "migration-rollback",
             CrashPoint::MigrationEnd => "migration-end",
             CrashPoint::Recovery => "recovery",
@@ -230,13 +229,6 @@ pub enum JournalRecord {
         /// The target plan.
         plan: DeploymentPlan,
     },
-    /// One switch acknowledged its prepare.
-    Prepared {
-        /// The transaction epoch.
-        epoch: u64,
-        /// The switch that staged.
-        switch: SwitchId,
-    },
     /// The point of no return: every switch prepared, validation and the
     /// mixed-epoch gate passed, commits are about to be sent in `order`.
     CommitDecided {
@@ -244,23 +236,6 @@ pub enum JournalRecord {
         epoch: u64,
         /// The commit order.
         order: Vec<SwitchId>,
-    },
-    /// One switch acknowledged its commit.
-    CommitAcked {
-        /// The transaction epoch.
-        epoch: u64,
-        /// The switch now serving the epoch.
-        switch: SwitchId,
-    },
-    /// A commit-window lease was granted (the agent self-fences if the
-    /// controller stops renewing it — the property recovery leans on).
-    LeaseGranted {
-        /// The leased epoch.
-        epoch: u64,
-        /// The leased switch.
-        switch: SwitchId,
-        /// Virtual-clock lease deadline.
-        until_us: u64,
     },
     /// The whole transaction committed (leases swept; `dead` lists
     /// switches declared down during the commit window).
@@ -310,15 +285,6 @@ pub enum JournalRecord {
         /// The scheduled commit order.
         order: Vec<SwitchId>,
     },
-    /// One migration step committed (a checkpoint).
-    MigrationStepCommitted {
-        /// The migration epoch.
-        epoch: u64,
-        /// 0-based step index.
-        step: usize,
-        /// The switch now serving its target config.
-        switch: SwitchId,
-    },
     /// The controller decided to roll the migration back.
     MigrationRolledBack {
         /// The abandoned migration epoch.
@@ -354,15 +320,11 @@ impl JournalRecord {
         match self {
             JournalRecord::EpochAdvanced { .. } => CrashPoint::EpochAdvance,
             JournalRecord::TxnBegun { .. } => CrashPoint::TxnBegin,
-            JournalRecord::Prepared { .. } => CrashPoint::Prepare,
             JournalRecord::CommitDecided { .. } => CrashPoint::CommitDecision,
-            JournalRecord::CommitAcked { .. } => CrashPoint::CommitAck,
-            JournalRecord::LeaseGranted { .. } => CrashPoint::LeaseGrant,
             JournalRecord::TxnCommitted { .. } => CrashPoint::TxnCommit,
             JournalRecord::TxnAborted { .. } => CrashPoint::TxnAbort,
             JournalRecord::Snapshot { .. } | JournalRecord::Cleared { .. } => CrashPoint::Snapshot,
             JournalRecord::MigrationBegun { .. } => CrashPoint::MigrationBegin,
-            JournalRecord::MigrationStepCommitted { .. } => CrashPoint::MigrationStep,
             JournalRecord::MigrationRolledBack { .. } => CrashPoint::MigrationRollback,
             JournalRecord::MigrationCompleted { .. } => CrashPoint::MigrationEnd,
             JournalRecord::RecoveryBegun { .. } | JournalRecord::RecoveryCompleted { .. } => {
@@ -376,16 +338,12 @@ impl JournalRecord {
         match self {
             JournalRecord::EpochAdvanced { epoch }
             | JournalRecord::TxnBegun { epoch, .. }
-            | JournalRecord::Prepared { epoch, .. }
             | JournalRecord::CommitDecided { epoch, .. }
-            | JournalRecord::CommitAcked { epoch, .. }
-            | JournalRecord::LeaseGranted { epoch, .. }
             | JournalRecord::TxnCommitted { epoch, .. }
             | JournalRecord::TxnAborted { epoch, .. }
             | JournalRecord::Snapshot { epoch, .. }
             | JournalRecord::Cleared { epoch }
             | JournalRecord::MigrationBegun { epoch, .. }
-            | JournalRecord::MigrationStepCommitted { epoch, .. }
             | JournalRecord::MigrationRolledBack { epoch, .. }
             | JournalRecord::MigrationCompleted { epoch, .. }
             | JournalRecord::RecoveryBegun { epoch }
@@ -784,12 +742,14 @@ mod tests {
 
     #[test]
     fn a_version_1_journal_is_refused() {
-        let mut v1 = Journal::new().bytes().to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            replay_bytes(&v1),
-            Err(JournalError::UnsupportedVersion { found: 1, supported: 2 })
-        );
+        for old in [1u16, 2] {
+            let mut bytes = Journal::new().bytes().to_vec();
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                replay_bytes(&bytes),
+                Err(JournalError::UnsupportedVersion { found: old, supported: 3 })
+            );
+        }
     }
 
     #[test]

@@ -46,10 +46,10 @@
 //!   latency, and `A_max` before/after healing. Same seed, byte-identical
 //!   JSON.
 //! - [`journal`] — the durable write-ahead intent [`Journal`]: every
-//!   controller state transition (epoch advance, prepare, commit
-//!   decision, lease grant, migration step, snapshot) is recorded as a
-//!   length-framed, CRC-checked record *before* the transition takes
-//!   effect. Records hold plans, never the per-switch configs recovery can
+//!   controller decision (epoch advance, transaction or migration intent,
+//!   commit, abort or rollback decision, conclusion, snapshot) is recorded
+//!   as a length-framed, CRC-checked record *before* it takes effect;
+//!   per-switch acknowledgements and leases are not journaled. Records hold plans, never the per-switch configs recovery can
 //!   regenerate from them, and every snapshot compacts the image to itself
 //!   and what follows (keeping the highest epoch). A torn tail
 //!   is discarded silently; mid-log corruption is a typed

@@ -35,9 +35,7 @@ use crate::agent::SwitchAgent;
 use crate::event::Event;
 use crate::journal::{CrashPoint, JournalRecord};
 use crate::runtime::{ControllerCrash, DeploymentRuntime};
-use crate::txn::{
-    mixed_epoch_gate, ActiveDeployment, Fingerprints, ABORT_THRESHOLD, LEASE_US, PACKET_SEEDS,
-};
+use crate::txn::{mixed_epoch_gate, ActiveDeployment, Fingerprints, ABORT_THRESHOLD, PACKET_SEEDS};
 use hermes_backend::{validate_plan, EpochTransition, SwitchConfig};
 use hermes_core::{
     verify, DeploymentPlan, MigrationProblem, MigrationSchedule, MigrationScheduler, SearchContext,
@@ -282,9 +280,9 @@ impl DeploymentRuntime {
         }
 
         // The migration's intent becomes durable before the first step
-        // touches an agent: a restarted controller can tell exactly which
-        // prefix of `order` had committed from the step checkpoints that
-        // follow this record.
+        // touches an agent. Steps journal nothing: until the completion
+        // record lands, recovery rolls back to plan A whichever prefix of
+        // `order` had committed.
         let fp = Fingerprints::of(tdg, &target);
         self.journal_note(JournalRecord::MigrationBegun {
             epoch,
@@ -348,12 +346,6 @@ impl DeploymentRuntime {
                 let reason = format!("step {idx} (switch {switch}) failed: {last_reason}");
                 return self.migration_roll_back(epoch, reason, &window.committed, failures);
             }
-            self.journal_note(JournalRecord::MigrationStepCommitted { epoch, step: idx, switch })?;
-            self.journal_note(JournalRecord::LeaseGranted {
-                epoch,
-                switch,
-                until_us: self.clock_us + LEASE_US,
-            })?;
             self.log.push(Event::MigrationStepCommitted {
                 epoch,
                 step: idx,

@@ -30,7 +30,7 @@
 //!    transaction whose commit decision was durable rolls *forward* (the
 //!    decision is the point of no return — some agent may already serve
 //!    it); one without rolls *back* to the snapshot; a migration rolls
-//!    forward only if every step checkpointed. The journal holds no
+//!    forward only if its completion record landed. The journal holds no
 //!    per-switch configs: they are regenerated from the chosen plan and
 //!    the TDG, and reinstalled switch by switch under the fresh epoch
 //!    through the commit engine's per-switch step; a switch that refuses is
@@ -74,8 +74,8 @@ pub enum RecoveryAction {
     /// A transaction's commit decision was durable: finish its commits
     /// by reinstalling the target plan under the fresh epoch.
     ResumeCommit,
-    /// Every migration step checkpointed: plan B is the intended state;
-    /// reinstall it under the fresh epoch.
+    /// Every migration step committed (the completion record landed):
+    /// plan B is the intended state; reinstall it under the fresh epoch.
     CompleteMigration,
     /// The migration died mid-schedule (or mid-rollback): plan A is the
     /// intended state; reinstall it under the fresh epoch.
@@ -129,13 +129,9 @@ pub enum InFlight {
         plan_fp: u64,
         /// The target plan.
         plan: DeploymentPlan,
-        /// Switches whose prepare ack was journaled.
-        prepared: Vec<SwitchId>,
         /// The journaled commit order — `Some` iff the point of no
         /// return was crossed durably.
         commit_order: Option<Vec<SwitchId>>,
-        /// Switches whose commit ack was journaled.
-        commit_acked: Vec<SwitchId>,
         /// `true` when the whole-transaction commit record landed (the
         /// activation snapshot did not — it would have concluded the
         /// intent).
@@ -155,8 +151,6 @@ pub enum InFlight {
         plan: DeploymentPlan,
         /// The scheduled commit order.
         order: Vec<SwitchId>,
-        /// Switches whose step checkpoint was journaled.
-        steps_committed: Vec<SwitchId>,
         /// `true` when the rollback decision landed.
         rolled_back: bool,
         /// `true` when the all-steps-committed record landed (but not
@@ -169,23 +163,13 @@ impl InFlight {
     /// Folds one record of this operation's epoch into it.
     fn advance(&mut self, record: &JournalRecord) {
         match (self, record) {
-            (InFlight::Txn { prepared, .. }, JournalRecord::Prepared { switch, .. }) => {
-                prepared.push(*switch);
-            }
             (InFlight::Txn { commit_order, .. }, JournalRecord::CommitDecided { order, .. }) => {
                 *commit_order = Some(order.clone());
-            }
-            (InFlight::Txn { commit_acked, .. }, JournalRecord::CommitAcked { switch, .. }) => {
-                commit_acked.push(*switch);
             }
             (InFlight::Txn { committed, .. }, JournalRecord::TxnCommitted { .. }) => {
                 *committed = true;
             }
             (InFlight::Txn { aborted, .. }, JournalRecord::TxnAborted { .. }) => *aborted = true,
-            (
-                InFlight::Migration { steps_committed, .. },
-                JournalRecord::MigrationStepCommitted { switch, .. },
-            ) => steps_committed.push(*switch),
             (
                 InFlight::Migration { rolled_back, .. },
                 JournalRecord::MigrationRolledBack { .. },
@@ -262,9 +246,7 @@ impl RecoveredIntent {
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
                         plan: plan.clone(),
-                        prepared: Vec::new(),
                         commit_order: None,
-                        commit_acked: Vec::new(),
                         committed: false,
                         aborted: false,
                     });
@@ -294,7 +276,6 @@ impl RecoveredIntent {
                         plan_fp: *plan_fp,
                         plan: plan.clone(),
                         order: order.clone(),
-                        steps_committed: Vec::new(),
                         rolled_back: false,
                         completed: false,
                     });
@@ -687,27 +668,22 @@ mod tests {
     use super::*;
     use crate::fault::{FaultInjector, FaultProfile};
     use crate::journal::{CrashPoint, CrashTiming, Journal};
+    use crate::runtime::tests::{boundary_of, clean_runtime, workload};
     use crate::runtime::{RetryPolicy, RolloutOutcome};
-    use hermes_core::{
-        DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer, StagePlacement,
-    };
+    use hermes_core::{Epsilon, ProgramAnalyzer, StagePlacement};
     use hermes_dataplane::library;
-    use hermes_net::{topology, Network};
 
-    fn workload() -> (Tdg, Network, DeploymentPlan) {
-        let tdg = ProgramAnalyzer::new().analyze(&library::real_programs());
-        let net = topology::linear(4, 10.0);
-        let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
-        (tdg, net, plan)
-    }
-
-    fn runtime(net: Network) -> DeploymentRuntime {
-        DeploymentRuntime::new(
-            net,
-            Epsilon::loose(),
-            FaultInjector::disabled(),
-            RetryPolicy::default(),
-        )
+    /// `rt` with a crash armed at the commit decision of its next rollout
+    /// of `plan`.
+    fn armed_at_decision(
+        mut rt: DeploymentRuntime,
+        tdg: &Tdg,
+        plan: &DeploymentPlan,
+        timing: CrashTiming,
+    ) -> DeploymentRuntime {
+        let nth = boundary_of(CrashPoint::CommitDecision, &rt, tdg, plan);
+        rt.injector_mut().arm_controller_crash_at(nth, timing);
+        rt
     }
 
     #[test]
@@ -772,10 +748,7 @@ mod tests {
     #[test]
     fn crash_after_commit_decision_resumes_forward() {
         let (tdg, net, plan) = workload();
-        let n = plan.occupied_switch_count() as u64;
-        let mut rt = runtime(net);
-        // Boundary 2 + n is the commit decision (see runtime.rs tests).
-        rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+        let mut rt = armed_at_decision(clean_runtime(&net), &tdg, &plan, CrashTiming::AfterWrite);
         let outcome = rt.rollout(&tdg, plan.clone());
         assert!(matches!(outcome, RolloutOutcome::ControllerCrashed { .. }));
         assert_eq!(rt.active_plan(), None);
@@ -800,15 +773,14 @@ mod tests {
     }
 
     #[test]
-    fn crash_mid_prepare_rolls_back_to_nothing_on_first_deploy() {
+    fn crash_after_the_prepares_rolls_back_to_nothing_on_first_deploy() {
         let (tdg, net, plan) = workload();
-        let mut rt = runtime(net);
-        // Boundary 2 is the first Prepared record; crash before it lands.
-        rt.injector_mut().arm_controller_crash_at(2, CrashTiming::BeforeWrite);
+        // Every switch has staged; the commit decision does not land.
+        let mut rt = armed_at_decision(clean_runtime(&net), &tdg, &plan, CrashTiming::BeforeWrite);
         let outcome = rt.rollout(&tdg, plan.clone());
         match outcome {
             RolloutOutcome::ControllerCrashed { point, .. } => {
-                assert_eq!(point, CrashPoint::Prepare);
+                assert_eq!(point, CrashPoint::CommitDecision);
             }
             other => panic!("expected a crash, got {other}"),
         }
@@ -827,12 +799,11 @@ mod tests {
     #[test]
     fn crash_mid_second_rollout_restores_the_first_plan() {
         let (tdg, net, plan) = workload();
-        let mut rt = runtime(net);
+        let mut rt = clean_runtime(&net);
         assert!(rt.rollout(&tdg, plan.clone()).is_committed());
         // Crash the second rollout before its commit decision lands: the
         // first plan's snapshot must come back.
-        let n = plan.occupied_switch_count() as u64;
-        rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::BeforeWrite);
+        let mut rt = armed_at_decision(rt, &tdg, &plan, CrashTiming::BeforeWrite);
         let outcome = rt.rollout(&tdg, plan.clone());
         assert!(matches!(outcome, RolloutOutcome::ControllerCrashed { .. }));
 
@@ -850,7 +821,7 @@ mod tests {
     #[test]
     fn recovery_refuses_a_foreign_workload() {
         let (tdg, net, plan) = workload();
-        let mut rt = runtime(net);
+        let mut rt = clean_runtime(&net);
         assert!(rt.rollout(&tdg, plan).is_committed());
         let programs = library::real_programs();
         let other = ProgramAnalyzer::new().analyze(&programs[..programs.len() - 1]);
@@ -896,7 +867,7 @@ mod tests {
                 JournalRecord::CommitDecided { epoch: 1, order: vec![] },
             ];
             for records in [snapshot, resumable] {
-                let mut rt = runtime(net.clone());
+                let mut rt = clean_runtime(&net);
                 for record in &records {
                     rt.journal.append(record);
                 }
@@ -931,7 +902,7 @@ mod tests {
         // of band: a snapshot older than the epochs spent before it.
         let mut rt = (0..50u64)
             .find_map(|seed| {
-                let mut rt = runtime(net.clone());
+                let mut rt = clean_runtime(&net);
                 assert!(rt.rollout(&tdg, plan.clone()).is_committed());
                 rt.set_injector(FaultInjector::new(seed, post_commit));
                 let outcome = rt.rollout(&tdg, plan.clone());
@@ -950,7 +921,7 @@ mod tests {
     #[test]
     fn recovery_is_idempotent_and_journaled() {
         let (tdg, net, plan) = workload();
-        let mut rt = runtime(net);
+        let mut rt = clean_runtime(&net);
         assert!(rt.rollout(&tdg, plan.clone()).is_committed());
         let first = rt.recover(&tdg).expect("affirming recovery must succeed");
         assert_eq!(first.action, RecoveryAction::AffirmSnapshot);
@@ -969,9 +940,7 @@ mod tests {
     #[test]
     fn recovery_with_a_down_switch_demotes_resume_to_rollback() {
         let (tdg, net, plan) = workload();
-        let mut rt = runtime(net);
-        let n = plan.occupied_switch_count() as u64;
-        rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+        let mut rt = armed_at_decision(clean_runtime(&net), &tdg, &plan, CrashTiming::AfterWrite);
         assert!(matches!(rt.rollout(&tdg, plan.clone()), RolloutOutcome::ControllerCrashed { .. }));
         // A switch the target occupies dies while the controller is down:
         // the forward target no longer verifies, so recovery demotes.

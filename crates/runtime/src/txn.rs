@@ -287,10 +287,7 @@ impl DeploymentRuntime {
         let mut prepared: Vec<SwitchId> = Vec::new();
         for (&switch, config) in &artifacts.switches {
             match self.prepare_with_retry(switch, config, epoch) {
-                Ok(()) => {
-                    self.journal_note(JournalRecord::Prepared { epoch, switch })?;
-                    prepared.push(switch);
-                }
+                Ok(()) => prepared.push(switch),
                 Err(reason) => return Err(self.abort_txn(&prepared, epoch, reason)),
             }
         }
@@ -331,14 +328,7 @@ impl DeploymentRuntime {
         let mut dead: Vec<SwitchId> = Vec::new();
         for &switch in &prepared {
             self.keep_alive(&mut window);
-            if self.commit_in(&mut window, switch) {
-                self.journal_note(JournalRecord::CommitAcked { epoch, switch })?;
-                self.journal_note(JournalRecord::LeaseGranted {
-                    epoch,
-                    switch,
-                    until_us: self.clock_us + LEASE_US,
-                })?;
-            } else {
+            if !self.commit_in(&mut window, switch) {
                 self.declare_unreachable(&mut window, switch);
                 dead.push(switch);
             }

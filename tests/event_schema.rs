@@ -22,9 +22,9 @@ use hermes::core::{
 use hermes::dataplane::library;
 use hermes::net::{topology, Network, SwitchId};
 use hermes::runtime::{
-    replay_bytes, ChannelProfile, CrashTiming, DeploymentRuntime, Event, EventLog, FaultInjector,
-    FaultProfile, JournalRecord, MigrationConfig, RetryPolicy, EVENT_SCHEMA_VERSION,
-    JOURNAL_FORMAT_VERSION,
+    replay_bytes, ChannelProfile, CrashPoint, CrashTiming, DeploymentRuntime, Event, EventLog,
+    FaultInjector, FaultProfile, JournalRecord, MigrationConfig, RetryPolicy, RolloutOutcome,
+    EVENT_SCHEMA_VERSION, JOURNAL_FORMAT_VERSION,
 };
 use hermes::tdg::Tdg;
 use proptest::prelude::*;
@@ -38,6 +38,25 @@ fn two_program_deploy() -> (Tdg, Network, Epsilon, DeploymentPlan) {
     let eps = Epsilon::loose();
     let plan = GreedyHeuristic::new().deploy(&tdg, &net, &eps).expect("deploys");
     (tdg, net, eps, plan)
+}
+
+/// The boundary, counted from now, at which a rollout of `plan` on `rt`
+/// first journals a `point` record. A crash-free dry run on a copy counts
+/// the rollout's boundaries; a crash armed before each in turn, on another
+/// copy, then names the record written there, so no scenario encodes the
+/// record list.
+fn boundary_of(point: CrashPoint, rt: &DeploymentRuntime, tdg: &Tdg, plan: &DeploymentPlan) -> u64 {
+    let mut dry = rt.clone();
+    let start = dry.injector().journal_writes();
+    assert!(dry.rollout(tdg, plan.clone()).is_committed(), "the dry run commits");
+    (0..dry.injector().journal_writes() - start)
+        .find(|&nth| {
+            let mut probe = rt.clone();
+            probe.injector_mut().arm_controller_crash_at(nth, CrashTiming::BeforeWrite);
+            let outcome = probe.rollout(tdg, plan.clone());
+            matches!(outcome, RolloutOutcome::ControllerCrashed { point: p, .. } if p == point)
+        })
+        .unwrap_or_else(|| panic!("the rollout journals no {point} record"))
 }
 
 /// The round-trip property itself.
@@ -62,8 +81,8 @@ fn crash_recovery_logs_round_trip() {
         RetryPolicy::default(),
     );
     assert!(rt.rollout(&tdg, plan.clone()).is_committed());
-    let n = plan.occupied_switch_count() as u64;
-    rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+    let decision = boundary_of(CrashPoint::CommitDecision, &rt, &tdg, &plan);
+    rt.injector_mut().arm_controller_crash_at(decision, CrashTiming::AfterWrite);
     rt.rollout(&tdg, plan);
     rt.recover(&tdg).expect("recovery succeeds");
     let log = rt.log();
@@ -175,8 +194,8 @@ fn healed_migrated_and_recovered_records_match_the_golden_fixture() {
         RetryPolicy::default(),
     );
     assert!(rt.rollout(&tdg, plan.clone()).is_committed());
-    let n = plan.occupied_switch_count() as u64;
-    rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+    let decision = boundary_of(CrashPoint::CommitDecision, &rt, &tdg, &plan);
+    rt.injector_mut().arm_controller_crash_at(decision, CrashTiming::AfterWrite);
     let outcome = rt.rollout(&tdg, plan);
     record("crash", outcome.to_string(), &rt);
     let report = rt.recover(&tdg).expect("recovery succeeds");
@@ -577,9 +596,9 @@ fn recoveries(paths: &mut Paths, seeds: &[u64], sweep: bool) {
     let tdg = library_tdg();
     let net = topology::fat_tree(4, 10.0);
     let plan = greedy(&tdg, &net);
-    let n = plan.occupied_switch_count() as u64;
     let mut rt = runtime(&net, FaultInjector::disabled(), ChannelProfile::none());
-    rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::AfterWrite);
+    let decision = boundary_of(CrashPoint::CommitDecision, &rt, &tdg, &plan);
+    rt.injector_mut().arm_controller_crash_at(decision, CrashTiming::AfterWrite);
     assert!(!rt.rollout(&tdg, plan).is_committed());
     rt.set_injector(FaultInjector::new(
         1,

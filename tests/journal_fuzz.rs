@@ -13,8 +13,8 @@ use hermes::core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyze
 use hermes::dataplane::library;
 use hermes::net::topology;
 use hermes::runtime::{
-    replay_bytes, CrashTiming, DeploymentRuntime, FaultInjector, FaultProfile, JournalError,
-    RecoveredIntent, RetryPolicy, RolloutOutcome,
+    replay_bytes, CrashPoint, CrashTiming, DeploymentRuntime, FaultInjector, FaultProfile,
+    JournalError, RecoveredIntent, RetryPolicy, RolloutOutcome,
 };
 use proptest::prelude::*;
 
@@ -43,9 +43,24 @@ fn build_journal() -> Vec<u8> {
         RetryPolicy::default(),
     );
     assert!(rt.rollout(&tdg, plan.clone()).is_committed());
-    let n = plan.occupied_switch_count() as u64;
+    // Each crash strikes just before the commit decision lands: a
+    // crash-free dry run on a copy counts the rollout's boundaries, and a
+    // crash armed at each in turn, on another copy, names its record.
     let crash_mid_rollout = |rt: &mut DeploymentRuntime| {
-        rt.injector_mut().arm_controller_crash_at(2 + n, CrashTiming::BeforeWrite);
+        let mut dry = rt.clone();
+        let start = dry.injector().journal_writes();
+        assert!(dry.rollout(&tdg, plan.clone()).is_committed());
+        let decision = (0..dry.injector().journal_writes() - start)
+            .find(|&nth| {
+                let mut probe = rt.clone();
+                probe.injector_mut().arm_controller_crash_at(nth, CrashTiming::BeforeWrite);
+                matches!(
+                    probe.rollout(&tdg, plan.clone()),
+                    RolloutOutcome::ControllerCrashed { point: CrashPoint::CommitDecision, .. }
+                )
+            })
+            .expect("a rollout journals a commit decision");
+        rt.injector_mut().arm_controller_crash_at(decision, CrashTiming::BeforeWrite);
         let outcome = rt.rollout(&tdg, plan.clone());
         assert!(matches!(outcome, RolloutOutcome::ControllerCrashed { .. }));
     };

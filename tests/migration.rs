@@ -280,15 +280,20 @@ fn every_schedule_prefix_passes_the_mixed_epoch_gate() {
 
 #[test]
 fn clean_migration_lands_plan_b_with_a_full_event_trail() {
+    let mut most_steps = 0;
     for (tdg, net, plan_a, plan_b) in drain_scenarios() {
         let eps = Epsilon::loose();
         let mut rt =
             DeploymentRuntime::new(net, eps, FaultInjector::disabled(), RetryPolicy::default());
         assert!(rt.rollout(&tdg, plan_a.clone()).is_committed());
         let epoch_a = rt.active_epoch().expect("A active");
+        let appends_before = rt.journal().appends();
 
         let outcome = rt.migrate(&tdg, plan_b.clone(), &MigrationConfig::default());
         assert!(outcome.is_migrated(), "{outcome}");
+        // The epoch advance, the intent, the completion and the snapshot:
+        // a step appends no record, however many the schedule has.
+        assert_eq!(rt.journal().appends() - appends_before, 4);
         assert_eq!(rt.active_plan(), Some(&plan_b));
         assert!(rt.active_epoch().expect("B active") > epoch_a);
 
@@ -298,6 +303,7 @@ fn clean_migration_lands_plan_b_with_a_full_event_trail() {
         assert_eq!(log.count(|e| matches!(e, Event::MigrationCompleted { .. })), 1);
         let steps = log.count(|e| matches!(e, Event::MigrationStepCommitted { .. }));
         assert!(steps > 0, "at least one step must commit");
+        most_steps = most_steps.max(steps);
         // The serialized log is schema-stamped for golden diffing.
         let json = log.to_json();
         assert!(
@@ -325,6 +331,7 @@ fn clean_migration_lands_plan_b_with_a_full_event_trail() {
         assert!(rt.rollout(&tdg, plan_b.clone()).is_committed());
         assert_eq!(rt.active_plan(), Some(&plan_b));
     }
+    assert!(most_steps >= 2, "some scenario migrates in several steps");
 }
 
 #[test]

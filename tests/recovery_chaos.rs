@@ -21,6 +21,13 @@
 //! *every* boundary of each scenario (asserting strict plan equality,
 //! since the fault schedule is clean), and a 50-seed chaos soak places a
 //! seed-derived crash in each scenario under the full chaos profile.
+//!
+//! The sweep also pins recovery's decision table: for every crash point,
+//! epoch and timing it reaches, the action recovery takes, the plan it
+//! restores and the epoch every live agent ends on equal the committed
+//! `tests/fixtures/recovery_decisions.txt`. The table is keyed by record
+//! kind, not boundary number, so dropping a record kind from the journal
+//! removes that kind's rows and must leave every other row as it was.
 
 use hermes::backend::validate_plan;
 use hermes::core::{
@@ -34,12 +41,16 @@ use hermes::runtime::{
     JournalRecord, MigrationConfig, MigrationOutcome, RecoveryReport, RetryPolicy, RolloutOutcome,
 };
 use hermes::tdg::Tdg;
+use std::fmt::Write as _;
 
 const SEEDS: u64 = 50;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Scenario {
+    /// A first deploy of plan A, which occupies one switch.
     Deploy,
+    /// A first deploy of the wide workload's plan, over all three switches.
+    WideDeploy,
     Heal,
     Migrate,
 }
@@ -51,6 +62,20 @@ struct Workload {
     net: Network,
     plan_a: DeploymentPlan,
     plan_b: DeploymentPlan,
+    /// Five library programs and their greedy plan, which occupies every
+    /// switch of the network.
+    wide: (Tdg, DeploymentPlan),
+}
+
+impl Workload {
+    /// The TDG a scenario deploys and recovery is handed.
+    fn tdg(&self, sc: Scenario) -> &Tdg {
+        if sc == Scenario::WideDeploy {
+            &self.wide.0
+        } else {
+            &self.tdg
+        }
+    }
 }
 
 fn workload() -> Workload {
@@ -65,7 +90,10 @@ fn workload() -> Workload {
         .expect("drain is feasible")
         .plan;
     assert_ne!(plan_a, plan_b, "draining must change the plan");
-    Workload { tdg, net, plan_a, plan_b }
+    let wide_tdg = ProgramAnalyzer::new().analyze(&programs[..5]);
+    let wide_plan = GreedyHeuristic::new().deploy(&wide_tdg, &net, &eps).expect("wide deploys");
+    assert_eq!(wide_plan.occupied_switch_count(), 3, "the wide plan occupies every switch");
+    Workload { tdg, net, plan_a, plan_b, wide: (wide_tdg, wide_plan) }
 }
 
 /// Runs one scenario with an optional armed crash; `chaotic` picks the
@@ -81,7 +109,8 @@ fn run_scenario(
     let eps = Epsilon::loose();
     let channel = if chaotic { ChannelProfile::lossy() } else { ChannelProfile::none() };
     match sc {
-        Scenario::Deploy => {
+        Scenario::Deploy | Scenario::WideDeploy => {
+            let plan = if sc == Scenario::Deploy { &w.plan_a } else { &w.wide.1 };
             let profile = if chaotic { FaultProfile::chaos() } else { FaultProfile::none() };
             let mut rt = DeploymentRuntime::new(
                 w.net.clone(),
@@ -93,7 +122,7 @@ fn run_scenario(
             if let Some((nth, timing)) = arm {
                 rt.injector_mut().arm_controller_crash_at(nth, timing);
             }
-            let outcome = rt.rollout(&w.tdg, w.plan_a.clone());
+            let outcome = rt.rollout(w.tdg(sc), plan.clone());
             let crashed = matches!(outcome, RolloutOutcome::ControllerCrashed { .. });
             (rt, crashed)
         }
@@ -195,40 +224,87 @@ fn assert_recovered(rt: &DeploymentRuntime, report: &RecoveryReport, label: &str
     }
 }
 
+/// One live agent per character, in switch order: `F` serves the fresh
+/// recovery epoch, `-` serves nothing, `x` is down, `?` serves any other
+/// epoch (which `assert_recovered` refuses).
+fn agent_epochs(rt: &DeploymentRuntime, fresh: u64) -> String {
+    rt.agents()
+        .map(|a| match a.active_epoch() {
+            _ if a.is_crashed() => 'x',
+            Some(e) if e == fresh => 'F',
+            None => '-',
+            Some(_) => '?',
+        })
+        .collect()
+}
+
+const DECISIONS: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/recovery_decisions.txt");
+
 /// Deterministic sweep: a crash at *every* journal boundary of every
-/// scenario, clean fault schedule — so the terminal state must be
-/// *strictly* plan A, plan B, or nothing, by plan equality.
+/// scenario, before and after the write, on a clean fault schedule — so
+/// the terminal state must be *strictly* plan A, plan B, or nothing, by
+/// plan equality. Every crash also adds one row to the decision table,
+/// which must equal the committed fixture (`REGEN_GOLDEN=1` rewrites it).
 #[test]
 fn every_boundary_recovers_to_exactly_a_or_exactly_b() {
     let w = workload();
-    for sc in SCENARIOS {
-        let writes = boundaries(&w, sc, 7, false);
+    let mut table = String::from(
+        "# scenario, crash epoch, crash point, timing: recovery action, restored plan, \
+         fresh epoch and what each switch serves (F fresh, - nothing, x down)\n",
+    );
+    for sc in [Scenario::Deploy, Scenario::WideDeploy, Scenario::Heal, Scenario::Migrate] {
+        let (dry, crashed) = run_scenario(&w, sc, 7, false, None);
+        assert!(!crashed, "no crash was armed");
+        let writes = dry.injector().journal_writes();
         assert!(writes > 0, "{sc:?}: the scenario must journal something");
+        // Plan B: the migration's target, or the plan a heal lands on.
+        let plan_b = match sc {
+            Scenario::Deploy | Scenario::WideDeploy => None,
+            Scenario::Heal => dry.active_plan().cloned(),
+            Scenario::Migrate => Some(w.plan_b.clone()),
+        };
+        let plan_a = if sc == Scenario::WideDeploy { &w.wide.1 } else { &w.plan_a };
         for nth in 0..writes {
-            let timing =
-                if nth % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
-            let label = format!("{sc:?} boundary {nth} ({timing:?})");
-            let (mut rt, crashed) = run_scenario(&w, sc, 7, false, Some((nth, timing)));
-            assert!(crashed, "{label}: the armed crash must fire");
-            let report = rt.recover(&w.tdg).expect("recovery succeeds");
-            assert_recovered(&rt, &report, &label);
-            let active = rt.active_plan();
-            // Heal rewrites the plan around the dead switch, so its
-            // terminal plans are asserted via journal membership in
-            // assert_recovered; deploy and migrate are exact.
-            match sc {
-                Scenario::Deploy => assert!(
-                    active.is_none() || active == Some(&w.plan_a),
-                    "{label}: terminal state is neither nothing nor plan A"
-                ),
-                Scenario::Heal => {}
-                Scenario::Migrate => assert!(
-                    active == Some(&w.plan_a) || active == Some(&w.plan_b),
-                    "{label}: terminal state is neither plan A nor plan B"
-                ),
+            for timing in [CrashTiming::BeforeWrite, CrashTiming::AfterWrite] {
+                let label = format!("{sc:?} boundary {nth} ({timing:?})");
+                let (mut rt, crashed) = run_scenario(&w, sc, 7, false, Some((nth, timing)));
+                assert!(crashed, "{label}: the armed crash must fire");
+                let crash = rt.crashed().expect("the crash is sticky until recovery");
+                let report = rt.recover(w.tdg(sc)).expect("recovery succeeds");
+                assert_recovered(&rt, &report, &label);
+                let active = rt.active_plan();
+                let restored = match active {
+                    None => "nothing",
+                    Some(p) if p == plan_a => "A",
+                    Some(p) if Some(p) == plan_b.as_ref() => "B",
+                    Some(_) => panic!("{label}: terminal state is neither nothing, A nor B"),
+                };
+                if sc == Scenario::Migrate {
+                    assert!(active.is_some(), "{label}: terminal state is neither plan A nor B");
+                }
+                writeln!(
+                    table,
+                    "{sc:?} epoch {} {} {timing:?}: {}, restores {restored}, fresh epoch {} \
+                     on {}",
+                    crash.epoch,
+                    crash.point,
+                    report.action,
+                    report.epoch,
+                    agent_epochs(&rt, report.epoch)
+                )
+                .expect("writing to a string");
             }
         }
     }
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(DECISIONS, &table).expect("fixture is writable");
+    }
+    let fixture = std::fs::read_to_string(DECISIONS).expect("run with REGEN_GOLDEN=1 to create");
+    assert!(
+        table == fixture,
+        "recovery's decision table drifted from tests/fixtures/recovery_decisions.txt:\n{table}"
+    );
 }
 
 /// The journal holds plans, not configs: after a crash at every boundary
