@@ -78,9 +78,9 @@ impl Solver for FirstFitByLevel {
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: &SearchContext,
+        _ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        one_shot_solve(self, tdg, net, eps)
     }
 }
 
@@ -90,9 +90,9 @@ impl Solver for FirstFitByLevelAndSize {
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: &SearchContext,
+        _ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        one_shot_solve(self, tdg, net, eps)
     }
 }
 

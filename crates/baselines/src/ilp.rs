@@ -151,18 +151,13 @@ impl Solver for IlpBaseline {
         let start = Instant::now();
         let plan = self.deploy_inner(tdg, net, eps, Some(ctx))?;
         let objective = plan.max_inter_switch_bytes(tdg);
-        ctx.publish_incumbent(objective);
         Ok(SolveOutcome {
             plan,
             objective,
             // These frameworks optimize their own published objective, not
             // A_max, so only zero overhead is ever proven optimal.
             proven_optimal: objective == 0,
-            stats: hermes_core::SolveStats {
-                nodes_explored: 0,
-                wall: start.elapsed(),
-                proven_bound: (objective == 0).then_some(0),
-            },
+            stats: hermes_core::SolveStats { nodes_explored: 0, wall: start.elapsed() },
         })
     }
 }
@@ -408,9 +403,9 @@ impl Solver for Sonata {
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: &SearchContext,
+        _ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        one_shot_solve(self, tdg, net, eps)
     }
 }
 

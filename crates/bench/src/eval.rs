@@ -475,7 +475,9 @@ fn int_comparison(_: &Ctx) -> Result<Vec<Output>, String> {
                 OverheadModel::PerHopAccumulating { base: 0, per_hop: INT_PER_HOP },
             ),
         ] {
-            let stats = aggregate(&run_workload(hops, 1.0, 100.0, 0.5, &config, model));
+            let flows = run_workload(hops, 1.0, 100.0, 0.5, &config, model)
+                .map_err(|e| format!("{name} at {hops} hops: {e}"))?;
+            let stats = aggregate(&flows);
             // Each model carries more bytes than the one before it.
             if stats.mean_fct_us < last_fct {
                 return Err(format!("{name} is faster than a lighter model at {hops} hops"));
@@ -821,10 +823,10 @@ fn migration(ctx: &Ctx) -> Result<Vec<Output>, String> {
     Ok(vec![doc.done("migration.md")])
 }
 
-/// Recovery from a controller crash armed at every journal write of a
-/// deploy of `a` (`to` is `None`) or of a migration from `a` to `to`: one
-/// row per write, or an error if a crash does not fire or recovery lands on
-/// anything but exactly `a`, exactly `to` or nothing.
+/// Recovery from a controller crash armed before and after every journal
+/// write of a deploy of `a` (`to` is `None`) or of a migration from `a` to
+/// `to`: one row per write and timing, or an error if a crash does not fire
+/// or recovery lands on anything but exactly `a`, exactly `to` or nothing.
 fn crash_points(
     tdg: &Tdg,
     net: &Network,
@@ -861,17 +863,19 @@ fn crash_points(
         "unreachable",
         "recovery us",
     ]);
-    for nth in 0..writes {
-        let timing = if nth % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
+    let arms = (0..writes)
+        .flat_map(|nth| [CrashTiming::BeforeWrite, CrashTiming::AfterWrite].map(|t| (nth, t)));
+    for (nth, timing) in arms {
+        let at = format!("boundary {nth} {timing:?}");
         let (mut rt, crashed) = run(Some((nth, timing)))?;
         if !crashed {
-            return Err(format!("boundary {nth}: the armed crash did not fire"));
+            return Err(format!("{at}: the armed crash did not fire"));
         }
         let before = rt.messages_sent();
-        let report = rt.recover(tdg).map_err(|e| format!("boundary {nth}: recover: {e}"))?;
+        let report = rt.recover(tdg).map_err(|e| format!("{at}: recover: {e}"))?;
         let active = rt.active_plan();
         if !(active.is_none() || active == Some(a) || active == to) {
-            return Err(format!("boundary {nth}: recovered to a mixed plan"));
+            return Err(format!("{at}: recovered to a mixed plan"));
         }
         t.row([
             nth.to_string(),
@@ -896,7 +900,7 @@ fn recovery(ctx: &Ctx) -> Result<Vec<Output>, String> {
     doc.para(
         "Two real programs on linear:3: a deploy of Hermes's plan A, and a migration to plan B \
          (plan A with its last occupied switch drained). For each journal write of the \
-         operation, a controller crash is armed before (even boundaries) or after (odd) it, and \
+         operation, a controller crash is armed before it and, in a second run, after it, and \
          the restarted controller recovers; it must land on exactly plan A, exactly plan B or \
          nothing. Messages are those recovery spends probing and reinstalling; times are on the \
          virtual clock.",

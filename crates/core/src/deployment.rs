@@ -323,15 +323,6 @@ pub enum DeployError {
     },
     /// The network has no programmable switch.
     NoProgrammableSwitch,
-    /// The exact search finished its whole space without beating the
-    /// incumbent bound its caller published, and its own greedy seed found
-    /// no plan either: that bound is thereby *proven optimal* — a
-    /// certificate for the plan the caller holds — but the search has no
-    /// plan of its own.
-    NoImprovementProven {
-        /// The externally published bound proven unimprovable.
-        bound: u64,
-    },
     /// A pre-solve bound proved the instance infeasible before any search
     /// ran (see [`crate::precheck::Precheck`]): not a search failure but a
     /// proof object, returned in well under the time budget.
@@ -351,9 +342,6 @@ impl fmt::Display for DeployError {
                 write!(f, "no feasible placement: {reason}")
             }
             DeployError::NoProgrammableSwitch => f.write_str("network has no programmable switch"),
-            DeployError::NoImprovementProven { bound } => {
-                write!(f, "search exhausted: the published bound of {bound} B is optimal")
-            }
             DeployError::ProvenInfeasible { certificate } => {
                 write!(f, "proven infeasible before search [{}]: {certificate}", certificate.code())
             }

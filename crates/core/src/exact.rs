@@ -22,12 +22,11 @@
 //!   without materializing a plan;
 //! - identical switches under loose ε-bounds are interchangeable, so the
 //!   search only ever opens one fresh switch at a time (symmetry breaking);
-//! - the pruning bound combines the subtree's own best leaf, the incumbent
-//!   captured at solve entry, and the live shared incumbent of the
-//!   [`SearchContext`];
+//! - the pruning bound combines the subtree's own best leaf, the seed's
+//!   objective and the best leaf any worker has recorded (cut 1 below);
 //! - the greedy heuristic provides the initial incumbent, and a seed at
 //!   the context's proven objective floor (0 unless a
-//!   [`Precheck`](crate::precheck::Precheck) raised it, as
+//!   [`Precheck`](crate::precheck::Precheck) set it, as
 //!   [`crate::solver::Portfolio`] does) is returned without a search;
 //! - galloping contours look for the optimum under low ceilings before
 //!   the frontier is built (below).
@@ -114,17 +113,13 @@
 //!
 //! **Determinism:** results are byte-identical to the sequential search
 //! regardless of worker count or timing. Each worker accepts a leaf only
-//! when it strictly beats `min(its subtree's best, the incumbent bound
-//! captured at solve entry)` — both timing-independent quantities — while
-//! the *live* shared incumbent is only used to cut subtrees whose partial
-//! objective strictly exceeds it (which can never contain a leaf matching
-//! the global optimum, since every published incumbent is a feasible
-//! objective), and the shared key as cut 1 above says. The final answer
-//! is the lexicographic minimum over
-//! `(objective, canonical subtree index)`, i.e. the lowest-index optimal
-//! solution — exactly the leaf the sequential DFS would have accepted
-//! last. `NoImprovementProven` certificates are only issued when the
-//! frontier enumeration and every subtree ran to completion.
+//! when it strictly beats `min(its subtree's best, the entry bound)` —
+//! both timing-independent quantities — and the only thing workers share,
+//! the key of cut 1 above, never cuts the lowest-index optimum. The final
+//! answer is the lexicographic minimum over `(objective, canonical subtree
+//! index)`, i.e. the lowest-index optimal solution — exactly the leaf the
+//! sequential DFS would have accepted last. Optimality is proven only when
+//! the frontier enumeration and every subtree ran to completion.
 //!
 //! The [`SearchContext`] deadline bounds the worst case (polled every 64
 //! nodes, and by each worker before its first root); the outcome reports
@@ -206,17 +201,12 @@ impl OptimalSolver {
             return (Err(DeployError::NoProgrammableSwitch), ParallelStats::default());
         }
         if tdg.node_count() == 0 {
-            ctx.publish_incumbent(0);
             return (
                 Ok(SolveOutcome {
                     plan: DeploymentPlan::new(),
                     objective: 0,
                     proven_optimal: true,
-                    stats: SolveStats {
-                        nodes_explored: 0,
-                        wall: start.elapsed(),
-                        proven_bound: Some(0),
-                    },
+                    stats: SolveStats { nodes_explored: 0, wall: start.elapsed() },
                 }),
                 ParallelStats::default(),
             );
@@ -227,50 +217,27 @@ impl OptimalSolver {
         let mut seed_plan: Option<(u64, DeploymentPlan)> = None;
         if let Ok(plan) = GreedyHeuristic::new().deploy(tdg, net, eps) {
             let objective = plan.max_inter_switch_bytes(tdg);
-            ctx.publish_incumbent(objective);
             if objective <= ctx.objective_floor() {
                 // An incumbent at the proven floor (zero overhead, when no
-                // floor was raised) is already optimal.
+                // floor was set) is already optimal.
                 return (
                     Ok(SolveOutcome {
                         plan,
                         objective,
                         proven_optimal: true,
-                        stats: SolveStats {
-                            nodes_explored: 0,
-                            wall: start.elapsed(),
-                            proven_bound: Some(objective),
-                        },
+                        stats: SolveStats { nodes_explored: 0, wall: start.elapsed() },
                     }),
                     ParallelStats::default(),
                 );
             }
             seed_plan = Some((objective, plan));
         }
-        if ctx.incumbent_bound() == 0 {
-            // Nothing can beat a zero bound published elsewhere.
-            return (
-                match seed_plan {
-                    Some((objective, plan)) => Ok(SolveOutcome {
-                        plan,
-                        objective,
-                        proven_optimal: false,
-                        stats: SolveStats {
-                            nodes_explored: 0,
-                            wall: start.elapsed(),
-                            proven_bound: Some(0),
-                        },
-                    }),
-                    None => Err(DeployError::NoImprovementProven { bound: 0 }),
-                },
-                ParallelStats::default(),
-            );
-        }
+        let seed = seed_plan.as_ref().map_or(u64::MAX, |(objective, _)| *objective);
 
         let Some(order) = tdg.topo_order() else {
             return (Err(DeployError::dependency_cycle()), ParallelStats::default());
         };
-        let mut shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx);
+        let mut shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx, seed);
 
         // Phase 0: the contours, on the calling thread. One that settles
         // the search leaves nothing for the frontier and the workers.
@@ -308,31 +275,24 @@ impl OptimalSolver {
             }
         }
         let exhausted = !stopped;
-        let mut own_best = seed_plan.as_ref().map(|(obj, _)| *obj).unwrap_or(u64::MAX);
-        if let Some((obj, _)) = best {
-            own_best = own_best.min(obj);
-        }
+        let own_best = best.map_or(seed, |(objective, _)| objective.min(seed));
         let mut best_plan = seed_plan;
         if let Some(assign) = best_assign {
             if let Ok(plan) = materialize(tdg, net, eps, &candidates, &assign) {
                 best_plan = Some((plan.max_inter_switch_bytes(tdg).min(own_best), plan));
             }
         }
-        // Exhaustion proves that no plan strictly below the final
-        // effective bound (own best ∧ shared bound) was missed.
-        let shared_bound = ctx.incumbent_bound();
-        let proven_bound = exhausted.then_some(own_best.min(shared_bound));
+        // Exhaustion proves that no plan strictly below the best objective
+        // the search recorded was missed; a recorded leaf that failed to
+        // materialize leaves the seed above it, unproven.
         let result = match best_plan {
             Some((objective, plan)) => Ok(SolveOutcome {
                 plan,
                 objective,
-                proven_optimal: exhausted && objective <= shared_bound
+                proven_optimal: exhausted && objective <= own_best
                     || objective <= ctx.objective_floor(),
-                stats: SolveStats { nodes_explored: explored, wall: start.elapsed(), proven_bound },
+                stats: SolveStats { nodes_explored: explored, wall: start.elapsed() },
             }),
-            None if exhausted && shared_bound != crate::solver::NO_BOUND => {
-                Err(DeployError::NoImprovementProven { bound: shared_bound })
-            }
             None => Err(DeployError::NoFeasiblePlacement {
                 reason: if exhausted {
                     "exhausted assignment search without a feasible plan".to_owned()
@@ -380,7 +340,7 @@ impl DeploymentAlgorithm for OptimalSolver {
 /// Telemetry of one parallel exact solve (see
 /// [`OptimalSolver::solve_instrumented`]). Unlike
 /// [`SolveStats`], these counters are *not* part of the deterministic
-/// outcome: live-bound prune counts depend on thread timing.
+/// outcome: shared-key prune counts depend on thread timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Contours run before the frontier (see the module docs).
@@ -394,7 +354,7 @@ pub struct ParallelStats {
     /// Number of independent subtree roots handed to the pool (0 when a
     /// contour settled the search).
     pub subtree_roots: usize,
-    /// Nodes cut by the incumbent bound (ceiling, live or the shared key),
+    /// Nodes cut by the incumbent bound (the ceiling or the shared key),
     /// contours included, like the two counters below.
     pub bound_prunes: u64,
     /// Nodes cut by the lookahead: an empty domain, an overfull forced
@@ -421,9 +381,9 @@ struct SharedSearch<'a> {
     /// Per-candidate [`hermes_net::TargetModel::total_capacity`] (budget
     /// clamp included).
     total_caps: Vec<f64>,
-    /// Incumbent bound captured once at solve entry (after seed
-    /// publication), or one above the leaf of a contour the node budget
-    /// stopped: the final search's deterministic acceptance ceiling.
+    /// The seed's objective (`u64::MAX` without a seed), or one above the
+    /// leaf of a contour the node budget stopped: the final search's
+    /// deterministic acceptance ceiling.
     entry_bound: u64,
     /// The lexicographic minimum `(objective, subtree index)` over every
     /// leaf any worker recorded, packed as `objective << 32 | index`
@@ -443,6 +403,7 @@ impl<'a> SharedSearch<'a> {
         order: &'a [NodeId],
         candidates: &'a [SwitchId],
         ctx: &'a SearchContext,
+        entry_bound: u64,
     ) -> Self {
         let symmetric = eps.max_latency_us.is_infinite()
             && candidates.windows(2).all(|w| {
@@ -475,12 +436,7 @@ impl<'a> SharedSearch<'a> {
             fast_leaves: eps.max_latency_us.is_infinite() && mutually_reachable(net, candidates),
             reached_from,
             total_caps: candidates.iter().map(|&id| net.switch(id).total_capacity()).collect(),
-            // The acceptance ceiling every worker prunes and records
-            // against. Read once, after seed publication, so it is a
-            // deterministic function of the solver's inputs — the live
-            // incumbent may drop below it mid-search but only ever
-            // tightens the (timing-safe) cuts in `Explorer::cut`.
-            entry_bound: ctx.incumbent_bound(),
+            entry_bound,
             best_key: AtomicU64::new(NO_KEY),
             ctx,
         }
@@ -777,11 +733,9 @@ impl<'a> Explorer<'a> {
     /// The incumbent cut on a lower bound of every leaf below the node.
     /// The first disjunct is deterministic (subtree best ∧ ceiling, both
     /// timing-independent) and is all the frontier enumeration uses
-    /// (`live == false`). The live parts never cut the leaf the reduction
-    /// returns, the lowest-index optimal one: the shared incumbent only
-    /// *strictly* above it (every published incumbent is a feasible
-    /// objective, so at least the optimum), and the shared key
-    /// `(objective, index)` — a recorded leaf's — at or above its
+    /// (`live == false`). The live part never cuts the leaf the reduction
+    /// returns, the lowest-index optimal one: the shared key
+    /// `(objective, index)` — a recorded leaf's — cuts at or above its
     /// objective only in subtrees after its own, and strictly above it in
     /// earlier ones.
     fn cut(&self, bound: u64, live: bool) -> bool {
@@ -790,9 +744,6 @@ impl<'a> Explorer<'a> {
         }
         if !live {
             return false;
-        }
-        if bound > self.sh.ctx.incumbent_bound() {
-            return true;
         }
         let key = self.sh.best_key.load(Ordering::Relaxed);
         let (objective, root) = (key >> 32, key & u64::from(u32::MAX));
@@ -1061,7 +1012,7 @@ impl<'a> Explorer<'a> {
             }
             // Child-entry incumbent cut and lookahead, deterministic parts
             // only: the frontier (and with it the canonical subtree
-            // indexing) must not depend on live-incumbent timing.
+            // indexing) must not depend on the shared key's timing.
             if self.cut(self.eval.amax(), false) {
                 self.bound_prunes += 1;
             } else if depth + 1 < self.sh.order.len() && self.lookahead_cuts(depth + 1, false) {
@@ -1226,7 +1177,6 @@ impl<'a> Explorer<'a> {
         self.root_found = true;
         self.root_assign.clear();
         self.root_assign.extend_from_slice(self.eval.assignment());
-        self.sh.ctx.publish_incumbent(objective);
         if let Ok(objective) = u32::try_from(objective) {
             let key = u64::from(objective) << 32 | u64::from(self.root);
             self.sh.best_key.fetch_min(key, Ordering::Relaxed);
@@ -1358,16 +1308,11 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_without_a_plan_certifies_a_published_bound() {
+    fn exhaustion_without_a_plan_is_no_feasible_placement() {
         // 3 x 0.8 of demand over 2 x 1.0 of capacity: neither the seed nor
-        // the search finds a plan, so under a bound the caller published
-        // the exhaustion is that bound's certificate, not a failure.
+        // the search finds a plan.
         let tdg = chain_tdg(&[1, 1], 0.8);
         let net = tiny_switches(2, 2, 0.5);
-        let ctx = SearchContext::unbounded();
-        ctx.publish_incumbent(5);
-        let err = OptimalSolver::new().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap_err();
-        assert_eq!(err, DeployError::NoImprovementProven { bound: 5 });
         let err = solve_default(&tdg, &net, &Epsilon::loose()).unwrap_err();
         assert!(matches!(err, DeployError::NoFeasiblePlacement { .. }), "{err}");
     }
@@ -1404,10 +1349,9 @@ mod tests {
         // three-switch testbed, optimum 2: independent programs, so the
         // frontier holds several roots per worker and their subtrees differ
         // widely in size — roots finish, and the next ones are claimed, out
-        // of worker order. Alone, the contours settle it (≈8·10³ nodes); a
-        // bound of 3 published beforehand leaves them only the ceilings 1
-        // and 2, so the frontier search finds the optimum, and runs long
-        // enough that the helpers start.
+        // of worker order. Alone, the contours settle it (≈8·10³ nodes);
+        // with no contour budget the frontier search finds the optimum, and
+        // runs long enough that the helpers start.
         let config = SyntheticConfig { tables_min: 3, tables_max: 6, ..Default::default() };
         let mut programs = library::real_programs();
         programs.extend(SyntheticGenerator::new(3, config).programs(3));
@@ -1415,13 +1359,13 @@ mod tests {
         let eps = Epsilon::loose();
         let solve = |workers: usize| {
             let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(workers).unwrap());
-            ctx.publish_incumbent(3);
-            let (result, stats) = OptimalSolver::new().solve_instrumented(&tdg, &net, &eps, &ctx);
+            let (result, stats) =
+                OptimalSolver::new().solve_with_contour_budget(&tdg, &net, &eps, &ctx, 0);
             (result.unwrap(), stats)
         };
         let (reference, one) = solve(1);
         assert_eq!((reference.objective, reference.proven_optimal), (2, true));
-        assert_eq!((one.contours, one.workers), (2, 1), "{one:?}");
+        assert_eq!((one.contours, one.workers), (1, 1), "{one:?}");
         for workers in 2..=8 {
             let (out, stats) = solve(workers);
             assert_eq!(stats.workers, workers, "{stats:?}");
@@ -1429,7 +1373,6 @@ mod tests {
             assert_eq!(out.plan, reference.plan, "plan diverged at {workers} workers");
             assert_eq!(out.objective, reference.objective);
             assert_eq!(out.proven_optimal, reference.proven_optimal);
-            assert_eq!(out.stats.proven_bound, reference.stats.proven_bound);
         }
     }
 

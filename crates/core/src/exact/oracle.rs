@@ -8,7 +8,6 @@
 
 use super::*;
 use crate::eval::UNASSIGNED;
-use crate::solver::NO_BOUND;
 use crate::ProgramAnalyzer;
 use hermes_dataplane::action::Action;
 use hermes_dataplane::fields::Field;
@@ -28,35 +27,28 @@ fn reference_solve(
     eps: &Epsilon,
     ctx: &SearchContext,
 ) -> Result<SolveOutcome, DeployError> {
-    let outcome = |plan, objective, proven_optimal, proven_bound| SolveOutcome {
+    let outcome = |plan, objective, proven_optimal| SolveOutcome {
         plan,
         objective,
         proven_optimal,
-        stats: SolveStats { nodes_explored: 0, wall: Duration::ZERO, proven_bound },
+        stats: SolveStats { nodes_explored: 0, wall: Duration::ZERO },
     };
     let candidates = net.programmable_switches();
     if candidates.is_empty() {
         return Err(DeployError::NoProgrammableSwitch);
     }
     if tdg.node_count() == 0 {
-        ctx.publish_incumbent(0);
-        return Ok(outcome(DeploymentPlan::new(), 0, true, Some(0)));
+        return Ok(outcome(DeploymentPlan::new(), 0, true));
     }
     let mut seed = None;
     if let Ok(plan) = GreedyHeuristic::new().deploy(tdg, net, eps) {
         let objective = plan.max_inter_switch_bytes(tdg);
-        ctx.publish_incumbent(objective);
         if objective <= ctx.objective_floor() {
-            return Ok(outcome(plan, objective, true, Some(objective)));
+            return Ok(outcome(plan, objective, true));
         }
         seed = Some((objective, plan));
     }
-    if ctx.incumbent_bound() == 0 {
-        return match seed {
-            Some((objective, plan)) => Ok(outcome(plan, objective, false, Some(0))),
-            None => Err(DeployError::NoImprovementProven { bound: 0 }),
-        };
-    }
+    let entry_bound = seed.as_ref().map_or(u64::MAX, |(objective, _)| *objective);
     let q = candidates.len();
     let mut dfs = Dfs {
         tdg,
@@ -72,7 +64,7 @@ fn reference_solve(
             && candidates
                 .iter()
                 .all(|&a| candidates.iter().all(|&b| a == b || shortest_path(net, a, b).is_some())),
-        entry_bound: ctx.incumbent_bound(),
+        entry_bound,
         eval: IncrementalEval::new(tdg, q),
         packings: candidates
             .iter()
@@ -81,29 +73,22 @@ fn reference_solve(
         log: Vec::new(),
         best: u64::MAX,
         best_assign: None,
-        ctx,
     };
     dfs.visit(0);
 
-    let own_best = seed.as_ref().map_or(u64::MAX, |(objective, _)| *objective).min(dfs.best);
+    let own_best = entry_bound.min(dfs.best);
     let mut best_plan = seed;
     if let Some(assign) = dfs.best_assign {
         if let Ok(plan) = materialize(tdg, net, eps, &candidates, &assign) {
             best_plan = Some((plan.max_inter_switch_bytes(tdg).min(own_best), plan));
         }
     }
-    let shared_bound = ctx.incumbent_bound();
-    let proven_bound = Some(own_best.min(shared_bound));
     match best_plan {
         Some((objective, plan)) => Ok(outcome(
             plan,
             objective,
-            objective <= shared_bound || objective <= ctx.objective_floor(),
-            proven_bound,
+            objective <= own_best || objective <= ctx.objective_floor(),
         )),
-        None if shared_bound != NO_BOUND => {
-            Err(DeployError::NoImprovementProven { bound: shared_bound })
-        }
         None => Err(DeployError::NoFeasiblePlacement {
             reason: "exhausted assignment search without a feasible plan".to_owned(),
         }),
@@ -124,7 +109,6 @@ struct Dfs<'a> {
     log: Vec<(usize, f64)>,
     best: u64,
     best_assign: Option<Vec<usize>>,
-    ctx: &'a SearchContext,
 }
 
 impl Dfs<'_> {
@@ -174,7 +158,6 @@ impl Dfs<'_> {
         if objective < ceiling {
             self.best = objective;
             self.best_assign = Some(self.eval.assignment().to_vec());
-            self.ctx.publish_incumbent(objective);
         }
     }
 }
@@ -209,26 +192,12 @@ fn switch_order_is_acyclic(tdg: &Tdg, assign: &[usize], q: usize) -> bool {
 /// The production search at `workers`, normalized like the reference: node
 /// count and wall clock zeroed, then rendered, so plans compare byte for
 /// byte.
-fn production(
-    tdg: &Tdg,
-    net: &Network,
-    eps: &Epsilon,
-    prebound: Option<u64>,
-    workers: usize,
-) -> String {
-    production_within(tdg, net, eps, &shaped(0, prebound, workers), CONTOUR_NODES)
+fn production(tdg: &Tdg, net: &Network, eps: &Epsilon, workers: usize) -> String {
+    production_within(tdg, net, eps, &shaped(0, workers), CONTOUR_NODES)
 }
 
-fn reference(tdg: &Tdg, net: &Network, eps: &Epsilon, prebound: Option<u64>) -> String {
-    render(reference_solve(tdg, net, eps, &context(prebound)))
-}
-
-fn context(prebound: Option<u64>) -> SearchContext {
-    let ctx = SearchContext::unbounded();
-    if let Some(bound) = prebound {
-        ctx.publish_incumbent(bound);
-    }
-    ctx
+fn reference(tdg: &Tdg, net: &Network, eps: &Epsilon) -> String {
+    render(reference_solve(tdg, net, eps, &SearchContext::unbounded()))
 }
 
 fn render(result: Result<SolveOutcome, DeployError>) -> String {
@@ -240,12 +209,11 @@ fn render(result: Result<SolveOutcome, DeployError>) -> String {
     format!("{result:?}")
 }
 
-/// A fresh unbounded context at `workers`, its floor raised to `floor` and
-/// `prebound` published on it.
-fn shaped(floor: u64, prebound: Option<u64>, workers: usize) -> SearchContext {
-    let ctx = context(prebound).with_threads(NonZeroUsize::new(workers).expect("workers >= 1"));
-    ctx.raise_floor(floor);
-    ctx
+/// A fresh unbounded context at `workers`, its floor raised to `floor`.
+fn shaped(floor: u64, workers: usize) -> SearchContext {
+    SearchContext::unbounded()
+        .with_threads(NonZeroUsize::new(workers).expect("workers >= 1"))
+        .with_floor(floor)
 }
 
 /// The production search under `ctx`, with the contours limited to
@@ -267,16 +235,16 @@ fn contours(
     tdg: &Tdg,
     net: &Network,
     eps: &Epsilon,
-    (floor, prebound): (u64, Option<u64>),
+    floor: u64,
     budget: u64,
 ) -> (Option<u64>, bool) {
-    let ctx = shaped(floor, prebound, 1);
-    if let Ok(plan) = GreedyHeuristic::new().deploy(tdg, net, eps) {
-        ctx.publish_incumbent(plan.max_inter_switch_bytes(tdg));
-    }
+    let ctx = shaped(floor, 1);
+    let seed = GreedyHeuristic::new()
+        .deploy(tdg, net, eps)
+        .map_or(u64::MAX, |plan| plan.max_inter_switch_bytes(tdg));
     let candidates = net.programmable_switches();
     let order = tdg.topo_order().expect("test TDGs are DAGs");
-    let shared = SharedSearch::new(tdg, net, eps, order, &candidates, &ctx);
+    let shared = SharedSearch::new(tdg, net, eps, order, &candidates, &ctx, seed);
     let mut explorer = Explorer::new(&shared);
     explorer.run_contours(ctx.objective_floor(), budget);
     (explorer.best.map(|(objective, _)| objective), explorer.explored > budget)
@@ -285,13 +253,8 @@ fn contours(
 /// The contour budget that stops the contours right after their first
 /// leaf — the smallest at which they record one — or `None` when they
 /// record none within [`CONTOUR_NODES`].
-fn first_leaf_budget(
-    tdg: &Tdg,
-    net: &Network,
-    eps: &Epsilon,
-    shape: (u64, Option<u64>),
-) -> Option<u64> {
-    let records = |budget| contours(tdg, net, eps, shape, budget).0.is_some();
+fn first_leaf_budget(tdg: &Tdg, net: &Network, eps: &Epsilon, floor: u64) -> Option<u64> {
+    let records = |budget| contours(tdg, net, eps, floor, budget).0.is_some();
     if !records(CONTOUR_NODES) {
         return None;
     }
@@ -374,11 +337,10 @@ fn random_switches(state: &mut u64) -> Network {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
-    /// The cuts never change what the search returns: plan, objective,
-    /// optimality and proven bound equal the reference's at one worker and
-    /// at 2–4, on random DAG programs over tight switches, with ε₂ binding
-    /// or not, a latency bound that forces leaves through `materialize`,
-    /// and a pre-published bound above, at or below the optimum.
+    /// The cuts never change what the search returns: plan, objective and
+    /// optimality equal the reference's at one worker and at 2–4, on random
+    /// DAG programs over tight switches, with ε₂ binding or not and a
+    /// latency bound that forces leaves through `materialize`.
     #[test]
     fn the_cuts_return_the_reference_outcome(seed in 0u64..1 << 40, workers in 2usize..5) {
         let mut state = seed;
@@ -390,14 +352,10 @@ proptest! {
             1 => Epsilon::new(200.0, usize::MAX),
             _ => Epsilon::loose(),
         };
-        let prebound = match next(&mut state) % 4 {
-            0 => Some(next(&mut state) % 24),
-            _ => None,
-        };
-        let expected = reference(&tdg, &net, &eps, prebound);
+        let expected = reference(&tdg, &net, &eps);
         for workers in [1, workers] {
             prop_assert_eq!(
-                production(&tdg, &net, &eps, prebound, workers),
+                production(&tdg, &net, &eps, workers),
                 expected.clone(),
                 "workers = {}", workers
             );
@@ -411,9 +369,8 @@ proptest! {
     /// The contours return the reference's outcome too, run to their
     /// budget or stopped right after their first leaf — where the final
     /// search must still find the lowest-index optimum at or below it —
-    /// under a floor raised as [`crate::solver::Portfolio`] raises it (to
-    /// at most the optimum) and under a pre-published bound, at one worker
-    /// and at 2–4.
+    /// under a floor set as [`crate::solver::Portfolio`] sets it (to at
+    /// most the optimum), at one worker and at 2–4.
     #[test]
     fn the_contours_return_the_reference_outcome(seed in 0u64..1 << 40, workers in 2usize..5) {
         let mut state = seed;
@@ -428,20 +385,17 @@ proptest! {
         let optimum = reference_solve(&tdg, &net, &eps, &SearchContext::unbounded())
             .map_or(0, |outcome| outcome.objective);
         let floor = next(&mut state) % (optimum + 1);
-        let prebound = next(&mut state) % 24;
-        for (floor, prebound) in [(floor, None), (0, Some(prebound))] {
-            let expected = render(reference_solve(&tdg, &net, &eps, &shaped(floor, prebound, 1)));
-            let first_leaf = first_leaf_budget(&tdg, &net, &eps, (floor, prebound));
-            for budget in [Some(CONTOUR_NODES), first_leaf].into_iter().flatten() {
-                for workers in [1, workers] {
-                    let ctx = shaped(floor, prebound, workers);
-                    prop_assert_eq!(
-                        production_within(&tdg, &net, &eps, &ctx, budget),
-                        expected.clone(),
-                        "floor = {}, prebound = {:?}, budget = {}, workers = {}",
-                        floor, prebound, budget, workers
-                    );
-                }
+        let expected = render(reference_solve(&tdg, &net, &eps, &shaped(floor, 1)));
+        let first_leaf = first_leaf_budget(&tdg, &net, &eps, floor);
+        for budget in [Some(CONTOUR_NODES), first_leaf].into_iter().flatten() {
+            for workers in [1, workers] {
+                let ctx = shaped(floor, workers);
+                prop_assert_eq!(
+                    production_within(&tdg, &net, &eps, &ctx, budget),
+                    expected.clone(),
+                    "floor = {}, budget = {}, workers = {}",
+                    floor, budget, workers
+                );
             }
         }
     }
@@ -468,9 +422,9 @@ fn committed_instance(
 fn a_committed_instance_returns_the_reference_outcome() {
     let (tdg, net) = committed_instance(3, (3, 6), 3, 3);
     let eps = Epsilon::loose();
-    let expected = reference(&tdg, &net, &eps, None);
+    let expected = reference(&tdg, &net, &eps);
     for workers in [1, 2] {
-        assert_eq!(production(&tdg, &net, &eps, None, workers), expected, "workers = {workers}");
+        assert_eq!(production(&tdg, &net, &eps, workers), expected, "workers = {workers}");
     }
 }
 
@@ -496,9 +450,8 @@ const COMMITTED: [(Instance, u64, u64); 12] = [
 ];
 
 /// The cuts' and the contours' yield: every committed instance is proven
-/// optimal at one worker within 5 % of its pinned node count (2 318 983
-/// nodes in all before the contours, 618 179 with them), and the cuts all
-/// fire.
+/// optimal at one worker in exactly its pinned node count (2 318 983 nodes
+/// in all before the contours, 618 179 with them), and the cuts all fire.
 #[test]
 fn the_committed_instances_take_at_most_their_pinned_nodes() {
     let mut total = ParallelStats::default();
@@ -510,7 +463,7 @@ fn the_committed_instances_take_at_most_their_pinned_nodes() {
         let outcome = result.expect("the instance is feasible");
         assert_eq!((outcome.objective, outcome.proven_optimal), (optimum, true), "seed {seed}");
         let explored = outcome.stats.nodes_explored;
-        assert!(explored <= nodes + nodes / 20, "seed {seed}: {explored} nodes, {stats:?}");
+        assert_eq!(explored, nodes, "seed {seed}: {stats:?}");
         total.lookahead_prunes += stats.lookahead_prunes;
         total.cycle_rejects += stats.cycle_rejects;
         total.bound_prunes += stats.bound_prunes;
@@ -528,14 +481,13 @@ fn the_committed_instances_take_at_most_their_pinned_nodes() {
 fn a_contour_stopped_after_its_first_leaf_hands_on_a_ceiling() {
     let (tdg, net) = committed_instance(0, (3, 8), 2, 3);
     let eps = Epsilon::loose();
-    let shape = (0, None);
     assert!(GreedyHeuristic::new().deploy(&tdg, &net, &eps).is_err());
-    let budget = first_leaf_budget(&tdg, &net, &eps, shape).expect("a contour records a leaf");
-    assert_eq!(contours(&tdg, &net, &eps, shape, budget), (Some(7), true));
-    let expected = production_within(&tdg, &net, &eps, &shaped(0, None, 1), CONTOUR_NODES);
+    let budget = first_leaf_budget(&tdg, &net, &eps, 0).expect("a contour records a leaf");
+    assert_eq!(contours(&tdg, &net, &eps, 0, budget), (Some(7), true));
+    let expected = production_within(&tdg, &net, &eps, &shaped(0, 1), CONTOUR_NODES);
     assert!(expected.contains("objective: 6, proven_optimal: true"), "{expected}");
     for workers in [1, 2] {
-        let ctx = shaped(0, None, workers);
+        let ctx = shaped(0, workers);
         assert_eq!(production_within(&tdg, &net, &eps, &ctx, budget), expected);
     }
 }
@@ -553,11 +505,10 @@ fn a_deadline_stop_never_proves_the_contours_leaf() {
     let tdg = ProgramAnalyzer::new().analyze(&random_programs(&mut state));
     let net = random_switches(&mut state);
     let eps = Epsilon::loose();
-    let shape = (0, None);
-    let first_leaf = first_leaf_budget(&tdg, &net, &eps, shape).expect("a contour records a leaf");
+    let first_leaf = first_leaf_budget(&tdg, &net, &eps, 0).expect("a contour records a leaf");
     assert!(first_leaf < 64, "the first leaf comes at node {first_leaf}");
-    assert_eq!(contours(&tdg, &net, &eps, shape, first_leaf), (Some(14), true));
-    let optimum = production_within(&tdg, &net, &eps, &shaped(0, None, 1), CONTOUR_NODES);
+    assert_eq!(contours(&tdg, &net, &eps, 0, first_leaf), (Some(14), true));
+    let optimum = production_within(&tdg, &net, &eps, &shaped(0, 1), CONTOUR_NODES);
     assert!(optimum.contains("objective: 8, proven_optimal: true"), "{optimum}");
     for budget in [first_leaf, CONTOUR_NODES] {
         for workers in [1, 2] {
@@ -606,7 +557,7 @@ fn a_node_whose_only_room_precedes_its_ancestor_is_cut() {
     let names: Vec<&str> = order.iter().map(|&id| tdg.node(id).mat.name()).collect();
     assert_eq!(names, ["x", "y", "a", "b"]);
     let candidates = net.programmable_switches();
-    let shared = SharedSearch::new(&tdg, &net, &eps, order, &candidates, &ctx);
+    let shared = SharedSearch::new(&tdg, &net, &eps, order, &candidates, &ctx, u64::MAX);
     let mut explorer = Explorer::new(&shared);
     let mut bases = Vec::new();
     for (depth, c) in [(0, 0), (1, 1), (2, 1)] {
@@ -628,7 +579,7 @@ fn the_shared_key_cuts_ties_only_after_its_own_subtree() {
     let (eps, ctx) = (Epsilon::loose(), SearchContext::unbounded());
     let candidates = net.programmable_switches();
     let order = tdg.topo_order().expect("DAG");
-    let shared = SharedSearch::new(&tdg, &net, &eps, order, &candidates, &ctx);
+    let shared = SharedSearch::new(&tdg, &net, &eps, order, &candidates, &ctx, u64::MAX);
     shared.best_key.store(5 << 32 | 3, Ordering::Relaxed);
     let mut explorer = Explorer::new(&shared);
     for (root, cuts) in

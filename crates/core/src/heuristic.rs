@@ -576,9 +576,9 @@ impl Solver for GreedyHeuristic {
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: &SearchContext,
+        _ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        one_shot_solve(self, tdg, net, eps)
     }
 }
 

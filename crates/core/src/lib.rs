@@ -14,11 +14,11 @@
 //!   constraints are checked by a single verifier ([`verify()`]).
 //!
 //! Every solver implements the [`Solver`] trait ([`solver`]): it takes a
-//! [`SearchContext`] carrying a deadline, a worker budget, a shared
-//! incumbent bound and a proven objective floor, and returns a uniform
-//! [`SolveOutcome`]. The [`Portfolio`] is the pipeline over them, on the
-//! caller's thread: pre-solve certificates, then the greedy plan, then the
-//! exact search that plan seeds.
+//! [`SearchContext`] carrying a deadline, a worker budget and a proven
+//! objective floor, and returns a uniform [`SolveOutcome`]. The
+//! [`Portfolio`] is the pipeline over them, on the caller's thread:
+//! pre-solve certificates, then the greedy plan, then the exact search that
+//! plan seeds.
 //!
 //! # Quick start
 //!
@@ -77,7 +77,7 @@ pub use refine::refine;
 pub use report::{diff, explain, PlanDiff};
 pub use solver::{
     one_shot_solve, Budgeted, Portfolio, SearchContext, SolveOutcome, SolveStats, Solver,
-    DEFAULT_DEPLOY_BUDGET, NO_BOUND,
+    DEFAULT_DEPLOY_BUDGET,
 };
 pub use stage_assign::{assign_stages, materialize, stage_feasible, StageAssignError, StageProbe};
 pub use verify::{verify, Violation};

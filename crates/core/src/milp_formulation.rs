@@ -278,16 +278,11 @@ impl Solver for MilpHermes {
             return Err(DeployError::NoProgrammableSwitch);
         }
         if tdg.node_count() == 0 {
-            ctx.publish_incumbent(0);
             return Ok(SolveOutcome {
                 plan: DeploymentPlan::new(),
                 objective: 0,
                 proven_optimal: true,
-                stats: SolveStats {
-                    nodes_explored: 0,
-                    wall: start.elapsed(),
-                    proven_bound: Some(0),
-                },
+                stats: SolveStats { nodes_explored: 0, wall: start.elapsed() },
             });
         }
         let (model, vars) = build_p1(tdg, net, eps);
@@ -307,18 +302,11 @@ impl Solver for MilpHermes {
                     }
                 })?;
                 let plan = materialize(tdg, net, eps, &vars.candidates, &assign)?;
-                let objective = plan.max_inter_switch_bytes(tdg);
-                ctx.publish_incumbent(objective);
-                let proven_optimal = solution.status == SolveStatus::Optimal;
                 Ok(SolveOutcome {
+                    objective: plan.max_inter_switch_bytes(tdg),
                     plan,
-                    objective,
-                    proven_optimal,
-                    stats: SolveStats {
-                        nodes_explored,
-                        wall: start.elapsed(),
-                        proven_bound: proven_optimal.then_some(objective),
-                    },
+                    proven_optimal: solution.status == SolveStatus::Optimal,
+                    stats: SolveStats { nodes_explored, wall: start.elapsed() },
                 })
             }
             other => Err(DeployError::NoFeasiblePlacement {
@@ -356,8 +344,6 @@ mod tests {
         let outcome = MilpHermes::default().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap();
         assert!(outcome.proven_optimal);
         assert_eq!(outcome.objective, 1);
-        assert_eq!(outcome.stats.proven_bound, Some(1));
-        assert_eq!(ctx.incumbent_bound(), 1, "the milp publishes its incumbent");
     }
 
     #[test]

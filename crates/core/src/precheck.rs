@@ -14,10 +14,10 @@
 //!   the instance provably has no feasible plan. [`Portfolio`] returns
 //!   [`DeployError::ProvenInfeasible`] instantly instead of searching.
 //! * **Objective floors** (`AmaxFloor`): a proven lower bound on `A_max`
-//!   over *all* feasible plans. The portfolio seeds
-//!   [`SearchContext::raise_floor`] with it; a plan that reaches the floor
-//!   is optimal by construction, which upgrades `proven_optimal` without
-//!   waiting for an exhaustion proof.
+//!   over *all* feasible plans. The portfolio hands it to the exact search
+//!   as the context's [`SearchContext::objective_floor`]; a plan that
+//!   reaches the floor is optimal by construction, which upgrades
+//!   `proven_optimal` without waiting for an exhaustion proof.
 //!
 //! Every bound here must be *sound*: it may be arbitrarily loose, but a
 //! certificate must never rule out a feasible instance and a floor must
@@ -26,7 +26,7 @@
 //!
 //! [`Portfolio`]: crate::solver::Portfolio
 //! [`DeployError::ProvenInfeasible`]: crate::deployment::DeployError::ProvenInfeasible
-//! [`SearchContext::raise_floor`]: crate::solver::SearchContext::raise_floor
+//! [`SearchContext::objective_floor`]: crate::solver::SearchContext::objective_floor
 
 use crate::deployment::Epsilon;
 use hermes_net::{fits, Network, TargetModel};

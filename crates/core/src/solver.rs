@@ -4,9 +4,10 @@
 //! Every optimizer in the workspace — the greedy heuristic, the exact
 //! branch-over-assignments search, the MILP front end, and the baseline
 //! frameworks — implements [`Solver`]: it receives a [`SearchContext`]
-//! carrying the *only* time budget mechanism in the stack (a deadline), a
-//! worker budget, a shared incumbent bound and a proven objective floor,
-//! and returns a uniform [`SolveOutcome`].
+//! carrying the solvers' time budget (a deadline; `hermes-milp` keeps its
+//! own `SolverConfig::time_limit` for direct callers), a worker budget and
+//! a proven objective floor, and returns a uniform [`SolveOutcome`]. The
+//! context is plain data: solvers share nothing through it.
 //!
 //! On top of the trait, [`Portfolio`] composes the stack's three answers
 //! in order of cost, on the caller's thread: the pre-solve certificates
@@ -22,13 +23,7 @@ use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilo
 use hermes_net::Network;
 use hermes_tdg::Tdg;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Sentinel stored in the shared incumbent slot when no bound has been
-/// published yet.
-pub const NO_BOUND: u64 = u64::MAX;
 
 /// Wall-clock budget used when a [`Solver`] is driven through the
 /// budget-less [`DeploymentAlgorithm`] API (matching the historic default
@@ -36,45 +31,33 @@ pub const NO_BOUND: u64 = u64::MAX;
 pub const DEFAULT_DEPLOY_BUDGET: Duration = Duration::from_secs(30);
 
 /// Everything a [`Solver`] may consult while searching: the deadline, the
-/// worker budget, the shared incumbent bound and the objective floor.
+/// worker budget and the proven objective floor.
 ///
-/// This is the single time-budget mechanism of the solver stack — solvers
-/// hold no private timers. Cloning shares the bound and the floor.
-#[derive(Debug, Clone)]
+/// Solvers hold no private timers; the deadline is the time budget.
+#[derive(Debug, Clone, Default)]
 pub struct SearchContext {
     deadline: Option<Instant>,
-    incumbent: Arc<AtomicU64>,
-    floor: Arc<AtomicU64>,
+    /// Proven lower bound on the objective; 0 = none.
+    floor: u64,
     /// Worker budget for parallel searches; `None` = available parallelism.
     threads: Option<NonZeroUsize>,
-}
-
-impl Default for SearchContext {
-    fn default() -> Self {
-        SearchContext::unbounded()
-    }
 }
 
 impl SearchContext {
     /// Context with no deadline: exhaustive searches run to completion.
     pub fn unbounded() -> Self {
-        SearchContext {
-            deadline: None,
-            incumbent: Arc::new(AtomicU64::new(NO_BOUND)),
-            floor: Arc::new(AtomicU64::new(0)),
-            threads: None,
-        }
+        SearchContext::default()
     }
 
     /// Context whose deadline is `limit` from now; a limit past the end
     /// of time is no deadline.
     pub fn with_time_limit(limit: Duration) -> Self {
-        SearchContext { deadline: Instant::now().checked_add(limit), ..SearchContext::unbounded() }
+        SearchContext { deadline: Instant::now().checked_add(limit), ..SearchContext::default() }
     }
 
     /// Context with an absolute deadline.
     pub fn with_deadline(deadline: Instant) -> Self {
-        SearchContext { deadline: Some(deadline), ..SearchContext::unbounded() }
+        SearchContext { deadline: Some(deadline), ..SearchContext::default() }
     }
 
     /// The absolute deadline, if any.
@@ -106,39 +89,22 @@ impl SearchContext {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// The best objective published by any solver sharing this context
-    /// ([`NO_BOUND`] when none has been published).
-    pub fn incumbent_bound(&self) -> u64 {
-        self.incumbent.load(Ordering::Relaxed)
-    }
-
-    /// Publishes `objective` as an achieved upper bound. The slot only
-    /// ever decreases (`fetch_min` semantics). Returns `true` when the
-    /// publication improved the shared bound.
-    ///
-    /// Only objectives **achieved by a feasible plan in hand** may be
-    /// published — exhaustive searches prune everything at or above this
-    /// bound and rely on the publisher holding a plan that attains it.
-    pub fn publish_incumbent(&self, objective: u64) -> bool {
-        self.incumbent.fetch_min(objective, Ordering::Relaxed) > objective
-    }
-
-    /// The proven lower bound on the objective (0 when none was raised).
+    /// The proven lower bound on the objective (0 when none was set).
     ///
     /// A feasible plan whose objective reaches this floor is optimal by
     /// construction — no exhaustion proof needed.
     pub fn objective_floor(&self) -> u64 {
-        self.floor.load(Ordering::Relaxed)
+        self.floor
     }
 
-    /// Raises the objective floor (`fetch_max` semantics — the slot only
-    /// ever grows). Returns `true` when `bound` improved the floor.
-    ///
-    /// Only *proven* lower bounds over all feasible plans may be raised
-    /// (e.g. a [`Precheck`](crate::precheck::Precheck) mandatory-cut
-    /// certificate): solvers treat a plan at the floor as optimal.
-    pub fn raise_floor(&self, bound: u64) -> bool {
-        self.floor.fetch_max(bound, Ordering::Relaxed) < bound
+    /// Returns this context with its floor raised to `floor`, which must
+    /// be a *proven* lower bound over all feasible plans (e.g. a
+    /// [`Precheck`](crate::precheck::Precheck) mandatory-cut certificate):
+    /// solvers treat a plan at the floor as optimal.
+    #[must_use]
+    pub(crate) fn with_floor(mut self, floor: u64) -> Self {
+        self.floor = self.floor.max(floor);
+        self
     }
 }
 
@@ -149,10 +115,6 @@ pub struct SolveStats {
     pub nodes_explored: u64,
     /// Wall-clock time the solver ran.
     pub wall: Duration,
-    /// When `Some(b)`, the search *proved* that no plan with objective
-    /// strictly below `b` exists (exhaustion certificate). Unlike
-    /// `proven_optimal` this can certify a plan the caller holds.
-    pub proven_bound: Option<u64>,
 }
 
 /// Uniform result of any [`Solver`].
@@ -173,18 +135,13 @@ pub struct SolveOutcome {
 /// The unified solver interface.
 ///
 /// Implementors must honour the context: poll
-/// [`SearchContext::should_stop`] during long searches, prune against
-/// [`SearchContext::incumbent_bound`] when exhaustive, and publish every
-/// improved feasible objective via [`SearchContext::publish_incumbent`].
-pub trait Solver: DeploymentAlgorithm + Send + Sync {
+/// [`SearchContext::should_stop`] during long searches.
+pub trait Solver: DeploymentAlgorithm {
     /// Runs the search under `ctx` and returns the best outcome found.
     ///
     /// # Errors
     ///
-    /// Returns [`DeployError`] when no feasible plan was found — including
-    /// [`DeployError::NoImprovementProven`] when the exact search
-    /// finished without beating a bound the caller published (a proof, not
-    /// a failure).
+    /// Returns [`DeployError`] when no feasible plan was found.
     fn solve(
         &self,
         tdg: &Tdg,
@@ -194,10 +151,9 @@ pub trait Solver: DeploymentAlgorithm + Send + Sync {
     ) -> Result<SolveOutcome, DeployError>;
 }
 
-/// One-shot construction wrapped as a [`Solver`]: deploy once, publish the
-/// objective as an incumbent, and claim optimality only at zero overhead —
-/// zero bytes is a global lower bound; otherwise a construction proves
-/// nothing.
+/// One-shot construction wrapped as a [`Solver`]: deploy once and claim
+/// optimality only at zero overhead — zero bytes is a global lower bound;
+/// otherwise a construction proves nothing.
 ///
 /// # Errors
 ///
@@ -207,21 +163,15 @@ pub fn one_shot_solve(
     tdg: &Tdg,
     net: &Network,
     eps: &Epsilon,
-    ctx: &SearchContext,
 ) -> Result<SolveOutcome, DeployError> {
     let start = Instant::now();
     let plan = algo.deploy(tdg, net, eps)?;
     let objective = plan.max_inter_switch_bytes(tdg);
-    ctx.publish_incumbent(objective);
     Ok(SolveOutcome {
         plan,
         objective,
         proven_optimal: objective == 0,
-        stats: SolveStats {
-            nodes_explored: 0,
-            wall: start.elapsed(),
-            proven_bound: (objective == 0).then_some(0),
-        },
+        stats: SolveStats { nodes_explored: 0, wall: start.elapsed() },
     })
 }
 
@@ -344,8 +294,8 @@ impl Solver for Portfolio {
         if let Some(cert) = precheck.infeasible() {
             return Err(DeployError::ProvenInfeasible { certificate: cert.clone() });
         }
-        ctx.raise_floor(precheck.amax_floor());
-        crate::exact::OptimalSolver::new().solve(tdg, net, eps, ctx)
+        let ctx = ctx.clone().with_floor(precheck.amax_floor());
+        crate::exact::OptimalSolver::new().solve(tdg, net, eps, &ctx)
     }
 }
 
@@ -356,17 +306,6 @@ mod tests {
     use crate::exact::OptimalSolver;
     use crate::heuristic::GreedyHeuristic;
     use crate::test_support::{chain_tdg, tiny_switches};
-
-    #[test]
-    fn context_publish_is_monotone() {
-        let ctx = SearchContext::unbounded();
-        assert_eq!(ctx.incumbent_bound(), NO_BOUND);
-        assert!(ctx.publish_incumbent(10));
-        assert!(!ctx.publish_incumbent(12), "larger bound must not stick");
-        assert_eq!(ctx.incumbent_bound(), 10);
-        assert!(ctx.publish_incumbent(3));
-        assert_eq!(ctx.incumbent_bound(), 3);
-    }
 
     #[test]
     fn deadline_in_the_past_stops_immediately() {
@@ -410,30 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn published_bound_prunes_the_exact_search() {
-        // The same instance explored under its own seed vs under a bound
-        // the caller published below it: the bound must strictly reduce
-        // the node count, and the seed plan it leaves is not proven.
-        let tdg = chain_tdg(&[1, 2, 3, 4, 5, 6], 0.5);
-        let net = tiny_switches(4, 2, 0.5);
-        let eps = Epsilon::loose();
-        let seeded = OptimalSolver::new().solve(&tdg, &net, &eps, &SearchContext::unbounded());
-        let seeded = seeded.unwrap();
-        assert!(seeded.objective > 1);
-        let ctx = SearchContext::unbounded();
-        ctx.publish_incumbent(1);
-        let bounded = OptimalSolver::new().solve(&tdg, &net, &eps, &ctx).unwrap();
-        assert!(!bounded.proven_optimal);
-        assert_eq!(bounded.stats.proven_bound, Some(1));
-        assert!(
-            bounded.stats.nodes_explored < seeded.stats.nodes_explored,
-            "bound did not prune: {} >= {}",
-            bounded.stats.nodes_explored,
-            seeded.stats.nodes_explored
-        );
-    }
-
-    #[test]
     fn budgeted_adapter_deploys() {
         let tdg = chain_tdg(&[1, 4], 0.5);
         let net = tiny_switches(2, 2, 0.5);
@@ -442,18 +357,6 @@ mod tests {
         assert!(algo.is_exhaustive());
         let plan = algo.deploy(&tdg, &net, &Epsilon::loose()).unwrap();
         assert_eq!(plan.max_inter_switch_bytes(&tdg), 1);
-    }
-
-    #[test]
-    fn context_floor_is_monotone_and_shared() {
-        let ctx = SearchContext::unbounded();
-        assert_eq!(ctx.objective_floor(), 0);
-        assert!(ctx.raise_floor(7));
-        assert!(!ctx.raise_floor(5), "lower floor must not stick");
-        let clone = ctx.clone();
-        assert_eq!(clone.objective_floor(), 7);
-        assert!(clone.raise_floor(9));
-        assert_eq!(ctx.objective_floor(), 9);
     }
 
     #[test]
@@ -480,7 +383,6 @@ mod tests {
         let net = tiny_switches(2, 2, 0.5);
         let ctx = SearchContext::with_time_limit(Duration::from_secs(10));
         let outcome = Portfolio::greedy_exact().solve(&tdg, &net, &Epsilon::loose(), &ctx).unwrap();
-        assert_eq!(ctx.objective_floor(), 9);
         assert_eq!(outcome.objective, 9);
         assert!(outcome.proven_optimal);
         assert_eq!(outcome.stats.nodes_explored, 0);

@@ -49,11 +49,12 @@
 //!   controller decision (epoch advance, transaction or migration intent,
 //!   commit, abort or rollback decision, conclusion, snapshot) is recorded
 //!   as a length-framed, CRC-checked record *before* it takes effect;
-//!   per-switch acknowledgements and leases are not journaled. Records hold plans, never the per-switch configs recovery can
-//!   regenerate from them, and every snapshot compacts the image to itself
-//!   and what follows (keeping the highest epoch). A torn tail
-//!   is discarded silently; mid-log corruption is a typed
-//!   [`JournalError`], never a panic.
+//!   per-switch acknowledgements and leases are not journaled. Records
+//!   hold plans, never the per-switch configs recovery can regenerate from
+//!   them, and every snapshot compacts the image to itself and what
+//!   follows (keeping the highest epoch). A torn tail is discarded
+//!   silently; mid-log corruption is a typed [`JournalError`], never a
+//!   panic.
 //! - [`recovery`] — restart-time replay and reconciliation:
 //!   [`DeploymentRuntime::recover`] rebuilds intent from the journal,
 //!   probes every agent under a fresh fencing epoch, resumes

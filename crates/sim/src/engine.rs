@@ -248,8 +248,9 @@ impl Simulation {
             match kind {
                 EventKind::ReadyToSend(pkt) => {
                     let f = &self.flows[pkt.flow];
-                    let li =
-                        self.link_index(f.route[pkt.hop], f.route[pkt.hop + 1]).expect("validated");
+                    let li = self
+                        .link_index(f.route[pkt.hop], f.route[pkt.hop + 1])
+                        .ok_or(SimError::BrokenRoute { flow: pkt.flow })?;
                     queues[li].push_back(pkt);
                     if !busy[li] {
                         self.start_tx(li, time, &mut queues, &mut busy, &mut heap, &mut event_seq);
@@ -358,6 +359,7 @@ pub fn chain(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -153,6 +153,7 @@ pub fn fig2_sweep(config: &TestbedConfig) -> Vec<Fig2Row> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

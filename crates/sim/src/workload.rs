@@ -7,7 +7,7 @@
 //! (Hermes-style pairwise coordination) vs. per-hop accumulating headers
 //! (classic INT), the contrast the paper draws against PINT.
 
-use crate::engine::{chain, FlowStats, SimFlow, Simulation};
+use crate::engine::{chain, FlowStats, SimError, SimFlow, Simulation};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -137,6 +137,11 @@ pub fn generate_flows(
 
 /// Builds and runs a chain-topology workload, returning per-flow stats.
 ///
+/// # Errors
+///
+/// Returns the [`SimError`] of [`Simulation::run`] should it reject a
+/// generated flow.
+///
 /// # Panics
 ///
 /// Panics if `config.packet_size <= config.header_bytes`.
@@ -147,14 +152,14 @@ pub fn run_workload(
     link_delay_us: f64,
     config: &WorkloadConfig,
     overhead: OverheadModel,
-) -> Vec<FlowStats> {
+) -> Result<Vec<FlowStats>, SimError> {
     assert!(config.packet_size > config.header_bytes, "packet must fit its headers");
     let (mut sim, route): (Simulation, Vec<usize>) =
         chain(switches, switch_latency_us, rate_gbps, link_delay_us);
     for flow in generate_flows(&route, config, overhead) {
         sim.add_flow(flow);
     }
-    sim.run().expect("chain workloads are valid")
+    sim.run()
 }
 
 /// Aggregate FCT/goodput statistics over a set of flows.
@@ -195,6 +200,7 @@ pub fn aggregate(stats: &[FlowStats]) -> AggregateStats {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -202,35 +208,31 @@ mod tests {
         WorkloadConfig { flows: 10, sizes: FlowSizes::Fixed(100_000), ..Default::default() }
     }
 
+    /// [`small`] over `hops` switches.
+    fn run_small(hops: usize, overhead: OverheadModel) -> Vec<FlowStats> {
+        run_workload(hops, 1.0, 100.0, 0.5, &small(), overhead).unwrap()
+    }
+
     #[test]
     fn workload_is_deterministic() {
-        let a = run_workload(3, 1.0, 100.0, 0.5, &small(), OverheadModel::Constant(0));
-        let b = run_workload(3, 1.0, 100.0, 0.5, &small(), OverheadModel::Constant(0));
+        let a = run_small(3, OverheadModel::Constant(0));
+        let b = run_small(3, OverheadModel::Constant(0));
         assert_eq!(a, b);
     }
 
     #[test]
     fn overhead_slows_the_workload() {
-        let base =
-            aggregate(&run_workload(3, 1.0, 100.0, 0.5, &small(), OverheadModel::Constant(0)));
-        let loaded =
-            aggregate(&run_workload(3, 1.0, 100.0, 0.5, &small(), OverheadModel::Constant(100)));
+        let base = aggregate(&run_small(3, OverheadModel::Constant(0)));
+        let loaded = aggregate(&run_small(3, OverheadModel::Constant(100)));
         assert!(loaded.mean_fct_us > base.mean_fct_us);
         assert!(loaded.mean_goodput_gbps < base.mean_goodput_gbps);
     }
 
     #[test]
     fn accumulating_int_headers_cost_more_than_their_base() {
-        let constant =
-            aggregate(&run_workload(5, 1.0, 100.0, 0.5, &small(), OverheadModel::Constant(20)));
-        let int = aggregate(&run_workload(
-            5,
-            1.0,
-            100.0,
-            0.5,
-            &small(),
-            OverheadModel::PerHopAccumulating { base: 20, per_hop: 22 },
-        ));
+        let constant = aggregate(&run_small(5, OverheadModel::Constant(20)));
+        let per_hop = OverheadModel::PerHopAccumulating { base: 20, per_hop: 22 };
+        let int = aggregate(&run_small(5, per_hop));
         assert!(int.mean_fct_us > constant.mean_fct_us, "per-hop growth must cost extra");
     }
 
@@ -255,7 +257,8 @@ mod tests {
             0.5,
             &WorkloadConfig { flows: 40, sizes: FlowSizes::WebSearch, ..Default::default() },
             OverheadModel::Constant(0),
-        );
+        )
+        .unwrap();
         let agg = aggregate(&stats);
         assert!(agg.p50_fct_us <= agg.p95_fct_us);
         assert!(agg.p95_fct_us <= agg.p99_fct_us);

@@ -11,8 +11,8 @@
 //!   question, on random node subsets and pipeline shapes;
 //! - the parallel exact search against its single-threaded
 //!   engine: byte-identical `SolveOutcome`s at worker counts 2–8, across
-//!   pre-published incumbents and pre-expired deadlines, on random small
-//!   chains and on an instance long enough to start the helper threads;
+//!   pre-expired deadlines, on random small chains and on an instance long
+//!   enough to start the helper threads;
 //!
 //! plus a regression test that the portfolio's output on the ten-program
 //! library is byte-identical to the fixture recorded when the portfolio
@@ -70,34 +70,30 @@ fn stop_context(stop: usize) -> SearchContext {
 }
 
 /// Solves one instance at one worker and at `threads`, under the same stop
-/// shape and pre-published incumbent, and demands the same outcome;
-/// returns the parallel run's telemetry.
+/// shape, and demands the same outcome; returns the parallel run's
+/// telemetry.
 fn assert_parallel_matches_one_worker(
     tdg: &Tdg,
     net: &Network,
     threads: usize,
     stop: usize,
-    prebound: Option<u64>,
 ) -> ParallelStats {
     let run = |workers: usize| {
         let ctx =
             stop_context(stop).with_threads(NonZeroUsize::new(workers).expect("workers >= 1"));
-        if let Some(bound) = prebound {
-            ctx.publish_incumbent(bound);
-        }
         let (result, stats) =
             OptimalSolver::new().solve_instrumented(tdg, net, &Epsilon::loose(), &ctx);
         (normalized(result), stats)
     };
     let (reference, _) = run(1);
     let (parallel, stats) = run(threads);
-    assert_eq!(parallel, reference, "threads={threads} stop={stop} prebound={prebound:?}");
+    assert_eq!(parallel, reference, "threads={threads} stop={stop}");
     stats
 }
 
 /// Zeroes the two legitimately nondeterministic stats (raw node count and
 /// wall clock); everything else — plan bytes, objective, optimality flag,
-/// proven bound, error variant — must match exactly.
+/// error variant — must match exactly.
 fn normalized(result: Result<SolveOutcome, DeployError>) -> Result<SolveOutcome, DeployError> {
     result.map(|mut outcome| {
         outcome.stats.nodes_explored = 0;
@@ -245,21 +241,17 @@ proptest! {
     }
 
     /// The parallel exact search returns byte-identical
-    /// `SolveOutcome`s (plan, objective, optimality proof, proven bound —
-    /// every stat except raw node counts and wall clock) to the
-    /// single-threaded engine at worker counts 2–8, across random chains,
-    /// switch counts, pre-published incumbents and pre-expired deadlines.
+    /// `SolveOutcome`s (plan, objective, optimality proof — every stat
+    /// except raw node counts and wall clock) to the single-threaded engine
+    /// at worker counts 2–8, across random chains, switch counts and
+    /// pre-expired deadlines.
     #[test]
     fn parallel_exact_is_byte_identical_to_sequential(
         seed in 0u64..2048,
         threads in 2usize..9,
         q in 2usize..4,
         stop in 0usize..3,
-        prebound_raw in 0u64..64,
     ) {
-        // The vendored proptest shim has no `prop::option`; fold the top
-        // quarter of the range into "no pre-published incumbent".
-        let prebound = (prebound_raw < 48).then_some(prebound_raw);
         let mut state = seed ^ 0x9E37_0001;
         let len = 3 + (splitmix64(&mut state) as usize) % 4;
         // Edge widths must be nonzero (`Field::new` rejects zero-width fields).
@@ -267,45 +259,43 @@ proptest! {
         let tdg = chain_tdg(&bytes, 0.2 + 0.1 * ((splitmix64(&mut state) % 4) as f64));
         let stages = 2 + (splitmix64(&mut state) as usize) % 2;
         let net = tiny_switches(q, stages, 0.5 + 0.1 * ((splitmix64(&mut state) % 4) as f64));
-        assert_parallel_matches_one_worker(&tdg, &net, threads, stop, prebound);
+        assert_parallel_matches_one_worker(&tdg, &net, threads, stop);
     }
 }
 
-/// The same property where the threads actually run: the ten-program
-/// library plus three synthetic programs on `linear:3` (optimum 2). Alone
-/// or under a bound far above the optimum, the contours settle it in
-/// ≈8·10³ nodes on the calling thread; under a bound of 3 published
-/// beforehand only the contours below 3 run, and the frontier search that
-/// finds the optimum goes past the point where the calling thread starts
-/// its helpers — the random chains above are settled long before it.
-/// Every search that runs refuses cyclic placements and cuts subtrees by
+/// The same property where the threads actually run, on two instances
+/// built like the benchmark's `tight-exact` ones: the ten-program library
+/// plus synthetic programs on `linear:3`. With three programs of 3–6
+/// tables (generator seed 3, optimum 2) the contours settle the search in
+/// ≈8·10³ nodes on the calling thread. With two of 3–8 tables (seed 6,
+/// optimum 13; the benchmark's `TIGHT_INSTANCES[1]`) the search outlives
+/// the contours' node budget, and the frontier search that finds the
+/// optimum goes past the point where the calling thread starts its
+/// helpers — the random chains above are settled long before it. Every
+/// search that runs refuses cyclic placements and cuts subtrees by
 /// lookahead.
 #[test]
 fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
-    let config = SyntheticConfig { tables_min: 3, tables_max: 6, ..SyntheticConfig::default() };
-    let mut programs = library::real_programs();
-    programs.extend(SyntheticGenerator::new(3, config).programs(3));
-    let tdg = ProgramAnalyzer::new().analyze(&programs);
+    let instance = |seed: u64, tables_max: usize, extra: usize| {
+        let config = SyntheticConfig { tables_min: 3, tables_max, ..SyntheticConfig::default() };
+        let mut programs = library::real_programs();
+        programs.extend(SyntheticGenerator::new(seed, config).programs(extra));
+        ProgramAnalyzer::new().analyze(&programs)
+    };
+    let (settled, tight) = (instance(3, 6, 3), instance(6, 8, 2));
     let net = topology::linear(3, 10.0);
     let mut helped = 0;
-    for (threads, stop, prebound) in [
-        (2, 0, None),
-        (4, 1, None),
-        (8, 0, Some(40)),
-        (3, 1, Some(2)),
-        (4, 0, Some(1)),
-        (4, 2, None),
-        (2, 0, Some(3)),
-        (4, 1, Some(3)),
-    ] {
-        let stats = assert_parallel_matches_one_worker(&tdg, &net, threads, stop, prebound);
+    for (tdg, threads, stop) in
+        [(&settled, 2, 0), (&settled, 4, 1), (&settled, 4, 2), (&tight, 2, 0), (&tight, 4, 1)]
+    {
+        let stats = assert_parallel_matches_one_worker(tdg, &net, threads, stop);
         assert!(stats.workers == threads || stats.workers <= 1, "{stats:?}");
         helped += usize::from(stats.workers > 1);
         if stop != 2 {
             assert!(stats.lookahead_prunes > 0 && stats.cycle_rejects > 0, "{stats:?}");
         }
     }
-    assert!(helped >= 2, "the helper threads started in {helped} of 8 cases");
+    assert!(helped >= 2, "the helper threads started in {helped} of 5 cases");
 }
 
 /// The portfolio on the ten-program library still produces byte-identical

@@ -564,7 +564,7 @@ fn crash_run(
     rt
 }
 
-/// (e) A crash at every boundary (clean) and at a seed-derived one
+/// (e) A crash before and after every boundary (clean) and at a seed-derived one
 /// (chaos), each followed by recovery; then recovery's threshold escalation.
 fn recoveries(paths: &mut Paths, seeds: &[u64], sweep: bool) {
     let tdg = ProgramAnalyzer::new().analyze(&library::real_programs()[..2]);
@@ -577,10 +577,10 @@ fn recoveries(paths: &mut Paths, seeds: &[u64], sweep: bool) {
         if sweep {
             let writes = crash_run(sc, 7, false, None).injector().journal_writes();
             for nth in 0..writes {
-                let timing =
-                    if nth % 2 == 0 { CrashTiming::BeforeWrite } else { CrashTiming::AfterWrite };
-                let rt = crash_run(sc, 7, false, Some((nth, timing)));
-                recover(format!("recover {sc:?} boundary {nth} {timing:?}"), rt);
+                for timing in [CrashTiming::BeforeWrite, CrashTiming::AfterWrite] {
+                    let rt = crash_run(sc, 7, false, Some((nth, timing)));
+                    recover(format!("recover {sc:?} boundary {nth} {timing:?}"), rt);
+                }
             }
         }
         for &seed in seeds {
