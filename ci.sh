@@ -17,6 +17,12 @@ echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release && cargo test -q"
+# `default-members` (root Cargo.toml) makes these cover every workspace
+# member but `hermes-bench`: the root package's integration suites and
+# doctests, and every crate's and vendored shim's unit tests, in a debug
+# build. `hermes-bench` waits for solver budgets counted in work, not wall
+# time: its sweep test does not finish its solves within their budgets in
+# a debug build.
 cargo build --release
 cargo test -q
 
@@ -32,8 +38,8 @@ echo "==> deploy-request benchmark self-test (bench/check.sh)"
 bench/check.sh || bench/check.sh || bench/check.sh
 
 echo "==> cargo test -q --release --workspace"
-# Every crate's unit tests, every integration suite and every doctest, in
-# release mode: the solver, hot-path, merge, migration, target, durability
+# Every crate's unit tests (`hermes-bench`'s among them), every integration
+# suite and every doctest, in release mode: the solver, hot-path, merge, migration, target, durability
 # and state-access equivalence suites, the vendored shims' own tests, and
 # the journal, transactions and runtime-paths goldens (tests/event_schema.rs:
 # journal_golden.txt, transactions_golden.txt, runtime_paths_golden.txt —

@@ -305,7 +305,7 @@ mod suite {
     use super::*;
     use hermes_core::{
         DeploymentAlgorithm, GreedyHeuristic, IncrementalDeployer, OptimalSolver, PlanRoute,
-        ProgramAnalyzer, RedeployOptions, SearchContext, Solver, StagePlacement,
+        ProgramAnalyzer, RedeployOptions, SearchContext, StagePlacement,
     };
     use hermes_dataplane::library;
     use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};

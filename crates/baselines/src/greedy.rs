@@ -7,9 +7,10 @@
 //! edges get cut wherever capacity happens to run out — exactly the
 //! behaviour Hermes improves on.
 
+use crate::timed;
 use hermes_core::{
-    first_fit, one_shot_solve, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
-    SearchContext, SolveOutcome, Solver,
+    first_fit, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, SearchContext,
+    SolveOutcome,
 };
 use hermes_net::Network;
 use hermes_tdg::{NodeId, Tdg};
@@ -51,6 +52,16 @@ impl DeploymentAlgorithm for FirstFitByLevel {
     ) -> Result<DeploymentPlan, DeployError> {
         largest_component_first_fit(tdg, net, eps, |a, b| a.cmp(&b))
     }
+
+    fn solve(
+        &self,
+        tdg: &Tdg,
+        net: &Network,
+        eps: &Epsilon,
+        _ctx: &SearchContext,
+    ) -> Result<SolveOutcome, DeployError> {
+        timed(tdg, || self.deploy(tdg, net, eps))
+    }
 }
 
 impl DeploymentAlgorithm for FirstFitByLevelAndSize {
@@ -70,9 +81,7 @@ impl DeploymentAlgorithm for FirstFitByLevelAndSize {
             resource(b).partial_cmp(&resource(a)).unwrap_or(Ordering::Equal).then(a.cmp(&b))
         })
     }
-}
 
-impl Solver for FirstFitByLevel {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -80,19 +89,7 @@ impl Solver for FirstFitByLevel {
         eps: &Epsilon,
         _ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps)
-    }
-}
-
-impl Solver for FirstFitByLevelAndSize {
-    fn solve(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        _ctx: &SearchContext,
-    ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps)
+        timed(tdg, || self.deploy(tdg, net, eps))
     }
 }
 

@@ -23,24 +23,34 @@
 //! plan is built by [`hermes_core::materialize`].
 //!
 //! Exactly as in the paper, these solvers blow up on large instances;
-//! every framework therefore carries (a) a wall-clock budget after which
-//! the incumbent is used and (b) a documented greedy *surrogate* used when
-//! the model would not even fit in memory (`size_guard`). Exp#3 measures
-//! the ILP attempt time; overhead experiments consume the decisions.
+//! every framework therefore stops (a) at its [`SearchContext`]'s deadline,
+//! using the incumbent, and (b) before it starts, for a documented greedy
+//! *surrogate*, when the model would not even fit in memory
+//! ([`MAX_BINARIES`], [`MAX_RANK_CELLS`]). Exp#3 measures the ILP attempt
+//! time; overhead experiments consume the decisions.
 
 use hermes_core::milp_formulation::{decode_assignment, occupancy_rows, placement_rows, rank_rows};
 use hermes_core::{
-    materialize, one_shot_solve, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
-    GreedyHeuristic, SearchContext, SolveOutcome, Solver, SplitStrategy,
+    materialize, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic,
+    SearchContext, SolveOutcome, SplitStrategy,
 };
-use hermes_milp::{
-    solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus, SolverConfig,
-};
+use hermes_milp::{solve, Direction, LinExpr, Model, Sense, SolveStatus, SolverConfig};
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::greedy::{FirstFitByLevel, FirstFitByLevelAndSize};
+use crate::timed;
+
+/// Skip the ILP (use the surrogate) above this many binary variables
+/// (`nodes x switches`).
+pub const MAX_BINARIES: usize = 4_000;
+
+/// Skip the ILP above this many rank-linearization cells
+/// (`edges x switches²`) — the dense simplex tableau grows with the
+/// constraint count, and past this point one LP relaxation would not even
+/// fit in memory.
+pub const MAX_RANK_CELLS: usize = 2_500;
 
 /// Which published objective an [`IlpBaseline`] encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,62 +67,37 @@ pub enum IlpObjective {
     BalanceLoad,
 }
 
-/// Shared configuration of the ILP frameworks.
-#[derive(Debug, Clone)]
-pub struct IlpConfig {
-    /// Branch-and-bound budget per solve.
-    pub time_limit: Duration,
-    /// Skip the ILP (use the surrogate) above this many binary variables.
-    pub max_binaries: usize,
-    /// Skip the ILP above this many rank-linearization cells
-    /// (`edges x switches²`) — the dense simplex tableau grows with the
-    /// constraint count, and past this point one LP relaxation would not
-    /// even fit in memory.
-    pub max_rank_cells: usize,
-}
-
-impl Default for IlpConfig {
-    fn default() -> Self {
-        IlpConfig {
-            time_limit: Duration::from_secs(20),
-            max_binaries: 4_000,
-            max_rank_cells: 2_500,
-        }
-    }
-}
-
 /// An ILP-based deployment framework.
 #[derive(Debug, Clone)]
 pub struct IlpBaseline {
     name: &'static str,
     objective: IlpObjective,
-    config: IlpConfig,
 }
 
 impl IlpBaseline {
     /// Min-Stage \[8\] extended network-wide.
-    pub fn min_stage(config: IlpConfig) -> Self {
-        IlpBaseline { name: "MS", objective: IlpObjective::PackLeft, config }
+    pub fn min_stage() -> Self {
+        IlpBaseline { name: "MS", objective: IlpObjective::PackLeft }
     }
 
     /// SPEED \[6\].
-    pub fn speed(config: IlpConfig) -> Self {
-        IlpBaseline { name: "SPEED", objective: IlpObjective::MinLatency, config }
+    pub fn speed() -> Self {
+        IlpBaseline { name: "SPEED", objective: IlpObjective::MinLatency }
     }
 
     /// MTP \[57\].
-    pub fn mtp(config: IlpConfig) -> Self {
-        IlpBaseline { name: "MTP", objective: IlpObjective::LatencyAndRuleBalance, config }
+    pub fn mtp() -> Self {
+        IlpBaseline { name: "MTP", objective: IlpObjective::LatencyAndRuleBalance }
     }
 
     /// Flightplan \[7\].
-    pub fn flightplan(config: IlpConfig) -> Self {
-        IlpBaseline { name: "FP", objective: IlpObjective::MinCutEdges, config }
+    pub fn flightplan() -> Self {
+        IlpBaseline { name: "FP", objective: IlpObjective::MinCutEdges }
     }
 
     /// P4All \[59\].
-    pub fn p4all(config: IlpConfig) -> Self {
-        IlpBaseline { name: "P4All", objective: IlpObjective::BalanceLoad, config }
+    pub fn p4all() -> Self {
+        IlpBaseline { name: "P4All", objective: IlpObjective::BalanceLoad }
     }
 
     /// The configured objective.
@@ -130,17 +115,6 @@ impl DeploymentAlgorithm for IlpBaseline {
         true
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.deploy_inner(tdg, net, eps, None)
-    }
-}
-
-impl Solver for IlpBaseline {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -148,17 +122,7 @@ impl Solver for IlpBaseline {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        let start = Instant::now();
-        let plan = self.deploy_inner(tdg, net, eps, Some(ctx))?;
-        let objective = plan.max_inter_switch_bytes(tdg);
-        Ok(SolveOutcome {
-            plan,
-            objective,
-            // These frameworks optimize their own published objective, not
-            // A_max, so only zero overhead is ever proven optimal.
-            proven_optimal: objective == 0,
-            stats: hermes_core::SolveStats { nodes_explored: 0, wall: start.elapsed() },
-        })
+        timed(tdg, || self.deploy_inner(tdg, net, eps, ctx.deadline()))
     }
 }
 
@@ -168,7 +132,7 @@ impl IlpBaseline {
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: Option<&SearchContext>,
+        deadline: Option<Instant>,
     ) -> Result<DeploymentPlan, DeployError> {
         let component = net.largest_component();
         let candidates: Vec<SwitchId> =
@@ -182,17 +146,10 @@ impl IlpBaseline {
         let q = candidates.len();
         let binaries = tdg.node_count() * q;
         let rank_cells = tdg.edge_count() * q * q;
-        if binaries > self.config.max_binaries || rank_cells > self.config.max_rank_cells {
+        if binaries > MAX_BINARIES || rank_cells > MAX_RANK_CELLS {
             return self.surrogate(tdg, net, eps);
         }
-        // Budget: the context's when there is one, the configured limit
-        // otherwise (a limit past the end of time is no deadline).
-        let deadline = match ctx {
-            Some(ctx) => ctx.deadline(),
-            None => Instant::now().checked_add(self.config.time_limit),
-        };
-        let controls = SolveControls { deadline };
-        match solve_assignment(tdg, net, eps, &candidates, self.objective, &controls) {
+        match solve_assignment(tdg, net, eps, &candidates, self.objective, deadline) {
             Some(assign) => materialize(tdg, net, eps, &candidates, &assign)
                 .or_else(|_| self.surrogate(tdg, net, eps)),
             None => self.surrogate(tdg, net, eps),
@@ -234,7 +191,7 @@ fn solve_assignment(
     eps: &Epsilon,
     candidates: &[SwitchId],
     objective: IlpObjective,
-    controls: &SolveControls,
+    deadline: Option<Instant>,
 ) -> Option<Vec<usize>> {
     let q = candidates.len();
     let n = tdg.node_count();
@@ -327,7 +284,7 @@ fn solve_assignment(
         }
     }
 
-    let solution = solve_with_controls(&model, &SolverConfig::default(), controls).ok()?;
+    let solution = solve(&model, &SolverConfig { deadline, ..SolverConfig::default() }).ok()?;
     match solution.status {
         SolveStatus::Optimal | SolveStatus::Feasible => decode_assignment(&solution, &z),
         _ => None,
@@ -346,6 +303,16 @@ impl DeploymentAlgorithm for Sonata {
 
     fn is_exhaustive(&self) -> bool {
         true
+    }
+
+    fn solve(
+        &self,
+        tdg: &Tdg,
+        net: &Network,
+        eps: &Epsilon,
+        _ctx: &SearchContext,
+    ) -> Result<SolveOutcome, DeployError> {
+        timed(tdg, || self.deploy(tdg, net, eps))
     }
 
     fn deploy(
@@ -394,18 +361,6 @@ impl DeploymentAlgorithm for Sonata {
             }
         }
         materialize(tdg, net, eps, &candidates, &assign)
-    }
-}
-
-impl Solver for Sonata {
-    fn solve(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        _ctx: &SearchContext,
-    ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps)
     }
 }
 
@@ -466,6 +421,7 @@ mod tests {
     use super::*;
     use hermes_core::verify;
     use hermes_dataplane::library;
+    use std::time::Duration;
 
     fn small_inputs() -> (Tdg, Network) {
         // Three programs keep the ILPs tiny enough for exact solves.
@@ -476,8 +432,11 @@ mod tests {
         ])
     }
 
-    fn fast() -> IlpConfig {
-        IlpConfig { time_limit: Duration::from_secs(5), ..Default::default() }
+    /// Deploys under a 5 s budget.
+    fn deploy(algo: &dyn DeploymentAlgorithm, tdg: &Tdg, net: &Network) -> DeploymentPlan {
+        let ctx = SearchContext::with_time_limit(Duration::from_secs(5));
+        let outcome = algo.solve(tdg, net, &Epsilon::loose(), &ctx);
+        outcome.unwrap_or_else(|e| panic!("{}: {e}", algo.name())).plan
     }
 
     #[test]
@@ -485,14 +444,14 @@ mod tests {
         let (tdg, net) = small_inputs();
         let eps = Epsilon::loose();
         let baselines: Vec<IlpBaseline> = vec![
-            IlpBaseline::min_stage(fast()),
-            IlpBaseline::speed(fast()),
-            IlpBaseline::mtp(fast()),
-            IlpBaseline::flightplan(fast()),
-            IlpBaseline::p4all(fast()),
+            IlpBaseline::min_stage(),
+            IlpBaseline::speed(),
+            IlpBaseline::mtp(),
+            IlpBaseline::flightplan(),
+            IlpBaseline::p4all(),
         ];
         for b in baselines {
-            let plan = b.deploy(&tdg, &net, &eps).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            let plan = deploy(&b, &tdg, &net);
             let violations = verify(&tdg, &net, &plan, &eps);
             assert!(violations.is_empty(), "{}: {violations:?}", b.name());
         }
@@ -509,10 +468,14 @@ mod tests {
 
     #[test]
     fn size_guard_falls_back_to_surrogate() {
-        let (tdg, net) = small_inputs();
+        // Forty switches put the model past the rank-cell guard.
+        let (tdg, _) = small_inputs();
+        let net = hermes_net::topology::linear(40, 10.0);
+        assert!(tdg.edge_count() * 40 * 40 > MAX_RANK_CELLS);
         let eps = Epsilon::loose();
-        let tiny_guard = IlpConfig { max_binaries: 1, ..fast() };
-        let plan = IlpBaseline::min_stage(tiny_guard).deploy(&tdg, &net, &eps).unwrap();
+        let baseline = IlpBaseline::min_stage();
+        let plan = deploy(&baseline, &tdg, &net);
+        assert_eq!(plan, baseline.surrogate(&tdg, &net, &eps).unwrap());
         assert!(verify(&tdg, &net, &plan, &eps).is_empty());
     }
 
@@ -523,7 +486,7 @@ mod tests {
         let hermes = GreedyHeuristic::new().deploy(&tdg, &net, &eps).unwrap();
         let h = hermes.max_inter_switch_bytes(&tdg);
         for plan in [
-            IlpBaseline::min_stage(fast()).deploy(&tdg, &net, &eps).unwrap(),
+            deploy(&IlpBaseline::min_stage(), &tdg, &net),
             Sonata.deploy(&tdg, &net, &eps).unwrap(),
         ] {
             assert!(h <= plan.max_inter_switch_bytes(&tdg));
@@ -533,8 +496,7 @@ mod tests {
     #[test]
     fn p4all_balances_load() {
         let (tdg, net) = small_inputs();
-        let eps = Epsilon::loose();
-        let plan = IlpBaseline::p4all(fast()).deploy(&tdg, &net, &eps).unwrap();
+        let plan = deploy(&IlpBaseline::p4all(), &tdg, &net);
         // The balanced objective should occupy more than one switch even
         // though everything could fit on one.
         assert!(plan.occupied_switch_count() >= 2);
@@ -543,8 +505,7 @@ mod tests {
     #[test]
     fn min_stage_packs_left() {
         let (tdg, net) = small_inputs();
-        let eps = Epsilon::loose();
-        let plan = IlpBaseline::min_stage(fast()).deploy(&tdg, &net, &eps).unwrap();
+        let plan = deploy(&IlpBaseline::min_stage(), &tdg, &net);
         // Everything fits the first switch (total R small), so pack-left
         // should use exactly one switch.
         assert_eq!(plan.occupied_switch_count(), 1);

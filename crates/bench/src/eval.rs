@@ -13,10 +13,10 @@
 use crate::report::{fmt_ms, host, Table};
 use crate::{analyze, deploy_measured, measure, verified, workload, Axis, Ctx, Panel, Sweep};
 use hermes_backend::{config::generate, emulator, simulate_plan, PlanFlowConfig};
-use hermes_baselines::{standard_suite, IlpBaseline, IlpConfig};
+use hermes_baselines::{standard_suite, IlpBaseline};
 use hermes_core::test_support::chain_tdg;
 use hermes_core::{
-    Budgeted, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
+    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
     MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver,
     ProgramAnalyzer, RedeployOptions, SearchContext, SplitStrategy,
 };
@@ -348,8 +348,7 @@ fn exp6(ctx: &Ctx) -> Result<Vec<Output>, String> {
     };
 
     let hermes = hermes_plan(&tdg, &net, ctx)?;
-    let speed = IlpBaseline::speed(IlpConfig { time_limit: ctx.budget, ..Default::default() });
-    let speed = deploy_measured(&speed, &tdg, &net, ctx.budget)?;
+    let speed = deploy_measured(&IlpBaseline::speed(), &tdg, &net, ctx.budget)?;
     let speed_host = speed.host_dependent;
     let speed = speed.plan.ok_or("SPEED found no plan")?;
 
@@ -419,7 +418,7 @@ fn wire_accounting(ctx: &Ctx) -> Result<Vec<Output>, String> {
         "goodput x",
         "switches",
     ]);
-    for algo in standard_suite(ctx.budget) {
+    for algo in standard_suite() {
         let run = deploy_measured(algo.as_ref(), &tdg, &net, ctx.budget)?;
         let Some(plan) = run.plan else {
             continue;
@@ -914,8 +913,8 @@ fn targets(ctx: &Ctx) -> Result<Vec<Output>, String> {
     let workloads: Vec<(usize, Tdg)> = [4, 7, 10].map(|n| (n, analyze(&workload(n)))).into();
     let solvers: [Box<dyn DeploymentAlgorithm>; 3] = [
         Box::new(GreedyHeuristic::new()),
-        Box::new(Budgeted::new(OptimalSolver::new(), ctx.budget)),
-        Box::new(Budgeted::new(MilpHermes::default(), ctx.budget)),
+        Box::new(OptimalSolver::new()),
+        Box::new(MilpHermes::default()),
     ];
     let mut sizes = Table::new(["programs", "TDG nodes", "stage units"]);
     for (programs, tdg) in &workloads {

@@ -22,8 +22,10 @@
 pub mod eval;
 pub mod report;
 
-use hermes_baselines::standard_suite;
-use hermes_core::{verify, DeploymentAlgorithm, DeploymentPlan, Epsilon, ProgramAnalyzer};
+use hermes_baselines::{standard_suite, MAX_BINARIES, MAX_RANK_CELLS};
+use hermes_core::{
+    verify, DeploymentAlgorithm, DeploymentPlan, Epsilon, ProgramAnalyzer, SearchContext,
+};
 use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes_dataplane::{library, Program};
 use hermes_net::Network;
@@ -35,14 +37,6 @@ use std::time::{Duration, Instant};
 /// Reported execution time (ms) for solver runs that exceed the paper's
 /// two-hour cap; Fig. 7 sets such bars to 10⁷ ms.
 pub const CAPPED_TIME_MS: f64 = 1e7;
-
-/// Above this many placement binaries (`nodes × programmable switches`)
-/// an ILP attempt is hopeless and its time is reported as capped.
-pub const ILP_SIZE_GUARD: usize = 4_000;
-
-/// Companion guard on rank-linearization cells (`edges × switches²`);
-/// mirrors [`hermes_baselines::IlpConfig::max_rank_cells`].
-pub const ILP_RANK_GUARD: usize = 2_500;
 
 /// Budget of every ILP / exhaustive solve in the committed results (the
 /// stand-in for the paper's two-hour Gurobi cap).
@@ -136,9 +130,9 @@ pub struct Deployed {
     pub host_dependent: bool,
 }
 
-/// Runs `algo` on `(tdg, net)` under the paper's loose ε-bounds, timing the
-/// solve and verifying its plan ([`verified`]); `budget` is the budget
-/// `algo` was built with.
+/// Runs `algo` on `(tdg, net)` under the paper's loose ε-bounds and a
+/// `budget` deadline, timing the solve and verifying its plan
+/// ([`verified`]).
 pub fn deploy_measured(
     algo: &dyn DeploymentAlgorithm,
     tdg: &Tdg,
@@ -146,7 +140,8 @@ pub fn deploy_measured(
     budget: Duration,
 ) -> Result<Deployed, String> {
     let start = Instant::now();
-    let plan = algo.deploy(tdg, net, &Epsilon::loose()).ok();
+    let ctx = SearchContext::with_time_limit(budget);
+    let plan = algo.solve(tdg, net, &Epsilon::loose(), &ctx).ok().map(|o| o.plan);
     let elapsed = start.elapsed();
     Ok(Deployed {
         plan: plan.map(|p| verified(algo.name(), tdg, net, p)).transpose()?,
@@ -169,11 +164,13 @@ pub fn measure(tdg: &Tdg, net: &Network, budget: Duration) -> Result<Vec<Measure
     let binaries = tdg.node_count() * q;
     let rank_cells = tdg.edge_count() * q * q;
     let mut rows = Vec::new();
-    for algo in standard_suite(budget) {
+    for algo in standard_suite() {
         let run = deploy_measured(algo.as_ref(), tdg, net, budget)?;
         let measured_ms = run.elapsed.as_secs_f64() * 1000.0;
+        // Past the ILP frameworks' size guards an attempt is hopeless, and
+        // its time is reported as capped.
         let capped =
-            algo.is_exhaustive() && (binaries > ILP_SIZE_GUARD || rank_cells > ILP_RANK_GUARD);
+            algo.is_exhaustive() && (binaries > MAX_BINARIES || rank_cells > MAX_RANK_CELLS);
         let overhead = run.plan.as_ref().map(|p| p.max_inter_switch_bytes(tdg));
         let perf = overhead.map(|bytes| normalized_impact(&sim, 1024, bytes as u32));
         rows.push(Measurement {
@@ -346,7 +343,7 @@ mod tests {
         assert_eq!(sweep.axis, Axis::Programs);
         assert_eq!(sweep.points.iter().map(|p| p.at).collect::<Vec<_>>(), [2, 3]);
         let rows = &sweep.points[1].results;
-        assert_eq!(rows.len(), standard_suite(Duration::ZERO).len());
+        assert_eq!(rows.len(), standard_suite().len());
         for r in rows {
             assert!(r.overhead_bytes.is_some(), "{} infeasible", r.algorithm);
             assert!(r.fct_ratio.unwrap() >= 1.0 - 1e-9);

@@ -15,11 +15,12 @@
 
 use hermes_backend::config::generate;
 use hermes_backend::simulate::{simulate_plan, PlanFlowConfig};
-use hermes_baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
+use hermes_baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, Sonata};
 use hermes_core::{
-    explain, verify, Budgeted, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic,
+    explain, verify, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic,
     IncrementalDeployer, MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes,
-    OptimalSolver, Portfolio, ProgramAnalyzer, RedeployOptions, SearchContext, Violation,
+    OptimalSolver, Portfolio, ProgramAnalyzer, RedeployOptions, SearchContext, SolveOutcome,
+    Violation,
 };
 use hermes_dataplane::lint::lint_composition;
 use hermes_dataplane::parser::parse_programs;
@@ -277,30 +278,36 @@ pub fn resolve_order(spec: &OrderSpec, net: &Network) -> Result<MigrationOrder, 
     Ok(MigrationOrder::Explicit(order))
 }
 
-/// Builds a solver from its time limit `t` and its worker budget `n`.
-type Build = fn(Duration, Option<NonZeroUsize>) -> Box<dyn DeploymentAlgorithm>;
+/// Builds a solver.
+type Build = fn() -> Box<dyn DeploymentAlgorithm>;
 
-/// The `--solver` names, in display order, and how each is built. Every
-/// budget flows through a `SearchContext` built from the time limit; the
-/// parallel searches (`exact`, and the exact stage of `portfolio`) also
-/// take the worker budget.
+/// The `--solver` names, in display order, and how each is built. No row
+/// holds a budget: each solve runs under the [`SearchContext`] built from
+/// `--time-limit` and `--threads` ([`budget`]).
 const SOLVERS: &[(&str, Build)] = &[
-    ("greedy", |_, _| Box::new(GreedyHeuristic::new())),
-    ("exact", |t, n| Box::new(Budgeted::new(OptimalSolver::new(), t).with_threads(n))),
-    ("milp", |t, _| Box::new(Budgeted::new(MilpHermes::default(), t))),
-    ("portfolio", |t, n| Box::new(Budgeted::new(Portfolio::greedy_exact(), t).with_threads(n))),
-    ("ffl", |_, _| Box::new(FirstFitByLevel)),
-    ("ffls", |_, _| Box::new(FirstFitByLevelAndSize)),
-    ("ms", |t, _| Box::new(IlpBaseline::min_stage(ilp(t)))),
-    ("sonata", |_, _| Box::new(Sonata)),
-    ("speed", |t, _| Box::new(IlpBaseline::speed(ilp(t)))),
-    ("mtp", |t, _| Box::new(IlpBaseline::mtp(ilp(t)))),
-    ("fp", |t, _| Box::new(IlpBaseline::flightplan(ilp(t)))),
-    ("p4all", |t, _| Box::new(IlpBaseline::p4all(ilp(t)))),
+    ("greedy", || Box::new(GreedyHeuristic::new())),
+    ("exact", || Box::new(OptimalSolver::new())),
+    ("milp", || Box::new(MilpHermes::default())),
+    ("portfolio", || Box::new(Portfolio::greedy_exact())),
+    ("ffl", || Box::new(FirstFitByLevel)),
+    ("ffls", || Box::new(FirstFitByLevelAndSize)),
+    ("ms", || Box::new(IlpBaseline::min_stage())),
+    ("sonata", || Box::new(Sonata)),
+    ("speed", || Box::new(IlpBaseline::speed())),
+    ("mtp", || Box::new(IlpBaseline::mtp())),
+    ("fp", || Box::new(IlpBaseline::flightplan())),
+    ("p4all", || Box::new(IlpBaseline::p4all())),
 ];
 
-fn ilp(time_limit: Duration) -> IlpConfig {
-    IlpConfig { time_limit, ..Default::default() }
+/// The context a solve runs under: a deadline `limit` from now, and a
+/// worker budget for the parallel searches (`None` = available
+/// parallelism).
+fn budget(limit: Duration, threads: Option<NonZeroUsize>) -> SearchContext {
+    let ctx = SearchContext::with_time_limit(limit);
+    match threads {
+        Some(threads) => ctx.with_threads(threads),
+        None => ctx,
+    }
 }
 
 /// A row of the solver table.
@@ -321,22 +328,23 @@ impl Solver {
         }
     }
 
-    /// Builds the solver with a time limit and a worker budget for the
-    /// parallel searches (`None` = available parallelism).
-    pub fn build(
-        self,
-        limit: Duration,
-        threads: Option<NonZeroUsize>,
-    ) -> Box<dyn DeploymentAlgorithm> {
-        (SOLVERS[self.0].1)(limit, threads)
+    /// Builds the solver.
+    pub fn build(self) -> Box<dyn DeploymentAlgorithm> {
+        (SOLVERS[self.0].1)()
     }
 
     /// Plans `tdg` on the network under ε with the time limit and worker
     /// budget; a failure names the solver and `what` the plan is for.
     fn plan(self, options: &Options, tdg: &Tdg, what: &str) -> Result<DeploymentPlan, CliError> {
-        let algo = self.build(options.time_limit, options.threads);
-        algo.deploy(tdg, &options.network, &options.eps)
-            .map_err(|e| err(format!("{} failed{what}: {e}", algo.name())))
+        let algo = self.build();
+        algo.solve(
+            tdg,
+            &options.network,
+            &options.eps,
+            &budget(options.time_limit, options.threads),
+        )
+        .map(|outcome| outcome.plan)
+        .map_err(|e| err(format!("{} failed{what}: {e}", algo.name())))
     }
 }
 
@@ -356,8 +364,10 @@ impl fmt::Display for UnknownSolverError {
 
 impl std::error::Error for UnknownSolverError {}
 
-/// Looks a solver up by `--solver` name and builds it (see
-/// [`Solver::build`]).
+/// Looks a solver up by `--solver` name and builds it: its `deploy` runs
+/// under `time_limit` and `threads` (`None` = available parallelism). A
+/// solver that is not exhaustive has no budget to honour, and keeps its own
+/// `deploy`, the construction itself.
 ///
 /// # Errors
 ///
@@ -365,9 +375,50 @@ impl std::error::Error for UnknownSolverError {}
 pub fn solver_with_threads(
     name: &str,
     time_limit: Duration,
-    threads: Option<std::num::NonZeroUsize>,
+    threads: Option<NonZeroUsize>,
 ) -> Result<Box<dyn DeploymentAlgorithm>, UnknownSolverError> {
-    Ok(Solver::named(name)?.build(time_limit, threads))
+    let solver = Solver::named(name)?.build();
+    if !solver.is_exhaustive() {
+        return Ok(solver);
+    }
+    Ok(Box::new(WithBudget { solver, time_limit, threads }))
+}
+
+/// A solver whose `deploy` runs under a `--time-limit` and `--threads`
+/// budget.
+struct WithBudget {
+    solver: Box<dyn DeploymentAlgorithm>,
+    time_limit: Duration,
+    threads: Option<NonZeroUsize>,
+}
+
+impl DeploymentAlgorithm for WithBudget {
+    fn name(&self) -> &str {
+        self.solver.name()
+    }
+
+    fn solve(
+        &self,
+        tdg: &Tdg,
+        net: &Network,
+        eps: &Epsilon,
+        ctx: &SearchContext,
+    ) -> Result<SolveOutcome, DeployError> {
+        self.solver.solve(tdg, net, eps, ctx)
+    }
+
+    fn deploy(
+        &self,
+        tdg: &Tdg,
+        net: &Network,
+        eps: &Epsilon,
+    ) -> Result<DeploymentPlan, DeployError> {
+        self.solve(tdg, net, eps, &budget(self.time_limit, self.threads)).map(|o| o.plan)
+    }
+
+    fn is_exhaustive(&self) -> bool {
+        true
+    }
 }
 
 /// A `hermes` command.
@@ -1536,9 +1587,22 @@ mod tests {
     #[test]
     fn solver_lookup() {
         let names: Vec<&str> = SOLVERS.iter().map(|&(name, _)| name).collect();
+        // Every row's `deploy` through `solver_with_threads` is its `solve`
+        // under the same budget.
+        let tdg = hermes_core::test_support::chain_tdg(&[3, 1, 4], 0.5);
+        let net = hermes_core::test_support::tiny_switches(3, 2, 0.5);
+        let eps = Epsilon::loose();
+        let limit = Duration::from_secs(20);
         for name in &names {
             assert_eq!(Solver::named(&name.to_ascii_uppercase()), Solver::named(name));
-            assert!(solver_with_threads(name, Duration::from_secs(1), None).is_ok(), "{name}");
+            for threads in [None, NonZeroUsize::new(2)] {
+                let deployed =
+                    solver_with_threads(name, limit, threads).unwrap().deploy(&tdg, &net, &eps);
+                let ctx = SearchContext::with_time_limit(limit);
+                let ctx = threads.map_or(ctx.clone(), |n| ctx.with_threads(n));
+                let solved = Solver::named(name).unwrap().build().solve(&tdg, &net, &eps, &ctx);
+                assert_eq!(deployed.unwrap(), solved.unwrap().plan, "{name}, {threads:?}");
+            }
         }
         // Nothing outside the list resolves, an older spelling included.
         for retired in ["hermes", "optimal", "ilp", "min-stage", "flightplan", "gurobi"] {

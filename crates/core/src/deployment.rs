@@ -6,7 +6,7 @@
 //! coordinated packets to `v` along path `p`), plus the derived metrics
 //! the objectives are written over: `A_max`, `t_e2e`, and `Q_occ`.
 
-use hermes_net::{Network, Path, SwitchId};
+use hermes_net::{Path, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use serde::{Deserialize, Serialize, Serializer, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -356,33 +356,6 @@ impl DeployError {
     /// topological order, so no solver can order its placement.
     pub(crate) fn dependency_cycle() -> Self {
         DeployError::NoFeasiblePlacement { reason: "the TDG has a dependency cycle".to_owned() }
-    }
-}
-
-/// The interface every deployment framework (Hermes and all baselines)
-/// implements, so experiments can sweep algorithms uniformly.
-pub trait DeploymentAlgorithm {
-    /// Short display name used in experiment tables (e.g. `"Hermes"`).
-    fn name(&self) -> &str;
-
-    /// Produces a deployment of `tdg` onto `net` under the ε-bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] when no feasible deployment exists.
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError>;
-
-    /// `true` for solver-backed frameworks whose running time explodes
-    /// with instance size (ILP solvers, exhaustive search). Experiment
-    /// harnesses cap their reported times the way the paper caps its
-    /// execution-time bars at two hours.
-    fn is_exhaustive(&self) -> bool {
-        false
     }
 }
 

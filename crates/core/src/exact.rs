@@ -127,10 +127,10 @@
 //! (Exp#3) uses to flag timed-out ILP-style runs. A deadline stop never
 //! proves a leaf, however far the contours got.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
 use crate::eval::{IncrementalEval, UNASSIGNED};
 use crate::heuristic::GreedyHeuristic;
-use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
+use crate::solver::{DeploymentAlgorithm, SearchContext, SolveOutcome, SolveStats};
 use crate::stage_assign::{materialize, Packing};
 use hermes_net::{fits, mutually_reachable, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
@@ -171,7 +171,7 @@ impl OptimalSolver {
         OptimalSolver
     }
 
-    /// Like [`Solver::solve`], but also reports parallel-search telemetry
+    /// Like [`DeploymentAlgorithm::solve`], but also reports parallel-search telemetry
     /// (contour/worker/frontier/prune counters) alongside the outcome.
     /// Telemetry is zeroed on the trivial early-out paths that never start
     /// a search.
@@ -305,7 +305,11 @@ impl OptimalSolver {
     }
 }
 
-impl Solver for OptimalSolver {
+impl DeploymentAlgorithm for OptimalSolver {
+    fn name(&self) -> &str {
+        "Optimal"
+    }
+
     fn solve(
         &self,
         tdg: &Tdg,
@@ -314,22 +318,6 @@ impl Solver for OptimalSolver {
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
         self.solve_instrumented(tdg, net, eps, ctx).0
-    }
-}
-
-impl DeploymentAlgorithm for OptimalSolver {
-    fn name(&self) -> &str {
-        "Optimal"
-    }
-
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.solve(tdg, net, eps, &SearchContext::with_time_limit(DEFAULT_DEPLOY_BUDGET))
-            .map(|o| o.plan)
     }
 
     fn is_exhaustive(&self) -> bool {

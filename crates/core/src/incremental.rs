@@ -10,9 +10,9 @@
 //! feasibility, and the established switch visit order — and falls back
 //! to a full redeploy only when the pinned placement is infeasible.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
 use crate::heuristic::{placement_order, GreedyHeuristic};
-use crate::solver::{Portfolio, SearchContext, Solver};
+use crate::solver::{DeploymentAlgorithm, Portfolio, SearchContext};
 use crate::stage_assign::{materialize, StageProbe};
 use hermes_net::{nearest_programmable, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};

@@ -13,9 +13,10 @@
 //!   ([`heuristic`], Algorithm 2), all producing [`DeploymentPlan`]s whose
 //!   constraints are checked by a single verifier ([`verify()`]).
 //!
-//! Every solver implements the [`Solver`] trait ([`solver`]): it takes a
-//! [`SearchContext`] carrying a deadline, a worker budget and a proven
-//! objective floor, and returns a uniform [`SolveOutcome`]. The
+//! Every solver implements the one [`DeploymentAlgorithm`] trait
+//! ([`solver`]): `solve` takes a [`SearchContext`] carrying a deadline, a
+//! worker budget and a proven objective floor, and returns a uniform
+//! [`SolveOutcome`]; `deploy` is `solve` under a default budget. The
 //! [`Portfolio`] is the pipeline over them, on the caller's thread:
 //! pre-solve certificates, then the greedy plan, then the exact search that
 //! plan seeds.
@@ -59,8 +60,7 @@ pub mod verify;
 
 pub use analyzer::ProgramAnalyzer;
 pub use deployment::{
-    DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanMetrics, PlanRoute,
-    StagePlacement,
+    DeployError, DeploymentPlan, Epsilon, PlanMetrics, PlanRoute, StagePlacement,
 };
 pub use eval::IncrementalEval;
 pub use exact::OptimalSolver;
@@ -75,9 +75,11 @@ pub use milp_formulation::{build_p1, MilpHermes, P1Variables};
 pub use precheck::{Certificate, Precheck};
 pub use refine::refine;
 pub use report::{diff, explain, PlanDiff};
+/// The solver trait under the second name the deploy-request benchmark
+/// (`bench/`) imports.
+pub use solver::DeploymentAlgorithm as Solver;
 pub use solver::{
-    one_shot_solve, Budgeted, Portfolio, SearchContext, SolveOutcome, SolveStats, Solver,
-    DEFAULT_DEPLOY_BUDGET,
+    DeploymentAlgorithm, Portfolio, SearchContext, SolveOutcome, SolveStats, DEFAULT_DEPLOY_BUDGET,
 };
 pub use stage_assign::{assign_stages, materialize, stage_feasible, StageAssignError, StageProbe};
 pub use verify::{verify, Violation};

@@ -109,11 +109,6 @@ impl MigrationSchedule {
         self.steps.iter().map(|s| s.switch).collect()
     }
 
-    /// `true` when the plans are identical and nothing needs to move.
-    pub fn is_noop(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// `A_max` after each prefix: `from_amax`, then one value per step.
     /// This is the transient-overhead curve the bench plots.
     pub fn transient_curve(&self) -> Vec<u64> {

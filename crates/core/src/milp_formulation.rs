@@ -26,16 +26,15 @@
 //! runs to its time budget and returns the incumbent — the behaviour the
 //! execution-time experiment (Exp#3) measures.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
-use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
+use crate::solver::{DeploymentAlgorithm, SearchContext, SolveOutcome, SolveStats};
 use crate::stage_assign::materialize;
 use hermes_milp::{
-    solve_with_controls, Direction, LinExpr, MipSolution, Model, Sense, SolveControls, SolveStatus,
-    SolverConfig, VarId,
+    Direction, LinExpr, MipSolution, Model, Sense, SolveStatus, SolverConfig, VarId,
 };
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::Tdg;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Variable handles of a built P#1 model.
 #[derive(Debug, Clone)]
@@ -225,20 +224,15 @@ pub fn decode_assignment(solution: &MipSolution, z: &[Vec<VarId>]) -> Option<Vec
 
 /// Hermes solved through the MILP formulation — the "Optimal (Gurobi)"
 /// configuration of the paper, backed by `hermes-milp`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MilpHermes {
-    /// Branch-and-bound budget.
+    /// Branch-and-bound knobs. Its deadline is not one of them: each solve
+    /// runs to its [`SearchContext`]'s.
     pub config: SolverConfig,
 }
 
-impl Default for MilpHermes {
-    fn default() -> Self {
-        MilpHermes { config: SolverConfig::with_time_limit(Duration::from_secs(60)) }
-    }
-}
-
 impl MilpHermes {
-    /// MILP-backed Hermes with the given solve budget.
+    /// MILP-backed Hermes with the given branch-and-bound knobs.
     pub fn new(config: SolverConfig) -> Self {
         MilpHermes { config }
     }
@@ -253,19 +247,6 @@ impl DeploymentAlgorithm for MilpHermes {
         true
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        let budget = self.config.time_limit.unwrap_or(DEFAULT_DEPLOY_BUDGET);
-        let ctx = SearchContext::with_time_limit(budget);
-        Solver::solve(self, tdg, net, eps, &ctx).map(|outcome| outcome.plan)
-    }
-}
-
-impl Solver for MilpHermes {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -286,12 +267,8 @@ impl Solver for MilpHermes {
             });
         }
         let (model, vars) = build_p1(tdg, net, eps);
-        // The context owns the budget: a configured time limit only applies
-        // on the legacy `deploy` path, never underneath a `SearchContext`.
-        let mut config = self.config.clone();
-        config.time_limit = None;
-        let controls = SolveControls { deadline: ctx.deadline() };
-        let solution = solve_with_controls(&model, &config, &controls)
+        let config = SolverConfig { deadline: ctx.deadline(), ..self.config.clone() };
+        let solution = hermes_milp::solve(&model, &config)
             .map_err(|e| DeployError::NoFeasiblePlacement { reason: format!("milp error: {e}") })?;
         let nodes_explored = solution.nodes_explored as u64;
         match solution.status {
@@ -322,6 +299,7 @@ mod tests {
     use super::*;
     use crate::exact::OptimalSolver;
     use crate::test_support::{chain_tdg, tiny_switches};
+    use std::time::Duration;
 
     #[test]
     fn milp_matches_exact_on_figure1() {

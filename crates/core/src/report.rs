@@ -123,9 +123,10 @@ pub fn diff(
 mod tests {
     use super::*;
     use crate::analyzer::ProgramAnalyzer;
-    use crate::deployment::{DeploymentAlgorithm, Epsilon};
+    use crate::deployment::Epsilon;
     use crate::heuristic::GreedyHeuristic;
     use crate::incremental::IncrementalDeployer;
+    use crate::solver::DeploymentAlgorithm;
     use hermes_dataplane::library;
     use hermes_net::topology;
 

@@ -1,13 +1,15 @@
-//! The unified solver architecture: one trait, one search context, and the
+//! The solver architecture: one trait, one search context, and the
 //! portfolio pipeline.
 //!
 //! Every optimizer in the workspace — the greedy heuristic, the exact
 //! branch-over-assignments search, the MILP front end, and the baseline
-//! frameworks — implements [`Solver`]: it receives a [`SearchContext`]
-//! carrying the solvers' time budget (a deadline; `hermes-milp` keeps its
-//! own `SolverConfig::time_limit` for direct callers), a worker budget and
-//! a proven objective floor, and returns a uniform [`SolveOutcome`]. The
-//! context is plain data: solvers share nothing through it.
+//! frameworks — implements [`DeploymentAlgorithm`]. Its `solve` receives a
+//! [`SearchContext`] carrying the time budget (a deadline: the one way a
+//! budget reaches a solver), a worker budget and a proven objective floor,
+//! and returns a uniform [`SolveOutcome`]; `deploy` is `solve` under
+//! [`DEFAULT_DEPLOY_BUDGET`], or, for a constructive solver, the
+//! construction itself. The context is plain data: solvers share nothing
+//! through it.
 //!
 //! On top of the trait, [`Portfolio`] composes the stack's three answers
 //! in order of cost, on the caller's thread: the pre-solve certificates
@@ -19,18 +21,17 @@
 //! (see [`crate::exact`]), so the pipeline's plan is a function of its
 //! inputs whenever the budget lets the search finish.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
 use hermes_net::Network;
 use hermes_tdg::Tdg;
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
-/// Wall-clock budget used when a [`Solver`] is driven through the
-/// budget-less [`DeploymentAlgorithm`] API (matching the historic default
-/// of the exact solver).
+/// Wall-clock budget of [`DeploymentAlgorithm::deploy`], which takes
+/// none (matching the historic default of the exact solver).
 pub const DEFAULT_DEPLOY_BUDGET: Duration = Duration::from_secs(30);
 
-/// Everything a [`Solver`] may consult while searching: the deadline, the
+/// Everything a solver may consult while searching: the deadline, the
 /// worker budget and the proven objective floor.
 ///
 /// Solvers hold no private timers; the deadline is the time budget.
@@ -117,7 +118,7 @@ pub struct SolveStats {
     pub wall: Duration,
 }
 
-/// Uniform result of any [`Solver`].
+/// Uniform result of any [`DeploymentAlgorithm`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOutcome {
     /// The best plan the solver found.
@@ -132,11 +133,16 @@ pub struct SolveOutcome {
     pub stats: SolveStats,
 }
 
-/// The unified solver interface.
+/// The solver interface of every deployment framework.
 ///
-/// Implementors must honour the context: poll
-/// [`SearchContext::should_stop`] during long searches.
-pub trait Solver: DeploymentAlgorithm {
+/// [`solve`](Self::solve) must honour the context: poll
+/// [`SearchContext::should_stop`] during long searches. A constructive
+/// solver overrides [`deploy`](Self::deploy) with its construction, and its
+/// `solve` wraps that.
+pub trait DeploymentAlgorithm {
+    /// Short display name used in experiment tables (e.g. `"Hermes"`).
+    fn name(&self) -> &str;
+
     /// Runs the search under `ctx` and returns the best outcome found.
     ///
     /// # Errors
@@ -149,100 +155,29 @@ pub trait Solver: DeploymentAlgorithm {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError>;
-}
 
-/// One-shot construction wrapped as a [`Solver`]: deploy once and claim
-/// optimality only at zero overhead — zero bytes is a global lower bound;
-/// otherwise a construction proves nothing.
-///
-/// # Errors
-///
-/// Whatever `algo.deploy` returns.
-pub fn one_shot_solve(
-    algo: &dyn DeploymentAlgorithm,
-    tdg: &Tdg,
-    net: &Network,
-    eps: &Epsilon,
-) -> Result<SolveOutcome, DeployError> {
-    let start = Instant::now();
-    let plan = algo.deploy(tdg, net, eps)?;
-    let objective = plan.max_inter_switch_bytes(tdg);
-    Ok(SolveOutcome {
-        plan,
-        objective,
-        proven_optimal: objective == 0,
-        stats: SolveStats { nodes_explored: 0, wall: start.elapsed() },
-    })
-}
-
-/// Adapter giving any [`Solver`] a [`DeploymentAlgorithm`] face with an
-/// explicit wall-clock budget: the one place a `Duration` becomes a
-/// [`SearchContext`] for callers of the budget-less `deploy` API.
-#[derive(Debug, Clone)]
-pub struct Budgeted<S> {
-    solver: S,
-    budget: Duration,
-    threads: Option<NonZeroUsize>,
-}
-
-impl<S: Solver> Budgeted<S> {
-    /// Wraps `solver` so `deploy` runs under `budget`.
-    pub fn new(solver: S, budget: Duration) -> Self {
-        Budgeted { solver, budget, threads: None }
-    }
-
-    /// Sets the worker budget `deploy` stamps onto its [`SearchContext`]
-    /// (`None` keeps the available-parallelism default).
-    #[must_use]
-    pub fn with_threads(mut self, threads: Option<NonZeroUsize>) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The wrapped solver.
-    pub fn inner(&self) -> &S {
-        &self.solver
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-}
-
-impl<S: Solver> DeploymentAlgorithm for Budgeted<S> {
-    fn name(&self) -> &str {
-        self.solver.name()
-    }
-
+    /// The plan [`solve`](Self::solve) finds under
+    /// [`DEFAULT_DEPLOY_BUDGET`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeployError`] when no feasible deployment was found.
     fn deploy(
         &self,
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
     ) -> Result<DeploymentPlan, DeployError> {
-        let mut ctx = SearchContext::with_time_limit(self.budget);
-        if let Some(threads) = self.threads {
-            ctx = ctx.with_threads(threads);
-        }
-        self.solver.solve(tdg, net, eps, &ctx).map(|o| o.plan)
+        self.solve(tdg, net, eps, &SearchContext::with_time_limit(DEFAULT_DEPLOY_BUDGET))
+            .map(|o| o.plan)
     }
 
+    /// `true` for solver-backed frameworks whose running time explodes
+    /// with instance size (ILP solvers, exhaustive search). Experiment
+    /// harnesses cap their reported times the way the paper caps its
+    /// execution-time bars at two hours.
     fn is_exhaustive(&self) -> bool {
-        self.solver.is_exhaustive()
-    }
-}
-
-impl<S: Solver> Solver for Budgeted<S> {
-    fn solve(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        ctx: &SearchContext,
-    ) -> Result<SolveOutcome, DeployError> {
-        // An explicit context wins over the stored budget.
-        self.solver.solve(tdg, net, eps, ctx)
+        false
     }
 }
 
@@ -263,22 +198,10 @@ impl DeploymentAlgorithm for Portfolio {
         "Portfolio"
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.solve(tdg, net, eps, &SearchContext::with_time_limit(DEFAULT_DEPLOY_BUDGET))
-            .map(|o| o.plan)
-    }
-
     fn is_exhaustive(&self) -> bool {
         true
     }
-}
 
-impl Solver for Portfolio {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -349,10 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_adapter_deploys() {
+    fn deploy_is_solve_under_the_default_budget() {
         let tdg = chain_tdg(&[1, 4], 0.5);
         let net = tiny_switches(2, 2, 0.5);
-        let algo = Budgeted::new(OptimalSolver::new(), Duration::from_secs(5));
+        let algo = OptimalSolver::new();
         assert_eq!(algo.name(), "Optimal");
         assert!(algo.is_exhaustive());
         let plan = algo.deploy(&tdg, &net, &Epsilon::loose()).unwrap();

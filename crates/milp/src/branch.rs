@@ -1,7 +1,7 @@
 //! Branch and bound over the simplex relaxation.
 //!
 //! Depth-first with best-child-first ordering, bound-based pruning, and
-//! wall-clock / node-count limits. When a limit fires with an incumbent in
+//! deadline / node-count limits. When a limit fires with an incumbent in
 //! hand, the solver returns [`SolveStatus::Feasible`] — the behaviour the
 //! execution-time experiments rely on to emulate "ILP exceeded two hours"
 //! (paper Fig. 7).
@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 /// Termination and tolerance knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
-    /// Give up after this much wall-clock time (returning the incumbent).
-    pub time_limit: Option<Duration>,
+    /// Give up at this instant (returning the incumbent).
+    pub deadline: Option<Instant>,
     /// Give up after exploring this many nodes.
     pub node_limit: Option<usize>,
     /// Stop when `(incumbent - bound) / max(|incumbent|, 1)` drops below
@@ -27,7 +27,7 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            time_limit: None,
+            deadline: None,
             node_limit: Some(2_000_000),
             mip_gap: 1e-9,
             integrality_tol: 1e-6,
@@ -36,21 +36,11 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Config with just a time limit.
+    /// Config whose deadline is `limit` from now; a limit past the end of
+    /// time is no deadline.
     pub fn with_time_limit(limit: Duration) -> Self {
-        SolverConfig { time_limit: Some(limit), ..Default::default() }
+        SolverConfig { deadline: Instant::now().checked_add(limit), ..Default::default() }
     }
-}
-
-/// External run control for solves driven by a caller's budget: unlike
-/// [`SolverConfig::time_limit`], which counts from the start of the solve,
-/// the deadline is absolute. It defaults to "off", and [`solve`] is exactly
-/// `solve_with_controls` with the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveControls {
-    /// Absolute wall-clock deadline (checked alongside
-    /// `SolverConfig::time_limit`).
-    pub deadline: Option<Instant>,
 }
 
 /// Outcome of a MIP solve.
@@ -109,19 +99,6 @@ struct Node {
 ///
 /// Returns [`ModelError`] if the model fails validation.
 pub fn solve(model: &Model, config: &SolverConfig) -> Result<MipSolution, ModelError> {
-    solve_with_controls(model, config, &SolveControls::default())
-}
-
-/// [`solve`] under an absolute deadline (see [`SolveControls`]).
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if the model fails validation.
-pub fn solve_with_controls(
-    model: &Model,
-    config: &SolverConfig,
-    controls: &SolveControls,
-) -> Result<MipSolution, ModelError> {
     model.validate()?;
     let start = Instant::now();
     let direction = *model.objective().ok_or(ModelError::NoObjective)?.0;
@@ -148,20 +125,14 @@ pub fn solve_with_controls(
             .is_some_and(|(best, _)| bound >= best - config.mip_gap * best.abs().max(1.0))
     };
 
+    let past_deadline = || config.deadline.is_some_and(|d| Instant::now() >= d);
+
     let mut stack = vec![Node { lower: root_lower, upper: root_upper, bound: f64::NEG_INFINITY }];
 
     while let Some(node) = stack.pop() {
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() >= limit {
-                hit_limit = true;
-                break;
-            }
-        }
-        if let Some(deadline) = controls.deadline {
-            if Instant::now() >= deadline {
-                hit_limit = true;
-                break;
-            }
+        if past_deadline() {
+            hit_limit = true;
+            break;
         }
         if let Some(limit) = config.node_limit {
             if nodes_explored >= limit {
@@ -174,13 +145,9 @@ pub fn solve_with_controls(
         }
         nodes_explored += 1;
         // One relaxation of a large model can outlast the whole budget, so
-        // both limits are polled inside the simplex loop too.
-        let lp_stop = || {
-            controls.deadline.is_some_and(|d| Instant::now() >= d)
-                || config.time_limit.is_some_and(|l| start.elapsed() >= l)
-        };
+        // the deadline is polled inside the simplex loop too.
         let relax =
-            solve_relaxation_interruptible(model, &node.lower, &node.upper, Some(&lp_stop))?;
+            solve_relaxation_interruptible(model, &node.lower, &node.upper, Some(&past_deadline))?;
         match relax.status {
             LpStatus::Interrupted => {
                 hit_limit = true;
@@ -427,10 +394,13 @@ mod tests {
     }
 
     #[test]
-    fn controls_deadline_in_the_past_returns_limit() {
+    fn deadline_in_the_past_returns_limit() {
         let m = small_min_model();
-        let controls = SolveControls { deadline: Some(Instant::now() - Duration::from_millis(1)) };
-        let s = solve_with_controls(&m, &SolverConfig::default(), &controls).unwrap();
+        let config = SolverConfig {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..SolverConfig::default()
+        };
+        let s = solve(&m, &config).unwrap();
         assert_eq!(s.status, SolveStatus::LimitReached);
         assert_eq!(s.nodes_explored, 0);
     }

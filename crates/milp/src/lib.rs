@@ -4,7 +4,7 @@
 //! §V). The original evaluation solves it with Gurobi; this crate is the
 //! self-contained substitute: a Gurobi-style model builder ([`model`]), a
 //! two-phase dense-tableau simplex for LP relaxations ([`simplex`]), and a
-//! depth-first branch-and-bound with time/node limits ([`branch`]).
+//! depth-first branch-and-bound with deadline/node limits ([`branch`]).
 //!
 //! It is deliberately an *exact* solver with *limits*: small instances
 //! solve to proven optimality, while large instances run until their time
@@ -36,9 +36,7 @@ pub mod branch;
 pub mod model;
 pub mod simplex;
 
-pub use branch::{
-    solve, solve_with_controls, MipSolution, SolveControls, SolveStatus, SolverConfig,
-};
+pub use branch::{solve, MipSolution, SolveStatus, SolverConfig};
 pub use model::{
     Constraint, Direction, LinExpr, Model, ModelError, Sense, VarId, VarKind, Variable,
 };

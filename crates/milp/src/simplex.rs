@@ -60,7 +60,7 @@ pub fn solve_relaxation(
 /// [`solve_relaxation`] with a cooperative stop callback, polled once per
 /// simplex iteration. A single relaxation of a large model can run for
 /// seconds, so deadline-honouring callers (the branch-and-bound under a
-/// [`crate::SolveControls`] deadline) must be able to interrupt *inside*
+/// [`crate::SolverConfig::deadline`]) must be able to interrupt *inside*
 /// the pivot loop, not just between tree nodes. When the callback fires
 /// the result carries [`LpStatus::Interrupted`].
 ///

@@ -183,10 +183,6 @@ pub enum HandleNote {
         /// The refused epoch.
         stale_epoch: u64,
     },
-    /// The staged config was activated and its lease started.
-    Activated,
-    /// A probe renewed the active lease.
-    LeaseRenewed,
     /// The active lease had lapsed before this request arrived; the agent
     /// self-fenced and dropped the active config.
     LeaseExpired {
@@ -261,7 +257,7 @@ impl SwitchAgent {
             Request::Prepare(config) => self.on_prepare(req.epoch, config, &mut notes),
             Request::Commit => self.on_commit(req.epoch, now_us, lease_us, &mut notes),
             Request::Abort => self.on_abort(req.epoch),
-            Request::Probe => self.on_probe(req.epoch, now_us, lease_us, &mut notes),
+            Request::Probe => self.on_probe(req.epoch, now_us, lease_us),
         };
         self.seen.insert((req.epoch, req.seq), body.clone());
         (self.reply(req, body), notes)
@@ -319,7 +315,6 @@ impl SwitchAgent {
                 self.active = self.staged.take();
                 self.fence = self.fence.max(epoch.saturating_sub(1));
                 self.lease_until = Some(now_us + lease_us);
-                notes.push(HandleNote::Activated);
                 self.ack()
             }
         }
@@ -336,19 +331,12 @@ impl SwitchAgent {
         self.ack()
     }
 
-    fn on_probe(
-        &mut self,
-        epoch: u64,
-        now_us: u64,
-        lease_us: u64,
-        notes: &mut Vec<HandleNote>,
-    ) -> Reply {
+    fn on_probe(&mut self, epoch: u64, now_us: u64, lease_us: u64) -> Reply {
         if self.active_epoch() == Some(epoch) {
             // Same steady-state rule as idempotent commits: only a running
             // lease is renewed.
             if self.lease_until.is_some() {
                 self.lease_until = Some(now_us + lease_us);
-                notes.push(HandleNote::LeaseRenewed);
             }
             self.ack()
         } else {
@@ -485,9 +473,8 @@ mod tests {
         let (reply, _) = a.handle(&prepare(1, 1, "one"), 0, LEASE);
         assert!(reply.body.is_ack());
         assert_eq!(a.active_epoch(), None, "staging must not activate");
-        let (reply, notes) = a.handle(&req(1, 2, Request::Commit), 10, LEASE);
+        let (reply, _) = a.handle(&req(1, 2, Request::Commit), 10, LEASE);
         assert!(reply.body.is_ack());
-        assert!(notes.contains(&HandleNote::Activated));
         assert_eq!(a.active_epoch(), Some(1));
         assert_eq!(a.active_config().unwrap().switch_name, "one");
         assert_eq!(a.lease_until(), Some(10 + LEASE));
@@ -568,9 +555,9 @@ mod tests {
         assert_eq!(a.active_epoch(), Some(1));
 
         // A replayed commit under a fresh seq acks idempotently.
-        let (again, notes) = a.handle(&req(1, 9, Request::Commit), 25, LEASE);
+        let (again, _) = a.handle(&req(1, 9, Request::Commit), 25, LEASE);
         assert_eq!(again.body, Reply::Ack { active_epoch: Some(1) });
-        assert!(!notes.contains(&HandleNote::Activated), "nothing re-activates");
+        assert_eq!(a.active_epoch(), Some(1), "nothing re-activates");
         assert_eq!(a.lease_until(), Some(25 + LEASE), "idempotent commit renews the lease");
     }
 
@@ -602,9 +589,9 @@ mod tests {
         a.handle(&prepare(1, 1, "one"), 0, LEASE);
         a.handle(&req(1, 2, Request::Commit), 0, LEASE);
         // Probes renew the lease.
-        let (reply, notes) = a.handle(&req(1, 3, Request::Probe), LEASE / 2, LEASE);
+        let (reply, _) = a.handle(&req(1, 3, Request::Probe), LEASE / 2, LEASE);
         assert_eq!(reply.body, Reply::Ack { active_epoch: Some(1) });
-        assert!(notes.contains(&HandleNote::LeaseRenewed));
+        assert_eq!(a.lease_until(), Some(LEASE / 2 + LEASE));
         // Without renewal, the lease lapses and the agent stops serving
         // rather than becoming a zombie.
         assert_eq!(a.expire_lease(LEASE / 2 + LEASE + 1), Some(1));

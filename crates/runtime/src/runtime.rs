@@ -211,11 +211,6 @@ impl DeploymentRuntime {
         self.channel = ControlChannel::new(self.injector.seed(), profile, RPC_COST_US / 2);
     }
 
-    /// The control channel's misbehavior profile.
-    pub fn channel_profile(&self) -> &ChannelProfile {
-        self.channel.profile()
-    }
-
     /// Total control-plane messages handed to the channel so far (both
     /// directions, before drop/duplicate decisions).
     pub fn messages_sent(&self) -> u64 {
@@ -597,9 +592,6 @@ impl DeploymentRuntime {
                     HandleNote::LeaseExpired { epoch } => {
                         self.log.push(Event::LeaseExpired { switch: req.switch, epoch, at_us: now })
                     }
-                    // The runtime-side CommitAcked / ProbeAcked events
-                    // (emitted when the ack arrives back) cover these.
-                    HandleNote::Activated | HandleNote::LeaseRenewed => {}
                 }
             }
             reply

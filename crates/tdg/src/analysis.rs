@@ -72,18 +72,6 @@ impl DependencyType {
                 | DependencyType::RelaxedReverse
         )
     }
-
-    /// Whether a same-switch placement of the endpoints must put the
-    /// upstream MAT in a strictly earlier stage. Relaxed edges waive this.
-    pub fn requires_order(self) -> bool {
-        !self.is_relaxed()
-    }
-
-    /// Whether a split placement of the endpoints needs an inter-switch
-    /// route for the dependency's metadata. Relaxed edges waive this.
-    pub fn requires_route(self) -> bool {
-        !self.is_relaxed()
-    }
 }
 
 impl fmt::Display for DependencyType {

@@ -10,7 +10,7 @@
 
 use hermes::core::{
     verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, OptimalSolver, ProgramAnalyzer,
-    SearchContext, Solver,
+    SearchContext,
 };
 use hermes::dataplane::library;
 use hermes::net::topology::{random_wan, WanConfig};

@@ -19,7 +19,7 @@ use hermes::analysis::{audit_instance, audit_programs, check_tdg, Diagnostic};
 use hermes::core::precheck::Precheck;
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    fnv1a64, DeployError, Epsilon, OptimalSolver, Portfolio, SearchContext, Solver,
+    fnv1a64, DeployError, DeploymentAlgorithm, Epsilon, OptimalSolver, Portfolio, SearchContext,
 };
 use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};

@@ -2,7 +2,7 @@
 //! the whole stack — workloads, topologies, plans, and simulations.
 
 use hermes::baselines::standard_suite;
-use hermes::core::{Epsilon, ProgramAnalyzer};
+use hermes::core::{Epsilon, ProgramAnalyzer, SearchContext};
 use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::topology;
@@ -14,15 +14,16 @@ fn plans_are_identical_across_runs_for_every_algorithm() {
     let tdg = ProgramAnalyzer::new().analyze(&library::real_programs());
     let net = topology::linear(3, 10.0);
     let eps = Epsilon::loose();
-    for algo in standard_suite(Duration::from_millis(500)) {
+    let ctx = || SearchContext::with_time_limit(Duration::from_millis(500));
+    for algo in standard_suite() {
         // Exhaustive solvers may improve with more time, so rerun only the
         // deterministic ones exactly; solvers still must not *crash*.
         if algo.is_exhaustive() {
-            let _ = algo.deploy(&tdg, &net, &eps);
+            let _ = algo.solve(&tdg, &net, &eps, &ctx());
             continue;
         }
-        let a = algo.deploy(&tdg, &net, &eps).unwrap();
-        let b = algo.deploy(&tdg, &net, &eps).unwrap();
+        let a = algo.solve(&tdg, &net, &eps, &ctx()).unwrap().plan;
+        let b = algo.solve(&tdg, &net, &eps, &ctx()).unwrap().plan;
         assert_eq!(a, b, "{} is nondeterministic", algo.name());
     }
 }

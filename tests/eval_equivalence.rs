@@ -22,8 +22,8 @@ use hermes::core::eval::UNASSIGNED;
 use hermes::core::exact::ParallelStats;
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    assign_stages, DeployError, Epsilon, IncrementalEval, OptimalSolver, Portfolio,
-    ProgramAnalyzer, SearchContext, SolveOutcome, Solver, StageProbe,
+    assign_stages, DeployError, DeploymentAlgorithm, Epsilon, IncrementalEval, OptimalSolver,
+    Portfolio, ProgramAnalyzer, SearchContext, SolveOutcome, StageProbe,
 };
 use hermes::dataplane::fieldset::FieldTable;
 use hermes::dataplane::library;

@@ -12,7 +12,7 @@
 use hermes::backend::{check_transition, config::generate, validate_plan, EpochTransition};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    Budgeted, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
+    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
     MigrateError, MigrationOrder, MigrationProblem, MigrationScheduler, OptimalSolver,
     ProgramAnalyzer, RedeployOptions, SearchContext,
 };
@@ -122,9 +122,8 @@ fn plan_family(tdg: &Tdg, net: &Network) -> Vec<DeploymentPlan> {
         })
         .map(|outcome| outcome.plan)
         .collect();
-    family.extend(
-        Budgeted::new(OptimalSolver::new(), Duration::from_secs(10)).deploy(tdg, net, &eps),
-    );
+    let ctx = SearchContext::with_time_limit(Duration::from_secs(10));
+    family.extend(OptimalSolver::new().solve(tdg, net, &eps, &ctx).map(|o| o.plan));
     family.push(greedy);
     family
 }

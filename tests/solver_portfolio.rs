@@ -1,15 +1,15 @@
 //! Property suite for the unified solver architecture: on random small
-//! TDGs and topologies every [`Solver`]'s plan verifies, objectives obey
+//! TDGs and topologies every [`DeploymentAlgorithm`]'s plan verifies, objectives obey
 //! `exact <= portfolio <= greedy`, the portfolio's output is
 //! byte-identical across repeated runs with the same seed and budget, and
 //! the pipeline answers what the thread race it replaced answered.
 
-use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
+use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, Sonata};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::ProgramAnalyzer;
 use hermes::core::{
-    verify, DeployError, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver, Portfolio,
-    SearchContext, Solver,
+    verify, DeployError, DeploymentAlgorithm, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
+    Portfolio, SearchContext,
 };
 use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
@@ -40,17 +40,16 @@ fn random_synthetic_instance(seed: u64, programs: usize) -> (Tdg, Network) {
     (tdg, tiny_switches(3, 12, 1.0))
 }
 
-/// Every registered [`Solver`], exercised through the one unified entry
+/// Every registered [`DeploymentAlgorithm`], exercised through the one unified entry
 /// point (no solver-private budget knobs anywhere).
-fn all_solvers() -> Vec<Box<dyn Solver>> {
-    let fast = IlpConfig { time_limit: Duration::from_secs(1), ..Default::default() };
+fn all_solvers() -> Vec<Box<dyn DeploymentAlgorithm>> {
     vec![
         Box::new(GreedyHeuristic::new()),
         Box::new(OptimalSolver::new()),
         Box::new(MilpHermes::default()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
-        Box::new(IlpBaseline::min_stage(fast)),
+        Box::new(IlpBaseline::min_stage()),
         Box::new(Sonata),
     ]
 }

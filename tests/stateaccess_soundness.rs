@@ -18,15 +18,15 @@
 
 use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, Sonata};
 use hermes::core::{
-    verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
-    Portfolio, ProgramAnalyzer,
+    verify, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, MilpHermes,
+    OptimalSolver, Portfolio, ProgramAnalyzer, SearchContext,
 };
 use hermes::dataplane::action::{Action, PrimitiveOp};
 use hermes::dataplane::fields::Field;
 use hermes::dataplane::library::{self, aggregation};
 use hermes::dataplane::mat::{Mat, MatchKind};
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
-use hermes::net::topology;
+use hermes::net::{topology, Network};
 use hermes::tdg::{AnalysisMode, Tdg};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -62,16 +62,26 @@ proptest! {
 /// The solver roster the byte-identity gate runs: the seven distinct
 /// engines behind the CLI's `--solver` names.
 fn solver_roster() -> Vec<Box<dyn DeploymentAlgorithm>> {
-    let budget = Duration::from_secs(5);
     vec![
         Box::new(GreedyHeuristic::new()),
-        Box::new(Budgeted::new(OptimalSolver::new(), budget)),
-        Box::new(Budgeted::new(MilpHermes::default(), budget)),
-        Box::new(Budgeted::new(Portfolio::greedy_exact(), budget)),
+        Box::new(OptimalSolver::new()),
+        Box::new(MilpHermes::default()),
+        Box::new(Portfolio::greedy_exact()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
         Box::new(Sonata),
     ]
+}
+
+/// `solver`'s plan under a 5 s budget.
+fn plan(
+    solver: &dyn DeploymentAlgorithm,
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+) -> Result<DeploymentPlan, DeployError> {
+    let ctx = SearchContext::with_time_limit(Duration::from_secs(5));
+    solver.solve(tdg, net, eps, &ctx).map(|o| o.plan)
 }
 
 /// Pillar 2 (library workloads): every solver's relaxed-mode plan on the
@@ -92,8 +102,7 @@ fn relaxed_aggregation_plans_verify_under_every_solver() {
     let net = topology::linear(3, 10.0);
     let eps = Epsilon::loose();
     for solver in solver_roster() {
-        let plan = solver
-            .deploy(&tdg, &net, &eps)
+        let plan = plan(solver.as_ref(), &tdg, &net, &eps)
             .unwrap_or_else(|e| panic!("{} failed on the relaxed TDG: {e}", solver.name()));
         let violations = verify(&tdg, &net, &plan, &eps);
         assert!(violations.is_empty(), "{}: {violations:?}", solver.name());
@@ -123,7 +132,7 @@ fn conservative_plans_are_byte_identical_across_runs() {
         let serialize = || {
             let tdg = ProgramAnalyzer::new().analyze(&programs);
             assert!(tdg.edges().iter().all(|e| !e.dep.is_relaxed()), "{}", solver.name());
-            let plan = solver.deploy(&tdg, &net, &eps).expect("library workload deploys");
+            let plan = plan(solver.as_ref(), &tdg, &net, &eps).expect("library workload deploys");
             serde_json::to_string(&plan).expect("plans serialize")
         };
         assert_eq!(serialize(), serialize(), "{} is not reproducible", solver.name());

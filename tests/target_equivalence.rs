@@ -12,12 +12,12 @@
 //!    mix, all seven solvers plus the portfolio return verified plans,
 //!    deterministically, and the migration scheduler stages a drain.
 
-use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
+use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, Sonata};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
     verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer, MigrationOrder,
     MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver, Portfolio, Precheck,
-    RedeployOptions, SearchContext, Solver,
+    RedeployOptions, SearchContext,
 };
 use hermes::net::{parse_target, topology, Network, TargetKind, TargetModel};
 use hermes::tdg::Tdg;
@@ -26,15 +26,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 
-fn all_solvers() -> Vec<Box<dyn Solver>> {
-    let fast = IlpConfig { time_limit: Duration::from_secs(1), ..Default::default() };
+fn all_solvers() -> Vec<Box<dyn DeploymentAlgorithm>> {
     vec![
         Box::new(GreedyHeuristic::new()),
         Box::new(OptimalSolver::new()),
         Box::new(MilpHermes::default()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
-        Box::new(IlpBaseline::min_stage(fast)),
+        Box::new(IlpBaseline::min_stage()),
         Box::new(Sonata),
     ]
 }
