@@ -37,7 +37,7 @@ echo "==> deploy-request benchmark self-test (bench/check.sh)"
 # failure is retried twice.
 bench/check.sh || bench/check.sh || bench/check.sh
 
-echo "==> cargo test -q --release --workspace"
+echo "==> cargo test -q --release --workspace --no-fail-fast"
 # Every crate's unit tests (`hermes-bench`'s among them), every integration
 # suite and every doctest, in release mode: the solver, hot-path, merge, migration, target, durability
 # and state-access equivalence suites, the vendored shims' own tests, and
@@ -63,6 +63,8 @@ echo "==> cargo test -q --release --workspace"
 # (tests/greedy_scale.rs: 1 119 lines, ≈5 s here, minutes in a debug build,
 # so tier-1 above checks only its head; `REGEN_GOLDEN=1 cargo test
 # --release --test greedy_scale` rewrites it).
-cargo test -q --release --workspace
+# `--no-fail-fast`: one failing suite (a golden that drifted) must not hide
+# what every suite after it would report; the stage still fails.
+cargo test -q --release --workspace --no-fail-fast
 
 echo "CI OK"

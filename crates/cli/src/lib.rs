@@ -2099,7 +2099,7 @@ mod tests {
         // An unconcluded transaction or migration is named with what the
         // journal decides recovery by: the commit decision, the schedule.
         use hermes_runtime::{JournalRecord, TxnKind};
-        let plan = hermes_core::DeploymentPlan::new();
+        let plan = hermes_runtime::RenderedPlan::new(hermes_core::DeploymentPlan::new());
         let txn = JournalRecord::TxnBegun {
             epoch: 2,
             kind: TxnKind::Deploy,

@@ -6,7 +6,7 @@
 //! (drives dependency typing and metadata sizing) and the set it *reads*
 //! (used together with match fields when estimating resource needs).
 
-use crate::fields::Field;
+use crate::fields::{ContentHasher, Field};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -141,6 +141,58 @@ impl PrimitiveOp {
         }
     }
 
+    /// Folds the operation into `h`: a variant tag, then each operand in
+    /// declaration order, a field as its content word and a field list
+    /// length first.
+    pub fn write_content(&self, h: &mut ContentHasher) {
+        let fields = |h: &mut ContentHasher, fields: &[Field]| {
+            h.write_u64(fields.len() as u64);
+            fields.iter().for_each(|f| h.write_u64(f.content_hash()));
+        };
+        match self {
+            PrimitiveOp::SetConst { dst } => {
+                h.write_u64(0);
+                h.write_u64(dst.content_hash());
+            }
+            PrimitiveOp::Copy { dst, src } => {
+                h.write_u64(1);
+                h.write_u64(dst.content_hash());
+                h.write_u64(src.content_hash());
+            }
+            PrimitiveOp::Compute { dst, srcs } => {
+                h.write_u64(2);
+                h.write_u64(dst.content_hash());
+                fields(h, srcs);
+            }
+            PrimitiveOp::Hash { dst, srcs } => {
+                h.write_u64(3);
+                h.write_u64(dst.content_hash());
+                fields(h, srcs);
+            }
+            PrimitiveOp::RegisterOp { index, out } => {
+                h.write_u64(4);
+                h.write_u64(index.content_hash());
+                fields(h, out.as_slice());
+            }
+            PrimitiveOp::Drop => h.write_u64(5),
+            PrimitiveOp::Forward { port } => {
+                h.write_u64(6);
+                h.write_u64(port.content_hash());
+            }
+            PrimitiveOp::Fold { dst, srcs, op } => {
+                h.write_u64(7);
+                h.write_u64(dst.content_hash());
+                fields(h, srcs);
+                h.write_u64(match op {
+                    FoldOp::Add => 0,
+                    FoldOp::Max => 1,
+                    FoldOp::Min => 2,
+                    FoldOp::Or => 3,
+                });
+            }
+        }
+    }
+
     /// `true` if every write this operation performs is *idempotent*:
     /// re-executing it (or executing a replica concurrently) yields the
     /// same final value because the written value does not depend on the
@@ -229,6 +281,14 @@ impl Action {
     /// The set of fields this action reads.
     pub fn reads(&self) -> BTreeSet<Field> {
         self.ops.iter().flat_map(|op| op.reads().into_iter().cloned()).collect()
+    }
+
+    /// Folds the action into `h`: its name, then its operations in order
+    /// ([`PrimitiveOp::write_content`]), count first.
+    pub fn write_content(&self, h: &mut ContentHasher) {
+        h.write_str(&self.name);
+        h.write_u64(self.ops.len() as u64);
+        self.ops.iter().for_each(|op| op.write_content(h));
     }
 
     /// Number of ALU-consuming operations (everything except `Drop`).

@@ -81,19 +81,68 @@ pub struct Field {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over the name's bytes, the kind and the width, finished with
-/// MurmurHash3's `fmix64` so every bit of the word depends on every input
-/// byte (hash tables index by the low bits and probe by the high ones).
-fn content_hash(name: &str, kind: FieldKind, size_bytes: u32) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in name.as_bytes().iter().chain(&[kind as u8]).chain(&size_bytes.to_le_bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+/// A stable 64-bit content hash: FNV-1a over the bytes written, finished
+/// with MurmurHash3's `fmix64` so every bit of the word depends on every
+/// input byte (hash tables index by the low bits and probe by the high
+/// ones).
+///
+/// Unlike `std::hash`, whose output std does not promise across releases,
+/// the value is a fixed function of what is written, so it may be
+/// persisted. Every write is explicit: [`ContentHasher::write_str`]
+/// prefixes the length, [`ContentHasher::write_u64`] writes eight
+/// little-endian bytes, [`ContentHasher::write_bytes`] writes its bytes
+/// as they are.
+#[derive(Debug, Clone, Copy)]
+pub struct ContentHasher(u64);
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        ContentHasher(FNV_OFFSET)
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+}
+
+impl ContentHasher {
+    /// An empty hash.
+    pub fn new() -> Self {
+        ContentHasher::default()
+    }
+
+    /// Folds in `bytes` as they are, with no length.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Folds in the length of `s`, then its bytes.
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Folds in `word`'s eight little-endian bytes.
+    pub fn write_u64(&mut self, word: u64) {
+        self.write_bytes(&word.to_le_bytes());
+    }
+
+    /// The finished hash.
+    pub fn finish(self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// The name's bytes, the kind and the width, hashed.
+fn content_hash(name: &str, kind: FieldKind, size_bytes: u32) -> u64 {
+    let mut h = ContentHasher::new();
+    h.write_bytes(name.as_bytes());
+    h.write_bytes(&[kind as u8]);
+    h.write_bytes(&size_bytes.to_le_bytes());
+    h.finish()
 }
 
 impl Field {
@@ -160,6 +209,13 @@ impl Field {
         } else {
             0
         }
+    }
+
+    /// The field's 64-bit content hash: a [`ContentHasher`] over the name,
+    /// the kind and the width, so equal fields have equal words, in every
+    /// process and release.
+    pub fn content_hash(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -236,9 +292,10 @@ impl fmt::Debug for Field {
     }
 }
 
-/// A pass-through [`Hasher`] for maps and sets keyed by [`Field`]: a
-/// field's `Hash` writes its precomputed content hash, and this hasher
-/// returns that word as it is instead of running SipHash over it.
+/// A pass-through [`Hasher`] for maps and sets keyed by [`Field`] (or by
+/// a table's signature): a field's `Hash` writes its precomputed content
+/// hash, and this hasher returns that word as it is instead of running
+/// SipHash over it.
 ///
 /// Not DoS-resistant: the word is a fixed function of the field, so
 /// chosen names can collide on purpose. A collision costs only time —

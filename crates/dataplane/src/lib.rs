@@ -46,7 +46,7 @@ pub mod program;
 pub mod synthetic;
 
 pub use action::{Action, PrimitiveOp};
-pub use fields::{BuildFieldHasher, Field, FieldHasher, FieldKind};
+pub use fields::{BuildFieldHasher, ContentHasher, Field, FieldHasher, FieldKind};
 pub use fieldset::{FieldId, FieldSet, FieldTable};
 pub use mat::{Mat, MatBuilder, MatchKind, MatchSpec, Rule};
 pub use program::{Program, ProgramBuilder};

@@ -9,8 +9,9 @@
 
 use crate::fields::{BuildFieldHasher, Field};
 use crate::program::Program;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, RandomState};
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,23 +214,21 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     // Duplicate table names. Within a program every repeat clashes;
     // across programs only structurally *different* tables do — identical
     // signatures are the shared-MAT redundancy the TDG merge eliminates.
-    {
-        let mut by_name: BTreeMap<&str, Vec<(&Program, &crate::mat::Mat)>> = BTreeMap::new();
-        for &(p, t) in &tables {
-            by_name.entry(t.name()).or_default().push((p, t));
-        }
-        for (name, occurrences) in by_name {
-            for (i, &(p2, t2)) in occurrences.iter().enumerate().skip(1) {
-                let clashing = occurrences[..i]
-                    .iter()
-                    .find(|(p1, t1)| std::ptr::eq(*p1, p2) || t1.signature() != t2.signature());
-                if let Some(&(p1, _)) = clashing {
-                    findings.push(Lint::DuplicateTableName {
-                        table: name.to_owned(),
-                        first_program: p1.name().to_owned(),
-                        second_program: p2.name().to_owned(),
-                    });
-                }
+    // Names come from the program text: they hash with std's seeded
+    // hasher, which text cannot make collide on purpose. A field hashes as
+    // its precomputed word.
+    let names = tables.iter().map(|&(p, t)| (t.name(), (p, t)));
+    for occurrences in shared::<_, _, RandomState>(names).chunk_by(same_key) {
+        for (i, &(_, (p2, t2))) in occurrences.iter().enumerate().skip(1) {
+            let clashing = occurrences[..i]
+                .iter()
+                .find(|(_, (p1, t1))| std::ptr::eq(*p1, p2) || t1.signature() != t2.signature());
+            if let Some(&(name, (p1, _))) = clashing {
+                findings.push(Lint::DuplicateTableName {
+                    table: name.to_owned(),
+                    first_program: p1.name().to_owned(),
+                    second_program: p2.name().to_owned(),
+                });
             }
         }
     }
@@ -237,31 +236,22 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     // Cross-program writes to one metadata field: the later program
     // silently clobbers the earlier one's value. Identical-signature
     // writers (shared MATs) are exempt for the same reason as above.
-    {
-        let mut writers: BTreeMap<&Field, Vec<(&Program, &crate::mat::Mat)>> = BTreeMap::new();
-        for &(p, t) in &tables {
-            for f in t.written_metadata() {
-                writers.entry(f).or_default().push((p, t));
-            }
-        }
-        for (field, ws) in writers {
-            // One finding per field: the first cross-program pair of
-            // structurally different writers (writer lists are short, so
-            // the quadratic scan is immaterial).
-            let clash = ws
-                .iter()
-                .enumerate()
-                .flat_map(|(i, w2)| ws[..i].iter().map(move |w1| (w1, w2)))
-                .find(|((p1, t1), (p2, t2))| {
-                    !std::ptr::eq(*p1, *p2) && t1.signature() != t2.signature()
-                });
-            if let Some((&(p1, t1), &(p2, t2))) = clash {
-                findings.push(Lint::CrossProgramSharedWrite {
-                    field: field.name().to_owned(),
-                    first_table: format!("{}/{}", p1.name(), t1.name()),
-                    second_table: format!("{}/{}", p2.name(), t2.name()),
-                });
-            }
+    let writes = tables.iter().flat_map(|&(p, t)| t.written_metadata().map(move |f| (f, (p, t))));
+    for ws in shared::<_, _, BuildFieldHasher>(writes).chunk_by(same_key) {
+        // One finding per field: the first cross-program pair of
+        // structurally different writers (writer lists are short, so the
+        // quadratic scan is immaterial).
+        let mut pairs =
+            ws.iter().enumerate().flat_map(|(i, w2)| ws[..i].iter().map(move |w1| (w1, w2)));
+        let clash = pairs.find(|((_, (p1, t1)), (_, (p2, t2)))| {
+            !std::ptr::eq(*p1, *p2) && t1.signature() != t2.signature()
+        });
+        if let Some((&(field, (p1, t1)), &(_, (p2, t2)))) = clash {
+            findings.push(Lint::CrossProgramSharedWrite {
+                field: field.name().to_owned(),
+                first_table: format!("{}/{}", p1.name(), t1.name()),
+                second_table: format!("{}/{}", p2.name(), t2.name()),
+            });
         }
     }
 
@@ -271,17 +261,10 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     // every write were a fold of one common kind the field would instead
     // be `CommutativeUpdate` and the dependency relaxable.
     for p in programs {
-        let mut writers: BTreeMap<&Field, Vec<&crate::mat::Mat>> = BTreeMap::new();
-        for t in p.tables() {
-            for f in t.written_fields() {
-                writers.entry(f).or_default().push(t);
-            }
-        }
-        for (field, ws) in writers {
-            if ws.len() < 2 {
-                continue;
-            }
-            let write_ops = ws.iter().flat_map(|t| {
+        let writes = p.tables().iter().flat_map(|t| t.written_fields().iter().map(move |f| (f, t)));
+        for ws in shared::<_, _, BuildFieldHasher>(writes).chunk_by(same_key) {
+            let field = ws[0].0;
+            let write_ops = ws.iter().flat_map(|(_, t)| {
                 t.actions().iter().flat_map(|a| a.ops()).filter(|op| op.writes().contains(&field))
             });
             let mut kinds: BTreeSet<Option<crate::action::FoldOp>> =
@@ -291,8 +274,8 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
             if !all_one_fold_kind {
                 findings.push(Lint::NonCommutativeMultiWriter {
                     field: field.name().to_owned(),
-                    first_table: ws[0].name().to_owned(),
-                    second_table: ws[1].name().to_owned(),
+                    first_table: ws[0].1.name().to_owned(),
+                    second_table: ws[1].1.name().to_owned(),
                 });
             }
         }
@@ -313,6 +296,209 @@ pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
     }
 
     findings
+}
+
+/// The `items` whose key another item shares, sorted by key and, within
+/// a key, in item order: what iterating a `BTreeMap` of every key's items
+/// and skipping the keys with one gives, a key's run being one
+/// [`slice::chunk_by`] chunk ([`same_key`]). Keys are counted in a hash
+/// map built by `S`, so only the items returned are ever compared by key.
+fn shared<K, V, S>(items: impl Iterator<Item = (K, V)>) -> Vec<(K, V)>
+where
+    K: Copy + Hash + Ord,
+    S: BuildHasher + Default,
+{
+    let items: Vec<(K, V)> = items.collect();
+    let mut counts: HashMap<K, u32, S> =
+        HashMap::with_capacity_and_hasher(items.len(), S::default());
+    for &(key, _) in &items {
+        *counts.entry(key).or_default() += 1;
+    }
+    let mut shared: Vec<(K, V)> = items.into_iter().filter(|(key, _)| counts[key] > 1).collect();
+    shared.sort_by_key(|item| item.0);
+    shared
+}
+
+/// Whether two items of [`shared`]'s output belong to one key's run.
+fn same_key<K: PartialEq, V>(a: &(K, V), b: &(K, V)) -> bool {
+    a.0 == b.0
+}
+
+/// [`lint_composition`] as it grouped tables and fields before the
+/// groups were hashed: every group in a name- or field-ordered
+/// `BTreeMap`. The definition the hashed grouping is tested against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    pub fn lint_composition(programs: &[Program]) -> Vec<Lint> {
+        let mut findings = Vec::new();
+
+        // Global pass over (program order, table order).
+        let tables: Vec<(&Program, &crate::mat::Mat)> =
+            programs.iter().flat_map(|p| p.tables().iter().map(move |t| (p, t))).collect();
+
+        // Read-before-write over metadata. `written` and `all_consumed` are
+        // only asked for membership, never iterated, so hashing them leaves
+        // the findings' order as it is; a field hashes as its precomputed
+        // word, passed through as it is.
+        let mut written: HashSet<&Field, BuildFieldHasher> = HashSet::default();
+        for (_, t) in &tables {
+            for f in t.consumed_fields().filter(|f| f.is_metadata()) {
+                // Self-produced metadata within the same table (hash + use) is
+                // fine; check writes of *this* table too.
+                if !written.contains(f) && !t.written_fields().contains(f) {
+                    findings.push(Lint::MetadataReadBeforeWrite {
+                        table: t.name().to_owned(),
+                        field: f.name().to_owned(),
+                    });
+                }
+            }
+            written.extend(t.written_fields());
+        }
+
+        // Never-consumed metadata: collect all consumption, then check writes.
+        let mut all_consumed: HashSet<&Field, BuildFieldHasher> = HashSet::default();
+        for (_, t) in &tables {
+            all_consumed.extend(t.match_fields());
+            all_consumed.extend(t.action_read_fields());
+        }
+        for (_, t) in &tables {
+            for f in t.written_metadata() {
+                if !all_consumed.contains(f) {
+                    findings.push(Lint::MetadataNeverConsumed {
+                        table: t.name().to_owned(),
+                        field: f.name().to_owned(),
+                    });
+                }
+            }
+        }
+
+        // Per-table checks.
+        for (_, t) in &tables {
+            if t.actions().is_empty() {
+                findings.push(Lint::TableWithoutActions { table: t.name().to_owned() });
+            }
+            if t.capacity() >= 1_000
+                && !t.rules().is_empty()
+                && t.rules().len() * 100 < t.capacity()
+            {
+                findings.push(Lint::OversizedCapacity {
+                    table: t.name().to_owned(),
+                    capacity: t.capacity(),
+                    rules: t.rules().len(),
+                });
+            }
+        }
+
+        // Duplicate table names. Within a program every repeat clashes;
+        // across programs only structurally *different* tables do — identical
+        // signatures are the shared-MAT redundancy the TDG merge eliminates.
+        {
+            let mut by_name: BTreeMap<&str, Vec<(&Program, &crate::mat::Mat)>> = BTreeMap::new();
+            for &(p, t) in &tables {
+                by_name.entry(t.name()).or_default().push((p, t));
+            }
+            for (name, occurrences) in by_name {
+                for (i, &(p2, t2)) in occurrences.iter().enumerate().skip(1) {
+                    let clashing = occurrences[..i]
+                        .iter()
+                        .find(|(p1, t1)| std::ptr::eq(*p1, p2) || t1.signature() != t2.signature());
+                    if let Some(&(p1, _)) = clashing {
+                        findings.push(Lint::DuplicateTableName {
+                            table: name.to_owned(),
+                            first_program: p1.name().to_owned(),
+                            second_program: p2.name().to_owned(),
+                        });
+                    }
+                }
+            }
+        }
+
+        // Cross-program writes to one metadata field: the later program
+        // silently clobbers the earlier one's value. Identical-signature
+        // writers (shared MATs) are exempt for the same reason as above.
+        {
+            let mut writers: BTreeMap<&Field, Vec<(&Program, &crate::mat::Mat)>> = BTreeMap::new();
+            for &(p, t) in &tables {
+                for f in t.written_metadata() {
+                    writers.entry(f).or_default().push((p, t));
+                }
+            }
+            for (field, ws) in writers {
+                // One finding per field: the first cross-program pair of
+                // structurally different writers (writer lists are short, so
+                // the quadratic scan is immaterial).
+                let clash = ws
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, w2)| ws[..i].iter().map(move |w1| (w1, w2)))
+                    .find(|((p1, t1), (p2, t2))| {
+                        !std::ptr::eq(*p1, *p2) && t1.signature() != t2.signature()
+                    });
+                if let Some((&(p1, t1), &(p2, t2))) = clash {
+                    findings.push(Lint::CrossProgramSharedWrite {
+                        field: field.name().to_owned(),
+                        first_table: format!("{}/{}", p1.name(), t1.name()),
+                        second_table: format!("{}/{}", p2.name(), t2.name()),
+                    });
+                }
+            }
+        }
+
+        // Non-commutative multi-writer fields within one program (HL008):
+        // the state-access classification pass will pin such a field
+        // `SingleWriter`, serializing every placement of the writing pair. If
+        // every write were a fold of one common kind the field would instead
+        // be `CommutativeUpdate` and the dependency relaxable.
+        for p in programs {
+            let mut writers: BTreeMap<&Field, Vec<&crate::mat::Mat>> = BTreeMap::new();
+            for t in p.tables() {
+                for f in t.written_fields() {
+                    writers.entry(f).or_default().push(t);
+                }
+            }
+            for (field, ws) in writers {
+                if ws.len() < 2 {
+                    continue;
+                }
+                let write_ops = ws.iter().flat_map(|t| {
+                    t.actions()
+                        .iter()
+                        .flat_map(|a| a.ops())
+                        .filter(|op| op.writes().contains(&field))
+                });
+                let mut kinds: BTreeSet<Option<crate::action::FoldOp>> =
+                    write_ops.map(crate::action::PrimitiveOp::fold_op).collect();
+                let all_one_fold_kind =
+                    kinds.len() == 1 && kinds.pop_first().is_some_and(|k| k.is_some());
+                if !all_one_fold_kind {
+                    findings.push(Lint::NonCommutativeMultiWriter {
+                        field: field.name().to_owned(),
+                        first_table: ws[0].name().to_owned(),
+                        second_table: ws[1].name().to_owned(),
+                    });
+                }
+            }
+        }
+
+        // Redundant gates (per program).
+        for p in programs {
+            for &(from, to) in p.gates() {
+                let a = &p.tables()[from];
+                let b = &p.tables()[to];
+                if a.written_fields().iter().any(|f| b.consumes(f)) {
+                    findings.push(Lint::RedundantGate {
+                        from: a.name().to_owned(),
+                        to: b.name().to_owned(),
+                    });
+                }
+            }
+        }
+
+        findings
+    }
 }
 
 #[cfg(test)]
@@ -595,6 +781,71 @@ mod tests {
         let p =
             Program::builder("p").table(setter).table(folder("f", FoldOp::Add)).build().unwrap();
         assert!(lint(&p).iter().any(|l| matches!(l, Lint::NonCommutativeMultiWriter { .. })));
+    }
+
+    /// Programs whose tables share names and written fields across and
+    /// within programs, in no name order: some same-named tables alike,
+    /// some not, some fields folded by one kind, some by several.
+    fn clashing_programs() -> Vec<Program> {
+        use crate::action::{FoldOp, PrimitiveOp};
+        let names = ["zeta", "alpha", "mid", "beta", "omega"];
+        let fields = [meta("meta.q", 4), meta("meta.c", 2), meta("meta.x", 8), meta("meta.c", 4)];
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = |n: usize| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 33) as usize % n
+        };
+        (0..8)
+            .map(|p| {
+                let mut program = Program::builder(format!("p{}", 7 - p));
+                for (t, name) in names.iter().enumerate().filter(|&(t, _)| (t + p) % 3 != 0) {
+                    let field = fields[next(fields.len())].clone();
+                    let op = match next(3) {
+                        0 => PrimitiveOp::Compute { dst: field, srcs: vec![] },
+                        k => PrimitiveOp::Fold {
+                            dst: field,
+                            srcs: vec![],
+                            op: [FoldOp::Add, FoldOp::Max][k - 1],
+                        },
+                    };
+                    let table = Mat::builder(*name)
+                        .action(Action::new(format!("a{t}")).with_op(op))
+                        .capacity(64 << next(2))
+                        .resource(0.1)
+                        .build()
+                        .unwrap();
+                    program = program.table(table);
+                }
+                program.build().unwrap()
+            })
+            .collect()
+    }
+
+    /// The hashed grouping reports what the ordered maps did, finding for
+    /// finding and in their order, on the library, the 60-program
+    /// `wan-50` pool, the audit fixture and crafted clashes.
+    #[test]
+    fn hashed_grouping_reports_as_its_definition() {
+        use crate::synthetic::{SyntheticConfig, SyntheticGenerator};
+        let fixture = include_str!("../../../tests/fixtures/audit_workload.p4dsl");
+        let clashing = clashing_programs();
+        let workloads = [
+            library::real_programs(),
+            SyntheticGenerator::new(50, SyntheticConfig::default()).programs(60),
+            crate::parser::parse_programs(fixture).unwrap(),
+            clashing.clone(),
+        ];
+        for programs in &workloads {
+            assert_eq!(lint_composition(programs), oracle::lint_composition(programs));
+            for p in programs {
+                assert_eq!(lint(p), oracle::lint_composition(std::slice::from_ref(p)));
+            }
+        }
+        let findings = lint_composition(&clashing);
+        for code in ["HL006", "HL007", "HL008"] {
+            let n = findings.iter().filter(|l| l.code() == code).count();
+            assert!(n > 1, "{code}: {n} findings in {findings:?}");
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! what the placement constraints (Eq. 9) consume.
 
 use crate::action::Action;
-use crate::fields::Field;
+use crate::fields::{ContentHasher, Field};
 use serde::{Deserialize, Serialize, Serializer, Value};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// How a match field is compared against a packet.
@@ -51,6 +53,17 @@ impl MatchSpec {
     /// Creates a match spec.
     pub fn new(field: Field, kind: MatchKind) -> Self {
         MatchSpec { field, kind }
+    }
+
+    /// Folds the key into `h`: the field's content word, then the kind.
+    pub fn write_content(&self, h: &mut ContentHasher) {
+        h.write_u64(self.field.content_hash());
+        h.write_u64(match self.kind {
+            MatchKind::Exact => 0,
+            MatchKind::Lpm => 1,
+            MatchKind::Ternary => 2,
+            MatchKind::Range => 3,
+        });
     }
 }
 
@@ -271,9 +284,9 @@ impl Mat {
         let mut read = self.action_read_fields().iter().peekable();
         std::iter::from_fn(move || match (matched.peek(), read.peek()) {
             (Some(m), Some(r)) => match m.cmp(r) {
-                std::cmp::Ordering::Less => matched.next(),
-                std::cmp::Ordering::Greater => read.next(),
-                std::cmp::Ordering::Equal => {
+                Ordering::Less => matched.next(),
+                Ordering::Greater => read.next(),
+                Ordering::Equal => {
                     read.next();
                     matched.next()
                 }
@@ -357,11 +370,71 @@ impl fmt::Display for Mat {
 /// The match keys and the actions are held as sets: sorted, duplicate-free
 /// slices, which compare lexicographically and so order signatures exactly
 /// as `BTreeSet`s of them would, at a fraction of a tree's memory.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// A signature also carries a 64-bit hash of that content, computed once
+/// when the table is built, as a [`Field`] does: `Hash` writes only that
+/// word and `Eq` compares it first, so grouping tables by signature costs
+/// a word per table. `Ord` ignores it.
+#[derive(Debug, Clone)]
 pub struct MatSignature {
     match_specs: Box<[MatchSpec]>,
     actions: Box<[Action]>,
     capacity: usize,
+    /// [`ContentHasher`] over the three fields above.
+    hash: u64,
+}
+
+impl MatSignature {
+    fn new(match_specs: Box<[MatchSpec]>, actions: Box<[Action]>, capacity: usize) -> Self {
+        let mut h = ContentHasher::new();
+        h.write_u64(match_specs.len() as u64);
+        match_specs.iter().for_each(|m| m.write_content(&mut h));
+        h.write_u64(actions.len() as u64);
+        actions.iter().for_each(|a| a.write_content(&mut h));
+        h.write_u64(capacity as u64);
+        MatSignature { match_specs, actions, capacity, hash: h.finish() }
+    }
+
+    /// The signature's 64-bit content hash: equal signatures have equal
+    /// words.
+    pub fn content_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl PartialEq for MatSignature {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.capacity == other.capacity
+            && self.match_specs == other.match_specs
+            && self.actions == other.actions
+    }
+}
+
+impl Eq for MatSignature {}
+
+/// By match keys, then actions, then capacity — the order the former
+/// derive gave.
+impl Ord for MatSignature {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.match_specs
+            .cmp(&other.match_specs)
+            .then_with(|| self.actions.cmp(&other.actions))
+            .then(self.capacity.cmp(&other.capacity))
+    }
+}
+
+impl PartialOrd for MatSignature {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Writes the content hash, one word; see [`crate::fields::FieldHasher`].
+impl Hash for MatSignature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 const DEFAULT_CAPACITY: usize = 1024;
@@ -483,8 +556,7 @@ impl Mat {
             sorted.dedup();
             sorted.into_iter().cloned().collect()
         }
-        let signature =
-            MatSignature { match_specs: set_of(&match_specs), actions: set_of(&actions), capacity };
+        let signature = MatSignature::new(set_of(&match_specs), set_of(&actions), capacity);
 
         let body = MatBody {
             field_sets: fields.into(),
@@ -761,9 +833,12 @@ mod tests {
     /// Over every ordered pair of tables, the cached signature is equal and
     /// ordered exactly as the `BTreeSet` one derived per call was — so the
     /// merge's signature groups, and the order it folds them in, are too —
-    /// as built, cloned, and read back from JSON.
+    /// as built, cloned, and read back from JSON. Equal signatures hash
+    /// to one word, so the merge's hashed groups are the oracle's too.
     #[test]
     fn cached_signature_compares_as_its_definition() {
+        use std::hash::BuildHasher;
+        let hash = |s: &MatSignature| crate::BuildFieldHasher::default().hash_one(s);
         let mats = corpus();
         let clones = mats.clone();
         let read_back: Vec<Mat> = mats.iter().map(round_trip).collect();
@@ -779,8 +854,11 @@ mod tests {
                 equal_pairs += usize::from(i != j && want.is_eq());
                 for (a, b) in [(&mats, &mats), (&clones, &mats), (&read_back, &clones)] {
                     let (sa, sb) = (a[i].signature(), b[j].signature());
-                    assert_eq!(sa.cmp(sb), want, "{} vs {}", mats[i].name(), mats[j].name());
-                    assert_eq!(sa == sb, want.is_eq(), "{} vs {}", mats[i].name(), mats[j].name());
+                    let (ni, nj) = (mats[i].name(), mats[j].name());
+                    assert_eq!(sa.cmp(sb), want, "{ni} vs {nj}");
+                    assert_eq!(sa == sb, want.is_eq(), "{ni} vs {nj}");
+                    assert_eq!(sa == sb, hash(sa) == hash(sb) && want.is_eq(), "{ni} vs {nj}");
+                    assert_eq!(hash(sa), sa.content_hash(), "{ni}: `Hash` writes the word");
                 }
             }
         }

@@ -66,8 +66,10 @@
 
 use hermes_core::DeploymentPlan;
 use hermes_net::SwitchId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer, Value};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// File magic: the first four bytes of every journal.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"HJL1";
@@ -79,7 +81,9 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"HJL1";
 /// configs; every snapshot compacts.
 /// 3 — no per-switch acknowledgement or lease records (`Prepared`,
 /// `CommitAcked`, `LeaseGranted`, `MigrationStepCommitted`).
-pub const JOURNAL_FORMAT_VERSION: u16 = 3;
+/// 4 — `tdg_fp` is the structural TDG fingerprint, not FNV-1a over the
+/// TDG's JSON; frames are otherwise as in 3.
+pub const JOURNAL_FORMAT_VERSION: u16 = 4;
 
 /// Per-frame magic, chosen to be invalid UTF-8 so it cannot collide with
 /// JSON payload bytes.
@@ -203,6 +207,101 @@ impl fmt::Display for TxnKind {
     }
 }
 
+/// A plan as the journal writes it: the plan and its canonical JSON,
+/// rendered at most once and shared by every clone. Every record of one
+/// deployment — its `TxnBegun` or `MigrationBegun`, each `Snapshot` of it
+/// — writes these same bytes, and the plan's fingerprint is their FNV-1a,
+/// the value [`DeploymentPlan::fingerprint`] streams.
+///
+/// A plan built by the runtime is rendered when it is made; one read back
+/// from a journal only when it is written or fingerprinted again.
+/// Compares, prints and serializes as the plan it holds.
+#[derive(Clone)]
+pub struct RenderedPlan(Arc<Rendered>);
+
+struct Rendered {
+    plan: DeploymentPlan,
+    rendering: OnceLock<Rendering>,
+}
+
+/// A plan's compact JSON and the FNV-1a of it.
+struct Rendering {
+    /// `None` if the plan failed to serialize, which a plan cannot (its
+    /// map keys are strings); the journal then writes the plan itself.
+    json: Option<String>,
+    fingerprint: u64,
+}
+
+impl RenderedPlan {
+    /// Takes `plan` and renders it.
+    pub fn new(plan: DeploymentPlan) -> Self {
+        let rendered = RenderedPlan::unrendered(plan);
+        rendered.rendering();
+        rendered
+    }
+
+    fn unrendered(plan: DeploymentPlan) -> Self {
+        RenderedPlan(Arc::new(Rendered { plan, rendering: OnceLock::new() }))
+    }
+
+    /// The plan.
+    pub fn plan(&self) -> &DeploymentPlan {
+        &self.0.plan
+    }
+
+    /// FNV-1a over the plan's canonical JSON: equal to
+    /// [`DeploymentPlan::fingerprint`].
+    pub fn fingerprint(&self) -> u64 {
+        self.rendering().fingerprint
+    }
+
+    fn rendering(&self) -> &Rendering {
+        let plan = self.plan();
+        self.0.rendering.get_or_init(|| match serde_json::to_string(plan) {
+            Ok(json) => {
+                Rendering { fingerprint: hermes_core::fnv1a64(json.as_bytes()), json: Some(json) }
+            }
+            Err(_) => Rendering { fingerprint: plan.fingerprint(), json: None },
+        })
+    }
+}
+
+impl Deref for RenderedPlan {
+    type Target = DeploymentPlan;
+
+    fn deref(&self) -> &DeploymentPlan {
+        self.plan()
+    }
+}
+
+impl PartialEq for RenderedPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.plan() == other.plan()
+    }
+}
+
+impl fmt::Debug for RenderedPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.plan().fmt(f)
+    }
+}
+
+/// The held rendering, written as it is; a pretty writer renders the plan.
+impl Serialize for RenderedPlan {
+    fn serialize<W: serde::Write>(&self, s: &mut Serializer<W>) -> Result<(), serde::Error> {
+        match &self.rendering().json {
+            Some(json) => s.write_rendered(self.plan(), json),
+            None => self.plan().serialize(s),
+        }
+    }
+}
+
+impl Deserialize for RenderedPlan {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(RenderedPlan::unrendered(DeploymentPlan::from_value(v)?))
+    }
+}
+
 /// One durable state transition. Records carry everything recovery needs
 /// to rebuild intent without the controller's memory and nothing it can
 /// re-derive: transaction, migration and snapshot records embed the plan
@@ -227,7 +326,7 @@ pub enum JournalRecord {
         /// Fingerprint of `plan`.
         plan_fp: u64,
         /// The target plan.
-        plan: DeploymentPlan,
+        plan: RenderedPlan,
     },
     /// The point of no return: every switch prepared, validation and the
     /// mixed-epoch gate passed, commits are about to be sent in `order`.
@@ -262,7 +361,7 @@ pub enum JournalRecord {
         /// Fingerprint of `plan`.
         plan_fp: u64,
         /// The active plan.
-        plan: DeploymentPlan,
+        plan: RenderedPlan,
         /// Virtual time of the activation.
         clock_us: u64,
     },
@@ -281,7 +380,7 @@ pub enum JournalRecord {
         /// Fingerprint of the target plan.
         plan_fp: u64,
         /// The target plan.
-        plan: DeploymentPlan,
+        plan: RenderedPlan,
         /// The scheduled commit order.
         order: Vec<SwitchId>,
     },
@@ -633,6 +732,7 @@ impl Journal {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -645,7 +745,7 @@ mod tests {
             epoch,
             tdg_fp: 11,
             plan_fp: 22,
-            plan: DeploymentPlan::new(),
+            plan: RenderedPlan::new(DeploymentPlan::new()),
             clock_us: 5,
         }
     }
@@ -740,16 +840,131 @@ mod tests {
         ));
     }
 
+    /// Every earlier format is refused by its version: a version 3
+    /// journal, whose `tdg_fp`s hash the TDG's JSON, never gets as far as
+    /// being told it describes a different workload.
     #[test]
     fn a_version_1_journal_is_refused() {
-        for old in [1u16, 2] {
-            let mut bytes = Journal::new().bytes().to_vec();
-            bytes[4..6].copy_from_slice(&old.to_le_bytes());
-            assert_eq!(
-                replay_bytes(&bytes),
-                Err(JournalError::UnsupportedVersion { found: old, supported: 3 })
-            );
+        let (tdg, net, plan) = crate::runtime::tests::workload();
+        let mut rt = crate::runtime::tests::clean_runtime(&net);
+        assert!(rt.rollout(&tdg, plan).is_committed());
+        for old in [1u16, 2, 3] {
+            for journal in [Journal::new().bytes(), rt.journal().bytes()] {
+                let mut bytes = journal.to_vec();
+                bytes[4..6].copy_from_slice(&old.to_le_bytes());
+                assert_eq!(
+                    replay_bytes(&bytes),
+                    Err(JournalError::UnsupportedVersion { found: old, supported: 4 })
+                );
+            }
         }
+    }
+
+    /// The plan-carrying records, holding the plan itself: what a record
+    /// writes when nothing has rendered its plan before.
+    #[derive(Serialize)]
+    enum PlainRecord {
+        TxnBegun {
+            epoch: u64,
+            kind: TxnKind,
+            tdg_fp: u64,
+            plan_fp: u64,
+            plan: DeploymentPlan,
+        },
+        Snapshot {
+            epoch: u64,
+            tdg_fp: u64,
+            plan_fp: u64,
+            plan: DeploymentPlan,
+            clock_us: u64,
+        },
+        MigrationBegun {
+            epoch: u64,
+            tdg_fp: u64,
+            plan_fp: u64,
+            plan: DeploymentPlan,
+            order: Vec<SwitchId>,
+        },
+    }
+
+    /// A record writes its plan's held rendering: the frame is byte for
+    /// byte the one serializing the plan in place gives, compact and
+    /// pretty, whether the plan was rendered when it was made, shared by
+    /// several records, or read back from a journal and not rendered
+    /// since. The plan's fingerprint is that of the bytes.
+    #[test]
+    fn a_shared_rendering_writes_the_plain_frame() {
+        let (_, net, plan) = crate::runtime::tests::workload();
+        let rendered = RenderedPlan::new(plan.clone());
+        assert_eq!(rendered.fingerprint(), plan.fingerprint());
+        let (tdg_fp, plan_fp) = (11, plan.fingerprint());
+        let order: Vec<SwitchId> = net.switch_ids().collect();
+        let records = |plan: &RenderedPlan| {
+            vec![
+                JournalRecord::TxnBegun {
+                    epoch: 3,
+                    kind: TxnKind::Heal,
+                    tdg_fp,
+                    plan_fp,
+                    plan: plan.clone(),
+                },
+                JournalRecord::Snapshot {
+                    epoch: 3,
+                    tdg_fp,
+                    plan_fp,
+                    plan: plan.clone(),
+                    clock_us: 9,
+                },
+                JournalRecord::MigrationBegun {
+                    epoch: 4,
+                    tdg_fp,
+                    plan_fp,
+                    plan: plan.clone(),
+                    order: order.clone(),
+                },
+            ]
+        };
+        let plain = [
+            PlainRecord::TxnBegun {
+                epoch: 3,
+                kind: TxnKind::Heal,
+                tdg_fp,
+                plan_fp,
+                plan: plan.clone(),
+            },
+            PlainRecord::Snapshot { epoch: 3, tdg_fp, plan_fp, plan: plan.clone(), clock_us: 9 },
+            PlainRecord::MigrationBegun {
+                epoch: 4,
+                tdg_fp,
+                plan_fp,
+                plan: plan.clone(),
+                order: order.clone(),
+            },
+        ];
+        let written = records(&rendered);
+        // Each in a journal of its own: a snapshot compacts what precedes it.
+        let read_back: Vec<JournalRecord> = written
+            .iter()
+            .map(|record| {
+                let mut journal = Journal::new();
+                journal.append(record);
+                journal.replay().unwrap().records.remove(0)
+            })
+            .collect();
+        assert_eq!(read_back, written);
+        let JournalRecord::TxnBegun { plan: unrendered, .. } = &read_back[0] else { panic!() };
+        for records in [written.clone(), records(unrendered)] {
+            for (record, plain) in records.iter().zip(&plain) {
+                let compact = serde_json::to_string(plain).unwrap();
+                assert_eq!(serde_json::to_string(record).unwrap(), compact);
+                let pretty = serde_json::to_string_pretty(plain).unwrap();
+                assert_eq!(serde_json::to_string_pretty(record).unwrap(), pretty);
+                let mut frame = Journal::new();
+                frame.append(record);
+                assert_eq!(&frame.bytes()[HEADER_LEN + FRAME_HEADER_LEN..], compact.as_bytes());
+            }
+        }
+        assert_eq!(unrendered.fingerprint(), plan.fingerprint());
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub use channel::{ChannelProfile, ControlChannel, Message, SendReceipt};
 pub use event::{Event, EventLog, MessageKind, EVENT_SCHEMA_VERSION};
 pub use fault::{Fault, FaultInjector, FaultProfile, ProfileError};
 pub use journal::{
-    replay_bytes, CrashPoint, CrashTiming, Journal, JournalError, JournalRecord, Replay, TxnKind,
-    JOURNAL_FORMAT_VERSION,
+    replay_bytes, CrashPoint, CrashTiming, Journal, JournalError, JournalRecord, RenderedPlan,
+    Replay, TxnKind, JOURNAL_FORMAT_VERSION,
 };
 pub use migrate::{MigrationConfig, MigrationOutcome};
 pub use recovery::{

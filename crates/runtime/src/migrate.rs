@@ -33,9 +33,9 @@
 
 use crate::agent::SwitchAgent;
 use crate::event::Event;
-use crate::journal::{CrashPoint, JournalRecord};
+use crate::journal::{CrashPoint, JournalRecord, RenderedPlan};
 use crate::runtime::{ControllerCrash, DeploymentRuntime};
-use crate::txn::{mixed_epoch_gate, ActiveDeployment, Fingerprints, ABORT_THRESHOLD, PACKET_SEEDS};
+use crate::txn::{mixed_epoch_gate, ActiveDeployment, ABORT_THRESHOLD, PACKET_SEEDS};
 use hermes_backend::{validate_plan, EpochTransition, SwitchConfig};
 use hermes_core::{
     verify, DeploymentPlan, MigrationProblem, MigrationSchedule, MigrationScheduler, SearchContext,
@@ -160,7 +160,7 @@ impl DeploymentRuntime {
     ) -> MigrationOutcome {
         self.guarded(MigrationOutcome::crashed, |rt| {
             let schedule = match &rt.active {
-                Some(active) if active.tdg == *tdg && active.plan != target => {
+                Some(active) if active.tdg == *tdg && *active.plan != target => {
                     let problem =
                         MigrationProblem { tdg, net: &rt.net, from: &active.plan, to: &target };
                     let ctx =
@@ -190,7 +190,7 @@ impl DeploymentRuntime {
         schedule: &MigrationSchedule,
     ) -> MigrationOutcome {
         self.guarded(MigrationOutcome::crashed, |rt| match &rt.active {
-            Some(active) if active.tdg == *tdg && active.plan != target => {
+            Some(active) if active.tdg == *tdg && *active.plan != target => {
                 rt.run_migration(tdg, target, schedule)
             }
             _ => rt.refuse_or_skip(tdg),
@@ -283,11 +283,11 @@ impl DeploymentRuntime {
         // touches an agent. Steps journal nothing: until the completion
         // record lands, recovery rolls back to plan A whichever prefix of
         // `order` had committed.
-        let fp = Fingerprints::of(tdg, &target);
+        let (target, tdg_fp) = (RenderedPlan::new(target), hermes_core::tdg_fingerprint(tdg));
         self.journal_note(JournalRecord::MigrationBegun {
             epoch,
-            tdg_fp: fp.tdg,
-            plan_fp: fp.plan,
+            tdg_fp,
+            plan_fp: target.fingerprint(),
             plan: target.clone(),
             order: order.clone(),
         })?;
@@ -373,7 +373,13 @@ impl DeploymentRuntime {
 
         let steps = schedule.steps.len();
         self.journal_note(JournalRecord::MigrationCompleted { epoch, steps })?;
-        self.activate(ActiveDeployment { epoch, tdg: tdg.clone(), plan: target, artifacts, fp })?;
+        self.activate(ActiveDeployment {
+            epoch,
+            tdg: tdg.clone(),
+            plan: target,
+            artifacts,
+            tdg_fp,
+        })?;
         let reconfig_us = self.clock_us - start_us;
         let messages = self.channel.messages_sent() - messages_before;
         self.log.push(Event::MigrationCompleted {

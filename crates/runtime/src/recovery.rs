@@ -49,9 +49,9 @@
 
 use crate::agent::{AgentError, Reply, Request};
 use crate::event::{Event, MessageKind};
-use crate::journal::{JournalError, JournalRecord, Replay, TxnKind};
+use crate::journal::{JournalError, JournalRecord, RenderedPlan, Replay, TxnKind};
 use crate::runtime::DeploymentRuntime;
-use crate::txn::{ActiveDeployment, Fingerprints, ABORT_THRESHOLD, LEASE_US, MAX_ATTEMPTS};
+use crate::txn::{ActiveDeployment, ABORT_THRESHOLD, LEASE_US, MAX_ATTEMPTS};
 use hermes_backend::generate;
 use hermes_core::{verify, DeploymentPlan};
 use hermes_net::SwitchId;
@@ -245,7 +245,7 @@ impl RecoveredIntent {
                         kind: *kind,
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
-                        plan: plan.clone(),
+                        plan: plan.plan().clone(),
                         commit_order: None,
                         committed: false,
                         aborted: false,
@@ -258,7 +258,7 @@ impl RecoveredIntent {
                         epoch: *epoch,
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
-                        plan: plan.clone(),
+                        plan: plan.plan().clone(),
                         clock_us: *clock_us,
                     });
                     intent.in_flight = None;
@@ -274,7 +274,7 @@ impl RecoveredIntent {
                         epoch: *epoch,
                         tdg_fp: *tdg_fp,
                         plan_fp: *plan_fp,
-                        plan: plan.clone(),
+                        plan: plan.plan().clone(),
                         order: order.clone(),
                         rolled_back: false,
                         completed: false,
@@ -519,13 +519,12 @@ impl DeploymentRuntime {
                 // from the plan and the TDG, as the controller derived them
                 // before the crash.
                 let artifacts = generate(tdg, &self.net, plan);
-                let fp = Fingerprints { tdg: expected, plan: plan.fingerprint() };
                 self.reinstall(ActiveDeployment {
                     epoch: fresh,
                     tdg: tdg.clone(),
-                    plan: plan.clone(),
+                    plan: RenderedPlan::new(plan.clone()),
                     artifacts,
-                    fp,
+                    tdg_fp: expected,
                 })
             }
             None => {
@@ -690,7 +689,7 @@ mod tests {
     fn intent_folding_tracks_the_txn_state_machine() {
         let mut j = Journal::new();
         j.append(&JournalRecord::EpochAdvanced { epoch: 1 });
-        let (_, _, plan) = workload();
+        let plan = RenderedPlan::new(workload().2);
         j.append(&JournalRecord::TxnBegun {
             epoch: 1,
             kind: TxnKind::Deploy,
@@ -719,7 +718,7 @@ mod tests {
 
     #[test]
     fn intent_folding_tracks_migrations_and_cleared_state() {
-        let (_, _, plan) = workload();
+        let plan = RenderedPlan::new(workload().2);
         let mut j = Journal::new();
         assert_eq!(
             RecoveredIntent::from_replay(&j.replay().unwrap()).planned_action(),
@@ -842,16 +841,17 @@ mod tests {
     #[test]
     fn a_plan_placed_outside_the_tdg_or_the_network_is_refused_untouched() {
         let (tdg, net, plan) = workload();
-        let fp = Fingerprints::of(&tdg, &plan);
+        let tdg_fp = hermes_core::tdg_fingerprint(&tdg);
         let first = plan.placements()[0].clone();
         let node: NodeId = serde_json::from_str(&tdg.node_count().to_string()).unwrap();
         let switch: SwitchId = serde_json::from_str(&net.switch_count().to_string()).unwrap();
         for (node, switch) in [(node, first.switch), (first.node, switch)] {
             let mut bad = plan.clone();
             bad.place(StagePlacement { node, switch, ..first.clone() });
+            let bad = RenderedPlan::new(bad);
             let snapshot = vec![JournalRecord::Snapshot {
                 epoch: 1,
-                tdg_fp: fp.tdg,
+                tdg_fp,
                 plan_fp: bad.fingerprint(),
                 plan: bad.clone(),
                 clock_us: 0,
@@ -860,7 +860,7 @@ mod tests {
                 JournalRecord::TxnBegun {
                     epoch: 1,
                     kind: TxnKind::Deploy,
-                    tdg_fp: fp.tdg,
+                    tdg_fp,
                     plan_fp: bad.fingerprint(),
                     plan: bad.clone(),
                 },

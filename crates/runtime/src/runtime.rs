@@ -44,10 +44,8 @@ use crate::agent::{
 use crate::channel::{ChannelProfile, ControlChannel, Message, SendReceipt};
 use crate::event::{Event, EventLog, MessageKind};
 use crate::fault::{Fault, FaultInjector};
-use crate::journal::{CrashPoint, CrashTiming, Journal, JournalRecord, TxnKind};
-use crate::txn::{
-    ActiveDeployment, Fingerprints, TxnFailure, LEASE_US, PACKET_SEEDS, RPC_COST_US, TIMEOUT_US,
-};
+use crate::journal::{CrashPoint, CrashTiming, Journal, JournalRecord, RenderedPlan, TxnKind};
+use crate::txn::{ActiveDeployment, TxnFailure, LEASE_US, PACKET_SEEDS, RPC_COST_US, TIMEOUT_US};
 use hermes_backend::validate_plan;
 use hermes_core::{DeploymentPlan, Epsilon, IncrementalDeployer, RedeployOptions};
 use hermes_net::{Network, SwitchId};
@@ -263,7 +261,7 @@ impl DeploymentRuntime {
 
     /// The plan currently serving, if any.
     pub fn active_plan(&self) -> Option<&DeploymentPlan> {
-        self.active.as_ref().map(|a| &a.plan)
+        self.active.as_ref().map(|a| a.plan.plan())
     }
 
     /// The epoch currently serving, if any.
@@ -345,12 +343,12 @@ impl DeploymentRuntime {
             return Ok(self.roll_back(epoch, "pre-install validation failed".to_string()));
         }
 
-        let fp = Fingerprints::of(tdg, &plan);
+        let (plan, tdg_fp) = (RenderedPlan::new(plan), hermes_core::tdg_fingerprint(tdg));
         self.journal_note(JournalRecord::TxnBegun {
             epoch,
             kind: TxnKind::Deploy,
-            tdg_fp: fp.tdg,
-            plan_fp: fp.plan,
+            tdg_fp,
+            plan_fp: plan.fingerprint(),
             plan: plan.clone(),
         })?;
         let dead = match self.install_transaction(tdg, &plan, &artifacts, epoch, true) {
@@ -361,7 +359,7 @@ impl DeploymentRuntime {
         // The deployment this one replaces is what a failed heal rolls
         // back to.
         let prior =
-            self.activate(ActiveDeployment { epoch, tdg: tdg.clone(), plan, artifacts, fp })?;
+            self.activate(ActiveDeployment { epoch, tdg: tdg.clone(), plan, artifacts, tdg_fp })?;
         if !dead.is_empty() {
             // Some switches were lost during the commit window itself
             // (unreachable or lease-lapsed): the committed deployment is
@@ -445,23 +443,22 @@ impl DeploymentRuntime {
                     "healed plan failed validation".to_string(),
                 );
             }
-            let fp = Fingerprints { tdg: active.fp.tdg, plan: outcome.plan.fingerprint() };
+            let plan = RenderedPlan::new(outcome.plan);
             self.journal_note(JournalRecord::TxnBegun {
                 epoch,
                 kind: TxnKind::Heal,
-                tdg_fp: fp.tdg,
-                plan_fp: fp.plan,
-                plan: outcome.plan.clone(),
+                tdg_fp: active.tdg_fp,
+                plan_fp: plan.fingerprint(),
+                plan: plan.clone(),
             })?;
-            match self.install_transaction(&active.tdg, &outcome.plan, &artifacts, epoch, false) {
+            match self.install_transaction(&active.tdg, &plan, &artifacts, epoch, false) {
                 Err(TxnFailure::Crashed(crash)) => return Err(crash),
                 Err(TxnFailure::Aborted(reason)) => {
                     return self.roll_back_to(previous, epoch, reason)
                 }
                 Ok(dead) => {
-                    let a_max_after = outcome.plan.max_inter_switch_bytes(&active.tdg);
-                    let healed =
-                        ActiveDeployment { epoch, plan: outcome.plan, artifacts, fp, ..active };
+                    let a_max_after = plan.max_inter_switch_bytes(&active.tdg);
+                    let healed = ActiveDeployment { epoch, plan, artifacts, ..active };
                     self.activate(healed)?;
                     if dead.is_empty() {
                         self.log.push(Event::RecoveryCompleted {

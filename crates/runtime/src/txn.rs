@@ -26,7 +26,7 @@
 
 use crate::agent::{AgentError, Reply, Request, SwitchAgent};
 use crate::event::{Event, EventLog, MessageKind};
-use crate::journal::{CrashTiming, JournalRecord};
+use crate::journal::{CrashTiming, JournalRecord, RenderedPlan};
 use crate::runtime::{ControllerCrash, DeploymentRuntime};
 use hermes_backend::{check_transition, DeploymentArtifacts, EpochTransition, SwitchConfig};
 use hermes_core::{verify, DeploymentPlan};
@@ -71,33 +71,23 @@ impl From<ControllerCrash> for TxnFailure {
     }
 }
 
-/// The content fingerprints every journal record that carries a plan
-/// also carries. Serializing a large TDG to hash it costs milliseconds,
-/// so they are computed once per transaction and travel with the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Fingerprints {
-    pub(crate) tdg: u64,
-    pub(crate) plan: u64,
-}
-
-impl Fingerprints {
-    pub(crate) fn of(tdg: &Tdg, plan: &DeploymentPlan) -> Self {
-        Fingerprints { tdg: hermes_core::tdg_fingerprint(tdg), plan: plan.fingerprint() }
-    }
-}
-
 /// The plan currently serving traffic, with everything needed to heal it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ActiveDeployment {
     pub(crate) epoch: u64,
     pub(crate) tdg: Tdg,
-    pub(crate) plan: DeploymentPlan,
+    /// Rendered once, when the transaction that installs it begins: its
+    /// `TxnBegun` or `MigrationBegun` and every snapshot of it write
+    /// those bytes.
+    pub(crate) plan: RenderedPlan,
     /// The per-switch configs `plan` compiles to. Kept in memory for the
     /// mixed-epoch gate, migration undo and the fleet restore; never
     /// journaled (recovery regenerates them).
     pub(crate) artifacts: DeploymentArtifacts,
-    /// Fingerprints of `tdg` and `plan`.
-    pub(crate) fp: Fingerprints,
+    /// [`hermes_core::tdg_fingerprint`] of `tdg`, computed once per
+    /// rollout from the graph's structure and carried by every record
+    /// that carries the plan.
+    pub(crate) tdg_fp: u64,
 }
 
 impl ActiveDeployment {
@@ -106,8 +96,8 @@ impl ActiveDeployment {
     pub(crate) fn snapshot(&self, clock_us: u64) -> JournalRecord {
         JournalRecord::Snapshot {
             epoch: self.epoch,
-            tdg_fp: self.fp.tdg,
-            plan_fp: self.fp.plan,
+            tdg_fp: self.tdg_fp,
+            plan_fp: self.plan.fingerprint(),
             plan: self.plan.clone(),
             clock_us,
         }
@@ -302,7 +292,7 @@ impl DeploymentRuntime {
         // Checked BEFORE the first commit — afterwards a clean abort is no
         // longer possible.
         let gate = match &self.active {
-            Some(active) if check_mixed && active.tdg == *tdg && active.plan != *plan => {
+            Some(active) if check_mixed && active.tdg == *tdg && *active.plan != *plan => {
                 let transition = EpochTransition {
                     tdg,
                     old_plan: &active.plan,

@@ -18,8 +18,9 @@
 //! what the incoming program brings, not what has piled up so far. For `P`
 //! inputs with `N` nodes in total and `E` merged edges:
 //!
-//! - every node is moved in once (never cloned), filed under the signature
-//!   its table derived when it was built, its field sets interned once
+//! - every node is moved in once (never cloned), filed under the hash of
+//!   the signature its table derived when it was built (a step sorts by
+//!   signature only the groups it folds), its field sets interned once
 //!   into one shared [`FieldTable`] as a [`MatProfile`], and its slot
 //!   appended to the `writers` / `matchers` list of every field it writes /
 //!   matches on;
@@ -56,7 +57,7 @@ use crate::analysis::{
 };
 use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};
 use hermes_dataplane::{FieldTable, Mat};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -100,29 +101,13 @@ pub fn merge_pair(t1: Tdg, t2: Tdg) -> Tdg {
     acc.finish()
 }
 
-/// A table as a key ordered by its signature: a refcount, where the
-/// signature itself would be a copy of every match key and action.
-struct BySignature(Mat);
-
-impl Ord for BySignature {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.signature().cmp(other.0.signature())
-    }
+/// The live slots of one signature, ascending; the first is the group's
+/// head and never folds. The table is a refcount, where the signature
+/// itself would be a copy of every match key and action.
+struct Group {
+    table: Mat,
+    members: Vec<usize>,
 }
-
-impl PartialOrd for BySignature {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for BySignature {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.signature() == other.0.signature()
-    }
-}
-
-impl Eq for BySignature {}
 
 /// Where an edge stands in the edge list a step's fold phase works
 /// through, compared lexicographically. That list is the previous step's
@@ -176,10 +161,16 @@ struct Accumulator {
     /// these lists types `None`, so inference reads its candidates here.
     writers: Vec<Vec<usize>>,
     matchers: Vec<Vec<usize>>,
-    /// Live slots of each signature, ascending; the first is the group's
-    /// head and never folds. Ordered, because fold attempts run in
+    /// One group per signature, in order of first appearance.
+    groups: Vec<Group>,
+    /// Indices into `groups`, filed under their signature's cached hash:
+    /// a word compare per level, where ordering by the signature compares
+    /// field names. Different signatures with one hash share an entry.
+    by_hash: BTreeMap<u64, Vec<usize>>,
+    /// The groups with a duplicate to fold (two or more members). A step
+    /// sorts only these by signature, because fold attempts run in
     /// signature order and an accepted fold can make a later one cycle.
-    groups: BTreeMap<BySignature, Vec<usize>>,
+    folding: Vec<usize>,
     /// Keyed by `(from, to)` slots — the order [`Accumulator::finish`]
     /// emits. Traversals go through `succ` / `pred`, which mirror the keys.
     edges: BTreeMap<(usize, usize), EdgeRec>,
@@ -226,7 +217,7 @@ impl Accumulator {
         let (nodes, edges) = tdg.into_parts();
         for node in nodes {
             let slot = self.nodes.len();
-            self.groups.entry(BySignature(node.mat.clone())).or_default().push(slot);
+            self.file(&node.mat, slot);
             let profile = MatProfile::build(&node.mat, &mut self.table);
             self.writers.resize_with(self.table.len(), Vec::new);
             self.matchers.resize_with(self.table.len(), Vec::new);
@@ -248,6 +239,26 @@ impl Accumulator {
         }
     }
 
+    /// Files `slot` in the group of `table`'s signature, opening one for
+    /// a signature not seen before.
+    fn file(&mut self, table: &Mat, slot: usize) {
+        let signature = table.signature();
+        let bucket = self.by_hash.entry(signature.content_hash()).or_default();
+        let g = match bucket.iter().find(|&&g| self.groups[g].table.signature() == signature) {
+            Some(&g) => g,
+            None => {
+                bucket.push(self.groups.len());
+                self.groups.push(Group { table: table.clone(), members: Vec::new() });
+                self.groups.len() - 1
+            }
+        };
+        let members = &mut self.groups[g].members;
+        members.push(slot);
+        if members.len() == 2 {
+            self.folding.push(g);
+        }
+    }
+
     /// One merge step: folds duplicates (the incoming graph's, and any an
     /// earlier step had to leave), then infers the dependencies between
     /// the accumulated programs' tables and the incoming program's.
@@ -263,8 +274,13 @@ impl Accumulator {
         // tried again: other members of its group may since have folded
         // and turned the path that blocked it into a direct edge.
         let mut groups = std::mem::take(&mut self.groups);
+        let mut folding = std::mem::take(&mut self.folding);
+        folding.sort_unstable_by(|&a, &b| {
+            groups[a].table.signature().cmp(groups[b].table.signature())
+        });
         let mut any_shared = false;
-        for members in groups.values_mut().filter(|members| members.len() > 1) {
+        for &g in &folding {
+            let members = &mut groups[g].members;
             let head = members[0];
             members.retain(|&dup| {
                 if dup == head || self.fold_would_cycle(head, dup) {
@@ -278,7 +294,9 @@ impl Accumulator {
                 false
             });
         }
+        folding.retain(|&g| groups[g].members.len() > 1);
         self.groups = groups;
+        self.folding = folding;
 
         // Cross-program dependencies: merging composes the programs
         // sequentially (accumulated upstream of incoming), so two MATs

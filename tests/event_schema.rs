@@ -281,7 +281,7 @@ impl Paths {
         let plans = records.iter().filter_map(|r| match r {
             JournalRecord::TxnBegun { plan, .. }
             | JournalRecord::Snapshot { plan, .. }
-            | JournalRecord::MigrationBegun { plan, .. } => Some(plan),
+            | JournalRecord::MigrationBegun { plan, .. } => Some(plan.plan()),
             _ => None,
         });
         for plan in plans.chain(rt.active_plan()) {

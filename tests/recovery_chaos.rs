@@ -201,7 +201,7 @@ fn assert_recovered(rt: &DeploymentRuntime, report: &RecoveryReport, label: &str
         .filter_map(|record| match record {
             JournalRecord::TxnBegun { plan, .. }
             | JournalRecord::Snapshot { plan, .. }
-            | JournalRecord::MigrationBegun { plan, .. } => Some(plan),
+            | JournalRecord::MigrationBegun { plan, .. } => Some(plan.plan()),
             _ => None,
         })
         .collect();

@@ -1,16 +1,20 @@
 //! Every byte the JSON writer emits, pinned.
 //!
-//! Fingerprints and journal frames are the JSON text of the types they
-//! cover, so that text is a format: a changed byte changes a journaled
-//! `tdg_fp`, a CRC, or what `hermes recover` accepts. Each line below is
-//! one value's compact and two-space pretty rendering, as length and
-//! FNV-1a digest: the serialized shapes the product writes at `wan-50`
-//! scale (TDG, plan, artifacts, journal records, audit report, event log)
-//! and the corner cases of every scalar and container impl (escapes,
-//! multi-byte characters, non-finite floats, integer extremes, map keys
-//! and their order). The fixture was written by the commit before the
-//! serializer streamed into its sinks, so it pins the streaming writer to
-//! the bytes the value-tree renderer gave. `REGEN_GOLDEN=1` rewrites it.
+//! Journal frames and plan fingerprints are the JSON text of the types
+//! they cover, so that text is a format: a changed byte changes a
+//! journaled `plan_fp`, a CRC, or what `hermes recover` accepts (a TDG's
+//! fingerprint is structural, `core::fingerprint`, and pinned there; the
+//! journal records below carry its value). The `TxnBegun` and `Snapshot`
+//! lines share one rendered plan, as a rollout's records do. Each line
+//! below is one value's compact and two-space pretty rendering, as length
+//! and FNV-1a digest: the serialized shapes the product writes at
+//! `wan-50` scale (TDG, plan, artifacts, journal records, audit report,
+//! event log) and the corner cases of every scalar and container impl
+//! (escapes, multi-byte characters, non-finite floats, integer extremes,
+//! map keys and their order). The fixture was written by the commit
+//! before the serializer streamed into its sinks, so it pins the streaming
+//! writer to the bytes the value-tree renderer gave. `REGEN_GOLDEN=1`
+//! rewrites it.
 
 use hermes::analysis::{audit_instance, state_report_of_tdg};
 use hermes::backend::validate_plan;
@@ -21,7 +25,8 @@ use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::{topology, Switch, SwitchId};
 use hermes::runtime::{
-    DeploymentRuntime, FaultInjector, FaultProfile, JournalRecord, RetryPolicy, TxnKind,
+    DeploymentRuntime, FaultInjector, FaultProfile, JournalRecord, RenderedPlan, RetryPolicy,
+    TxnKind,
 };
 use hermes::tdg::AnalysisMode;
 use serde::{Serialize, Value};
@@ -56,6 +61,8 @@ fn wan_50_lines(dump: &mut String) {
     *dump += &line("wan-50 greedy plan on wan:3", &plan);
     *dump += &line("wan-50 artifacts", &artifacts);
     let (tdg_fp, plan_fp) = (tdg_fingerprint(&tdg), plan.fingerprint());
+    // One rendering serves both records, as in a rollout.
+    let plan = RenderedPlan::new(plan);
     let begun = JournalRecord::TxnBegun {
         epoch: 7,
         kind: TxnKind::Deploy,
