@@ -4,8 +4,9 @@
 //! [`audit_programs`] runs everything that needs only the workload: the
 //! `hermes_dataplane` composition lints, the exhaustive per-program graph
 //! cross-check, and the dataflow + recorded-edge passes over the merged
-//! TDG. Each program's TDG is built once: the graph cross-check runs on
-//! it, then those same graphs are merged. [`audit_instance`] adds the
+//! TDG. The per-program TDGs are built straight into the merge, and the
+//! graph cross-check reads each program's edges as they are typed there.
+//! [`audit_instance`] adds the
 //! [`hermes_core::precheck`] bounds for a concrete network and ε budget —
 //! the same certificates the portfolio consumes to return
 //! proven-infeasible before burning wall clock.
@@ -25,7 +26,7 @@ use hermes_core::{DeploymentPlan, Epsilon};
 use hermes_dataplane::lint::{lint_composition, Lint};
 use hermes_dataplane::program::Program;
 use hermes_net::Network;
-use hermes_tdg::{merge_all, AnalysisMode, Tdg};
+use hermes_tdg::{merge_programs, AnalysisMode, Tdg};
 
 /// Re-renders a composition lint as a typed diagnostic.
 pub fn lint_to_diagnostic(lint: &Lint) -> Diagnostic {
@@ -108,20 +109,18 @@ pub fn violation_to_diagnostic(violation: &Violation) -> Diagnostic {
 
 /// Everything the audit derives from the workload alone: composition
 /// lints, exhaustive per-program dependency re-derivation, and the
-/// dataflow + graph passes over the merged TDG, which it returns. Each
-/// program's TDG is built once: the graph check runs on it, then
-/// [`merge_all`] merges those same graphs — [`ProgramAnalyzer::analyze`]'s
-/// two steps, so the merged graph is the one the solver gets.
+/// dataflow + graph passes over the merged TDG, which it returns. The
+/// merged TDG is built by [`merge_programs`], the pass
+/// [`ProgramAnalyzer::analyze`] runs, and each program's cross-check reads
+/// the edges that pass typed for it — so the graph checked is the graph
+/// the solver gets.
 ///
 /// [`ProgramAnalyzer::analyze`]: hermes_core::ProgramAnalyzer::analyze
 fn workload_diagnostics(programs: &[Program], mode: AnalysisMode) -> (Vec<Diagnostic>, Tdg) {
     let mut diags: Vec<Diagnostic> =
         lint_composition(programs).iter().map(lint_to_diagnostic).collect();
-    let parts: Vec<Tdg> = programs.iter().map(|p| Tdg::from_program(p, mode)).collect();
-    for (p, part) in programs.iter().zip(&parts) {
-        diags.extend(check_part(p, part));
-    }
-    let merged = merge_all(parts);
+    let merged =
+        merge_programs(programs, mode, |p, edges| diags.extend(check_part(p, mode, edges)));
     diags.extend(dataflow_diagnostics(&merged));
     diags.extend(check_tdg(&merged));
     (diags, merged)

@@ -12,10 +12,14 @@
 //!
 //! * [`check_program`] — exhaustive: rebuilds the full `i < j` pair set of
 //!   one program (including its declared gates) and compares both
-//!   directions against the program's own TDG (the audit passes the one it
-//!   then merges), so a bug in either the profile path or the reference
-//!   shows up as a divergence. Only well-defined per program, because
-//!   merged graphs intentionally drop folded/cycle-closing edges.
+//!   directions against the program's own edges, so a bug in either the
+//!   profile path or the reference shows up as a divergence. The audit
+//!   runs it on the edges `merge_programs` typed for each program on the
+//!   way into the merged graph, not on a graph built for the purpose, so
+//!   what it checks is what the solver gets. Only well-defined per
+//!   program, because merged graphs intentionally drop folded /
+//!   cycle-closing edges. Node names (`program/table`) are formatted only
+//!   for a finding.
 //! * [`check_tdg`] — validates whatever graph it is given (typically the
 //!   merged workload TDG) edge-by-edge: every recorded edge must re-derive
 //!   (spurious / mistyped / misweighted edges are reported), plus
@@ -32,8 +36,7 @@
 
 use crate::diag::{Diagnostic, Severity, Span};
 use hermes_dataplane::program::Program;
-use hermes_tdg::{classify, metadata_amount, AnalysisMode, DependencyType, Tdg};
-use std::collections::BTreeMap;
+use hermes_tdg::{classify, metadata_amount, AnalysisMode, DependencyType, Tdg, TdgEdge};
 
 /// Paper precedence 𝕄 > 𝔸 > 𝕊 > ℝ as a comparable strength. Note the
 /// derived `Ord` on [`DependencyType`] is declaration order, *not* this.
@@ -151,54 +154,58 @@ fn cyclic_graph() -> Diagnostic {
 /// A clean program yields no diagnostics; any divergence between the two
 /// derivation paths — or a stale recorded edge — is an error.
 pub fn check_program(program: &Program, mode: AnalysisMode) -> Vec<Diagnostic> {
-    check_part(program, &Tdg::from_program(program, mode))
+    check_part(program, mode, Tdg::from_program(program, mode).edges())
 }
 
-/// [`check_program`] over `tdg`, the graph `Tdg::from_program` built for
-/// `program` in `tdg.mode()` — for a caller that goes on to merge it.
-pub(crate) fn check_part(program: &Program, tdg: &Tdg) -> Vec<Diagnostic> {
-    let mode = tdg.mode();
+/// [`check_program`] over `edges`, the edges recorded for `program`'s own
+/// tables in `mode` (ids index [`Program::tables`]; edges with
+/// `from >= to` are not judged) — for the audit, which checks the ones
+/// the merge typed. `edges` must be sorted by `(from, to)`, one per pair,
+/// as both the merge and [`Tdg::from_program`] hand them over. Nodes are
+/// named `program/table` only in a finding.
+pub(crate) fn check_part(
+    program: &Program,
+    mode: AnalysisMode,
+    edges: &[TdgEdge],
+) -> Vec<Diagnostic> {
     let tables = program.tables();
-    let gates: std::collections::BTreeSet<(usize, usize)> =
-        program.gates().iter().copied().collect();
+    let key = |e: &TdgEdge| (e.from.index(), e.to.index());
+    debug_assert!(
+        edges.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+        "edges must be sorted by (from, to), one per pair"
+    );
+    // A cursor into `edges`, moved along with the `(i, j)` loop below.
+    let mut next = 0;
 
-    let mut recorded: BTreeMap<(usize, usize), (DependencyType, u32)> = BTreeMap::new();
-    for e in tdg.edges() {
-        recorded.insert((e.from.index(), e.to.index()), (e.dep, e.bytes));
-    }
-
-    let name = |i: usize| tdg.nodes()[i].name.as_str();
     let mut out = Vec::new();
+    let mut report = |i: usize, j: usize, diagnostic: &dyn Fn(&str, &str) -> Diagnostic| {
+        let from = format!("{}/{}", program.name(), tables[i].name());
+        let to = format!("{}/{}", program.name(), tables[j].name());
+        let span = Span::edge(&from, &to).in_program(program.name());
+        out.push(diagnostic(&from, &to).with_span(span));
+    };
     for i in 0..tables.len() {
         for j in (i + 1)..tables.len() {
-            let gated = gates.contains(&(i, j));
+            let gated = program.gates().contains(&(i, j));
             let derived = classify(&tables[i], &tables[j], gated);
-            match (derived, recorded.get(&(i, j))) {
+            while edges.get(next).is_some_and(|e| key(e) < (i, j)) {
+                next += 1;
+            }
+            let recorded = edges.get(next).filter(|e| key(e) == (i, j)).map(|e| (e.dep, e.bytes));
+            match (derived, recorded) {
                 (None, None) => {}
-                (Some(dep), None) => out.push(
-                    missing_edge(name(i), name(j), dep)
-                        .with_span(Span::edge(name(i), name(j)).in_program(program.name())),
-                ),
-                (None, Some(&(dep, _))) => out.push(
-                    spurious_edge(name(i), name(j), dep)
-                        .with_span(Span::edge(name(i), name(j)).in_program(program.name())),
-                ),
-                (Some(dep), Some(&(rec_dep, rec_bytes))) => {
+                (Some(dep), None) => report(i, j, &|a, b| missing_edge(a, b, dep)),
+                (None, Some((dep, _))) => report(i, j, &|a, b| spurious_edge(a, b, dep)),
+                (Some(dep), Some((rec_dep, rec_bytes))) => {
                     // Relaxed edges must re-derive as their base type; the
                     // relaxation itself is certified by the plan verifier,
                     // not re-proved here.
                     if dep != rec_dep.base() {
-                        out.push(
-                            type_mismatch(name(i), name(j), rec_dep, dep)
-                                .with_span(Span::edge(name(i), name(j)).in_program(program.name())),
-                        );
+                        report(i, j, &|a, b| type_mismatch(a, b, rec_dep, dep));
                     }
                     let expected = metadata_amount(&tables[i], &tables[j], rec_dep, mode);
                     if expected != rec_bytes {
-                        out.push(
-                            bytes_mismatch(name(i), name(j), rec_bytes, expected)
-                                .with_span(Span::edge(name(i), name(j)).in_program(program.name())),
-                        );
+                        report(i, j, &|a, b| bytes_mismatch(a, b, rec_bytes, expected));
                     }
                 }
             }
@@ -338,6 +345,60 @@ mod tests {
                 assert!(diags.is_empty(), "{}: {diags:?}", p.name());
             }
         }
+    }
+
+    /// The audit cross-checks the edges the merge typed for each program;
+    /// a wrong list must still be caught, one code per kind of wrong.
+    #[test]
+    fn cross_check_of_the_merge_typed_edges_catches_each_kind_of_wrong_edge() {
+        let (a, b, c) = (meta("meta.a", 4), meta("meta.b", 4), meta("meta.c", 2));
+        let relay = Mat::builder("relay")
+            .match_field(a.clone(), MatchKind::Exact)
+            .action(Action::writing("w", [b.clone()]))
+            .resource(0.1)
+            .build()
+            .unwrap();
+        let p = Program::builder("p")
+            .table(writer("src", &a))
+            .table(relay)
+            .table(reader("sink", &b))
+            .table(writer("side", &c))
+            .table(reader("side_sink", &c))
+            .build()
+            .unwrap();
+        // `p` comes second, so its edges are typed inside the accumulator.
+        let q = Program::builder("q").table(writer("other", &meta("meta.d", 4))).build().unwrap();
+        let mode = AnalysisMode::PaperLiteral;
+        let mut typed = Vec::new();
+        hermes_tdg::merge_programs(&[q, p.clone()], mode, |prog, edges| {
+            if prog.name() == "p" {
+                typed = edges.to_vec();
+            }
+        });
+        let pairs: Vec<(usize, usize)> =
+            typed.iter().map(|e| (e.from.index(), e.to.index())).collect();
+        assert_eq!(pairs, [(0, 1), (1, 2), (3, 4)]);
+        assert!(check_part(&p, mode, &typed).is_empty());
+
+        let mut wrong = typed.clone();
+        wrong[1].dep = DependencyType::Action; // relay -> sink retyped
+        wrong[2].bytes += 1; // side -> side_sink misweighted
+        wrong.remove(0); // src -> relay dropped
+        wrong.insert(0, TdgEdge { to: typed[2].from, ..typed[0] }); // src -> side added
+        let diags = check_part(&p, mode, &wrong);
+        let found = |code: &str, from: &str, to: &str| {
+            diags.iter().any(|d| {
+                d.code == code
+                    && d.span.mat.as_deref() == Some(from)
+                    && d.span.mat_to.as_deref() == Some(to)
+                    && d.span.program.as_deref() == Some("p")
+            })
+        };
+        assert!(found("HG201", "p/src", "p/relay"), "{diags:?}");
+        assert!(found("HG202", "p/src", "p/side"), "{diags:?}");
+        assert!(found("HG203", "p/relay", "p/sink"), "{diags:?}");
+        assert!(found("HG204", "p/side", "p/side_sink"), "{diags:?}");
+        assert_eq!(diags.len(), 4, "{diags:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the optimization framework consumes.
 
 use hermes_dataplane::Program;
-use hermes_tdg::{merge_all, AnalysisMode, Tdg};
+use hermes_tdg::{merge_programs, AnalysisMode, Tdg};
 
 /// The Hermes program analyzer.
 ///
@@ -41,11 +41,11 @@ impl ProgramAnalyzer {
         self.mode
     }
 
-    /// Algorithm 1: convert → merge → analyze. Returns the merged TDG
-    /// `T_m` with `A(a, b)` recorded on every edge.
+    /// Algorithm 1: convert → merge → analyze, in one pass
+    /// ([`merge_programs`]). Returns the merged TDG `T_m` with `A(a, b)`
+    /// recorded on every edge.
     pub fn analyze(&self, programs: &[Program]) -> Tdg {
-        let tdgs: Vec<Tdg> = programs.iter().map(|p| Tdg::from_program(p, self.mode)).collect();
-        merge_all(tdgs)
+        merge_programs(programs, self.mode, |_, _| {})
     }
 }
 

@@ -35,12 +35,19 @@
 //! Tables appear in program order; `gate` declares a successor (𝕊)
 //! dependency. Every field must be declared before use so widths and
 //! header/metadata kinds are unambiguous.
+//!
+//! Identifiers are runs of Unicode alphanumerics, `_` and `.`; a number
+//! starts with an ASCII digit and runs over digits and dots; `#` comments
+//! to the end of the line. The lexer borrows: a token is a `Copy` value
+//! whose identifier is a slice of the source, the parser looks fields up
+//! by that slice, and an owned `String` is made only for a name the
+//! [`Program`] keeps (program, table, action and field names).
 
 use crate::action::{Action, FoldOp, PrimitiveOp};
 use crate::fields::{Field, FieldKind, MAX_WIDTH_BYTES};
 use crate::mat::{Mat, MatchKind};
 use crate::program::Program;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A parse error with position information.
@@ -60,9 +67,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// One lexeme. Identifiers borrow their text from the source, so a token
+/// is a copy of two words and the lexer allocates nothing but the list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Number(f64),
     LBrace,
     RBrace,
@@ -75,7 +84,7 @@ enum Token {
     Arrow,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "`{s}`"),
@@ -93,111 +102,98 @@ impl fmt::Display for Token {
     }
 }
 
-fn tokenize(src: &str) -> Result<Vec<(Token, usize)>, ParseError> {
+/// Whether `c` continues an identifier: Unicode alphanumerics, `_`, `.`.
+fn ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_' || c == '.'
+}
+
+/// Splits `src` into tokens with their 1-based lines. Walks bytes, and
+/// decodes a `char` only where no ASCII rule applies: every byte of a
+/// multi-byte UTF-8 sequence is non-ASCII, so an ASCII byte is a whole
+/// character.
+fn tokenize(src: &str) -> Result<Vec<(Token<'_>, usize)>, ParseError> {
+    let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut line = 1usize;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
+    let mut i = 0usize;
+    while let Some(&b) = bytes.get(i) {
+        let (token, len) = match b {
+            b'\n' => {
                 line += 1;
-                chars.next();
+                i += 1;
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '#' => {
+            b'#' => {
                 // Comment to end of line.
-                for c in chars.by_ref() {
-                    if c == '\n' {
+                match bytes[i..].iter().position(|&c| c == b'\n') {
+                    Some(k) => {
                         line += 1;
-                        break;
+                        i += k + 1;
                     }
+                    None => i = bytes.len(),
                 }
+                continue;
             }
-            '{' => {
-                out.push((Token::LBrace, line));
-                chars.next();
-            }
-            '}' => {
-                out.push((Token::RBrace, line));
-                chars.next();
-            }
-            '(' => {
-                out.push((Token::LParen, line));
-                chars.next();
-            }
-            ')' => {
-                out.push((Token::RParen, line));
-                chars.next();
-            }
-            ':' => {
-                out.push((Token::Colon, line));
-                chars.next();
-            }
-            ';' => {
-                out.push((Token::Semi, line));
-                chars.next();
-            }
-            ',' => {
-                out.push((Token::Comma, line));
-                chars.next();
-            }
-            '=' => {
-                out.push((Token::Equals, line));
-                chars.next();
-            }
-            '-' => {
-                chars.next();
-                if chars.peek() == Some(&'>') {
-                    chars.next();
-                    out.push((Token::Arrow, line));
-                } else {
-                    return Err(ParseError { line, message: "expected `->` after `-`".into() });
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || c == '.' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
+            b'{' => (Token::LBrace, 1),
+            b'}' => (Token::RBrace, 1),
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b':' => (Token::Colon, 1),
+            b';' => (Token::Semi, 1),
+            b',' => (Token::Comma, 1),
+            b'=' => (Token::Equals, 1),
+            b'-' if bytes.get(i + 1) == Some(&b'>') => (Token::Arrow, 2),
+            b'-' => return Err(ParseError { line, message: "expected `->` after `-`".into() }),
+            b'0'..=b'9' => {
+                let rest = &bytes[i..];
+                let len = rest
+                    .iter()
+                    .position(|&c| !(c.is_ascii_digit() || c == b'.'))
+                    .unwrap_or(rest.len());
+                let s = &src[i..i + len];
                 let n = s
                     .parse::<f64>()
                     .map_err(|_| ParseError { line, message: format!("bad number `{s}`") })?;
-                out.push((Token::Number(n), line));
+                (Token::Number(n), len)
             }
-            c if c.is_alphanumeric() || c == '_' || c == '.' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_alphanumeric() || c == '_' || c == '.' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+            _ => {
+                let rest = &src[i..];
+                let Some(c) = rest.chars().next() else { break };
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    continue;
                 }
-                out.push((Token::Ident(s), line));
+                if !ident_char(c) {
+                    return Err(ParseError {
+                        line,
+                        message: format!("unexpected character `{c}`"),
+                    });
+                }
+                let len = rest
+                    .char_indices()
+                    .find(|&(_, c)| !ident_char(c))
+                    .map_or(rest.len(), |(k, _)| k);
+                (Token::Ident(&rest[..len]), len)
             }
-            other => {
-                return Err(ParseError { line, message: format!("unexpected character `{other}`") })
-            }
-        }
+        };
+        out.push((token, line));
+        i += len;
     }
     Ok(out)
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
-    fields: BTreeMap<String, Field>,
+    /// Declared fields by name; the keys borrow the source.
+    fields: HashMap<&'a str, Field>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Self, ParseError> {
+        Ok(Parser { tokens: tokenize(src)?, pos: 0, fields: HashMap::default() })
+    }
+
     fn line(&self) -> usize {
         self.tokens.get(self.pos).or_else(|| self.tokens.last()).map_or(1, |(_, l)| *l)
     }
@@ -206,21 +202,17 @@ impl Parser {
         ParseError { line: self.line(), message: message.into() }
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|&(t, _)| t)
     }
 
-    fn next(&mut self) -> Result<Token, ParseError> {
-        let token = self
-            .tokens
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
-            .ok_or_else(|| self.error("unexpected end of input"))?;
+    fn next(&mut self) -> Result<Token<'a>, ParseError> {
+        let token = self.peek().ok_or_else(|| self.error("unexpected end of input"))?;
         self.pos += 1;
         Ok(token)
     }
 
-    fn expect(&mut self, want: Token) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Token<'_>) -> Result<(), ParseError> {
         let got = self.next()?;
         if got == want {
             Ok(())
@@ -230,7 +222,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.next()? {
             Token::Ident(s) => Ok(s),
             other => {
@@ -250,12 +242,17 @@ impl Parser {
         }
     }
 
-    fn field(&mut self) -> Result<Field, ParseError> {
-        let name = self.ident("a field name")?;
+    /// The declared field `name`.
+    fn declared(&self, name: &str) -> Result<Field, ParseError> {
         self.fields
-            .get(&name)
+            .get(name)
             .cloned()
             .ok_or_else(|| self.error(format!("field `{name}` used before declaration")))
+    }
+
+    fn field(&mut self) -> Result<Field, ParseError> {
+        let name = self.ident("a field name")?;
+        self.declared(name)
     }
 
     fn field_decl(&mut self, kind: FieldKind) -> Result<(), ParseError> {
@@ -270,10 +267,10 @@ impl Parser {
             )));
         };
         self.expect(Token::Semi)?;
-        if self.fields.contains_key(&name) {
+        if self.fields.contains_key(name) {
             return Err(self.error(format!("field `{name}` declared twice")));
         }
-        self.fields.insert(name.clone(), Field::new(name, kind, size));
+        self.fields.insert(name, Field::new(name.to_owned(), kind, size));
         Ok(())
     }
 
@@ -285,7 +282,7 @@ impl Parser {
             Some(Token::LParen) => {
                 // No-assignment form.
                 self.expect(Token::LParen)?;
-                let op = match first.as_str() {
+                let op = match first {
                     "drop" => {
                         self.expect(Token::RParen)?;
                         PrimitiveOp::Drop
@@ -311,17 +308,15 @@ impl Parser {
             }
             _ => {
                 // Assignment form: first is the destination field.
-                let dst = self.fields.get(&first).cloned().ok_or_else(|| {
-                    self.error(format!("field `{first}` used before declaration"))
-                })?;
+                let dst = self.declared(first)?;
                 self.expect(Token::Equals)?;
                 let func = self.ident("a function (const/copy/compute/hash/register)")?;
                 self.expect(Token::LParen)?;
                 let mut args = Vec::new();
-                if self.peek() != Some(&Token::RParen) {
+                if self.peek() != Some(Token::RParen) {
                     loop {
                         args.push(self.field()?);
-                        if self.peek() == Some(&Token::Comma) {
+                        if self.peek() == Some(Token::Comma) {
                             self.expect(Token::Comma)?;
                         } else {
                             break;
@@ -330,7 +325,7 @@ impl Parser {
                 }
                 self.expect(Token::RParen)?;
                 self.expect(Token::Semi)?;
-                let op = match (func.as_str(), args.as_slice()) {
+                let op = match (func, args.as_slice()) {
                     ("const", []) => PrimitiveOp::SetConst { dst },
                     ("copy", [src]) => PrimitiveOp::Copy { dst, src: src.clone() },
                     ("compute", _) => PrimitiveOp::Compute { dst, srcs: args },
@@ -355,19 +350,19 @@ impl Parser {
     fn table(&mut self) -> Result<Mat, ParseError> {
         let name = self.ident("a table name")?;
         self.expect(Token::LBrace)?;
-        let mut builder = Mat::builder(name.clone());
+        let mut builder = Mat::builder(name);
         let mut capacity: Option<usize> = None;
         let mut resource: Option<f64> = None;
         loop {
             match self.next()? {
                 Token::RBrace => break,
-                Token::Ident(section) => match section.as_str() {
+                Token::Ident(section) => match section {
                     "key" => {
                         self.expect(Token::LBrace)?;
-                        while self.peek() != Some(&Token::RBrace) {
+                        while self.peek() != Some(Token::RBrace) {
                             let field = self.field()?;
                             self.expect(Token::Colon)?;
-                            let kind = match self.ident("a match kind")?.as_str() {
+                            let kind = match self.ident("a match kind")? {
                                 "exact" => MatchKind::Exact,
                                 "lpm" => MatchKind::Lpm,
                                 "ternary" => MatchKind::Ternary,
@@ -383,11 +378,11 @@ impl Parser {
                     }
                     "actions" => {
                         self.expect(Token::LBrace)?;
-                        while self.peek() != Some(&Token::RBrace) {
+                        while self.peek() != Some(Token::RBrace) {
                             let action_name = self.ident("an action name")?;
                             self.expect(Token::LBrace)?;
                             let mut action = Action::new(action_name);
-                            while self.peek() != Some(&Token::RBrace) {
+                            while self.peek() != Some(Token::RBrace) {
                                 action = action.with_op(self.statement()?);
                             }
                             self.expect(Token::RBrace)?;
@@ -431,7 +426,7 @@ impl Parser {
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
-        match self.ident("`program`")?.as_str() {
+        match self.ident("`program`")? {
             "program" => {}
             other => return Err(self.error(format!("expected `program`, found `{other}`"))),
         }
@@ -441,7 +436,7 @@ impl Parser {
         loop {
             match self.next()? {
                 Token::RBrace => break,
-                Token::Ident(section) => match section.as_str() {
+                Token::Ident(section) => match section {
                     "header" => self.field_decl(FieldKind::Header)?,
                     "metadata" => self.field_decl(FieldKind::Metadata)?,
                     "table" => {
@@ -506,8 +501,7 @@ fn whole(n: f64) -> Option<u64> {
 /// # Ok::<(), hermes_dataplane::parser::ParseError>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0, fields: BTreeMap::new() };
+    let mut parser = Parser::new(src)?;
     let program = parser.program()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("trailing input after program"));
@@ -521,8 +515,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 ///
 /// Returns the first [`ParseError`] encountered.
 pub fn parse_programs(src: &str) -> Result<Vec<Program>, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0, fields: BTreeMap::new() };
+    let mut parser = Parser::new(src)?;
     let mut out = Vec::new();
     while parser.pos < parser.tokens.len() {
         // Field namespaces are per-file: declarations carry across
@@ -536,6 +529,7 @@ pub fn parse_programs(src: &str) -> Result<Vec<Program>, ParseError> {
 #[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const COUNTER: &str = r#"
         # A hash-and-count program.
@@ -716,6 +710,191 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    /// The lexer as it was before tokens borrowed the source: one `char`
+    /// at a time, each identifier copied into a `String` of its own.
+    /// [`tokenize`] must give the same tokens, lines and errors.
+    #[derive(Debug, Clone, PartialEq)]
+    enum OracleToken {
+        Ident(String),
+        Number(f64),
+        LBrace,
+        RBrace,
+        LParen,
+        RParen,
+        Colon,
+        Semi,
+        Comma,
+        Equals,
+        Arrow,
+    }
+
+    fn owned(token: Token<'_>) -> OracleToken {
+        match token {
+            Token::Ident(s) => OracleToken::Ident(s.to_owned()),
+            Token::Number(n) => OracleToken::Number(n),
+            Token::LBrace => OracleToken::LBrace,
+            Token::RBrace => OracleToken::RBrace,
+            Token::LParen => OracleToken::LParen,
+            Token::RParen => OracleToken::RParen,
+            Token::Colon => OracleToken::Colon,
+            Token::Semi => OracleToken::Semi,
+            Token::Comma => OracleToken::Comma,
+            Token::Equals => OracleToken::Equals,
+            Token::Arrow => OracleToken::Arrow,
+        }
+    }
+
+    fn oracle_tokenize(src: &str) -> Result<Vec<(OracleToken, usize)>, ParseError> {
+        let mut out = Vec::new();
+        let mut line = 1usize;
+        let mut chars = src.chars().peekable();
+        while let Some(&c) = chars.peek() {
+            match c {
+                '\n' => {
+                    line += 1;
+                    chars.next();
+                }
+                c if c.is_whitespace() => {
+                    chars.next();
+                }
+                '#' => {
+                    for c in chars.by_ref() {
+                        if c == '\n' {
+                            line += 1;
+                            break;
+                        }
+                    }
+                }
+                '{' | '}' | '(' | ')' | ':' | ';' | ',' | '=' => {
+                    let token = match c {
+                        '{' => OracleToken::LBrace,
+                        '}' => OracleToken::RBrace,
+                        '(' => OracleToken::LParen,
+                        ')' => OracleToken::RParen,
+                        ':' => OracleToken::Colon,
+                        ';' => OracleToken::Semi,
+                        ',' => OracleToken::Comma,
+                        _ => OracleToken::Equals,
+                    };
+                    out.push((token, line));
+                    chars.next();
+                }
+                '-' => {
+                    chars.next();
+                    if chars.peek() == Some(&'>') {
+                        chars.next();
+                        out.push((OracleToken::Arrow, line));
+                    } else {
+                        return Err(ParseError { line, message: "expected `->` after `-`".into() });
+                    }
+                }
+                c if c.is_ascii_digit() => {
+                    let mut s = String::new();
+                    while let Some(&c) = chars.peek() {
+                        if c.is_ascii_digit() || c == '.' {
+                            s.push(c);
+                            chars.next();
+                        } else {
+                            break;
+                        }
+                    }
+                    let n = s
+                        .parse::<f64>()
+                        .map_err(|_| ParseError { line, message: format!("bad number `{s}`") })?;
+                    out.push((OracleToken::Number(n), line));
+                }
+                c if c.is_alphanumeric() || c == '_' || c == '.' => {
+                    let mut s = String::new();
+                    while let Some(&c) = chars.peek() {
+                        if c.is_alphanumeric() || c == '_' || c == '.' {
+                            s.push(c);
+                            chars.next();
+                        } else {
+                            break;
+                        }
+                    }
+                    out.push((OracleToken::Ident(s), line));
+                }
+                other => {
+                    return Err(ParseError {
+                        line,
+                        message: format!("unexpected character `{other}`"),
+                    })
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn assert_lexes_like_the_oracle(src: &str) -> Result<(), TestCaseError> {
+        let fast = tokenize(src).map(|ts| ts.into_iter().map(|(t, l)| (owned(t), l)).collect());
+        prop_assert_eq!(fast, oracle_tokenize(src), "{:?}", src);
+        // Total: every input parses or is refused, never a panic.
+        let _ = parse_programs(src);
+        Ok(())
+    }
+
+    /// Unicode letters and digits (some alphanumeric but not ASCII digits:
+    /// `٣`, `²`, `Ⅻ`), the grammar's punctuation, and the whitespace
+    /// `char::is_whitespace` knows beyond ASCII, listed twice as often as
+    /// the characters no rule accepts (`@`, `€`, NUL).
+    const LEXABLE: &[char] = &[
+        'a', 'z', 'Q', '_', '.', '.', '0', '7', '9', '9', 'é', 'ß', 'Ж', '中', '٣', '²', 'Ⅻ', '-',
+        '>', '>', '#', ' ', ' ', '{', '}', '(', ')', ';', ':', ',', '=', '\n', '\n', '\t', '\r',
+        '\u{b}', '\u{a0}', '\u{85}', '\u{2028}', '\u{3000}', '@', '€', '\0',
+    ];
+
+    /// Whole words of the grammar, so a case gets past the lexer and into
+    /// the parser's error paths.
+    const WORDS: &[&str] = &[
+        "program", "p", "q", "{", "}", "header", "metadata", "x", "meta.y", ":", "4", "0", "2.5",
+        ";", "table", "t", "u", "key", "exact", "lpm", "actions", "a", "drop", "register",
+        "forward", "(", ")", "=", "hash", "copy", "const", "fold_add", ",", "capacity", "resource",
+        "0.5", "gate", "->", "# note\n", "\n", "é",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn lexer_agrees_with_the_char_by_char_oracle(
+            picks in proptest::collection::vec(0..LEXABLE.len(), 0..48)
+        ) {
+            let src: String = picks.iter().map(|&k| LEXABLE[k]).collect();
+            assert_lexes_like_the_oracle(&src)?;
+        }
+
+        #[test]
+        fn grammar_words_lex_like_the_oracle_and_never_panic(
+            picks in proptest::collection::vec(0..WORDS.len(), 0..40)
+        ) {
+            let src = picks.iter().map(|&k| WORDS[k]).collect::<Vec<_>>().join(" ");
+            assert_lexes_like_the_oracle(&src)?;
+        }
+    }
+
+    #[test]
+    fn lexer_agrees_with_the_oracle_on_every_error_and_unicode_edge() {
+        for src in [
+            "",
+            "-",
+            "a-b",
+            "x -> y",
+            "1.2.3",
+            "12abc",
+            "٣x",
+            "a\u{a0}b\n\u{2028}c",
+            "# comment without newline",
+            "a # comment\n#\n@",
+            "ident.with.dots_and_é 3.25 €",
+            COUNTER,
+        ] {
+            assert_lexes_like_the_oracle(src).unwrap();
+        }
+        let err = tokenize("p {\n\n  x €").unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (3, "unexpected character `€`"));
     }
 
     #[test]

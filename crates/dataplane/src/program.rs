@@ -181,7 +181,7 @@ impl ProgramBuilder {
     pub fn build(self) -> Result<Program, BuildProgramError> {
         let mut seen = BTreeSet::new();
         for t in &self.tables {
-            if !seen.insert(t.name().to_owned()) {
+            if !seen.insert(t.name()) {
                 return Err(BuildProgramError::DuplicateTable {
                     program: self.name,
                     table: t.name().to_owned(),

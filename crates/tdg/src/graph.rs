@@ -44,6 +44,40 @@ pub struct TdgNode {
     pub programs: BTreeSet<String>,
 }
 
+impl TdgNode {
+    /// The node of `table`, one of `program`'s tables, before any merge.
+    pub(crate) fn of(program: &Program, table: &Mat) -> Self {
+        TdgNode {
+            name: format!("{}/{}", program.name(), table.name()),
+            mat: table.clone(),
+            programs: BTreeSet::from([program.name().to_owned()]),
+        }
+    }
+}
+
+/// Types every ordered pair `i < j` of `program`'s tables and appends an
+/// edge per dependent pair to `edges`, in `(i, j)` order: the edges of the
+/// program's own TDG before state relaxation, their ids the table indices.
+/// `profiles[k]` is table `k`'s profile, interned against `table`. The one
+/// pair loop [`Tdg::from_program`] and [`crate::merge_programs`] share.
+pub(crate) fn type_program_pairs(
+    program: &Program,
+    table: &FieldTable,
+    profiles: &[MatProfile],
+    mode: AnalysisMode,
+    edges: &mut Vec<TdgEdge>,
+) {
+    for (i, a) in profiles.iter().enumerate() {
+        for (j, b) in profiles.iter().enumerate().skip(i + 1) {
+            let gated = program.gates().contains(&(i, j));
+            if let Some(dep) = classify_profiles(a, b, gated) {
+                let bytes = metadata_amount_profiles(table, a, b, dep, mode);
+                edges.push(TdgEdge { from: NodeId(i), to: NodeId(j), dep, bytes });
+            }
+        }
+    }
+}
+
 /// A typed dependency edge with its metadata amount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TdgEdge {
@@ -137,32 +171,15 @@ impl Tdg {
     /// per dependent ordered pair, with `A(a,b)` precomputed.
     pub fn from_program(program: &Program, mode: AnalysisMode) -> Self {
         let tables = program.tables();
-        let nodes = tables
-            .iter()
-            .map(|t| TdgNode {
-                name: format!("{}/{}", program.name(), t.name()),
-                mat: t.clone(),
-                programs: BTreeSet::from([program.name().to_owned()]),
-            })
-            .collect();
-        let gates: BTreeSet<(usize, usize)> = program.gates().iter().copied().collect();
-        // Intern every field once so the O(n²) pair loop below runs on
-        // bitset profiles instead of `Field` comparisons; the equivalence with
+        let nodes = tables.iter().map(|t| TdgNode::of(program, t)).collect();
+        // Intern every field once so the O(n²) pair loop runs on bitset
+        // profiles instead of `Field` comparisons; the equivalence with
         // `classify`/`metadata_amount` is pinned by the property suite.
         let mut table = FieldTable::new();
         let profiles: Vec<MatProfile> =
             tables.iter().map(|t| MatProfile::build(t, &mut table)).collect();
         let mut edges = Vec::new();
-        for i in 0..tables.len() {
-            for j in (i + 1)..tables.len() {
-                let gated = gates.contains(&(i, j));
-                if let Some(dep) = classify_profiles(&profiles[i], &profiles[j], gated) {
-                    let bytes =
-                        metadata_amount_profiles(&table, &profiles[i], &profiles[j], dep, mode);
-                    edges.push(TdgEdge { from: NodeId(i), to: NodeId(j), dep, bytes });
-                }
-            }
-        }
+        type_program_pairs(program, &table, &profiles, mode, &mut edges);
         let mut tdg = Tdg::from_parts(nodes, edges, mode);
         if mode.relaxes_state() {
             tdg.relax_edges();

@@ -7,21 +7,24 @@
 //! - [`analysis`] — dependency typing (match 𝕄 / action 𝔸 / reverse ℝ /
 //!   successor 𝕊) and the metadata amount `A(a,b)` each edge carries.
 //! - [`merge`] — SPEED-style merging of per-program TDGs into the merged
-//!   TDG `T_m`, eliminating structurally redundant MATs.
+//!   TDG `T_m`, eliminating structurally redundant MATs; [`merge_programs`]
+//!   builds the programs' TDGs straight into the merge.
 //!
 //! # Quick start
 //!
 //! ```
 //! use hermes_dataplane::library;
-//! use hermes_tdg::{merge_all, AnalysisMode, Tdg};
+//! use hermes_tdg::{merge_all, merge_programs, AnalysisMode, Tdg};
 //!
-//! let tdgs: Vec<Tdg> = library::real_programs()
-//!     .iter()
-//!     .map(|p| Tdg::from_program(p, AnalysisMode::PaperLiteral))
-//!     .collect();
-//! let merged = merge_all(tdgs);
+//! let programs = library::real_programs();
+//! let merged = merge_programs(&programs, AnalysisMode::PaperLiteral, |_, _| {});
 //! assert!(merged.is_dag());
 //! assert!(merged.max_edge_bytes() > 0);
+//!
+//! // The same graph from per-program TDGs.
+//! let tdgs: Vec<Tdg> =
+//!     programs.iter().map(|p| Tdg::from_program(p, AnalysisMode::PaperLiteral)).collect();
+//! assert_eq!(merge_all(tdgs), merged);
 //! ```
 
 #![warn(missing_docs)]
@@ -40,5 +43,5 @@ pub use analysis::{
 };
 pub use export::{stats, to_dot, TdgStats};
 pub use graph::{NodeId, Tdg, TdgEdge, TdgNode};
-pub use merge::{merge_all, merge_pair};
+pub use merge::{merge_all, merge_pair, merge_programs};
 pub use stateaccess::{relaxed_type, FieldEvidence, StateClass, StateClassification};

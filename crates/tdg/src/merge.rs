@@ -15,10 +15,22 @@
 //! dependencies between the two programs' own tables — and [`merge_all`]
 //! is that step applied left to right. It is *computed* by one
 //! `Accumulator` that every input is moved into in turn, so a step costs
-//! what the incoming program brings, not what has piled up so far. For `P`
-//! inputs with `N` nodes in total and `E` merged edges:
+//! what the incoming program brings, not what has piled up so far.
 //!
-//! - every node is moved in once (never cloned), filed under the hash of
+//! The accumulator takes programs as well as graphs. [`merge_programs`]
+//! (what `ProgramAnalyzer::analyze` and the audit run) builds each program
+//! straight into it: one node and one [`MatProfile`] per MAT, interned
+//! into the accumulator's one [`FieldTable`], and the program's own pairs
+//! typed there by the pair loop [`Tdg::from_program`] runs too — no
+//! per-program [`Tdg`], adjacency index or topological order is built and
+//! dropped. Its output is [`merge_all`]'s over the `from_program` graphs,
+//! to the byte. [`merge_all`] stays for callers that already hold graphs,
+//! and `from_program` stays a lean entry point of its own for one
+//! program's graph.
+//!
+//! For `P` inputs with `N` nodes in total and `E` merged edges:
+//!
+//! - every node is moved (or built) in once, filed under the hash of
 //!   the signature its table derived when it was built (a step sorts by
 //!   signature only the groups it folds), its field sets interned once
 //!   into one shared [`FieldTable`] as a [`MatProfile`], and its slot
@@ -55,8 +67,8 @@
 use crate::analysis::{
     classify_profiles, metadata_amount_profiles, AnalysisMode, DependencyType, MatProfile,
 };
-use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};
-use hermes_dataplane::{FieldTable, Mat};
+use crate::graph::{type_program_pairs, NodeId, Tdg, TdgEdge, TdgNode};
+use hermes_dataplane::{FieldTable, Mat, Program};
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -83,7 +95,8 @@ pub fn merge_all(tdgs: Vec<Tdg>) -> Tdg {
     if iter.len() == 0 {
         return first;
     }
-    let mut acc = Accumulator::new(first);
+    let mut acc = Accumulator::new(first.mode());
+    acc.take_in(first, 0);
     iter.for_each(|next| acc.absorb(next));
     acc.finish()
 }
@@ -96,8 +109,37 @@ pub fn merge_all(tdgs: Vec<Tdg>) -> Tdg {
 /// verdict is a property of the *final* node set (merging can add writers
 /// and demote it), so per-input relaxations must not survive as-is.
 pub fn merge_pair(t1: Tdg, t2: Tdg) -> Tdg {
-    let mut acc = Accumulator::new(t1);
-    acc.absorb(t2);
+    merge_all(vec![t1, t2])
+}
+
+/// Builds the TDG of every program and merges them (Algorithm 1's convert
+/// and merge steps): the same graph, to the byte, as [`merge_all`] of
+/// their [`Tdg::from_program`] graphs, but built straight into the merge
+/// accumulator — each MAT's field sets are interned once, into the
+/// accumulator's one [`FieldTable`], and no per-program graph, index or
+/// order is made. An empty list gives an empty graph in `mode`.
+///
+/// `inspect` sees the edges typed for each program before they are
+/// merged: one edge per dependent pair of the program's own tables, in
+/// `(from, to)` order, ids indexing [`Program::tables`], types and bytes
+/// before any state relaxation ([`Tdg::from_program`]'s edges in a mode
+/// that does not relax). The audit cross-checks these, so it checks the
+/// graph the solver gets; other callers pass `|_, _| {}`.
+pub fn merge_programs(
+    programs: &[Program],
+    mode: AnalysisMode,
+    mut inspect: impl FnMut(&Program, &[TdgEdge]),
+) -> Tdg {
+    let mut acc = Accumulator::new(mode);
+    let mut edges = Vec::new();
+    for (k, program) in programs.iter().enumerate() {
+        let offset = acc.nodes.len();
+        acc.take_program(program, if k == 0 { 0 } else { 2 }, &mut edges);
+        inspect(program, &edges);
+        if k > 0 {
+            acc.settle(offset);
+        }
+    }
     acc.finish()
 }
 
@@ -200,32 +242,58 @@ struct Tally {
 }
 
 impl Accumulator {
-    fn new(mut first: Tdg) -> Self {
-        let mode = first.mode();
-        if mode.relaxes_state() {
-            first.restore_base_edges();
-        }
-        let mut acc = Accumulator { mode, step: 1, ..Accumulator::default() };
-        acc.take_in(first, 0);
-        acc
+    fn new(mode: AnalysisMode) -> Self {
+        Accumulator { mode, step: 1, ..Accumulator::default() }
     }
 
     /// Moves `tdg`'s nodes into fresh slots and its edges into the edge
-    /// map, ranked by position within `class`.
-    fn take_in(&mut self, tdg: Tdg, class: u8) {
+    /// map, ranked by position within `class`; relaxed edges go in as
+    /// their base types.
+    fn take_in(&mut self, mut tdg: Tdg, class: u8) {
+        if self.mode.relaxes_state() {
+            tdg.restore_base_edges();
+        }
         let offset = self.nodes.len();
         let (nodes, edges) = tdg.into_parts();
         for node in nodes {
-            let slot = self.nodes.len();
-            self.file(&node.mat, slot);
             let profile = MatProfile::build(&node.mat, &mut self.table);
-            self.writers.resize_with(self.table.len(), Vec::new);
-            self.matchers.resize_with(self.table.len(), Vec::new);
-            profile.written.iter().for_each(|f| self.writers[f.index()].push(slot));
-            profile.matched.iter().for_each(|f| self.matchers[f.index()].push(slot));
-            self.profiles.push(profile);
-            self.nodes.push(node);
+            self.push(node, profile);
         }
+        self.put_all(offset, edges, class);
+    }
+
+    /// [`Accumulator::take_in`] of `program`'s own TDG, built in place:
+    /// its pairs are typed on the profiles just interned, into `edges`
+    /// (cleared first), which then go into the edge map.
+    fn take_program(&mut self, program: &Program, class: u8, edges: &mut Vec<TdgEdge>) {
+        let offset = self.nodes.len();
+        for mat in program.tables() {
+            let profile = MatProfile::build(mat, &mut self.table);
+            self.push(TdgNode::of(program, mat), profile);
+        }
+        edges.clear();
+        type_program_pairs(program, &self.table, &self.profiles[offset..], self.mode, edges);
+        self.put_all(offset, edges.iter().copied(), class);
+    }
+
+    /// Gives `node` the next slot: files it under its signature and on the
+    /// `writers` / `matchers` list of every field its `profile` writes /
+    /// matches on.
+    fn push(&mut self, node: TdgNode, profile: MatProfile) {
+        let slot = self.nodes.len();
+        self.file(&node.mat, slot);
+        self.writers.resize_with(self.table.len(), Vec::new);
+        self.matchers.resize_with(self.table.len(), Vec::new);
+        profile.written.iter().for_each(|f| self.writers[f.index()].push(slot));
+        profile.matched.iter().for_each(|f| self.matchers[f.index()].push(slot));
+        self.profiles.push(profile);
+        self.nodes.push(node);
+    }
+
+    /// Sizes the per-slot state to the slots pushed, then puts `edges`
+    /// (ids relative to `offset`) into the edge map, ranked by position
+    /// within `class`.
+    fn put_all(&mut self, offset: usize, edges: impl IntoIterator<Item = TdgEdge>, class: u8) {
         let n = self.nodes.len();
         self.alive.resize(n, true);
         self.succ.resize_with(n, Vec::new);
@@ -259,16 +327,18 @@ impl Accumulator {
         }
     }
 
-    /// One merge step: folds duplicates (the incoming graph's, and any an
-    /// earlier step had to leave), then infers the dependencies between
-    /// the accumulated programs' tables and the incoming program's.
-    fn absorb(&mut self, mut next: Tdg) {
-        if self.mode.relaxes_state() {
-            next.restore_base_edges();
-        }
+    /// Takes `next` in and settles it: one merge step.
+    fn absorb(&mut self, next: Tdg) {
         let offset = self.nodes.len();
         self.take_in(next, 2);
+        self.settle(offset);
+    }
 
+    /// One merge step for the graph just taken in at slots `offset..`:
+    /// folds duplicates (the incoming graph's, and any an earlier step had
+    /// to leave), then infers the dependencies between the accumulated
+    /// programs' tables and the incoming program's.
+    fn settle(&mut self, offset: usize) {
         // A duplicate folds into the head of its signature group unless the
         // contraction would cycle. A fold skipped in an earlier step is
         // tried again: other members of its group may since have folded
@@ -787,7 +857,8 @@ mod tests {
         // (nothing is missed), and over the whole merge far fewer pairs
         // were typed than the ~190 000 the all-pairs loop looked at.
         let mut tdgs = wan_50_shaped().iter().map(tdg).collect::<Vec<_>>().into_iter();
-        let mut acc = Accumulator::new(tdgs.next().unwrap());
+        let mut acc = Accumulator::new(AnalysisMode::PaperLiteral);
+        acc.take_in(tdgs.next().unwrap(), 0);
         let mut all_pairs = 0;
         for next in tdgs {
             let offset = acc.nodes.len();

@@ -8,15 +8,23 @@
 //! [`classify`] / [`metadata_amount`], and answers every cycle question
 //! with a full Kahn pass. Being test code, it can count what it skipped,
 //! so the suite also proves its corpus reaches the hard cases.
+//!
+//! `from_program_reference` is `Tdg::from_program` as it was before its
+//! pair loop was shared with `merge_programs`, which the suite holds to
+//! `merge_all` of the `from_program` graphs by JSON bytes.
 
 #![cfg(test)]
 #![allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 
-use crate::analysis::{classify, metadata_amount, AnalysisMode};
+use crate::analysis::{
+    classify, classify_profiles, metadata_amount, metadata_amount_profiles, AnalysisMode,
+    MatProfile,
+};
 use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};
-use crate::merge::{merge_all, merge_pair};
+use crate::merge::{merge_all, merge_pair, merge_programs};
 use hermes_dataplane::action::Action;
 use hermes_dataplane::fields::{headers, Field};
+use hermes_dataplane::fieldset::FieldTable;
 use hermes_dataplane::library;
 use hermes_dataplane::mat::{Mat, MatchKind};
 use hermes_dataplane::program::Program;
@@ -150,6 +158,40 @@ fn merge_reference(mut t1: Tdg, mut t2: Tdg, tally: &mut Tally) -> Tdg {
         merged.relax_edges();
     }
     merged
+}
+
+/// [`Tdg::from_program`] as it was written before it shared its pair loop
+/// with [`merge_programs`]: its own gate set, its own field table, every
+/// `i < j` pair typed in place.
+fn from_program_reference(program: &Program, mode: AnalysisMode) -> Tdg {
+    let tables = program.tables();
+    let nodes = tables
+        .iter()
+        .map(|t| TdgNode {
+            name: format!("{}/{}", program.name(), t.name()),
+            mat: t.clone(),
+            programs: BTreeSet::from([program.name().to_owned()]),
+        })
+        .collect();
+    let gates: BTreeSet<(usize, usize)> = program.gates().iter().copied().collect();
+    let mut table = FieldTable::new();
+    let profiles: Vec<MatProfile> =
+        tables.iter().map(|t| MatProfile::build(t, &mut table)).collect();
+    let mut edges = Vec::new();
+    for i in 0..tables.len() {
+        for j in (i + 1)..tables.len() {
+            let gated = gates.contains(&(i, j));
+            if let Some(dep) = classify_profiles(&profiles[i], &profiles[j], gated) {
+                let bytes = metadata_amount_profiles(&table, &profiles[i], &profiles[j], dep, mode);
+                edges.push(TdgEdge { from: NodeId(i), to: NodeId(j), dep, bytes });
+            }
+        }
+    }
+    let mut tdg = Tdg::from_parts(nodes, edges, mode);
+    if mode.relaxes_state() {
+        tdg.relax_edges();
+    }
+    tdg
 }
 
 /// Plain Kahn acyclicity check on dense node indexes.
@@ -303,8 +345,38 @@ fn variants(base: &[Program]) -> Vec<Vec<Program>> {
     vec![base.to_vec(), reversed, duplicated, with_twins]
 }
 
-/// `merge_all` and `merge_pair` against the reference on one program list.
+/// `merge_programs` against `merge_all` of the `from_program` graphs, by
+/// JSON bytes, with the edges it shows per program against that
+/// program's unrelaxed graph; and `from_program` against its reference.
+fn check_build_and_merge(programs: &[Program], mode: AnalysisMode) -> Result<(), TestCaseError> {
+    let names: Vec<&str> = programs.iter().map(Program::name).collect();
+    let mut shown = Vec::new();
+    let built = merge_programs(programs, mode, |p, edges| {
+        shown.push((p.name().to_owned(), edges.to_vec()));
+    });
+    let tdgs: Vec<Tdg> = programs.iter().map(|p| Tdg::from_program(p, mode)).collect();
+    for (p, tdg) in programs.iter().zip(&tdgs) {
+        let reference = from_program_reference(p, mode);
+        prop_assert!(*tdg == reference, "from_program diverges ({mode:?}) on {}", p.name());
+    }
+    let expected = if programs.is_empty() { Tdg::new(mode) } else { merge_all(tdgs) };
+    let json = |t: &Tdg| serde_json::to_string(t).unwrap();
+    prop_assert!(
+        json(&built) == json(&expected),
+        "merge_programs diverges ({mode:?}) on {names:?}"
+    );
+    prop_assert_eq!(shown.len(), programs.len());
+    for ((name, edges), p) in shown.iter().zip(programs) {
+        let unrelaxed = Tdg::from_program(p, mode.byte_mode());
+        prop_assert!(name == p.name() && edges == unrelaxed.edges(), "{mode:?}: {}", p.name());
+    }
+    Ok(())
+}
+
+/// `merge_all` and `merge_pair` against the reference on one program list,
+/// and `merge_programs` against `merge_all`.
 fn check(programs: &[Program], mode: AnalysisMode, tally: &mut Tally) -> Result<(), TestCaseError> {
+    check_build_and_merge(programs, mode)?;
     let tdgs =
         |ps: &[Program]| -> Vec<Tdg> { ps.iter().map(|p| Tdg::from_program(p, mode)).collect() };
     let names: Vec<&str> = programs.iter().map(Program::name).collect();
@@ -414,8 +486,44 @@ fn corpus() {
     assert!(tally.inferred_skipped >= 1, "{tally:?}");
 }
 
+#[test]
+fn build_and_merge_matches_every_prefix_and_every_program_alone() {
+    let mut programs = library::real_programs();
+    programs.extend(library::aggregation::all());
+    programs.extend(gate_tie_programs());
+    programs.extend(SyntheticGenerator::new(7, SyntheticConfig::default()).programs(12));
+    for mode in MODES {
+        for end in 0..=programs.len() {
+            check_build_and_merge(&programs[..end], mode).unwrap();
+        }
+        for p in &programs {
+            check_build_and_merge(std::slice::from_ref(p), mode).unwrap();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn build_and_merge_equals_merge_all_of_from_program(
+        seed in 0u64..5_000,
+        synthetic in 0usize..9,
+        library_from in 0usize..11,
+        aggregation in any::<bool>(),
+        mode in 0usize..3,
+    ) {
+        let mut list = SyntheticGenerator::new(seed, SyntheticConfig::default()).programs(synthetic);
+        let at = list.len() / 2;
+        list.splice(at..at, library::real_programs().into_iter().skip(library_from));
+        if aggregation {
+            list.splice(0..0, library::aggregation::all());
+        }
+        if seed % 2 == 0 {
+            list.extend(gate_tie_programs());
+        }
+        check_build_and_merge(&list, MODES[mode])?;
+    }
 
     #[test]
     fn random_program_lists(
