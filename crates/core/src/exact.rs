@@ -29,7 +29,7 @@
 //!   [`Precheck`](crate::precheck::Precheck) set it, as
 //!   [`crate::solver::Portfolio`] does) is returned without a search;
 //! - galloping contours look for the optimum under low ceilings before
-//!   the frontier is built (below).
+//!   the final search (below).
 //!
 //! # Three cuts that keep the returned leaf
 //!
@@ -67,34 +67,42 @@
 //! Most of a search seeded with a poor incumbent goes into lowering it:
 //! under a ceiling one above the optimum the committed `tight-exact`
 //! instances take a fifth of their nodes. So between the seed and the
-//! frontier the calling thread runs **contours** (iterative deepening on
-//! the objective, after Korf's depth-first iterative deepening, *Artificial
-//! Intelligence* 27, 1985): one-worker DFS runs from the root, with every
-//! cut above, under the ceilings F+1, F+2, F+4, F+8, … strictly below the
-//! entry bound g, where F is the context's objective floor. They share one
-//! budget of `CONTOUR_NODES` nodes. How a contour ends decides what comes
-//! next:
+//! final search run **contours** (iterative deepening on the objective,
+//! after Korf's depth-first iterative deepening, *Artificial Intelligence*
+//! 27, 1985): searches from the root, with every cut above, under the
+//! ceilings F+1, F+2, F+4, F+8, … strictly below the entry bound g, where F
+//! is the context's objective floor. They share one budget of
+//! `CONTOUR_NODES` nodes. The calling thread runs them as one DFS. With
+//! helpers, a contour it has not finished within `HELPER_START_NODES` nodes
+//! runs again from the root as a frontier search under the same ceiling
+//! (below), and so does every later contour: the pool's workers spend what
+//! is left of the budget 64 nodes at a time, at their poll. How a contour
+//! ends decides what comes next:
 //!
 //! - **It completes and recorded a leaf.** Every earlier contour proved
 //!   that no leaf lies below its own ceiling, so this leaf is of minimum
-//!   objective, and the DFS records a leaf only when it beats the last
-//!   one: it is the *first* leaf of minimum objective in DFS order —
-//!   exactly the leaf the frontier search would return. It is returned,
-//!   proven, with no frontier built and no thread started.
+//!   objective. On the calling thread the DFS records a leaf only when it
+//!   beats the last one, and on the pool the reduction takes the
+//!   lowest-index one: either way it is the *first* leaf of minimum
+//!   objective in DFS order — exactly the leaf the final search would
+//!   return. It is returned, proven, with no final search.
 //! - **It completes without a leaf.** Every leaf is at or above its
 //!   ceiling; the next contour runs.
-//! - **The budget stops it after a leaf of objective v.** Every optimum is
-//!   at most v; the final search runs under the ceiling v + 1, not v, so
-//!   that the first leaf at v stays acceptable when v is the optimum.
+//! - **The budget stops it after a leaf of objective v** (the least any of
+//!   its workers recorded). Every optimum is at most v; the final search
+//!   runs under the ceiling v + 1, not v, so that the first leaf at v stays
+//!   acceptable when v is the optimum.
 //! - **Anything else** — the budget stops it before a leaf, the ceilings
 //!   reach g, or the deadline stops it — leaves the final search the entry
 //!   bound, as if no contour had run.
 //!
-//! A contour's leaves are recorded under the subtree index `u32::MAX`,
-//! after every frontier root: the shared key they publish cuts only
-//! subtrees strictly worse than the leaf, and the leaf loses every tie in
-//! the reduction, where it matters only if the final search is stopped.
-//! Contour nodes and prunes count in [`ParallelStats`] with the rest.
+//! The calling thread's contours record their leaves under the subtree
+//! index `u32::MAX`, after every frontier root, and a contour stopped on
+//! the pool re-files its leaves there, since its root indices mean nothing
+//! in another frontier: such a leaf loses every tie in the reduction, where
+//! it matters only if the final search is stopped. A contour the pool
+//! completes keeps its indices, which decide its answer. Contour nodes and
+//! prunes count in [`ParallelStats`] with the rest.
 //!
 //! # Parallel search
 //!
@@ -107,19 +115,23 @@
 //! replayed per root — no cross-worker sharing of mutable state). Search
 //! frames live in a per-worker arena (`Vec<Frame>`) that is reused across
 //! subtrees, so steady-state search allocates nothing. The calling thread
-//! is worker 0; the scoped helper threads start only once it has explored
-//! `HELPER_START_NODES` nodes, so a search that ends sooner — most do —
-//! never pays for a thread it cannot use.
+//! is worker 0, and the scoped helper threads start only once it has
+//! explored `HELPER_START_NODES` nodes of the search — in a contour, which
+//! the pool then runs again, or in the final search — so a search that ends
+//! sooner, as most do, never pays for a thread it cannot use.
 //!
 //! **Determinism:** results are byte-identical to the sequential search
 //! regardless of worker count or timing. Each worker accepts a leaf only
-//! when it strictly beats `min(its subtree's best, the entry bound)` —
-//! both timing-independent quantities — and the only thing workers share,
-//! the key of cut 1 above, never cuts the lowest-index optimum. The final
-//! answer is the lexicographic minimum over `(objective, canonical subtree
-//! index)`, i.e. the lowest-index optimal solution — exactly the leaf the
-//! sequential DFS would have accepted last. Optimality is proven only when
-//! the frontier enumeration and every subtree ran to completion.
+//! when it strictly beats `min(its subtree's best, the search's ceiling)`
+//! — the subtree's best is timing-independent, and the ceiling is above
+//! the optimum whatever a budget-stopped contour recorded — and the only
+//! thing workers share, the key of cut 1 above (reset for each frontier),
+//! never cuts the lowest-index optimum. The final answer is the
+//! lexicographic minimum over `(objective, canonical subtree index)`, i.e.
+//! the lowest-index optimal solution — exactly the leaf the sequential DFS
+//! would have accepted last, whichever frontier indexed it. Optimality is
+//! proven only when the frontier enumeration and every subtree ran to
+//! completion.
 //!
 //! The [`SearchContext`] deadline bounds the worst case (polled every 64
 //! nodes, and by each worker before its first root); the outcome reports
@@ -144,19 +156,24 @@ use std::time::Instant;
 /// cost of more prefix replays.
 const ROOTS_PER_WORKER: usize = 8;
 
-/// Nodes the calling thread explores on its own before the helper threads
-/// start taking roots (a multiple of the 64-node poll cadence). Starting a
-/// thread costs about what exploring a few hundred nodes does.
+/// Nodes the calling thread explores on its own before the search uses the
+/// helper threads (a multiple of the 64-node poll cadence). A contour the
+/// calling thread has not finished by then runs again from the root on the
+/// pool, and every later contour and the final search start the helpers at
+/// once; a final search reached sooner starts them from worker 0's poll once
+/// it has explored this many nodes itself. Starting a thread costs about
+/// what exploring a few hundred nodes does.
 const HELPER_START_NODES: u64 = 4096;
 
 /// Nodes all the contours of one search may explore together before the
-/// search falls back to the frontier and the workers.
+/// search falls back to the final frontier search. On the pool the contour
+/// workers spend what is left of it 64 nodes at a time, at their poll.
 const CONTOUR_NODES: u64 = 1 << 16;
 
-/// The subtree index the contours record their leaves under: past every
-/// frontier root, so a contour's leaf loses every tie to the final
-/// search's and the shared key it publishes cuts only strictly worse
-/// subtrees.
+/// The subtree index the calling thread's contours record their leaves
+/// under, and a contour the pool did not complete re-files its leaves
+/// under: past every frontier root, so a contour's leaf loses every tie to
+/// the final search's.
 const CONTOUR_ROOT: u32 = u32::MAX;
 
 /// Exact `A_max` minimizer driven entirely by a [`SearchContext`] (no
@@ -237,22 +254,30 @@ impl OptimalSolver {
         let Some(order) = tdg.topo_order() else {
             return (Err(DeployError::dependency_cycle()), ParallelStats::default());
         };
-        let mut shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx, seed);
+        let shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx, seed);
 
-        // Phase 0: the contours, on the calling thread. One that settles
-        // the search leaves nothing for the frontier and the workers.
-        let mut contour = Explorer::new(&shared);
-        let (contours, final_ceiling) = contour.run_contours(ctx.objective_floor(), contour_nodes);
-        let mut outs = vec![WorkerOut::of(contour)];
-        let mut pstats = ParallelStats { contours, workers: 1, ..ParallelStats::default() };
-        if let Some(ceiling) = final_ceiling {
-            shared.entry_bound = ceiling;
-            let Some(searched) = search_frontier(&shared, ctx.worker_count().max(1), &mut pstats)
-            else {
-                let reason = "a search worker panicked while holding the results".to_owned();
-                return (Err(DeployError::NoFeasiblePlacement { reason }), pstats);
-            };
-            outs.extend(searched);
+        // Phase 0: the contours, on the calling thread until they outlive
+        // the helper threshold, then on the pool. One that settles the
+        // search leaves nothing for the final search.
+        let workers = ctx.worker_count().max(1);
+        let mut pstats = ParallelStats { workers: 1, ..ParallelStats::default() };
+        let mut outs = Vec::new();
+        let searched = run_contours(
+            &shared,
+            ctx.objective_floor(),
+            contour_nodes,
+            workers,
+            &mut pstats,
+            &mut outs,
+        )
+        .and_then(|next| {
+            if let Some((ceiling, pooled)) = next {
+                outs.extend(search_frontier(&shared, ceiling, workers, pooled, &mut pstats)?);
+            }
+            Ok(())
+        });
+        if let Err(err) = searched {
+            return (Err(err), pstats);
         }
 
         // Phase 3: deterministic reduction — the lexicographic minimum
@@ -331,16 +356,22 @@ impl DeploymentAlgorithm for OptimalSolver {
 /// outcome: shared-key prune counts depend on thread timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Contours run before the frontier (see the module docs).
+    /// Contours run before the final search (see the module docs); one the
+    /// pool ran again from the root counts once.
     pub contours: usize,
-    /// Workers the subtree pool actually ran with: the calling thread plus
-    /// the helpers, if the search was long enough to start them; 1 when a
-    /// contour settled the search on the calling thread.
+    /// The most workers any frontier search of the solve ran with — a
+    /// contour's on the pool or the final one: the calling thread plus the
+    /// helpers it started. 1 when the calling thread searched alone: a
+    /// contour settled the search on it, or no frontier search started a
+    /// helper.
     pub workers: usize,
-    /// Depth of the subtree-splitting frontier.
+    /// Depth of the last subtree-splitting frontier built: the final
+    /// search's, or that of the contour that settled the search on the pool
+    /// (0 when a contour settled it on the calling thread).
     pub frontier_depth: usize,
-    /// Number of independent subtree roots handed to the pool (0 when a
-    /// contour settled the search).
+    /// Number of independent subtree roots in that frontier (0 when a
+    /// contour settled the search on the calling thread, or when the
+    /// enumeration alone exhausted the tree).
     pub subtree_roots: usize,
     /// Nodes cut by the incumbent bound (the ceiling or the shared key),
     /// contours included, like the two counters below.
@@ -369,17 +400,24 @@ struct SharedSearch<'a> {
     /// Per-candidate [`hermes_net::TargetModel::total_capacity`] (budget
     /// clamp included).
     total_caps: Vec<f64>,
-    /// The seed's objective (`u64::MAX` without a seed), or one above the
-    /// leaf of a contour the node budget stopped: the final search's
-    /// deterministic acceptance ceiling.
+    /// The seed's objective (`u64::MAX` without a seed): the bound the
+    /// contours' ceilings stay below, and the final search's deterministic
+    /// acceptance ceiling unless a contour the node budget stopped lowers
+    /// it.
     entry_bound: u64,
     /// The lexicographic minimum `(objective, subtree index)` over every
-    /// leaf any worker recorded, packed as `objective << 32 | index`
-    /// ([`NO_KEY`] until then; objectives of 2³² B and more are not
-    /// shared). `Relaxed` suffices: the key publishes no other data, and
-    /// any value a worker reads is the key of some recorded leaf, which is
-    /// all [`Explorer::cut`] needs.
+    /// leaf any worker of the running search recorded, packed as
+    /// `objective << 32 | index` ([`NO_KEY`] until then, and again at the
+    /// start of each frontier search, whose roots are indexed afresh;
+    /// objectives of 2³² B and more are not shared). `Relaxed` suffices:
+    /// the key publishes no other data, and any value a worker reads is the
+    /// key of some recorded leaf, which is all [`Explorer::cut`] needs.
     best_key: AtomicU64,
+    /// What is left of the contours' node budget while a contour runs on
+    /// the pool, spent 64 nodes at a time at each worker's poll;
+    /// `u64::MAX` (no limit) at any other time. `Relaxed` suffices: the
+    /// count publishes no other data.
+    nodes_left: AtomicU64,
     ctx: &'a SearchContext,
 }
 
@@ -426,8 +464,20 @@ impl<'a> SharedSearch<'a> {
             total_caps: candidates.iter().map(|&id| net.switch(id).total_capacity()).collect(),
             entry_bound,
             best_key: AtomicU64::new(NO_KEY),
+            nodes_left: AtomicU64::new(u64::MAX),
             ctx,
         }
+    }
+
+    /// The 64-node poll: `true` when the search must stop — the deadline
+    /// has passed, or a contour on the pool has spent the node budget.
+    fn poll_stops(&self) -> bool {
+        self.ctx.should_stop()
+            || self.nodes_left.load(Ordering::Relaxed) != u64::MAX
+                && self
+                    .nodes_left
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| left.checked_sub(64))
+                    .is_err()
     }
 }
 
@@ -475,9 +525,9 @@ impl Frontier {
 
 /// Expands the search tree breadth-first (in DFS candidate order, applying
 /// only deterministic prunes) until at least `target` independent subtree
-/// roots exist, the tree bottoms out, or the context stops the search.
-/// A level that expands to zero prefixes proves the tree has no feasible
-/// leaves below the entry bound.
+/// roots exist, the tree bottoms out, or the poll stops the search. A
+/// level that expands to zero prefixes proves the tree has no feasible
+/// leaves below the explorer's ceiling.
 fn build_frontier(ex: &mut Explorer<'_>, target: usize) -> Frontier {
     let n = ex.sh.order.len();
     let mut level: Vec<usize> = Vec::new();
@@ -500,19 +550,116 @@ fn build_frontier(ex: &mut Explorer<'_>, target: usize) -> Frontier {
     Frontier { prefixes: level, count, depth }
 }
 
-/// Phases 1 and 2 of the search below `shared.entry_bound`: the frontier
-/// enumeration (single-threaded, exact DFS candidate order), then the
-/// subtree pool — workers take roots in canonical order from one shared
-/// cursor (a stopped enumeration leaves none); the calling thread is
-/// worker 0 and starts the helpers from its poll once it has explored
-/// `HELPER_START_NODES`. Returns the enumerator's and every worker's
-/// result, or `None` when a worker panicked while holding the results.
+/// How one contour ended (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ContourEnd {
+    /// It completed and recorded a leaf: the search's answer.
+    Settled,
+    /// It completed without a leaf; the next contour runs.
+    Dry,
+    /// The node budget stopped it.
+    Budget,
+    /// The deadline stopped it.
+    Deadline,
+    /// The calling thread reached [`HELPER_START_NODES`] in it; the pool
+    /// runs it again from the root.
+    HandedOff,
+}
+
+/// Phase 0: the contours up from the proven `floor`, within `budget` nodes
+/// in all (see the module docs). At one worker the calling thread runs them
+/// all; with helpers, a contour it has not finished within
+/// [`HELPER_START_NODES`] nodes runs again from the root as a frontier
+/// search under the same ceiling, and so does every later one. Pushes every
+/// explorer's result onto `outs` and returns the ceiling the final search
+/// runs under, with whether the contours went to the pool — `None` when a
+/// contour settled the search — or the error of a panicked worker.
+fn run_contours(
+    shared: &SharedSearch<'_>,
+    floor: u64,
+    budget: u64,
+    workers: usize,
+    pstats: &mut ParallelStats,
+    outs: &mut Vec<WorkerOut>,
+) -> Result<Option<(u64, bool)>, DeployError> {
+    let entry = shared.entry_bound;
+    let mut calling = Explorer::new(shared);
+    calling.node_budget = if workers > 1 { budget.min(HELPER_START_NODES) } else { budget };
+    let mut pooled = false;
+    let mut end = ContourEnd::Dry;
+    let ceilings = (0..u64::BITS).map_while(|k| floor.checked_add(1 << k));
+    for ceiling in ceilings.take_while(|&ceiling| ceiling < entry) {
+        pstats.contours += 1;
+        if !pooled {
+            end = calling.run_contour(ceiling, budget);
+            pooled = end == ContourEnd::HandedOff;
+            if pooled {
+                shared.nodes_left.store(budget - calling.explored, Ordering::Relaxed);
+            }
+        }
+        if pooled {
+            let mut contour = search_frontier(shared, ceiling, workers, true, pstats)?;
+            end = if contour.iter().any(|out| out.stopped) {
+                // Its root indices mean nothing in the next frontier: its
+                // leaves lose every tie there, like the calling thread's.
+                for out in &mut contour {
+                    out.stopped = false;
+                    out.best = out.best.map(|(objective, _)| (objective, CONTOUR_ROOT));
+                }
+                if shared.nodes_left.load(Ordering::Relaxed) < 64 {
+                    ContourEnd::Budget
+                } else {
+                    ContourEnd::Deadline
+                }
+            } else if contour.iter().any(|out| out.best.is_some()) {
+                ContourEnd::Settled
+            } else {
+                ContourEnd::Dry
+            };
+            outs.extend(contour);
+        }
+        if end != ContourEnd::Dry {
+            break;
+        }
+    }
+    shared.nodes_left.store(u64::MAX, Ordering::Relaxed);
+    // Node-count stops were cleared above; a deadline stop, on this thread
+    // or on the pool, must still leave the search unproven.
+    calling.stopped = end == ContourEnd::Deadline;
+    outs.push(WorkerOut::of(calling));
+    Ok(match end {
+        ContourEnd::Settled => None,
+        // After a leaf of objective `v` every optimum is at most `v`, and
+        // the first leaf at `v` must stay acceptable: the ceiling is
+        // `v + 1`, which is at most the contour's own, so below `entry`.
+        ContourEnd::Budget => {
+            let leaf = outs.iter().filter_map(|out| out.best).map(|(objective, _)| objective).min();
+            Some((leaf.map_or(entry, |v| v + 1), pooled))
+        }
+        // Every ceiling below `entry` ran dry, or the deadline stopped a
+        // contour: the final search runs as if none had run.
+        ContourEnd::Dry | ContourEnd::Deadline | ContourEnd::HandedOff => Some((entry, pooled)),
+    })
+}
+
+/// Phases 1 and 2 of a search below `ceiling` — a contour's on the pool, or
+/// the final one: the frontier enumeration (single-threaded, exact DFS
+/// candidate order), then the subtree pool — workers take roots in
+/// canonical order from one shared cursor (a stopped enumeration leaves
+/// none). The calling thread is worker 0; it starts the helpers at once
+/// when `eager`, else from its poll once it has explored
+/// `HELPER_START_NODES`. Returns every worker's result and the
+/// enumerator's, or the error of a worker that panicked while holding the
+/// results.
 fn search_frontier(
     shared: &SharedSearch<'_>,
+    ceiling: u64,
     requested_workers: usize,
+    eager: bool,
     pstats: &mut ParallelStats,
-) -> Option<Vec<WorkerOut>> {
-    let mut enumerator = Explorer::new(shared);
+) -> Result<Vec<WorkerOut>, DeployError> {
+    shared.best_key.store(NO_KEY, Ordering::Relaxed);
+    let mut enumerator = Explorer { ceiling, ..Explorer::new(shared) };
     let frontier = build_frontier(&mut enumerator, requested_workers * ROOTS_PER_WORKER);
     let workers = requested_workers.min(frontier.count);
     let cursor = AtomicU32::new(0);
@@ -527,23 +674,30 @@ fn search_frontier(
                     outs.push(out);
                 }
             };
+            let run =
+                move |start_helpers| run_worker(shared, ceiling, frontier, cursor, start_helpers);
             let start_helpers = move || {
                 for _ in 1..workers {
-                    scope.spawn(move || finish(run_worker(shared, frontier, cursor, None)));
+                    scope.spawn(move || finish(run(None)));
                 }
             };
-            finish(run_worker(shared, frontier, cursor, Some(&start_helpers)));
+            if eager {
+                start_helpers();
+                finish(run(None));
+            } else {
+                finish(run(Some(&start_helpers)));
+            }
         });
     }
-    let mut outs = outs.into_inner().ok()?;
-    *pstats = ParallelStats {
-        workers: outs.len(),
-        frontier_depth: frontier.depth,
-        subtree_roots: frontier.count,
-        ..*pstats
+    let Ok(mut outs) = outs.into_inner() else {
+        let reason = "a search worker panicked while holding the results".to_owned();
+        return Err(DeployError::NoFeasiblePlacement { reason });
     };
+    pstats.workers = pstats.workers.max(outs.len());
+    pstats.frontier_depth = frontier.depth;
+    pstats.subtree_roots = frontier.count;
     outs.push(WorkerOut::of(enumerator));
-    Some(outs)
+    Ok(outs)
 }
 
 /// Per-worker result, merged by the deterministic reduction.
@@ -578,11 +732,12 @@ impl WorkerOut {
 /// `Relaxed` suffices; which worker runs a root never reaches the result.
 fn run_worker<'a>(
     sh: &'a SharedSearch<'a>,
+    ceiling: u64,
     frontier: &Frontier,
     cursor: &AtomicU32,
     start_helpers: Option<&'a dyn Fn()>,
 ) -> WorkerOut {
-    let mut ex = Explorer { start_helpers, ..Explorer::new(sh) };
+    let mut ex = Explorer { ceiling, start_helpers, ..Explorer::new(sh) };
     ex.stopped = sh.ctx.should_stop();
     while !ex.stopped {
         let root = cursor.fetch_add(1, Ordering::Relaxed);
@@ -600,8 +755,8 @@ fn run_worker<'a>(
 /// shared across workers.
 struct Explorer<'a> {
     sh: &'a SharedSearch<'a>,
-    /// Acceptance ceiling: leaves at or above it are never recorded.
-    /// [`SharedSearch::entry_bound`], except in a contour.
+    /// Acceptance ceiling: leaves at or above it are never recorded. The
+    /// running contour's, or the final search's.
     ceiling: u64,
     /// The search stops once it has explored more nodes than this.
     node_budget: u64,
@@ -744,11 +899,12 @@ impl<'a> Explorer<'a> {
     }
 
     /// Node-entry prologue shared by every depth: count, apply the node
-    /// budget, poll the deadline (every 64th node — `Instant::now` costs
-    /// more than a whole branch step; a worker also polls before its first
-    /// root) and, on worker 0, the helper threshold; apply the incumbent
-    /// cut, accept leaves, run the lookahead. Returns `true` when the
-    /// node's children should be explored.
+    /// budget, poll the deadline and the contours' shared budget (every
+    /// 64th node — `Instant::now` costs more than a whole branch step; a
+    /// worker also polls the deadline before its first root) and, on worker
+    /// 0, the helper threshold; apply the incumbent cut, accept leaves, run
+    /// the lookahead. Returns `true` when the node's children should be
+    /// explored.
     fn enter(&mut self, depth: usize) -> bool {
         self.explored += 1;
         if self.explored > self.node_budget {
@@ -756,7 +912,7 @@ impl<'a> Explorer<'a> {
             return false;
         }
         if self.explored & 0x3F == 0 {
-            if self.sh.ctx.should_stop() {
+            if self.sh.poll_stops() {
                 self.stopped = true;
                 return false;
             }
@@ -994,7 +1150,7 @@ impl<'a> Explorer<'a> {
             }
             let Some(log_base) = self.try_place(depth, c) else { continue };
             self.explored += 1;
-            if (self.explored & 0x3F == 0) && self.sh.ctx.should_stop() {
+            if (self.explored & 0x3F == 0) && self.sh.poll_stops() {
                 self.stopped = true;
                 return added;
             }
@@ -1039,38 +1195,27 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Runs the contours (see the module docs) up from the proven `floor`,
-    /// within `budget` nodes in all. Returns how many ran and the ceiling
-    /// the final search needs — `None` when a contour completed and
-    /// recorded a leaf, which is then the search's answer. A deadline stop
-    /// leaves [`Explorer::stopped`] set; a budget stop clears it.
-    fn run_contours(&mut self, floor: u64, budget: u64) -> (usize, Option<u64>) {
-        let entry = self.sh.entry_bound;
-        self.node_budget = budget;
-        let mut ran = 0;
-        let ceilings = (0..u64::BITS).map_while(|k| floor.checked_add(1 << k));
-        for ceiling in ceilings.take_while(|&ceiling| ceiling < entry) {
-            self.ceiling = ceiling;
-            self.run_root(CONTOUR_ROOT, &[]);
-            ran += 1;
-            if self.stopped {
-                break;
-            }
-            if self.best.is_some() {
-                return (ran, None);
-            }
+    /// Runs one contour under `ceiling` on the calling thread: a DFS from
+    /// the root whose leaves are filed under [`CONTOUR_ROOT`], stopped once
+    /// the thread has explored [`Explorer::node_budget`] nodes — all of
+    /// `budget`, the contours' budget, or [`HELPER_START_NODES`] of it when
+    /// there are helpers. A deadline stop leaves [`Explorer::stopped`] set;
+    /// a node-count stop clears it.
+    fn run_contour(&mut self, ceiling: u64, budget: u64) -> ContourEnd {
+        self.ceiling = ceiling;
+        self.run_root(CONTOUR_ROOT, &[]);
+        if !self.stopped {
+            return if self.best.is_some() { ContourEnd::Settled } else { ContourEnd::Dry };
         }
-        // Every ceiling below `entry` ran dry, or the deadline stopped a
-        // contour: the final search runs as if none had run.
-        if !self.stopped || self.explored <= budget {
-            return (ran, Some(entry));
+        if self.explored <= self.node_budget {
+            return ContourEnd::Deadline;
         }
-        // The budget, not the deadline, stopped a contour. After a leaf
-        // of objective `v` every optimum is at most `v`, and the first
-        // leaf at `v` must stay acceptable: the ceiling is `v + 1`, which
-        // is at most the contour's own, so below `entry`.
         self.stopped = false;
-        (ran, Some(self.best.map_or(entry, |(v, _)| v + 1)))
+        if self.explored > budget {
+            ContourEnd::Budget
+        } else {
+            ContourEnd::HandedOff
+        }
     }
 
     /// Iterative DFS below an already-replayed prefix of length `base`,

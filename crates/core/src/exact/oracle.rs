@@ -245,9 +245,12 @@ fn contours(
     let candidates = net.programmable_switches();
     let order = tdg.topo_order().expect("test TDGs are DAGs");
     let shared = SharedSearch::new(tdg, net, eps, order, &candidates, &ctx, seed);
-    let mut explorer = Explorer::new(&shared);
-    explorer.run_contours(ctx.objective_floor(), budget);
-    (explorer.best.map(|(objective, _)| objective), explorer.explored > budget)
+    let mut outs = Vec::new();
+    let mut pstats = ParallelStats::default();
+    run_contours(&shared, ctx.objective_floor(), budget, 1, &mut pstats, &mut outs)
+        .expect("one worker cannot panic holding the results");
+    let [calling] = &outs[..] else { panic!("one worker leaves one result: {}", outs.len()) };
+    (calling.best.map(|(objective, _)| objective), calling.explored > budget)
 }
 
 /// The contour budget that stops the contours right after their first
@@ -476,7 +479,9 @@ fn the_committed_instances_take_at_most_their_pinned_nodes() {
 /// 4 find no leaf, and the one at 8 records 7 before the optimum 6. A
 /// contour stopped right after that leaf hands the final search the
 /// ceiling 8, which still returns the optimum — the leaf of 7 is no
-/// answer, proven or not.
+/// answer, proven or not. With helpers the budget outlasts the calling
+/// thread's share, so the contours go to the pool, whose workers spend the
+/// rest of it: whatever they record, the same optimum comes back.
 #[test]
 fn a_contour_stopped_after_its_first_leaf_hands_on_a_ceiling() {
     let (tdg, net) = committed_instance(0, (3, 8), 2, 3);
@@ -486,7 +491,7 @@ fn a_contour_stopped_after_its_first_leaf_hands_on_a_ceiling() {
     assert_eq!(contours(&tdg, &net, &eps, 0, budget), (Some(7), true));
     let expected = production_within(&tdg, &net, &eps, &shaped(0, 1), CONTOUR_NODES);
     assert!(expected.contains("objective: 6, proven_optimal: true"), "{expected}");
-    for workers in [1, 2] {
+    for workers in [1, 2, 4] {
         let ctx = shaped(0, workers);
         assert_eq!(production_within(&tdg, &net, &eps, &ctx, budget), expected);
     }
@@ -568,6 +573,25 @@ fn a_node_whose_only_room_precedes_its_ancestor_is_cut() {
     // One node earlier nothing is decided: `a` may still take switch 0.
     explorer.undo(2, 1, bases[2]);
     assert!(!explorer.lookahead_cuts(2, false));
+}
+
+/// Each frontier search starts from a fresh shared key: one left by
+/// another frontier names a root index that means nothing in this one. On
+/// `TIGHT_INSTANCES[11]` under the ceiling 1 the optimum 0 lies past root
+/// 0, so a stale key of 0 at root 0 would cut every later root, the answer
+/// with them.
+#[test]
+fn a_frontier_search_forgets_the_last_frontiers_key() {
+    let (tdg, net) = committed_instance(1, (5, 8), 3, 5);
+    let (eps, ctx) = (Epsilon::loose(), shaped(0, 2));
+    let candidates = net.programmable_switches();
+    let order = tdg.topo_order().expect("DAG");
+    let shared = SharedSearch::new(&tdg, &net, &eps, order, &candidates, &ctx, u64::MAX);
+    shared.best_key.store(0, Ordering::Relaxed);
+    let mut pstats = ParallelStats::default();
+    let outs = search_frontier(&shared, 1, 2, true, &mut pstats).expect("no worker panics");
+    let best = outs.iter().filter_map(|out| out.best).min().expect("a leaf at the optimum");
+    assert!(best.0 == 0 && best.1 > 0, "{best:?}, {pstats:?}");
 }
 
 /// The shared key `(objective, subtree)` cuts a tie only in later

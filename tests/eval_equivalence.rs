@@ -11,8 +11,8 @@
 //!   question, on random node subsets and pipeline shapes;
 //! - the parallel exact search against its single-threaded
 //!   engine: byte-identical `SolveOutcome`s at worker counts 2–8, across
-//!   pre-expired deadlines, on random small chains and on an instance long
-//!   enough to start the helper threads;
+//!   pre-expired deadlines, on random small chains and on instances long
+//!   enough to start the helper threads, in the contours and after them;
 //!
 //! plus a regression test that the portfolio's output on the ten-program
 //! library is byte-identical to the fixture recorded when the portfolio
@@ -263,39 +263,59 @@ proptest! {
     }
 }
 
-/// The same property where the threads actually run, on two instances
+/// The same property where the threads actually run, on four instances
 /// built like the benchmark's `tight-exact` ones: the ten-program library
-/// plus synthetic programs on `linear:3`. With three programs of 3–6
-/// tables (generator seed 3, optimum 2) the contours settle the search in
-/// ≈8·10³ nodes on the calling thread. With two of 3–8 tables (seed 6,
-/// optimum 13; the benchmark's `TIGHT_INSTANCES[1]`) the search outlives
-/// the contours' node budget, and the frontier search that finds the
-/// optimum goes past the point where the calling thread starts its
-/// helpers — the random chains above are settled long before it. Every
-/// search that runs refuses cyclic placements and cuts subtrees by
-/// lookahead.
+/// plus synthetic programs on a line of switches. With three programs of
+/// 3–6 tables on `linear:3` (generator seed 3, optimum 2) the contours
+/// settle the search in ≈8·10³ nodes, so with helpers the contour that
+/// settles it runs on the pool. With two of 3–8 tables (seed 6, optimum
+/// 13; the benchmark's `TIGHT_INSTANCES[1]`) the search outlives the
+/// contours' node budget and the final frontier search finds the optimum.
+/// With two of 5–8 tables (seed 2, optimum 5; `TIGHT_INSTANCES[3]`) the
+/// last contour takes 42–53·10³ nodes and settles the search on the pool.
+/// With three of 5–8 tables on `linear:5` (seed 1, optimum 0;
+/// `TIGHT_INSTANCES[11]`) the one contour settles on the pool with a tie:
+/// a worker finds an optimum in a later root long before the first one in
+/// DFS order turns up, so only the contour's own root indices pick the
+/// answer. The random chains above are settled long before the helper
+/// threshold. Every search that runs refuses cyclic placements and cuts
+/// subtrees by lookahead.
 #[test]
 fn parallel_exact_matches_one_worker_past_the_helper_threshold() {
-    let instance = |seed: u64, tables_max: usize, extra: usize| {
-        let config = SyntheticConfig { tables_min: 3, tables_max, ..SyntheticConfig::default() };
+    let instance = |seed: u64, tables: (usize, usize), extra: usize, switches: usize| {
+        let config =
+            SyntheticConfig { tables_min: tables.0, tables_max: tables.1, ..Default::default() };
         let mut programs = library::real_programs();
         programs.extend(SyntheticGenerator::new(seed, config).programs(extra));
-        ProgramAnalyzer::new().analyze(&programs)
+        (ProgramAnalyzer::new().analyze(&programs), topology::linear(switches, 10.0))
     };
-    let (settled, tight) = (instance(3, 6, 3), instance(6, 8, 2));
-    let net = topology::linear(3, 10.0);
+    let settled = instance(3, (3, 6), 3, 3);
+    let tight = instance(6, (3, 8), 2, 3);
+    let last_contour = instance(2, (5, 8), 2, 3);
+    let tied = instance(1, (5, 8), 3, 5);
     let mut helped = 0;
-    for (tdg, threads, stop) in
-        [(&settled, 2, 0), (&settled, 4, 1), (&settled, 4, 2), (&tight, 2, 0), (&tight, 4, 1)]
-    {
-        let stats = assert_parallel_matches_one_worker(tdg, &net, threads, stop);
+    // The instance, the workers, the stop shape, and whether the contours
+    // must reach the pool.
+    for ((tdg, net), threads, stop, pooled) in [
+        (&settled, 2, 0, false),
+        (&settled, 4, 1, false),
+        (&settled, 4, 2, false),
+        (&tight, 2, 0, false),
+        (&tight, 4, 1, false),
+        (&last_contour, 2, 0, true),
+        (&last_contour, 4, 1, true),
+        (&tied, 2, 0, true),
+        (&tied, 4, 1, true),
+    ] {
+        let stats = assert_parallel_matches_one_worker(tdg, net, threads, stop);
         assert!(stats.workers == threads || stats.workers <= 1, "{stats:?}");
+        assert!(!pooled || stats.workers > 1, "{stats:?}");
         helped += usize::from(stats.workers > 1);
         if stop != 2 {
             assert!(stats.lookahead_prunes > 0 && stats.cycle_rejects > 0, "{stats:?}");
         }
     }
-    assert!(helped >= 2, "the helper threads started in {helped} of 5 cases");
+    assert!(helped >= 8, "the helper threads started in {helped} of 9 cases");
 }
 
 /// The portfolio on the ten-program library still produces byte-identical
