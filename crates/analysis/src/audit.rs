@@ -10,19 +10,16 @@
 //! [`hermes_core::precheck`] bounds for a concrete network and ε budget —
 //! the same certificates the portfolio consumes to return
 //! proven-infeasible before burning wall clock.
-//! [`audit_plan`] re-emits the plan verifier's violations as diagnostics
-//! for auditing an already-computed deployment.
 //!
-//! Lints, certificates, and violations all carry their own stable codes
-//! (`HL0xx`, `HC3xx`, `HV4xx`); this module only maps them onto the
-//! [`Diagnostic`] shape and assigns severities.
+//! Lints and certificates carry their own stable codes (`HL0xx`,
+//! `HC3xx`); this module only maps them onto the [`Diagnostic`] shape and
+//! assigns severities.
 
 use crate::dataflow::dataflow_diagnostics;
 use crate::diag::{AuditReport, Diagnostic, Severity, Span};
 use crate::graphcheck::{check_part, check_tdg};
 use hermes_core::precheck::{Certificate, Precheck};
-use hermes_core::verify::Violation;
-use hermes_core::{DeploymentPlan, Epsilon};
+use hermes_core::Epsilon;
 use hermes_dataplane::lint::{lint_composition, Lint};
 use hermes_dataplane::program::Program;
 use hermes_net::Network;
@@ -101,12 +98,6 @@ pub fn certificate_to_diagnostic(cert: &Certificate) -> Diagnostic {
     }
 }
 
-/// Re-renders a plan-verifier violation as an error diagnostic.
-pub fn violation_to_diagnostic(violation: &Violation) -> Diagnostic {
-    Diagnostic::new(violation.code(), Severity::Error, violation.to_string())
-        .with_hint("the plan violates a hard constraint; it must not be installed")
-}
-
 /// Everything the audit derives from the workload alone: composition
 /// lints, exhaustive per-program dependency re-derivation, and the
 /// dataflow + graph passes over the merged TDG, which it returns. The
@@ -148,14 +139,6 @@ pub fn audit_instance(
     let precheck = Precheck::run(&merged, net, eps);
     diags.extend(precheck.certificates.iter().map(certificate_to_diagnostic));
     AuditReport::new(diags, precheck.certificates)
-}
-
-/// Audits an already-computed deployment plan against its instance: the
-/// full hard-constraint verifier, re-emitted as `HV4xx` diagnostics.
-pub fn audit_plan(tdg: &Tdg, net: &Network, plan: &DeploymentPlan, eps: &Epsilon) -> AuditReport {
-    let diags =
-        hermes_core::verify(tdg, net, plan, eps).iter().map(violation_to_diagnostic).collect();
-    AuditReport::new(diags, Vec::new())
 }
 
 #[cfg(test)]

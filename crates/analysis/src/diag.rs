@@ -273,11 +273,6 @@ impl AuditReport {
         self.summary.errors > 0
     }
 
-    /// The worst severity present, if any finding exists.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// Deterministic pretty JSON (field order is declaration order). The
     /// report holds no value the writer refuses; were one to appear, the
     /// result is the serializer's error text instead.
@@ -352,7 +347,6 @@ mod tests {
         assert_eq!(report.summary.errors, 1);
         assert_eq!(report.summary.warnings, 1);
         assert!(report.has_errors());
-        assert_eq!(report.max_severity(), Some(Severity::Error));
     }
 
     #[test]

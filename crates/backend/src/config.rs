@@ -99,19 +99,6 @@ pub struct DeploymentArtifacts {
     pub routes: Vec<RouteEntry>,
 }
 
-impl DeploymentArtifacts {
-    /// Maximum bytes appended on any single inter-switch hop — the
-    /// realized per-packet byte overhead of the generated configs. Equals
-    /// the plan's `A_max` by construction.
-    pub fn max_append_bytes(&self) -> u32 {
-        self.switches
-            .values()
-            .flat_map(|c| c.appends.keys().map(|&next| c.append_bytes(next)))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Generates the deployment artifacts for a verified plan.
 ///
 /// The piggyback contract of a pair `(u, v)` is the set of metadata fields
@@ -188,9 +175,16 @@ mod tests {
     #[test]
     fn append_bytes_match_plan_overhead() {
         let (tdg, _, plan, art) = artifacts();
-        // The realized max append can only match or exceed per-edge
+        // The most bytes appended on any one hop, the configs' realized
+        // per-packet overhead, can only match or exceed per-edge
         // accounting; for PaperLiteral mode they coincide per pair.
-        assert_eq!(u64::from(art.max_append_bytes()), plan.max_inter_switch_bytes(&tdg));
+        let max_append = art
+            .switches
+            .values()
+            .flat_map(|c| c.appends.keys().map(|&next| c.append_bytes(next)))
+            .max()
+            .unwrap_or(0);
+        assert_eq!(u64::from(max_append), plan.max_inter_switch_bytes(&tdg));
     }
 
     #[test]

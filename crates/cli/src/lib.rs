@@ -761,8 +761,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
 }
 
 /// The programs of the command's files (after the built-in library, with
-/// `--library`) and their merged TDG.
-fn workload(options: &Options) -> Result<(Vec<Program>, Tdg), CliError> {
+/// `--library`).
+fn workload(options: &Options) -> Result<Vec<Program>, CliError> {
     let read = |file: &String| {
         let text = std::fs::read_to_string(file);
         text.map(|text| text + "\n").map_err(|e| err(format!("cannot read `{file}`: {e}")))
@@ -771,8 +771,7 @@ fn workload(options: &Options) -> Result<(Vec<Program>, Tdg), CliError> {
     let mut programs =
         if options.library { hermes_dataplane::library::real_programs() } else { Vec::new() };
     programs.extend(parse_programs(&sources).map_err(|e| err(format!("parse error: {e}")))?);
-    let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&programs);
-    Ok((programs, tdg))
+    Ok(programs)
 }
 
 /// A controller over the network under ε, faulted by `injector`.
@@ -1050,7 +1049,8 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             }
         }
         Analyze => {
-            let (programs, tdg) = workload(options)?;
+            let programs = workload(options)?;
+            let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&programs);
             let stats = hermes_tdg::stats(&tdg).ok_or_else(|| err("the merged TDG has a cycle"))?;
             writeln!(out, "programs: {}", programs.len())?;
             writeln!(
@@ -1066,10 +1066,10 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             }
         }
         Audit => {
-            let (programs, tdg) = workload(options)?;
+            let programs = workload(options)?;
             let mut report = hermes_analysis::audit_instance(&programs, net, eps, options.mode);
             if options.state_report {
-                let state = hermes_analysis::state_report_of_tdg(&tdg);
+                let state = hermes_analysis::state_report(&programs, options.mode);
                 let mut diags = report.diagnostics;
                 diags.extend(hermes_analysis::state_diagnostics(&state));
                 report =
@@ -1088,7 +1088,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             }
         }
         Deploy => {
-            let (_, tdg) = workload(options)?;
+            let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&workload(options)?);
             let plan = options.solver.plan(options, &tdg, "")?;
             let violations = verify(&tdg, net, &plan, eps);
             if !violations.is_empty() {
@@ -1111,7 +1111,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             }
         }
         Simulate => {
-            let (_, tdg) = workload(options)?;
+            let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&workload(options)?);
             let plan = options.solver.plan(options, &tdg, "")?;
             let artifacts = generate(&tdg, net, &plan);
             let result = simulate_plan(&tdg, net, &plan, &artifacts, &PlanFlowConfig::default())
@@ -1128,7 +1128,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             )?;
         }
         Chaos => {
-            let (_, tdg) = workload(options)?;
+            let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&workload(options)?);
             let plan = options.solver.plan(options, &tdg, "")?;
             if let Some(trials) = options.trials {
                 if options.journal.is_some() {
@@ -1168,7 +1168,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             }
         }
         Migrate => {
-            let (_, tdg) = workload(options)?;
+            let tdg = ProgramAnalyzer::with_mode(options.mode).analyze(&workload(options)?);
             run_migrate(options, out, &tdg)?;
         }
     }

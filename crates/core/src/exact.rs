@@ -72,12 +72,7 @@
 //! 27, 1985): searches from the root, with every cut above, under the
 //! ceilings F+1, F+2, F+4, F+8, … strictly below the entry bound g, where F
 //! is the context's objective floor. They share one budget of
-//! `CONTOUR_NODES` nodes. The calling thread runs them as one DFS. With
-//! helpers, a contour it has not finished within `HELPER_START_NODES` nodes
-//! runs again from the root as a frontier search under the same ceiling
-//! (below), and so does every later contour: the pool's workers spend what
-//! is left of the budget 64 nodes at a time, at their poll. How a contour
-//! ends decides what comes next:
+//! `CONTOUR_NODES` nodes. How a contour ends decides what comes next:
 //!
 //! - **It completes and recorded a leaf.** Every earlier contour proved
 //!   that no leaf lies below its own ceiling, so this leaf is of minimum
@@ -92,33 +87,39 @@
 //!   its workers recorded). Every optimum is at most v; the final search
 //!   runs under the ceiling v + 1, not v, so that the first leaf at v stays
 //!   acceptable when v is the optimum.
-//! - **Anything else** — the budget stops it before a leaf, the ceilings
-//!   reach g, or the deadline stops it — leaves the final search the entry
-//!   bound, as if no contour had run.
+//! - **The budget stops it before a leaf, or the ceilings reach g.** The
+//!   final search runs under the entry bound, as if no contour had run.
+//! - **The deadline stops it.** The solve ends, unproven.
 //!
-//! The calling thread's contours record their leaves under the subtree
-//! index `u32::MAX`, after every frontier root, and a contour stopped on
-//! the pool re-files its leaves there, since its root indices mean nothing
-//! in another frontier: such a leaf loses every tie in the reduction, where
-//! it matters only if the final search is stopped. A contour the pool
-//! completes keeps its indices, which decide its answer. Contour nodes and
-//! prunes count in [`ParallelStats`] with the rest.
+//! Contour nodes and prunes count in [`ParallelStats`] with the rest.
 //!
 //! # Parallel search
 //!
-//! The DFS is sharded into **independent subtree tasks**: a breadth-first
-//! frontier expansion (in exact DFS candidate order) splits the tree at a
-//! depth where enough independent subtree roots exist to feed the worker
-//! pool, and each worker claims the next canonical root from one shared
-//! atomic cursor and runs an iterative DFS over it with its own
-//! reversible [`IncrementalEval`] + stage-packing state (reset and
-//! replayed per root — no cross-worker sharing of mutable state). Search
-//! frames live in a per-worker arena (`Vec<Frame>`) that is reused across
-//! subtrees, so steady-state search allocates nothing. The calling thread
-//! is worker 0, and the scoped helper threads start only once it has
-//! explored `HELPER_START_NODES` nodes of the search — in a contour, which
-//! the pool then runs again, or in the final search — so a search that ends
-//! sooner, as most do, never pays for a thread it cannot use.
+//! Every search, a contour or the final one, runs on the calling thread as
+//! one DFS from the root until that thread has explored
+//! `HELPER_START_NODES` nodes in all, so a search that ends sooner, as most
+//! do, never pays for a thread it cannot use. With helpers, the search
+//! that outlives that threshold runs again from the root on the pool, with
+//! every helper started at once, and so does every later search of the
+//! solve; contours there spend what is left of their budget 64 nodes at a
+//! time, at each worker's poll.
+//!
+//! On the pool the DFS is sharded into **independent subtree tasks**: a
+//! breadth-first frontier expansion (in exact DFS candidate order) splits
+//! the tree at a depth where enough independent subtree roots exist to feed
+//! the workers, and each worker (the calling thread is worker 0) claims the
+//! next canonical root from one shared atomic cursor and runs an iterative
+//! DFS over it with its own reversible [`IncrementalEval`] + stage-packing
+//! state (reset and replayed per root — no cross-worker sharing of mutable
+//! state). Search frames live in a per-worker arena (`Vec<Frame>`) that is
+//! reused across subtrees, so steady-state search allocates nothing.
+//!
+//! The calling thread records its leaves under root 0. A search that
+//! stops — on the budget, the deadline or the helper threshold — files its
+//! leaves under `u32::MAX`, past every frontier root, since its indices
+//! mean nothing in another search: such a leaf loses every tie in the
+//! reduction, where it matters only if the final search is stopped. A
+//! search that completes keeps its indices, which decide its answer.
 //!
 //! **Determinism:** results are byte-identical to the sequential search
 //! regardless of worker count or timing. Each worker accepts a leaf only
@@ -134,10 +135,10 @@
 //! completion.
 //!
 //! The [`SearchContext`] deadline bounds the worst case (polled every 64
-//! nodes, and by each worker before its first root); the outcome reports
-//! whether optimality was proven, which the execution-time experiment
-//! (Exp#3) uses to flag timed-out ILP-style runs. A deadline stop never
-//! proves a leaf, however far the contours got.
+//! nodes, by each pool worker before its first root, and before the final
+//! search); the outcome reports whether optimality was proven, which the
+//! execution-time experiment (Exp#3) uses to flag timed-out ILP-style runs.
+//! A deadline stop never proves a leaf, however far the contours got.
 
 use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
 use crate::eval::{IncrementalEval, UNASSIGNED};
@@ -146,8 +147,8 @@ use crate::solver::{DeploymentAlgorithm, SearchContext, SolveOutcome, SolveStats
 use crate::stage_assign::{materialize, Packing};
 use hermes_net::{fits, mutually_reachable, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Target number of subtree roots per worker when splitting the search
@@ -156,24 +157,21 @@ use std::time::Instant;
 /// cost of more prefix replays.
 const ROOTS_PER_WORKER: usize = 8;
 
-/// Nodes the calling thread explores on its own before the search uses the
-/// helper threads (a multiple of the 64-node poll cadence). A contour the
-/// calling thread has not finished by then runs again from the root on the
-/// pool, and every later contour and the final search start the helpers at
-/// once; a final search reached sooner starts them from worker 0's poll once
-/// it has explored this many nodes itself. Starting a thread costs about
-/// what exploring a few hundred nodes does.
+/// Nodes the calling thread explores on its own, over all the searches of
+/// a solve, before the solve uses the helper threads. The search it has not
+/// finished by then runs again from the root on the pool, and so does every
+/// later one. Starting a thread costs about what exploring a few hundred
+/// nodes does.
 const HELPER_START_NODES: u64 = 4096;
 
-/// Nodes all the contours of one search may explore together before the
-/// search falls back to the final frontier search. On the pool the contour
-/// workers spend what is left of it 64 nodes at a time, at their poll.
+/// Nodes all the contours of one solve may explore together before the
+/// final search runs. On the pool the contour workers spend what is left
+/// of it 64 nodes at a time, at their poll.
 const CONTOUR_NODES: u64 = 1 << 16;
 
-/// The subtree index the calling thread's contours record their leaves
-/// under, and a contour the pool did not complete re-files its leaves
-/// under: past every frontier root, so a contour's leaf loses every tie to
-/// the final search's.
+/// The subtree index a search that stopped files its leaves under: past
+/// every frontier root and the calling thread's root 0, so such a leaf
+/// loses every tie to a completed search's.
 const CONTOUR_ROOT: u32 = u32::MAX;
 
 /// Exact `A_max` minimizer driven entirely by a [`SearchContext`] (no
@@ -255,51 +253,44 @@ impl OptimalSolver {
             return (Err(DeployError::dependency_cycle()), ParallelStats::default());
         };
         let shared = SharedSearch::new(tdg, net, eps, order, &candidates, ctx, seed);
-
-        // Phase 0: the contours, on the calling thread until they outlive
-        // the helper threshold, then on the pool. One that settles the
-        // search leaves nothing for the final search.
-        let workers = ctx.worker_count().max(1);
         let mut pstats = ParallelStats { workers: 1, ..ParallelStats::default() };
-        let mut outs = Vec::new();
-        let searched = run_contours(
-            &shared,
-            ctx.objective_floor(),
-            contour_nodes,
-            workers,
-            &mut pstats,
-            &mut outs,
-        )
-        .and_then(|next| {
-            if let Some((ceiling, pooled)) = next {
-                outs.extend(search_frontier(&shared, ceiling, workers, pooled, &mut pstats)?);
-            }
-            Ok(())
-        });
-        if let Err(err) = searched {
-            return (Err(err), pstats);
-        }
+        let mut searches = Searches::new(&shared, ctx.worker_count().max(1));
+
+        // The contours, then — unless one settled the solve or the deadline
+        // stopped it — the final search.
+        let end = searches.run_contours(ctx.objective_floor(), contour_nodes, &mut pstats);
+        let leaf = searches.least_leaf();
+        let exhausted = if end == End::Deadline || end == End::Complete && leaf.is_some() {
+            end == End::Complete
+        } else {
+            // After a leaf of objective `v` every optimum is at most `v`, and
+            // the first leaf at `v` must stay acceptable: the ceiling is
+            // `v + 1`, which is at most the contour's own, so below `seed`.
+            let ceiling = leaf.map_or(seed, |v| v + 1);
+            shared.nodes_left.store(u64::MAX, Ordering::Relaxed);
+            // A deadline that has passed stops the solve before the final
+            // search starts.
+            !ctx.should_stop() && searches.run(ceiling, u64::MAX, &mut pstats) == End::Complete
+        };
 
         // Phase 3: deterministic reduction — the lexicographic minimum
         // over (objective, canonical subtree index), i.e. the lowest-index
         // optimal solution, exactly what the sequential DFS returns.
         let mut best: Option<(u64, u32)> = None;
         let mut best_assign: Option<Vec<usize>> = None;
-        let (mut explored, mut stopped) = (0, false);
-        for out in outs {
-            explored += out.explored;
-            pstats.bound_prunes += out.bound_prunes;
-            pstats.lookahead_prunes += out.lookahead_prunes;
-            pstats.cycle_rejects += out.cycle_rejects;
-            stopped |= out.stopped;
-            if let Some(key) = out.best {
+        let mut explored = 0;
+        for ex in searches.explorers {
+            explored += ex.explored;
+            pstats.bound_prunes += ex.bound_prunes;
+            pstats.lookahead_prunes += ex.lookahead_prunes;
+            pstats.cycle_rejects += ex.cycle_rejects;
+            if let Some(key) = ex.best {
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
-                    best_assign = Some(out.best_assign);
+                    best_assign = Some(ex.best_assign);
                 }
             }
         }
-        let exhausted = !stopped;
         let own_best = best.map_or(seed, |(objective, _)| objective.min(seed));
         let mut best_plan = seed_plan;
         if let Some(assign) = best_assign {
@@ -359,19 +350,17 @@ pub struct ParallelStats {
     /// Contours run before the final search (see the module docs); one the
     /// pool ran again from the root counts once.
     pub contours: usize,
-    /// The most workers any frontier search of the solve ran with — a
-    /// contour's on the pool or the final one: the calling thread plus the
-    /// helpers it started. 1 when the calling thread searched alone: a
-    /// contour settled the search on it, or no frontier search started a
-    /// helper.
+    /// The most workers any search of the solve ran with: the calling
+    /// thread plus the helpers a frontier search started. 1 when the
+    /// calling thread searched alone.
     pub workers: usize,
-    /// Depth of the last subtree-splitting frontier built: the final
-    /// search's, or that of the contour that settled the search on the pool
-    /// (0 when a contour settled it on the calling thread).
+    /// Depth of the last subtree-splitting frontier built, that of the
+    /// solve's last search on the pool (0 when every search ended on the
+    /// calling thread, as at one worker).
     pub frontier_depth: usize,
-    /// Number of independent subtree roots in that frontier (0 when a
-    /// contour settled the search on the calling thread, or when the
-    /// enumeration alone exhausted the tree).
+    /// Number of independent subtree roots in that frontier (0 when every
+    /// search ended on the calling thread, or when the enumeration alone
+    /// exhausted the tree).
     pub subtree_roots: usize,
     /// Nodes cut by the incumbent bound (the ceiling or the shared key),
     /// contours included, like the two counters below.
@@ -550,180 +539,134 @@ fn build_frontier(ex: &mut Explorer<'_>, target: usize) -> Frontier {
     Frontier { prefixes: level, count, depth }
 }
 
-/// How one contour ended (see the module docs).
+/// How a search ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ContourEnd {
-    /// It completed and recorded a leaf: the search's answer.
-    Settled,
-    /// It completed without a leaf; the next contour runs.
-    Dry,
-    /// The node budget stopped it.
+enum End {
+    /// It ran to completion.
+    Complete,
+    /// The contours' node budget stopped it.
     Budget,
     /// The deadline stopped it.
     Deadline,
-    /// The calling thread reached [`HELPER_START_NODES`] in it; the pool
-    /// runs it again from the root.
-    HandedOff,
 }
 
-/// Phase 0: the contours up from the proven `floor`, within `budget` nodes
-/// in all (see the module docs). At one worker the calling thread runs them
-/// all; with helpers, a contour it has not finished within
-/// [`HELPER_START_NODES`] nodes runs again from the root as a frontier
-/// search under the same ceiling, and so does every later one. Pushes every
-/// explorer's result onto `outs` and returns the ceiling the final search
-/// runs under, with whether the contours went to the pool — `None` when a
-/// contour settled the search — or the error of a panicked worker.
-fn run_contours(
-    shared: &SharedSearch<'_>,
-    floor: u64,
-    budget: u64,
+/// The explorers of one solve's searches: the calling thread's first, then
+/// those of every search on the pool.
+struct Searches<'a> {
+    shared: &'a SharedSearch<'a>,
     workers: usize,
-    pstats: &mut ParallelStats,
-    outs: &mut Vec<WorkerOut>,
-) -> Result<Option<(u64, bool)>, DeployError> {
-    let entry = shared.entry_bound;
-    let mut calling = Explorer::new(shared);
-    calling.node_budget = if workers > 1 { budget.min(HELPER_START_NODES) } else { budget };
-    let mut pooled = false;
-    let mut end = ContourEnd::Dry;
-    let ceilings = (0..u64::BITS).map_while(|k| floor.checked_add(1 << k));
-    for ceiling in ceilings.take_while(|&ceiling| ceiling < entry) {
-        pstats.contours += 1;
-        if !pooled {
-            end = calling.run_contour(ceiling, budget);
-            pooled = end == ContourEnd::HandedOff;
-            if pooled {
-                shared.nodes_left.store(budget - calling.explored, Ordering::Relaxed);
+    /// A search has outlived [`HELPER_START_NODES`] on the calling thread:
+    /// every search from then on runs on the pool.
+    pooled: bool,
+    explorers: Vec<Explorer<'a>>,
+}
+
+impl<'a> Searches<'a> {
+    fn new(shared: &'a SharedSearch<'a>, workers: usize) -> Self {
+        Searches { shared, workers, pooled: false, explorers: vec![Explorer::new(shared)] }
+    }
+
+    /// The contours up from the proven `floor`, within `budget` nodes in
+    /// all (see the module docs), until one completes with a leaf, which
+    /// settles the solve, or stops. Returns how the last one ended.
+    fn run_contours(&mut self, floor: u64, budget: u64, pstats: &mut ParallelStats) -> End {
+        let entry = self.shared.entry_bound;
+        let ceilings = (0..u64::BITS).map_while(|k| floor.checked_add(1 << k));
+        for ceiling in ceilings.take_while(|&ceiling| ceiling < entry) {
+            pstats.contours += 1;
+            let end = self.run(ceiling, budget, pstats);
+            if end != End::Complete || self.least_leaf().is_some() {
+                return end;
             }
         }
-        if pooled {
-            let mut contour = search_frontier(shared, ceiling, workers, true, pstats)?;
-            end = if contour.iter().any(|out| out.stopped) {
-                // Its root indices mean nothing in the next frontier: its
-                // leaves lose every tie there, like the calling thread's.
-                for out in &mut contour {
-                    out.stopped = false;
-                    out.best = out.best.map(|(objective, _)| (objective, CONTOUR_ROOT));
-                }
-                if shared.nodes_left.load(Ordering::Relaxed) < 64 {
-                    ContourEnd::Budget
-                } else {
-                    ContourEnd::Deadline
-                }
-            } else if contour.iter().any(|out| out.best.is_some()) {
-                ContourEnd::Settled
-            } else {
-                ContourEnd::Dry
-            };
-            outs.extend(contour);
+        End::Complete
+    }
+
+    /// One search from the root under `ceiling`, stopped once the contours
+    /// have explored `budget` nodes in all (`u64::MAX`: no budget, the
+    /// final search). It runs on the calling thread, its leaves under root
+    /// 0, until that thread has explored [`HELPER_START_NODES`] nodes in
+    /// all; with helpers, the search that outlives that runs again from the
+    /// root as a frontier search, and so does every later one. A search
+    /// that stops files its leaves under [`CONTOUR_ROOT`].
+    fn run(&mut self, ceiling: u64, budget: u64, pstats: &mut ParallelStats) -> End {
+        let sh = self.shared;
+        if !self.pooled {
+            let calling = &mut self.explorers[0];
+            let helper_start = if self.workers > 1 { HELPER_START_NODES } else { u64::MAX };
+            calling.ceiling = ceiling;
+            calling.node_budget = budget.min(helper_start);
+            calling.run_root(0, &[]);
+            if !std::mem::take(&mut calling.stopped) {
+                return End::Complete;
+            }
+            calling.best = calling.best.map(|(objective, _)| (objective, CONTOUR_ROOT));
+            if calling.explored <= calling.node_budget {
+                return End::Deadline;
+            }
+            if calling.explored > budget {
+                return End::Budget;
+            }
+            // The helper threshold: the pool runs this search again.
+            self.pooled = true;
+            if budget != u64::MAX {
+                sh.nodes_left.store(budget - calling.explored, Ordering::Relaxed);
+            }
         }
-        if end != ContourEnd::Dry {
-            break;
+        let first = self.explorers.len();
+        self.explorers.extend(search_frontier(sh, ceiling, self.workers, pstats));
+        let ran = &mut self.explorers[first..];
+        if ran.iter().all(|ex| !ex.stopped) {
+            return End::Complete;
+        }
+        // Its root indices mean nothing in the next frontier.
+        for ex in ran {
+            ex.best = ex.best.map(|(objective, _)| (objective, CONTOUR_ROOT));
+        }
+        if sh.nodes_left.load(Ordering::Relaxed) < 64 {
+            End::Budget
+        } else {
+            End::Deadline
         }
     }
-    shared.nodes_left.store(u64::MAX, Ordering::Relaxed);
-    // Node-count stops were cleared above; a deadline stop, on this thread
-    // or on the pool, must still leave the search unproven.
-    calling.stopped = end == ContourEnd::Deadline;
-    outs.push(WorkerOut::of(calling));
-    Ok(match end {
-        ContourEnd::Settled => None,
-        // After a leaf of objective `v` every optimum is at most `v`, and
-        // the first leaf at `v` must stay acceptable: the ceiling is
-        // `v + 1`, which is at most the contour's own, so below `entry`.
-        ContourEnd::Budget => {
-            let leaf = outs.iter().filter_map(|out| out.best).map(|(objective, _)| objective).min();
-            Some((leaf.map_or(entry, |v| v + 1), pooled))
-        }
-        // Every ceiling below `entry` ran dry, or the deadline stopped a
-        // contour: the final search runs as if none had run.
-        ContourEnd::Dry | ContourEnd::Deadline | ContourEnd::HandedOff => Some((entry, pooled)),
-    })
+
+    /// The least objective of any leaf recorded so far.
+    fn least_leaf(&self) -> Option<u64> {
+        self.explorers.iter().filter_map(|ex| ex.best).map(|(objective, _)| objective).min()
+    }
 }
 
-/// Phases 1 and 2 of a search below `ceiling` — a contour's on the pool, or
-/// the final one: the frontier enumeration (single-threaded, exact DFS
-/// candidate order), then the subtree pool — workers take roots in
-/// canonical order from one shared cursor (a stopped enumeration leaves
-/// none). The calling thread is worker 0; it starts the helpers at once
-/// when `eager`, else from its poll once it has explored
-/// `HELPER_START_NODES`. Returns every worker's result and the
-/// enumerator's, or the error of a worker that panicked while holding the
-/// results.
-fn search_frontier(
-    shared: &SharedSearch<'_>,
+/// Phases 1 and 2 of a search below `ceiling` on the pool: the frontier
+/// enumeration (single-threaded, exact DFS candidate order), then the
+/// subtree pool — workers take roots in canonical order from one shared
+/// cursor (a stopped enumeration leaves none). The calling thread is worker
+/// 0 and starts every helper at once. Returns every worker's explorer and
+/// the enumerator's; a helper's panic goes on up.
+fn search_frontier<'a>(
+    shared: &'a SharedSearch<'a>,
     ceiling: u64,
     requested_workers: usize,
-    eager: bool,
     pstats: &mut ParallelStats,
-) -> Result<Vec<WorkerOut>, DeployError> {
+) -> Vec<Explorer<'a>> {
     shared.best_key.store(NO_KEY, Ordering::Relaxed);
     let mut enumerator = Explorer { ceiling, ..Explorer::new(shared) };
     let frontier = build_frontier(&mut enumerator, requested_workers * ROOTS_PER_WORKER);
     let workers = requested_workers.min(frontier.count);
     let cursor = AtomicU32::new(0);
-    let outs: Mutex<Vec<WorkerOut>> = Mutex::new(Vec::with_capacity(workers + 1));
-    if workers > 0 {
-        std::thread::scope(|scope| {
-            let (frontier, cursor, outs) = (&frontier, &cursor, &outs);
-            // A poisoned lock drops the result; the caller then refuses
-            // the whole search.
-            let finish = move |out| {
-                if let Ok(mut outs) = outs.lock() {
-                    outs.push(out);
-                }
-            };
-            let run =
-                move |start_helpers| run_worker(shared, ceiling, frontier, cursor, start_helpers);
-            let start_helpers = move || {
-                for _ in 1..workers {
-                    scope.spawn(move || finish(run(None)));
-                }
-            };
-            if eager {
-                start_helpers();
-                finish(run(None));
-            } else {
-                finish(run(Some(&start_helpers)));
-            }
-        });
-    }
-    let Ok(mut outs) = outs.into_inner() else {
-        let reason = "a search worker panicked while holding the results".to_owned();
-        return Err(DeployError::NoFeasiblePlacement { reason });
-    };
-    pstats.workers = pstats.workers.max(outs.len());
+    let run = || run_worker(shared, ceiling, &frontier, &cursor);
+    let mut explorers: Vec<Explorer<'a>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+        let calling = (workers > 0).then(run);
+        let helpers = helpers
+            .into_iter()
+            .map(|helper| helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        calling.into_iter().chain(helpers).collect()
+    });
+    pstats.workers = pstats.workers.max(explorers.len());
     pstats.frontier_depth = frontier.depth;
     pstats.subtree_roots = frontier.count;
-    outs.push(WorkerOut::of(enumerator));
-    Ok(outs)
-}
-
-/// Per-worker result, merged by the deterministic reduction.
-struct WorkerOut {
-    /// Best `(objective, canonical subtree index)` this worker accepted.
-    best: Option<(u64, u32)>,
-    best_assign: Vec<usize>,
-    explored: u64,
-    bound_prunes: u64,
-    lookahead_prunes: u64,
-    cycle_rejects: u64,
-    stopped: bool,
-}
-
-impl WorkerOut {
-    fn of(ex: Explorer<'_>) -> Self {
-        WorkerOut {
-            best: ex.best,
-            best_assign: ex.best_assign,
-            explored: ex.explored,
-            bound_prunes: ex.bound_prunes,
-            lookahead_prunes: ex.lookahead_prunes,
-            cycle_rejects: ex.cycle_rejects,
-            stopped: ex.stopped,
-        }
-    }
+    explorers.push(enumerator);
+    explorers
 }
 
 /// Explores roots claimed from `cursor` until the frontier is used up or
@@ -735,9 +678,8 @@ fn run_worker<'a>(
     ceiling: u64,
     frontier: &Frontier,
     cursor: &AtomicU32,
-    start_helpers: Option<&'a dyn Fn()>,
-) -> WorkerOut {
-    let mut ex = Explorer { ceiling, start_helpers, ..Explorer::new(sh) };
+) -> Explorer<'a> {
+    let mut ex = Explorer { ceiling, ..Explorer::new(sh) };
     ex.stopped = sh.ctx.should_stop();
     while !ex.stopped {
         let root = cursor.fetch_add(1, Ordering::Relaxed);
@@ -746,7 +688,7 @@ fn run_worker<'a>(
         }
         ex.run_root(root, frontier.prefix(root));
     }
-    WorkerOut::of(ex)
+    ex
 }
 
 /// A worker's private search state: one reversible evaluator + packing
@@ -786,8 +728,6 @@ struct Explorer<'a> {
     lookahead_prunes: u64,
     cycle_rejects: u64,
     stopped: bool,
-    /// Worker 0 only: spawns the helper threads, once.
-    start_helpers: Option<&'a dyn Fn()>,
     /// Lookahead scratch, sized once. Per candidate (closure-row stride):
     /// the candidates preceding it; per node: the candidates that precede
     /// a switch holding one of its placed ancestors.
@@ -847,7 +787,6 @@ impl<'a> Explorer<'a> {
             lookahead_prunes: 0,
             cycle_rejects: 0,
             stopped: false,
-            start_helpers: None,
             before: vec![0; q * words],
             blocked: vec![0; n * words],
             limit: vec![0.0; room_at.last().copied().unwrap_or(0)],
@@ -900,27 +839,18 @@ impl<'a> Explorer<'a> {
 
     /// Node-entry prologue shared by every depth: count, apply the node
     /// budget, poll the deadline and the contours' shared budget (every
-    /// 64th node — `Instant::now` costs more than a whole branch step; a
-    /// worker also polls the deadline before its first root) and, on worker
-    /// 0, the helper threshold; apply the incumbent cut, accept leaves, run
-    /// the lookahead. Returns `true` when the node's children should be
-    /// explored.
+    /// 64th node — `Instant::now` costs more than a whole branch step),
+    /// apply the incumbent cut, accept leaves, run the lookahead. Returns
+    /// `true` when the node's children should be explored.
     fn enter(&mut self, depth: usize) -> bool {
         self.explored += 1;
         if self.explored > self.node_budget {
             self.stopped = true;
             return false;
         }
-        if self.explored & 0x3F == 0 {
-            if self.sh.poll_stops() {
-                self.stopped = true;
-                return false;
-            }
-            if self.explored >= HELPER_START_NODES {
-                if let Some(start) = self.start_helpers.take() {
-                    start();
-                }
-            }
+        if self.explored & 0x3F == 0 && self.sh.poll_stops() {
+            self.stopped = true;
+            return false;
         }
         if self.cut(self.eval.amax(), true) {
             self.bound_prunes += 1;
@@ -1192,29 +1122,6 @@ impl<'a> Explorer<'a> {
                 self.best = Some(key);
                 std::mem::swap(&mut self.best_assign, &mut self.root_assign);
             }
-        }
-    }
-
-    /// Runs one contour under `ceiling` on the calling thread: a DFS from
-    /// the root whose leaves are filed under [`CONTOUR_ROOT`], stopped once
-    /// the thread has explored [`Explorer::node_budget`] nodes — all of
-    /// `budget`, the contours' budget, or [`HELPER_START_NODES`] of it when
-    /// there are helpers. A deadline stop leaves [`Explorer::stopped`] set;
-    /// a node-count stop clears it.
-    fn run_contour(&mut self, ceiling: u64, budget: u64) -> ContourEnd {
-        self.ceiling = ceiling;
-        self.run_root(CONTOUR_ROOT, &[]);
-        if !self.stopped {
-            return if self.best.is_some() { ContourEnd::Settled } else { ContourEnd::Dry };
-        }
-        if self.explored <= self.node_budget {
-            return ContourEnd::Deadline;
-        }
-        self.stopped = false;
-        if self.explored > budget {
-            ContourEnd::Budget
-        } else {
-            ContourEnd::HandedOff
         }
     }
 
@@ -1498,7 +1405,7 @@ mod tests {
         };
         let (reference, one) = solve(1);
         assert_eq!((reference.objective, reference.proven_optimal), (2, true));
-        assert_eq!((one.contours, one.workers), (1, 1), "{one:?}");
+        assert_eq!((one.contours, one.workers, one.subtree_roots), (1, 1, 0), "{one:?}");
         for workers in 2..=8 {
             let (out, stats) = solve(workers);
             assert_eq!(stats.workers, workers, "{stats:?}");
@@ -1524,10 +1431,10 @@ mod tests {
     }
 
     #[test]
-    fn seed_proven_optimal_by_enumeration_alone_reports_zero_roots() {
-        // When the greedy seed is already optimal the frontier expansion
-        // prunes every child against the entry bound: the enumeration is
-        // the exhaustion proof and no subtree ever reaches the pool.
+    fn a_search_that_ends_on_the_calling_thread_builds_no_frontier() {
+        // The greedy seed is already optimal: every contour runs dry and the
+        // final search proves the seed within a few nodes, all on the
+        // calling thread, so no frontier is built and no helper starts.
         let tdg = chain_tdg(&[1, 4, 2, 8], 0.5);
         let net = tiny_switches(3, 2, 0.5);
         let ctx = SearchContext::unbounded().with_threads(NonZeroUsize::new(4).unwrap());
@@ -1535,6 +1442,6 @@ mod tests {
             OptimalSolver::new().solve_instrumented(&tdg, &net, &Epsilon::loose(), &ctx);
         let out = result.unwrap();
         assert!(out.proven_optimal);
-        assert!(stats.subtree_roots == 0 || stats.workers >= 1, "{stats:?}");
+        assert!(stats.subtree_roots == 0 && stats.workers == 1, "{stats:?}");
     }
 }

@@ -43,17 +43,6 @@ impl FoldOp {
             FoldOp::Or => "or",
         }
     }
-
-    /// Op-algebra table: whether interleaved applications of `self` and
-    /// `other` to one accumulator commute. Each fold kind commutes with
-    /// itself (commutative + associative over its identity monoid); mixed
-    /// kinds do not (`max` then `+1` differs from `+1` then `max`).
-    pub fn commutes_with(self, other: FoldOp) -> bool {
-        self == other
-    }
-
-    /// All fold kinds, in `Ord` order (useful for exhaustive tables).
-    pub const ALL: [FoldOp; 4] = [FoldOp::Add, FoldOp::Max, FoldOp::Min, FoldOp::Or];
 }
 
 impl fmt::Display for FoldOp {
@@ -291,11 +280,6 @@ impl Action {
         self.ops.iter().for_each(|op| op.write_content(h));
     }
 
-    /// Number of ALU-consuming operations (everything except `Drop`).
-    pub fn alu_ops(&self) -> usize {
-        self.ops.iter().filter(|op| !matches!(op, PrimitiveOp::Drop)).count()
-    }
-
     /// `true` if any operation uses stateful register memory.
     pub fn is_stateful(&self) -> bool {
         self.ops.iter().any(PrimitiveOp::is_stateful)
@@ -347,13 +331,12 @@ mod tests {
         assert!(act.reads().contains(&headers::ipv4_src()));
         assert!(act.reads().contains(&idx()));
         assert!(act.is_stateful());
-        assert_eq!(act.alu_ops(), 2);
     }
 
     #[test]
     fn drop_consumes_no_alu() {
         let act = Action::new("deny").with_op(PrimitiveOp::Drop);
-        assert_eq!(act.alu_ops(), 0);
+        assert!(!act.is_stateful());
         assert!(act.writes().is_empty());
         assert!(act.reads().is_empty());
     }
@@ -369,15 +352,6 @@ mod tests {
         assert!(!op.is_stateful());
         assert!(!op.writes_are_idempotent());
         assert_eq!(op.fold_op(), Some(FoldOp::Add));
-    }
-
-    #[test]
-    fn fold_algebra_commutes_only_with_itself() {
-        for a in FoldOp::ALL {
-            for b in FoldOp::ALL {
-                assert_eq!(a.commutes_with(b), a == b, "{a} vs {b}");
-            }
-        }
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Program {
         self.tables.iter().find(|t| t.name() == name)
     }
 
-    /// Index of a table by name.
-    pub fn table_index(&self, name: &str) -> Option<usize> {
-        self.tables.iter().position(|t| t.name() == name)
-    }
-
     /// Sum of the normalized resource requirements of all tables.
     pub fn total_resource(&self) -> f64 {
         self.tables.iter().map(Mat::resource).sum()
@@ -228,7 +223,6 @@ mod tests {
     fn builds_program_in_order() {
         let p = Program::builder("p").table(mat("a")).table(mat("b")).build().unwrap();
         assert_eq!(p.tables()[0].name(), "a");
-        assert_eq!(p.table_index("b"), Some(1));
         assert!((p.total_resource() - 0.4).abs() < 1e-12);
     }
 

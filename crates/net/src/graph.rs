@@ -402,11 +402,6 @@ impl Network {
         self.down_switches.insert(s.0);
     }
 
-    /// Brings a failed switch back up. Idempotent.
-    pub fn restore_switch(&mut self, s: SwitchId) {
-        self.down_switches.remove(&s.0);
-    }
-
     /// `true` iff the switch exists and is not failed.
     pub fn is_switch_up(&self, s: SwitchId) -> bool {
         s.0 < self.switches.len() && !self.down_switches.contains(&s.0)
@@ -418,18 +413,6 @@ impl Network {
         match self.link_slot_between(a, b) {
             Some(idx) => {
                 self.down_links.insert(idx);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Brings the link between `a` and `b` back up. Returns `false` if no
-    /// such link exists. Idempotent.
-    pub fn restore_link(&mut self, a: SwitchId, b: SwitchId) -> bool {
-        match self.link_slot_between(a, b) {
-            Some(idx) => {
-                self.down_links.remove(&idx);
                 true
             }
             None => false,
@@ -450,11 +433,6 @@ impl Network {
     /// Number of switches currently up.
     pub fn up_switch_count(&self) -> usize {
         self.switches.len() - self.down_switches.len()
-    }
-
-    /// Looks a switch up by name.
-    pub fn switch_by_name(&self, name: &str) -> Option<SwitchId> {
-        self.switches.iter().position(|s| s.name == name).map(SwitchId)
     }
 
     /// The switches of the largest connected component (ties: the one
@@ -543,7 +521,6 @@ mod tests {
         let (net, a, b, c) = triangle();
         assert_eq!(net.switch_count(), 3);
         assert_eq!(net.link_count(), 3);
-        assert_eq!(net.switch_by_name("b"), Some(b));
         assert_eq!(net.programmable_switches(), vec![a, b]);
         assert!(net.switch(c).stages == 0);
     }
@@ -603,13 +580,10 @@ mod tests {
         // a -- c still up: the triangle minus b stays connected.
         assert!(net.is_link_up(a, c));
         assert!(net.is_connected());
-        net.restore_switch(b);
-        assert_eq!(net.programmable_switches(), vec![a, b]);
-        assert!(net.is_link_up(a, b));
     }
 
     #[test]
-    fn failed_link_disconnects_and_restores() {
+    fn failed_link_disconnects() {
         let (mut net, a, b, c) = triangle();
         assert!(net.fail_link(a, b));
         assert!(net.fail_link(b, a), "direction-insensitive");
@@ -620,25 +594,8 @@ mod tests {
         assert!(net.fail_link(b, c));
         assert!(!net.is_connected(), "b is now isolated");
         assert_eq!(net.largest_component(), vec![a, c]);
-        assert!(net.restore_link(a, b));
-        assert!(net.is_link_up(a, b));
-        assert!(net.is_connected());
         // Unknown pairs are reported, not silently accepted.
-        let ghost = SwitchId(9);
-        assert!(!net.fail_link(a, ghost));
-        assert!(!net.restore_link(a, ghost));
-    }
-
-    #[test]
-    fn down_states_do_not_perturb_healthy_queries() {
-        let (mut net, a, b, c) = triangle();
-        let before: Vec<_> = net.neighbors(a).collect();
-        net.fail_switch(b);
-        net.restore_switch(b);
-        net.fail_link(b, c);
-        net.restore_link(b, c);
-        assert_eq!(net.neighbors(a).collect::<Vec<_>>(), before);
-        assert_eq!(net.largest_component(), vec![a, b, c]);
+        assert!(!net.fail_link(a, SwitchId(9)));
     }
 
     #[test]

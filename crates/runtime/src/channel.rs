@@ -272,11 +272,6 @@ impl ControlChannel {
         Some((at, msg))
     }
 
-    /// Delivery time of the earliest in-flight message, if any.
-    pub fn next_due(&self) -> Option<u64> {
-        self.queue.keys().next().map(|&(at, _)| at)
-    }
-
     /// Number of in-flight messages.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -359,7 +354,6 @@ mod tests {
         let mut ch = ControlChannel::new(0, ChannelProfile::none(), 50);
         ch.send(0, reply_msg(1));
         assert!(ch.pop_due(49).is_none(), "not due before the latency elapses");
-        assert_eq!(ch.next_due(), Some(50));
         let (at, _) = ch.pop_due(50).expect("due at exactly t+latency");
         assert_eq!(at, 50);
         assert_eq!(ch.pending(), 0);

@@ -43,5 +43,5 @@ pub use analysis::{
 };
 pub use export::{stats, to_dot, TdgStats};
 pub use graph::{NodeId, Tdg, TdgEdge, TdgNode};
-pub use merge::{merge_all, merge_pair, merge_programs};
+pub use merge::{merge_all, merge_programs};
 pub use stateaccess::{relaxed_type, FieldEvidence, StateClass, StateClassification};

@@ -80,7 +80,12 @@ use std::collections::BTreeMap;
 /// used for the result; callers mixing modes should [`Tdg::reanalyze`]
 /// afterwards.
 ///
-/// Equal to folding [`merge_pair`] over `tdgs` from the left, computed in
+/// Relaxed edges are restored to their conservative base types before
+/// merging and the relaxation pass reruns on the merged result: a field's
+/// verdict is a property of the *final* node set (merging can add writers
+/// and demote it), so per-input relaxations must not survive as-is.
+///
+/// Equal to merging the inputs two at a time from the left, computed in
 /// one accumulator pass: one bitset pair typing per cross-program pair
 /// that shares a field, plus `O(N + E)` bookkeeping per fold or cycle
 /// query, for `N` input nodes and `E` merged edges (see the
@@ -99,17 +104,6 @@ pub fn merge_all(tdgs: Vec<Tdg>) -> Tdg {
     acc.take_in(first, 0);
     iter.for_each(|next| acc.absorb(next));
     acc.finish()
-}
-
-/// Merges two TDGs, eliminating redundant MATs across them: the two-input
-/// case of [`merge_all`]'s accumulator.
-///
-/// Relaxed edges are restored to their conservative base types before
-/// merging and the relaxation pass reruns on the merged result: a field's
-/// verdict is a property of the *final* node set (merging can add writers
-/// and demote it), so per-input relaxations must not survive as-is.
-pub fn merge_pair(t1: Tdg, t2: Tdg) -> Tdg {
-    merge_all(vec![t1, t2])
 }
 
 /// Builds the TDG of every program and merges them (Algorithm 1's convert
@@ -592,7 +586,7 @@ mod tests {
         let a = tdg(&library::ecmp_lb());
         let b = tdg(&library::stateful_firewall());
         let before = a.node_count() + b.node_count();
-        let merged = merge_pair(a, b);
+        let merged = merge_all(vec![a, b]);
         assert_eq!(merged.node_count(), before - 1, "one redundant hash removed");
         assert!(merged.is_dag());
         // The shared node now serves both programs.
@@ -618,7 +612,7 @@ mod tests {
         let b = tdg(&library::acl());
         let (na, ea) = (a.node_count(), a.edge_count());
         let (nb, eb) = (b.node_count(), b.edge_count());
-        let merged = merge_pair(a, b);
+        let merged = merge_all(vec![a, b]);
         assert_eq!(merged.node_count(), na + nb);
         assert_eq!(merged.edge_count(), ea + eb);
     }
@@ -627,7 +621,7 @@ mod tests {
     fn merge_preserves_edges_of_folded_nodes() {
         let a = tdg(&library::ecmp_lb());
         let b = tdg(&library::stateful_firewall());
-        let merged = merge_pair(a, b);
+        let merged = merge_all(vec![a, b]);
         let hash = merged.node_by_name("ecmp_lb/hash_5tuple").expect("kept first name");
         // Hash must still feed both the ECMP group and the firewall state.
         let downstream: Vec<&str> =
@@ -656,7 +650,7 @@ mod tests {
             .unwrap();
         let p1 = Program::builder("p1").table(x.clone()).table(y.clone()).build().unwrap();
         let p2 = Program::builder("p2").table(y).table(x).build().unwrap();
-        let merged = merge_pair(tdg(&p1), tdg(&p2));
+        let merged = merge_all(vec![tdg(&p1), tdg(&p2)]);
         assert!(merged.is_dag());
         assert!(merged.node_count() >= 3, "folding both pairs would cycle");
     }
@@ -665,7 +659,7 @@ mod tests {
     fn parallel_edges_deduplicated_keeping_max_bytes() {
         // Two identical programs fold completely onto each other.
         let p = library::cm_sketch();
-        let merged = merge_pair(tdg(&p), tdg(&p));
+        let merged = merge_all(vec![tdg(&p), tdg(&p)]);
         let single = tdg(&p);
         assert_eq!(merged.node_count(), single.node_count());
         assert_eq!(merged.edge_count(), single.edge_count());
@@ -692,7 +686,7 @@ mod tests {
             .unwrap();
         let pa = Program::builder("a").table(writer).build().unwrap();
         let pb = Program::builder("b").table(reader).build().unwrap();
-        let merged = merge_pair(tdg(&pa), tdg(&pb));
+        let merged = merge_all(vec![tdg(&pa), tdg(&pb)]);
         assert_eq!(merged.edge_count(), 1);
         let e = merged.edges()[0];
         assert_eq!(e.dep, DependencyType::Match);
@@ -707,7 +701,7 @@ mod tests {
         // intra-program ones, not duplicated cross inferences.
         let a = tdg(&library::ecmp_lb());
         let b = tdg(&library::stateful_firewall());
-        let merged = merge_pair(a, b);
+        let merged = merge_all(vec![a, b]);
         let hash = merged.node_by_name("ecmp_lb/hash_5tuple").unwrap();
         let to_conn = merged
             .out_edges(hash)
@@ -749,7 +743,7 @@ mod tests {
             .unwrap();
         let pb = Program::builder("b").table(setter).build().unwrap();
         let tb = Tdg::from_program(&pb, AnalysisMode::RelaxedState);
-        let merged = merge_pair(ta, tb);
+        let merged = merge_all(vec![ta, tb]);
         assert!(
             merged.edges().iter().all(|e| !e.dep.is_relaxed()),
             "demoted verdict must un-relax: {:?}",
@@ -792,7 +786,7 @@ mod tests {
             .unwrap();
         let alone = tdg(&twins);
         assert_eq!((alone.node_count(), alone.edge_count()), (2, 1));
-        let merged = merge_pair(alone, tdg(&library::l3_router()));
+        let merged = merge_all(vec![alone, tdg(&library::l3_router())]);
         assert_eq!(merged.node_count(), 1 + library::l3_router().tables().len());
         assert!(merged.node_by_name("twins/t1").is_some(), "the lower index survives");
         assert!(merged.node_by_name("twins/t2").is_none());
@@ -812,7 +806,7 @@ mod tests {
             .unwrap();
         let alone = tdg(&p);
         assert_eq!(alone.edge_count(), 3, "t1->mid (match), t1->t2 (action), mid->t2 (reverse)");
-        let merged = merge_pair(alone, tdg(&library::l3_router()));
+        let merged = merge_all(vec![alone, tdg(&library::l3_router())]);
         assert_eq!(merged.node_count(), 3 + library::l3_router().tables().len());
         assert!(merged.is_dag());
     }
@@ -834,7 +828,7 @@ mod tests {
             .build()
             .unwrap();
         let ecmp = library::ecmp_lb();
-        let merged = merge_pair(tdg(&ecmp), tdg(&p2));
+        let merged = merge_all(vec![tdg(&ecmp), tdg(&p2)]);
         assert!(merged.is_dag());
         let hash = merged.node_by_name("ecmp_lb/hash_5tuple").unwrap();
         assert!(merged.node(hash).programs.contains("fw"), "the hash is shared");
@@ -846,7 +840,7 @@ mod tests {
         // The pair is typed — with no hash to share, the edge is inferred —
         // so only the cycle keeps it out above.
         let p3 = Program::builder("fw").table(merged.node(rewrite).mat.clone()).build().unwrap();
-        let unshared = merge_pair(tdg(&ecmp), tdg(&p3));
+        let unshared = merge_all(vec![tdg(&ecmp), tdg(&p3)]);
         assert_eq!(unshared.edge_count(), tdg(&ecmp).edge_count() + 1);
     }
 

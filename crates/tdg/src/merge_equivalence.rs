@@ -1,8 +1,8 @@
 //! The pairwise merge as it was written before the accumulator — the
-//! definition [`merge_all`] and [`merge_pair`] must reproduce to the byte
+//! definition [`merge_all`] must reproduce to the byte
 //! — and the suite that holds the two together.
 //!
-//! `merge_reference` is the former `merge_pair` body, unchanged apart from
+//! `merge_reference` is the former two-input merge's body, unchanged apart from
 //! the [`Tally`] hooks: it rebuilds everything for the accumulated graph at
 //! every step, types pairs through the `Field`-comparing reference
 //! [`classify`] / [`metadata_amount`], and answers every cycle question
@@ -21,7 +21,7 @@ use crate::analysis::{
     MatProfile,
 };
 use crate::graph::{NodeId, Tdg, TdgEdge, TdgNode};
-use crate::merge::{merge_all, merge_pair, merge_programs};
+use crate::merge::{merge_all, merge_programs};
 use hermes_dataplane::action::Action;
 use hermes_dataplane::fields::{headers, Field};
 use hermes_dataplane::fieldset::FieldTable;
@@ -373,8 +373,8 @@ fn check_build_and_merge(programs: &[Program], mode: AnalysisMode) -> Result<(),
     Ok(())
 }
 
-/// `merge_all` and `merge_pair` against the reference on one program list,
-/// and `merge_programs` against `merge_all`.
+/// `merge_all` against the reference on one program list and on its two
+/// merged halves, and `merge_programs` against `merge_all`.
 fn check(programs: &[Program], mode: AnalysisMode, tally: &mut Tally) -> Result<(), TestCaseError> {
     check_build_and_merge(programs, mode)?;
     let tdgs =
@@ -393,8 +393,8 @@ fn check(programs: &[Program], mode: AnalysisMode, tally: &mut Tally) -> Result<
     if !left.is_empty() {
         let expected =
             merge_reference(merge_all(tdgs(left)), merge_all(tdgs(right)), &mut Tally::default());
-        let actual = merge_pair(merge_all(tdgs(left)), merge_all(tdgs(right)));
-        prop_assert!(actual == expected, "merge_pair diverges ({mode:?}) on {names:?}");
+        let actual = merge_all(vec![merge_all(tdgs(left)), merge_all(tdgs(right))]);
+        prop_assert!(actual == expected, "merging two halves diverges ({mode:?}) on {names:?}");
     }
     Ok(())
 }
@@ -429,7 +429,7 @@ fn unshared_program_gets_every_typed_cross_edge() {
                 }
             }
         }
-        let merged = merge_pair(a, b);
+        let merged = merge_all(vec![a, b]);
         assert_eq!(merged.edges(), expected, "{} + {}", pa.name(), pb.name());
         assert!(merged.is_dag());
     }
